@@ -132,16 +132,10 @@ def _cmd_sim(args) -> int:
     world = sim.build_world(cfg)
     rng = np.random.default_rng([cfg.seed, 0x515])
     rate = cfg.migration_rate / max(1, cfg.population)
-    rows = []
     metrics = [world.metrics()]
     for _ in range(cfg.steps):
         metrics.append(sim.step(world, rng))
-    for m in metrics:
-        rows.append({"policy": cfg.policy.value, "rate": rate,
-                     "replication": 0, "step": m.t,
-                     "migrations": m.migrations,
-                     "cumulative_migrations": m.cumulative_migrations,
-                     "min_max_ratio": m.min_max_ratio})
+    rows = [sim.csv_row(cfg.policy, rate, 0, m) for m in metrics]
     sim.write_rows_csv(args.out, rows)
     meta = {"seed": cfg.seed, "policy": cfg.policy.value,
             "capacities": list(cfg.capacities),

@@ -4,6 +4,13 @@ Encodes and decodes the outer IPv4 / UDP / GTPv1-U framing used between
 eNB and SGW, extracts inner-packet 5-tuples, and classifies raw frames
 into the handful of traffic classes the gateway pipeline cares about.
 
+One parse serves classification and decoding: `parse_frame` makes every
+outer IPv4 / UDP / GTP-U check once, `classify` reads the `Frame` it
+returns and `decode_gtpu` runs the same checks, so they agree by
+construction. Only the 8-byte header with flags 0x30 is accepted: a
+frame carrying the optional sequence, N-PDU or extension fields fails
+the tunnel checks, so the gateway plain-routes it (ROADMAP item 4).
+
 All functions here are pure and operate on immutable byte strings; they
 are safe to call from any number of concurrent contexts.
 """
@@ -177,14 +184,24 @@ def encode_gtpu(pkt: GtpuPacket) -> bytes:
 
 @dataclass(frozen=True)
 class Ipv4View:
-    """Parsed outer/inner IPv4 header fields plus the transport payload."""
+    """Parsed IPv4 header fields, the transport payload and the packet."""
 
     src: str
     dst: str
     proto: int
     header_len: int
-    total_len: int
     payload: bytes
+    packet: bytes
+
+    def five_tuple(self) -> FiveTuple:
+        """TCP/UDP ports come from the first transport words; other
+        protocols report ports (0, 0)."""
+        src_port = dst_port = 0
+        if self.proto in (PROTO_TCP, PROTO_UDP):
+            if len(self.payload) < 4:
+                raise TruncatedError("transport header truncated")
+            src_port, dst_port = struct.unpack("!HH", self.payload[:4])
+        return FiveTuple(self.src, self.dst, self.proto, src_port, dst_port)
 
 
 def parse_ipv4(data: bytes) -> Ipv4View:
@@ -199,60 +216,90 @@ def parse_ipv4(data: bytes) -> Ipv4View:
     total = struct.unpack("!H", data[2:4])[0]
     if total < ihl or total > len(data):
         raise LengthError(f"IPv4 total length {total} vs {len(data)} bytes")
-    if len(data) < ihl:
-        raise TruncatedError("IPv4 options truncated")
     return Ipv4View(src=unpack_ip(data[12:16]), dst=unpack_ip(data[16:20]),
-                    proto=data[9], header_len=ihl, total_len=total,
-                    payload=data[ihl:total])
+                    proto=data[9], header_len=ihl, payload=data[ihl:total],
+                    packet=data)
 
 
-def decode_gtpu(data: bytes) -> GtpuPacket:
-    """Inverse of encode_gtpu. Raises a DecodeError subclass on bad input."""
+@dataclass(frozen=True)
+class Frame:
+    """One parse of a raw frame: the outer IPv4 view and, for a well-formed
+    GTP-U frame, the decoded tunnel packet (None for any other frame)."""
+
+    ip: Ipv4View
+    tunnel: GtpuPacket | None
+
+    def packet_class(self, direction: Direction) -> PacketClass:
+        if self.ip.proto == PROTO_SCTP:
+            return PacketClass.CONTROL_PLANE
+        if self.tunnel is None:
+            return PacketClass.PLAIN_IP
+        if self.tunnel.message_type is GtpMessageType.END_MARKER:
+            return PacketClass.END_MARKER
+        if direction is Direction.FROM_RAN:
+            return PacketClass.UPSTREAM_GTP
+        if direction is Direction.FROM_CORE:
+            return PacketClass.DOWNSTREAM_GTP
+        return PacketClass.PLAIN_IP
+
+
+def parse_frame(data: bytes) -> Frame:
+    """Parse the outer IPv4 header, then UDP and GTP-U when present.
+
+    Raises a DecodeError subclass only when the outer IPv4 header itself
+    is malformed; a frame that is not well-formed GTP-U comes back with
+    `tunnel` None.
+    """
     ip = parse_ipv4(data)
+    tunnel = _decode_tunnel(ip)
+    return Frame(ip, None if isinstance(tunnel, DecodeError) else tunnel)
+
+
+def _decode_tunnel(ip: Ipv4View) -> GtpuPacket | DecodeError:
+    """The GTP-U packet, or the error of the first check it fails: returned,
+    not raised, so that parsing a plain frame costs no exception."""
     if ip.proto != PROTO_UDP:
-        raise MessageTypeError(f"outer protocol {ip.proto}, expected UDP")
+        return MessageTypeError(f"outer protocol {ip.proto}, expected UDP")
     udp = ip.payload
     if len(udp) < UDP_HEADER_LEN:
-        raise TruncatedError("UDP header truncated")
+        return TruncatedError("UDP header truncated")
     _, dst_port, udp_len, _ = struct.unpack("!HHHH", udp[:8])
     if dst_port != GTP_UDP_PORT:
-        raise MessageTypeError(f"UDP port {dst_port}, expected {GTP_UDP_PORT}")
+        return MessageTypeError(f"UDP port {dst_port}, expected {GTP_UDP_PORT}")
     if udp_len != len(udp):
-        raise LengthError(f"UDP length {udp_len} vs {len(udp)} bytes")
+        return LengthError(f"UDP length {udp_len} vs {len(udp)} bytes")
     gtp = udp[UDP_HEADER_LEN:]
     if len(gtp) < GTP_HEADER_LEN:
-        raise TruncatedError("GTP header truncated")
+        return TruncatedError("GTP header truncated")
     flags, msg_type, length, teid = struct.unpack("!BBHI", gtp[:8])
     if flags >> 5 != 1:
-        raise VersionError(f"GTP version {flags >> 5}, expected 1")
+        return VersionError(f"GTP version {flags >> 5}, expected 1")
     if flags != GTP_FLAGS:
-        raise MessageTypeError(f"unsupported GTP flags {flags:#04x}")
+        return MessageTypeError(f"unsupported GTP flags {flags:#04x}")
     if msg_type == MSG_TYPE_GPDU:
         mt = GtpMessageType.GPDU
     elif msg_type == MSG_TYPE_END_MARKER:
         mt = GtpMessageType.END_MARKER
     else:
-        raise MessageTypeError(f"unsupported GTP message type {msg_type}")
+        return MessageTypeError(f"unsupported GTP message type {msg_type}")
     inner = gtp[GTP_HEADER_LEN:]
     if length != len(inner):
-        raise LengthError(f"GTP length {length} vs {len(inner)} payload bytes")
+        return LengthError(f"GTP length {length} vs {len(inner)} payload bytes")
     return GtpuPacket(outer_src=ip.src, outer_dst=ip.dst, teid=teid,
                       message_type=mt, inner=inner)
 
 
-def inner_five_tuple(inner: bytes) -> FiveTuple:
-    """Extract the 5-tuple from an inner IPv4 packet.
+def decode_gtpu(data: bytes) -> GtpuPacket:
+    """Inverse of encode_gtpu. Raises a DecodeError subclass on bad input."""
+    tunnel = _decode_tunnel(parse_ipv4(data))
+    if isinstance(tunnel, DecodeError):
+        raise tunnel
+    return tunnel
 
-    TCP/UDP ports come from the first transport words; other protocols
-    report ports (0, 0).
-    """
-    ip = parse_ipv4(inner)
-    src_port = dst_port = 0
-    if ip.proto in (PROTO_TCP, PROTO_UDP):
-        if len(ip.payload) < 4:
-            raise TruncatedError("transport header truncated")
-        src_port, dst_port = struct.unpack("!HH", ip.payload[:4])
-    return FiveTuple(ip.src, ip.dst, ip.proto, src_port, dst_port)
+
+def inner_five_tuple(inner: bytes) -> FiveTuple:
+    """Extract the 5-tuple from an inner IPv4 packet."""
+    return parse_ipv4(inner).five_tuple()
 
 
 def classify(data: bytes, direction: Direction) -> PacketClass:
@@ -261,39 +308,20 @@ def classify(data: bytes, direction: Direction) -> PacketClass:
     Total: anything unparseable falls through to PLAIN_IP.
     """
     try:
-        ip = parse_ipv4(data)
+        frame = parse_frame(data)
     except DecodeError:
         return PacketClass.PLAIN_IP
-    if ip.proto == PROTO_SCTP:
-        return PacketClass.CONTROL_PLANE
-    if ip.proto != PROTO_UDP or len(ip.payload) < UDP_HEADER_LEN:
-        return PacketClass.PLAIN_IP
-    dst_port = struct.unpack("!H", ip.payload[2:4])[0]
-    if dst_port != GTP_UDP_PORT:
-        return PacketClass.PLAIN_IP
-    gtp = ip.payload[UDP_HEADER_LEN:]
-    if len(gtp) < 2 or gtp[0] >> 5 != 1:
-        return PacketClass.PLAIN_IP
-    msg_type = gtp[1]
-    if msg_type == MSG_TYPE_END_MARKER:
-        return PacketClass.END_MARKER
-    if msg_type == MSG_TYPE_GPDU:
-        if direction is Direction.FROM_RAN:
-            return PacketClass.UPSTREAM_GTP
-        if direction is Direction.FROM_CORE:
-            return PacketClass.DOWNSTREAM_GTP
-    return PacketClass.PLAIN_IP
+    return frame.packet_class(direction)
 
 
-def rewrite_ipv4(packet: bytes, src: str | None = None,
+def rewrite_ipv4(ip: Ipv4View, src: str | None = None,
                  dst: str | None = None) -> bytes:
     """Return a copy with src and/or dst rewritten and the checksum fixed.
 
     Transport checksums are left alone: the pipeline's UDP checksums are
     zero and its echo servers do not verify them.
     """
-    ip = parse_ipv4(packet)
-    head = bytearray(packet[:ip.header_len])
+    head = bytearray(ip.packet[:ip.header_len])
     if src is not None:
         head[12:16] = pack_ip(src)
     if dst is not None:
@@ -301,4 +329,4 @@ def rewrite_ipv4(packet: bytes, src: str | None = None,
     head[10:12] = b"\x00\x00"
     csum = ipv4_checksum(bytes(head))
     head[10:12] = struct.pack("!H", csum)
-    return bytes(head) + packet[ip.header_len:]
+    return bytes(head) + ip.packet[ip.header_len:]

@@ -309,7 +309,7 @@ class Harness:
 
     # -- gateway -------------------------------------------------------------
 
-    def _ingress_direction(self, megw: str, sender: str) -> Direction:
+    def _ingress_direction(self, sender: str) -> Direction:
         kind = self.topology.nodes[sender].kind
         if kind == "enb":
             return Direction.FROM_RAN
@@ -319,7 +319,7 @@ class Harness:
 
     def _megw_frame(self, megw: str, sender: str, data: bytes) -> None:
         state = self.megws[megw]
-        ingress = self._ingress_direction(megw, sender)
+        ingress = self._ingress_direction(sender)
         action = steering.process_packet(data, ingress, state.config,
                                          state.rules, state.affinity)
         self._apply_action(megw, state, action)
@@ -394,10 +394,11 @@ class Harness:
     def _enb_frame(self, enb: str, data: bytes) -> None:
         spec = self.topology.nodes[enb]
         try:
-            view = gtp.parse_ipv4(data)
+            frame = gtp.parse_frame(data)
         except gtp.DecodeError:
             self._record(enb, DROPPED, {"reason": "unparseable"})
             return
+        view, pkt = frame.ip, frame.tunnel
         if view.dst != spec.addr:
             self._record(enb, DROPPED, {"reason": "not-addressed-here",
                                         "dst": view.dst})
@@ -406,9 +407,7 @@ class Harness:
             self._record(enb, RECEIVED, {"kind": "control",
                                          "bytes": len(view.payload)})
             return
-        try:
-            pkt = gtp.decode_gtpu(data)
-        except gtp.DecodeError:
+        if pkt is None:
             self._record(enb, DROPPED, {"reason": "untunneled"})
             return
         if pkt.message_type is GtpMessageType.END_MARKER:
@@ -445,7 +444,8 @@ class Harness:
     def _dip_frame(self, dip: str, data: bytes) -> None:
         spec = self.topology.nodes[dip]
         try:
-            flow = gtp.inner_five_tuple(data)
+            view = gtp.parse_ipv4(data)
+            flow = view.five_tuple()
         except gtp.DecodeError:
             self._record(dip, DROPPED, {"reason": "unparseable"})
             return
@@ -454,7 +454,6 @@ class Harness:
             return
         self._record(dip, RECEIVED, {"from": flow.src_ip,
                                      "dst_port": flow.dst_port})
-        view = gtp.parse_ipv4(data)
         payload = view.payload[4:] if flow.proto in (6, 17) else view.payload
         reply = gtp.build_ipv4(
             spec.addr, flow.src_ip, flow.proto,

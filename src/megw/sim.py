@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import hashlib
 import json
 import math
@@ -187,28 +188,22 @@ def build_grid(cfg: SimConfig) -> HexGrid:
                    neighbor_count=neighbor_count, mec_names=names)
 
 
-_HASH_CACHE: dict = {}
-
-
-def _region_hash_table(grid: HexGrid, n_users: int) -> np.ndarray:
+@functools.lru_cache(maxsize=1)
+def _region_hash_table(n_users: int, mec_names: tuple, capacities: tuple,
+                       region_of_mec: tuple) -> np.ndarray:
     """(n_users, n_regions) serving MEC per user per region, using the same
-    weighted rendezvous selection as the gateway's stage I."""
-    key = (n_users, tuple(grid.mec_names), tuple(grid.capacities),
-           tuple(grid.region_of_mec))
-    cached = _HASH_CACHE.get(key)
-    if cached is not None:
-        return cached
-    n_regions = int(grid.region_of_mec.max()) + 1
+    weighted rendezvous selection as the gateway's stage I. One table is
+    kept, since every with-regions world of a sweep shares it; read-only."""
+    n_regions = max(region_of_mec) + 1
     table = np.empty((n_users, n_regions), dtype=np.int64)
-    by_name = {name: m for m, name in enumerate(grid.mec_names)}
+    by_name = {name: m for m, name in enumerate(mec_names)}
     for region in range(n_regions):
-        members = np.flatnonzero(grid.region_of_mec == region)
-        candidates = [(grid.mec_names[m], float(grid.capacities[m]))
-                      for m in members]
+        candidates = [(mec_names[m], capacities[m])
+                      for m, r in enumerate(region_of_mec) if r == region]
         for user in range(n_users):
             pick = rendezvous_select(struct.pack("!Q", user), candidates)
             table[user, region] = by_name[pick]
-    _HASH_CACHE[key] = table
+    table.flags.writeable = False
     return table
 
 
@@ -281,7 +276,9 @@ def build_world(cfg: SimConfig) -> SimWorld:
         chunks.append(rng.choice(grid.mec_cells[m], size=count, replace=True))
     user_cell = np.concatenate(chunks)
     serving = grid.mec_of_cell[user_cell].copy()
-    table = (_region_hash_table(grid, len(user_cell))
+    table = (_region_hash_table(len(user_cell), tuple(grid.mec_names),
+                                tuple(grid.capacities.tolist()),
+                                tuple(grid.region_of_mec.tolist()))
              if cfg.policy is Policy.WITH_REGIONS else None)
     return SimWorld(cfg=cfg, grid=grid, user_cell=user_cell, serving=serving,
                     hash_table=table)
@@ -366,10 +363,8 @@ def run_experiment(base: SimConfig, rates: list, replications: int = 20,
     steps = steps if steps is not None else base.steps
     rows = []
     summary = {}
-    population = (base.users_per_capacity * int(sum(base.capacities))
-                  * base.regions_count)
     for rate_idx, rate in enumerate(rates):
-        moved = int(round(rate * population))
+        moved = int(round(rate * base.population))
         for policy in (Policy.WITH_REGIONS, Policy.WITHOUT_REGIONS):
             cumulative = np.zeros((replications, steps + 1))
             ratios = np.zeros((replications, steps + 1))
@@ -387,12 +382,7 @@ def run_experiment(base: SimConfig, rates: list, replications: int = 20,
                 for _ in range(steps):
                     metrics.append(step(world, rng))
                 for m in metrics:
-                    rows.append({"policy": policy.value, "rate": rate,
-                                 "replication": rep, "step": m.t,
-                                 "migrations": m.migrations,
-                                 "cumulative_migrations":
-                                     m.cumulative_migrations,
-                                 "min_max_ratio": m.min_max_ratio})
+                    rows.append(csv_row(policy, rate, rep, m))
                     cumulative[rep, m.t] = m.cumulative_migrations
                     ratios[rep, m.t] = m.min_max_ratio
             summary[(policy.value, rate)] = {
@@ -408,7 +398,7 @@ def run_experiment(base: SimConfig, rates: list, replications: int = 20,
         "mecs_per_region": base.mecs_per_region,
         "capacities": list(base.capacities),
         "users_per_capacity": base.users_per_capacity,
-        "population": population,
+        "population": base.population,
         "steps": steps,
         "replications": replications,
         "rates": list(rates),
@@ -420,6 +410,14 @@ def run_experiment(base: SimConfig, rates: list, replications: int = 20,
 
 CSV_HEADER = ["policy", "rate", "replication", "step", "migrations",
               "cumulative_migrations", "min_max_ratio"]
+
+
+def csv_row(policy: Policy, rate: float, replication: int,
+            m: StepMetrics) -> dict:
+    """One CSV_HEADER row for one step of one run."""
+    return dict(zip(CSV_HEADER, (policy.value, rate, replication, m.t,
+                                 m.migrations, m.cumulative_migrations,
+                                 m.min_max_ratio)))
 
 
 def write_rows_csv(path: str, rows: list) -> None:

@@ -22,6 +22,8 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from . import gtp
+# classify, decode_gtpu and inner_five_tuple are unused here; they stay
+# importable because benchmarks/layers.py wraps the codec under these names.
 from .gtp import (Direction, FiveTuple, GtpMessageType, PacketClass,
                   classify, decode_gtpu, encode_gtpu, inner_five_tuple,
                   rewrite_ipv4)
@@ -230,20 +232,6 @@ class RuleStore:
             return [r for k, r in self._rules.items() if k.src_ip == ue_ip]
 
 
-def install_rule(rules: RuleStore, rule: FlowRule) -> None:
-    rules.install(rule)
-
-
-def set_ue_silent(rules: RuleStore, ue_ip: str) -> int:
-    return rules.set_ue_silent(ue_ip)
-
-
-def reactivate_ue(rules: RuleStore, ue_ip: str,
-                  new_downstream_teid: int | Mapping[int, int],
-                  new_enb_addr: str) -> int:
-    return rules.reactivate_ue(ue_ip, new_downstream_teid, new_enb_addr)
-
-
 class DipAffinityTable:
     """Connection-to-DIP mapping that never changes while the flow lives."""
 
@@ -333,21 +321,13 @@ class FlowMiss:
 ControllerEvent = S1apClone | EndMarkerSeen | FlowMiss
 
 
-def _plain_route(data: bytes) -> ForwardAction:
-    try:
-        view = gtp.parse_ipv4(data)
-    except gtp.DecodeError:
-        return Drop("unparseable frame")
-    return Emit(view.dst, data, note="ip-route")
-
-
-def _steer_to_service(inner: bytes, flow: FiveTuple, cfg: SteeringConfig,
-                      affinity: DipAffinityTable,
+def _steer_to_service(inner: gtp.Ipv4View, flow: FiveTuple,
+                      cfg: SteeringConfig, affinity: DipAffinityTable,
                       prelude: tuple = ()) -> ForwardAction:
     """Stage I then (locally) Stage II for a decapsulated VIP-bound packet."""
     serving = stage1_select(flow.src_ip, cfg)
     if serving != cfg.megw_id:
-        act = Emit(cfg.peer_address(serving), inner, note="stage1-handoff")
+        act = Emit(cfg.peer_address(serving), inner.packet, note="stage1-handoff")
     else:
         dip = stage2_select(flow, affinity, cfg)
         act = Emit(dip, rewrite_ipv4(inner, dst=dip), note="dip-rewrite")
@@ -361,32 +341,34 @@ def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
     """One frame through the service offloader and both load balancers.
 
     Pure in (data, ingress, config, table snapshots); malformed traffic
-    degrades to plain routing or Drop, never an exception.
+    degrades to plain routing or Drop, never an exception. The outer
+    header is parsed once and the inner header at most once.
     """
-    pclass = classify(data, ingress)
+    try:
+        frame = gtp.parse_frame(data)
+    except gtp.DecodeError:
+        return Drop("unparseable frame")
+    view = frame.ip
+    pclass = frame.packet_class(ingress)
 
     if pclass is PacketClass.CONTROL_PLANE:
-        view = gtp.parse_ipv4(data)
         clone = CloneToController(S1apClone(view.src, view.dst, view.payload))
         return Multiple((Emit(view.dst, data, note="control-passthrough"),
                          clone))
 
+    pkt = frame.tunnel
     if pclass is PacketClass.END_MARKER:
-        try:
-            pkt = decode_gtpu(data)
-        except gtp.DecodeError:
-            return _plain_route(data)
         return Multiple((Emit(pkt.outer_dst, data, note="end-marker-passthrough"),
                          CloneToController(EndMarkerSeen(pkt.teid))))
 
     if pclass is PacketClass.UPSTREAM_GTP:
         try:
-            pkt = decode_gtpu(data)
-            flow = inner_five_tuple(pkt.inner)
+            inner = gtp.parse_ipv4(pkt.inner)
+            flow = inner.five_tuple()
         except gtp.DecodeError:
-            return _plain_route(data)
+            return Emit(view.dst, data, note="ip-route")
         if flow.dst_ip not in cfg.vips:
-            return _plain_route(data)
+            return Emit(view.dst, data, note="ip-route")
         rule = rules.lookup(flow)
         if rule is not None and rule.state is RuleState.SILENT:
             # silent period: hold edge traffic, keep the controller informed
@@ -394,27 +376,22 @@ def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
         prelude = ()
         if rule is None:
             prelude = (CloneToController(FlowMiss(flow, pkt.teid)),)
-        return _steer_to_service(pkt.inner, flow, cfg, affinity, prelude)
+        return _steer_to_service(inner, flow, cfg, affinity, prelude)
 
     # PLAIN_IP (and any GTP arriving on an unexpected side)
-    try:
-        view = gtp.parse_ipv4(data)
-    except gtp.DecodeError:
-        return Drop("unparseable frame")
-
     if view.dst in cfg.vips:
         # stage-I hand-off from a source gateway: not GTP, addressed to a VIP
         try:
-            flow = inner_five_tuple(data)
+            flow = view.five_tuple()
         except gtp.DecodeError:
             return Drop("malformed VIP-bound packet")
         dip = stage2_select(flow, affinity, cfg)
-        return Emit(dip, rewrite_ipv4(data, dst=dip), note="dip-rewrite")
+        return Emit(dip, rewrite_ipv4(view, dst=dip), note="dip-rewrite")
 
     if ingress is Direction.FROM_CLUSTER:
         return _downstream_edge(data, view, cfg, rules, affinity)
 
-    return _plain_route(data)
+    return Emit(view.dst, data, note="ip-route")
 
 
 def _downstream_edge(data: bytes, view: gtp.Ipv4View, cfg: SteeringConfig,
@@ -423,9 +400,9 @@ def _downstream_edge(data: bytes, view: gtp.Ipv4View, cfg: SteeringConfig,
     """Cluster-side return traffic: undo the DIP rewrite if this gateway
     made it, then re-encapsulate into the flow's downstream tunnel."""
     try:
-        down = inner_five_tuple(data)
+        down = view.five_tuple()
     except gtp.DecodeError:
-        return _plain_route(data)
+        return Emit(view.dst, data, note="ip-route")
 
     # If the source address is a DIP this gateway assigned to the reversed
     # flow, restore the VIP so the subscriber sees the service address.
@@ -434,14 +411,13 @@ def _downstream_edge(data: bytes, view: gtp.Ipv4View, cfg: SteeringConfig,
         with_vip = FiveTuple(candidate.src_ip, vip, candidate.proto,
                              candidate.src_port, candidate.dst_port)
         if affinity.get(with_vip) == down.src_ip:
-            data = rewrite_ipv4(data, src=vip)
-            down = inner_five_tuple(data)
-            candidate = down.reversed()
+            data = rewrite_ipv4(view, src=vip)
+            candidate = with_vip
             break
 
     rule = rules.lookup(candidate)
     if rule is None:
-        return _plain_route(data)
+        return Emit(view.dst, data, note="ip-route")
     if rule.state is RuleState.SILENT:
         return Drop("silent-period")
     tunneled = encode_gtpu(gtp.GtpuPacket(

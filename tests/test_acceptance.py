@@ -20,8 +20,7 @@ from megw.harness import (DROPPED, MIGRATION_NOTIFIED, RECEIVED, REACTIVATED,
 from megw.sim import (Policy, SimConfig, apply_moves, build_world,
                       derive_seed, draw_moves, run_experiment)
 from megw.steering import (DipAffinityTable, FlowRule, RuleStore,
-                           SteeringConfig, install_rule, process_packet,
-                           rendezvous_select)
+                           SteeringConfig, process_packet, rendezvous_select)
 
 RATES = [0.01, 0.02, 0.05, 0.10, 0.20]
 PAPER_CFG = SimConfig(regions_count=3, mecs_per_region=4,
@@ -255,7 +254,7 @@ def test_throughput_smoke_report():
         rules = RuleStore()
         affinity = DipAffinityTable()
         flow = FiveTuple("172.16.0.2", "10.100.1.1", 6, 5000, 80)
-        install_rule(rules, FlowRule(flow, 0xC8, "10.1.0.1", "10.2.0.1"))
+        rules.install(FlowRule(flow, 0xC8, "10.1.0.1", "10.2.0.1"))
         inner = build_ipv4("172.16.0.2", "10.100.1.1", 6,
                            build_tcpish(6, 5000, 80, b"x" * 64))
         frame = encode_gtpu(GtpuPacket("10.1.0.1", "10.2.0.1", 0x1000,

@@ -4,6 +4,7 @@ import random
 import struct
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from megw import gtp
 from megw.gtp import (Direction, FiveTuple, GtpMessageType, GtpuPacket,
@@ -198,6 +199,32 @@ class TestClassify:
     def test_garbage_is_plain(self):
         assert classify(b"\x00\x01\x02", Direction.FROM_RAN) \
             is PacketClass.PLAIN_IP
+
+    @given(flags=st.integers(0, 255),
+           msg_type=st.one_of(st.sampled_from([0xFF, 0xFE]),
+                              st.integers(0, 255)),
+           udp_len=st.one_of(st.none(), st.integers(0, 0xFFFF)),
+           gtp_len=st.one_of(st.none(), st.integers(0, 0xFFFF)))
+    @example(flags=0x32, msg_type=0xFF, udp_len=None, gtp_len=None)
+    def test_gtp_class_iff_decodes(self, flags, msg_type, udp_len, gtp_len):
+        # None keeps the length field the encoder wrote
+        wire = bytearray(encode_gtpu(GtpuPacket(
+            "10.1.0.1", "10.2.0.1", 42, GtpMessageType.GPDU, make_inner())))
+        wire[28], wire[29] = flags, msg_type
+        if udp_len is not None:
+            wire[24:26] = struct.pack("!H", udp_len)
+        if gtp_len is not None:
+            wire[30:32] = struct.pack("!H", gtp_len)
+        frame = bytes(wire)
+        try:
+            decode_gtpu(frame)
+            decodes = True
+        except gtp.DecodeError:
+            decodes = False
+        tunneled = classify(frame, Direction.FROM_RAN) in (
+            PacketClass.UPSTREAM_GTP, PacketClass.DOWNSTREAM_GTP,
+            PacketClass.END_MARKER)
+        assert tunneled == decodes
 
     def test_partition(self):
         # every input lands in exactly one class (classify returns one enum

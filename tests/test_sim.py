@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from megw import sim
 from megw.sim import (ConfigError, Policy, SimConfig, apply_moves,
                       build_grid, build_world, derive_seed, draw_moves,
                       run_experiment, step)
@@ -103,6 +104,16 @@ class TestBuildWorld:
     def test_initial_serving_geographic(self):
         world = build_world(SimConfig())
         assert (world.serving == world.grid.mec_of_cell[world.user_cell]).all()
+
+    def test_hash_table_cache_holds_one_table(self):
+        small = build_world(small_cfg(users_per_capacity=20))
+        large = build_world(small_cfg(users_per_capacity=40))
+        assert len(small.hash_table) == 40 and len(large.hash_table) == 80
+        assert sim._region_hash_table.cache_info().currsize <= 1
+        assert build_world(small_cfg(users_per_capacity=40)).hash_table \
+            is large.hash_table
+        with pytest.raises(ValueError):
+            large.hash_table[0, 0] = 1
 
 
 class TestStep:

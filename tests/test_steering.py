@@ -10,8 +10,7 @@ from megw.gtp import (Direction, FiveTuple, GtpMessageType, GtpuPacket,
 from megw.steering import (CloneToController, DipAffinityTable, Drop, Emit,
                            EndMarkerSeen, FlowMiss, FlowRule, Multiple,
                            RuleState, RuleStore, S1apClone, SelectError,
-                           SteeringConfig, install_rule, process_packet,
-                           reactivate_ue, rendezvous_select, set_ue_silent,
+                           SteeringConfig, process_packet, rendezvous_select,
                            stage1_select, stage2_select)
 
 VIP = "10.100.1.1"
@@ -145,33 +144,33 @@ class TestRuleStore:
     def test_install_lookup(self):
         store = RuleStore()
         r = self.rule()
-        install_rule(store, r)
+        store.install(r)
         assert store.lookup(r.key) == r
 
     def test_idempotent_reinstall(self):
         store = RuleStore()
-        install_rule(store, self.rule())
-        install_rule(store, self.rule())
+        store.install(self.rule())
+        store.install(self.rule())
         assert len(store) == 1
 
     def test_conflicting_teid(self):
         store = RuleStore()
-        install_rule(store, self.rule(teid=200))
+        store.install(self.rule(teid=200))
         with pytest.raises(steering.ConflictError):
-            install_rule(store, self.rule(teid=201))
+            store.install(self.rule(teid=201))
 
     def test_silence_and_reactivate_counts(self):
         store = RuleStore()
         for sport in (5000, 5001):
-            install_rule(store, FlowRule(
+            store.install(FlowRule(
                 key=FiveTuple("172.16.0.2", VIP, 6, sport, 80),
                 downstream_teid=200, enb_addr="10.1.0.1",
                 sgw_addr="10.2.0.1"))
-        assert set_ue_silent(store, "172.16.0.2") == 2
+        assert store.set_ue_silent("172.16.0.2") == 2
         assert all(r.state is RuleState.SILENT
                    for r in store.rules_for_ue("172.16.0.2"))
-        assert set_ue_silent(store, "172.16.9.9") == 0
-        assert reactivate_ue(store, "172.16.0.2", 300, "10.1.0.2") == 2
+        assert store.set_ue_silent("172.16.9.9") == 0
+        assert store.reactivate_ue("172.16.0.2", 300, "10.1.0.2") == 2
         for r in store.rules_for_ue("172.16.0.2"):
             assert r.state is RuleState.ACTIVE
             assert r.downstream_teid == 300
@@ -179,15 +178,15 @@ class TestRuleStore:
 
     def test_reactivate_with_remap_per_bearer(self):
         store = RuleStore()
-        install_rule(store, FlowRule(
+        store.install(FlowRule(
             key=FiveTuple("172.16.0.2", VIP, 6, 5000, 80),
             downstream_teid=200, enb_addr="10.1.0.1", sgw_addr="10.2.0.1"))
-        install_rule(store, FlowRule(
+        store.install(FlowRule(
             key=FiveTuple("172.16.0.2", VIP, 6, 5001, 80),
             downstream_teid=201, enb_addr="10.1.0.1", sgw_addr="10.2.0.1"))
-        set_ue_silent(store, "172.16.0.2")
-        touched = reactivate_ue(store, "172.16.0.2", {200: 300, 201: 301},
-                                "10.1.0.2")
+        store.set_ue_silent("172.16.0.2")
+        touched = store.reactivate_ue("172.16.0.2", {200: 300, 201: 301},
+                                      "10.1.0.2")
         assert touched == 2
         by_port = {r.key.src_port: r for r in store.rules_for_ue("172.16.0.2")}
         assert by_port[5000].downstream_teid == 300
@@ -249,12 +248,12 @@ class TestConcurrency:
         def writer():
             try:
                 for i in range(20):
-                    install_rule(rules, FlowRule(
+                    rules.install(FlowRule(
                         key=FiveTuple(f"172.16.1.{i}", VIP, 6, 6000 + i, 80),
                         downstream_teid=100 + i, enb_addr="10.1.0.1",
                         sgw_addr="10.2.0.1"))
-                    set_ue_silent(rules, f"172.16.1.{i}")
-                    reactivate_ue(rules, f"172.16.1.{i}", 200 + i, "10.1.0.2")
+                    rules.set_ue_silent(f"172.16.1.{i}")
+                    rules.reactivate_ue(f"172.16.1.{i}", 200 + i, "10.1.0.2")
             except Exception as exc:
                 errors.append(exc)
 
@@ -312,7 +311,7 @@ class TestProcessPacket:
 
     def test_upstream_hit_no_clone(self):
         flow = FiveTuple("172.16.0.2", VIP, 6, 5000, 80)
-        install_rule(self.rules, FlowRule(flow, 200, "10.1.0.1", "10.2.0.1"))
+        self.rules.install(FlowRule(flow, 200, "10.1.0.1", "10.2.0.1"))
         acts = flatten(self.process(upstream_frame()))
         assert not [a for a in acts if isinstance(a, CloneToController)]
 
@@ -344,7 +343,7 @@ class TestProcessPacket:
 
     def test_downstream_reencap_active_rule(self):
         flow = FiveTuple("172.16.0.2", VIP, 6, 5000, 80)
-        install_rule(self.rules, FlowRule(flow, 0xC8, "10.1.0.1", "10.2.0.1"))
+        self.rules.install(FlowRule(flow, 0xC8, "10.1.0.1", "10.2.0.1"))
         echo = build_ipv4(VIP, "172.16.0.2", 6, build_tcpish(6, 80, 5000, b"ok"))
         act = self.process(echo, Direction.FROM_CLUSTER)
         assert isinstance(act, Emit) and act.note == "gtp-encap"
@@ -357,7 +356,7 @@ class TestProcessPacket:
     def test_downstream_undoes_dip_rewrite(self):
         flow = FiveTuple("172.16.0.2", VIP, 6, 5000, 80)
         dip = stage2_select(flow, self.affinity, self.cfg)
-        install_rule(self.rules, FlowRule(flow, 0xC8, "10.1.0.1", "10.2.0.1"))
+        self.rules.install(FlowRule(flow, 0xC8, "10.1.0.1", "10.2.0.1"))
         echo = build_ipv4(dip, "172.16.0.2", 6, build_tcpish(6, 80, 5000, b"ok"))
         act = self.process(echo, Direction.FROM_CLUSTER)
         assert isinstance(act, Emit) and act.note == "gtp-encap"
@@ -366,25 +365,25 @@ class TestProcessPacket:
 
     def test_downstream_silent_rule_drops(self):
         flow = FiveTuple("172.16.0.2", VIP, 6, 5000, 80)
-        install_rule(self.rules, FlowRule(flow, 0xC8, "10.1.0.1", "10.2.0.1"))
-        set_ue_silent(self.rules, "172.16.0.2")
+        self.rules.install(FlowRule(flow, 0xC8, "10.1.0.1", "10.2.0.1"))
+        self.rules.set_ue_silent("172.16.0.2")
         echo = build_ipv4(VIP, "172.16.0.2", 6, build_tcpish(6, 80, 5000, b"x"))
         act = self.process(echo, Direction.FROM_CLUSTER)
         assert isinstance(act, Drop)
 
     def test_upstream_silent_rule_clones_without_forward(self):
         flow = FiveTuple("172.16.0.2", VIP, 6, 5000, 80)
-        install_rule(self.rules, FlowRule(flow, 0xC8, "10.1.0.1", "10.2.0.1"))
-        set_ue_silent(self.rules, "172.16.0.2")
+        self.rules.install(FlowRule(flow, 0xC8, "10.1.0.1", "10.2.0.1"))
+        self.rules.set_ue_silent("172.16.0.2")
         act = self.process(upstream_frame())
         assert isinstance(act, CloneToController)
         assert isinstance(act.event, FlowMiss)
 
     def test_silent_then_reactivated_resumes_with_new_teid(self):
         flow = FiveTuple("172.16.0.2", VIP, 6, 5000, 80)
-        install_rule(self.rules, FlowRule(flow, 0xC8, "10.1.0.1", "10.2.0.1"))
-        set_ue_silent(self.rules, "172.16.0.2")
-        reactivate_ue(self.rules, "172.16.0.2", 0x12C, "10.1.0.7")
+        self.rules.install(FlowRule(flow, 0xC8, "10.1.0.1", "10.2.0.1"))
+        self.rules.set_ue_silent("172.16.0.2")
+        self.rules.reactivate_ue("172.16.0.2", 0x12C, "10.1.0.7")
         echo = build_ipv4(VIP, "172.16.0.2", 6, build_tcpish(6, 80, 5000, b"x"))
         act = self.process(echo, Direction.FROM_CLUSTER)
         pkt = decode_gtpu(act.data)
@@ -397,6 +396,16 @@ class TestProcessPacket:
         assert isinstance(act, Emit) and act.note == "ip-route"
         assert act.dst == "10.2.0.1"
         assert act.data == frame  # untouched, still tunneled
+
+    def test_gtp_with_optional_fields_routes_by_outer(self):
+        # flags 0x32 (sequence number present) fail the tunnel checks, so
+        # the frame is plain-routed, not steered (ROADMAP item 4)
+        frame = bytearray(upstream_frame())
+        frame[28] = 0x32
+        act = self.process(bytes(frame))
+        assert isinstance(act, Emit) and act.note == "ip-route"
+        assert act.dst == "10.2.0.1"
+        assert act.data == bytes(frame)
 
     def test_plain_traffic_routes_by_destination(self):
         frame = build_ipv4("10.9.0.1", "10.9.0.2", 6,
