@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .s1ap import MessageKind, S1apLiteMessage
 from .steering import FiveTuple, FlowRule, RuleState
@@ -163,6 +163,14 @@ Effect = (InstallRule | SilenceUe | ReactivateUe | ReleaseUeRules
           | MigrationNotice | ScenarioDetected | OrphanMessage | NoContext)
 
 
+def _shallow_asdict(obj) -> dict:
+    """`dataclasses.asdict` without its deep copy: nested dataclasses become
+    dicts, every other value is shared. The effects hold only immutable
+    values, so the log reads the same and costs a fraction of the time."""
+    return {f.name: _shallow_asdict(v) if is_dataclass(v) else v
+            for f in fields(obj) for v in (getattr(obj, f.name),)}
+
+
 def _json_default(obj):
     if isinstance(obj, enum.Enum):
         return obj.value
@@ -192,7 +200,7 @@ class S1apProcessor:
         stamped = [replace(eff, seq=self.clock) for eff in effects]
         self.log.append({"seq": self.clock, "event": event_name,
                          "detail": detail, "effects": [
-                             {"type": type(e).__name__, **asdict(e)}
+                             {"type": type(e).__name__, **_shallow_asdict(e)}
                              for e in stamped]})
         return stamped
 
@@ -283,7 +291,7 @@ class S1apProcessor:
     def on_flow_miss(self, five_tuple: FiveTuple, upstream_teid: int) -> list:
         effects = self._flow_miss_effects(five_tuple, upstream_teid)
         return self._emit("FLOW_MISS",
-                          {"five_tuple": asdict(five_tuple),
+                          {"five_tuple": _shallow_asdict(five_tuple),
                            "upstream_teid": upstream_teid}, effects)
 
     def _flow_miss_effects(self, five_tuple: FiveTuple,

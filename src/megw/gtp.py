@@ -18,8 +18,9 @@ are safe to call from any number of concurrent contexts.
 from __future__ import annotations
 
 import enum
+import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 GTP_UDP_PORT = 2152
 GTP_HEADER_LEN = 8
@@ -97,18 +98,31 @@ def pack_ip(addr: str) -> bytes:
     return bytes(octets)
 
 
+# The packet path packs the same few gateway, eNB, DIP and VIP addresses
+# over and over. A miss runs the strict pack_ip, and an invalid address
+# raises there every time: lru_cache does not store exceptions.
+_packed_ip = functools.lru_cache(maxsize=1 << 12)(pack_ip)
+
+
 def unpack_ip(data: bytes) -> str:
-    return ".".join(str(b) for b in data[:4])
+    """First 4 bytes of `data` as a dotted-quad string."""
+    return "%d.%d.%d.%d" % (data[0], data[1], data[2], data[3])
 
 
 def ipv4_checksum(header: bytes) -> int:
-    """RFC 791 ones-complement header checksum."""
+    """RFC 791 ones-complement header checksum, odd lengths zero-padded.
+
+    The ones-complement sum of 16-bit words is the header, read as one
+    big-endian integer, modulo 0xFFFF (2**16 is 1 mod 0xFFFF), except that
+    a nonzero multiple of 0xFFFF sums to 0xFFFF, not 0 (RFC 1071).
+    """
+    n = int.from_bytes(header, "big")
     if len(header) % 2:
-        header += b"\x00"
-    total = sum(struct.unpack(f"!{len(header) // 2}H", header))
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
+        n <<= 8
+    r = n % 0xFFFF
+    if r == 0 and n:
+        r = 0xFFFF
+    return ~r & 0xFFFF
 
 
 @dataclass(frozen=True)
@@ -148,10 +162,10 @@ def build_ipv4(src: str, dst: str, proto: int, payload: bytes,
     total = IPV4_MIN_HEADER + len(payload)
     if total > 0xFFFF:
         raise EncodeError(f"IPv4 payload too large ({len(payload)} bytes)")
-    head = struct.pack("!BBHHHBBH", 0x45, 0, total, 0, 0, ttl, proto, 0)
-    head += pack_ip(src) + pack_ip(dst)
+    head = struct.pack("!BBHHHBBH4s4s", 0x45, 0, total, 0, 0, ttl, proto, 0,
+                       _packed_ip(src), _packed_ip(dst))
     csum = ipv4_checksum(head)
-    return head[:10] + struct.pack("!H", csum) + head[12:] + payload
+    return head[:10] + csum.to_bytes(2, "big") + head[12:] + payload
 
 
 def build_udp(src_port: int, dst_port: int, payload: bytes) -> bytes:
@@ -318,15 +332,17 @@ def rewrite_ipv4(ip: Ipv4View, src: str | None = None,
                  dst: str | None = None) -> bytes:
     """Return a copy with src and/or dst rewritten and the checksum fixed.
 
-    Transport checksums are left alone: the pipeline's UDP checksums are
-    zero and its echo servers do not verify them.
+    The header checksum is a full recompute, so a corrupt incoming
+    checksum is repaired, not carried through as an RFC 1624 incremental
+    update would carry it. Transport checksums are left alone: the
+    pipeline's UDP checksums are zero and its echo servers do not verify
+    them.
     """
     head = bytearray(ip.packet[:ip.header_len])
     if src is not None:
-        head[12:16] = pack_ip(src)
+        head[12:16] = _packed_ip(src)
     if dst is not None:
-        head[16:20] = pack_ip(dst)
+        head[16:20] = _packed_ip(dst)
     head[10:12] = b"\x00\x00"
-    csum = ipv4_checksum(bytes(head))
-    head[10:12] = struct.pack("!H", csum)
+    head[10:12] = ipv4_checksum(head).to_bytes(2, "big")
     return bytes(head) + ip.packet[ip.header_len:]

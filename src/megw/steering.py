@@ -9,11 +9,22 @@ affinity table that pins the choice for the life of the connection.
 The flow-rule store carries the per-connection GTP context installed by
 the control plane: which downstream tunnel carries a flow's return
 traffic, and whether the subscriber is inside a handover silent period.
+
+Neither stage hashes on the packet path once a subscriber and its flows
+are known. Stage I is memoized per (subscriber, config) in a bounded
+cache: the answer depends on nothing else, and a config is frozen, so a
+new config gets fresh answers. When the affinity table pins a flow it
+also records the reverse entry (subscriber, DIP, protocol, subscriber
+port, service port) -> VIP, so return traffic from a DIP finds its VIP
+in one lookup. Two flows of one subscriber that differ only in the VIP
+and land on the same DIP share a reverse key; the VIP pinned first keeps
+it, so the restore never depends on set or hash order.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import math
 import struct
@@ -116,11 +127,14 @@ class SteeringConfig:
         )
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def stage1_select(ue_ip: str, cfg: SteeringConfig) -> str:
     """Serving gateway for a subscriber: HRW over the region peers.
 
     Keyed by the subscriber address alone so every gateway in the region
     agrees, and so all of one subscriber's edge state lands in one place.
+    Memoized per (ue_ip, cfg): SteeringConfig is frozen and hashable, so
+    a changed config is a different key and never sees a stale answer.
     """
     return rendezvous_select(gtp.pack_ip(ue_ip),
                              [(pid, w) for pid, _, w in cfg.region_peers])
@@ -233,10 +247,13 @@ class RuleStore:
 
 
 class DipAffinityTable:
-    """Connection-to-DIP mapping that never changes while the flow lives."""
+    """Connection-to-DIP mapping that never changes while the flow lives,
+    with the reverse DIP-side entry that return traffic looks up."""
 
     def __init__(self):
         self._table: dict[FiveTuple, str] = {}
+        # (ue, dip, proto, ue_port, port) -> VIP of the first flow pinned
+        self._reverse: dict[tuple, str] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -257,7 +274,18 @@ class DipAffinityTable:
                 raise SelectError("empty DIP pool")
             dip = rendezvous_select(flow.key_bytes(), dips)
             self._table[flow] = dip
+            self._reverse.setdefault((flow.src_ip, dip, flow.proto,
+                                      flow.src_port, flow.dst_port),
+                                     flow.dst_ip)
             return dip
+
+    def vip_for(self, dip_flow: FiveTuple) -> str | None:
+        """VIP of the pinned flow that this gateway rewrote to `dip_flow`,
+        the upstream-oriented 5-tuple with the DIP as destination."""
+        with self._lock:
+            return self._reverse.get((dip_flow.src_ip, dip_flow.dst_ip,
+                                      dip_flow.proto, dip_flow.src_port,
+                                      dip_flow.dst_port))
 
 
 def stage2_select(flow: FiveTuple, table: DipAffinityTable,
@@ -389,13 +417,12 @@ def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
         return Emit(dip, rewrite_ipv4(view, dst=dip), note="dip-rewrite")
 
     if ingress is Direction.FROM_CLUSTER:
-        return _downstream_edge(data, view, cfg, rules, affinity)
+        return _downstream_edge(data, view, rules, affinity)
 
     return Emit(view.dst, data, note="ip-route")
 
 
-def _downstream_edge(data: bytes, view: gtp.Ipv4View, cfg: SteeringConfig,
-                     rules: RuleStore,
+def _downstream_edge(data: bytes, view: gtp.Ipv4View, rules: RuleStore,
                      affinity: DipAffinityTable) -> ForwardAction:
     """Cluster-side return traffic: undo the DIP rewrite if this gateway
     made it, then re-encapsulate into the flow's downstream tunnel."""
@@ -407,13 +434,11 @@ def _downstream_edge(data: bytes, view: gtp.Ipv4View, cfg: SteeringConfig,
     # If the source address is a DIP this gateway assigned to the reversed
     # flow, restore the VIP so the subscriber sees the service address.
     candidate = down.reversed()
-    for vip in cfg.vips:
-        with_vip = FiveTuple(candidate.src_ip, vip, candidate.proto,
-                             candidate.src_port, candidate.dst_port)
-        if affinity.get(with_vip) == down.src_ip:
-            data = rewrite_ipv4(view, src=vip)
-            candidate = with_vip
-            break
+    vip = affinity.vip_for(candidate)
+    if vip is not None:
+        data = rewrite_ipv4(view, src=vip)
+        candidate = FiveTuple(candidate.src_ip, vip, candidate.proto,
+                              candidate.src_port, candidate.dst_port)
 
     rule = rules.lookup(candidate)
     if rule is None:

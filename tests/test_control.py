@@ -1,16 +1,19 @@
 """Control-plane processor: TEID reconstruction, handovers, effects."""
 
 import json
+import typing
+from dataclasses import asdict
 
 import pytest
 
+from megw import control
 from megw.control import (HandoverScenario, InstallRule,
                           MigrationNotice, NoContext, OrphanMessage,
-                          ReactivateUe, S1apProcessor, ScenarioDetected,
-                          SilenceUe, TopologyError, TopologyView, UePhase,
-                          classify_handover)
+                          ReactivateUe, ReleaseUeRules, S1apProcessor,
+                          ScenarioDetected, SilenceUe, TopologyError,
+                          TopologyView, UePhase, classify_handover)
 from megw.s1ap import BearerItem, MessageKind, S1apLiteMessage
-from megw.steering import FiveTuple, RuleState
+from megw.steering import FiveTuple, FlowRule, RuleState
 
 UE = "172.16.0.2"
 ENB1, ENB2, ENB3, ENB4 = "10.1.0.1", "10.1.0.2", "10.1.0.3", "10.1.0.4"
@@ -266,3 +269,21 @@ class TestEffectLog:
         assert seqs == sorted(seqs)
         assert json.loads(lines[-1])["event"] == "FLOW_MISS"
         assert json.loads(lines[-1])["effects"][0]["type"] == "InstallRule"
+
+    def test_shallow_asdict_equals_asdict(self):
+        flow = FiveTuple(UE, "10.100.1.1", 6, 5000, 80)
+        effects = [
+            InstallRule(FlowRule(flow, 200, ENB1, SGW, RuleState.SILENT), 3),
+            SilenceUe(UE, 4),
+            ReactivateUe(UE, ((200, 300), (201, 301)), ENB2, 5),
+            ReleaseUeRules(UE, 6),
+            MigrationNotice(UE, "mec-1", "mec-2", 7, 8),
+            ScenarioDetected(UE, HandoverScenario.CROSS_REGION, ENB1, ENB4, 9),
+            OrphanMessage(MessageKind.PATH_SWITCH_ACKNOWLEDGE, UE, 10),
+            NoContext(0xBEEF, 11),
+        ]
+        assert ({type(e) for e in effects}
+                == set(typing.get_args(control.Effect)))
+        for eff in effects:
+            assert control._shallow_asdict(eff) == asdict(eff)
+        assert control._shallow_asdict(flow) == asdict(flow)

@@ -236,6 +236,60 @@ class TestClassify:
                 assert classify(blob, d) in PacketClass
 
 
+addresses = st.tuples(*[st.integers(0, 255)] * 4).map(
+    lambda o: "%d.%d.%d.%d" % o)
+
+
+class TestChecksum:
+    @given(st.binary(max_size=80))
+    @example(b"")
+    @example(b"\x00" * 20)
+    @example(b"\x00" * 21)
+    @example(b"\xff" * 20)
+    @example(b"\xff" * 21)
+    def test_matches_oracle(self, data):
+        # RFC 1071 pads an odd-length input with one zero byte on the right
+        assert gtp.ipv4_checksum(data) == checksum_oracle(
+            data + b"\x00" * (len(data) % 2))
+
+    @given(ihl=st.integers(5, 15), fields=st.binary(min_size=8, max_size=8),
+           addrs=st.binary(min_size=8, max_size=8),
+           options=st.binary(min_size=40, max_size=40),
+           payload=st.binary(max_size=32),
+           src=st.none() | addresses, dst=st.none() | addresses)
+    def test_rewrite_touches_only_addresses_and_checksum(
+            self, ihl, fields, addrs, options, payload, src, dst):
+        # bytes 4-11 (id, fragment, TTL, protocol, checksum) are arbitrary,
+        # so the incoming checksum is almost always wrong
+        hl = ihl * 4
+        total = hl + len(payload)
+        packet = (bytes([0x40 | ihl, 0]) + struct.pack("!H", total) + fields
+                  + addrs + options[:hl - 20] + payload)
+        out = gtp.rewrite_ipv4(gtp.parse_ipv4(packet), src=src, dst=dst)
+        assert len(out) == len(packet)
+        changed = {10, 11}
+        if src is not None:
+            changed |= {12, 13, 14, 15}
+            assert out[12:16] == gtp.pack_ip(src)
+        if dst is not None:
+            changed |= {16, 17, 18, 19}
+            assert out[16:20] == gtp.pack_ip(dst)
+        assert all(out[i] == packet[i]
+                   for i in range(len(packet)) if i not in changed)
+        assert checksum_oracle(out[:hl]) == 0  # the header verifies
+
+    @given(st.integers(0, 0xFFFF))
+    def test_corrupt_checksum_repaired(self, corrupt):
+        frame = bytearray(make_inner())
+        good = bytes(frame[10:12])
+        frame[10:12] = struct.pack("!H", corrupt)
+        out = gtp.rewrite_ipv4(gtp.parse_ipv4(bytes(frame)), dst="10.200.0.5")
+        assert checksum_oracle(out[:20]) == 0
+        # the rewrite to the original destination restores the original
+        back = gtp.rewrite_ipv4(gtp.parse_ipv4(out), dst="10.100.1.1")
+        assert back[10:12] == good
+
+
 class TestFuzz:
     def test_decode_never_crashes(self):
         rng = random.Random(0xF022)

@@ -1,6 +1,10 @@
 """Steering pipeline: rendezvous hashing, both stages, packet processing."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -94,6 +98,41 @@ class TestStage1:
     def test_single_peer_is_self(self):
         cfg = make_cfg("mgw-a", [("mgw-a", "10.50.0.1", 1.0)])
         assert stage1_select("172.16.0.2", cfg) == "mgw-a"
+
+    def test_memo_is_bounded(self):
+        assert stage1_select.cache_info().maxsize is not None
+
+    @staticmethod
+    def direct(ue, cfg):
+        return rendezvous_select(gtp.pack_ip(ue),
+                                 [(pid, w) for pid, _, w in cfg.region_peers])
+
+    def test_memo_matches_direct_hrw(self):
+        peers = [("mgw-a", "10.50.0.1", 1.0), ("mgw-b", "10.50.0.2", 1.0),
+                 ("mgw-c", "10.50.0.3", 2.0)]
+        configs = [make_cfg("mgw-a", peers), make_cfg("mgw-b", peers[:2]),
+                   make_cfg("mgw-c", peers + [("mgw-d", "10.50.0.4", 3.0)])]
+        rng = random.Random(11)
+        for _ in range(10_000):
+            ue = "172.%d.%d.%d" % (rng.randrange(16, 32), rng.randrange(256),
+                                   rng.randrange(1, 255))
+            for cfg in configs:
+                expected = self.direct(ue, cfg)
+                assert stage1_select(ue, cfg) == expected
+                assert stage1_select(ue, cfg) == expected  # a memo hit
+
+    def test_weight_change_is_a_new_key(self):
+        light = make_cfg("mgw-a", [("mgw-a", "10.50.0.1", 1.0),
+                                   ("mgw-b", "10.50.0.2", 1.0)])
+        heavy = make_cfg("mgw-a", [("mgw-a", "10.50.0.1", 1.0),
+                                   ("mgw-b", "10.50.0.2", 50.0)])
+        ues = [f"172.16.1.{i}" for i in range(1, 200)]
+        for _ in range(2):
+            for ue in ues:
+                assert stage1_select(ue, light) == self.direct(ue, light)
+                assert stage1_select(ue, heavy) == self.direct(ue, heavy)
+        assert any(stage1_select(ue, light) != stage1_select(ue, heavy)
+                   for ue in ues)
 
 
 class TestStage2:
@@ -362,6 +401,65 @@ class TestProcessPacket:
         assert isinstance(act, Emit) and act.note == "gtp-encap"
         pkt = decode_gtpu(act.data)
         assert gtp.parse_ipv4(pkt.inner).src == VIP  # subscriber sees the VIP
+
+    @pytest.mark.parametrize("first", ["10.100.1.1", "10.100.1.2"])
+    def test_downstream_restores_first_pinned_vip(self, first):
+        # two flows differing only in the VIP, pinned to the one DIP: the
+        # return packet restores the VIP pinned first
+        cfg = SteeringConfig(megw_id="mgw-a",
+                             vips=frozenset({"10.100.1.1", "10.100.1.2"}),
+                             region_peers=(("mgw-a", "10.50.0.1", 1.0),),
+                             dips=(("10.200.0.5", 1.0),), local_sgw="10.2.0.1")
+        second = ({"10.100.1.1", "10.100.1.2"} - {first}).pop()
+        for vip in (first, second):
+            stage2_select(FiveTuple("172.16.0.2", vip, 6, 5000, 80),
+                          self.affinity, cfg)
+        echo = build_ipv4("10.200.0.5", "172.16.0.2", 6,
+                          build_tcpish(6, 80, 5000, b"ok"))
+        act = process_packet(echo, Direction.FROM_CLUSTER, cfg, self.rules,
+                             self.affinity)
+        assert gtp.parse_ipv4(act.data).src == first
+
+    def test_downstream_restore_independent_of_hash_seed(self):
+        # frozenset iteration order changes with PYTHONHASHSEED; seeds 0 and
+        # 1 order {10.100.1.1, 10.100.1.2} differently
+        script = textwrap.dedent("""
+            from megw.gtp import (Direction, FiveTuple, build_ipv4,
+                                  build_tcpish, parse_ipv4)
+            from megw.steering import (DipAffinityTable, RuleStore,
+                                       SteeringConfig, process_packet,
+                                       stage2_select)
+            cfg = SteeringConfig("mgw-a",
+                                 frozenset({"10.100.1.1", "10.100.1.2"}),
+                                 (("mgw-a", "10.50.0.1", 1.0),),
+                                 (("10.200.0.5", 1.0),), "10.2.0.1")
+            aff = DipAffinityTable()
+            for vip in ("10.100.1.2", "10.100.1.1"):
+                stage2_select(FiveTuple("172.16.0.2", vip, 6, 5000, 80),
+                              aff, cfg)
+            echo = build_ipv4("10.200.0.5", "172.16.0.2", 6,
+                              build_tcpish(6, 80, 5000, b"ok"))
+            act = process_packet(echo, Direction.FROM_CLUSTER, cfg,
+                                 RuleStore(), aff)
+            print(parse_ipv4(act.data).src)
+        """)
+        src_dir = os.path.dirname(os.path.dirname(steering.__file__))
+        restored = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src_dir)
+            out = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, timeout=60,
+                                 check=True)
+            restored.append(out.stdout.strip())
+        assert restored == ["10.100.1.2", "10.100.1.2"]
+
+    def test_handoff_arrival_repairs_corrupt_checksum(self):
+        inner = bytearray(build_ipv4("172.16.0.9", VIP, 6,
+                                     build_tcpish(6, 6000, 80, b"r")))
+        inner[10] ^= 0x5A
+        act = self.process(bytes(inner), Direction.FROM_CLUSTER)
+        assert isinstance(act, Emit) and act.note == "dip-rewrite"
+        assert gtp.ipv4_checksum(act.data[:20]) == 0
 
     def test_downstream_silent_rule_drops(self):
         flow = FiveTuple("172.16.0.2", VIP, 6, 5000, 80)
