@@ -154,10 +154,14 @@ def _cmd_sim_sweep(args) -> int:
     doc = json.loads(Path(args.config).read_text())
     if args.seed is not None:
         doc["seed"] = args.seed
-    rates = args.rates or doc.pop("rates", None) \
-        or [0.01, 0.02, 0.05, 0.10, 0.20]
-    replications = args.replications or doc.pop("replications", 20)
-    steps = args.steps or doc.pop("steps", None)
+
+    def pick(key, flag, default=None):
+        value = doc.pop(key, default)  # leaves the config even when flagged
+        return value if flag is None else flag
+
+    rates = pick("rates", args.rates) or [0.01, 0.02, 0.05, 0.10, 0.20]
+    replications = pick("replications", args.replications, 20)
+    steps = pick("steps", args.steps)
     doc["migration_rate"] = 0  # the rate axis drives movement in a sweep
     base = sim.SimConfig.from_dict(doc)
     result = sim.run_experiment(base, rates, replications=replications,

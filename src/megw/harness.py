@@ -239,6 +239,8 @@ class Harness:
             for m, cfg in topology.steering_configs.items()}
         self.ues = {n: UeRecord(node_id=n, addr=s.addr)
                     for n, s in topology.nodes.items() if s.kind == "ue"}
+        # downstream TEID -> the subscriber and bearer a radio delivers to
+        self._downlink: dict[int, tuple[UeRecord, Bearer]] = {}
         self._sgw_node = next(n for n, s in topology.nodes.items()
                               if s.kind == "sgw_mme")
 
@@ -417,29 +419,26 @@ class Harness:
         self._radio_deliver(enb, pkt)
 
     def _radio_deliver(self, enb: str, pkt: GtpuPacket) -> None:
-        for ue in self.ues.values():
-            for bearer in ue.bearers.values():
-                if bearer.downstream_teid == pkt.teid:
-                    detail = {"teid": pkt.teid,
-                              "bearer_id": bearer.bearer_id}
-                    try:
-                        view = gtp.parse_ipv4(pkt.inner)
-                        body = (view.payload[4:] if view.proto in (6, 17)
-                                else view.payload)
-                        detail["flow_src"] = view.src
-                        detail["payload"] = body.hex()
-                    except gtp.DecodeError:
-                        detail["payload"] = pkt.inner.hex()
-                    if ue.radio_enb != enb:
-                        # forwarding phase: relay over X2 to the new radio
-                        self._record(enb, SENT,
-                                     {"via": "x2-forwarding",
-                                      "to": ue.radio_enb, "teid": pkt.teid})
-                        detail["via"] = "x2-forwarding"
-                    self._record(ue.node_id, RECEIVED, detail)
-                    return
-        self._record(enb, DROPPED, {"reason": "unknown-teid",
-                                    "teid": pkt.teid})
+        hit = self._downlink.get(pkt.teid)
+        if hit is None:
+            self._record(enb, DROPPED, {"reason": "unknown-teid",
+                                        "teid": pkt.teid})
+            return
+        ue, bearer = hit
+        detail = {"teid": pkt.teid, "bearer_id": bearer.bearer_id}
+        try:
+            view = gtp.parse_ipv4(pkt.inner)
+            body = view.payload[4:] if view.proto in (6, 17) else view.payload
+            detail["flow_src"] = view.src
+            detail["payload"] = body.hex()
+        except gtp.DecodeError:
+            detail["payload"] = pkt.inner.hex()
+        if ue.radio_enb != enb:
+            # forwarding phase: relay over X2 to the new radio
+            self._record(enb, SENT, {"via": "x2-forwarding",
+                                     "to": ue.radio_enb, "teid": pkt.teid})
+            detail["via"] = "x2-forwarding"
+        self._record(ue.node_id, RECEIVED, detail)
 
     def _dip_frame(self, dip: str, data: bytes) -> None:
         spec = self.topology.nodes[dip]
@@ -521,6 +520,7 @@ class Harness:
         for b in ue.bearers.values():
             if not b.downstream_teid:
                 b.downstream_teid = next(self._down_teids)
+                self._downlink[b.downstream_teid] = (ue, b)
         response = S1apLiteMessage(
             kind=MessageKind.INITIAL_CONTEXT_SETUP_RESPONSE, mme_ue_id=ue_num,
             enb_ue_id=ue_num, ue_ip=ue.addr, enb_addr=enb_addr,
@@ -612,8 +612,8 @@ class Harness:
         """The eight-step X2 timeline, with the path-switch request cloned
         at the old gateway and the acknowledgement at the new one."""
         ue = self._ue(ue_id)
-        old_megw = self._megw_of_enb(old_enb)
-        new_megw = self._megw_of_enb(new_enb)
+        self._megw_of_enb(old_enb)
+        self._megw_of_enb(new_enb)
         if ue.radio_enb != old_enb:
             raise StateError(
                 f"{ue_id!r} is attached to {ue.radio_enb!r}, not {old_enb!r}")
@@ -644,8 +644,6 @@ class Harness:
         self.run_until_idle()
 
         # steps 5-6: end markers close the old tunnels and start the silence
-        old_down = {b.bearer_id: b.downstream_teid
-                    for b in ue.bearers.values()}
         for b in ue.bearers.values():
             marker = gtp.encode_gtpu(GtpuPacket(
                 outer_src=sgw_addr, outer_dst=old_addr,
@@ -659,7 +657,9 @@ class Harness:
 
         # step 8: acknowledgement with the new tunnel pairs, via the new side
         for b in ue.bearers.values():
+            del self._downlink[b.downstream_teid]
             b.downstream_teid = next(self._down_teids)
+            self._downlink[b.downstream_teid] = (ue, b)
         ack = S1apLiteMessage(
             kind=MessageKind.PATH_SWITCH_ACKNOWLEDGE, mme_ue_id=ue_num,
             enb_ue_id=ue_num, ue_ip=ue.addr, enb_addr=new_addr,

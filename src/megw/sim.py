@@ -361,6 +361,8 @@ def run_experiment(base: SimConfig, rates: list, replications: int = 20,
     trace, so their metrics differ only by the serving policy.
     """
     steps = steps if steps is not None else base.steps
+    if replications < 1:
+        raise ConfigError("replications must be positive")
     rows = []
     summary = {}
     for rate_idx, rate in enumerate(rates):

@@ -9,6 +9,8 @@ affinity table that pins the choice for the life of the connection.
 The flow-rule store carries the per-connection GTP context installed by
 the control plane: which downstream tunnel carries a flow's return
 traffic, and whether the subscriber is inside a handover silent period.
+It is grouped by subscriber, so silencing, reactivating (by a map of old
+to new downstream TEIDs) or releasing one subscriber never scans others.
 
 Neither stage hashes on the packet path once a subscriber and its flows
 are known. Stage I is memoized per (subscriber, config) in a bounded
@@ -157,18 +159,20 @@ class FlowRule:
 
 
 class RuleStore:
-    """Flow-rule table. Single control-plane writer, many packet readers."""
+    """Flow-rule table keyed ue_ip -> {5-tuple: rule}. Single control-plane
+    writer, many packet readers."""
 
     def __init__(self):
-        self._rules: dict[FiveTuple, FlowRule] = {}
+        self._by_ue: dict[str, dict[FiveTuple, FlowRule]] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._rules)
+        with self._lock:
+            return sum(map(len, self._by_ue.values()))
 
     def lookup(self, key: FiveTuple) -> FlowRule | None:
         with self._lock:
-            return self._rules.get(key)
+            return self._by_ue.get(key.src_ip, {}).get(key)
 
     def install(self, rule: FlowRule) -> None:
         """Install a rule; identical re-install is a no-op.
@@ -178,7 +182,8 @@ class RuleStore:
         reactivate_ue.
         """
         with self._lock:
-            existing = self._rules.get(rule.key)
+            flows = self._by_ue.setdefault(rule.key.src_ip, {})
+            existing = flows.get(rule.key)
             if existing is not None:
                 if (existing.downstream_teid, existing.enb_addr,
                         existing.sgw_addr) != (rule.downstream_teid,
@@ -187,45 +192,36 @@ class RuleStore:
                         f"rule for {rule.key} already bound to TEID "
                         f"{existing.downstream_teid:#x}")
                 return
-            self._rules[rule.key] = rule
+            flows[rule.key] = rule
 
     def set_ue_silent(self, ue_ip: str) -> int:
         """Silence every flow of a subscriber; returns rules touched."""
         with self._lock:
+            flows = self._by_ue.get(ue_ip, {})
             touched = 0
-            for key, rule in self._rules.items():
-                if key.src_ip == ue_ip and rule.state is not RuleState.SILENT:
-                    self._rules[key] = replace(rule, state=RuleState.SILENT)
+            for key, rule in flows.items():
+                if rule.state is not RuleState.SILENT:
+                    flows[key] = replace(rule, state=RuleState.SILENT)
                     touched += 1
             return touched
 
-    def reactivate_ue(self, ue_ip: str,
-                      new_downstream_teid: int | Mapping[int, int],
+    def reactivate_ue(self, ue_ip: str, teid_remap: Mapping[int, int],
                       new_enb_addr: str) -> int:
         """Bring a subscriber's flows back to active with new tunnel fields.
 
-        new_downstream_teid is either one TEID applied to every flow or a
-        mapping from each flow's current (old) downstream TEID to its
-        replacement; flows whose TEID is absent from the mapping stay
-        silent, since their bearer did not survive the handover.
+        teid_remap maps each flow's old downstream TEID to its new one; a
+        flow whose TEID it lacks stays as it is, since its bearer did not
+        survive the handover. Returns rules touched.
         """
-        remap = (new_downstream_teid if isinstance(new_downstream_teid, Mapping)
-                 else None)
         with self._lock:
+            flows = self._by_ue.get(ue_ip, {})
             touched = 0
-            for key, rule in self._rules.items():
-                if key.src_ip != ue_ip:
-                    continue
-                if remap is None:
-                    teid = new_downstream_teid
-                elif rule.downstream_teid in remap:
-                    teid = remap[rule.downstream_teid]
-                else:
-                    continue
-                self._rules[key] = replace(rule, downstream_teid=teid,
-                                           enb_addr=new_enb_addr,
-                                           state=RuleState.ACTIVE)
-                touched += 1
+            for key, rule in flows.items():
+                if rule.downstream_teid in teid_remap:
+                    flows[key] = replace(
+                        rule, downstream_teid=teid_remap[rule.downstream_teid],
+                        enb_addr=new_enb_addr, state=RuleState.ACTIVE)
+                    touched += 1
             return touched
 
     def release_ue(self, ue_ip: str) -> int:
@@ -236,14 +232,11 @@ class RuleStore:
         swallow this subscriber's traffic transiting here later.
         """
         with self._lock:
-            keys = [k for k in self._rules if k.src_ip == ue_ip]
-            for k in keys:
-                del self._rules[k]
-            return len(keys)
+            return len(self._by_ue.pop(ue_ip, ()))
 
     def rules_for_ue(self, ue_ip: str) -> list[FlowRule]:
         with self._lock:
-            return [r for k, r in self._rules.items() if k.src_ip == ue_ip]
+            return list(self._by_ue.get(ue_ip, {}).values())
 
 
 class DipAffinityTable:

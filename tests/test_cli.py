@@ -110,6 +110,49 @@ class TestSimCommands:
             outs.append(out_path.read_bytes())
         assert outs[0] == outs[1]
 
+    def sweep(self, capsys, tmp_path, cfg, *flags):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"regions_count": 1, "mecs_per_region": 2, "capacities": [1, 1],
+             "users_per_capacity": 20, "seed": 9, **cfg}))
+        out_path = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, "sim-sweep", "--config", str(cfg_path),
+                         "--out", str(out_path), *flags)
+        assert code == 0
+        rows = out_path.read_text().splitlines()[1:]
+        return rows, json.loads((tmp_path / "sweep.meta.json").read_text())
+
+    def test_sweep_flags_override_config_keys(self, capsys, tmp_path):
+        rows, meta = self.sweep(
+            capsys, tmp_path, {"rates": [0.5], "replications": 5, "steps": 7},
+            "--rates", "0.1", "--replications", "2", "--steps", "3")
+        assert (meta["rates"], meta["replications"], meta["steps"]) == (
+            [0.1], 2, 3)
+        assert len(rows) == 2 * 2 * (3 + 1)  # policies x reps x steps 0..3
+
+    def test_sweep_config_keys_without_flags(self, capsys, tmp_path):
+        rows, meta = self.sweep(
+            capsys, tmp_path, {"rates": [0.5], "replications": 3, "steps": 2})
+        assert (meta["rates"], meta["replications"], meta["steps"]) == (
+            [0.5], 3, 2)
+        assert len(rows) == 2 * 3 * (2 + 1)
+
+    def test_sweep_zero_steps_flag_is_honoured(self, capsys, tmp_path):
+        rows, meta = self.sweep(capsys, tmp_path, {"steps": 5}, "--rates",
+                                "0.1", "--replications", "2", "--steps", "0")
+        assert meta["steps"] == 0
+        assert len(rows) == 2 * 2
+        assert {row.split(",")[3] for row in rows} == {"0"}
+
+    def test_sweep_zero_replications_runtime_error(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"replications": 3}))
+        code, _, err = run(capsys, "sim-sweep", "--config", str(cfg_path),
+                           "--out", str(tmp_path / "o.csv"),
+                           "--replications", "0")
+        assert code == 2
+        assert "replications" in err
+
     def test_missing_config_runtime_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "sim", "--config",
                            str(tmp_path / "absent.json"), "--out",

@@ -1,13 +1,19 @@
 """Virtual fabric: attach, edge requests, and the three handover shapes."""
 
 import copy
+from pathlib import Path
 
 import pytest
 
+from megw import gtp
+from megw.gtp import GtpMessageType, GtpuPacket
 from megw.harness import (CLONED, DROPPED, MIGRATION_NOTIFIED, RECEIVED,
-                          REACTIVATED, RULE_INSTALLED, SENT, SILENCED,
-                          ConfigError, Harness, StateError, build_topology,
-                          default_topology_config, run_scenario)
+                          REACTIVATED, RULE_INSTALLED, SCENARIOS, SENT,
+                          SILENCED, ConfigError, Harness, StateError,
+                          build_topology, default_topology_config,
+                          run_scenario)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def count(trace, action, **detail_filters):
@@ -169,6 +175,54 @@ class TestHandoverScenario1:
         assert got[0].detail["teid"] == h.ues["ue1"].bearers[5].downstream_teid
 
 
+class TestRadioDelivery:
+    def sgw_downlink(self, h, enb, teid, payload):
+        """A G-PDU the EPC sends to `enb` on tunnel `teid`; its trace."""
+        sgw_addr = h.topology.nodes["sgw"].addr
+        enb_addr = h.topology.nodes[enb].addr
+        inner = gtp.build_ipv4("10.100.1.1", h.ues["ue1"].addr, 6,
+                               gtp.build_tcpish(6, 80, 40000, payload))
+        frame = gtp.encode_gtpu(GtpuPacket(sgw_addr, enb_addr, teid,
+                                           GtpMessageType.GPDU, inner))
+        mark = len(h.trace)
+        h._send("sgw", enb_addr, frame, note="late-downlink")
+        h.run_until_idle()
+        return h.trace[mark:]
+
+    def test_pre_handover_teid_unknown_after_step_8(self):
+        h = make_harness()
+        h.run_attach("ue1", "enb1")
+        h.run_edge_request("ue1")
+        old_teid = h.ues["ue1"].bearers[5].downstream_teid
+        h.run_x2_handover("ue1", "enb1", "enb2")
+        assert h.ues["ue1"].bearers[5].downstream_teid != old_teid
+        for enb in ("enb1", "enb2"):
+            trace = self.sgw_downlink(h, enb, old_teid, b"late")
+            dropped = count(trace, DROPPED, reason="unknown-teid")
+            assert [(e.node, e.detail["teid"]) for e in dropped] == [
+                (enb, old_teid)]
+            assert not [e for e in count(trace, RECEIVED) if e.node == "ue1"]
+
+    def test_old_enb_relays_over_x2_before_step_8(self):
+        h = make_harness()
+        h.run_attach("ue1", "enb1")
+        h.run_edge_request("ue1")
+        teid = h.ues["ue1"].bearers[5].downstream_teid
+        # steps 1-2 of the X2 timeline move the radio; the fabric and the
+        # gateway's rules still point at the old base station
+        h.ues["ue1"].radio_enb = "enb2"
+        trace = h.inject_downstream("ue1", payload=b"in-flight")
+        relay = count(trace, SENT, via="x2-forwarding")
+        assert [(e.node, e.detail["to"], e.detail["teid"])
+                for e in relay] == [("enb1", "enb2", teid)]
+        got = [e for e in count(trace, RECEIVED) if e.node == "ue1"]
+        assert len(got) == 1
+        assert got[0].detail["via"] == "x2-forwarding"
+        assert got[0].detail["teid"] == teid
+        assert got[0].detail["payload"] == b"in-flight".hex()
+        assert trace.index(relay[0]) < trace.index(got[0])
+
+
 class TestHandoverScenario2:
     def test_same_region_preserves_serving_mec_and_dip(self):
         h = make_harness()
@@ -268,3 +322,14 @@ class TestDeterminism:
                      "x2-same-region", "x2-cross-region"):
             h = run_scenario(name)
             assert h.trace
+
+
+class TestGoldenTraces:
+    """Every named scenario's seed-7 trace, byte for byte. A golden file
+    is `megw harness --scenario <name> --seed 7`; regenerating one is a
+    deliberate change to the trace format or to gateway behaviour."""
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_trace_matches_golden(self, name):
+        trace = run_scenario(name, seed=7).trace_jsonl() + "\n"
+        assert trace.encode() == (GOLDEN / f"{name}.jsonl").read_bytes()

@@ -7,6 +7,9 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, invariant, precondition,
+                                 rule)
 
 from megw import gtp, steering
 from megw.gtp import (Direction, FiveTuple, GtpMessageType, GtpuPacket,
@@ -209,7 +212,7 @@ class TestRuleStore:
         assert all(r.state is RuleState.SILENT
                    for r in store.rules_for_ue("172.16.0.2"))
         assert store.set_ue_silent("172.16.9.9") == 0
-        assert store.reactivate_ue("172.16.0.2", 300, "10.1.0.2") == 2
+        assert store.reactivate_ue("172.16.0.2", {200: 300}, "10.1.0.2") == 2
         for r in store.rules_for_ue("172.16.0.2"):
             assert r.state is RuleState.ACTIVE
             assert r.downstream_teid == 300
@@ -230,6 +233,101 @@ class TestRuleStore:
         by_port = {r.key.src_port: r for r in store.rules_for_ue("172.16.0.2")}
         assert by_port[5000].downstream_teid == 300
         assert by_port[5001].downstream_teid == 301
+
+
+UES = ("172.16.0.2", "172.16.0.3", "172.16.0.4")
+TEIDS = (200, 201, 300, 301)
+ENBS = ("10.1.0.1", "10.1.0.2")
+flow_keys = st.builds(FiveTuple, st.sampled_from(UES), st.just(VIP),
+                      st.sampled_from((6, 17)), st.sampled_from((5000, 5001)),
+                      st.sampled_from((80, 443)))
+
+
+class RuleStoreMachine(RuleBasedStateMachine):
+    """RuleStore against a flat {5-tuple: rule} table whose per-subscriber
+    operations scan every rule and filter on the subscriber address."""
+
+    def __init__(self):
+        super().__init__()
+        self.store = RuleStore()
+        self.model: dict[FiveTuple, FlowRule] = {}
+
+    def flows_of(self, ue):
+        return [k for k in self.model if k.src_ip == ue]
+
+    @rule(key=flow_keys, teid=st.sampled_from(TEIDS),
+          enb=st.sampled_from(ENBS), state=st.sampled_from(RuleState))
+    def install(self, key, teid, enb, state):
+        new = FlowRule(key, teid, enb, "10.2.0.1", state)
+        old = self.model.get(key)
+        if old is not None and (old.downstream_teid, old.enb_addr) != (
+                teid, enb):
+            with pytest.raises(steering.ConflictError):
+                self.store.install(new)
+            return
+        self.store.install(new)
+        self.model.setdefault(key, new)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def reinstall_conflicting(self, data):
+        old = self.model[data.draw(st.sampled_from(list(self.model)))]
+        teid = data.draw(st.sampled_from(
+            [t for t in TEIDS if t != old.downstream_teid]))
+        with pytest.raises(steering.ConflictError):
+            self.store.install(FlowRule(old.key, teid, old.enb_addr,
+                                        old.sgw_addr))
+
+    @rule(ue=st.sampled_from(UES))
+    def set_ue_silent(self, ue):
+        touched = 0
+        for k in self.flows_of(ue):
+            if self.model[k].state is not RuleState.SILENT:
+                self.model[k] = FlowRule(k, self.model[k].downstream_teid,
+                                         self.model[k].enb_addr,
+                                         self.model[k].sgw_addr,
+                                         RuleState.SILENT)
+                touched += 1
+        assert self.store.set_ue_silent(ue) == touched
+
+    @rule(ue=st.sampled_from(UES),
+          remap=st.dictionaries(st.sampled_from(TEIDS),
+                                st.sampled_from(TEIDS), max_size=3),
+          enb=st.sampled_from(ENBS))
+    def reactivate_ue(self, ue, remap, enb):
+        touched = 0
+        for k in self.flows_of(ue):
+            old = self.model[k]
+            if old.downstream_teid in remap:
+                self.model[k] = FlowRule(k, remap[old.downstream_teid], enb,
+                                         old.sgw_addr, RuleState.ACTIVE)
+                touched += 1
+        assert self.store.reactivate_ue(ue, remap, enb) == touched
+
+    @rule(ue=st.sampled_from(UES))
+    def release_ue(self, ue):
+        keys = self.flows_of(ue)
+        for k in keys:
+            del self.model[k]
+        assert self.store.release_ue(ue) == len(keys)
+
+    @rule(key=flow_keys)
+    def lookup(self, key):
+        assert self.store.lookup(key) == self.model.get(key)
+
+    @invariant()
+    def same_rules_per_subscriber(self):
+        for ue in UES:
+            assert self.store.rules_for_ue(ue) == [
+                r for k, r in self.model.items() if k.src_ip == ue]
+
+    @invariant()
+    def same_size(self):
+        assert len(self.store) == len(self.model)
+
+
+TestRuleStoreMachine = RuleStoreMachine.TestCase
+TestRuleStoreMachine.settings = settings(max_examples=50, deadline=None)
 
 
 class TestConfigLoading:
@@ -292,7 +390,8 @@ class TestConcurrency:
                         downstream_teid=100 + i, enb_addr="10.1.0.1",
                         sgw_addr="10.2.0.1"))
                     rules.set_ue_silent(f"172.16.1.{i}")
-                    rules.reactivate_ue(f"172.16.1.{i}", 200 + i, "10.1.0.2")
+                    rules.reactivate_ue(f"172.16.1.{i}", {100 + i: 200 + i},
+                                        "10.1.0.2")
             except Exception as exc:
                 errors.append(exc)
 
@@ -304,6 +403,46 @@ class TestConcurrency:
             t.join()
         assert errors == []
         assert len(rules) == 20
+
+    def test_len_while_subscribers_come_and_go(self):
+        import threading
+
+        rules = RuleStore()
+        errors = []
+
+        def churn(base):
+            try:
+                for i in range(300):
+                    ue = f"172.{base}.{i // 250}.{i % 250}"
+                    rules.install(FlowRule(FiveTuple(ue, VIP, 6, 5000, 80),
+                                           100, "10.1.0.1", "10.2.0.1"))
+                    if i % 2:
+                        rules.release_ue(ue)
+            except Exception as exc:
+                errors.append(exc)
+
+        def count():
+            try:
+                for _ in range(2000):
+                    assert 0 <= len(rules) <= 4 * 300
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=churn, args=(b,))
+                   for b in range(16, 20)]
+        threads += [threading.Thread(target=count) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(rules) == 4 * 150
 
 
 class TestProcessPacket:
@@ -481,7 +620,7 @@ class TestProcessPacket:
         flow = FiveTuple("172.16.0.2", VIP, 6, 5000, 80)
         self.rules.install(FlowRule(flow, 0xC8, "10.1.0.1", "10.2.0.1"))
         self.rules.set_ue_silent("172.16.0.2")
-        self.rules.reactivate_ue("172.16.0.2", 0x12C, "10.1.0.7")
+        self.rules.reactivate_ue("172.16.0.2", {0xC8: 0x12C}, "10.1.0.7")
         echo = build_ipv4(VIP, "172.16.0.2", 6, build_tcpish(6, 80, 5000, b"x"))
         act = self.process(echo, Direction.FROM_CLUSTER)
         pkt = decode_gtpu(act.data)
