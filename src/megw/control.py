@@ -6,21 +6,26 @@ pairs, and emits data-plane effects as plain values. Keeping effects as
 values makes the processor a deterministic, replayable state machine:
 the caller applies them (or records them) in order.
 
-Handover handling follows the X2 timeline: the path-switch request marks
-the start and classifies the scenario, the end marker on the old path
-opens the silent period (and triggers the migration notice when the move
-crosses a region), and the path-switch acknowledgement closes it with
-fresh tunnel state.
+Handover handling follows the X2 timeline. The path-switch request
+classifies the scenario and files each bearer as pending under (old eNB,
+downstream TEID), the pair that names a tunnel (3GPP TS 29.281), until
+the context leaves the handover phase. An end marker is one lookup there:
+it opens the silent period, triggers the migration notice for a move
+across regions, and drops the context of a subscriber who moves to another
+gateway. The acknowledgement brings fresh tunnel state and ends the silence.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+from collections import deque
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .s1ap import MessageKind, S1apLiteMessage
 from .steering import FiveTuple, FlowRule, RuleState
+
+LOG_LIMIT = 4096    # effect-log entries a processor keeps
 
 
 class TopologyError(KeyError):
@@ -86,11 +91,6 @@ class UeContext:
     enb_addr: str
     bearers: dict = field(default_factory=dict)  # bearer_id -> BearerContext
     phase: UePhase = UePhase.ATTACHED
-    old_enb: str | None = None
-    new_enb: str | None = None
-    scenario: HandoverScenario | None = None
-    # pairs released at the end marker, kept only to remap rules at step 8
-    released: dict = field(default_factory=dict)
 
 
 # --- effects ---------------------------------------------------------------
@@ -190,8 +190,10 @@ class S1apProcessor:
         self.megw_id = megw_id
         self.topology = topology
         self.contexts: dict[str, UeContext] = {}
+        # (old eNB, downstream TEID) -> (context, scenario, new eNB)
+        self.pending: dict[tuple[str, int], tuple] = {}
         self.clock = 0          # logical event counter
-        self.log: list[dict] = []
+        self.log: deque[dict] = deque(maxlen=LOG_LIMIT)
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -208,6 +210,20 @@ class S1apProcessor:
         return "\n".join(json.dumps(entry, sort_keys=True,
                                     default=_json_default)
                          for entry in self.log)
+
+    def _pend(self, ctx: UeContext, scenario, new_enb: str) -> None:
+        for bc in ctx.bearers.values():
+            self.pending[(ctx.enb_addr, bc.downstream_teid)] = (
+                ctx, scenario, new_enb)
+
+    def _unpend(self, ctx: UeContext) -> tuple | None:
+        """Drop the context's entries (all alike); return one, or None."""
+        held = None
+        for bc in ctx.bearers.values():
+            key = (ctx.enb_addr, bc.downstream_teid)
+            if self.pending.get(key, (None,))[0] is ctx:
+                held = self.pending.pop(key)
+        return held
 
     # -- event handlers -----------------------------------------------------
 
@@ -226,12 +242,15 @@ class S1apProcessor:
         if ctx is None:
             ctx = UeContext(ue_ip=msg.ue_ip, enb_addr=msg.enb_addr)
             self.contexts[msg.ue_ip] = ctx
+        held = self._unpend(ctx)    # re-filed below under the new eNB
         ctx.enb_addr = msg.enb_addr
         for item in msg.bearers:
             bc = ctx.bearers.setdefault(item.bearer_id, BearerContext())
             bc.upstream_teid = item.upstream_teid
             bc.sgw_addr = (item.transport_addr if item.transport_addr != "0.0.0.0"
                            else msg.sgw_addr)
+        if held is not None:
+            self._pend(*held)
         # TEID pairs are reconstructed here but no data-plane rule exists
         # until the subscriber actually opens an edge connection
         return []
@@ -240,6 +259,7 @@ class S1apProcessor:
         ctx = self.contexts.get(msg.ue_ip)
         if ctx is None:
             return [OrphanMessage(kind=msg.kind, ue_ip=msg.ue_ip)]
+        self._unpend(ctx)
         for item in msg.bearers:
             bc = ctx.bearers.setdefault(item.bearer_id, BearerContext())
             bc.downstream_teid = item.downstream_teid
@@ -250,15 +270,11 @@ class S1apProcessor:
         ctx = self.contexts.get(msg.ue_ip)
         if ctx is None:
             return [OrphanMessage(kind=msg.kind, ue_ip=msg.ue_ip)]
-        old_enb = ctx.enb_addr
-        new_enb = msg.enb_addr
-        scenario = classify_handover(old_enb, new_enb, self.topology)
+        scenario = classify_handover(ctx.enb_addr, msg.enb_addr, self.topology)
         ctx.phase = UePhase.HANDOVER_IN_PROGRESS
-        ctx.old_enb = old_enb
-        ctx.new_enb = new_enb
-        ctx.scenario = scenario
+        self._pend(ctx, scenario, msg.enb_addr)
         return [ScenarioDetected(ue_ip=msg.ue_ip, scenario=scenario,
-                                 old_enb=old_enb, new_enb=new_enb)]
+                                 old_enb=ctx.enb_addr, new_enb=msg.enb_addr)]
 
     def _on_path_switch_ack(self, msg: S1apLiteMessage) -> list:
         ctx = self.contexts.get(msg.ue_ip)
@@ -267,24 +283,19 @@ class S1apProcessor:
             # the acknowledgement alone must rebuild full tunnel state
             ctx = UeContext(ue_ip=msg.ue_ip, enb_addr=msg.enb_addr)
             self.contexts[msg.ue_ip] = ctx
-        old_pairs = ctx.released or {
-            bid: bc for bid, bc in ctx.bearers.items() if bc.complete()}
+        self._unpend(ctx)
         remap = []
         new_bearers: dict[int, BearerContext] = {}
         for item in msg.bearers:
-            bc = BearerContext(upstream_teid=item.upstream_teid,
-                               downstream_teid=item.downstream_teid,
-                               sgw_addr=msg.sgw_addr)
-            new_bearers[item.bearer_id] = bc
-            old = old_pairs.get(item.bearer_id)
-            if old is not None and old.downstream_teid:
+            new_bearers[item.bearer_id] = BearerContext(
+                upstream_teid=item.upstream_teid,
+                downstream_teid=item.downstream_teid, sgw_addr=msg.sgw_addr)
+            old = ctx.bearers.get(item.bearer_id)
+            if old is not None and old.complete():
                 remap.append((old.downstream_teid, item.downstream_teid))
         ctx.bearers = new_bearers
         ctx.enb_addr = msg.enb_addr
         ctx.phase = UePhase.ATTACHED
-        ctx.old_enb = ctx.new_enb = None
-        ctx.scenario = None
-        ctx.released = {}
         return [ReactivateUe(ue_ip=msg.ue_ip, teid_remap=tuple(remap),
                              new_enb_addr=msg.enb_addr)]
 
@@ -308,34 +319,23 @@ class S1apProcessor:
                 return [InstallRule(rule=rule)]
         return [NoContext(upstream_teid=upstream_teid)]
 
-    def on_end_marker(self, teid: int) -> list:
-        effects = self._end_marker_effects(teid)
-        return self._emit("END_MARKER", {"teid": teid}, effects)
-
-    def _end_marker_effects(self, teid: int) -> list:
-        for ctx in self.contexts.values():
-            if ctx.phase is not UePhase.HANDOVER_IN_PROGRESS:
-                continue
-            if not any(bc.downstream_teid == teid
-                       for bc in ctx.bearers.values()):
-                continue
-            effects: list = [SilenceUe(ue_ip=ctx.ue_ip)]
-            if ctx.scenario is HandoverScenario.CROSS_REGION:
-                old_megw = self.topology.megw_of(ctx.old_enb)
-                new_megw = self.topology.megw_of(ctx.new_enb)
+    def on_end_marker(self, enb_addr: str, teid: int) -> list:
+        hit = self.pending.get((enb_addr, teid))
+        effects: list = []
+        if hit is not None:
+            ctx, scenario, new_enb = self._unpend(hit[0])
+            effects.append(SilenceUe(ue_ip=ctx.ue_ip))
+            if scenario is HandoverScenario.CROSS_REGION:
                 effects.append(MigrationNotice(
-                    ue_ip=ctx.ue_ip, old_mec=old_megw, new_mec=new_megw,
+                    ue_ip=ctx.ue_ip, old_mec=self.topology.megw_of(enb_addr),
+                    new_mec=self.topology.megw_of(new_enb),
                     issued_at=self.clock + 1))
-            if ctx.scenario is not HandoverScenario.SAME_MEGW:
-                # the acknowledgement will land at the other gateway, so no
-                # reactivation ever reaches these rules: remove them outright
-                # rather than leave tombstones that would swallow this
-                # subscriber's traffic transiting here after the handover
+            if scenario is HandoverScenario.SAME_MEGW:
+                ctx.phase = UePhase.SILENT_PERIOD   # refuses flow misses
+            else:
+                # step 8 lands at the other gateway; rules kept here as
+                # tombstones would swallow the subscriber's transit traffic
                 effects.append(ReleaseUeRules(ue_ip=ctx.ue_ip))
-            # release the old pairs: no rule may be built from them again,
-            # but remember the TEIDs so step 8 can remap existing rules
-            ctx.released = {bid: bc for bid, bc in ctx.bearers.items()}
-            ctx.bearers = {}
-            ctx.phase = UePhase.SILENT_PERIOD
-            return effects
-        return []
+                del self.contexts[ctx.ue_ip]
+        return self._emit("END_MARKER", {"enb": enb_addr, "teid": teid},
+                          effects)

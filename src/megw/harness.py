@@ -46,6 +46,8 @@ SILENCED = "Silenced"
 REACTIVATED = "Reactivated"
 MIGRATION_NOTIFIED = "MigrationNotified"
 
+TRACE_LIMIT = 4096  # trace events kept from before the running operation
+
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -66,13 +68,11 @@ class NodeSpec:
 @dataclass
 class Topology:
     nodes: dict
-    links: list                      # (a, b, latency)
     enb_to_megw: dict
     megw_to_region: dict
     vips: list
     steering_configs: dict           # megw_id -> SteeringConfig
     addr_to_node: dict
-    neighbors: dict                  # node -> sorted adjacent nodes
     latency: dict                    # frozenset({a, b}) -> ticks
     next_hop: dict                   # (src, dst) -> neighbor
 
@@ -130,14 +130,13 @@ def build_topology(config: dict) -> Topology:
                 f"{addrs[spec.addr]!r}")
         addrs[spec.addr] = node_id
 
-    links, latency = [], {}
+    latency = {}
     neighbors: dict[str, list] = {n: [] for n in nodes}
     for doc in config.get("links", []):
         a, b = doc["a"], doc["b"]
         require(a, {s.kind for s in nodes.values()}, "link")
         require(b, {s.kind for s in nodes.values()}, "link")
         ticks = int(doc.get("latency", 1))
-        links.append((a, b, ticks))
         latency[frozenset((a, b))] = ticks
         neighbors[a].append(b)
         neighbors[b].append(a)
@@ -183,10 +182,10 @@ def build_topology(config: dict) -> Topology:
                 hop = parent[hop]
             next_hop[(src, dst)] = hop
 
-    return Topology(nodes=nodes, links=links, enb_to_megw=enb_to_megw,
+    return Topology(nodes=nodes, enb_to_megw=enb_to_megw,
                     megw_to_region=megw_to_region, vips=vips,
                     steering_configs=steering_configs, addr_to_node=addrs,
-                    neighbors=neighbors, latency=latency, next_hop=next_hop)
+                    latency=latency, next_hop=next_hop)
 
 
 @dataclass
@@ -223,6 +222,7 @@ class Harness:
     def __init__(self, topology: Topology, seed: int = 0):
         self.topology = topology
         self.seed = seed
+        # the latest events: TRACE_LIMIT older ones plus the running operation
         self.trace: list[TraceEvent] = []
         self._step = itertools.count()
         self._queue: list = []
@@ -249,6 +249,13 @@ class Harness:
     def _record(self, node: str, action: str, detail: dict) -> None:
         self.trace.append(TraceEvent(step=next(self._step), node=node,
                                      action=action, detail=detail))
+
+    def _begin(self) -> int:
+        """Start a scripted operation: drop the oldest trace events beyond
+        TRACE_LIMIT and return where this operation's events begin. Only
+        the outermost operations call it, so no returned slice is cut."""
+        del self.trace[:-TRACE_LIMIT]
+        return len(self.trace)
 
     def trace_jsonl(self, events=None) -> str:
         events = self.trace if events is None else events
@@ -353,7 +360,8 @@ class Harness:
         elif isinstance(event, EndMarkerSeen):
             self._record(megw, CLONED, {"kind": "end-marker",
                                         "teid": event.teid})
-            effects = state.processor.on_end_marker(event.teid)
+            effects = state.processor.on_end_marker(event.enb_addr,
+                                                    event.teid)
         elif isinstance(event, FlowMiss):
             self._record(megw, CLONED, {"kind": "flow-miss",
                                         "ue_ip": event.five_tuple.src_ip,
@@ -495,7 +503,7 @@ class Harness:
         """Initial context setup through the gateway on the S1 path."""
         ue = self._ue(ue_id)
         self._megw_of_enb(enb)
-        mark = len(self.trace)
+        mark = self._begin()
         enb_addr = self.topology.nodes[enb].addr
         sgw_addr = self.topology.nodes[self._sgw_node].addr
         ue_num = next(self._ue_ids)
@@ -552,7 +560,7 @@ class Harness:
         if ue.radio_enb is None:
             raise StateError(f"{ue_id!r} is not attached")
         vip = vip or self.topology.vips[0]
-        mark = len(self.trace)
+        mark = self._begin()
         if reuse_flow:
             if ue.last_flow is None:
                 raise StateError(f"{ue_id!r} has no flow to continue")
@@ -617,7 +625,7 @@ class Harness:
         if ue.radio_enb != old_enb:
             raise StateError(
                 f"{ue_id!r} is attached to {ue.radio_enb!r}, not {old_enb!r}")
-        mark = len(self.trace)
+        mark = self._begin()
         old_addr = self.topology.nodes[old_enb].addr
         new_addr = self.topology.nodes[new_enb].addr
         sgw_addr = self.topology.nodes[self._sgw_node].addr

@@ -330,6 +330,9 @@ class S1apClone:
 
 @dataclass(frozen=True)
 class EndMarkerSeen:
+    """An end marker for tunnel `teid` of the eNB at `enb_addr`."""
+
+    enb_addr: str
     teid: int
 
 
@@ -380,7 +383,8 @@ def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
     pkt = frame.tunnel
     if pclass is PacketClass.END_MARKER:
         return Multiple((Emit(pkt.outer_dst, data, note="end-marker-passthrough"),
-                         CloneToController(EndMarkerSeen(pkt.teid))))
+                         CloneToController(EndMarkerSeen(pkt.outer_dst,
+                                                       pkt.teid))))
 
     if pclass is PacketClass.UPSTREAM_GTP:
         try:

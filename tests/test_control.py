@@ -1,10 +1,13 @@
 """Control-plane processor: TEID reconstruction, handovers, effects."""
 
+import itertools
 import json
 import typing
 from dataclasses import asdict
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from megw import control
 from megw.control import (HandoverScenario, InstallRule,
@@ -136,7 +139,7 @@ def run_handover(proc, new_enb, old_down=200, new_pair=(100, 300)):
     eff_req = proc.on_control_message(msg(
         MessageKind.PATH_SWITCH_REQUEST,
         [BearerItem(5, upstream_teid=new_pair[0])], enb=new_enb))
-    eff_end = proc.on_end_marker(old_down)
+    eff_end = proc.on_end_marker(ENB1, old_down)
     eff_ack = proc.on_control_message(msg(
         MessageKind.PATH_SWITCH_ACKNOWLEDGE,
         [BearerItem(5, upstream_teid=new_pair[0],
@@ -165,7 +168,7 @@ class TestHandover:
         proc.on_control_message(msg(MessageKind.PATH_SWITCH_REQUEST,
                                     [BearerItem(5, upstream_teid=100)],
                                     enb=ENB2))
-        proc.on_end_marker(200)
+        proc.on_end_marker(ENB1, 200)
         assert proc.contexts[UE].phase is UePhase.SILENT_PERIOD
         effects = proc.on_flow_miss(FiveTuple(UE, "10.100.1.1", 6, 1, 2), 100)
         assert isinstance(effects[0], NoContext)
@@ -192,13 +195,13 @@ class TestHandover:
     def test_unknown_end_marker_ignored(self):
         proc = S1apProcessor("mgw-a", TOPOLOGY)
         attach(proc)
-        assert proc.on_end_marker(0xDEAD) == []
+        assert proc.on_end_marker(ENB1, 0xDEAD) == []
 
     def test_end_marker_before_handover_ignored(self):
         proc = S1apProcessor("mgw-a", TOPOLOGY)
         attach(proc)
         # not in handover: end markers do not silence anyone
-        assert proc.on_end_marker(200) == []
+        assert proc.on_end_marker(ENB1, 200) == []
 
     def test_ack_constructs_context_at_new_gateway(self):
         proc = S1apProcessor("mgw-b", TOPOLOGY)
@@ -222,7 +225,7 @@ class TestHandover:
             MessageKind.PATH_SWITCH_REQUEST,
             [BearerItem(5, upstream_teid=100), BearerItem(6, upstream_teid=101)],
             enb=ENB2))
-        proc.on_end_marker(200)
+        proc.on_end_marker(ENB1, 200)
         eff_ack = proc.on_control_message(msg(
             MessageKind.PATH_SWITCH_ACKNOWLEDGE,
             [BearerItem(5, upstream_teid=100, downstream_teid=300),
@@ -287,3 +290,202 @@ class TestEffectLog:
         for eff in effects:
             assert control._shallow_asdict(eff) == asdict(eff)
         assert control._shallow_asdict(flow) == asdict(flow)
+
+
+class TestPendingHandovers:
+    """End markers are found by (eNB, TEID), and a context leaves with a
+    subscriber that moves to another gateway."""
+
+    def test_equal_teids_at_two_enbs(self):
+        proc = S1apProcessor("mgw-a", TOPOLOGY)
+        other = "172.16.0.3"
+        attach(proc, ue_ip=UE, enb=ENB1, pairs=((5, 100, 200),))
+        attach(proc, ue_ip=other, enb=ENB2, pairs=((5, 101, 200),))
+        for ue_ip in (UE, other):
+            proc.on_control_message(msg(MessageKind.PATH_SWITCH_REQUEST,
+                                        [BearerItem(5, upstream_teid=100)],
+                                        ue_ip=ue_ip, enb=ENB3))
+        effects = proc.on_end_marker(ENB2, 200)
+        assert [e.ue_ip for e in effects if isinstance(e, SilenceUe)] == [
+            other]
+        assert proc.contexts[UE].phase is UePhase.HANDOVER_IN_PROGRESS
+        effects = proc.on_end_marker(ENB1, 200)
+        assert [e.ue_ip for e in effects if isinstance(e, SilenceUe)] == [UE]
+
+    @pytest.mark.parametrize("new_enb", [ENB3, ENB4])
+    def test_departing_subscriber_leaves(self, new_enb):
+        proc = S1apProcessor("mgw-a", TOPOLOGY)
+        attach(proc, pairs=((5, 100, 200), (6, 101, 201)))
+        proc.on_control_message(msg(
+            MessageKind.PATH_SWITCH_REQUEST,
+            [BearerItem(5, upstream_teid=100), BearerItem(6, upstream_teid=101)],
+            enb=new_enb))
+        assert len(proc.pending) == 2
+        effects = proc.on_end_marker(ENB1, 201)
+        assert any(isinstance(e, ReleaseUeRules) for e in effects)
+        assert UE not in proc.contexts
+        assert proc.pending == {}
+        assert proc.on_end_marker(ENB1, 200) == []
+        effects = proc.on_flow_miss(FiveTuple(UE, "10.100.1.1", 6, 1, 2), 100)
+        assert isinstance(effects[0], NoContext)
+
+    def test_ics_response_ends_pending_handover(self):
+        proc = S1apProcessor("mgw-a", TOPOLOGY)
+        attach(proc)
+        proc.on_control_message(msg(MessageKind.PATH_SWITCH_REQUEST,
+                                    [BearerItem(5, upstream_teid=100)],
+                                    enb=ENB2))
+        proc.on_control_message(msg(
+            MessageKind.INITIAL_CONTEXT_SETUP_RESPONSE,
+            [BearerItem(5, downstream_teid=250)]))
+        assert proc.pending == {}
+        assert proc.on_end_marker(ENB1, 200) == []
+        assert proc.on_end_marker(ENB1, 250) == []
+
+    def test_ics_request_refiles_pending_handover(self):
+        proc = S1apProcessor("mgw-a", TOPOLOGY)
+        attach(proc)
+        proc.on_control_message(msg(MessageKind.PATH_SWITCH_REQUEST,
+                                    [BearerItem(5, upstream_teid=100)],
+                                    enb=ENB3))
+        proc.on_control_message(msg(
+            MessageKind.INITIAL_CONTEXT_SETUP_REQUEST,
+            [BearerItem(5, upstream_teid=100, transport_addr=SGW)], enb=ENB2))
+        assert proc.on_end_marker(ENB1, 200) == []
+        effects = proc.on_end_marker(ENB2, 200)
+        assert [e.ue_ip for e in effects if isinstance(e, SilenceUe)] == [UE]
+
+    def test_stale_context_leaves_other_entries(self):
+        # the eNB handed TEID 200 to a second subscriber after the first
+        # went quiet; the first one's signalling must not drop the second
+        # one's pending handover
+        proc = S1apProcessor("mgw-a", TOPOLOGY)
+        other = "172.16.0.3"
+        attach(proc, ue_ip=UE, enb=ENB1, pairs=((5, 100, 200),))
+        attach(proc, ue_ip=other, enb=ENB1, pairs=((5, 101, 200),))
+        proc.on_control_message(msg(MessageKind.PATH_SWITCH_REQUEST,
+                                    [BearerItem(5, upstream_teid=101)],
+                                    ue_ip=other, enb=ENB2))
+        proc.on_control_message(msg(
+            MessageKind.PATH_SWITCH_ACKNOWLEDGE,
+            [BearerItem(5, upstream_teid=100, downstream_teid=300)],
+            ue_ip=UE, enb=ENB3))
+        effects = proc.on_end_marker(ENB1, 200)
+        assert [e.ue_ip for e in effects if isinstance(e, SilenceUe)] == [
+            other]
+
+    def test_log_keeps_latest_entries(self):
+        proc = S1apProcessor("mgw-a", TOPOLOGY)
+        attach(proc)
+        for port in range(control.LOG_LIMIT + 10):
+            proc.on_flow_miss(FiveTuple(UE, "10.100.1.1", 6, port, 80), 100)
+        assert len(proc.log) == control.LOG_LIMIT
+        assert proc.log[-1]["seq"] == proc.clock
+        assert proc.log[0]["seq"] == proc.clock - control.LOG_LIMIT + 1
+        assert len(proc.dump_jsonl().splitlines()) == control.LOG_LIMIT
+
+
+ENBS = (ENB1, ENB2, ENB3, ENB4)
+MACHINE_UES = ("172.16.0.2", "172.16.0.3")
+MACHINE_BEARERS = st.sets(st.sampled_from((5, 6)), min_size=1)
+
+
+class ControllerMachine(RuleBasedStateMachine):
+    """S1apProcessor under any order of signalling, end markers and flow
+    misses. Each end marker's subscriber is checked against a scan of every
+    context: in handover, at the marker's eNB, with a bearer on its TEID.
+
+    Downstream TEIDs come from one counter, so they are unique per eNB as
+    3GPP TS 29.281 requires; TEID 0 means "not yet assigned" and names no
+    tunnel, so no end marker carries it."""
+
+    def __init__(self):
+        super().__init__()
+        self.proc = S1apProcessor("mgw-a", TOPOLOGY)
+        self.teids = itertools.count(200)
+        self.assigned = [0xDEAD]    # every TEID handed out, and a stranger
+
+    def teid(self) -> int:
+        self.assigned.append(next(self.teids))
+        return self.assigned[-1]
+
+    @rule(ue=st.sampled_from(MACHINE_UES), enb=st.sampled_from(ENBS),
+          bearers=MACHINE_BEARERS)
+    def ics_request(self, ue, enb, bearers):
+        self.proc.on_control_message(msg(
+            MessageKind.INITIAL_CONTEXT_SETUP_REQUEST,
+            [BearerItem(b, upstream_teid=100 + b, transport_addr=SGW)
+             for b in sorted(bearers)], ue_ip=ue, enb=enb))
+
+    @rule(ue=st.sampled_from(MACHINE_UES), bearers=MACHINE_BEARERS)
+    def ics_response(self, ue, bearers):
+        ctx = self.proc.contexts.get(ue)
+        enb = ENB1 if ctx is None else ctx.enb_addr
+        self.proc.on_control_message(msg(
+            MessageKind.INITIAL_CONTEXT_SETUP_RESPONSE,
+            [BearerItem(b, downstream_teid=self.teid(), transport_addr=enb)
+             for b in sorted(bearers)], ue_ip=ue, enb=enb))
+
+    @rule(ue=st.sampled_from(MACHINE_UES), enb=st.sampled_from(ENBS))
+    def path_switch_request(self, ue, enb):
+        self.proc.on_control_message(msg(
+            MessageKind.PATH_SWITCH_REQUEST,
+            [BearerItem(5, upstream_teid=105)], ue_ip=ue, enb=enb))
+
+    @rule(ue=st.sampled_from(MACHINE_UES), enb=st.sampled_from(ENBS),
+          bearers=MACHINE_BEARERS)
+    def path_switch_ack(self, ue, enb, bearers):
+        self.proc.on_control_message(msg(
+            MessageKind.PATH_SWITCH_ACKNOWLEDGE,
+            [BearerItem(b, upstream_teid=100 + b,
+                        downstream_teid=self.teid(), transport_addr=enb)
+             for b in sorted(bearers)], ue_ip=ue, enb=enb))
+
+    @rule(data=st.data())
+    def end_marker(self, data):
+        # the tunnel of a known bearer, or any eNB with any TEID handed out
+        known = [(ctx.enb_addr, bc.downstream_teid)
+                 for ctx in self.proc.contexts.values()
+                 for bc in ctx.bearers.values() if bc.downstream_teid]
+        anywhere = st.tuples(st.sampled_from(ENBS),
+                             st.sampled_from(self.assigned))
+        enb, teid = data.draw(st.sampled_from(known) | anywhere
+                              if known else anywhere)
+        expected = [
+            ctx.ue_ip for ctx in self.proc.contexts.values()
+            if ctx.phase is UePhase.HANDOVER_IN_PROGRESS
+            and ctx.enb_addr == enb
+            and any(bc.downstream_teid == teid for bc in ctx.bearers.values())]
+        assert len(expected) <= 1
+        effects = self.proc.on_end_marker(enb, teid)
+        assert [e.ue_ip for e in effects if isinstance(e, SilenceUe)] == expected
+        for ue_ip in expected:
+            if any(isinstance(e, ReleaseUeRules) for e in effects):
+                assert ue_ip not in self.proc.contexts
+            else:
+                assert self.proc.contexts[ue_ip].phase is UePhase.SILENT_PERIOD
+
+    @rule(ue=st.sampled_from(MACHINE_UES), bearer=st.sampled_from((5, 6)))
+    def flow_miss(self, ue, bearer):
+        ctx = self.proc.contexts.get(ue)
+        live = ctx is not None and ctx.phase is not UePhase.SILENT_PERIOD
+        match = [bc for bc in (ctx.bearers.values() if live else ())
+                 if bc.upstream_teid == 100 + bearer and bc.complete()]
+        effects = self.proc.on_flow_miss(
+            FiveTuple(ue, "10.100.1.1", 6, 40000 + bearer, 80), 100 + bearer)
+        if match:
+            assert effects[0].rule.downstream_teid == match[0].downstream_teid
+        else:
+            assert isinstance(effects[0], NoContext)
+
+    @invariant()
+    def pending_holds_only_handovers(self):
+        for (enb, teid), (ctx, _, _) in self.proc.pending.items():
+            assert ctx.phase is UePhase.HANDOVER_IN_PROGRESS
+            assert self.proc.contexts.get(ctx.ue_ip) is ctx
+            assert ctx.enb_addr == enb
+            assert teid in {bc.downstream_teid for bc in ctx.bearers.values()}
+
+
+TestControllerMachine = ControllerMachine.TestCase
+TestControllerMachine.settings = settings(max_examples=100, deadline=None)

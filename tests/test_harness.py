@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from megw import gtp
+from megw import gtp, harness
 from megw.gtp import GtpMessageType, GtpuPacket
 from megw.harness import (CLONED, DROPPED, MIGRATION_NOTIFIED, RECEIVED,
                           REACTIVATED, RULE_INSTALLED, SCENARIOS, SENT,
@@ -303,6 +303,38 @@ class TestHandoverGuards:
         trace = h.run_x2_handover("ue1", "enb1", "enb2", probe_silence=False)
         x2 = count(trace, SENT, kind="x2-handover-request")
         assert x2 and x2[0].node == "enb1"
+
+
+def long_run(h):
+    """Edge requests between handovers around all four base stations (all
+    three geometries); yields the events each scripted operation returns."""
+    yield h.run_attach("ue1", "enb1")
+    yield h.run_attach("ue2", "enb2", bearers=2)
+    route = ("enb1", "enb2", "enb3", "enb4")
+    for i in range(40):
+        yield h.run_x2_handover("ue1", route[i % 4], route[(i + 1) % 4])
+        for j in range(3):
+            yield h.run_edge_request("ue1", reuse_flow=j > 0,
+                                     payload=b"r-%d-%d" % (i, j))
+            yield h.run_edge_request("ue2", bearer_id=5 + j % 2)
+
+
+class TestTraceBound:
+    def test_trace_bounded_and_every_slice_whole(self, monkeypatch):
+        # the reference run stays under TRACE_LIMIT, so it keeps every event
+        ref = make_harness()
+        ref_slices = list(long_run(ref))
+        assert len(ref.trace) < harness.TRACE_LIMIT
+        assert [e for s in ref_slices for e in s] == ref.trace
+        monkeypatch.setattr(harness, "TRACE_LIMIT", 8)
+        h = make_harness()
+        longest = 0
+        for got, want in zip(long_run(h), ref_slices, strict=True):
+            assert got == want
+            longest = max(longest, len(got))
+            assert len(h.trace) <= 8 + len(got)
+        assert len(h.trace) < len(ref.trace)
+        assert longest > 8
 
 
 class TestDeterminism:

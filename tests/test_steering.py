@@ -472,7 +472,8 @@ class TestProcessPacket:
                                        GtpMessageType.END_MARKER, b""))
         acts = flatten(self.process(frame, Direction.FROM_CORE))
         clones = [a for a in acts if isinstance(a, CloneToController)]
-        assert clones and clones[0].event == EndMarkerSeen(teid=0xC8)
+        assert clones and clones[0].event == EndMarkerSeen(
+            enb_addr="10.1.0.1", teid=0xC8)
         emits = [a for a in acts if isinstance(a, Emit)]
         assert emits[0].dst == "10.1.0.1"
 
