@@ -5,7 +5,7 @@ Run: python demos/02_consistent_hash_steering.py
 
 from collections import Counter
 
-from megw.gtp import FiveTuple
+from megw.gtp import FiveTuple, ip_int, ip_str
 from megw.steering import (DipAffinityTable, SteeringConfig,
                            rendezvous_select, stage1_select, stage2_select)
 
@@ -30,8 +30,9 @@ cfg_b = SteeringConfig(megw_id="mgw-b", vips=cfg_a.vips,
                        region_peers=tuple(peers), dips=cfg_a.dips,
                        local_sgw="10.2.0.1")
 ue = "172.16.0.2"
-print(f"\n{ue}: serving gateway seen from mgw-a = {stage1_select(ue, cfg_a)}"
-      f", from mgw-b = {stage1_select(ue, cfg_b)} (always equal)")
+print(f"\n{ue}: serving gateway seen from mgw-a = "
+      f"{stage1_select(ip_int(ue), cfg_a)}, from mgw-b = "
+      f"{stage1_select(ip_int(ue), cfg_b)} (always equal)")
 
 # Remove a gateway: only the keys it was serving move (minimal disruption).
 reduced = [(p, w) for p, _, w in peers if p != "mgw-b"]
@@ -44,11 +45,11 @@ print(f"removing mgw-b remaps {moved / 100:.1f}% of keys "
 
 # Stage II: a connection keeps its server for life, even as the pool grows.
 table = DipAffinityTable()
-flow = FiveTuple("172.16.0.2", "10.100.1.1", 6, 5000, 80)
+flow = FiveTuple.parse("172.16.0.2", "10.100.1.1", 6, 5000, 80)
 first = stage2_select(flow, table, cfg_a)
 grown = SteeringConfig(megw_id="mgw-a", vips=cfg_a.vips,
                        region_peers=tuple(peers),
                        dips=cfg_a.dips + (("10.200.0.7", 4.0),),
                        local_sgw="10.2.0.1")
-print(f"\nflow pinned to {first}; after adding a big new server it still"
-      f" gets {stage2_select(flow, table, grown)}")
+print(f"\nflow pinned to {ip_str(first)}; after adding a big new server it"
+      f" still gets {ip_str(stage2_select(flow, table, grown))}")

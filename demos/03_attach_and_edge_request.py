@@ -18,7 +18,7 @@ print("attach: the context setup request/response pass through the gateway,")
 print("which clones them to its controller; no rules are installed yet")
 show(h.run_attach("ue1", "enb1"))
 proc = h.megws["mgw-a"].processor
-ctx = proc.contexts["172.16.0.2"]
+ctx = proc.contexts[h.ues["ue1"].ip]    # keyed by the integer address
 print(f"  controller state: bearers="
       f"{{{', '.join(f'{b}: up={c.upstream_teid:#x}/down={c.downstream_teid:#x}' for b, c in ctx.bearers.items())}}}")
 print(f"  data-plane rules: {len(h.megws['mgw-a'].rules)}")

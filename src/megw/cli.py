@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gtp, harness, sim
-from .gtp import GtpMessageType, GtpuPacket
+from .gtp import GtpMessageType, GtpuPacket, ip_int, ip_str
 
 
 class _UsageError(Exception):
@@ -78,8 +78,8 @@ def _cmd_codec_decode(args) -> int:
             else "GPdu")
     print(f"message_type={name}")
     print(f"teid={pkt.teid:#010x}")
-    print(f"outer_src={pkt.outer_src}")
-    print(f"outer_dst={pkt.outer_dst}")
+    print(f"outer_src={ip_str(pkt.outer_src)}")
+    print(f"outer_dst={ip_str(pkt.outer_dst)}")
     print(f"inner_len={len(pkt.inner)}")
     if pkt.message_type is GtpMessageType.GPDU and pkt.inner:
         try:
@@ -87,8 +87,8 @@ def _cmd_codec_decode(args) -> int:
         except gtp.DecodeError:
             pass
         else:
-            print(f"inner_flow={ft.src_ip}:{ft.src_port} -> "
-                  f"{ft.dst_ip}:{ft.dst_port} proto={ft.proto}")
+            print(f"inner_flow={ip_str(ft.src_ip)}:{ft.src_port} -> "
+                  f"{ip_str(ft.dst_ip)}:{ft.dst_port} proto={ft.proto}")
     return 0
 
 
@@ -96,7 +96,8 @@ def _cmd_codec_encode(args) -> int:
     doc = _load_json(args.packet)
     mt = {"gpdu": GtpMessageType.GPDU,
           "end-marker": GtpMessageType.END_MARKER}[doc["message_type"]]
-    pkt = GtpuPacket(outer_src=doc["outer_src"], outer_dst=doc["outer_dst"],
+    pkt = GtpuPacket(outer_src=ip_int(doc["outer_src"]),
+                     outer_dst=ip_int(doc["outer_dst"]),
                      teid=int(doc["teid"], 0) if isinstance(doc["teid"], str)
                      else int(doc["teid"]),
                      message_type=mt,

@@ -13,6 +13,7 @@ the context leaves the handover phase. An end marker is one lookup there:
 it opens the silent period, triggers the migration notice for a move
 across regions, and drops the context of a subscriber who moves to another
 gateway. The acknowledgement brings fresh tunnel state and ends the silence.
+State and effects hold integer addresses; `dump_jsonl` writes them dotted.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from __future__ import annotations
 import enum
 import json
 from collections import deque
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
+from .gtp import ip_int, ip_str
 from .s1ap import MessageKind, S1apLiteMessage
 from .steering import FiveTuple, FlowRule, RuleState
 
@@ -34,16 +36,20 @@ class TopologyError(KeyError):
 
 @dataclass(frozen=True)
 class TopologyView:
-    """The static maps scenario classification needs."""
+    """The static maps scenario classification needs (eNBs by address)."""
 
     enb_to_megw: dict
     megw_to_region: dict
 
-    def megw_of(self, enb_addr: str) -> str:
+    def __post_init__(self):
+        object.__setattr__(self, "enb_to_megw", {
+            ip_int(enb): megw for enb, megw in self.enb_to_megw.items()})
+
+    def megw_of(self, enb_addr: int) -> str:
         try:
             return self.enb_to_megw[enb_addr]
         except KeyError:
-            raise TopologyError(f"unknown eNB {enb_addr!r}") from None
+            raise TopologyError(f"unknown eNB {ip_str(enb_addr)}") from None
 
     def region_of(self, megw_id: str) -> str:
         try:
@@ -58,7 +64,7 @@ class HandoverScenario(enum.Enum):
     CROSS_REGION = "cross-region"
 
 
-def classify_handover(old_enb: str, new_enb: str,
+def classify_handover(old_enb: int, new_enb: int,
                       topology: TopologyView) -> HandoverScenario:
     old_megw = topology.megw_of(old_enb)
     new_megw = topology.megw_of(new_enb)
@@ -79,7 +85,7 @@ class UePhase(enum.Enum):
 class BearerContext:
     upstream_teid: int = 0       # eNB -> SGW path
     downstream_teid: int = 0     # SGW -> eNB path
-    sgw_addr: str = "0.0.0.0"
+    sgw_addr: int = 0
 
     def complete(self) -> bool:
         return self.upstream_teid != 0 and self.downstream_teid != 0
@@ -87,8 +93,8 @@ class BearerContext:
 
 @dataclass
 class UeContext:
-    ue_ip: str
-    enb_addr: str
+    ue_ip: int
+    enb_addr: int
     bearers: dict = field(default_factory=dict)  # bearer_id -> BearerContext
     phase: UePhase = UePhase.ATTACHED
 
@@ -103,15 +109,15 @@ class InstallRule:
 
 @dataclass(frozen=True)
 class SilenceUe:
-    ue_ip: str
+    ue_ip: int
     seq: int = 0
 
 
 @dataclass(frozen=True)
 class ReactivateUe:
-    ue_ip: str
+    ue_ip: int
     teid_remap: tuple  # ((old_downstream, new_downstream), ...)
-    new_enb_addr: str
+    new_enb_addr: int
     seq: int = 0
 
 
@@ -119,7 +125,7 @@ class ReactivateUe:
 class ReleaseUeRules:
     """Drop the subscriber's flow rules: it now belongs to another gateway."""
 
-    ue_ip: str
+    ue_ip: int
     seq: int = 0
 
 
@@ -130,7 +136,7 @@ class MigrationNotice:
     Emitted exactly once per cross-region handover, at silence start.
     """
 
-    ue_ip: str
+    ue_ip: int
     old_mec: str
     new_mec: str
     issued_at: int = 0
@@ -139,17 +145,17 @@ class MigrationNotice:
 
 @dataclass(frozen=True)
 class ScenarioDetected:
-    ue_ip: str
+    ue_ip: int
     scenario: HandoverScenario
-    old_enb: str
-    new_enb: str
+    old_enb: int
+    new_enb: int
     seq: int = 0
 
 
 @dataclass(frozen=True)
 class OrphanMessage:
     kind: MessageKind
-    ue_ip: str
+    ue_ip: int
     seq: int = 0
 
 
@@ -164,11 +170,29 @@ Effect = (InstallRule | SilenceUe | ReactivateUe | ReleaseUeRules
 
 
 def _shallow_asdict(obj) -> dict:
-    """`dataclasses.asdict` without its deep copy: nested dataclasses become
-    dicts, every other value is shared. The effects hold only immutable
-    values, so the log reads the same and costs a fraction of the time."""
-    return {f.name: _shallow_asdict(v) if is_dataclass(v) else v
-            for f in fields(obj) for v in (getattr(obj, f.name),)}
+    """`dataclasses.asdict` without its deep copy: every value is shared.
+    The effects hold only immutable values, so the log reads the same and
+    costs a fraction of the time."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
+# fields that hold an IPv4 address, which logs and traces write dotted
+_ADDRESS_FIELDS = frozenset({"ue_ip", "enb_addr", "sgw_addr", "new_enb_addr",
+                             "old_enb", "new_enb", "enb", "src_ip", "dst_ip"})
+
+
+def dotted(value, name: str = ""):
+    """A value as logs and traces show it: records (FlowRule, FiveTuple)
+    become dicts, and integer addresses dotted strings."""
+    if hasattr(value, "_asdict"):
+        value = value._asdict()
+    if isinstance(value, dict):
+        return {k: dotted(v, k) for k, v in value.items()}
+    if isinstance(value, list):
+        return [dotted(v) for v in value]
+    if name in _ADDRESS_FIELDS and type(value) is int:
+        return ip_str(value)
+    return value
 
 
 def _json_default(obj):
@@ -189,9 +213,9 @@ class S1apProcessor:
     def __init__(self, megw_id: str, topology: TopologyView):
         self.megw_id = megw_id
         self.topology = topology
-        self.contexts: dict[str, UeContext] = {}
+        self.contexts: dict[int, UeContext] = {}
         # (old eNB, downstream TEID) -> (context, scenario, new eNB)
-        self.pending: dict[tuple[str, int], tuple] = {}
+        self.pending: dict[tuple[int, int], tuple] = {}
         self.clock = 0          # logical event counter
         self.log: deque[dict] = deque(maxlen=LOG_LIMIT)
 
@@ -207,11 +231,11 @@ class S1apProcessor:
         return stamped
 
     def dump_jsonl(self) -> str:
-        return "\n".join(json.dumps(entry, sort_keys=True,
+        return "\n".join(json.dumps(dotted(entry), sort_keys=True,
                                     default=_json_default)
                          for entry in self.log)
 
-    def _pend(self, ctx: UeContext, scenario, new_enb: str) -> None:
+    def _pend(self, ctx: UeContext, scenario, new_enb: int) -> None:
         for bc in ctx.bearers.values():
             self.pending[(ctx.enb_addr, bc.downstream_teid)] = (
                 ctx, scenario, new_enb)
@@ -244,11 +268,14 @@ class S1apProcessor:
             self.contexts[msg.ue_ip] = ctx
         held = self._unpend(ctx)    # re-filed below under the new eNB
         ctx.enb_addr = msg.enb_addr
+        # the request names every bearer: others go, with the downstream
+        # TEIDs an earlier eNB gave them
+        ctx.bearers = {item.bearer_id: ctx.bearers.get(item.bearer_id)
+                       or BearerContext() for item in msg.bearers}
         for item in msg.bearers:
-            bc = ctx.bearers.setdefault(item.bearer_id, BearerContext())
+            bc = ctx.bearers[item.bearer_id]
             bc.upstream_teid = item.upstream_teid
-            bc.sgw_addr = (item.transport_addr if item.transport_addr != "0.0.0.0"
-                           else msg.sgw_addr)
+            bc.sgw_addr = item.transport_addr or msg.sgw_addr
         if held is not None:
             self._pend(*held)
         # TEID pairs are reconstructed here but no data-plane rule exists
@@ -300,26 +327,20 @@ class S1apProcessor:
                              new_enb_addr=msg.enb_addr)]
 
     def on_flow_miss(self, five_tuple: FiveTuple, upstream_teid: int) -> list:
-        effects = self._flow_miss_effects(five_tuple, upstream_teid)
-        return self._emit("FLOW_MISS",
-                          {"five_tuple": _shallow_asdict(five_tuple),
-                           "upstream_teid": upstream_teid}, effects)
-
-    def _flow_miss_effects(self, five_tuple: FiveTuple,
-                           upstream_teid: int) -> list:
         ctx = self.contexts.get(five_tuple.src_ip)
-        if ctx is None or ctx.phase is UePhase.SILENT_PERIOD:
-            return [NoContext(upstream_teid=upstream_teid)]
-        for bc in ctx.bearers.values():
-            if bc.upstream_teid == upstream_teid and bc.complete():
-                rule = FlowRule(key=five_tuple,
-                                downstream_teid=bc.downstream_teid,
-                                enb_addr=ctx.enb_addr, sgw_addr=bc.sgw_addr,
-                                state=RuleState.ACTIVE)
-                return [InstallRule(rule=rule)]
-        return [NoContext(upstream_teid=upstream_teid)]
+        effects = [NoContext(upstream_teid=upstream_teid)]
+        if ctx is not None and ctx.phase is not UePhase.SILENT_PERIOD:
+            for bc in ctx.bearers.values():
+                if bc.upstream_teid == upstream_teid and bc.complete():
+                    effects = [InstallRule(rule=FlowRule(
+                        five_tuple, bc.downstream_teid, ctx.enb_addr,
+                        bc.sgw_addr, RuleState.ACTIVE))]
+                    break
+        return self._emit("FLOW_MISS", {"five_tuple": five_tuple,
+                                        "upstream_teid": upstream_teid},
+                          effects)
 
-    def on_end_marker(self, enb_addr: str, teid: int) -> list:
+    def on_end_marker(self, enb_addr: int, teid: int) -> list:
         hit = self.pending.get((enb_addr, teid))
         effects: list = []
         if hit is not None:

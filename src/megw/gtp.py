@@ -9,7 +9,9 @@ outer IPv4 / UDP / GTP-U check once, `classify` reads the `Frame` it
 returns and `decode_gtpu` runs the same checks, so they agree by
 construction. Only the 8-byte header with flags 0x30 is accepted: a
 frame carrying the optional sequence, N-PDU or extension fields fails
-the tunnel checks, so the gateway plain-routes it (ROADMAP item 4).
+the tunnel checks, so the gateway plain-routes it (ROADMAP, "Wire
+conformance"). Views hold addresses as integers, read with one `struct`
+unpack per header; `ip_int` and `ip_str` convert dotted quads at the edges.
 
 All functions here are pure and operate on immutable byte strings; they
 are safe to call from any number of concurrent contexts.
@@ -18,9 +20,8 @@ are safe to call from any number of concurrent contexts.
 from __future__ import annotations
 
 import enum
-import functools
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 GTP_UDP_PORT = 2152
 GTP_HEADER_LEN = 8
@@ -37,11 +38,21 @@ PROTO_SCTP = 132
 
 # 65535 (max IPv4 total length) - 20 (outer IPv4) - 8 (UDP) - 8 (GTP)
 MAX_INNER_LEN = 65535 - IPV4_MIN_HEADER - UDP_HEADER_LEN - GTP_HEADER_LEN
+_INNER_AT = UDP_HEADER_LEN + GTP_HEADER_LEN  # inner packet in a G-PDU's UDP
+# version/IHL, total length, protocol, source, destination
+_IPV4_FIELDS = struct.Struct("!BxH5xB2xII")
+_IPV4_HEADER = struct.Struct("!BBHHHBBHII")
+_GTP = struct.Struct("!BBHI")
+_PORTS = struct.Struct("!HH")
+_FLOW_KEY = struct.Struct("!IIBHH")
 
 
 class GtpMessageType(enum.Enum):
     GPDU = MSG_TYPE_GPDU
     END_MARKER = MSG_TYPE_END_MARKER
+
+
+_MESSAGE_TYPES = {t.value: t for t in GtpMessageType}
 
 
 class Direction(enum.Enum):
@@ -98,15 +109,15 @@ def pack_ip(addr: str) -> bytes:
     return bytes(octets)
 
 
-# The packet path packs the same few gateway, eNB, DIP and VIP addresses
-# over and over. A miss runs the strict pack_ip, and an invalid address
-# raises there every time: lru_cache does not store exceptions.
-_packed_ip = functools.lru_cache(maxsize=1 << 12)(pack_ip)
+def ip_int(addr: str) -> int:
+    """Dotted-quad string to the integer the packet path uses."""
+    return int.from_bytes(pack_ip(addr), "big")
 
 
-def unpack_ip(data: bytes) -> str:
-    """First 4 bytes of `data` as a dotted-quad string."""
-    return "%d.%d.%d.%d" % (data[0], data[1], data[2], data[3])
+def ip_str(addr: int) -> str:
+    """An integer IPv4 address as a dotted-quad string."""
+    return "%d.%d.%d.%d" % (addr >> 24, addr >> 16 & 0xFF, addr >> 8 & 0xFF,
+                            addr & 0xFF)
 
 
 def ipv4_checksum(header: bytes) -> int:
@@ -125,15 +136,20 @@ def ipv4_checksum(header: bytes) -> int:
     return ~r & 0xFFFF
 
 
-@dataclass(frozen=True)
-class FiveTuple:
+class FiveTuple(NamedTuple):
     """Inner-packet connection identity. Ports are 0 for portless protocols."""
 
-    src_ip: str
-    dst_ip: str
+    src_ip: int
+    dst_ip: int
     proto: int
     src_port: int
     dst_port: int
+
+    @classmethod
+    def parse(cls, src_ip: str, dst_ip: str, proto: int, src_port: int,
+              dst_port: int) -> "FiveTuple":
+        """The 5-tuple of two dotted-quad addresses."""
+        return cls(ip_int(src_ip), ip_int(dst_ip), proto, src_port, dst_port)
 
     def reversed(self) -> "FiveTuple":
         return FiveTuple(self.dst_ip, self.src_ip, self.proto,
@@ -141,29 +157,26 @@ class FiveTuple:
 
     def key_bytes(self) -> bytes:
         """Canonical byte form, used as a hash key by the load balancers."""
-        return (pack_ip(self.src_ip) + pack_ip(self.dst_ip)
-                + struct.pack("!BHH", self.proto, self.src_port, self.dst_port))
+        return _FLOW_KEY.pack(*self)
 
 
-@dataclass(frozen=True)
-class GtpuPacket:
+class GtpuPacket(NamedTuple):
     """One decoded GTPv1-U frame: outer addresses, TEID, type, inner bytes."""
 
-    outer_src: str
-    outer_dst: str
+    outer_src: int
+    outer_dst: int
     teid: int
     message_type: GtpMessageType
     inner: bytes = b""
 
 
-def build_ipv4(src: str, dst: str, proto: int, payload: bytes,
+def build_ipv4(src: int, dst: int, proto: int, payload: bytes,
                ttl: int = 64) -> bytes:
     """Assemble a minimal (no-options) IPv4 packet with a valid checksum."""
     total = IPV4_MIN_HEADER + len(payload)
     if total > 0xFFFF:
         raise EncodeError(f"IPv4 payload too large ({len(payload)} bytes)")
-    head = struct.pack("!BBHHHBBH4s4s", 0x45, 0, total, 0, 0, ttl, proto, 0,
-                       _packed_ip(src), _packed_ip(dst))
+    head = _IPV4_HEADER.pack(0x45, 0, total, 0, 0, ttl, proto, 0, src, dst)
     csum = ipv4_checksum(head)
     return head[:10] + csum.to_bytes(2, "big") + head[12:] + payload
 
@@ -181,7 +194,7 @@ def build_tcpish(proto: int, src_port: int, dst_port: int,
     Only the port words are meaningful to the pipeline; everything after
     them is opaque payload.
     """
-    return struct.pack("!HH", src_port, dst_port) + payload
+    return _PORTS.pack(src_port, dst_port) + payload
 
 
 def encode_gtpu(pkt: GtpuPacket) -> bytes:
@@ -190,18 +203,17 @@ def encode_gtpu(pkt: GtpuPacket) -> bytes:
         raise EncodeError(f"inner packet too large ({len(pkt.inner)} bytes)")
     if not 0 <= pkt.teid <= 0xFFFFFFFF:
         raise EncodeError(f"TEID out of range: {pkt.teid:#x}")
-    gtp = struct.pack("!BBHI", GTP_FLAGS, pkt.message_type.value,
-                      len(pkt.inner), pkt.teid) + pkt.inner
+    gtp = _GTP.pack(GTP_FLAGS, pkt.message_type.value, len(pkt.inner),
+                    pkt.teid) + pkt.inner
     udp = build_udp(GTP_UDP_PORT, GTP_UDP_PORT, gtp)
     return build_ipv4(pkt.outer_src, pkt.outer_dst, PROTO_UDP, udp)
 
 
-@dataclass(frozen=True)
-class Ipv4View:
+class Ipv4View(NamedTuple):
     """Parsed IPv4 header fields, the transport payload and the packet."""
 
-    src: str
-    dst: str
+    src: int
+    dst: int
     proto: int
     header_len: int
     payload: bytes
@@ -210,33 +222,29 @@ class Ipv4View:
     def five_tuple(self) -> FiveTuple:
         """TCP/UDP ports come from the first transport words; other
         protocols report ports (0, 0)."""
-        src_port = dst_port = 0
-        if self.proto in (PROTO_TCP, PROTO_UDP):
+        if self.proto == PROTO_TCP or self.proto == PROTO_UDP:
             if len(self.payload) < 4:
                 raise TruncatedError("transport header truncated")
-            src_port, dst_port = struct.unpack("!HH", self.payload[:4])
-        return FiveTuple(self.src, self.dst, self.proto, src_port, dst_port)
+            return FiveTuple(self.src, self.dst, self.proto,
+                             *_PORTS.unpack_from(self.payload))
+        return FiveTuple(self.src, self.dst, self.proto, 0, 0)
 
 
 def parse_ipv4(data: bytes) -> Ipv4View:
     if len(data) < IPV4_MIN_HEADER:
         raise TruncatedError(f"IPv4 header needs 20 bytes, got {len(data)}")
-    ver_ihl = data[0]
+    ver_ihl, total, proto, src, dst = _IPV4_FIELDS.unpack_from(data)
     if ver_ihl >> 4 != 4:
         raise VersionError(f"IP version {ver_ihl >> 4}, expected 4")
     ihl = (ver_ihl & 0x0F) * 4
     if ihl < IPV4_MIN_HEADER:
         raise LengthError(f"IPv4 IHL {ihl} below minimum")
-    total = struct.unpack("!H", data[2:4])[0]
     if total < ihl or total > len(data):
         raise LengthError(f"IPv4 total length {total} vs {len(data)} bytes")
-    return Ipv4View(src=unpack_ip(data[12:16]), dst=unpack_ip(data[16:20]),
-                    proto=data[9], header_len=ihl, payload=data[ihl:total],
-                    packet=data)
+    return Ipv4View(src, dst, proto, ihl, data[ihl:total], data)
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """One parse of a raw frame: the outer IPv4 view and, for a well-formed
     GTP-U frame, the decoded tunnel packet (None for any other frame)."""
 
@@ -277,30 +285,25 @@ def _decode_tunnel(ip: Ipv4View) -> GtpuPacket | DecodeError:
     udp = ip.payload
     if len(udp) < UDP_HEADER_LEN:
         return TruncatedError("UDP header truncated")
-    _, dst_port, udp_len, _ = struct.unpack("!HHHH", udp[:8])
+    dst_port, udp_len = _PORTS.unpack_from(udp, 2)
     if dst_port != GTP_UDP_PORT:
         return MessageTypeError(f"UDP port {dst_port}, expected {GTP_UDP_PORT}")
     if udp_len != len(udp):
         return LengthError(f"UDP length {udp_len} vs {len(udp)} bytes")
-    gtp = udp[UDP_HEADER_LEN:]
-    if len(gtp) < GTP_HEADER_LEN:
+    if len(udp) < _INNER_AT:
         return TruncatedError("GTP header truncated")
-    flags, msg_type, length, teid = struct.unpack("!BBHI", gtp[:8])
+    flags, msg_type, length, teid = _GTP.unpack_from(udp, UDP_HEADER_LEN)
     if flags >> 5 != 1:
         return VersionError(f"GTP version {flags >> 5}, expected 1")
     if flags != GTP_FLAGS:
         return MessageTypeError(f"unsupported GTP flags {flags:#04x}")
-    if msg_type == MSG_TYPE_GPDU:
-        mt = GtpMessageType.GPDU
-    elif msg_type == MSG_TYPE_END_MARKER:
-        mt = GtpMessageType.END_MARKER
-    else:
+    mt = _MESSAGE_TYPES.get(msg_type)
+    if mt is None:
         return MessageTypeError(f"unsupported GTP message type {msg_type}")
-    inner = gtp[GTP_HEADER_LEN:]
-    if length != len(inner):
-        return LengthError(f"GTP length {length} vs {len(inner)} payload bytes")
-    return GtpuPacket(outer_src=ip.src, outer_dst=ip.dst, teid=teid,
-                      message_type=mt, inner=inner)
+    if length != len(udp) - _INNER_AT:
+        return LengthError(
+            f"GTP length {length} vs {len(udp) - _INNER_AT} payload bytes")
+    return GtpuPacket(ip.src, ip.dst, teid, mt, udp[_INNER_AT:])
 
 
 def decode_gtpu(data: bytes) -> GtpuPacket:
@@ -328,8 +331,8 @@ def classify(data: bytes, direction: Direction) -> PacketClass:
     return frame.packet_class(direction)
 
 
-def rewrite_ipv4(ip: Ipv4View, src: str | None = None,
-                 dst: str | None = None) -> bytes:
+def rewrite_ipv4(ip: Ipv4View, src: int | None = None,
+                 dst: int | None = None) -> bytes:
     """Return a copy with src and/or dst rewritten and the checksum fixed.
 
     The header checksum is a full recompute, so a corrupt incoming
@@ -340,9 +343,9 @@ def rewrite_ipv4(ip: Ipv4View, src: str | None = None,
     """
     head = bytearray(ip.packet[:ip.header_len])
     if src is not None:
-        head[12:16] = _packed_ip(src)
+        head[12:16] = src.to_bytes(4, "big")
     if dst is not None:
-        head[16:20] = _packed_ip(dst)
+        head[16:20] = dst.to_bytes(4, "big")
     head[10:12] = b"\x00\x00"
     head[10:12] = ipv4_checksum(head).to_bytes(2, "big")
     return bytes(head) + ip.packet[ip.header_len:]

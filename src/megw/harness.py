@@ -8,7 +8,8 @@ pipeline and control-plane processor, so traces reflect exactly what the
 data plane would do.
 
 Execution is a single-threaded discrete-event loop over a logical clock:
-deterministic given (config, script, seed).
+deterministic given (config, script, seed). Routing and the trace use
+dotted addresses; frames and signalling use each node's integer `ip`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field, asdict
 from . import control, gtp, s1ap, steering
 from .control import (InstallRule, MigrationNotice, ReactivateUe,
                       ReleaseUeRules, S1apProcessor, SilenceUe, TopologyView)
-from .gtp import Direction, GtpMessageType, GtpuPacket
+from .gtp import Direction, GtpMessageType, GtpuPacket, ip_int, ip_str
 from .s1ap import BearerItem, MessageKind, S1apLiteMessage
 from .steering import (CloneToController, DipAffinityTable, Drop, Emit,
                        EndMarkerSeen, FlowMiss, Multiple, RuleStore,
@@ -63,6 +64,10 @@ class NodeSpec:
     addr: str
     megw: str | None = None     # for DIPs: host gateway
     weight: float = 1.0
+    ip: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.ip = ip_int(self.addr)
 
 
 @dataclass
@@ -199,6 +204,7 @@ class Bearer:
 class UeRecord:
     node_id: str
     addr: str
+    ip: int
     radio_enb: str | None = None    # where the radio currently is
     route_enb: str | None = None    # where the fabric still routes to
     bearers: dict = field(default_factory=dict)
@@ -237,12 +243,13 @@ class Harness:
                          affinity=DipAffinityTable(),
                          processor=S1apProcessor(m, topology.view()))
             for m, cfg in topology.steering_configs.items()}
-        self.ues = {n: UeRecord(node_id=n, addr=s.addr)
+        self.ues = {n: UeRecord(node_id=n, addr=s.addr, ip=s.ip)
                     for n, s in topology.nodes.items() if s.kind == "ue"}
         # downstream TEID -> the subscriber and bearer a radio delivers to
         self._downlink: dict[int, tuple[UeRecord, Bearer]] = {}
         self._sgw_node = next(n for n, s in topology.nodes.items()
                               if s.kind == "sgw_mme")
+        self._sgw = topology.nodes[self._sgw_node]
 
     # -- plumbing ------------------------------------------------------------
 
@@ -355,7 +362,7 @@ class Harness:
                 return
             self._record(megw, CLONED, {"kind": "s1ap",
                                         "message": msg.kind.name,
-                                        "ue_ip": msg.ue_ip})
+                                        "ue_ip": ip_str(msg.ue_ip)})
             effects = state.processor.on_control_message(msg)
         elif isinstance(event, EndMarkerSeen):
             self._record(megw, CLONED, {"kind": "end-marker",
@@ -363,9 +370,9 @@ class Harness:
             effects = state.processor.on_end_marker(event.enb_addr,
                                                     event.teid)
         elif isinstance(event, FlowMiss):
-            self._record(megw, CLONED, {"kind": "flow-miss",
-                                        "ue_ip": event.five_tuple.src_ip,
-                                        "upstream_teid": event.upstream_teid})
+            self._record(megw, CLONED, {
+                "kind": "flow-miss", "ue_ip": ip_str(event.five_tuple.src_ip),
+                "upstream_teid": event.upstream_teid})
             effects = state.processor.on_flow_miss(event.five_tuple,
                                                    event.upstream_teid)
         else:
@@ -376,22 +383,24 @@ class Harness:
         for eff in effects:
             if isinstance(eff, InstallRule):
                 state.rules.install(eff.rule)
+                flow = control.dotted(eff.rule.key)
                 self._record(megw, RULE_INSTALLED, {
-                    "ue_ip": eff.rule.key.src_ip,
-                    "flow": asdict(eff.rule.key),
+                    "ue_ip": flow["src_ip"], "flow": flow,
                     "downstream_teid": eff.rule.downstream_teid})
             elif isinstance(eff, SilenceUe):
                 n = state.rules.set_ue_silent(eff.ue_ip)
-                self._record(megw, SILENCED, {"ue_ip": eff.ue_ip, "rules": n})
+                self._record(megw, SILENCED,
+                             {"ue_ip": ip_str(eff.ue_ip), "rules": n})
             elif isinstance(eff, ReactivateUe):
                 n = state.rules.reactivate_ue(eff.ue_ip, dict(eff.teid_remap),
                                               eff.new_enb_addr)
                 self._record(megw, REACTIVATED,
-                             {"ue_ip": eff.ue_ip, "rules": n,
-                              "new_enb": eff.new_enb_addr})
+                             {"ue_ip": ip_str(eff.ue_ip), "rules": n,
+                              "new_enb": ip_str(eff.new_enb_addr)})
             elif isinstance(eff, MigrationNotice):
                 self._record(megw, MIGRATION_NOTIFIED,
-                             {"ue_ip": eff.ue_ip, "old_mec": eff.old_mec,
+                             {"ue_ip": ip_str(eff.ue_ip),
+                              "old_mec": eff.old_mec,
                               "new_mec": eff.new_mec})
             elif isinstance(eff, ReleaseUeRules):
                 # tunnel state leaves with the subscriber; the processor log
@@ -409,9 +418,9 @@ class Harness:
             self._record(enb, DROPPED, {"reason": "unparseable"})
             return
         view, pkt = frame.ip, frame.tunnel
-        if view.dst != spec.addr:
+        if view.dst != spec.ip:
             self._record(enb, DROPPED, {"reason": "not-addressed-here",
-                                        "dst": view.dst})
+                                        "dst": ip_str(view.dst)})
             return
         if view.proto == gtp.PROTO_SCTP:
             self._record(enb, RECEIVED, {"kind": "control",
@@ -437,7 +446,7 @@ class Harness:
         try:
             view = gtp.parse_ipv4(pkt.inner)
             body = view.payload[4:] if view.proto in (6, 17) else view.payload
-            detail["flow_src"] = view.src
+            detail["flow_src"] = ip_str(view.src)
             detail["payload"] = body.hex()
         except gtp.DecodeError:
             detail["payload"] = pkt.inner.hex()
@@ -456,17 +465,18 @@ class Harness:
         except gtp.DecodeError:
             self._record(dip, DROPPED, {"reason": "unparseable"})
             return
-        if flow.dst_ip != spec.addr:
+        if flow.dst_ip != spec.ip:
             self._record(dip, DROPPED, {"reason": "not-addressed-here"})
             return
-        self._record(dip, RECEIVED, {"from": flow.src_ip,
+        client = ip_str(flow.src_ip)
+        self._record(dip, RECEIVED, {"from": client,
                                      "dst_port": flow.dst_port})
         payload = view.payload[4:] if flow.proto in (6, 17) else view.payload
         reply = gtp.build_ipv4(
-            spec.addr, flow.src_ip, flow.proto,
+            spec.ip, flow.src_ip, flow.proto,
             gtp.build_tcpish(flow.proto, flow.dst_port, flow.src_port,
                              payload))
-        self._send(dip, flow.src_ip, reply, note="echo")
+        self._send(dip, client, reply, note="echo")
 
     def _sgw_frame(self, sgw: str, data: bytes, dst_addr: str) -> None:
         spec = self.topology.nodes[sgw]
@@ -475,9 +485,10 @@ class Harness:
         except gtp.DecodeError:
             self._record(sgw, DROPPED, {"reason": "unparseable"})
             return
-        if view.dst == spec.addr:
+        if view.dst == spec.ip:
             kind = "control" if view.proto == gtp.PROTO_SCTP else "data"
-            self._record(sgw, RECEIVED, {"kind": kind, "src": view.src})
+            self._record(sgw, RECEIVED, {"kind": kind,
+                                         "src": ip_str(view.src)})
             return
         # plain router behaviour for transit frames
         self._send(sgw, dst_addr, data, note="epc-transit")
@@ -489,10 +500,17 @@ class Harness:
             raise StateError(f"unknown subscriber {ue_id!r}")
         return self.ues[ue_id]
 
-    def _control_frame(self, src_addr: str, dst_addr: str,
-                       msg: S1apLiteMessage) -> bytes:
-        return gtp.build_ipv4(src_addr, dst_addr, gtp.PROTO_SCTP,
-                              s1ap.encode_message(msg))
+    def _signal(self, kind: MessageKind, ue: UeRecord, ue_num: int,
+                enb: NodeSpec, bearers, sender: str, src: NodeSpec,
+                dst: NodeSpec, note: str) -> None:
+        """Send S1AP-lite `kind` about `ue` at `enb`, then run until idle."""
+        msg = S1apLiteMessage(kind=kind, mme_ue_id=ue_num, enb_ue_id=ue_num,
+                              ue_ip=ue.ip, enb_addr=enb.ip,
+                              sgw_addr=self._sgw.ip, bearers=tuple(bearers))
+        self._send(sender, dst.addr, gtp.build_ipv4(
+            src.ip, dst.ip, gtp.PROTO_SCTP, s1ap.encode_message(msg)),
+            note=note)
+        self.run_until_idle()
 
     def _megw_of_enb(self, enb: str) -> str:
         if enb not in self.topology.enb_to_megw:
@@ -504,8 +522,7 @@ class Harness:
         ue = self._ue(ue_id)
         self._megw_of_enb(enb)
         mark = self._begin()
-        enb_addr = self.topology.nodes[enb].addr
-        sgw_addr = self.topology.nodes[self._sgw_node].addr
+        enb_spec, sgw = self.topology.nodes[enb], self._sgw
         ue_num = next(self._ue_ids)
 
         if not ue.bearers:
@@ -513,34 +530,23 @@ class Harness:
                 bid = 5 + i
                 ue.bearers[bid] = Bearer(bearer_id=bid,
                                          upstream_teid=next(self._up_teids))
-        request = S1apLiteMessage(
-            kind=MessageKind.INITIAL_CONTEXT_SETUP_REQUEST, mme_ue_id=ue_num,
-            enb_ue_id=ue_num, ue_ip=ue.addr, enb_addr=enb_addr,
-            sgw_addr=sgw_addr,
-            bearers=tuple(BearerItem(b.bearer_id, upstream_teid=b.upstream_teid,
-                                     transport_addr=sgw_addr)
-                          for b in ue.bearers.values()))
-        self._send(self._sgw_node, enb_addr,
-                   self._control_frame(sgw_addr, enb_addr, request),
-                   note="ics-request")
-        self.run_until_idle()
+        self._signal(MessageKind.INITIAL_CONTEXT_SETUP_REQUEST, ue, ue_num,
+                     enb_spec, (BearerItem(b.bearer_id,
+                                           upstream_teid=b.upstream_teid,
+                                           transport_addr=sgw.ip)
+                                for b in ue.bearers.values()),
+                     self._sgw_node, sgw, enb_spec, "ics-request")
 
         for b in ue.bearers.values():
             if not b.downstream_teid:
                 b.downstream_teid = next(self._down_teids)
                 self._downlink[b.downstream_teid] = (ue, b)
-        response = S1apLiteMessage(
-            kind=MessageKind.INITIAL_CONTEXT_SETUP_RESPONSE, mme_ue_id=ue_num,
-            enb_ue_id=ue_num, ue_ip=ue.addr, enb_addr=enb_addr,
-            sgw_addr=sgw_addr,
-            bearers=tuple(BearerItem(b.bearer_id,
-                                     downstream_teid=b.downstream_teid,
-                                     transport_addr=enb_addr)
-                          for b in ue.bearers.values()))
-        self._send(enb, sgw_addr,
-                   self._control_frame(enb_addr, sgw_addr, response),
-                   note="ics-response")
-        self.run_until_idle()
+        self._signal(MessageKind.INITIAL_CONTEXT_SETUP_RESPONSE, ue, ue_num,
+                     enb_spec, (BearerItem(b.bearer_id,
+                                           downstream_teid=b.downstream_teid,
+                                           transport_addr=enb_spec.ip)
+                                for b in ue.bearers.values()),
+                     enb, enb_spec, sgw, "ics-response")
 
         ue.radio_enb = enb
         ue.route_enb = enb
@@ -565,7 +571,8 @@ class Harness:
             if ue.last_flow is None:
                 raise StateError(f"{ue_id!r} has no flow to continue")
             prev, prev_bearer = ue.last_flow
-            sport, dst_port, vip = prev.src_port, prev.dst_port, prev.dst_ip
+            sport, dst_port, vip = (prev.src_port, prev.dst_port,
+                                    ip_str(prev.dst_ip))
             if bearer_id is None:
                 bearer_id = prev_bearer
         else:
@@ -573,19 +580,17 @@ class Harness:
             ue.next_port += 1
         bearer = (ue.bearers[bearer_id] if bearer_id is not None
                   else next(iter(ue.bearers.values())))
-        inner = gtp.build_ipv4(ue.addr, vip, 6,
+        inner = gtp.build_ipv4(ue.ip, ip_int(vip), 6,
                                gtp.build_tcpish(6, sport, dst_port, payload))
         flow = gtp.inner_five_tuple(inner)
         ue.last_flow = (flow, bearer.bearer_id)
         enb = ue.radio_enb
-        enb_addr = self.topology.nodes[enb].addr
-        sgw_addr = self.topology.nodes[self._sgw_node].addr
         frame = gtp.encode_gtpu(GtpuPacket(
-            outer_src=enb_addr, outer_dst=sgw_addr, teid=bearer.upstream_teid,
-            message_type=GtpMessageType.GPDU, inner=inner))
+            self.topology.nodes[enb].ip, self._sgw.ip, bearer.upstream_teid,
+            GtpMessageType.GPDU, inner))
         self._record(ue.node_id, SENT, {"vip": vip, "sport": sport,
                                         "bearer_id": bearer.bearer_id})
-        self._send(enb, sgw_addr, frame, note="uplink")
+        self._send(enb, self._sgw.addr, frame, note="uplink")
         self.run_until_idle()
         return self.trace[mark:]
 
@@ -600,9 +605,10 @@ class Harness:
         state = self.megws[serving]
         dip = state.affinity.get(flow)
         src = dip if dip is not None else flow.dst_ip
-        data = gtp.build_ipv4(src, ue.addr, flow.proto,
+        data = gtp.build_ipv4(src, ue.ip, flow.proto,
                               gtp.build_tcpish(flow.proto, flow.dst_port,
                                                flow.src_port, payload))
+        src = ip_str(src)
         dip_node = self.topology.addr_to_node.get(src)
         if dip_node is None:
             raise StateError(f"no server node owns {src}")
@@ -612,7 +618,7 @@ class Harness:
 
     def _serving_megw(self, ue: UeRecord) -> str:
         source = self.topology.enb_to_megw[ue.route_enb]
-        return steering.stage1_select(ue.addr,
+        return steering.stage1_select(ue.ip,
                                       self.topology.steering_configs[source])
 
     def run_x2_handover(self, ue_id: str, old_enb: str, new_enb: str,
@@ -626,9 +632,8 @@ class Harness:
             raise StateError(
                 f"{ue_id!r} is attached to {ue.radio_enb!r}, not {old_enb!r}")
         mark = self._begin()
-        old_addr = self.topology.nodes[old_enb].addr
-        new_addr = self.topology.nodes[new_enb].addr
-        sgw_addr = self.topology.nodes[self._sgw_node].addr
+        nodes, sgw = self.topology.nodes, self._sgw
+        old_spec, new_spec = nodes[old_enb], nodes[new_enb]
 
         # steps 1-2: radio-side request/ack over X2, invisible to the EPC
         self._record(old_enb, SENT, {"kind": "x2-handover-request",
@@ -639,25 +644,18 @@ class Harness:
 
         # step 3: path switch request, observed by the old-side gateway
         ue_num = next(self._ue_ids)
-        request = S1apLiteMessage(
-            kind=MessageKind.PATH_SWITCH_REQUEST, mme_ue_id=ue_num,
-            enb_ue_id=ue_num, ue_ip=ue.addr, enb_addr=new_addr,
-            sgw_addr=sgw_addr,
-            bearers=tuple(BearerItem(b.bearer_id,
-                                     upstream_teid=b.upstream_teid)
-                          for b in ue.bearers.values()))
-        self._send(old_enb, sgw_addr,
-                   self._control_frame(new_addr, sgw_addr, request),
-                   note="path-switch-request")
-        self.run_until_idle()
+        self._signal(MessageKind.PATH_SWITCH_REQUEST, ue, ue_num, new_spec,
+                     (BearerItem(b.bearer_id, upstream_teid=b.upstream_teid)
+                      for b in ue.bearers.values()),
+                     old_enb, new_spec, sgw, "path-switch-request")
 
         # steps 5-6: end markers close the old tunnels and start the silence
         for b in ue.bearers.values():
             marker = gtp.encode_gtpu(GtpuPacket(
-                outer_src=sgw_addr, outer_dst=old_addr,
-                teid=b.downstream_teid,
-                message_type=GtpMessageType.END_MARKER))
-            self._send(self._sgw_node, old_addr, marker, note="end-marker")
+                sgw.ip, old_spec.ip, b.downstream_teid,
+                GtpMessageType.END_MARKER))
+            self._send(self._sgw_node, old_spec.addr, marker,
+                       note="end-marker")
         self.run_until_idle()
 
         if probe_silence and ue.last_flow is not None:
@@ -668,19 +666,12 @@ class Harness:
             del self._downlink[b.downstream_teid]
             b.downstream_teid = next(self._down_teids)
             self._downlink[b.downstream_teid] = (ue, b)
-        ack = S1apLiteMessage(
-            kind=MessageKind.PATH_SWITCH_ACKNOWLEDGE, mme_ue_id=ue_num,
-            enb_ue_id=ue_num, ue_ip=ue.addr, enb_addr=new_addr,
-            sgw_addr=sgw_addr,
-            bearers=tuple(BearerItem(b.bearer_id,
-                                     upstream_teid=b.upstream_teid,
-                                     downstream_teid=b.downstream_teid,
-                                     transport_addr=new_addr)
-                          for b in ue.bearers.values()))
-        self._send(self._sgw_node, new_addr,
-                   self._control_frame(sgw_addr, new_addr, ack),
-                   note="path-switch-ack")
-        self.run_until_idle()
+        self._signal(MessageKind.PATH_SWITCH_ACKNOWLEDGE, ue, ue_num, new_spec,
+                     (BearerItem(b.bearer_id, upstream_teid=b.upstream_teid,
+                                 downstream_teid=b.downstream_teid,
+                                 transport_addr=new_spec.ip)
+                      for b in ue.bearers.values()),
+                     self._sgw_node, sgw, new_spec, "path-switch-ack")
         ue.route_enb = new_enb
         return self.trace[mark:]
 

@@ -32,10 +32,8 @@ import enum
 import struct
 from dataclasses import dataclass
 
-from .gtp import pack_ip, unpack_ip
-
-_FIXED = struct.Struct("!II4s4s4sB")
-_BEARER = struct.Struct("!BII4s")
+_FIXED = struct.Struct("!IIIIIB")
+_BEARER = struct.Struct("!BIII")
 HEADER_LEN = 2 + 1 + _FIXED.size
 
 
@@ -71,7 +69,7 @@ class BearerItem:
     bearer_id: int
     upstream_teid: int = 0
     downstream_teid: int = 0
-    transport_addr: str = "0.0.0.0"
+    transport_addr: int = 0
 
 
 @dataclass(frozen=True)
@@ -79,9 +77,9 @@ class S1apLiteMessage:
     kind: MessageKind
     mme_ue_id: int
     enb_ue_id: int
-    ue_ip: str
-    enb_addr: str
-    sgw_addr: str
+    ue_ip: int
+    enb_addr: int
+    sgw_addr: int
     bearers: tuple[BearerItem, ...]
 
 
@@ -94,12 +92,11 @@ def encode_message(msg: S1apLiteMessage) -> bytes:
     if len(msg.bearers) > 255:
         raise S1apEncodeError("too many bearers")
     body = bytes([msg.kind.value])
-    body += _FIXED.pack(msg.mme_ue_id, msg.enb_ue_id, pack_ip(msg.ue_ip),
-                        pack_ip(msg.enb_addr), pack_ip(msg.sgw_addr),
-                        len(msg.bearers))
+    body += _FIXED.pack(msg.mme_ue_id, msg.enb_ue_id, msg.ue_ip, msg.enb_addr,
+                        msg.sgw_addr, len(msg.bearers))
     for b in msg.bearers:
         body += _BEARER.pack(b.bearer_id, b.upstream_teid, b.downstream_teid,
-                             pack_ip(b.transport_addr))
+                             b.transport_addr)
     return struct.pack("!H", len(body)) + body
 
 
@@ -126,11 +123,11 @@ def decode_message(data: bytes) -> S1apLiteMessage:
     bearers = []
     for _ in range(count):
         bid, up, down, addr = _BEARER.unpack_from(data, offset)
-        bearers.append(BearerItem(bid, up, down, unpack_ip(addr)))
+        bearers.append(BearerItem(bid, up, down, addr))
         offset += _BEARER.size
     ids = [b.bearer_id for b in bearers]
     if len(set(ids)) != len(ids):
         raise BearerListError(f"duplicate bearer ids: {ids}")
     return S1apLiteMessage(kind=kind, mme_ue_id=mme_id, enb_ue_id=enb_id,
-                           ue_ip=unpack_ip(ue_ip), enb_addr=unpack_ip(enb_addr),
-                           sgw_addr=unpack_ip(sgw_addr), bearers=tuple(bearers))
+                           ue_ip=ue_ip, enb_addr=enb_addr, sgw_addr=sgw_addr,
+                           bearers=tuple(bearers))

@@ -16,11 +16,13 @@ Neither stage hashes on the packet path once a subscriber and its flows
 are known. Stage I is memoized per (subscriber, config) in a bounded
 cache: the answer depends on nothing else, and a config is frozen, so a
 new config gets fresh answers. When the affinity table pins a flow it
-also records the reverse entry (subscriber, DIP, protocol, subscriber
-port, service port) -> VIP, so return traffic from a DIP finds its VIP
-in one lookup. Two flows of one subscriber that differ only in the VIP
-and land on the same DIP share a reverse key; the VIP pinned first keeps
-it, so the restore never depends on set or hash order.
+also records the reverse entry: the plain 5-tuple (subscriber, DIP,
+protocol, subscriber port, service port) -> VIP. Return traffic from a
+DIP, reversed, is that 5-tuple, so it finds its VIP in one lookup. Two
+flows of one subscriber that differ only in the VIP and land on the same
+DIP share a reverse key; the VIP pinned first keeps it, so the restore
+never depends on set or hash order. Tables are keyed by integer
+addresses; only `SteeringConfig` input and `Emit.dst` are dotted quads.
 """
 
 from __future__ import annotations
@@ -31,15 +33,15 @@ import hashlib
 import math
 import struct
 import threading
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple, Sequence
 
 from . import gtp
 # classify, decode_gtpu and inner_five_tuple are unused here; they stay
 # importable because benchmarks/layers.py wraps the codec under these names.
 from .gtp import (Direction, FiveTuple, GtpMessageType, PacketClass,
                   classify, decode_gtpu, encode_gtpu, inner_five_tuple,
-                  rewrite_ipv4)
+                  ip_int, ip_str, rewrite_ipv4)
 
 
 class SelectError(ValueError):
@@ -91,16 +93,20 @@ class SteeringConfig:
 
     region_peers lists every gateway in the region (self included) with
     its fabric address and capacity weight; dips lists the local service
-    instances behind the VIPs.
+    instances behind the VIPs, all by dotted address (a DIP's is its stage
+    II candidate id). The VIPs become integers when the config is built.
     """
 
     megw_id: str
-    vips: frozenset[str]
+    vips: frozenset     # dotted strings when built, integers after
     region_peers: tuple[tuple[str, str, float], ...]  # (id, address, weight)
     dips: tuple[tuple[str, float], ...]               # (address, weight)
     local_sgw: str
 
     def __post_init__(self):
+        # integers stay, so that dataclasses.replace works
+        object.__setattr__(self, "vips", frozenset(
+            v if isinstance(v, int) else ip_int(v) for v in self.vips))
         ids = [p[0] for p in self.region_peers]
         if ids.count(self.megw_id) != 1:
             raise ValueError(
@@ -130,7 +136,7 @@ class SteeringConfig:
 
 
 @functools.lru_cache(maxsize=1 << 16)
-def stage1_select(ue_ip: str, cfg: SteeringConfig) -> str:
+def stage1_select(ue_ip: int, cfg: SteeringConfig) -> str:
     """Serving gateway for a subscriber: HRW over the region peers.
 
     Keyed by the subscriber address alone so every gateway in the region
@@ -138,7 +144,7 @@ def stage1_select(ue_ip: str, cfg: SteeringConfig) -> str:
     Memoized per (ue_ip, cfg): SteeringConfig is frozen and hashable, so
     a changed config is a different key and never sees a stale answer.
     """
-    return rendezvous_select(gtp.pack_ip(ue_ip),
+    return rendezvous_select(ue_ip.to_bytes(4, "big"),
                              [(pid, w) for pid, _, w in cfg.region_peers])
 
 
@@ -147,14 +153,13 @@ class RuleState(enum.Enum):
     SILENT = "silent"
 
 
-@dataclass(frozen=True)
-class FlowRule:
+class FlowRule(NamedTuple):
     """Per-flow GTP context: key is the upstream-oriented 5-tuple."""
 
     key: FiveTuple
     downstream_teid: int
-    enb_addr: str
-    sgw_addr: str
+    enb_addr: int
+    sgw_addr: int
     state: RuleState = RuleState.ACTIVE
 
 
@@ -163,12 +168,12 @@ class RuleStore:
     writer, many packet readers."""
 
     def __init__(self):
-        self._by_ue: dict[str, dict[FiveTuple, FlowRule]] = {}
+        self._by_ue: dict[int, dict[FiveTuple, FlowRule]] = {}
+        self._count = 0     # rules in all of _by_ue, kept by the writers
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        with self._lock:
-            return sum(map(len, self._by_ue.values()))
+        return self._count
 
     def lookup(self, key: FiveTuple) -> FlowRule | None:
         with self._lock:
@@ -193,20 +198,21 @@ class RuleStore:
                         f"{existing.downstream_teid:#x}")
                 return
             flows[rule.key] = rule
+            self._count += 1
 
-    def set_ue_silent(self, ue_ip: str) -> int:
+    def set_ue_silent(self, ue_ip: int) -> int:
         """Silence every flow of a subscriber; returns rules touched."""
         with self._lock:
             flows = self._by_ue.get(ue_ip, {})
             touched = 0
             for key, rule in flows.items():
                 if rule.state is not RuleState.SILENT:
-                    flows[key] = replace(rule, state=RuleState.SILENT)
+                    flows[key] = rule._replace(state=RuleState.SILENT)
                     touched += 1
             return touched
 
-    def reactivate_ue(self, ue_ip: str, teid_remap: Mapping[int, int],
-                      new_enb_addr: str) -> int:
+    def reactivate_ue(self, ue_ip: int, teid_remap: Mapping[int, int],
+                      new_enb_addr: int) -> int:
         """Bring a subscriber's flows back to active with new tunnel fields.
 
         teid_remap maps each flow's old downstream TEID to its new one; a
@@ -218,13 +224,13 @@ class RuleStore:
             touched = 0
             for key, rule in flows.items():
                 if rule.downstream_teid in teid_remap:
-                    flows[key] = replace(
-                        rule, downstream_teid=teid_remap[rule.downstream_teid],
+                    flows[key] = rule._replace(
+                        downstream_teid=teid_remap[rule.downstream_teid],
                         enb_addr=new_enb_addr, state=RuleState.ACTIVE)
                     touched += 1
             return touched
 
-    def release_ue(self, ue_ip: str) -> int:
+    def release_ue(self, ue_ip: int) -> int:
         """Remove every rule of a subscriber; returns rules removed.
 
         Used when a subscriber hands over to a different gateway: the old
@@ -232,9 +238,11 @@ class RuleStore:
         swallow this subscriber's traffic transiting here later.
         """
         with self._lock:
-            return len(self._by_ue.pop(ue_ip, ()))
+            released = len(self._by_ue.pop(ue_ip, ()))
+            self._count -= released
+            return released
 
-    def rules_for_ue(self, ue_ip: str) -> list[FlowRule]:
+    def rules_for_ue(self, ue_ip: int) -> list[FlowRule]:
         with self._lock:
             return list(self._by_ue.get(ue_ip, {}).values())
 
@@ -244,45 +252,44 @@ class DipAffinityTable:
     with the reverse DIP-side entry that return traffic looks up."""
 
     def __init__(self):
-        self._table: dict[FiveTuple, str] = {}
+        self._table: dict[FiveTuple, int] = {}
         # (ue, dip, proto, ue_port, port) -> VIP of the first flow pinned
-        self._reverse: dict[tuple, str] = {}
+        self._reverse: dict[tuple, int] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._table)
 
-    def get(self, flow: FiveTuple) -> str | None:
+    def get(self, flow: FiveTuple) -> int | None:
         with self._lock:
             return self._table.get(flow)
 
     def get_or_assign(self, flow: FiveTuple,
-                      dips: Sequence[tuple[str, float]]) -> str:
-        """Return the pinned DIP, choosing and pinning one on first sight."""
+                      dips: Sequence[tuple[str, float]]) -> int:
+        """Return the pinned DIP (an integer), choosing and pinning one of
+        the dotted `dips` on first sight."""
         with self._lock:
             dip = self._table.get(flow)
             if dip is not None:
                 return dip
             if not dips:
                 raise SelectError("empty DIP pool")
-            dip = rendezvous_select(flow.key_bytes(), dips)
+            dip = ip_int(rendezvous_select(flow.key_bytes(), dips))
             self._table[flow] = dip
             self._reverse.setdefault((flow.src_ip, dip, flow.proto,
                                       flow.src_port, flow.dst_port),
                                      flow.dst_ip)
             return dip
 
-    def vip_for(self, dip_flow: FiveTuple) -> str | None:
+    def vip_for(self, dip_flow: FiveTuple) -> int | None:
         """VIP of the pinned flow that this gateway rewrote to `dip_flow`,
         the upstream-oriented 5-tuple with the DIP as destination."""
         with self._lock:
-            return self._reverse.get((dip_flow.src_ip, dip_flow.dst_ip,
-                                      dip_flow.proto, dip_flow.src_port,
-                                      dip_flow.dst_port))
+            return self._reverse.get(dip_flow)
 
 
 def stage2_select(flow: FiveTuple, table: DipAffinityTable,
-                  cfg: SteeringConfig) -> str:
+                  cfg: SteeringConfig) -> int:
     """DIP for a connection: sticky once assigned, HRW for new flows.
 
     Existing entries survive any later change to the DIP pool.
@@ -323,8 +330,8 @@ ForwardAction = Emit | CloneToController | Drop | Multiple
 class S1apClone:
     """Cloned control-plane frame; payload is the signalling bytes."""
 
-    outer_src: str
-    outer_dst: str
+    outer_src: int
+    outer_dst: int
     payload: bytes
 
 
@@ -332,7 +339,7 @@ class S1apClone:
 class EndMarkerSeen:
     """An end marker for tunnel `teid` of the eNB at `enb_addr`."""
 
-    enb_addr: str
+    enb_addr: int
     teid: int
 
 
@@ -354,7 +361,8 @@ def _steer_to_service(inner: gtp.Ipv4View, flow: FiveTuple,
         act = Emit(cfg.peer_address(serving), inner.packet, note="stage1-handoff")
     else:
         dip = stage2_select(flow, affinity, cfg)
-        act = Emit(dip, rewrite_ipv4(inner, dst=dip), note="dip-rewrite")
+        act = Emit(ip_str(dip), rewrite_ipv4(inner, dst=dip),
+                   note="dip-rewrite")
     if prelude:
         return Multiple(prelude + (act,))
     return act
@@ -377,12 +385,14 @@ def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
 
     if pclass is PacketClass.CONTROL_PLANE:
         clone = CloneToController(S1apClone(view.src, view.dst, view.payload))
-        return Multiple((Emit(view.dst, data, note="control-passthrough"),
+        return Multiple((Emit(ip_str(view.dst), data,
+                              note="control-passthrough"),
                          clone))
 
     pkt = frame.tunnel
     if pclass is PacketClass.END_MARKER:
-        return Multiple((Emit(pkt.outer_dst, data, note="end-marker-passthrough"),
+        return Multiple((Emit(ip_str(pkt.outer_dst), data,
+                              note="end-marker-passthrough"),
                          CloneToController(EndMarkerSeen(pkt.outer_dst,
                                                        pkt.teid))))
 
@@ -391,9 +401,9 @@ def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
             inner = gtp.parse_ipv4(pkt.inner)
             flow = inner.five_tuple()
         except gtp.DecodeError:
-            return Emit(view.dst, data, note="ip-route")
+            return Emit(ip_str(view.dst), data, note="ip-route")
         if flow.dst_ip not in cfg.vips:
-            return Emit(view.dst, data, note="ip-route")
+            return Emit(ip_str(view.dst), data, note="ip-route")
         rule = rules.lookup(flow)
         if rule is not None and rule.state is RuleState.SILENT:
             # silent period: hold edge traffic, keep the controller informed
@@ -411,12 +421,13 @@ def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
         except gtp.DecodeError:
             return Drop("malformed VIP-bound packet")
         dip = stage2_select(flow, affinity, cfg)
-        return Emit(dip, rewrite_ipv4(view, dst=dip), note="dip-rewrite")
+        return Emit(ip_str(dip), rewrite_ipv4(view, dst=dip),
+                    note="dip-rewrite")
 
     if ingress is Direction.FROM_CLUSTER:
         return _downstream_edge(data, view, rules, affinity)
 
-    return Emit(view.dst, data, note="ip-route")
+    return Emit(ip_str(view.dst), data, note="ip-route")
 
 
 def _downstream_edge(data: bytes, view: gtp.Ipv4View, rules: RuleStore,
@@ -426,7 +437,7 @@ def _downstream_edge(data: bytes, view: gtp.Ipv4View, rules: RuleStore,
     try:
         down = view.five_tuple()
     except gtp.DecodeError:
-        return Emit(view.dst, data, note="ip-route")
+        return Emit(ip_str(view.dst), data, note="ip-route")
 
     # If the source address is a DIP this gateway assigned to the reversed
     # flow, restore the VIP so the subscriber sees the service address.
@@ -439,11 +450,10 @@ def _downstream_edge(data: bytes, view: gtp.Ipv4View, rules: RuleStore,
 
     rule = rules.lookup(candidate)
     if rule is None:
-        return Emit(view.dst, data, note="ip-route")
+        return Emit(ip_str(view.dst), data, note="ip-route")
     if rule.state is RuleState.SILENT:
         return Drop("silent-period")
     tunneled = encode_gtpu(gtp.GtpuPacket(
-        outer_src=rule.sgw_addr, outer_dst=rule.enb_addr,
-        teid=rule.downstream_teid, message_type=GtpMessageType.GPDU,
-        inner=data))
-    return Emit(rule.enb_addr, tunneled, note="gtp-encap")
+        rule.sgw_addr, rule.enb_addr, rule.downstream_teid,
+        GtpMessageType.GPDU, data))
+    return Emit(ip_str(rule.enb_addr), tunneled, note="gtp-encap")

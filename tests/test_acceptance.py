@@ -13,7 +13,8 @@ import pytest
 
 from megw import gtp, steering
 from megw.gtp import (Direction, FiveTuple, GtpMessageType, GtpuPacket,
-                      build_ipv4, build_tcpish, decode_gtpu, encode_gtpu)
+                      build_ipv4, build_tcpish, decode_gtpu, encode_gtpu,
+                      ip_int)
 from megw.harness import (DROPPED, MIGRATION_NOTIFIED, RECEIVED, REACTIVATED,
                           SILENCED, Harness, build_topology,
                           default_topology_config, run_scenario)
@@ -98,16 +99,18 @@ def random_packet(rng):
     mt = rng.choice([GtpMessageType.GPDU, GtpMessageType.END_MARKER])
     if mt is GtpMessageType.GPDU:
         inner = build_ipv4(
-            f"172.{rng.randrange(16, 32)}.{rng.randrange(256)}.{rng.randrange(1, 255)}",
-            f"10.{rng.randrange(256)}.{rng.randrange(256)}.{rng.randrange(1, 255)}",
+            ip_int(f"172.{rng.randrange(16, 32)}.{rng.randrange(256)}."
+                   f"{rng.randrange(1, 255)}"),
+            ip_int(f"10.{rng.randrange(256)}.{rng.randrange(256)}."
+                   f"{rng.randrange(1, 255)}"),
             rng.choice([6, 17, 1, 47]),
             build_tcpish(6, rng.randrange(65536), rng.randrange(65536),
                          rng.randbytes(rng.randrange(32))))
     else:
         inner = rng.choice([b"", rng.randbytes(rng.randrange(8))])
     return GtpuPacket(
-        outer_src=f"192.0.2.{rng.randrange(1, 255)}",
-        outer_dst=f"198.51.100.{rng.randrange(1, 255)}",
+        outer_src=ip_int(f"192.0.2.{rng.randrange(1, 255)}"),
+        outer_dst=ip_int(f"198.51.100.{rng.randrange(1, 255)}"),
         teid=rng.getrandbits(32), message_type=mt, inner=inner)
 
 
@@ -121,8 +124,8 @@ def test_codec_suite():
             wire = encode_gtpu(pkt)
             assert decode_gtpu(wire) == pkt
             assert encode_gtpu(decode_gtpu(wire)) == wire
-        marker = encode_gtpu(GtpuPacket("10.0.0.1", "10.0.0.2", 5,
-                                        GtpMessageType.END_MARKER, b""))
+        marker = encode_gtpu(GtpuPacket(ip_int("10.0.0.1"), ip_int("10.0.0.2"),
+                                        5, GtpMessageType.END_MARKER, b""))
         assert marker[29] == 0xFE
         for _ in range(100_000):
             blob = rng.randbytes(rng.randrange(0, 90))
@@ -253,11 +256,12 @@ def test_throughput_smoke_report():
             dips=(("10.200.0.5", 1.0),), local_sgw="10.2.0.1")
         rules = RuleStore()
         affinity = DipAffinityTable()
-        flow = FiveTuple("172.16.0.2", "10.100.1.1", 6, 5000, 80)
-        rules.install(FlowRule(flow, 0xC8, "10.1.0.1", "10.2.0.1"))
-        inner = build_ipv4("172.16.0.2", "10.100.1.1", 6,
+        flow = FiveTuple.parse("172.16.0.2", "10.100.1.1", 6, 5000, 80)
+        enb, sgw = ip_int("10.1.0.1"), ip_int("10.2.0.1")
+        rules.install(FlowRule(flow, 0xC8, enb, sgw))
+        inner = build_ipv4(flow.src_ip, flow.dst_ip, 6,
                            build_tcpish(6, 5000, 80, b"x" * 64))
-        frame = encode_gtpu(GtpuPacket("10.1.0.1", "10.2.0.1", 0x1000,
+        frame = encode_gtpu(GtpuPacket(enb, sgw, 0x1000,
                                        GtpMessageType.GPDU, inner))
         n = 20_000
         start = time.perf_counter()

@@ -4,7 +4,7 @@ import json
 
 from megw import gtp
 from megw.cli import main
-from megw.gtp import GtpMessageType, GtpuPacket, encode_gtpu
+from megw.gtp import GtpMessageType, GtpuPacket, encode_gtpu, ip_int
 
 
 def run(capsys, *argv):
@@ -14,7 +14,8 @@ def run(capsys, *argv):
 
 
 END_MARKER_HEX = encode_gtpu(GtpuPacket(
-    "10.2.0.1", "10.1.0.1", 0xC8, GtpMessageType.END_MARKER, b"")).hex()
+    ip_int("10.2.0.1"), ip_int("10.1.0.1"), 0xC8, GtpMessageType.END_MARKER,
+    b"")).hex()
 
 
 class TestCodec:
@@ -25,10 +26,10 @@ class TestCodec:
         assert "teid=0x000000c8" in out
 
     def test_decode_gpdu_flow(self, capsys):
-        inner = gtp.build_ipv4("172.16.0.2", "10.100.1.1", 6,
+        inner = gtp.build_ipv4(ip_int("172.16.0.2"), ip_int("10.100.1.1"), 6,
                                gtp.build_tcpish(6, 5000, 80, b"x"))
-        wire = encode_gtpu(GtpuPacket("10.1.0.1", "10.2.0.1", 7,
-                                      GtpMessageType.GPDU, inner)).hex()
+        wire = encode_gtpu(GtpuPacket(ip_int("10.1.0.1"), ip_int("10.2.0.1"),
+                                      7, GtpMessageType.GPDU, inner)).hex()
         code, out, _ = run(capsys, "codec", "decode", wire)
         assert code == 0
         assert "inner_flow=172.16.0.2:5000 -> 10.100.1.1:80 proto=6" in out
@@ -37,7 +38,8 @@ class TestCodec:
         doc = json.dumps({"outer_src": "10.1.0.1", "outer_dst": "10.2.0.1",
                           "teid": "0x11223344", "message_type": "gpdu",
                           "inner_hex": gtp.build_ipv4(
-                              "172.16.0.2", "10.100.1.1", 1, b"ping").hex()})
+                              ip_int("172.16.0.2"), ip_int("10.100.1.1"), 1,
+                              b"ping").hex()})
         code, out, _ = run(capsys, "codec", "encode", doc)
         assert code == 0
         decoded = gtp.decode_gtpu(bytes.fromhex(out.strip()))

@@ -10,6 +10,7 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from megw import control
+from megw.gtp import ip_int, ip_str
 from megw.control import (HandoverScenario, InstallRule,
                           MigrationNotice, NoContext, OrphanMessage,
                           ReactivateUe, ReleaseUeRules, S1apProcessor,
@@ -18,12 +19,16 @@ from megw.control import (HandoverScenario, InstallRule,
 from megw.s1ap import BearerItem, MessageKind, S1apLiteMessage
 from megw.steering import FiveTuple, FlowRule, RuleState
 
-UE = "172.16.0.2"
-ENB1, ENB2, ENB3, ENB4 = "10.1.0.1", "10.1.0.2", "10.1.0.3", "10.1.0.4"
-SGW = "10.2.0.1"
+UE = ip_int("172.16.0.2")
+ENB1, ENB2, ENB3, ENB4 = map(ip_int, ("10.1.0.1", "10.1.0.2", "10.1.0.3",
+                                      "10.1.0.4"))
+SGW = ip_int("10.2.0.1")
+VIP = ip_int("10.100.1.1")
+OTHER_UE = ip_int("172.16.0.3")
 
 TOPOLOGY = TopologyView(
-    enb_to_megw={ENB1: "mgw-a", ENB2: "mgw-a", ENB3: "mgw-b", ENB4: "mgw-c"},
+    enb_to_megw={"10.1.0.1": "mgw-a", "10.1.0.2": "mgw-a",
+                 "10.1.0.3": "mgw-b", "10.1.0.4": "mgw-c"},
     megw_to_region={"mgw-a": "r1", "mgw-b": "r1", "mgw-c": "r2"},
 )
 
@@ -59,7 +64,7 @@ class TestClassifyHandover:
 
     def test_unknown_enb(self):
         with pytest.raises(TopologyError):
-            classify_handover("10.9.9.9", ENB1, TOPOLOGY)
+            classify_handover(ip_int("10.9.9.9"), ENB1, TOPOLOGY)
 
 
 class TestAttach:
@@ -88,12 +93,24 @@ class TestAttach:
         attach(proc)
         assert len(proc.contexts) == 1
 
+    def test_reattach_drops_unlisted_bearers(self):
+        # a re-attach at another eNB that lists only bearer 5 must not keep
+        # bearer 6 with the downstream TEID the first eNB gave it
+        proc = S1apProcessor("mgw-a", TOPOLOGY)
+        attach(proc, enb=ENB1, pairs=((5, 100, 200), (6, 101, 201)))
+        attach(proc, enb=ENB2, pairs=((5, 100, 300),))
+        assert set(proc.contexts[UE].bearers) == {5}
+        effects = proc.on_flow_miss(FiveTuple(UE, VIP, 6, 5001, 80), 101)
+        assert isinstance(effects[0], NoContext)
+        rule = proc.on_flow_miss(FiveTuple(UE, VIP, 6, 5000, 80), 100)[0].rule
+        assert (rule.enb_addr, rule.downstream_teid) == (ENB2, 300)
+
 
 class TestFlowMiss:
     def test_installs_rule_with_paired_teid(self):
         proc = S1apProcessor("mgw-a", TOPOLOGY)
         attach(proc, pairs=((5, 100, 200),))
-        ft = FiveTuple(UE, "10.100.1.1", 6, 5000, 80)
+        ft = FiveTuple(UE, VIP, 6, 5000, 80)
         effects = proc.on_flow_miss(ft, upstream_teid=100)
         assert len(effects) == 1
         rule = effects[0].rule
@@ -106,23 +123,23 @@ class TestFlowMiss:
     def test_two_flows_two_bearers(self):
         proc = S1apProcessor("mgw-a", TOPOLOGY)
         attach(proc, pairs=((5, 100, 200), (6, 101, 201)))
-        r1 = proc.on_flow_miss(FiveTuple(UE, "10.100.1.1", 6, 5000, 80),
+        r1 = proc.on_flow_miss(FiveTuple(UE, VIP, 6, 5000, 80),
                                upstream_teid=100)[0].rule
-        r2 = proc.on_flow_miss(FiveTuple(UE, "10.100.1.1", 6, 5001, 80),
+        r2 = proc.on_flow_miss(FiveTuple(UE, VIP, 6, 5001, 80),
                                upstream_teid=101)[0].rule
         assert (r1.downstream_teid, r2.downstream_teid) == (200, 201)
 
     def test_unknown_teid_no_context(self):
         proc = S1apProcessor("mgw-a", TOPOLOGY)
         attach(proc)
-        effects = proc.on_flow_miss(FiveTuple(UE, "10.100.1.1", 6, 1, 2),
+        effects = proc.on_flow_miss(FiveTuple(UE, VIP, 6, 1, 2),
                                     upstream_teid=999)
         assert isinstance(effects[0], NoContext)
 
     def test_unknown_ue_no_context(self):
         proc = S1apProcessor("mgw-a", TOPOLOGY)
         effects = proc.on_flow_miss(
-            FiveTuple("172.16.99.99", "10.100.1.1", 6, 1, 2), 100)
+            FiveTuple(ip_int("172.16.99.99"), VIP, 6, 1, 2), 100)
         assert isinstance(effects[0], NoContext)
 
     def test_incomplete_pair_no_rule(self):
@@ -130,7 +147,7 @@ class TestFlowMiss:
         proc.on_control_message(msg(
             MessageKind.INITIAL_CONTEXT_SETUP_REQUEST,
             [BearerItem(5, upstream_teid=100)]))
-        effects = proc.on_flow_miss(FiveTuple(UE, "10.100.1.1", 6, 1, 2), 100)
+        effects = proc.on_flow_miss(FiveTuple(UE, VIP, 6, 1, 2), 100)
         assert isinstance(effects[0], NoContext)
 
 
@@ -170,7 +187,7 @@ class TestHandover:
                                     enb=ENB2))
         proc.on_end_marker(ENB1, 200)
         assert proc.contexts[UE].phase is UePhase.SILENT_PERIOD
-        effects = proc.on_flow_miss(FiveTuple(UE, "10.100.1.1", 6, 1, 2), 100)
+        effects = proc.on_flow_miss(FiveTuple(UE, VIP, 6, 1, 2), 100)
         assert isinstance(effects[0], NoContext)
 
     def test_cross_region_notice_at_silence_start(self):
@@ -214,7 +231,7 @@ class TestHandover:
         assert ctx.bearers[5].upstream_teid == 100
         assert ctx.bearers[5].downstream_teid == 300
         # traffic can now be bound to rules from the ack alone
-        rule = proc.on_flow_miss(FiveTuple(UE, "10.100.1.1", 6, 7, 8),
+        rule = proc.on_flow_miss(FiveTuple(UE, VIP, 6, 7, 8),
                                  100)[0].rule
         assert rule.downstream_teid == 300
 
@@ -242,12 +259,12 @@ class TestLocality:
             pa = S1apProcessor("mgw-a", TOPOLOGY)
             pb = S1apProcessor("mgw-b", TOPOLOGY)
             events = {
-                "a1": lambda: attach(pa, ue_ip="172.16.0.2", enb=ENB1),
-                "b1": lambda: attach(pb, ue_ip="172.16.0.3", enb=ENB3),
+                "a1": lambda: attach(pa, ue_ip=UE, enb=ENB1),
+                "b1": lambda: attach(pb, ue_ip=OTHER_UE, enb=ENB3),
                 "a2": lambda: pa.on_flow_miss(
-                    FiveTuple("172.16.0.2", "10.100.1.1", 6, 1, 2), 100),
+                    FiveTuple(UE, VIP, 6, 1, 2), 100),
                 "b2": lambda: pb.on_flow_miss(
-                    FiveTuple("172.16.0.3", "10.100.1.1", 6, 3, 4), 100),
+                    FiveTuple(OTHER_UE, VIP, 6, 3, 4), 100),
             }
             for name in order:
                 events[name]()
@@ -266,7 +283,7 @@ class TestEffectLog:
     def test_jsonl_serializable_and_ordered(self):
         proc = S1apProcessor("mgw-a", TOPOLOGY)
         attach(proc)
-        proc.on_flow_miss(FiveTuple(UE, "10.100.1.1", 6, 5000, 80), 100)
+        proc.on_flow_miss(FiveTuple(UE, VIP, 6, 5000, 80), 100)
         lines = proc.dump_jsonl().splitlines()
         seqs = [json.loads(line)["seq"] for line in lines]
         assert seqs == sorted(seqs)
@@ -274,7 +291,7 @@ class TestEffectLog:
         assert json.loads(lines[-1])["effects"][0]["type"] == "InstallRule"
 
     def test_shallow_asdict_equals_asdict(self):
-        flow = FiveTuple(UE, "10.100.1.1", 6, 5000, 80)
+        flow = FiveTuple(UE, VIP, 6, 5000, 80)
         effects = [
             InstallRule(FlowRule(flow, 200, ENB1, SGW, RuleState.SILENT), 3),
             SilenceUe(UE, 4),
@@ -289,7 +306,29 @@ class TestEffectLog:
                 == set(typing.get_args(control.Effect)))
         for eff in effects:
             assert control._shallow_asdict(eff) == asdict(eff)
-        assert control._shallow_asdict(flow) == asdict(flow)
+        # the key is a NamedTuple now; the log writes it as asdict wrote
+        # the former dataclass, addresses dotted
+        assert control.dotted(flow) == {
+            "src_ip": "172.16.0.2", "dst_ip": "10.100.1.1", "proto": 6,
+            "src_port": 5000, "dst_port": 80}
+
+    def test_jsonl_writes_addresses_dotted(self):
+        proc = S1apProcessor("mgw-a", TOPOLOGY)
+        attach(proc)
+        proc.on_flow_miss(FiveTuple(UE, VIP, 6, 5000, 80), 100)
+        proc.on_end_marker(ENB1, 200)
+        *_, miss, marker = map(json.loads, proc.dump_jsonl().splitlines())
+        flow = {"src_ip": "172.16.0.2", "dst_ip": "10.100.1.1", "proto": 6,
+                "src_port": 5000, "dst_port": 80}
+        assert miss == {
+            "seq": 3, "event": "FLOW_MISS",
+            "detail": {"five_tuple": flow, "upstream_teid": 100},
+            "effects": [{"type": "InstallRule", "seq": 3, "rule": {
+                "key": flow, "downstream_teid": 200, "enb_addr": "10.1.0.1",
+                "sgw_addr": "10.2.0.1", "state": "active"}}]}
+        assert marker == {"seq": 4, "event": "END_MARKER",
+                          "detail": {"enb": "10.1.0.1", "teid": 200},
+                          "effects": []}
 
 
 class TestPendingHandovers:
@@ -298,7 +337,7 @@ class TestPendingHandovers:
 
     def test_equal_teids_at_two_enbs(self):
         proc = S1apProcessor("mgw-a", TOPOLOGY)
-        other = "172.16.0.3"
+        other = OTHER_UE
         attach(proc, ue_ip=UE, enb=ENB1, pairs=((5, 100, 200),))
         attach(proc, ue_ip=other, enb=ENB2, pairs=((5, 101, 200),))
         for ue_ip in (UE, other):
@@ -312,7 +351,7 @@ class TestPendingHandovers:
         effects = proc.on_end_marker(ENB1, 200)
         assert [e.ue_ip for e in effects if isinstance(e, SilenceUe)] == [UE]
 
-    @pytest.mark.parametrize("new_enb", [ENB3, ENB4])
+    @pytest.mark.parametrize("new_enb", [ENB3, ENB4], ids=ip_str)
     def test_departing_subscriber_leaves(self, new_enb):
         proc = S1apProcessor("mgw-a", TOPOLOGY)
         attach(proc, pairs=((5, 100, 200), (6, 101, 201)))
@@ -326,7 +365,7 @@ class TestPendingHandovers:
         assert UE not in proc.contexts
         assert proc.pending == {}
         assert proc.on_end_marker(ENB1, 200) == []
-        effects = proc.on_flow_miss(FiveTuple(UE, "10.100.1.1", 6, 1, 2), 100)
+        effects = proc.on_flow_miss(FiveTuple(UE, VIP, 6, 1, 2), 100)
         assert isinstance(effects[0], NoContext)
 
     def test_ics_response_ends_pending_handover(self):
@@ -360,7 +399,7 @@ class TestPendingHandovers:
         # went quiet; the first one's signalling must not drop the second
         # one's pending handover
         proc = S1apProcessor("mgw-a", TOPOLOGY)
-        other = "172.16.0.3"
+        other = OTHER_UE
         attach(proc, ue_ip=UE, enb=ENB1, pairs=((5, 100, 200),))
         attach(proc, ue_ip=other, enb=ENB1, pairs=((5, 101, 200),))
         proc.on_control_message(msg(MessageKind.PATH_SWITCH_REQUEST,
@@ -378,7 +417,7 @@ class TestPendingHandovers:
         proc = S1apProcessor("mgw-a", TOPOLOGY)
         attach(proc)
         for port in range(control.LOG_LIMIT + 10):
-            proc.on_flow_miss(FiveTuple(UE, "10.100.1.1", 6, port, 80), 100)
+            proc.on_flow_miss(FiveTuple(UE, VIP, 6, port, 80), 100)
         assert len(proc.log) == control.LOG_LIMIT
         assert proc.log[-1]["seq"] == proc.clock
         assert proc.log[0]["seq"] == proc.clock - control.LOG_LIMIT + 1
@@ -386,7 +425,7 @@ class TestPendingHandovers:
 
 
 ENBS = (ENB1, ENB2, ENB3, ENB4)
-MACHINE_UES = ("172.16.0.2", "172.16.0.3")
+MACHINE_UES = (UE, OTHER_UE)
 MACHINE_BEARERS = st.sets(st.sampled_from((5, 6)), min_size=1)
 
 
@@ -472,7 +511,7 @@ class ControllerMachine(RuleBasedStateMachine):
         match = [bc for bc in (ctx.bearers.values() if live else ())
                  if bc.upstream_teid == 100 + bearer and bc.complete()]
         effects = self.proc.on_flow_miss(
-            FiveTuple(ue, "10.100.1.1", 6, 40000 + bearer, 80), 100 + bearer)
+            FiveTuple(ue, VIP, 6, 40000 + bearer, 80), 100 + bearer)
         if match:
             assert effects[0].rule.downstream_teid == match[0].downstream_teid
         else:

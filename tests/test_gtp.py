@@ -9,7 +9,8 @@ from hypothesis import example, given, strategies as st
 from megw import gtp
 from megw.gtp import (Direction, FiveTuple, GtpMessageType, GtpuPacket,
                       PacketClass, build_ipv4, build_tcpish, build_udp,
-                      classify, decode_gtpu, encode_gtpu, inner_five_tuple)
+                      classify, decode_gtpu, encode_gtpu, inner_five_tuple,
+                      ip_int)
 
 
 def checksum_oracle(header: bytes) -> int:
@@ -22,9 +23,19 @@ def checksum_oracle(header: bytes) -> int:
     return (~total) & 0xFFFF
 
 
+def ipv4(src, dst, proto, payload):
+    """An IPv4 packet between two dotted-quad addresses."""
+    return build_ipv4(ip_int(src), ip_int(dst), proto, payload)
+
+
+def tunnel(src, dst, teid, message_type, inner=b""):
+    """A GtpuPacket between two dotted-quad addresses."""
+    return GtpuPacket(ip_int(src), ip_int(dst), teid, message_type, inner)
+
+
 def make_inner(src="172.16.0.2", dst="10.100.1.1", proto=6,
                sport=5000, dport=80, payload=b"x" * 8):
-    return build_ipv4(src, dst, proto, build_tcpish(proto, sport, dport, payload))
+    return ipv4(src, dst, proto, build_tcpish(proto, sport, dport, payload))
 
 
 class TestEncode:
@@ -32,8 +43,8 @@ class TestEncode:
         # hand-assembled per the GTPv1-U bit layout: flags 0x30, type 0xFF,
         # 16-bit payload length, 32-bit TEID
         inner = bytes(range(8))
-        pkt = GtpuPacket("192.168.1.1", "192.168.1.2", 0x11223344,
-                         GtpMessageType.GPDU, inner)
+        pkt = tunnel("192.168.1.1", "192.168.1.2", 0x11223344,
+                     GtpMessageType.GPDU, inner)
         wire = encode_gtpu(pkt)
         gtp_header = wire[28:36]
         expected = struct.pack("!BBHI", 0x30, 0xFF, 8, 0x11223344)
@@ -42,15 +53,15 @@ class TestEncode:
         assert wire[36:] == inner
 
     def test_end_marker_bytes(self):
-        pkt = GtpuPacket("10.0.0.1", "10.0.0.2", 0xC8,
-                         GtpMessageType.END_MARKER, b"")
+        pkt = tunnel("10.0.0.1", "10.0.0.2", 0xC8,
+                     GtpMessageType.END_MARKER, b"")
         wire = encode_gtpu(pkt)
         assert wire[29] == 0xFE  # message type 254
         assert wire[30:32] == b"\x00\x00"  # zero payload length
 
     def test_outer_framing(self):
-        pkt = GtpuPacket("10.0.0.1", "10.0.0.2", 1, GtpMessageType.GPDU,
-                         make_inner())
+        pkt = tunnel("10.0.0.1", "10.0.0.2", 1, GtpMessageType.GPDU,
+                     make_inner())
         wire = encode_gtpu(pkt)
         assert wire[0] == 0x45
         assert wire[9] == 17  # UDP
@@ -64,62 +75,62 @@ class TestEncode:
         assert wire[26:28] == b"\x00\x00"
 
     def test_oversize_inner_rejected(self):
-        pkt = GtpuPacket("10.0.0.1", "10.0.0.2", 1, GtpMessageType.GPDU,
-                         b"\x00" * (gtp.MAX_INNER_LEN + 1))
+        pkt = tunnel("10.0.0.1", "10.0.0.2", 1, GtpMessageType.GPDU,
+                     b"\x00" * (gtp.MAX_INNER_LEN + 1))
         with pytest.raises(gtp.EncodeError):
             encode_gtpu(pkt)
 
     def test_bad_address_rejected(self):
-        pkt = GtpuPacket("10.0.0", "10.0.0.2", 1, GtpMessageType.GPDU, b"")
+        # a malformed dotted address is refused where it becomes an integer
         with pytest.raises(gtp.EncodeError):
-            encode_gtpu(pkt)
+            encode_gtpu(tunnel("10.0.0", "10.0.0.2", 1, GtpMessageType.GPDU))
 
     def test_deterministic(self):
-        pkt = GtpuPacket("10.0.0.1", "10.0.0.2", 77, GtpMessageType.GPDU,
-                         make_inner())
+        pkt = tunnel("10.0.0.1", "10.0.0.2", 77, GtpMessageType.GPDU,
+                     make_inner())
         assert encode_gtpu(pkt) == encode_gtpu(pkt)
 
 
 class TestDecode:
     def test_round_trip_example(self):
-        pkt = GtpuPacket("192.168.1.1", "192.168.1.2", 0x11223344,
-                         GtpMessageType.GPDU, make_inner())
+        pkt = tunnel("192.168.1.1", "192.168.1.2", 0x11223344,
+                     GtpMessageType.GPDU, make_inner())
         assert decode_gtpu(encode_gtpu(pkt)) == pkt
 
     def test_end_marker_type_254(self):
-        pkt = GtpuPacket("10.0.0.1", "10.0.0.2", 5,
-                         GtpMessageType.END_MARKER, b"")
+        pkt = tunnel("10.0.0.1", "10.0.0.2", 5,
+                     GtpMessageType.END_MARKER, b"")
         wire = encode_gtpu(pkt)
         assert wire[29] == 254
         decoded = decode_gtpu(wire)
         assert decoded.message_type is GtpMessageType.END_MARKER
 
     def test_wrong_gtp_version(self):
-        pkt = GtpuPacket("10.0.0.1", "10.0.0.2", 1, GtpMessageType.GPDU,
-                         make_inner())
+        pkt = tunnel("10.0.0.1", "10.0.0.2", 1, GtpMessageType.GPDU,
+                     make_inner())
         wire = bytearray(encode_gtpu(pkt))
         wire[28] = 0x50  # version 2
         with pytest.raises(gtp.VersionError):
             decode_gtpu(bytes(wire))
 
     def test_unknown_message_type(self):
-        pkt = GtpuPacket("10.0.0.1", "10.0.0.2", 1, GtpMessageType.GPDU,
-                         make_inner())
+        pkt = tunnel("10.0.0.1", "10.0.0.2", 1, GtpMessageType.GPDU,
+                     make_inner())
         wire = bytearray(encode_gtpu(pkt))
         wire[29] = 0x01  # echo request: not accepted here
         with pytest.raises(gtp.MessageTypeError):
             decode_gtpu(bytes(wire))
 
     def test_truncated(self):
-        pkt = GtpuPacket("10.0.0.1", "10.0.0.2", 1, GtpMessageType.GPDU,
-                         make_inner())
+        pkt = tunnel("10.0.0.1", "10.0.0.2", 1, GtpMessageType.GPDU,
+                     make_inner())
         wire = encode_gtpu(pkt)
         with pytest.raises(gtp.DecodeError):
             decode_gtpu(wire[:30])
 
     def test_length_mismatch(self):
-        pkt = GtpuPacket("10.0.0.1", "10.0.0.2", 1, GtpMessageType.GPDU,
-                         b"abcd")
+        pkt = tunnel("10.0.0.1", "10.0.0.2", 1, GtpMessageType.GPDU,
+                     b"abcd")
         wire = bytearray(encode_gtpu(pkt))
         wire[30:32] = struct.pack("!H", 99)
         with pytest.raises(gtp.LengthError):
@@ -139,27 +150,27 @@ class TestDecode:
                     payload=rng.randbytes(rng.randrange(64)))
             else:
                 inner = rng.choice([b"", rng.randbytes(rng.randrange(16))])
-            pkt = GtpuPacket(
-                f"192.0.2.{rng.randrange(1, 255)}",
-                f"198.51.100.{rng.randrange(1, 255)}",
-                teid, mt, inner)
+            pkt = tunnel(
+            f"192.0.2.{rng.randrange(1, 255)}",
+            f"198.51.100.{rng.randrange(1, 255)}",
+            teid, mt, inner)
             assert decode_gtpu(encode_gtpu(pkt)) == pkt
 
 
 class TestFiveTuple:
     def test_tcp_fields(self):
         inner = make_inner("172.16.0.2", "10.100.1.1", 6, 5000, 80)
-        assert inner_five_tuple(inner) == FiveTuple(
+        assert inner_five_tuple(inner) == FiveTuple.parse(
             "172.16.0.2", "10.100.1.1", 6, 5000, 80)
 
     def test_udp_fields(self):
-        inner = build_ipv4("172.16.0.3", "10.100.1.1", 17,
-                           build_udp(9999, 53, b"q"))
+        inner = ipv4("172.16.0.3", "10.100.1.1", 17,
+                     build_udp(9999, 53, b"q"))
         ft = inner_five_tuple(inner)
         assert (ft.proto, ft.src_port, ft.dst_port) == (17, 9999, 53)
 
     def test_icmp_ports_zero(self):
-        inner = build_ipv4("172.16.0.2", "8.8.8.8", 1, b"\x08\x00\x00\x00")
+        inner = ipv4("172.16.0.2", "8.8.8.8", 1, b"\x08\x00\x00\x00")
         ft = inner_five_tuple(inner)
         assert (ft.src_port, ft.dst_port) == (0, 0)
 
@@ -168,32 +179,32 @@ class TestFiveTuple:
             inner_five_tuple(b"\x45" + b"\x00" * 9)
 
     def test_truncated_transport_errors(self):
-        inner = build_ipv4("1.2.3.4", "5.6.7.8", 6, b"\x01")
+        inner = ipv4("1.2.3.4", "5.6.7.8", 6, b"\x01")
         with pytest.raises(gtp.DecodeError):
             inner_five_tuple(inner)
 
 
 class TestClassify:
     def test_sctp_is_control_plane(self):
-        frame = build_ipv4("10.1.0.1", "10.2.0.1", 132, b"\x00" * 16)
+        frame = ipv4("10.1.0.1", "10.2.0.1", 132, b"\x00" * 16)
         for d in Direction:
             assert classify(frame, d) is PacketClass.CONTROL_PLANE
 
     def test_gtp_by_direction(self):
-        wire = encode_gtpu(GtpuPacket("10.1.0.1", "10.2.0.1", 9,
-                                      GtpMessageType.GPDU, make_inner()))
+        wire = encode_gtpu(tunnel("10.1.0.1", "10.2.0.1", 9,
+                                  GtpMessageType.GPDU, make_inner()))
         assert classify(wire, Direction.FROM_RAN) is PacketClass.UPSTREAM_GTP
         assert classify(wire, Direction.FROM_CORE) is PacketClass.DOWNSTREAM_GTP
         assert classify(wire, Direction.FROM_CLUSTER) is PacketClass.PLAIN_IP
 
     def test_end_marker_from_core(self):
-        wire = encode_gtpu(GtpuPacket("10.2.0.1", "10.1.0.1", 9,
-                                      GtpMessageType.END_MARKER, b""))
+        wire = encode_gtpu(tunnel("10.2.0.1", "10.1.0.1", 9,
+                                  GtpMessageType.END_MARKER, b""))
         assert classify(wire, Direction.FROM_CORE) is PacketClass.END_MARKER
 
     def test_bare_tcp_is_plain(self):
-        frame = build_ipv4("10.200.0.5", "172.16.0.2", 6,
-                           build_tcpish(6, 80, 5000, b"resp"))
+        frame = ipv4("10.200.0.5", "172.16.0.2", 6,
+                     build_tcpish(6, 80, 5000, b"resp"))
         assert classify(frame, Direction.FROM_CLUSTER) is PacketClass.PLAIN_IP
 
     def test_garbage_is_plain(self):
@@ -208,8 +219,8 @@ class TestClassify:
     @example(flags=0x32, msg_type=0xFF, udp_len=None, gtp_len=None)
     def test_gtp_class_iff_decodes(self, flags, msg_type, udp_len, gtp_len):
         # None keeps the length field the encoder wrote
-        wire = bytearray(encode_gtpu(GtpuPacket(
-            "10.1.0.1", "10.2.0.1", 42, GtpMessageType.GPDU, make_inner())))
+        wire = bytearray(encode_gtpu(tunnel(
+        "10.1.0.1", "10.2.0.1", 42, GtpMessageType.GPDU, make_inner())))
         wire[28], wire[29] = flags, msg_type
         if udp_len is not None:
             wire[24:26] = struct.pack("!H", udp_len)
@@ -265,7 +276,9 @@ class TestChecksum:
         total = hl + len(payload)
         packet = (bytes([0x40 | ihl, 0]) + struct.pack("!H", total) + fields
                   + addrs + options[:hl - 20] + payload)
-        out = gtp.rewrite_ipv4(gtp.parse_ipv4(packet), src=src, dst=dst)
+        out = gtp.rewrite_ipv4(gtp.parse_ipv4(packet),
+                               src=None if src is None else ip_int(src),
+                               dst=None if dst is None else ip_int(dst))
         assert len(out) == len(packet)
         changed = {10, 11}
         if src is not None:
@@ -283,11 +296,101 @@ class TestChecksum:
         frame = bytearray(make_inner())
         good = bytes(frame[10:12])
         frame[10:12] = struct.pack("!H", corrupt)
-        out = gtp.rewrite_ipv4(gtp.parse_ipv4(bytes(frame)), dst="10.200.0.5")
+        out = gtp.rewrite_ipv4(gtp.parse_ipv4(bytes(frame)),
+                               dst=ip_int("10.200.0.5"))
         assert checksum_oracle(out[:20]) == 0
         # the rewrite to the original destination restores the original
-        back = gtp.rewrite_ipv4(gtp.parse_ipv4(out), dst="10.100.1.1")
+        back = gtp.rewrite_ipv4(gtp.parse_ipv4(out), dst=ip_int("10.100.1.1"))
         assert back[10:12] == good
+
+
+octets = st.integers(0, 255)
+ports = st.integers(0, 0xFFFF)
+malformed_addresses = st.one_of(
+    # three or five parts
+    st.lists(octets, min_size=3, max_size=3).map(
+        lambda o: ".".join(map(str, o))),
+    st.lists(octets, min_size=5, max_size=5).map(
+        lambda o: ".".join(map(str, o))),
+    # one octet out of range
+    st.tuples(st.integers(0, 3), st.integers(256, 10_000) | st.integers(
+        -10_000, -1), st.lists(octets, min_size=4, max_size=4)).map(
+        lambda t: ".".join(str(t[1]) if i == t[0] else str(o)
+                           for i, o in enumerate(t[2]))),
+    # one part that is not a number
+    st.tuples(st.integers(0, 3), st.sampled_from(["", "x", "1.5e3", "0x1"]),
+              st.lists(octets, min_size=4, max_size=4)).map(
+        lambda t: ".".join(t[1] if i == t[0] else str(o)
+                           for i, o in enumerate(t[2]))))
+
+
+def parse_error_oracle(data: bytes):
+    """The DecodeError subclass parse_ipv4 raised before addresses became
+    integers, from the documented check order: length, version, IHL, total
+    length. None for a header it accepts."""
+    if len(data) < 20:
+        return gtp.TruncatedError
+    if data[0] >> 4 != 4:
+        return gtp.VersionError
+    ihl = (data[0] & 0x0F) * 4
+    total = int.from_bytes(data[2:4], "big")
+    if ihl < 20 or total < ihl or total > len(data):
+        return gtp.LengthError
+    return None
+
+
+class TestAddresses:
+    @given(src=addresses, dst=addresses, proto=octets, sport=ports,
+           dport=ports)
+    def test_key_bytes_are_the_dotted_bytes(self, src, dst, proto, sport,
+                                            dport):
+        flow = FiveTuple.parse(src, dst, proto, sport, dport)
+        assert flow.key_bytes() == (gtp.pack_ip(src) + gtp.pack_ip(dst)
+                                    + struct.pack("!BHH", proto, sport, dport))
+
+    @given(addresses)
+    @example("0.0.0.0")
+    @example("255.255.255.255")
+    def test_dotted_int_dotted_round_trip(self, addr):
+        n = ip_int(addr)
+        assert 0 <= n <= 0xFFFFFFFF
+        assert n.to_bytes(4, "big") == gtp.pack_ip(addr)
+        assert gtp.ip_str(n) == addr
+
+    @given(malformed_addresses)
+    def test_malformed_dotted_raises_at_the_edge(self, addr):
+        with pytest.raises(gtp.EncodeError):
+            ip_int(addr)
+        with pytest.raises(gtp.EncodeError):
+            FiveTuple.parse(addr, "10.100.1.1", 6, 1, 2)
+
+    @given(st.one_of(
+        st.binary(max_size=19),
+        st.tuples(st.integers(0, 15), st.integers(0, 15),
+                  st.integers(0, 0xFFFF), st.binary(min_size=16,
+                                                    max_size=80)).map(
+            lambda t: bytes([t[0] << 4 | t[1], 0])
+            + t[2].to_bytes(2, "big") + t[3]),
+        st.tuples(st.integers(5, 15), st.integers(0, 0xFFFF),
+                  st.binary(min_size=16, max_size=80)).map(
+            lambda t: bytes([0x40 | t[0], 0]) + t[1].to_bytes(2, "big")
+            + t[2])))
+    @example(b"\x45" + b"\x00" * 18)                   # truncated
+    @example(b"\x65\x00\x00\x14" + b"\x00" * 16)        # version 6
+    @example(b"\x44\x00\x00\x14" + b"\x00" * 16)        # IHL 16
+    @example(b"\x45\x00\x00\x13" + b"\x00" * 16)        # total < IHL
+    @example(b"\x45\x00\x00\x15" + b"\x00" * 16)        # total > length
+    def test_parse_errors_keep_their_class(self, data):
+        expected = parse_error_oracle(data)
+        if expected is None:
+            view = gtp.parse_ipv4(data)
+            assert (view.src, view.dst) == (
+                int.from_bytes(data[12:16], "big"),
+                int.from_bytes(data[16:20], "big"))
+            return
+        with pytest.raises(gtp.DecodeError) as info:
+            gtp.parse_ipv4(data)
+        assert type(info.value) is expected
 
 
 class TestFuzz:
@@ -302,8 +405,8 @@ class TestFuzz:
 
     def test_mutated_valid_packets(self):
         rng = random.Random(0xF023)
-        wire = bytearray(encode_gtpu(GtpuPacket(
-            "10.1.0.1", "10.2.0.1", 42, GtpMessageType.GPDU, make_inner())))
+        wire = bytearray(encode_gtpu(tunnel(
+        "10.1.0.1", "10.2.0.1", 42, GtpMessageType.GPDU, make_inner())))
         for _ in range(2000):
             mutated = bytearray(wire)
             for _ in range(rng.randrange(1, 4)):

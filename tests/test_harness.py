@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from megw import gtp, harness
-from megw.gtp import GtpMessageType, GtpuPacket
+from megw.gtp import GtpMessageType, GtpuPacket, ip_int
 from megw.harness import (CLONED, DROPPED, MIGRATION_NOTIFIED, RECEIVED,
                           REACTIVATED, RULE_INSTALLED, SCENARIOS, SENT,
                           SILENCED, ConfigError, Harness, StateError,
@@ -84,17 +84,17 @@ class TestAttach:
         trace = h.run_attach("ue1", "enb1")
         assert len(count(trace, CLONED, kind="s1ap")) == 2
         assert count(trace, RULE_INSTALLED) == []
-        ctx = h.megws["mgw-a"].processor.contexts["172.16.0.2"]
+        ctx = h.megws["mgw-a"].processor.contexts[ip_int("172.16.0.2")]
         b = ctx.bearers[5]
         assert b.upstream_teid and b.downstream_teid
 
     def test_attach_twice_idempotent(self):
         h = make_harness()
         h.run_attach("ue1", "enb1")
-        before = copy.deepcopy(
-            h.megws["mgw-a"].processor.contexts["172.16.0.2"].bearers)
+        contexts = h.megws["mgw-a"].processor.contexts
+        before = copy.deepcopy(contexts[ip_int("172.16.0.2")].bearers)
         h.run_attach("ue1", "enb1")
-        after = h.megws["mgw-a"].processor.contexts["172.16.0.2"].bearers
+        after = contexts[ip_int("172.16.0.2")].bearers
         assert before == after
 
     def test_first_request_one_miss_one_rule(self):
@@ -178,14 +178,13 @@ class TestHandoverScenario1:
 class TestRadioDelivery:
     def sgw_downlink(self, h, enb, teid, payload):
         """A G-PDU the EPC sends to `enb` on tunnel `teid`; its trace."""
-        sgw_addr = h.topology.nodes["sgw"].addr
-        enb_addr = h.topology.nodes[enb].addr
-        inner = gtp.build_ipv4("10.100.1.1", h.ues["ue1"].addr, 6,
+        sgw, node = h.topology.nodes["sgw"], h.topology.nodes[enb]
+        inner = gtp.build_ipv4(ip_int("10.100.1.1"), h.ues["ue1"].ip, 6,
                                gtp.build_tcpish(6, 80, 40000, payload))
-        frame = gtp.encode_gtpu(GtpuPacket(sgw_addr, enb_addr, teid,
+        frame = gtp.encode_gtpu(GtpuPacket(sgw.ip, node.ip, teid,
                                            GtpMessageType.GPDU, inner))
         mark = len(h.trace)
-        h._send("sgw", enb_addr, frame, note="late-downlink")
+        h._send("sgw", node.addr, frame, note="late-downlink")
         h.run_until_idle()
         return h.trace[mark:]
 

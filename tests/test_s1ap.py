@@ -5,6 +5,7 @@ import random
 import pytest
 
 from megw import s1ap
+from megw.gtp import ip_int
 from megw.s1ap import (BearerItem, MessageKind, S1apLiteMessage,
                        decode_message, encode_message)
 
@@ -13,10 +14,11 @@ def sample_message(kind=MessageKind.INITIAL_CONTEXT_SETUP_REQUEST,
                    bearers=None):
     if bearers is None:
         bearers = (BearerItem(5, upstream_teid=100,
-                              transport_addr="10.2.0.1"),)
+                              transport_addr=ip_int("10.2.0.1")),)
     return S1apLiteMessage(kind=kind, mme_ue_id=17, enb_ue_id=3,
-                           ue_ip="172.16.0.2", enb_addr="10.1.0.1",
-                           sgw_addr="10.2.0.1", bearers=tuple(bearers))
+                           ue_ip=ip_int("172.16.0.2"),
+                           enb_addr=ip_int("10.1.0.1"),
+                           sgw_addr=ip_int("10.2.0.1"), bearers=tuple(bearers))
 
 
 def random_message(rng):
@@ -26,13 +28,15 @@ def random_message(rng):
         BearerItem(bearer_id=bid,
                    upstream_teid=rng.getrandbits(32),
                    downstream_teid=rng.getrandbits(32),
-                   transport_addr=f"10.{rng.randrange(256)}.0.{rng.randrange(256)}")
+                   transport_addr=ip_int(
+                       f"10.{rng.randrange(256)}.0.{rng.randrange(256)}"))
         for bid in rng.sample(range(256), n))
     return S1apLiteMessage(kind=kind, mme_ue_id=rng.getrandbits(32),
                            enb_ue_id=rng.getrandbits(32),
-                           ue_ip=f"172.16.{rng.randrange(256)}.{rng.randrange(1, 255)}",
-                           enb_addr=f"10.1.0.{rng.randrange(1, 255)}",
-                           sgw_addr=f"10.2.0.{rng.randrange(1, 255)}",
+                           ue_ip=ip_int(f"172.16.{rng.randrange(256)}."
+                                        f"{rng.randrange(1, 255)}"),
+                           enb_addr=ip_int(f"10.1.0.{rng.randrange(1, 255)}"),
+                           sgw_addr=ip_int(f"10.2.0.{rng.randrange(1, 255)}"),
                            bearers=bearers)
 
 

@@ -7,13 +7,14 @@ import sys
 import textwrap
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant, precondition,
                                  rule)
 
 from megw import gtp, steering
 from megw.gtp import (Direction, FiveTuple, GtpMessageType, GtpuPacket,
-                      build_ipv4, build_tcpish, encode_gtpu, decode_gtpu)
+                      build_ipv4, build_tcpish, encode_gtpu, decode_gtpu,
+                      ip_int)
 from megw.steering import (CloneToController, DipAffinityTable, Drop, Emit,
                            EndMarkerSeen, FlowMiss, FlowRule, Multiple,
                            RuleState, RuleStore, S1apClone, SelectError,
@@ -21,6 +22,13 @@ from megw.steering import (CloneToController, DipAffinityTable, Drop, Emit,
                            stage1_select, stage2_select)
 
 VIP = "10.100.1.1"
+ENB1, ENB2, SGW = ip_int("10.1.0.1"), ip_int("10.1.0.2"), ip_int("10.2.0.1")
+UE = ip_int("172.16.0.2")
+
+
+def ipv4(src, dst, proto, payload):
+    """An IPv4 packet between two dotted-quad addresses."""
+    return build_ipv4(ip_int(src), ip_int(dst), proto, payload)
 
 
 def make_cfg(megw_id="mgw-a", peers=None, dips=None):
@@ -33,8 +41,9 @@ def make_cfg(megw_id="mgw-a", peers=None, dips=None):
 
 def upstream_frame(ue="172.16.0.2", sport=5000, teid=100,
                    enb="10.1.0.1", sgw="10.2.0.1", dst=VIP, payload=b"req"):
-    inner = build_ipv4(ue, dst, 6, build_tcpish(6, sport, 80, payload))
-    return encode_gtpu(GtpuPacket(enb, sgw, teid, GtpMessageType.GPDU, inner))
+    inner = ipv4(ue, dst, 6, build_tcpish(6, sport, 80, payload))
+    return encode_gtpu(GtpuPacket(ip_int(enb), ip_int(sgw), teid,
+                                  GtpMessageType.GPDU, inner))
 
 
 def flatten(action):
@@ -95,12 +104,13 @@ class TestStage1:
         rng = random.Random(3)
         for _ in range(200):
             ue = f"172.16.{rng.randrange(256)}.{rng.randrange(1, 255)}"
-            picks = {stage1_select(ue, c) for c in (cfg_a, cfg_b, cfg_c)}
+            picks = {stage1_select(ip_int(ue), c)
+                     for c in (cfg_a, cfg_b, cfg_c)}
             assert len(picks) == 1
 
     def test_single_peer_is_self(self):
         cfg = make_cfg("mgw-a", [("mgw-a", "10.50.0.1", 1.0)])
-        assert stage1_select("172.16.0.2", cfg) == "mgw-a"
+        assert stage1_select(UE, cfg) == "mgw-a"
 
     def test_memo_is_bounded(self):
         assert stage1_select.cache_info().maxsize is not None
@@ -121,8 +131,20 @@ class TestStage1:
                                    rng.randrange(1, 255))
             for cfg in configs:
                 expected = self.direct(ue, cfg)
-                assert stage1_select(ue, cfg) == expected
-                assert stage1_select(ue, cfg) == expected  # a memo hit
+                assert stage1_select(ip_int(ue), cfg) == expected
+                assert stage1_select(ip_int(ue), cfg) == expected  # a memo hit
+
+    @given(octets=st.tuples(*[st.integers(0, 255)] * 4),
+           weights=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=4))
+    def test_integer_key_picks_as_dotted(self, octets, weights):
+        # stage I hashes the integer address as the four bytes the dotted
+        # form packs to, so every HRW choice is what it was for the string
+        ue = "%d.%d.%d.%d" % octets
+        peers = [(f"mgw-{i}", f"10.50.0.{i + 1}", w)
+                 for i, w in enumerate(weights)]
+        cfg = make_cfg("mgw-0", peers)
+        assert stage1_select(ip_int(ue), cfg) == rendezvous_select(
+            gtp.pack_ip(ue), [(pid, w) for pid, _, w in peers])
 
     def test_weight_change_is_a_new_key(self):
         light = make_cfg("mgw-a", [("mgw-a", "10.50.0.1", 1.0),
@@ -132,17 +154,19 @@ class TestStage1:
         ues = [f"172.16.1.{i}" for i in range(1, 200)]
         for _ in range(2):
             for ue in ues:
-                assert stage1_select(ue, light) == self.direct(ue, light)
-                assert stage1_select(ue, heavy) == self.direct(ue, heavy)
-        assert any(stage1_select(ue, light) != stage1_select(ue, heavy)
-                   for ue in ues)
+                assert stage1_select(ip_int(ue), light) == self.direct(ue,
+                                                                       light)
+                assert stage1_select(ip_int(ue), heavy) == self.direct(ue,
+                                                                       heavy)
+        assert any(stage1_select(ip_int(ue), light)
+                   != stage1_select(ip_int(ue), heavy) for ue in ues)
 
 
 class TestStage2:
     def test_affinity_sticky(self):
         cfg = make_cfg()
         table = DipAffinityTable()
-        flow = FiveTuple("172.16.0.2", VIP, 6, 5000, 80)
+        flow = FiveTuple.parse("172.16.0.2", VIP, 6, 5000, 80)
         first = stage2_select(flow, table, cfg)
         for _ in range(5):
             assert stage2_select(flow, table, cfg) == first
@@ -151,19 +175,19 @@ class TestStage2:
     def test_affinity_survives_pool_growth(self):
         cfg = make_cfg(dips=[("10.200.0.5", 1.0)])
         table = DipAffinityTable()
-        flow = FiveTuple("172.16.0.2", VIP, 6, 5000, 80)
-        assert stage2_select(flow, table, cfg) == "10.200.0.5"
+        flow = FiveTuple.parse("172.16.0.2", VIP, 6, 5000, 80)
+        assert stage2_select(flow, table, cfg) == ip_int("10.200.0.5")
         grown = make_cfg(dips=[("10.200.0.5", 1.0), ("10.200.0.6", 5.0),
                                ("10.200.0.7", 5.0)])
-        assert stage2_select(flow, table, grown) == "10.200.0.5"
+        assert stage2_select(flow, table, grown) == ip_int("10.200.0.5")
 
     def test_spread_over_dips(self):
         cfg = make_cfg(dips=[("10.200.0.5", 1.0), ("10.200.0.6", 1.0),
                              ("10.200.0.7", 1.0)])
         table = DipAffinityTable()
-        hits = {d: 0 for d, _ in cfg.dips}
+        hits = {ip_int(d): 0 for d, _ in cfg.dips}
         for port in range(1000):
-            flow = FiveTuple("172.16.0.2", VIP, 6, 1024 + port, 80)
+            flow = FiveTuple.parse("172.16.0.2", VIP, 6, 1024 + port, 80)
             hits[stage2_select(flow, table, cfg)] += 1
         assert all(v > 0 for v in hits.values())
 
@@ -173,15 +197,15 @@ class TestStage2:
                              region_peers=(("mgw-a", "10.50.0.1", 1.0),),
                              dips=(), local_sgw="10.2.0.1")
         with pytest.raises(SelectError):
-            stage2_select(FiveTuple("1.2.3.4", VIP, 6, 1, 2),
+            stage2_select(FiveTuple.parse("1.2.3.4", VIP, 6, 1, 2),
                           DipAffinityTable(), cfg)
 
 
 class TestRuleStore:
     def rule(self, teid=200, state=RuleState.ACTIVE):
-        return FlowRule(key=FiveTuple("172.16.0.2", VIP, 6, 5000, 80),
-                        downstream_teid=teid, enb_addr="10.1.0.1",
-                        sgw_addr="10.2.0.1", state=state)
+        return FlowRule(key=FiveTuple.parse("172.16.0.2", VIP, 6, 5000, 80),
+                        downstream_teid=teid, enb_addr=ENB1,
+                        sgw_addr=SGW, state=state)
 
     def test_install_lookup(self):
         store = RuleStore()
@@ -205,40 +229,39 @@ class TestRuleStore:
         store = RuleStore()
         for sport in (5000, 5001):
             store.install(FlowRule(
-                key=FiveTuple("172.16.0.2", VIP, 6, sport, 80),
-                downstream_teid=200, enb_addr="10.1.0.1",
-                sgw_addr="10.2.0.1"))
-        assert store.set_ue_silent("172.16.0.2") == 2
+                key=FiveTuple.parse("172.16.0.2", VIP, 6, sport, 80),
+                downstream_teid=200, enb_addr=ENB1,
+                sgw_addr=SGW))
+        assert store.set_ue_silent(UE) == 2
         assert all(r.state is RuleState.SILENT
-                   for r in store.rules_for_ue("172.16.0.2"))
-        assert store.set_ue_silent("172.16.9.9") == 0
-        assert store.reactivate_ue("172.16.0.2", {200: 300}, "10.1.0.2") == 2
-        for r in store.rules_for_ue("172.16.0.2"):
+                   for r in store.rules_for_ue(UE))
+        assert store.set_ue_silent(ip_int("172.16.9.9")) == 0
+        assert store.reactivate_ue(UE, {200: 300}, ENB2) == 2
+        for r in store.rules_for_ue(UE):
             assert r.state is RuleState.ACTIVE
             assert r.downstream_teid == 300
-            assert r.enb_addr == "10.1.0.2"
+            assert r.enb_addr == ENB2
 
     def test_reactivate_with_remap_per_bearer(self):
         store = RuleStore()
         store.install(FlowRule(
-            key=FiveTuple("172.16.0.2", VIP, 6, 5000, 80),
-            downstream_teid=200, enb_addr="10.1.0.1", sgw_addr="10.2.0.1"))
+            key=FiveTuple.parse("172.16.0.2", VIP, 6, 5000, 80),
+            downstream_teid=200, enb_addr=ENB1, sgw_addr=SGW))
         store.install(FlowRule(
-            key=FiveTuple("172.16.0.2", VIP, 6, 5001, 80),
-            downstream_teid=201, enb_addr="10.1.0.1", sgw_addr="10.2.0.1"))
-        store.set_ue_silent("172.16.0.2")
-        touched = store.reactivate_ue("172.16.0.2", {200: 300, 201: 301},
-                                      "10.1.0.2")
+            key=FiveTuple.parse("172.16.0.2", VIP, 6, 5001, 80),
+            downstream_teid=201, enb_addr=ENB1, sgw_addr=SGW))
+        store.set_ue_silent(UE)
+        touched = store.reactivate_ue(UE, {200: 300, 201: 301}, ENB2)
         assert touched == 2
-        by_port = {r.key.src_port: r for r in store.rules_for_ue("172.16.0.2")}
+        by_port = {r.key.src_port: r for r in store.rules_for_ue(UE)}
         assert by_port[5000].downstream_teid == 300
         assert by_port[5001].downstream_teid == 301
 
 
-UES = ("172.16.0.2", "172.16.0.3", "172.16.0.4")
+UES = tuple(map(ip_int, ("172.16.0.2", "172.16.0.3", "172.16.0.4")))
 TEIDS = (200, 201, 300, 301)
-ENBS = ("10.1.0.1", "10.1.0.2")
-flow_keys = st.builds(FiveTuple, st.sampled_from(UES), st.just(VIP),
+ENBS = (ENB1, ENB2)
+flow_keys = st.builds(FiveTuple, st.sampled_from(UES), st.just(ip_int(VIP)),
                       st.sampled_from((6, 17)), st.sampled_from((5000, 5001)),
                       st.sampled_from((80, 443)))
 
@@ -258,7 +281,7 @@ class RuleStoreMachine(RuleBasedStateMachine):
     @rule(key=flow_keys, teid=st.sampled_from(TEIDS),
           enb=st.sampled_from(ENBS), state=st.sampled_from(RuleState))
     def install(self, key, teid, enb, state):
-        new = FlowRule(key, teid, enb, "10.2.0.1", state)
+        new = FlowRule(key, teid, enb, SGW, state)
         old = self.model.get(key)
         if old is not None and (old.downstream_teid, old.enb_addr) != (
                 teid, enb):
@@ -386,12 +409,13 @@ class TestConcurrency:
             try:
                 for i in range(20):
                     rules.install(FlowRule(
-                        key=FiveTuple(f"172.16.1.{i}", VIP, 6, 6000 + i, 80),
-                        downstream_teid=100 + i, enb_addr="10.1.0.1",
-                        sgw_addr="10.2.0.1"))
-                    rules.set_ue_silent(f"172.16.1.{i}")
-                    rules.reactivate_ue(f"172.16.1.{i}", {100 + i: 200 + i},
-                                        "10.1.0.2")
+                        key=FiveTuple.parse(f"172.16.1.{i}", VIP, 6, 6000 + i,
+                                            80),
+                        downstream_teid=100 + i, enb_addr=ENB1,
+                        sgw_addr=SGW))
+                    rules.set_ue_silent(ip_int(f"172.16.1.{i}"))
+                    rules.reactivate_ue(ip_int(f"172.16.1.{i}"),
+                                        {100 + i: 200 + i}, ENB2)
             except Exception as exc:
                 errors.append(exc)
 
@@ -414,10 +438,11 @@ class TestConcurrency:
             try:
                 for i in range(300):
                     ue = f"172.{base}.{i // 250}.{i % 250}"
-                    rules.install(FlowRule(FiveTuple(ue, VIP, 6, 5000, 80),
-                                           100, "10.1.0.1", "10.2.0.1"))
+                    rules.install(FlowRule(
+                        FiveTuple.parse(ue, VIP, 6, 5000, 80), 100, ENB1,
+                        SGW))
                     if i % 2:
-                        rules.release_ue(ue)
+                        rules.release_ue(ip_int(ue))
             except Exception as exc:
                 errors.append(exc)
 
@@ -457,7 +482,7 @@ class TestProcessPacket:
                               self.affinity)
 
     def test_control_plane_clone_and_passthrough(self):
-        frame = build_ipv4("10.2.0.1", "10.1.0.1", 132, b"signalling")
+        frame = ipv4("10.2.0.1", "10.1.0.1", 132, b"signalling")
         acts = flatten(self.process(frame, Direction.FROM_CORE))
         emits = [a for a in acts if isinstance(a, Emit)]
         clones = [a for a in acts if isinstance(a, CloneToController)]
@@ -468,12 +493,12 @@ class TestProcessPacket:
         assert clones[0].event.payload == b"signalling"
 
     def test_end_marker_clone(self):
-        frame = encode_gtpu(GtpuPacket("10.2.0.1", "10.1.0.1", 0xC8,
+        frame = encode_gtpu(GtpuPacket(SGW, ENB1, 0xC8,
                                        GtpMessageType.END_MARKER, b""))
         acts = flatten(self.process(frame, Direction.FROM_CORE))
         clones = [a for a in acts if isinstance(a, CloneToController)]
         assert clones and clones[0].event == EndMarkerSeen(
-            enb_addr="10.1.0.1", teid=0xC8)
+            enb_addr=ENB1, teid=0xC8)
         emits = [a for a in acts if isinstance(a, Emit)]
         assert emits[0].dst == "10.1.0.1"
 
@@ -486,61 +511,64 @@ class TestProcessPacket:
         miss = clones[0].event
         assert isinstance(miss, FlowMiss)
         assert miss.upstream_teid == 100
-        assert miss.five_tuple == FiveTuple("172.16.0.2", VIP, 6, 5000, 80)
+        assert miss.five_tuple == FiveTuple.parse("172.16.0.2", VIP, 6, 5000,
+                                                  80)
 
     def test_upstream_hit_no_clone(self):
-        flow = FiveTuple("172.16.0.2", VIP, 6, 5000, 80)
-        self.rules.install(FlowRule(flow, 200, "10.1.0.1", "10.2.0.1"))
+        flow = FiveTuple.parse("172.16.0.2", VIP, 6, 5000, 80)
+        self.rules.install(FlowRule(flow, 200, ENB1, SGW))
         acts = flatten(self.process(upstream_frame()))
         assert not [a for a in acts if isinstance(a, CloneToController)]
 
     def test_stage1_self_rewrites_to_dip(self):
         # find a subscriber that hashes to mgw-a so stage II runs locally
         ue = next(f"172.16.0.{i}" for i in range(1, 250)
-                  if stage1_select(f"172.16.0.{i}", self.cfg) == "mgw-a")
+                  if stage1_select(ip_int(f"172.16.0.{i}"), self.cfg)
+                  == "mgw-a")
         acts = flatten(self.process(upstream_frame(ue=ue)))
         emit = [a for a in acts if isinstance(a, Emit)][0]
         assert emit.note == "dip-rewrite"
         out = gtp.parse_ipv4(emit.data)
-        assert out.dst in {d for d, _ in self.cfg.dips}
-        assert out.src == ue
+        assert out.dst in {ip_int(d) for d, _ in self.cfg.dips}
+        assert out.src == ip_int(ue)
 
     def test_stage1_remote_hands_off_decapsulated(self):
         ue = next(f"172.16.0.{i}" for i in range(1, 250)
-                  if stage1_select(f"172.16.0.{i}", self.cfg) == "mgw-b")
+                  if stage1_select(ip_int(f"172.16.0.{i}"), self.cfg)
+                  == "mgw-b")
         acts = flatten(self.process(upstream_frame(ue=ue)))
         emit = [a for a in acts if isinstance(a, Emit)][0]
         assert emit.note == "stage1-handoff"
         assert emit.dst == "10.50.0.2"
         out = gtp.parse_ipv4(emit.data)  # no longer GTP: plain inner packet
-        assert out.dst == VIP
+        assert out.dst == ip_int(VIP)
 
     def test_handoff_arrival_rewrites_to_dip(self):
-        inner = build_ipv4("172.16.0.9", VIP, 6, build_tcpish(6, 6000, 80, b"r"))
+        inner = ipv4("172.16.0.9", VIP, 6, build_tcpish(6, 6000, 80, b"r"))
         act = self.process(inner, Direction.FROM_CLUSTER)
         assert isinstance(act, Emit) and act.note == "dip-rewrite"
 
     def test_downstream_reencap_active_rule(self):
-        flow = FiveTuple("172.16.0.2", VIP, 6, 5000, 80)
-        self.rules.install(FlowRule(flow, 0xC8, "10.1.0.1", "10.2.0.1"))
-        echo = build_ipv4(VIP, "172.16.0.2", 6, build_tcpish(6, 80, 5000, b"ok"))
+        flow = FiveTuple.parse("172.16.0.2", VIP, 6, 5000, 80)
+        self.rules.install(FlowRule(flow, 0xC8, ENB1, SGW))
+        echo = ipv4(VIP, "172.16.0.2", 6, build_tcpish(6, 80, 5000, b"ok"))
         act = self.process(echo, Direction.FROM_CLUSTER)
         assert isinstance(act, Emit) and act.note == "gtp-encap"
         pkt = decode_gtpu(act.data)  # verified through the codec oracle
         assert pkt.teid == 0xC8
-        assert pkt.outer_dst == "10.1.0.1"
-        assert pkt.outer_src == "10.2.0.1"
-        assert gtp.parse_ipv4(pkt.inner).dst == "172.16.0.2"
+        assert pkt.outer_dst == ENB1
+        assert pkt.outer_src == SGW
+        assert gtp.parse_ipv4(pkt.inner).dst == UE
 
     def test_downstream_undoes_dip_rewrite(self):
-        flow = FiveTuple("172.16.0.2", VIP, 6, 5000, 80)
+        flow = FiveTuple.parse("172.16.0.2", VIP, 6, 5000, 80)
         dip = stage2_select(flow, self.affinity, self.cfg)
-        self.rules.install(FlowRule(flow, 0xC8, "10.1.0.1", "10.2.0.1"))
-        echo = build_ipv4(dip, "172.16.0.2", 6, build_tcpish(6, 80, 5000, b"ok"))
+        self.rules.install(FlowRule(flow, 0xC8, ENB1, SGW))
+        echo = build_ipv4(dip, UE, 6, build_tcpish(6, 80, 5000, b"ok"))
         act = self.process(echo, Direction.FROM_CLUSTER)
         assert isinstance(act, Emit) and act.note == "gtp-encap"
         pkt = decode_gtpu(act.data)
-        assert gtp.parse_ipv4(pkt.inner).src == VIP  # subscriber sees the VIP
+        assert gtp.parse_ipv4(pkt.inner).src == ip_int(VIP)  # sees the VIP
 
     @pytest.mark.parametrize("first", ["10.100.1.1", "10.100.1.2"])
     def test_downstream_restores_first_pinned_vip(self, first):
@@ -552,20 +580,20 @@ class TestProcessPacket:
                              dips=(("10.200.0.5", 1.0),), local_sgw="10.2.0.1")
         second = ({"10.100.1.1", "10.100.1.2"} - {first}).pop()
         for vip in (first, second):
-            stage2_select(FiveTuple("172.16.0.2", vip, 6, 5000, 80),
+            stage2_select(FiveTuple.parse("172.16.0.2", vip, 6, 5000, 80),
                           self.affinity, cfg)
-        echo = build_ipv4("10.200.0.5", "172.16.0.2", 6,
-                          build_tcpish(6, 80, 5000, b"ok"))
+        echo = ipv4("10.200.0.5", "172.16.0.2", 6,
+                    build_tcpish(6, 80, 5000, b"ok"))
         act = process_packet(echo, Direction.FROM_CLUSTER, cfg, self.rules,
                              self.affinity)
-        assert gtp.parse_ipv4(act.data).src == first
+        assert gtp.parse_ipv4(act.data).src == ip_int(first)
 
     def test_downstream_restore_independent_of_hash_seed(self):
         # frozenset iteration order changes with PYTHONHASHSEED; seeds 0 and
         # 1 order {10.100.1.1, 10.100.1.2} differently
         script = textwrap.dedent("""
             from megw.gtp import (Direction, FiveTuple, build_ipv4,
-                                  build_tcpish, parse_ipv4)
+                                  build_tcpish, ip_int, ip_str, parse_ipv4)
             from megw.steering import (DipAffinityTable, RuleStore,
                                        SteeringConfig, process_packet,
                                        stage2_select)
@@ -575,13 +603,13 @@ class TestProcessPacket:
                                  (("10.200.0.5", 1.0),), "10.2.0.1")
             aff = DipAffinityTable()
             for vip in ("10.100.1.2", "10.100.1.1"):
-                stage2_select(FiveTuple("172.16.0.2", vip, 6, 5000, 80),
+                stage2_select(FiveTuple.parse("172.16.0.2", vip, 6, 5000, 80),
                               aff, cfg)
-            echo = build_ipv4("10.200.0.5", "172.16.0.2", 6,
+            echo = build_ipv4(ip_int("10.200.0.5"), ip_int("172.16.0.2"), 6,
                               build_tcpish(6, 80, 5000, b"ok"))
             act = process_packet(echo, Direction.FROM_CLUSTER, cfg,
                                  RuleStore(), aff)
-            print(parse_ipv4(act.data).src)
+            print(ip_str(parse_ipv4(act.data).src))
         """)
         src_dir = os.path.dirname(os.path.dirname(steering.__file__))
         restored = []
@@ -594,39 +622,39 @@ class TestProcessPacket:
         assert restored == ["10.100.1.2", "10.100.1.2"]
 
     def test_handoff_arrival_repairs_corrupt_checksum(self):
-        inner = bytearray(build_ipv4("172.16.0.9", VIP, 6,
-                                     build_tcpish(6, 6000, 80, b"r")))
+        inner = bytearray(ipv4("172.16.0.9", VIP, 6,
+                               build_tcpish(6, 6000, 80, b"r")))
         inner[10] ^= 0x5A
         act = self.process(bytes(inner), Direction.FROM_CLUSTER)
         assert isinstance(act, Emit) and act.note == "dip-rewrite"
         assert gtp.ipv4_checksum(act.data[:20]) == 0
 
     def test_downstream_silent_rule_drops(self):
-        flow = FiveTuple("172.16.0.2", VIP, 6, 5000, 80)
-        self.rules.install(FlowRule(flow, 0xC8, "10.1.0.1", "10.2.0.1"))
-        self.rules.set_ue_silent("172.16.0.2")
-        echo = build_ipv4(VIP, "172.16.0.2", 6, build_tcpish(6, 80, 5000, b"x"))
+        flow = FiveTuple.parse("172.16.0.2", VIP, 6, 5000, 80)
+        self.rules.install(FlowRule(flow, 0xC8, ENB1, SGW))
+        self.rules.set_ue_silent(UE)
+        echo = ipv4(VIP, "172.16.0.2", 6, build_tcpish(6, 80, 5000, b"x"))
         act = self.process(echo, Direction.FROM_CLUSTER)
         assert isinstance(act, Drop)
 
     def test_upstream_silent_rule_clones_without_forward(self):
-        flow = FiveTuple("172.16.0.2", VIP, 6, 5000, 80)
-        self.rules.install(FlowRule(flow, 0xC8, "10.1.0.1", "10.2.0.1"))
-        self.rules.set_ue_silent("172.16.0.2")
+        flow = FiveTuple.parse("172.16.0.2", VIP, 6, 5000, 80)
+        self.rules.install(FlowRule(flow, 0xC8, ENB1, SGW))
+        self.rules.set_ue_silent(UE)
         act = self.process(upstream_frame())
         assert isinstance(act, CloneToController)
         assert isinstance(act.event, FlowMiss)
 
     def test_silent_then_reactivated_resumes_with_new_teid(self):
-        flow = FiveTuple("172.16.0.2", VIP, 6, 5000, 80)
-        self.rules.install(FlowRule(flow, 0xC8, "10.1.0.1", "10.2.0.1"))
-        self.rules.set_ue_silent("172.16.0.2")
-        self.rules.reactivate_ue("172.16.0.2", {0xC8: 0x12C}, "10.1.0.7")
-        echo = build_ipv4(VIP, "172.16.0.2", 6, build_tcpish(6, 80, 5000, b"x"))
+        flow = FiveTuple.parse("172.16.0.2", VIP, 6, 5000, 80)
+        self.rules.install(FlowRule(flow, 0xC8, ENB1, SGW))
+        self.rules.set_ue_silent(UE)
+        self.rules.reactivate_ue(UE, {0xC8: 0x12C}, ip_int("10.1.0.7"))
+        echo = ipv4(VIP, "172.16.0.2", 6, build_tcpish(6, 80, 5000, b"x"))
         act = self.process(echo, Direction.FROM_CLUSTER)
         pkt = decode_gtpu(act.data)
         assert pkt.teid == 0x12C
-        assert pkt.outer_dst == "10.1.0.7"
+        assert pkt.outer_dst == ip_int("10.1.0.7")
 
     def test_non_vip_gtp_routes_by_outer(self):
         frame = upstream_frame(dst="93.184.216.34")  # internet-bound
@@ -637,7 +665,7 @@ class TestProcessPacket:
 
     def test_gtp_with_optional_fields_routes_by_outer(self):
         # flags 0x32 (sequence number present) fail the tunnel checks, so
-        # the frame is plain-routed, not steered (ROADMAP item 4)
+        # the frame is plain-routed, not steered (ROADMAP item 2)
         frame = bytearray(upstream_frame())
         frame[28] = 0x32
         act = self.process(bytes(frame))
@@ -646,8 +674,7 @@ class TestProcessPacket:
         assert act.data == bytes(frame)
 
     def test_plain_traffic_routes_by_destination(self):
-        frame = build_ipv4("10.9.0.1", "10.9.0.2", 6,
-                           build_tcpish(6, 1, 2, b""))
+        frame = ipv4("10.9.0.1", "10.9.0.2", 6, build_tcpish(6, 1, 2, b""))
         act = self.process(frame, Direction.FROM_CORE)
         assert isinstance(act, Emit) and act.dst == "10.9.0.2"
 
