@@ -267,6 +267,11 @@ class S1apProcessor:
             ctx = UeContext(ue_ip=msg.ue_ip, enb_addr=msg.enb_addr)
             self.contexts[msg.ue_ip] = ctx
         held = self._unpend(ctx)    # re-filed below under the new eNB
+        # the end marker silenced the rules on the old downstream TEIDs, and
+        # no acknowledgement will remap them: drop them, so the next flow
+        # miss installs a rule on the tunnel this attach sets up
+        effects = ([ReleaseUeRules(ue_ip=msg.ue_ip)]
+                   if ctx.phase is UePhase.SILENT_PERIOD else [])
         ctx.enb_addr = msg.enb_addr
         # the request names every bearer: others go, with the downstream
         # TEIDs an earlier eNB gave them
@@ -280,7 +285,7 @@ class S1apProcessor:
             self._pend(*held)
         # TEID pairs are reconstructed here but no data-plane rule exists
         # until the subscriber actually opens an edge connection
-        return []
+        return effects
 
     def _on_ics_response(self, msg: S1apLiteMessage) -> list:
         ctx = self.contexts.get(msg.ue_ip)
@@ -297,7 +302,12 @@ class S1apProcessor:
         ctx = self.contexts.get(msg.ue_ip)
         if ctx is None:
             return [OrphanMessage(kind=msg.kind, ue_ip=msg.ue_ip)]
-        scenario = classify_handover(ctx.enb_addr, msg.enb_addr, self.topology)
+        try:
+            scenario = classify_handover(ctx.enb_addr, msg.enb_addr,
+                                         self.topology)
+        except TopologyError:
+            # an eNB outside this gateway's view: nothing to hand over to
+            return [OrphanMessage(kind=msg.kind, ue_ip=msg.ue_ip)]
         ctx.phase = UePhase.HANDOVER_IN_PROGRESS
         self._pend(ctx, scenario, msg.enb_addr)
         return [ScenarioDetected(ue_ip=msg.ue_ip, scenario=scenario,

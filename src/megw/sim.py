@@ -32,7 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .steering import rendezvous_select
+from .steering import rendezvous_scores
+# rendezvous_select is unused here; it stays importable because
+# benchmarks/layers.py counts calls under this name.
+from .steering import rendezvous_select  # noqa: F401
 
 # axial hexagonal geometry: six unit direction vectors and the basis of the
 # neighborhood-center sublattice (index 7: centers plus six offsets tile
@@ -40,6 +43,8 @@ from .steering import rendezvous_select
 HEX_DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
 _BASIS_A = (2, 1)
 _BASIS_B = (-1, 3)
+_USER_KEY = struct.Struct("!Q").pack    # a user's rendezvous-hash key
+HASH_CHUNK = 4096   # users scored per batch: bounds the score lists' memory
 
 
 class ConfigError(ValueError):
@@ -129,18 +134,20 @@ def _mec_centers(regions_count: int, mecs_per_region: int) -> tuple[list, list]:
     return centers, regions
 
 
-@dataclass
+@dataclass(frozen=True)
 class HexGrid:
-    cells: list                  # axial coords, index order is canonical
-    cell_index: dict             # axial -> index
+    """The cell map, shared by every world of one shape: read-only."""
+
+    cells: tuple                 # axial coords, index order is canonical
     mec_of_cell: np.ndarray      # (n_cells,) MEC index
     region_of_cell: np.ndarray   # (n_cells,)
     region_of_mec: np.ndarray    # (n_mecs,)
     capacities: np.ndarray       # (n_mecs,) float
-    mec_cells: list              # per MEC: array of its 7 cell indices
+    region_capacity: np.ndarray  # (n_mecs,) capacity of the MEC's region
+    mec_cells: tuple             # per MEC: array of its 7 cell indices
     neighbor_table: np.ndarray   # (n_cells, 6) neighbor index or -1
     neighbor_count: np.ndarray   # (n_cells,)
-    mec_names: list
+    mec_names: tuple
 
     @property
     def n_mecs(self) -> int:
@@ -148,8 +155,16 @@ class HexGrid:
 
 
 def build_grid(cfg: SimConfig) -> HexGrid:
-    centers, center_regions = _mec_centers(cfg.regions_count,
-                                           cfg.mecs_per_region)
+    return _grid(cfg.regions_count, cfg.mecs_per_region,
+                 tuple(cfg.capacities))
+
+
+@functools.lru_cache(maxsize=8)
+def _grid(regions_count: int, mecs_per_region: int,
+          capacity_of: tuple) -> HexGrid:
+    """The grid of one map shape; memoized, since every replication of a
+    sweep and every policy uses the same one."""
+    centers, center_regions = _mec_centers(regions_count, mecs_per_region)
     cell_owner: dict = {}
     for mec, center in enumerate(centers):
         for cell in [center] + [_add(center, d) for d in HEX_DIRS]:
@@ -162,9 +177,12 @@ def build_grid(cfg: SimConfig) -> HexGrid:
     mec_of_cell = np.array([cell_owner[c] for c in cells], dtype=np.int64)
     region_of_mec = np.array(center_regions, dtype=np.int64)
     region_of_cell = region_of_mec[mec_of_cell]
-    capacities = np.array([float(cfg.capacities[m % cfg.mecs_per_region])
+    capacities = np.array([float(capacity_of[m % mecs_per_region])
                            for m in range(len(centers))])
-    mec_cells = [np.flatnonzero(mec_of_cell == m) for m in range(len(centers))]
+    region_capacity = np.bincount(region_of_mec, weights=capacities)[
+        region_of_mec]
+    mec_cells = tuple(np.flatnonzero(mec_of_cell == m)
+                      for m in range(len(centers)))
 
     neighbor_table = np.full((n, 6), -1, dtype=np.int64)
     neighbor_count = np.zeros(n, dtype=np.int64)
@@ -179,12 +197,16 @@ def build_grid(cfg: SimConfig) -> HexGrid:
     if (neighbor_count == 0).any():
         raise ConfigError("isolated cell in tiling")
 
-    names = [f"mec-{r}-{m}" for r, m in zip(
-        center_regions, list(range(cfg.mecs_per_region)) * cfg.regions_count)]
-    return HexGrid(cells=cells, cell_index=cell_index, mec_of_cell=mec_of_cell,
+    names = tuple(f"mec-{r}-{m}" for r, m in zip(
+        center_regions, list(range(mecs_per_region)) * regions_count))
+    arrays = (mec_of_cell, region_of_cell, region_of_mec, capacities,
+              region_capacity, neighbor_table, neighbor_count) + mec_cells
+    for a in arrays:
+        a.flags.writeable = False
+    return HexGrid(cells=tuple(cells), mec_of_cell=mec_of_cell,
                    region_of_cell=region_of_cell, region_of_mec=region_of_mec,
-                   capacities=capacities, mec_cells=mec_cells,
-                   neighbor_table=neighbor_table,
+                   capacities=capacities, region_capacity=region_capacity,
+                   mec_cells=mec_cells, neighbor_table=neighbor_table,
                    neighbor_count=neighbor_count, mec_names=names)
 
 
@@ -193,16 +215,24 @@ def _region_hash_table(n_users: int, mec_names: tuple, capacities: tuple,
                        region_of_mec: tuple) -> np.ndarray:
     """(n_users, n_regions) serving MEC per user per region, using the same
     weighted rendezvous selection as the gateway's stage I. One table is
-    kept, since every with-regions world of a sweep shares it; read-only."""
+    kept, since every with-regions world of a sweep shares it; read-only.
+
+    Users are scored HASH_CHUNK at a time, each region's candidates as one
+    (candidates, users) array. argmax takes the first maximum, as
+    `rendezvous_select` keeps the first candidate on a tie.
+    """
     n_regions = max(region_of_mec) + 1
+    members = [np.array([m for m, r in enumerate(region_of_mec)
+                         if r == region]) for region in range(n_regions)]
     table = np.empty((n_users, n_regions), dtype=np.int64)
-    by_name = {name: m for m, name in enumerate(mec_names)}
-    for region in range(n_regions):
-        candidates = [(mec_names[m], capacities[m])
-                      for m, r in enumerate(region_of_mec) if r == region]
-        for user in range(n_users):
-            pick = rendezvous_select(struct.pack("!Q", user), candidates)
-            table[user, region] = by_name[pick]
+    for start in range(0, n_users, HASH_CHUNK):
+        stop = min(start + HASH_CHUNK, n_users)
+        keys = [_USER_KEY(user) for user in range(start, stop)]
+        for region, mecs in enumerate(members):
+            scores = np.array([rendezvous_scores(keys, mec_names[m],
+                                                 capacities[m])
+                               for m in mecs])
+            table[start:stop, region] = mecs[scores.argmax(axis=0)]
     table.flags.writeable = False
     return table
 
@@ -217,10 +247,14 @@ class StepMetrics:
 
 @dataclass
 class SimWorld:
+    """One run's state. `serving` and `mec_users` change together, only in
+    `apply_moves`: a direct write to `serving` leaves the counts stale."""
+
     cfg: SimConfig
     grid: HexGrid
     user_cell: np.ndarray
     serving: np.ndarray
+    mec_users: np.ndarray        # (n_mecs,) users served, bincount(serving)
     hash_table: np.ndarray | None
     t: int = 0
     cumulative_migrations: int = 0
@@ -239,16 +273,10 @@ class SimWorld:
         pooling is what absorbs per-user randomness.
         """
         if self.cfg.policy is Policy.WITHOUT_REGIONS:
-            return np.bincount(self.serving, minlength=self.grid.n_mecs
-                               ).astype(float)
+            return self.mec_users.astype(float)
         grid = self.grid
-        n_regions = int(grid.region_of_mec.max()) + 1
-        region_users = np.bincount(grid.region_of_mec[self.serving],
-                                   minlength=n_regions).astype(float)
-        region_caps = np.zeros(n_regions)
-        np.add.at(region_caps, grid.region_of_mec, grid.capacities)
-        share = region_users[grid.region_of_mec] / region_caps[
-            grid.region_of_mec]
+        region_users = np.bincount(grid.region_of_mec, weights=self.mec_users)
+        share = region_users[grid.region_of_mec] / grid.region_capacity
         return share * grid.capacities
 
     def min_max_ratio(self) -> float:
@@ -275,12 +303,13 @@ def build_world(cfg: SimConfig) -> SimWorld:
         count = cfg.users_per_capacity * int(grid.capacities[m])
         chunks.append(rng.choice(grid.mec_cells[m], size=count, replace=True))
     user_cell = np.concatenate(chunks)
-    serving = grid.mec_of_cell[user_cell].copy()
-    table = (_region_hash_table(len(user_cell), tuple(grid.mec_names),
+    serving = grid.mec_of_cell[user_cell]
+    table = (_region_hash_table(len(user_cell), grid.mec_names,
                                 tuple(grid.capacities.tolist()),
                                 tuple(grid.region_of_mec.tolist()))
              if cfg.policy is Policy.WITH_REGIONS else None)
     return SimWorld(cfg=cfg, grid=grid, user_cell=user_cell, serving=serving,
+                    mec_users=np.bincount(serving, minlength=grid.n_mecs),
                     hash_table=table)
 
 
@@ -320,6 +349,9 @@ def apply_moves(world: SimWorld, movers: np.ndarray,
             new_serving[crossed] = world.hash_table[movers[crossed],
                                                     new_region[crossed]]
     world.serving[movers] = new_serving
+    n = grid.n_mecs
+    world.mec_users += (np.bincount(new_serving, minlength=n)
+                        - np.bincount(old_serving, minlength=n))
     migrations = int((new_serving != old_serving).sum())
     world.t += 1
     world.cumulative_migrations += migrations
@@ -405,7 +437,7 @@ def run_experiment(base: SimConfig, rates: list, replications: int = 20,
         "replications": replications,
         "rates": list(rates),
         "grid_cells": len(grid.cells),
-        "mecs": grid.mec_names,
+        "mecs": list(grid.mec_names),
     }
     return ExperimentResult(rows=rows, summary=summary, metadata=metadata)
 

@@ -66,6 +66,30 @@ def _score(candidate_id: str, weight: float, key: bytes) -> float:
     return -weight / math.log(u)
 
 
+def rendezvous_scores(keys: Sequence[bytes], candidate_id: str,
+                      weight: float) -> list[float]:
+    """`_score` of one candidate for each key, in key order.
+
+    The batch form for callers that score many keys: the candidate's
+    length-prefixed id is hashed once and each key extends a copy of that
+    state, and the digests are unpacked in one call. The formula is the
+    scalar one, so every score equals `_score`'s bit for bit.
+    """
+    if weight <= 0:
+        raise SelectError(f"non-positive weight for {candidate_id!r}")
+    ident = candidate_id.encode()
+    fresh = hashlib.blake2b(struct.pack("!I", len(ident)) + ident,
+                            digest_size=8).copy
+    digests = []
+    for key in keys:
+        h = fresh()
+        h.update(key)
+        digests.append(h.digest())
+    log = math.log
+    return [-weight / log((x + 0.5) / 2.0 ** 64)
+            for x in struct.unpack(f">{len(digests)}Q", b"".join(digests))]
+
+
 def rendezvous_select(key: bytes,
                       candidates: Sequence[tuple[str, float]]) -> str:
     """Pick the highest-scoring candidate for this key.

@@ -17,7 +17,7 @@ from megw.control import (HandoverScenario, InstallRule,
                           ScenarioDetected, SilenceUe, TopologyError,
                           TopologyView, UePhase, classify_handover)
 from megw.s1ap import BearerItem, MessageKind, S1apLiteMessage
-from megw.steering import FiveTuple, FlowRule, RuleState
+from megw.steering import FiveTuple, FlowRule, RuleState, RuleStore
 
 UE = ip_int("172.16.0.2")
 ENB1, ENB2, ENB3, ENB4 = map(ip_int, ("10.1.0.1", "10.1.0.2", "10.1.0.3",
@@ -104,6 +104,58 @@ class TestAttach:
         assert isinstance(effects[0], NoContext)
         rule = proc.on_flow_miss(FiveTuple(UE, VIP, 6, 5000, 80), 100)[0].rule
         assert (rule.enb_addr, rule.downstream_teid) == (ENB2, 300)
+
+
+def apply(store, effects):
+    """Apply the effects that touch flow rules, as a gateway does."""
+    for eff in effects:
+        if isinstance(eff, InstallRule):
+            store.install(eff.rule)
+        elif isinstance(eff, SilenceUe):
+            store.set_ue_silent(eff.ue_ip)
+        elif isinstance(eff, ReactivateUe):
+            store.reactivate_ue(eff.ue_ip, dict(eff.teid_remap),
+                                eff.new_enb_addr)
+        elif isinstance(eff, ReleaseUeRules):
+            store.release_ue(eff.ue_ip)
+    return effects
+
+
+class TestReattachInSilentPeriod:
+    def test_flow_miss_installs_on_new_tunnel(self):
+        # the end marker silenced the flow on TEID 200; a re-attach at
+        # 10.1.0.2 before any acknowledgement must not strand it there
+        proc, store = S1apProcessor("mgw-a", TOPOLOGY), RuleStore()
+        attach(proc, enb=ENB1, pairs=((5, 100, 200),))
+        flow = FiveTuple(UE, VIP, 6, 5000, 80)
+        apply(store, proc.on_flow_miss(flow, 100))
+        apply(store, proc.on_control_message(msg(
+            MessageKind.PATH_SWITCH_REQUEST,
+            [BearerItem(5, upstream_teid=100)], enb=ENB2)))
+        apply(store, proc.on_end_marker(ENB1, 200))
+        assert store.lookup(flow).state is RuleState.SILENT
+        effects = apply(store, proc.on_control_message(msg(
+            MessageKind.INITIAL_CONTEXT_SETUP_REQUEST,
+            [BearerItem(5, upstream_teid=100, transport_addr=SGW)],
+            enb=ENB2)))
+        assert [type(e) for e in effects] == [ReleaseUeRules]
+        assert store.lookup(flow) is None
+        apply(store, proc.on_control_message(msg(
+            MessageKind.INITIAL_CONTEXT_SETUP_RESPONSE,
+            [BearerItem(5, downstream_teid=300, transport_addr=ENB2)],
+            enb=ENB2)))
+        apply(store, proc.on_flow_miss(flow, 100))
+        rule = store.lookup(flow)
+        assert (rule.downstream_teid, rule.enb_addr, rule.state) == (
+            300, ENB2, RuleState.ACTIVE)
+
+    def test_attached_reattach_releases_nothing(self):
+        proc = S1apProcessor("mgw-a", TOPOLOGY)
+        attach(proc)
+        effects = proc.on_control_message(msg(
+            MessageKind.INITIAL_CONTEXT_SETUP_REQUEST,
+            [BearerItem(5, upstream_teid=100, transport_addr=SGW)]))
+        assert effects == []
 
 
 class TestFlowMiss:
@@ -329,6 +381,36 @@ class TestEffectLog:
         assert marker == {"seq": 4, "event": "END_MARKER",
                           "detail": {"enb": "10.1.0.1", "teid": 200},
                           "effects": []}
+
+
+UNMAPPED_ENB = ip_int("10.9.9.9")
+
+
+class TestUnmappedEnb:
+    def test_path_switch_to_unmapped_enb_is_orphan(self):
+        proc = S1apProcessor("mgw-a", TOPOLOGY)
+        attach(proc)
+        proc.on_control_message(msg(MessageKind.PATH_SWITCH_REQUEST,
+                                    [BearerItem(5, upstream_teid=100)],
+                                    enb=ENB2))
+        pending = dict(proc.pending)
+        effects = proc.on_control_message(msg(
+            MessageKind.PATH_SWITCH_REQUEST,
+            [BearerItem(5, upstream_teid=100)], enb=UNMAPPED_ENB))
+        assert [type(e) for e in effects] == [OrphanMessage]
+        assert effects[0].kind is MessageKind.PATH_SWITCH_REQUEST
+        assert proc.contexts[UE].phase is UePhase.HANDOVER_IN_PROGRESS
+        assert proc.pending == pending
+
+    def test_context_at_unmapped_enb_is_orphan(self):
+        proc = S1apProcessor("mgw-a", TOPOLOGY)
+        attach(proc, enb=UNMAPPED_ENB)
+        effects = proc.on_control_message(msg(
+            MessageKind.PATH_SWITCH_REQUEST,
+            [BearerItem(5, upstream_teid=100)], enb=ENB2))
+        assert [type(e) for e in effects] == [OrphanMessage]
+        assert proc.contexts[UE].phase is UePhase.ATTACHED
+        assert proc.pending == {}
 
 
 class TestPendingHandovers:

@@ -4,12 +4,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from megw import sim
 from megw.sim import (ConfigError, Policy, SimConfig, apply_moves,
                       build_grid, build_world, derive_seed, draw_moves,
                       run_experiment, step)
-from megw.steering import rendezvous_select
+from megw.steering import rendezvous_scores, rendezvous_select
 
 
 def small_cfg(**kw):
@@ -77,6 +78,60 @@ class TestGrid:
         grid = build_grid(SimConfig(regions_count=1, mecs_per_region=1,
                                     capacities=(1,)))
         assert len(grid.cells) == 7
+
+    def test_grid_shared_and_read_only(self):
+        grid = build_grid(SimConfig())
+        assert build_grid(SimConfig(users_per_capacity=7, seed=3)) is grid
+        assert build_grid(small_cfg()) is not grid
+        with pytest.raises(ValueError):
+            grid.mec_of_cell[0] = 1
+        with pytest.raises(ValueError):
+            grid.mec_cells[0][0] = 1
+        assert grid.region_capacity.tolist() == [6.0] * 12
+
+
+def scalar_table(grid, n_users):
+    """The region hash table one `rendezvous_select` call at a time."""
+    n_regions = int(grid.region_of_mec.max()) + 1
+    table = np.empty((n_users, n_regions), dtype=np.int64)
+    for region in range(n_regions):
+        members = np.flatnonzero(grid.region_of_mec == region)
+        cands = [(grid.mec_names[m], float(grid.capacities[m]))
+                 for m in members]
+        index = {grid.mec_names[m]: m for m in members}
+        for user in range(n_users):
+            table[user, region] = index[rendezvous_select(
+                struct.pack("!Q", user), cands)]
+    return table
+
+
+class TestRegionHashTable:
+    @pytest.mark.parametrize("users_per_capacity", [20, 40, 500, 2500])
+    def test_equals_scalar_selection(self, users_per_capacity):
+        # every size the tests, the demo and the benchmark use, on the
+        # paper's map; 500 and 2500 span several batches
+        cfg = SimConfig(users_per_capacity=users_per_capacity)
+        grid = build_grid(cfg)
+        table = sim._region_hash_table.__wrapped__(
+            cfg.population, grid.mec_names, tuple(grid.capacities.tolist()),
+            tuple(grid.region_of_mec.tolist()))
+        assert np.array_equal(table, scalar_table(grid, cfg.population))
+
+    @given(keys=st.lists(st.binary(max_size=12), min_size=1, max_size=12),
+           cands=st.lists(st.tuples(
+               st.text(max_size=6),
+               st.sampled_from([1.0, 2.0])
+               | st.floats(min_value=1e-3, max_value=1e3)),
+               min_size=1, max_size=6))
+    @example(keys=[b"k", b""], cands=[("only", 1.0)])
+    @example(keys=[b"k", b"j"], cands=[("a", 1.0), ("a", 1.0)])
+    def test_batch_pick_equals_select(self, keys, cands):
+        # the table's pick: the first maximum of the stacked score lists
+        scores = np.array([rendezvous_scores(keys, cid, w)
+                           for cid, w in cands])
+        picks = scores.argmax(axis=0)
+        assert [cands[i][0] for i in picks] == [
+            rendezvous_select(key, cands) for key in keys]
 
 
 class TestBuildWorld:
@@ -214,8 +269,31 @@ class TestStep:
 
     def test_ratio_zero_when_mec_empty(self):
         world = build_world(small_cfg(policy=Policy.WITHOUT_REGIONS))
-        world.serving[:] = 0  # everyone piles onto MEC 0
+        # everyone piles onto MEC 0
+        movers = np.flatnonzero(world.serving != 0)
+        apply_moves(world, movers,
+                    np.full(len(movers), world.grid.mec_cells[0][0]))
         assert world.min_max_ratio() == 0.0
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_counts_follow_serving(self, policy):
+        # the per-MEC counts equal a recount after every step, and so does
+        # the load computed from them
+        for seed in (1, 2):
+            world = build_world(SimConfig(migration_rate=900, seed=seed,
+                                          policy=policy))
+            grid = world.grid
+            rng = np.random.default_rng(seed)
+            for _ in range(30):
+                step(world, rng)
+                users = np.bincount(world.serving, minlength=grid.n_mecs)
+                assert np.array_equal(world.mec_users, users)
+                if policy is Policy.WITH_REGIONS:
+                    region = np.bincount(grid.region_of_mec[world.serving],
+                                         minlength=3)
+                    users = (region[grid.region_of_mec] * grid.capacities
+                             / grid.region_capacity)
+                assert np.allclose(world.mec_load(), users, rtol=0, atol=1e-9)
 
 
 class TestDominance:

@@ -78,6 +78,28 @@ class TestRendezvous:
             reduced = [(c, w) for c, w in cands if c != loser]
             assert rendezvous_select(key, reduced) == winner
 
+    def test_batch_scores_bad_weight(self):
+        with pytest.raises(SelectError):
+            steering.rendezvous_scores([b"k"], "a", 0.0)
+
+    @given(keys=st.lists(st.binary(max_size=12), max_size=16),
+           cand=st.text(max_size=8),
+           weight=st.floats(min_value=1e-3, max_value=1e3))
+    def test_batch_scores_equal_scalar(self, keys, cand, weight):
+        assert steering.rendezvous_scores(keys, cand, weight) == [
+            steering._score(cand, weight, key) for key in keys]
+
+    def test_batch_form_loads_no_numpy(self):
+        # gateway processes never load numpy; the batch form must not either
+        script = ("import sys, megw.steering; "
+                  "print('numpy' in sys.modules)")
+        src_dir = os.path.dirname(os.path.dirname(steering.__file__))
+        out = subprocess.run([sys.executable, "-c", script],
+                             env=dict(os.environ, PYTHONPATH=src_dir),
+                             capture_output=True, text=True, timeout=60,
+                             check=True)
+        assert out.stdout.strip() == "False"
+
     def test_weight_proportionality(self):
         # chi-square against weight-proportional expectation
         scipy_stats = pytest.importorskip("scipy.stats")
