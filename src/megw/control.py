@@ -97,6 +97,7 @@ class UeContext:
     enb_addr: int
     bearers: dict = field(default_factory=dict)  # bearer_id -> BearerContext
     phase: UePhase = UePhase.ATTACHED
+    downstream_enb: int = 0  # the eNB that gave the downstream TEIDs
 
 
 # --- effects ---------------------------------------------------------------
@@ -292,11 +293,19 @@ class S1apProcessor:
         if ctx is None:
             return [OrphanMessage(kind=msg.kind, ue_ip=msg.ue_ip)]
         self._unpend(ctx)
+        # rules installed on a tunnel this attach replaces would send return
+        # traffic where no eNB listens: drop them, so the next flow miss
+        # installs a rule on the new tunnel
+        moved = ctx.downstream_enb != ctx.enb_addr
+        stale = False
         for item in msg.bearers:
             bc = ctx.bearers.setdefault(item.bearer_id, BearerContext())
+            stale |= bc.downstream_teid != 0 and (
+                moved or bc.downstream_teid != item.downstream_teid)
             bc.downstream_teid = item.downstream_teid
+        ctx.downstream_enb = ctx.enb_addr
         ctx.phase = UePhase.ATTACHED
-        return []
+        return [ReleaseUeRules(ue_ip=msg.ue_ip)] if stale else []
 
     def _on_path_switch_request(self, msg: S1apLiteMessage) -> list:
         ctx = self.contexts.get(msg.ue_ip)
@@ -331,7 +340,7 @@ class S1apProcessor:
             if old is not None and old.complete():
                 remap.append((old.downstream_teid, item.downstream_teid))
         ctx.bearers = new_bearers
-        ctx.enb_addr = msg.enb_addr
+        ctx.enb_addr = ctx.downstream_enb = msg.enb_addr
         ctx.phase = UePhase.ATTACHED
         return [ReactivateUe(ue_ip=msg.ue_ip, teid_remap=tuple(remap),
                              new_enb_addr=msg.enb_addr)]

@@ -599,8 +599,13 @@ class Harness:
         ue = self._ue(ue_id)
         if ue.last_flow is None:
             raise StateError(f"{ue_id!r} has no established flow")
+        mark = self._begin()
+        self._inject_downstream(ue, payload)
+        return self.trace[mark:]
+
+    def _inject_downstream(self, ue: UeRecord, payload: bytes) -> None:
+        """The downstream replay, inside whichever operation runs it."""
         flow, _ = ue.last_flow
-        mark = len(self.trace)
         serving = self._serving_megw(ue)
         state = self.megws[serving]
         dip = state.affinity.get(flow)
@@ -614,7 +619,6 @@ class Harness:
             raise StateError(f"no server node owns {src}")
         self._send(dip_node, ue.addr, data, note="downstream-inject")
         self.run_until_idle()
-        return self.trace[mark:]
 
     def _serving_megw(self, ue: UeRecord) -> str:
         source = self.topology.enb_to_megw[ue.route_enb]
@@ -659,7 +663,7 @@ class Harness:
         self.run_until_idle()
 
         if probe_silence and ue.last_flow is not None:
-            self.inject_downstream(ue_id, payload=b"during-silence")
+            self._inject_downstream(ue, b"during-silence")
 
         # step 8: acknowledgement with the new tunnel pairs, via the new side
         for b in ue.bearers.values():

@@ -17,6 +17,11 @@ Two serving policies are compared:
 
 Metrics per step: application-state migrations and the min-max fairness
 ratio of cluster utilizations (least loaded over most loaded).
+
+A sweep replays each replication's movement trace under both policies in
+lockstep, one draw per step. A with-regions pick is scored the first time
+a crossing reads it and then kept in a memo shared by the worlds of one
+map shape.
 """
 
 from __future__ import annotations
@@ -210,31 +215,56 @@ def _grid(regions_count: int, mecs_per_region: int,
                    neighbor_count=neighbor_count, mec_names=names)
 
 
-@functools.lru_cache(maxsize=1)
-def _region_hash_table(n_users: int, mec_names: tuple, capacities: tuple,
-                       region_of_mec: tuple) -> np.ndarray:
-    """(n_users, n_regions) serving MEC per user per region, using the same
-    weighted rendezvous selection as the gateway's stage I. One table is
-    kept, since every with-regions world of a sweep shares it; read-only.
+class RegionPicks:
+    """Each user's serving MEC in each region, scored on first use.
 
-    Users are scored HASH_CHUNK at a time, each region's candidates as one
-    (candidates, users) array. argmax takes the first maximum, as
-    `rendezvous_select` keeps the first candidate on a tie.
+    A pick is the weighted rendezvous selection of the gateway's stage I
+    over the region's MECs. A crossing reads only the mover's pick in the
+    region it enters, and a sweep reads about a third of all (user, region)
+    pairs, so each pair is scored when first asked for and then kept. The
+    array holds -1 for a pair not scored yet, in the narrowest signed dtype
+    that holds a MEC index. Callers get copies, so no world writes a pick.
     """
-    n_regions = max(region_of_mec) + 1
-    members = [np.array([m for m, r in enumerate(region_of_mec)
-                         if r == region]) for region in range(n_regions)]
-    table = np.empty((n_users, n_regions), dtype=np.int64)
-    for start in range(0, n_users, HASH_CHUNK):
-        stop = min(start + HASH_CHUNK, n_users)
-        keys = [_USER_KEY(user) for user in range(start, stop)]
-        for region, mecs in enumerate(members):
-            scores = np.array([rendezvous_scores(keys, mec_names[m],
-                                                 capacities[m])
+
+    def __init__(self, n_users: int, mec_names: tuple, capacities: tuple,
+                 region_of_mec: tuple):
+        self._names = mec_names
+        self._capacities = capacities
+        self._members = [np.array([m for m, r in enumerate(region_of_mec)
+                                   if r == region])
+                         for region in range(max(region_of_mec) + 1)]
+        self._picks = np.full((n_users, len(self._members)), -1,
+                              dtype=np.min_scalar_type(-len(mec_names)))
+
+    def get(self, users: np.ndarray, regions: np.ndarray) -> np.ndarray:
+        """The picks of the pairs (users[i], regions[i]); the pairs not
+        scored yet are scored in one batch per region."""
+        picks = self._picks[users, regions]
+        missing = picks < 0
+        if missing.any():
+            for region in range(len(self._members)):
+                batch = users[missing & (regions == region)]
+                if len(batch):
+                    self._score(batch, region)
+            picks = self._picks[users, regions]
+        return picks
+
+    def _score(self, users: np.ndarray, region: int) -> None:
+        """Score HASH_CHUNK users at a time, the region's candidates as one
+        (candidates, users) array. argmax takes the first maximum, as
+        `rendezvous_select` keeps the first candidate on a tie."""
+        mecs = self._members[region]
+        for start in range(0, len(users), HASH_CHUNK):
+            chunk = users[start:start + HASH_CHUNK]
+            keys = [_USER_KEY(user) for user in chunk.tolist()]
+            scores = np.array([rendezvous_scores(keys, self._names[m],
+                                                 self._capacities[m])
                                for m in mecs])
-            table[start:stop, region] = mecs[scores.argmax(axis=0)]
-    table.flags.writeable = False
-    return table
+            self._picks[chunk, region] = mecs[scores.argmax(axis=0)]
+
+
+# one memo is kept, since every with-regions world of a sweep shares it
+_region_picks = functools.lru_cache(maxsize=1)(RegionPicks)
 
 
 @dataclass
@@ -248,14 +278,16 @@ class StepMetrics:
 @dataclass
 class SimWorld:
     """One run's state. `serving` and `mec_users` change together, only in
-    `apply_moves`: a direct write to `serving` leaves the counts stale."""
+    `apply_moves`: a direct write to `serving` leaves the counts stale.
+    Worlds replaying one movement trace may share `user_cell`, since each
+    `apply_moves` writes the same cells to it."""
 
     cfg: SimConfig
     grid: HexGrid
     user_cell: np.ndarray
     serving: np.ndarray
     mec_users: np.ndarray        # (n_mecs,) users served, bincount(serving)
-    hash_table: np.ndarray | None
+    hash_table: RegionPicks | None   # with regions: the shared pick memo
     t: int = 0
     cumulative_migrations: int = 0
 
@@ -304,9 +336,9 @@ def build_world(cfg: SimConfig) -> SimWorld:
         chunks.append(rng.choice(grid.mec_cells[m], size=count, replace=True))
     user_cell = np.concatenate(chunks)
     serving = grid.mec_of_cell[user_cell]
-    table = (_region_hash_table(len(user_cell), grid.mec_names,
-                                tuple(grid.capacities.tolist()),
-                                tuple(grid.region_of_mec.tolist()))
+    table = (_region_picks(len(user_cell), grid.mec_names,
+                           tuple(grid.capacities.tolist()),
+                           tuple(grid.region_of_mec.tolist()))
              if cfg.policy is Policy.WITH_REGIONS else None)
     return SimWorld(cfg=cfg, grid=grid, user_cell=user_cell, serving=serving,
                     mec_users=np.bincount(serving, minlength=grid.n_mecs),
@@ -346,8 +378,8 @@ def apply_moves(world: SimWorld, movers: np.ndarray,
         crossed = new_region != grid.region_of_mec[old_serving]
         new_serving = old_serving.copy()
         if crossed.any():
-            new_serving[crossed] = world.hash_table[movers[crossed],
-                                                    new_region[crossed]]
+            new_serving[crossed] = world.hash_table.get(movers[crossed],
+                                                        new_region[crossed])
     world.serving[movers] = new_serving
     n = grid.n_mecs
     world.mec_users += (np.bincount(new_serving, minlength=n)
@@ -383,14 +415,39 @@ def derive_seed(*parts: int) -> int:
                           "big") >> 1
 
 
+POLICIES = (Policy.WITH_REGIONS, Policy.WITHOUT_REGIONS)   # row order
+
+
+def _lockstep(base: SimConfig, moved: int, steps: int,
+              rep_seed: int) -> list:
+    """One replication: each step draws its moves once and applies them to
+    one world per policy. Returns each policy's metrics series."""
+    worlds = [build_world(SimConfig(
+        regions_count=base.regions_count, mecs_per_region=base.mecs_per_region,
+        capacities=base.capacities, users_per_capacity=base.users_per_capacity,
+        steps=steps, migration_rate=moved, policy=policy, seed=rep_seed))
+        for policy in POLICIES]
+    for world in worlds[1:]:
+        world.user_cell = worlds[0].user_cell   # same seed, same cells
+    series = [[world.metrics()] for world in worlds]
+    rng = np.random.default_rng([rep_seed, 0x30B5])
+    for _ in range(steps):
+        movers, new_cells = draw_moves(worlds[0], rng)
+        for world, metrics in zip(worlds, series):
+            metrics.append(apply_moves(world, movers, new_cells))
+    return series
+
+
 def run_experiment(base: SimConfig, rates: list, replications: int = 20,
                    steps: int | None = None) -> ExperimentResult:
     """Sweep migration rates under both policies.
 
     rates are fractions of the population moved per minute. Each
-    replication gets an independent seed derived from the base seed; the
-    two policies share a replication's initial placement and movement
-    trace, so their metrics differ only by the serving policy.
+    replication gets an independent seed derived from the base seed and
+    replays one movement trace under both policies in lockstep: each step
+    draws its moves once and applies them to both worlds, so their metrics
+    differ only by the serving policy. Rows run by rate, then policy, then
+    replication.
     """
     steps = steps if steps is not None else base.steps
     if replications < 1:
@@ -399,26 +456,19 @@ def run_experiment(base: SimConfig, rates: list, replications: int = 20,
     summary = {}
     for rate_idx, rate in enumerate(rates):
         moved = int(round(rate * base.population))
-        for policy in (Policy.WITH_REGIONS, Policy.WITHOUT_REGIONS):
-            cumulative = np.zeros((replications, steps + 1))
-            ratios = np.zeros((replications, steps + 1))
-            for rep in range(replications):
-                rep_seed = derive_seed(base.seed, rate_idx, rep)
-                cfg = SimConfig(regions_count=base.regions_count,
-                                mecs_per_region=base.mecs_per_region,
-                                capacities=base.capacities,
-                                users_per_capacity=base.users_per_capacity,
-                                steps=steps, migration_rate=moved,
-                                policy=policy, seed=rep_seed)
-                world = build_world(cfg)
-                rng = np.random.default_rng([rep_seed, 0x30B5])
-                metrics = [world.metrics()]
-                for _ in range(steps):
-                    metrics.append(step(world, rng))
-                for m in metrics:
-                    rows.append(csv_row(policy, rate, rep, m))
-                    cumulative[rep, m.t] = m.cumulative_migrations
-                    ratios[rep, m.t] = m.min_max_ratio
+        runs = {policy: [] for policy in POLICIES}   # per-replication series
+        for rep in range(replications):
+            series = _lockstep(base, moved, steps,
+                               derive_seed(base.seed, rate_idx, rep))
+            for policy, metrics in zip(POLICIES, series):
+                runs[policy].append(metrics)
+        for policy in POLICIES:
+            cumulative = np.array([[m.cumulative_migrations for m in metrics]
+                                   for metrics in runs[policy]], dtype=float)
+            ratios = np.array([[m.min_max_ratio for m in metrics]
+                               for metrics in runs[policy]])
+            for rep, metrics in enumerate(runs[policy]):
+                rows.extend(csv_row(policy, rate, rep, m) for m in metrics)
             summary[(policy.value, rate)] = {
                 "mean_cumulative": cumulative.mean(axis=0),
                 "std_cumulative": cumulative.std(axis=0),

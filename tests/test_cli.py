@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, output stability."""
 
 import json
+from pathlib import Path
 
 from megw import gtp
 from megw.cli import main
@@ -78,6 +79,18 @@ class TestHarnessCommand:
 
 
 class TestSimCommands:
+    def test_sim_matches_golden(self, capsys, tmp_path):
+        # the committed output of `megw sim` on the paper's map with regions
+        golden = Path(__file__).parent / "golden"
+        out_path = tmp_path / "sim-small.csv"
+        code, _, _ = run(capsys, "sim", "--config",
+                         str(golden / "sim-small.json"), "--out",
+                         str(out_path))
+        assert code == 0
+        assert out_path.read_bytes() == (golden / "sim-small.csv").read_bytes()
+        assert (tmp_path / "sim-small.meta.json").read_bytes() \
+            == (golden / "sim-small.meta.json").read_bytes()
+
     def test_sim_single(self, capsys, tmp_path):
         cfg = {"regions_count": 1, "mecs_per_region": 2,
                "capacities": [1, 1], "users_per_capacity": 20,

@@ -158,6 +158,56 @@ class TestReattachInSilentPeriod:
         assert effects == []
 
 
+class TestReattachWhileAttached:
+    def test_flow_miss_installs_on_new_tunnel(self):
+        # an open flow on TEID 200 toward 10.1.0.1; the subscriber
+        # re-attaches at 10.1.0.2, which hands out TEID 300
+        proc, store = S1apProcessor("mgw-a", TOPOLOGY), RuleStore()
+        attach(proc, enb=ENB1, pairs=((5, 100, 200),))
+        flow = FiveTuple(UE, VIP, 6, 5000, 80)
+        apply(store, proc.on_flow_miss(flow, 100))
+        assert apply(store, proc.on_control_message(msg(
+            MessageKind.INITIAL_CONTEXT_SETUP_REQUEST,
+            [BearerItem(5, upstream_teid=100, transport_addr=SGW)],
+            enb=ENB2))) == []
+        effects = apply(store, proc.on_control_message(msg(
+            MessageKind.INITIAL_CONTEXT_SETUP_RESPONSE,
+            [BearerItem(5, downstream_teid=300, transport_addr=ENB2)],
+            enb=ENB2)))
+        assert [type(e) for e in effects] == [ReleaseUeRules]
+        assert store.lookup(flow) is None
+        apply(store, proc.on_flow_miss(flow, 100))
+        rule = store.lookup(flow)
+        assert (rule.downstream_teid, rule.enb_addr, rule.state) == (
+            300, ENB2, RuleState.ACTIVE)
+
+    @pytest.mark.parametrize("enb,down,released", [
+        (ENB1, 200, False),     # the same tunnel again
+        (ENB1, 300, True),      # a new TEID from the same eNB
+        (ENB2, 200, True),      # the same TEID number from another eNB
+    ], ids=["same-tunnel", "new-teid", "new-enb"])
+    def test_response_releases_only_a_replaced_tunnel(self, enb, down,
+                                                      released):
+        proc = S1apProcessor("mgw-a", TOPOLOGY)
+        attach(proc, enb=ENB1, pairs=((5, 100, 200),))
+        effects = []
+        for kind, item in (
+                (MessageKind.INITIAL_CONTEXT_SETUP_REQUEST,
+                 BearerItem(5, upstream_teid=100, transport_addr=SGW)),
+                (MessageKind.INITIAL_CONTEXT_SETUP_RESPONSE,
+                 BearerItem(5, downstream_teid=down, transport_addr=enb))):
+            effects += proc.on_control_message(msg(kind, [item], enb=enb))
+        assert [type(e) for e in effects] == (
+            [ReleaseUeRules] if released else [])
+
+    def test_first_attach_and_new_bearer_release_nothing(self):
+        proc = S1apProcessor("mgw-a", TOPOLOGY)
+        attach(proc, enb=ENB1, pairs=((5, 100, 200),))
+        attach(proc, enb=ENB1, pairs=((5, 100, 200), (6, 101, 201)))
+        effects = [e for entry in proc.log for e in entry["effects"]]
+        assert effects == []
+
+
 class TestFlowMiss:
     def test_installs_rule_with_paired_teid(self):
         proc = S1apProcessor("mgw-a", TOPOLOGY)

@@ -336,6 +336,21 @@ class TestTraceBound:
         assert longest > 8
 
 
+    def test_top_level_downstream_pushes_stay_bounded(self, monkeypatch):
+        def pushes(h):
+            for i in range(200):
+                yield h.inject_downstream("ue1", payload=b"push-%d" % i)
+
+        ref = run_scenario("edge-request")
+        ref_slices = list(pushes(ref))
+        assert len(ref.trace) < harness.TRACE_LIMIT
+        monkeypatch.setattr(harness, "TRACE_LIMIT", 8)
+        h = run_scenario("edge-request")
+        for got, want in zip(pushes(h), ref_slices, strict=True):
+            assert got == want and got
+            assert len(h.trace) <= 8 + len(got)
+
+
 class TestDeterminism:
     def test_identical_seed_identical_trace(self):
         h1 = run_scenario("x2-cross-region", seed=7)

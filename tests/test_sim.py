@@ -1,5 +1,6 @@
 """Regional mobility simulator: grid construction, stepping, experiments."""
 
+import functools
 import struct
 
 import numpy as np
@@ -105,17 +106,66 @@ def scalar_table(grid, n_users):
     return table
 
 
+def fresh_memo(grid, n_users):
+    """A pick memo of its own, outside the one-memo cache."""
+    return sim.RegionPicks(n_users, grid.mec_names,
+                           tuple(grid.capacities.tolist()),
+                           tuple(grid.region_of_mec.tolist()))
+
+
+def int_array(values):
+    return np.array(values, dtype=np.int64)
+
+
+# three regions of two MECs, 45 users: small enough to score by hand
+PICK_CFG = SimConfig(regions_count=3, mecs_per_region=2, capacities=(1, 2),
+                     users_per_capacity=5, migration_rate=0)
+
+
+@functools.cache
+def pick_cfg_table():
+    return scalar_table(build_grid(PICK_CFG), PICK_CFG.population)
+
+
 class TestRegionHashTable:
     @pytest.mark.parametrize("users_per_capacity", [20, 40, 500, 2500])
     def test_equals_scalar_selection(self, users_per_capacity):
         # every size the tests, the demo and the benchmark use, on the
-        # paper's map; 500 and 2500 span several batches
+        # paper's map, asking for every (user, region) pair at once; 500
+        # and 2500 span several batches
         cfg = SimConfig(users_per_capacity=users_per_capacity)
         grid = build_grid(cfg)
-        table = sim._region_hash_table.__wrapped__(
-            cfg.population, grid.mec_names, tuple(grid.capacities.tolist()),
-            tuple(grid.region_of_mec.tolist()))
-        assert np.array_equal(table, scalar_table(grid, cfg.population))
+        expected = scalar_table(grid, cfg.population)
+        n_users, n_regions = expected.shape
+        users = np.repeat(np.arange(n_users), n_regions)
+        regions = np.tile(np.arange(n_regions), n_users)
+        memo = fresh_memo(grid, cfg.population)
+        picks = memo.get(users, regions)
+        assert picks.dtype == np.int8
+        assert np.array_equal(picks.reshape(expected.shape), expected)
+        assert np.array_equal(memo.get(users, regions), picks)
+
+    @given(batches=st.lists(st.lists(st.tuples(
+        st.integers(0, PICK_CFG.population - 1), st.integers(0, 2)),
+        max_size=20), max_size=8))
+    @example(batches=[[(3, 1), (3, 1), (7, 1)], [(3, 1), (3, 0)], []])
+    def test_any_batches_return_scalar_picks(self, batches):
+        # picks scored in any order, with repeats and with earlier batches
+        # already memoized, are the scalar selection's
+        expected = pick_cfg_table()
+        memo = fresh_memo(build_grid(PICK_CFG), PICK_CFG.population)
+        for batch in batches:
+            users = int_array([u for u, _ in batch])
+            regions = int_array([r for _, r in batch])
+            assert memo.get(users, regions).tolist() \
+                == expected[users, regions].tolist()
+
+    def test_tie_goes_to_first_candidate(self):
+        # two candidates with one id and one weight score alike for every
+        # key; `rendezvous_select` keeps the first, and so does the memo
+        memo = sim.RegionPicks(6, ("a", "b", "b"), (1.0, 2.0, 2.0), (0, 1, 1))
+        picks = memo.get(np.arange(6), np.ones(6, dtype=np.int64))
+        assert picks.tolist() == [1] * 6
 
     @given(keys=st.lists(st.binary(max_size=12), min_size=1, max_size=12),
            cands=st.lists(st.tuples(
@@ -163,12 +213,23 @@ class TestBuildWorld:
     def test_hash_table_cache_holds_one_table(self):
         small = build_world(small_cfg(users_per_capacity=20))
         large = build_world(small_cfg(users_per_capacity=40))
-        assert len(small.hash_table) == 40 and len(large.hash_table) == 80
-        assert sim._region_hash_table.cache_info().currsize <= 1
+        region = int_array([0])
+        # each memo spans its world's population: 40 and 80 users
+        for world, n_users in ((small, 40), (large, 80)):
+            world.hash_table.get(int_array([n_users - 1]), region)
+            with pytest.raises(IndexError):
+                world.hash_table.get(int_array([n_users]), region)
+        assert sim._region_picks.cache_info().currsize <= 1
         assert build_world(small_cfg(users_per_capacity=40)).hash_table \
             is large.hash_table
-        with pytest.raises(ValueError):
-            large.hash_table[0, 0] = 1
+        # a world has no way to write picks: the memo exposes no array, and
+        # the picks it hands out are copies
+        assert all(name.startswith("_") for name in vars(large.hash_table))
+        users, regions = np.arange(80), np.zeros(80, dtype=np.int64)
+        picks = large.hash_table.get(users, regions)
+        picks[:] = 1 - picks
+        assert np.array_equal(large.hash_table.get(users, regions),
+                              scalar_table(large.grid, 80)[:, 0])
 
 
 class TestStep:
@@ -313,7 +374,59 @@ class TestDominance:
                 assert with_m.migrations <= without_m.migrations
 
 
+def per_policy_experiment(base, rates, replications, steps):
+    """`run_experiment`'s rows and summary drawn the earlier way: each
+    policy's worlds run on their own and draw the movement trace anew."""
+    rows, summary = [], {}
+    for rate_idx, rate in enumerate(rates):
+        moved = int(round(rate * base.population))
+        for policy in (Policy.WITH_REGIONS, Policy.WITHOUT_REGIONS):
+            cumulative = np.zeros((replications, steps + 1))
+            ratios = np.zeros((replications, steps + 1))
+            for rep in range(replications):
+                rep_seed = derive_seed(base.seed, rate_idx, rep)
+                cfg = SimConfig(regions_count=base.regions_count,
+                                mecs_per_region=base.mecs_per_region,
+                                capacities=base.capacities,
+                                users_per_capacity=base.users_per_capacity,
+                                steps=steps, migration_rate=moved,
+                                policy=policy, seed=rep_seed)
+                world = build_world(cfg)
+                rng = np.random.default_rng([rep_seed, 0x30B5])
+                metrics = [world.metrics()]
+                for _ in range(steps):
+                    metrics.append(step(world, rng))
+                for m in metrics:
+                    rows.append(sim.csv_row(policy, rate, rep, m))
+                    cumulative[rep, m.t] = m.cumulative_migrations
+                    ratios[rep, m.t] = m.min_max_ratio
+            summary[(policy.value, rate)] = {
+                "mean_cumulative": cumulative.mean(axis=0),
+                "std_cumulative": cumulative.std(axis=0),
+                "mean_ratio": ratios.mean(axis=0),
+                "std_ratio": ratios.std(axis=0),
+            }
+    return rows, summary
+
+
 class TestExperiment:
+    @pytest.mark.parametrize("base,rates", [
+        (small_cfg(), [0.05, 0.2]),
+        (SimConfig(users_per_capacity=20, seed=5), [0.01, 0.1, 0.5]),
+        (SimConfig(regions_count=2, mecs_per_region=3, capacities=(1, 2, 3),
+                   users_per_capacity=10, seed=9), [0.02, 0.3]),
+        (SimConfig(regions_count=4, mecs_per_region=1, capacities=(1,),
+                   users_per_capacity=30, seed=123456789), [1.0]),
+    ])
+    def test_lockstep_equals_per_policy_runs(self, base, rates):
+        res = run_experiment(base, rates, replications=3, steps=8)
+        rows, summary = per_policy_experiment(base, rates, 3, 8)
+        assert res.rows == rows
+        assert res.summary.keys() == summary.keys()
+        for key, stats in summary.items():
+            for name, values in stats.items():
+                assert np.array_equal(res.summary[key][name], values)
+
     def test_determinism(self):
         cfg = small_cfg()
         r1 = run_experiment(cfg, [0.05], replications=3, steps=5)
