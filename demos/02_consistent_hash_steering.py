@@ -7,7 +7,7 @@ from collections import Counter
 
 from megw.gtp import FiveTuple, ip_int, ip_str
 from megw.steering import (DipAffinityTable, SteeringConfig,
-                           rendezvous_select, stage1_select, stage2_select)
+                           rendezvous_select, stage1_select)
 
 # Stage I: every gateway in a region ranks the region's gateways with the
 # same keyed hash, so they agree on the serving gateway without talking.
@@ -46,10 +46,10 @@ print(f"removing mgw-b remaps {moved / 100:.1f}% of keys "
 # Stage II: a connection keeps its server for life, even as the pool grows.
 table = DipAffinityTable()
 flow = FiveTuple.parse("172.16.0.2", "10.100.1.1", 6, 5000, 80)
-first = stage2_select(flow, table, cfg_a)
+first = table.get_or_assign(flow, cfg_a.dips)
 grown = SteeringConfig(megw_id="mgw-a", vips=cfg_a.vips,
                        region_peers=tuple(peers),
                        dips=cfg_a.dips + (("10.200.0.7", 4.0),),
                        local_sgw="10.2.0.1")
 print(f"\nflow pinned to {ip_str(first)}; after adding a big new server it"
-      f" still gets {ip_str(stage2_select(flow, table, grown))}")
+      f" still gets {ip_str(table.get_or_assign(flow, grown.dips))}")

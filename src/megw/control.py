@@ -8,11 +8,12 @@ the caller applies them (or records them) in order.
 
 Handover handling follows the X2 timeline. The path-switch request
 classifies the scenario and files each bearer as pending under (old eNB,
-downstream TEID), the pair that names a tunnel (3GPP TS 29.281), until
-the context leaves the handover phase. An end marker is one lookup there:
-it opens the silent period, triggers the migration notice for a move
-across regions, and drops the context of a subscriber who moves to another
-gateway. The acknowledgement brings fresh tunnel state and ends the silence.
+downstream TEID), the pair that names a tunnel (3GPP TS 29.281). An end
+marker is one lookup there: it opens the silent period, triggers the
+migration notice for a move across regions, and drops the context of a
+subscriber who moves to another gateway. The acknowledgement brings fresh
+tunnel state and ends the silence; an initial context setup ends any
+pending handover, and at a new eNB keeps none of the old eNB's tunnels.
 State and effects hold integer addresses; `dump_jsonl` writes them dotted.
 """
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 import enum
 import json
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .gtp import ip_int, ip_str
 from .s1ap import MessageKind, S1apLiteMessage
@@ -75,12 +76,6 @@ def classify_handover(old_enb: int, new_enb: int,
     return HandoverScenario.CROSS_REGION
 
 
-class UePhase(enum.Enum):
-    ATTACHED = "attached"
-    HANDOVER_IN_PROGRESS = "handover-in-progress"
-    SILENT_PERIOD = "silent-period"
-
-
 @dataclass
 class BearerContext:
     upstream_teid: int = 0       # eNB -> SGW path
@@ -96,8 +91,7 @@ class UeContext:
     ue_ip: int
     enb_addr: int
     bearers: dict = field(default_factory=dict)  # bearer_id -> BearerContext
-    phase: UePhase = UePhase.ATTACHED
-    downstream_enb: int = 0  # the eNB that gave the downstream TEIDs
+    silent: bool = False    # in the silent period: refuses flow misses
 
 
 # --- effects ---------------------------------------------------------------
@@ -105,13 +99,11 @@ class UeContext:
 @dataclass(frozen=True)
 class InstallRule:
     rule: FlowRule
-    seq: int = 0
 
 
 @dataclass(frozen=True)
 class SilenceUe:
     ue_ip: int
-    seq: int = 0
 
 
 @dataclass(frozen=True)
@@ -119,7 +111,6 @@ class ReactivateUe:
     ue_ip: int
     teid_remap: tuple  # ((old_downstream, new_downstream), ...)
     new_enb_addr: int
-    seq: int = 0
 
 
 @dataclass(frozen=True)
@@ -127,7 +118,6 @@ class ReleaseUeRules:
     """Drop the subscriber's flow rules: it now belongs to another gateway."""
 
     ue_ip: int
-    seq: int = 0
 
 
 @dataclass(frozen=True)
@@ -141,7 +131,6 @@ class MigrationNotice:
     old_mec: str
     new_mec: str
     issued_at: int = 0
-    seq: int = 0
 
 
 @dataclass(frozen=True)
@@ -150,20 +139,17 @@ class ScenarioDetected:
     scenario: HandoverScenario
     old_enb: int
     new_enb: int
-    seq: int = 0
 
 
 @dataclass(frozen=True)
 class OrphanMessage:
     kind: MessageKind
     ue_ip: int
-    seq: int = 0
 
 
 @dataclass(frozen=True)
 class NoContext:
     upstream_teid: int
-    seq: int = 0
 
 
 Effect = (InstallRule | SilenceUe | ReactivateUe | ReleaseUeRules
@@ -224,12 +210,11 @@ class S1apProcessor:
 
     def _emit(self, event_name: str, detail: dict, effects: list) -> list:
         self.clock += 1
-        stamped = [replace(eff, seq=self.clock) for eff in effects]
         self.log.append({"seq": self.clock, "event": event_name,
                          "detail": detail, "effects": [
                              {"type": type(e).__name__, **_shallow_asdict(e)}
-                             for e in stamped]})
-        return stamped
+                             for e in effects]})
+        return effects
 
     def dump_jsonl(self) -> str:
         return "\n".join(json.dumps(dotted(entry), sort_keys=True,
@@ -267,44 +252,42 @@ class S1apProcessor:
         if ctx is None:
             ctx = UeContext(ue_ip=msg.ue_ip, enb_addr=msg.enb_addr)
             self.contexts[msg.ue_ip] = ctx
-        held = self._unpend(ctx)    # re-filed below under the new eNB
-        # the end marker silenced the rules on the old downstream TEIDs, and
-        # no acknowledgement will remap them: drop them, so the next flow
-        # miss installs a rule on the tunnel this attach sets up
-        effects = ([ReleaseUeRules(ue_ip=msg.ue_ip)]
-                   if ctx.phase is UePhase.SILENT_PERIOD else [])
+        self._unpend(ctx)           # a setup ends any pending handover
+        # a TEID names a tunnel only at the eNB that gave it: at a new eNB
+        # no bearer keeps its downstream TEID until the response brings one.
+        # Rules on the old TEIDs would send return traffic where no eNB
+        # listens, and no acknowledgement will remap silenced ones: drop
+        # them, so a flow miss after the response installs on the new tunnel
+        moved = msg.enb_addr != ctx.enb_addr
+        release = ctx.silent or (moved and any(
+            bc.downstream_teid for bc in ctx.bearers.values()))
+        kept = {} if moved else ctx.bearers
         ctx.enb_addr = msg.enb_addr
-        # the request names every bearer: others go, with the downstream
-        # TEIDs an earlier eNB gave them
-        ctx.bearers = {item.bearer_id: ctx.bearers.get(item.bearer_id)
+        # the request names every bearer: others go
+        ctx.bearers = {item.bearer_id: kept.get(item.bearer_id)
                        or BearerContext() for item in msg.bearers}
         for item in msg.bearers:
             bc = ctx.bearers[item.bearer_id]
             bc.upstream_teid = item.upstream_teid
             bc.sgw_addr = item.transport_addr or msg.sgw_addr
-        if held is not None:
-            self._pend(*held)
         # TEID pairs are reconstructed here but no data-plane rule exists
         # until the subscriber actually opens an edge connection
-        return effects
+        return [ReleaseUeRules(ue_ip=msg.ue_ip)] if release else []
 
     def _on_ics_response(self, msg: S1apLiteMessage) -> list:
         ctx = self.contexts.get(msg.ue_ip)
         if ctx is None:
             return [OrphanMessage(kind=msg.kind, ue_ip=msg.ue_ip)]
         self._unpend(ctx)
-        # rules installed on a tunnel this attach replaces would send return
+        # rules installed on a tunnel this setup replaces would send return
         # traffic where no eNB listens: drop them, so the next flow miss
         # installs a rule on the new tunnel
-        moved = ctx.downstream_enb != ctx.enb_addr
         stale = False
         for item in msg.bearers:
             bc = ctx.bearers.setdefault(item.bearer_id, BearerContext())
-            stale |= bc.downstream_teid != 0 and (
-                moved or bc.downstream_teid != item.downstream_teid)
+            stale |= bc.downstream_teid not in (0, item.downstream_teid)
             bc.downstream_teid = item.downstream_teid
-        ctx.downstream_enb = ctx.enb_addr
-        ctx.phase = UePhase.ATTACHED
+        ctx.silent = False
         return [ReleaseUeRules(ue_ip=msg.ue_ip)] if stale else []
 
     def _on_path_switch_request(self, msg: S1apLiteMessage) -> list:
@@ -317,7 +300,7 @@ class S1apProcessor:
         except TopologyError:
             # an eNB outside this gateway's view: nothing to hand over to
             return [OrphanMessage(kind=msg.kind, ue_ip=msg.ue_ip)]
-        ctx.phase = UePhase.HANDOVER_IN_PROGRESS
+        ctx.silent = False
         self._pend(ctx, scenario, msg.enb_addr)
         return [ScenarioDetected(ue_ip=msg.ue_ip, scenario=scenario,
                                  old_enb=ctx.enb_addr, new_enb=msg.enb_addr)]
@@ -340,15 +323,15 @@ class S1apProcessor:
             if old is not None and old.complete():
                 remap.append((old.downstream_teid, item.downstream_teid))
         ctx.bearers = new_bearers
-        ctx.enb_addr = ctx.downstream_enb = msg.enb_addr
-        ctx.phase = UePhase.ATTACHED
+        ctx.enb_addr = msg.enb_addr
+        ctx.silent = False
         return [ReactivateUe(ue_ip=msg.ue_ip, teid_remap=tuple(remap),
                              new_enb_addr=msg.enb_addr)]
 
     def on_flow_miss(self, five_tuple: FiveTuple, upstream_teid: int) -> list:
         ctx = self.contexts.get(five_tuple.src_ip)
         effects = [NoContext(upstream_teid=upstream_teid)]
-        if ctx is not None and ctx.phase is not UePhase.SILENT_PERIOD:
+        if ctx is not None and not ctx.silent:
             for bc in ctx.bearers.values():
                 if bc.upstream_teid == upstream_teid and bc.complete():
                     effects = [InstallRule(rule=FlowRule(
@@ -371,7 +354,7 @@ class S1apProcessor:
                     new_mec=self.topology.megw_of(new_enb),
                     issued_at=self.clock + 1))
             if scenario is HandoverScenario.SAME_MEGW:
-                ctx.phase = UePhase.SILENT_PERIOD   # refuses flow misses
+                ctx.silent = True   # refuses flow misses
             else:
                 # step 8 lands at the other gateway; rules kept here as
                 # tombstones would swallow the subscriber's transit traffic

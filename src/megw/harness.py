@@ -7,16 +7,17 @@ Frames are real wire bytes; every gateway hop runs the actual steering
 pipeline and control-plane processor, so traces reflect exactly what the
 data plane would do.
 
-Execution is a single-threaded discrete-event loop over a logical clock:
-deterministic given (config, script, seed). Routing and the trace use
-dotted addresses; frames and signalling use each node's integer `ip`.
+A single-threaded loop delivers frames one at a time, in the order they
+were sent: deterministic given (config, script, seed). Routing and the
+trace use dotted addresses; frames and signalling use each node's
+integer `ip`.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import json
+from collections import deque
 from dataclasses import dataclass, field, asdict
 
 from . import control, gtp, s1ap, steering
@@ -78,7 +79,6 @@ class Topology:
     vips: list
     steering_configs: dict           # megw_id -> SteeringConfig
     addr_to_node: dict
-    latency: dict                    # frozenset({a, b}) -> ticks
     next_hop: dict                   # (src, dst) -> neighbor
 
     def view(self) -> TopologyView:
@@ -135,14 +135,13 @@ def build_topology(config: dict) -> Topology:
                 f"{addrs[spec.addr]!r}")
         addrs[spec.addr] = node_id
 
-    latency = {}
     neighbors: dict[str, list] = {n: [] for n in nodes}
     for doc in config.get("links", []):
         a, b = doc["a"], doc["b"]
         require(a, {s.kind for s in nodes.values()}, "link")
         require(b, {s.kind for s in nodes.values()}, "link")
-        ticks = int(doc.get("latency", 1))
-        latency[frozenset((a, b))] = ticks
+        if "latency" in doc:
+            raise ConfigError(f"link {a!r}-{b!r}: links carry no latency")
         neighbors[a].append(b)
         neighbors[b].append(a)
     neighbors = {n: sorted(set(peers)) for n, peers in neighbors.items()}
@@ -190,7 +189,7 @@ def build_topology(config: dict) -> Topology:
     return Topology(nodes=nodes, enb_to_megw=enb_to_megw,
                     megw_to_region=megw_to_region, vips=vips,
                     steering_configs=steering_configs, addr_to_node=addrs,
-                    latency=latency, next_hop=next_hop)
+                    next_hop=next_hop)
 
 
 @dataclass
@@ -231,9 +230,7 @@ class Harness:
         # the latest events: TRACE_LIMIT older ones plus the running operation
         self.trace: list[TraceEvent] = []
         self._step = itertools.count()
-        self._queue: list = []
-        self._qseq = itertools.count()
-        self.clock = 0
+        self._queue: deque = deque()    # frames in flight, in send order
         base = (seed & 0xFF) << 16
         self._up_teids = itertools.count(0x1000 + base)
         self._down_teids = itertools.count(0x2000 + base)
@@ -295,9 +292,7 @@ class Harness:
         self._record(from_node, SENT,
                      {"dst": dst_addr, "via": hop, "note": note,
                       "bytes": len(data)})
-        ticks = self.topology.latency[frozenset((from_node, hop))]
-        heapq.heappush(self._queue, (self.clock + ticks, next(self._qseq),
-                                     hop, from_node, data, dst_addr))
+        self._queue.append((hop, from_node, data, dst_addr))
 
     def run_until_idle(self) -> None:
         events = 0
@@ -305,9 +300,7 @@ class Harness:
             events += 1
             if events > self.MAX_EVENTS:
                 raise RuntimeError("event budget exhausted: routing loop?")
-            self.clock, _, node, sender, data, dst_addr = heapq.heappop(
-                self._queue)
-            self._deliver(node, sender, data, dst_addr)
+            self._deliver(*self._queue.popleft())
 
     def _deliver(self, node: str, sender: str, data: bytes,
                  dst_addr: str) -> None:
@@ -625,8 +618,7 @@ class Harness:
         return steering.stage1_select(ue.ip,
                                       self.topology.steering_configs[source])
 
-    def run_x2_handover(self, ue_id: str, old_enb: str, new_enb: str,
-                        probe_silence: bool = True) -> list:
+    def run_x2_handover(self, ue_id: str, old_enb: str, new_enb: str) -> list:
         """The eight-step X2 timeline, with the path-switch request cloned
         at the old gateway and the acknowledgement at the new one."""
         ue = self._ue(ue_id)
@@ -662,7 +654,7 @@ class Harness:
                        note="end-marker")
         self.run_until_idle()
 
-        if probe_silence and ue.last_flow is not None:
+        if ue.last_flow is not None:
             self._inject_downstream(ue, b"during-silence")
 
         # step 8: acknowledgement with the new tunnel pairs, via the new side

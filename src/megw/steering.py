@@ -146,18 +146,6 @@ class SteeringConfig:
                 return addr
         raise KeyError(megw_id)
 
-    @staticmethod
-    def from_dict(doc: dict) -> "SteeringConfig":
-        return SteeringConfig(
-            megw_id=doc["megw_id"],
-            vips=frozenset(doc["vips"]),
-            region_peers=tuple((p["megw_id"], p["address"], float(p.get("weight", 1)))
-                               for p in doc["region_peers"]),
-            dips=tuple((d["address"], float(d.get("weight", 1)))
-                       for d in doc["dips"]),
-            local_sgw=doc["local_sgw"],
-        )
-
 
 @functools.lru_cache(maxsize=1 << 16)
 def stage1_select(ue_ip: int, cfg: SteeringConfig) -> str:
@@ -291,7 +279,8 @@ class DipAffinityTable:
     def get_or_assign(self, flow: FiveTuple,
                       dips: Sequence[tuple[str, float]]) -> int:
         """Return the pinned DIP (an integer), choosing and pinning one of
-        the dotted `dips` on first sight."""
+        the dotted `dips` by HRW on first sight. The pin survives any later
+        change to the DIP pool."""
         with self._lock:
             dip = self._table.get(flow)
             if dip is not None:
@@ -310,15 +299,6 @@ class DipAffinityTable:
         the upstream-oriented 5-tuple with the DIP as destination."""
         with self._lock:
             return self._reverse.get(dip_flow)
-
-
-def stage2_select(flow: FiveTuple, table: DipAffinityTable,
-                  cfg: SteeringConfig) -> int:
-    """DIP for a connection: sticky once assigned, HRW for new flows.
-
-    Existing entries survive any later change to the DIP pool.
-    """
-    return table.get_or_assign(flow, cfg.dips)
 
 
 # --- forwarding actions ---------------------------------------------------
@@ -354,8 +334,6 @@ ForwardAction = Emit | CloneToController | Drop | Multiple
 class S1apClone:
     """Cloned control-plane frame; payload is the signalling bytes."""
 
-    outer_src: int
-    outer_dst: int
     payload: bytes
 
 
@@ -384,7 +362,7 @@ def _steer_to_service(inner: gtp.Ipv4View, flow: FiveTuple,
     if serving != cfg.megw_id:
         act = Emit(cfg.peer_address(serving), inner.packet, note="stage1-handoff")
     else:
-        dip = stage2_select(flow, affinity, cfg)
+        dip = affinity.get_or_assign(flow, cfg.dips)
         act = Emit(ip_str(dip), rewrite_ipv4(inner, dst=dip),
                    note="dip-rewrite")
     if prelude:
@@ -408,7 +386,7 @@ def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
     pclass = frame.packet_class(ingress)
 
     if pclass is PacketClass.CONTROL_PLANE:
-        clone = CloneToController(S1apClone(view.src, view.dst, view.payload))
+        clone = CloneToController(S1apClone(view.payload))
         return Multiple((Emit(ip_str(view.dst), data,
                               note="control-passthrough"),
                          clone))
@@ -444,7 +422,7 @@ def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
             flow = view.five_tuple()
         except gtp.DecodeError:
             return Drop("malformed VIP-bound packet")
-        dip = stage2_select(flow, affinity, cfg)
+        dip = affinity.get_or_assign(flow, cfg.dips)
         return Emit(ip_str(dip), rewrite_ipv4(view, dst=dip),
                     note="dip-rewrite")
 

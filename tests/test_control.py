@@ -15,7 +15,7 @@ from megw.control import (HandoverScenario, InstallRule,
                           MigrationNotice, NoContext, OrphanMessage,
                           ReactivateUe, ReleaseUeRules, S1apProcessor,
                           ScenarioDetected, SilenceUe, TopologyError,
-                          TopologyView, UePhase, classify_handover)
+                          TopologyView, classify_handover)
 from megw.s1ap import BearerItem, MessageKind, S1apLiteMessage
 from megw.steering import FiveTuple, FlowRule, RuleState, RuleStore
 
@@ -74,7 +74,7 @@ class TestAttach:
         ctx = proc.contexts[UE]
         assert ctx.bearers[5].upstream_teid == 100
         assert ctx.bearers[5].downstream_teid == 200
-        assert ctx.phase is UePhase.ATTACHED
+        assert not ctx.silent
         installs = [e for entry in proc.log for e in entry["effects"]
                     if e["type"] == "InstallRule"]
         assert installs == []
@@ -166,20 +166,43 @@ class TestReattachWhileAttached:
         attach(proc, enb=ENB1, pairs=((5, 100, 200),))
         flow = FiveTuple(UE, VIP, 6, 5000, 80)
         apply(store, proc.on_flow_miss(flow, 100))
-        assert apply(store, proc.on_control_message(msg(
+        effects = apply(store, proc.on_control_message(msg(
             MessageKind.INITIAL_CONTEXT_SETUP_REQUEST,
             [BearerItem(5, upstream_teid=100, transport_addr=SGW)],
-            enb=ENB2))) == []
-        effects = apply(store, proc.on_control_message(msg(
-            MessageKind.INITIAL_CONTEXT_SETUP_RESPONSE,
-            [BearerItem(5, downstream_teid=300, transport_addr=ENB2)],
             enb=ENB2)))
         assert [type(e) for e in effects] == [ReleaseUeRules]
         assert store.lookup(flow) is None
+        assert apply(store, proc.on_control_message(msg(
+            MessageKind.INITIAL_CONTEXT_SETUP_RESPONSE,
+            [BearerItem(5, downstream_teid=300, transport_addr=ENB2)],
+            enb=ENB2))) == []
         apply(store, proc.on_flow_miss(flow, 100))
         rule = store.lookup(flow)
         assert (rule.downstream_teid, rule.enb_addr, rule.state) == (
             300, ENB2, RuleState.ACTIVE)
+
+    def test_no_rule_between_request_and_response(self):
+        # 10.1.0.2 never assigned TEID 200: until its response names a
+        # tunnel there, a flow miss has nothing to install
+        proc, store = S1apProcessor("mgw-a", TOPOLOGY), RuleStore()
+        attach(proc, enb=ENB1, pairs=((5, 100, 200),))
+        flow = FiveTuple(UE, VIP, 6, 5000, 80)
+        apply(store, proc.on_flow_miss(flow, 100))
+        effects = apply(store, proc.on_control_message(msg(
+            MessageKind.INITIAL_CONTEXT_SETUP_REQUEST,
+            [BearerItem(5, upstream_teid=100, transport_addr=SGW)],
+            enb=ENB2)))
+        assert [type(e) for e in effects] == [ReleaseUeRules]
+        effects = apply(store, proc.on_flow_miss(flow, 100))
+        assert [type(e) for e in effects] == [NoContext]
+        assert store.lookup(flow) is None
+        assert proc.on_control_message(msg(
+            MessageKind.INITIAL_CONTEXT_SETUP_RESPONSE,
+            [BearerItem(5, downstream_teid=300, transport_addr=ENB2)],
+            enb=ENB2)) == []
+        apply(store, proc.on_flow_miss(flow, 100))
+        rule = store.lookup(flow)
+        assert (rule.downstream_teid, rule.enb_addr) == (300, ENB2)
 
     @pytest.mark.parametrize("enb,down,released", [
         (ENB1, 200, False),     # the same tunnel again
@@ -279,7 +302,7 @@ class TestHandover:
         react = [e for e in eff_ack if isinstance(e, ReactivateUe)]
         assert react and react[0].teid_remap == ((200, 300),)
         assert react[0].new_enb_addr == ENB2
-        assert proc.contexts[UE].phase is UePhase.ATTACHED
+        assert not proc.contexts[UE].silent
 
     def test_silent_period_blocks_new_rules(self):
         proc = S1apProcessor("mgw-a", TOPOLOGY)
@@ -288,22 +311,26 @@ class TestHandover:
                                     [BearerItem(5, upstream_teid=100)],
                                     enb=ENB2))
         proc.on_end_marker(ENB1, 200)
-        assert proc.contexts[UE].phase is UePhase.SILENT_PERIOD
+        assert proc.contexts[UE].silent
         effects = proc.on_flow_miss(FiveTuple(UE, VIP, 6, 1, 2), 100)
         assert isinstance(effects[0], NoContext)
 
     def test_cross_region_notice_at_silence_start(self):
         proc = S1apProcessor("mgw-a", TOPOLOGY)
         attach(proc)
-        eff_req, eff_end, _ = run_handover(proc, ENB4)
+        eff_req = proc.on_control_message(msg(
+            MessageKind.PATH_SWITCH_REQUEST,
+            [BearerItem(5, upstream_teid=100)], enb=ENB4))
         assert not any(isinstance(e, MigrationNotice) for e in eff_req)
+        eff_end = proc.on_end_marker(ENB1, 200)
         notices = [e for e in eff_end if isinstance(e, MigrationNotice)]
         assert len(notices) == 1
         assert notices[0].old_mec == "mgw-a"
         assert notices[0].new_mec == "mgw-c"
-        # silence and notice share the same logical event
-        silences = [e for e in eff_end if isinstance(e, SilenceUe)]
-        assert silences[0].seq == notices[0].seq
+        # silence and notice come from one end marker, whose log entry
+        # carries the notice's time
+        assert any(isinstance(e, SilenceUe) for e in eff_end)
+        assert notices[0].issued_at == proc.log[-1]["seq"]
 
     def test_same_region_no_notice(self):
         proc = S1apProcessor("mgw-a", TOPOLOGY)
@@ -395,14 +422,14 @@ class TestEffectLog:
     def test_shallow_asdict_equals_asdict(self):
         flow = FiveTuple(UE, VIP, 6, 5000, 80)
         effects = [
-            InstallRule(FlowRule(flow, 200, ENB1, SGW, RuleState.SILENT), 3),
-            SilenceUe(UE, 4),
-            ReactivateUe(UE, ((200, 300), (201, 301)), ENB2, 5),
-            ReleaseUeRules(UE, 6),
-            MigrationNotice(UE, "mec-1", "mec-2", 7, 8),
-            ScenarioDetected(UE, HandoverScenario.CROSS_REGION, ENB1, ENB4, 9),
-            OrphanMessage(MessageKind.PATH_SWITCH_ACKNOWLEDGE, UE, 10),
-            NoContext(0xBEEF, 11),
+            InstallRule(FlowRule(flow, 200, ENB1, SGW, RuleState.SILENT)),
+            SilenceUe(UE),
+            ReactivateUe(UE, ((200, 300), (201, 301)), ENB2),
+            ReleaseUeRules(UE),
+            MigrationNotice(UE, "mec-1", "mec-2", 7),
+            ScenarioDetected(UE, HandoverScenario.CROSS_REGION, ENB1, ENB4),
+            OrphanMessage(MessageKind.PATH_SWITCH_ACKNOWLEDGE, UE),
+            NoContext(0xBEEF),
         ]
         assert ({type(e) for e in effects}
                 == set(typing.get_args(control.Effect)))
@@ -425,7 +452,7 @@ class TestEffectLog:
         assert miss == {
             "seq": 3, "event": "FLOW_MISS",
             "detail": {"five_tuple": flow, "upstream_teid": 100},
-            "effects": [{"type": "InstallRule", "seq": 3, "rule": {
+            "effects": [{"type": "InstallRule", "rule": {
                 "key": flow, "downstream_teid": 200, "enb_addr": "10.1.0.1",
                 "sgw_addr": "10.2.0.1", "state": "active"}}]}
         assert marker == {"seq": 4, "event": "END_MARKER",
@@ -449,7 +476,7 @@ class TestUnmappedEnb:
             [BearerItem(5, upstream_teid=100)], enb=UNMAPPED_ENB))
         assert [type(e) for e in effects] == [OrphanMessage]
         assert effects[0].kind is MessageKind.PATH_SWITCH_REQUEST
-        assert proc.contexts[UE].phase is UePhase.HANDOVER_IN_PROGRESS
+        assert list(pending) == [(ENB1, 200)]  # the first handover stays
         assert proc.pending == pending
 
     def test_context_at_unmapped_enb_is_orphan(self):
@@ -459,7 +486,7 @@ class TestUnmappedEnb:
             MessageKind.PATH_SWITCH_REQUEST,
             [BearerItem(5, upstream_teid=100)], enb=ENB2))
         assert [type(e) for e in effects] == [OrphanMessage]
-        assert proc.contexts[UE].phase is UePhase.ATTACHED
+        assert not proc.contexts[UE].silent
         assert proc.pending == {}
 
 
@@ -479,7 +506,7 @@ class TestPendingHandovers:
         effects = proc.on_end_marker(ENB2, 200)
         assert [e.ue_ip for e in effects if isinstance(e, SilenceUe)] == [
             other]
-        assert proc.contexts[UE].phase is UePhase.HANDOVER_IN_PROGRESS
+        assert (ENB1, 200) in proc.pending
         effects = proc.on_end_marker(ENB1, 200)
         assert [e.ue_ip for e in effects if isinstance(e, SilenceUe)] == [UE]
 
@@ -513,7 +540,7 @@ class TestPendingHandovers:
         assert proc.on_end_marker(ENB1, 200) == []
         assert proc.on_end_marker(ENB1, 250) == []
 
-    def test_ics_request_refiles_pending_handover(self):
+    def test_ics_request_ends_pending_handover(self):
         proc = S1apProcessor("mgw-a", TOPOLOGY)
         attach(proc)
         proc.on_control_message(msg(MessageKind.PATH_SWITCH_REQUEST,
@@ -522,9 +549,9 @@ class TestPendingHandovers:
         proc.on_control_message(msg(
             MessageKind.INITIAL_CONTEXT_SETUP_REQUEST,
             [BearerItem(5, upstream_teid=100, transport_addr=SGW)], enb=ENB2))
+        assert proc.pending == {}
         assert proc.on_end_marker(ENB1, 200) == []
-        effects = proc.on_end_marker(ENB2, 200)
-        assert [e.ue_ip for e in effects if isinstance(e, SilenceUe)] == [UE]
+        assert proc.on_end_marker(ENB2, 200) == []
 
     def test_stale_context_leaves_other_entries(self):
         # the eNB handed TEID 200 to a second subscriber after the first
@@ -564,25 +591,33 @@ MACHINE_BEARERS = st.sets(st.sampled_from((5, 6)), min_size=1)
 class ControllerMachine(RuleBasedStateMachine):
     """S1apProcessor under any order of signalling, end markers and flow
     misses. Each end marker's subscriber is checked against a scan of every
-    context: in handover, at the marker's eNB, with a bearer on its TEID.
+    context: in a handover, at the marker's eNB, with a bearer on its TEID.
+    The machine keeps its own record of who is in a handover: a path switch
+    request for a known subscriber starts one, and setup signalling, an
+    acknowledgement or the end marker that hits ends it.
 
     Downstream TEIDs come from one counter, so they are unique per eNB as
     3GPP TS 29.281 requires; TEID 0 means "not yet assigned" and names no
-    tunnel, so no end marker carries it."""
+    tunnel, so no end marker carries it. Every installed rule must send to
+    a tunnel that a response or an acknowledgement handed out."""
 
     def __init__(self):
         super().__init__()
         self.proc = S1apProcessor("mgw-a", TOPOLOGY)
         self.teids = itertools.count(200)
         self.assigned = [0xDEAD]    # every TEID handed out, and a stranger
+        self.tunnels = set()        # every (eNB, downstream TEID) handed out
+        self.in_handover = set()    # subscribers between request and end
 
-    def teid(self) -> int:
+    def teid(self, enb) -> int:
         self.assigned.append(next(self.teids))
+        self.tunnels.add((enb, self.assigned[-1]))
         return self.assigned[-1]
 
     @rule(ue=st.sampled_from(MACHINE_UES), enb=st.sampled_from(ENBS),
           bearers=MACHINE_BEARERS)
     def ics_request(self, ue, enb, bearers):
+        self.in_handover.discard(ue)
         self.proc.on_control_message(msg(
             MessageKind.INITIAL_CONTEXT_SETUP_REQUEST,
             [BearerItem(b, upstream_teid=100 + b, transport_addr=SGW)
@@ -592,13 +627,16 @@ class ControllerMachine(RuleBasedStateMachine):
     def ics_response(self, ue, bearers):
         ctx = self.proc.contexts.get(ue)
         enb = ENB1 if ctx is None else ctx.enb_addr
+        self.in_handover.discard(ue)
         self.proc.on_control_message(msg(
             MessageKind.INITIAL_CONTEXT_SETUP_RESPONSE,
-            [BearerItem(b, downstream_teid=self.teid(), transport_addr=enb)
+            [BearerItem(b, downstream_teid=self.teid(enb), transport_addr=enb)
              for b in sorted(bearers)], ue_ip=ue, enb=enb))
 
     @rule(ue=st.sampled_from(MACHINE_UES), enb=st.sampled_from(ENBS))
     def path_switch_request(self, ue, enb):
+        if ue in self.proc.contexts:
+            self.in_handover.add(ue)
         self.proc.on_control_message(msg(
             MessageKind.PATH_SWITCH_REQUEST,
             [BearerItem(5, upstream_teid=105)], ue_ip=ue, enb=enb))
@@ -606,10 +644,11 @@ class ControllerMachine(RuleBasedStateMachine):
     @rule(ue=st.sampled_from(MACHINE_UES), enb=st.sampled_from(ENBS),
           bearers=MACHINE_BEARERS)
     def path_switch_ack(self, ue, enb, bearers):
+        self.in_handover.discard(ue)
         self.proc.on_control_message(msg(
             MessageKind.PATH_SWITCH_ACKNOWLEDGE,
             [BearerItem(b, upstream_teid=100 + b,
-                        downstream_teid=self.teid(), transport_addr=enb)
+                        downstream_teid=self.teid(enb), transport_addr=enb)
              for b in sorted(bearers)], ue_ip=ue, enb=enb))
 
     @rule(data=st.data())
@@ -624,35 +663,39 @@ class ControllerMachine(RuleBasedStateMachine):
                               if known else anywhere)
         expected = [
             ctx.ue_ip for ctx in self.proc.contexts.values()
-            if ctx.phase is UePhase.HANDOVER_IN_PROGRESS
+            if ctx.ue_ip in self.in_handover
             and ctx.enb_addr == enb
             and any(bc.downstream_teid == teid for bc in ctx.bearers.values())]
         assert len(expected) <= 1
         effects = self.proc.on_end_marker(enb, teid)
         assert [e.ue_ip for e in effects if isinstance(e, SilenceUe)] == expected
         for ue_ip in expected:
+            self.in_handover.discard(ue_ip)
             if any(isinstance(e, ReleaseUeRules) for e in effects):
                 assert ue_ip not in self.proc.contexts
             else:
-                assert self.proc.contexts[ue_ip].phase is UePhase.SILENT_PERIOD
+                assert self.proc.contexts[ue_ip].silent
 
     @rule(ue=st.sampled_from(MACHINE_UES), bearer=st.sampled_from((5, 6)))
     def flow_miss(self, ue, bearer):
         ctx = self.proc.contexts.get(ue)
-        live = ctx is not None and ctx.phase is not UePhase.SILENT_PERIOD
+        live = ctx is not None and not ctx.silent
         match = [bc for bc in (ctx.bearers.values() if live else ())
                  if bc.upstream_teid == 100 + bearer and bc.complete()]
         effects = self.proc.on_flow_miss(
             FiveTuple(ue, VIP, 6, 40000 + bearer, 80), 100 + bearer)
         if match:
-            assert effects[0].rule.downstream_teid == match[0].downstream_teid
+            installed = effects[0].rule
+            assert installed.downstream_teid == match[0].downstream_teid
+            assert (installed.enb_addr,
+                    installed.downstream_teid) in self.tunnels
         else:
             assert isinstance(effects[0], NoContext)
 
     @invariant()
     def pending_holds_only_handovers(self):
         for (enb, teid), (ctx, _, _) in self.proc.pending.items():
-            assert ctx.phase is UePhase.HANDOVER_IN_PROGRESS
+            assert ctx.ue_ip in self.in_handover
             assert self.proc.contexts.get(ctx.ue_ip) is ctx
             assert ctx.enb_addr == enb
             assert teid in {bc.downstream_teid for bc in ctx.bearers.values()}

@@ -71,6 +71,13 @@ class TestBuildTopology:
         with pytest.raises(ConfigError):
             build_topology(cfg)
 
+    def test_link_latency_rejected(self):
+        # frames arrive in the order sent; a latency would go unheeded
+        cfg = default_topology_config()
+        cfg["links"][0]["latency"] = 3
+        with pytest.raises(ConfigError, match="latency"):
+            build_topology(cfg)
+
     def test_paper_shaped_two_megw_region(self):
         # two gateways sharing a region: the within-region hand-off geometry
         topo = build_topology(default_topology_config())
@@ -299,7 +306,7 @@ class TestHandoverGuards:
         h = make_harness()
         h.run_attach("ue1", "enb1")
         before = {m: s.processor.clock for m, s in h.megws.items()}
-        trace = h.run_x2_handover("ue1", "enb1", "enb2", probe_silence=False)
+        trace = h.run_x2_handover("ue1", "enb1", "enb2")
         x2 = count(trace, SENT, kind="x2-handover-request")
         assert x2 and x2[0].node == "enb1"
 

@@ -19,7 +19,7 @@ from megw.steering import (CloneToController, DipAffinityTable, Drop, Emit,
                            EndMarkerSeen, FlowMiss, FlowRule, Multiple,
                            RuleState, RuleStore, S1apClone, SelectError,
                            SteeringConfig, process_packet, rendezvous_select,
-                           stage1_select, stage2_select)
+                           stage1_select)
 
 VIP = "10.100.1.1"
 ENB1, ENB2, SGW = ip_int("10.1.0.1"), ip_int("10.1.0.2"), ip_int("10.2.0.1")
@@ -189,19 +189,19 @@ class TestStage2:
         cfg = make_cfg()
         table = DipAffinityTable()
         flow = FiveTuple.parse("172.16.0.2", VIP, 6, 5000, 80)
-        first = stage2_select(flow, table, cfg)
+        first = table.get_or_assign(flow, cfg.dips)
         for _ in range(5):
-            assert stage2_select(flow, table, cfg) == first
+            assert table.get_or_assign(flow, cfg.dips) == first
         assert len(table) == 1
 
     def test_affinity_survives_pool_growth(self):
         cfg = make_cfg(dips=[("10.200.0.5", 1.0)])
         table = DipAffinityTable()
         flow = FiveTuple.parse("172.16.0.2", VIP, 6, 5000, 80)
-        assert stage2_select(flow, table, cfg) == ip_int("10.200.0.5")
+        assert table.get_or_assign(flow, cfg.dips) == ip_int("10.200.0.5")
         grown = make_cfg(dips=[("10.200.0.5", 1.0), ("10.200.0.6", 5.0),
                                ("10.200.0.7", 5.0)])
-        assert stage2_select(flow, table, grown) == ip_int("10.200.0.5")
+        assert table.get_or_assign(flow, grown.dips) == ip_int("10.200.0.5")
 
     def test_spread_over_dips(self):
         cfg = make_cfg(dips=[("10.200.0.5", 1.0), ("10.200.0.6", 1.0),
@@ -210,7 +210,7 @@ class TestStage2:
         hits = {ip_int(d): 0 for d, _ in cfg.dips}
         for port in range(1000):
             flow = FiveTuple.parse("172.16.0.2", VIP, 6, 1024 + port, 80)
-            hits[stage2_select(flow, table, cfg)] += 1
+            hits[table.get_or_assign(flow, cfg.dips)] += 1
         assert all(v > 0 for v in hits.values())
 
     def test_empty_pool(self):
@@ -219,8 +219,8 @@ class TestStage2:
                              region_peers=(("mgw-a", "10.50.0.1", 1.0),),
                              dips=(), local_sgw="10.2.0.1")
         with pytest.raises(SelectError):
-            stage2_select(FiveTuple.parse("1.2.3.4", VIP, 6, 1, 2),
-                          DipAffinityTable(), cfg)
+            DipAffinityTable().get_or_assign(
+                FiveTuple.parse("1.2.3.4", VIP, 6, 1, 2), cfg.dips)
 
 
 class TestRuleStore:
@@ -376,24 +376,6 @@ TestRuleStoreMachine.settings = settings(max_examples=50, deadline=None)
 
 
 class TestConfigLoading:
-    def test_from_json_document(self):
-        doc = {
-            "megw_id": "mgw-a",
-            "vips": ["10.100.1.1"],
-            "region_peers": [
-                {"megw_id": "mgw-a", "address": "10.50.0.1", "weight": 2},
-                {"megw_id": "mgw-b", "address": "10.50.0.2"},
-            ],
-            "dips": [{"address": "10.200.0.5"},
-                     {"address": "10.200.0.6", "weight": 3}],
-            "local_sgw": "10.2.0.1",
-        }
-        cfg = SteeringConfig.from_dict(doc)
-        assert cfg.megw_id == "mgw-a"
-        assert cfg.region_peers == (("mgw-a", "10.50.0.1", 2.0),
-                                    ("mgw-b", "10.50.0.2", 1.0))
-        assert cfg.dips == (("10.200.0.5", 1.0), ("10.200.0.6", 3.0))
-
     def test_self_must_be_a_peer(self):
         with pytest.raises(ValueError):
             SteeringConfig(megw_id="mgw-x", vips=frozenset({VIP}),
@@ -584,7 +566,7 @@ class TestProcessPacket:
 
     def test_downstream_undoes_dip_rewrite(self):
         flow = FiveTuple.parse("172.16.0.2", VIP, 6, 5000, 80)
-        dip = stage2_select(flow, self.affinity, self.cfg)
+        dip = self.affinity.get_or_assign(flow, self.cfg.dips)
         self.rules.install(FlowRule(flow, 0xC8, ENB1, SGW))
         echo = build_ipv4(dip, UE, 6, build_tcpish(6, 80, 5000, b"ok"))
         act = self.process(echo, Direction.FROM_CLUSTER)
@@ -602,8 +584,8 @@ class TestProcessPacket:
                              dips=(("10.200.0.5", 1.0),), local_sgw="10.2.0.1")
         second = ({"10.100.1.1", "10.100.1.2"} - {first}).pop()
         for vip in (first, second):
-            stage2_select(FiveTuple.parse("172.16.0.2", vip, 6, 5000, 80),
-                          self.affinity, cfg)
+            self.affinity.get_or_assign(
+                FiveTuple.parse("172.16.0.2", vip, 6, 5000, 80), cfg.dips)
         echo = ipv4("10.200.0.5", "172.16.0.2", 6,
                     build_tcpish(6, 80, 5000, b"ok"))
         act = process_packet(echo, Direction.FROM_CLUSTER, cfg, self.rules,
@@ -617,16 +599,15 @@ class TestProcessPacket:
             from megw.gtp import (Direction, FiveTuple, build_ipv4,
                                   build_tcpish, ip_int, ip_str, parse_ipv4)
             from megw.steering import (DipAffinityTable, RuleStore,
-                                       SteeringConfig, process_packet,
-                                       stage2_select)
+                                       SteeringConfig, process_packet)
             cfg = SteeringConfig("mgw-a",
                                  frozenset({"10.100.1.1", "10.100.1.2"}),
                                  (("mgw-a", "10.50.0.1", 1.0),),
                                  (("10.200.0.5", 1.0),), "10.2.0.1")
             aff = DipAffinityTable()
             for vip in ("10.100.1.2", "10.100.1.1"):
-                stage2_select(FiveTuple.parse("172.16.0.2", vip, 6, 5000, 80),
-                              aff, cfg)
+                aff.get_or_assign(
+                    FiveTuple.parse("172.16.0.2", vip, 6, 5000, 80), cfg.dips)
             echo = build_ipv4(ip_int("10.200.0.5"), ip_int("172.16.0.2"), 6,
                               build_tcpish(6, 80, 5000, b"ok"))
             act = process_packet(echo, Direction.FROM_CLUSTER, cfg,
