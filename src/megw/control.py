@@ -8,13 +8,15 @@ the caller applies them (or records them) in order.
 
 Handover handling follows the X2 timeline. The path-switch request
 classifies the scenario and files each bearer as pending under (old eNB,
-downstream TEID), the pair that names a tunnel (3GPP TS 29.281). An end
-marker is one lookup there: it opens the silent period, triggers the
-migration notice for a move across regions, and drops the context of a
-subscriber who moves to another gateway. The acknowledgement brings fresh
-tunnel state and ends the silence; an initial context setup ends any
-pending handover, and at a new eNB keeps none of the old eNB's tunnels.
-State and effects hold integer addresses; `dump_jsonl` writes them dotted.
+downstream TEID), the pair that names a tunnel (3GPP TS 29.281); a bearer
+still waiting for its response has TEID 0, which names none, and is left
+out. An end marker is one lookup there: it opens the silent period,
+triggers the migration notice for a move across regions, and drops the
+context of a subscriber who moves to another gateway. The acknowledgement
+brings fresh tunnel state and ends the silence; an initial context setup
+ends any pending handover, and at a new eNB keeps none of the old eNB's
+tunnels. State and effects hold integer addresses; `dump_jsonl` writes
+them dotted.
 """
 
 from __future__ import annotations
@@ -223,8 +225,9 @@ class S1apProcessor:
 
     def _pend(self, ctx: UeContext, scenario, new_enb: int) -> None:
         for bc in ctx.bearers.values():
-            self.pending[(ctx.enb_addr, bc.downstream_teid)] = (
-                ctx, scenario, new_enb)
+            if bc.downstream_teid:
+                self.pending[(ctx.enb_addr, bc.downstream_teid)] = (
+                    ctx, scenario, new_enb)
 
     def _unpend(self, ctx: UeContext) -> tuple | None:
         """Drop the context's entries (all alike); return one, or None."""

@@ -33,11 +33,11 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .steering import rendezvous_scores
+from .steering import rendezvous_pick
 # rendezvous_select is unused here; it stays importable because
 # benchmarks/layers.py counts calls under this name.
 from .steering import rendezvous_select  # noqa: F401
@@ -228,11 +228,11 @@ class RegionPicks:
 
     def __init__(self, n_users: int, mec_names: tuple, capacities: tuple,
                  region_of_mec: tuple):
-        self._names = mec_names
-        self._capacities = capacities
         self._members = [np.array([m for m, r in enumerate(region_of_mec)
                                    if r == region])
                          for region in range(max(region_of_mec) + 1)]
+        self._candidates = [[(mec_names[m], capacities[m]) for m in mecs]
+                            for mecs in self._members]
         self._picks = np.full((n_users, len(self._members)), -1,
                               dtype=np.min_scalar_type(-len(mec_names)))
 
@@ -250,17 +250,13 @@ class RegionPicks:
         return picks
 
     def _score(self, users: np.ndarray, region: int) -> None:
-        """Score HASH_CHUNK users at a time, the region's candidates as one
-        (candidates, users) array. argmax takes the first maximum, as
-        `rendezvous_select` keeps the first candidate on a tie."""
+        """Pick for HASH_CHUNK users at a time among the region's MECs."""
         mecs = self._members[region]
         for start in range(0, len(users), HASH_CHUNK):
             chunk = users[start:start + HASH_CHUNK]
             keys = [_USER_KEY(user) for user in chunk.tolist()]
-            scores = np.array([rendezvous_scores(keys, self._names[m],
-                                                 self._capacities[m])
-                               for m in mecs])
-            self._picks[chunk, region] = mecs[scores.argmax(axis=0)]
+            self._picks[chunk, region] = mecs[rendezvous_pick(
+                keys, self._candidates[region])]
 
 
 # one memo is kept, since every with-regions world of a sweep shares it
@@ -422,10 +418,8 @@ def _lockstep(base: SimConfig, moved: int, steps: int,
               rep_seed: int) -> list:
     """One replication: each step draws its moves once and applies them to
     one world per policy. Returns each policy's metrics series."""
-    worlds = [build_world(SimConfig(
-        regions_count=base.regions_count, mecs_per_region=base.mecs_per_region,
-        capacities=base.capacities, users_per_capacity=base.users_per_capacity,
-        steps=steps, migration_rate=moved, policy=policy, seed=rep_seed))
+    worlds = [build_world(replace(
+        base, steps=steps, migration_rate=moved, policy=policy, seed=rep_seed))
         for policy in POLICIES]
     for world in worlds[1:]:
         world.user_cell = worlds[0].user_cell   # same seed, same cells

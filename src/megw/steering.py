@@ -52,42 +52,36 @@ class ConflictError(ValueError):
     """A rule install contradicts an existing rule for the same flow."""
 
 
-def _score(candidate_id: str, weight: float, key: bytes) -> float:
-    """Weighted HRW score: -weight / ln(u), u drawn from the keyed hash.
+def rendezvous_pick(keys: Sequence[bytes],
+                    candidates: Sequence[tuple[str, float]]) -> list[int]:
+    """Index of the highest-scoring candidate for each key, in key order.
 
-    u is mapped into the open interval (0, 1), so the score is always a
-    positive finite float and a candidate wins with probability
-    proportional to its weight.
+    Weighted HRW: a candidate's score is -weight / ln(u), u drawn from the
+    blake2b hash of its length-prefixed id and the key, mapped into the
+    open interval (0, 1). So every score is a positive finite float and a
+    candidate wins with probability proportional to its weight. The first
+    candidate wins a tie. Each id is hashed once and each key extends a
+    copy of that state.
     """
-    ident = candidate_id.encode()
-    h = hashlib.blake2b(struct.pack("!I", len(ident)) + ident + key,
-                        digest_size=8).digest()
-    u = (int.from_bytes(h, "big") + 0.5) / 2.0 ** 64
-    return -weight / math.log(u)
-
-
-def rendezvous_scores(keys: Sequence[bytes], candidate_id: str,
-                      weight: float) -> list[float]:
-    """`_score` of one candidate for each key, in key order.
-
-    The batch form for callers that score many keys: the candidate's
-    length-prefixed id is hashed once and each key extends a copy of that
-    state, and the digests are unpacked in one call. The formula is the
-    scalar one, so every score equals `_score`'s bit for bit.
-    """
-    if weight <= 0:
-        raise SelectError(f"non-positive weight for {candidate_id!r}")
-    ident = candidate_id.encode()
-    fresh = hashlib.blake2b(struct.pack("!I", len(ident)) + ident,
-                            digest_size=8).copy
-    digests = []
-    for key in keys:
-        h = fresh()
-        h.update(key)
-        digests.append(h.digest())
+    if not candidates:
+        raise SelectError("empty candidate list")
+    unpack = struct.Struct(f">{len(keys)}Q").unpack
     log = math.log
-    return [-weight / log((x + 0.5) / 2.0 ** 64)
-            for x in struct.unpack(f">{len(digests)}Q", b"".join(digests))]
+    rows = []
+    for cand_id, weight in candidates:
+        if weight <= 0:
+            raise SelectError(f"non-positive weight for {cand_id!r}")
+        ident = cand_id.encode()
+        fresh = hashlib.blake2b(struct.pack("!I", len(ident)) + ident,
+                                digest_size=8).copy
+        digests = []
+        for key in keys:
+            h = fresh()
+            h.update(key)
+            digests.append(h.digest())
+        rows.append([-weight / log((x + 0.5) / 2.0 ** 64)
+                     for x in unpack(b"".join(digests))])
+    return [scores.index(max(scores)) for scores in zip(*rows)]
 
 
 def rendezvous_select(key: bytes,
@@ -97,18 +91,7 @@ def rendezvous_select(key: bytes,
     Deterministic in (key, candidate ids, weights); removing a losing
     candidate never changes the winner for a key.
     """
-    if not candidates:
-        raise SelectError("empty candidate list")
-    best_id = None
-    best_score = -1.0
-    for cand_id, weight in candidates:
-        if weight <= 0:
-            raise SelectError(f"non-positive weight for {cand_id!r}")
-        s = _score(cand_id, weight, key)
-        if s > best_score:
-            best_score = s
-            best_id = cand_id
-    return best_id
+    return candidates[rendezvous_pick((key,), candidates)[0]][0]
 
 
 @dataclass(frozen=True)

@@ -553,6 +553,22 @@ class TestPendingHandovers:
         assert proc.on_end_marker(ENB1, 200) == []
         assert proc.on_end_marker(ENB2, 200) == []
 
+    def test_bearer_without_tunnel_not_pending(self):
+        # between an ICS request and its response a bearer has downstream
+        # TEID 0, which no end marker carries: a path switch request then
+        # files nothing, and one subscriber's entry never hides another's
+        proc = S1apProcessor("mgw-a", TOPOLOGY)
+        for ue_ip in (UE, OTHER_UE):
+            proc.on_control_message(msg(
+                MessageKind.INITIAL_CONTEXT_SETUP_REQUEST,
+                [BearerItem(5, upstream_teid=100, transport_addr=SGW)],
+                ue_ip=ue_ip, enb=ENB2))
+            effects = proc.on_control_message(msg(
+                MessageKind.PATH_SWITCH_REQUEST,
+                [BearerItem(5, upstream_teid=100)], ue_ip=ue_ip, enb=ENB3))
+            assert [type(e) for e in effects] == [ScenarioDetected]
+        assert proc.pending == {}
+
     def test_stale_context_leaves_other_entries(self):
         # the eNB handed TEID 200 to a second subscriber after the first
         # went quiet; the first one's signalling must not drop the second
@@ -698,6 +714,7 @@ class ControllerMachine(RuleBasedStateMachine):
             assert ctx.ue_ip in self.in_handover
             assert self.proc.contexts.get(ctx.ue_ip) is ctx
             assert ctx.enb_addr == enb
+            assert teid != 0
             assert teid in {bc.downstream_teid for bc in ctx.bearers.values()}
 
 

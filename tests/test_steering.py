@@ -1,13 +1,16 @@
 """Steering pipeline: rendezvous hashing, both stages, packet processing."""
 
+import hashlib
+import math
 import os
 import random
+import struct
 import subprocess
 import sys
 import textwrap
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant, precondition,
                                  rule)
 
@@ -18,8 +21,8 @@ from megw.gtp import (Direction, FiveTuple, GtpMessageType, GtpuPacket,
 from megw.steering import (CloneToController, DipAffinityTable, Drop, Emit,
                            EndMarkerSeen, FlowMiss, FlowRule, Multiple,
                            RuleState, RuleStore, S1apClone, SelectError,
-                           SteeringConfig, process_packet, rendezvous_select,
-                           stage1_select)
+                           SteeringConfig, process_packet, rendezvous_pick,
+                           rendezvous_select, stage1_select)
 
 VIP = "10.100.1.1"
 ENB1, ENB2, SGW = ip_int("10.1.0.1"), ip_int("10.1.0.2"), ip_int("10.2.0.1")
@@ -44,6 +47,21 @@ def upstream_frame(ue="172.16.0.2", sport=5000, teid=100,
     inner = ipv4(ue, dst, 6, build_tcpish(6, sport, 80, payload))
     return encode_gtpu(GtpuPacket(ip_int(enb), ip_int(sgw), teid,
                                   GtpMessageType.GPDU, inner))
+
+
+def reference_pick(key, candidates):
+    """Weighted HRW written from its definition: x is the big-endian
+    blake2b-64 digest of a 4-byte length prefix, the candidate id and the
+    key; u = (x + 0.5) / 2**64 and the score is -weight / ln(u); the first
+    candidate with the highest score wins."""
+    scores = []
+    for cand_id, weight in candidates:
+        ident = cand_id.encode()
+        digest = hashlib.blake2b(len(ident).to_bytes(4, "big") + ident + key,
+                                 digest_size=8).digest()
+        u = (int.from_bytes(digest, "big") + 0.5) / 2.0 ** 64
+        scores.append(-weight / math.log(u))
+    return scores.index(max(scores))
 
 
 def flatten(action):
@@ -79,15 +97,36 @@ class TestRendezvous:
             assert rendezvous_select(key, reduced) == winner
 
     def test_batch_scores_bad_weight(self):
-        with pytest.raises(SelectError):
-            steering.rendezvous_scores([b"k"], "a", 0.0)
+        for keys in ([b"k"], []):
+            with pytest.raises(SelectError):
+                rendezvous_pick(keys, [])
+            with pytest.raises(SelectError):
+                rendezvous_pick(keys, [("a", 1.0), ("b", 0.0)])
 
     @given(keys=st.lists(st.binary(max_size=12), max_size=16),
-           cand=st.text(max_size=8),
-           weight=st.floats(min_value=1e-3, max_value=1e3))
-    def test_batch_scores_equal_scalar(self, keys, cand, weight):
-        assert steering.rendezvous_scores(keys, cand, weight) == [
-            steering._score(cand, weight, key) for key in keys]
+           cands=st.lists(st.tuples(
+               st.text(max_size=6),
+               st.sampled_from([1.0, 2.0])
+               | st.floats(min_value=1e-3, max_value=1e3)),
+               min_size=1, max_size=6))
+    @example(keys=[b"k", b""], cands=[("only", 2.5)])
+    @example(keys=[b"k", b"j"], cands=[("a", 1.0), ("a", 1.0)])
+    @example(keys=[], cands=[("a", 1.0), ("b", 2.0)])
+    def test_batch_scores_equal_scalar(self, keys, cands):
+        assert rendezvous_pick(keys, cands) == [
+            reference_pick(key, cands) for key in keys]
+
+    def test_known_picks(self):
+        # recorded picks: any change to the hash, the score or the tie rule
+        # moves some of them
+        keys = [struct.pack("!Q", u) for u in
+                (0, 1, 2, 3, 1000, 65535, 123456789, 2 ** 64 - 1)]
+        dips = [("10.200.0.1", 1.0), ("10.200.0.2", 1.0),
+                ("10.200.0.3", 2.0), ("10.200.0.4", 4.0)]
+        region0 = [("mec-0-0", 1.0), ("mec-0-1", 1.0), ("mec-0-2", 2.0),
+                   ("mec-0-3", 2.0)]     # region 0 of SimConfig()'s map
+        assert rendezvous_pick(keys, dips) == [2, 3, 0, 3, 2, 1, 2, 2]
+        assert rendezvous_pick(keys, region0) == [3, 3, 3, 2, 3, 3, 2, 0]
 
     def test_batch_form_loads_no_numpy(self):
         # gateway processes never load numpy; the batch form must not either
