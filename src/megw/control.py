@@ -12,11 +12,13 @@ downstream TEID), the pair that names a tunnel (3GPP TS 29.281); a bearer
 still waiting for its response has TEID 0, which names none, and is left
 out. An end marker is one lookup there: it opens the silent period,
 triggers the migration notice for a move across regions, and drops the
-context of a subscriber who moves to another gateway. The acknowledgement
-brings fresh tunnel state and ends the silence; an initial context setup
-ends any pending handover, and at a new eNB keeps none of the old eNB's
-tunnels. State and effects hold integer addresses; `dump_jsonl` writes
-them dotted.
+context of a subscriber who moves to another gateway. A silence ends only
+with an effect that ends it in the rule store too: the acknowledgement's
+`ReactivateUe`, which moves the rules to the fresh tunnels and drops the
+flows of bearers it does not list, or the `ReleaseUeRules` of an initial
+context setup, which also ends any pending handover and drops the rules
+on every tunnel it does not carry over. A path-switch request keeps it.
+State and effects hold integer addresses; `dump_jsonl` writes them dotted.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field, fields
 
 from .gtp import ip_int, ip_str
 from .s1ap import MessageKind, S1apLiteMessage
-from .steering import FiveTuple, FlowRule, RuleState
+from .steering import FiveTuple, FlowRule
 
 LOG_LIMIT = 4096    # effect-log entries a processor keeps
 
@@ -117,7 +119,7 @@ class ReactivateUe:
 
 @dataclass(frozen=True)
 class ReleaseUeRules:
-    """Drop the subscriber's flow rules: it now belongs to another gateway."""
+    """Drop the subscriber's flow rules, and its silence with them."""
 
     ue_ip: int
 
@@ -229,14 +231,12 @@ class S1apProcessor:
                 self.pending[(ctx.enb_addr, bc.downstream_teid)] = (
                     ctx, scenario, new_enb)
 
-    def _unpend(self, ctx: UeContext) -> tuple | None:
-        """Drop the context's entries (all alike); return one, or None."""
-        held = None
+    def _unpend(self, ctx: UeContext) -> None:
+        """Drop the context's entries."""
         for bc in ctx.bearers.values():
             key = (ctx.enb_addr, bc.downstream_teid)
             if self.pending.get(key, (None,))[0] is ctx:
-                held = self.pending.pop(key)
-        return held
+                del self.pending[key]
 
     # -- event handlers -----------------------------------------------------
 
@@ -258,21 +258,23 @@ class S1apProcessor:
         self._unpend(ctx)           # a setup ends any pending handover
         # a TEID names a tunnel only at the eNB that gave it: at a new eNB
         # no bearer keeps its downstream TEID until the response brings one.
-        # Rules on the old TEIDs would send return traffic where no eNB
-        # listens, and no acknowledgement will remap silenced ones: drop
-        # them, so a flow miss after the response installs on the new tunnel
-        moved = msg.enb_addr != ctx.enb_addr
-        release = ctx.silent or (moved and any(
-            bc.downstream_teid for bc in ctx.bearers.values()))
-        kept = {} if moved else ctx.bearers
+        # The request names every bearer: others go
+        old = ctx.bearers
+        kept = old if msg.enb_addr == ctx.enb_addr else {}
         ctx.enb_addr = msg.enb_addr
-        # the request names every bearer: others go
         ctx.bearers = {item.bearer_id: kept.get(item.bearer_id)
                        or BearerContext() for item in msg.bearers}
         for item in msg.bearers:
             bc = ctx.bearers[item.bearer_id]
             bc.upstream_teid = item.upstream_teid
             bc.sgw_addr = item.transport_addr or msg.sgw_addr
+        # rules on a tunnel that does not carry over would send return
+        # traffic where no eNB listens, and silenced ones would hold it with
+        # no acknowledgement to come: drop them
+        release = ctx.silent or any(
+            bc.downstream_teid and ctx.bearers.get(bid) is not bc
+            for bid, bc in old.items())
+        ctx.silent = False
         # TEID pairs are reconstructed here but no data-plane rule exists
         # until the subscriber actually opens an edge connection
         return [ReleaseUeRules(ue_ip=msg.ue_ip)] if release else []
@@ -283,15 +285,15 @@ class S1apProcessor:
             return [OrphanMessage(kind=msg.kind, ue_ip=msg.ue_ip)]
         self._unpend(ctx)
         # rules installed on a tunnel this setup replaces would send return
-        # traffic where no eNB listens: drop them, so the next flow miss
-        # installs a rule on the new tunnel
-        stale = False
+        # traffic where no eNB listens, and silenced rules would hold it:
+        # drop them, so the next flow miss installs a rule on the new tunnel
+        release = ctx.silent
         for item in msg.bearers:
             bc = ctx.bearers.setdefault(item.bearer_id, BearerContext())
-            stale |= bc.downstream_teid not in (0, item.downstream_teid)
+            release |= bc.downstream_teid not in (0, item.downstream_teid)
             bc.downstream_teid = item.downstream_teid
         ctx.silent = False
-        return [ReleaseUeRules(ue_ip=msg.ue_ip)] if stale else []
+        return [ReleaseUeRules(ue_ip=msg.ue_ip)] if release else []
 
     def _on_path_switch_request(self, msg: S1apLiteMessage) -> list:
         ctx = self.contexts.get(msg.ue_ip)
@@ -303,7 +305,6 @@ class S1apProcessor:
         except TopologyError:
             # an eNB outside this gateway's view: nothing to hand over to
             return [OrphanMessage(kind=msg.kind, ue_ip=msg.ue_ip)]
-        ctx.silent = False
         self._pend(ctx, scenario, msg.enb_addr)
         return [ScenarioDetected(ue_ip=msg.ue_ip, scenario=scenario,
                                  old_enb=ctx.enb_addr, new_enb=msg.enb_addr)]
@@ -339,7 +340,7 @@ class S1apProcessor:
                 if bc.upstream_teid == upstream_teid and bc.complete():
                     effects = [InstallRule(rule=FlowRule(
                         five_tuple, bc.downstream_teid, ctx.enb_addr,
-                        bc.sgw_addr, RuleState.ACTIVE))]
+                        bc.sgw_addr))]
                     break
         return self._emit("FLOW_MISS", {"five_tuple": five_tuple,
                                         "upstream_teid": upstream_teid},
@@ -349,7 +350,8 @@ class S1apProcessor:
         hit = self.pending.get((enb_addr, teid))
         effects: list = []
         if hit is not None:
-            ctx, scenario, new_enb = self._unpend(hit[0])
+            ctx, scenario, new_enb = hit
+            self._unpend(ctx)
             effects.append(SilenceUe(ue_ip=ctx.ue_ip))
             if scenario is HandoverScenario.CROSS_REGION:
                 effects.append(MigrationNotice(

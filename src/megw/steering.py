@@ -8,7 +8,7 @@ affinity table that pins the choice for the life of the connection.
 
 The flow-rule store carries the per-connection GTP context installed by
 the control plane: which downstream tunnel carries a flow's return
-traffic, and whether the subscriber is inside a handover silent period.
+traffic; beside it, a set of the subscribers in a handover silent period.
 It is grouped by subscriber, so silencing, reactivating (by a map of old
 to new downstream TEIDs) or releasing one subscriber never scans others.
 
@@ -27,7 +27,6 @@ addresses; only `SteeringConfig` input and `Emit.dst` are dotted quads.
 
 from __future__ import annotations
 
-import enum
 import functools
 import hashlib
 import math
@@ -143,11 +142,6 @@ def stage1_select(ue_ip: int, cfg: SteeringConfig) -> str:
                              [(pid, w) for pid, _, w in cfg.region_peers])
 
 
-class RuleState(enum.Enum):
-    ACTIVE = "active"
-    SILENT = "silent"
-
-
 class FlowRule(NamedTuple):
     """Per-flow GTP context: key is the upstream-oriented 5-tuple."""
 
@@ -155,24 +149,31 @@ class FlowRule(NamedTuple):
     downstream_teid: int
     enb_addr: int
     sgw_addr: int
-    state: RuleState = RuleState.ACTIVE
+
+
+# what RuleStore.lookup answers for a ruled flow of a silenced subscriber
+SILENT = object()
 
 
 class RuleStore:
-    """Flow-rule table keyed ue_ip -> {5-tuple: rule}. Single control-plane
-    writer, many packet readers."""
+    """Flow-rule table keyed ue_ip -> {5-tuple: rule}, and the subscribers
+    in a handover silent period. Single control-plane writer, many packet
+    readers."""
 
     def __init__(self):
         self._by_ue: dict[int, dict[FiveTuple, FlowRule]] = {}
+        self._silent: set[int] = set()
         self._count = 0     # rules in all of _by_ue, kept by the writers
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return self._count
 
-    def lookup(self, key: FiveTuple) -> FlowRule | None:
+    def lookup(self, key: FiveTuple) -> FlowRule | object | None:
+        """The flow's rule, None, or SILENT while its subscriber is silent."""
         with self._lock:
-            return self._by_ue.get(key.src_ip, {}).get(key)
+            rule = self._by_ue.get(key.src_ip, {}).get(key)
+            return SILENT if rule and key.src_ip in self._silent else rule
 
     def install(self, rule: FlowRule) -> None:
         """Install a rule; identical re-install is a no-op.
@@ -196,43 +197,40 @@ class RuleStore:
             self._count += 1
 
     def set_ue_silent(self, ue_ip: int) -> int:
-        """Silence every flow of a subscriber; returns rules touched."""
+        """Start a subscriber's silent period; returns its rule count."""
         with self._lock:
-            flows = self._by_ue.get(ue_ip, {})
-            touched = 0
-            for key, rule in flows.items():
-                if rule.state is not RuleState.SILENT:
-                    flows[key] = rule._replace(state=RuleState.SILENT)
-                    touched += 1
-            return touched
+            self._silent.add(ue_ip)
+            return len(self._by_ue.get(ue_ip, ()))
 
     def reactivate_ue(self, ue_ip: int, teid_remap: Mapping[int, int],
                       new_enb_addr: int) -> int:
-        """Bring a subscriber's flows back to active with new tunnel fields.
+        """End a subscriber's silent period on its new tunnels.
 
         teid_remap maps each flow's old downstream TEID to its new one; a
-        flow whose TEID it lacks stays as it is, since its bearer did not
-        survive the handover. Returns rules touched.
+        flow whose TEID it lacks is deleted, since its bearer did not
+        survive the handover. Returns rules kept.
         """
         with self._lock:
-            flows = self._by_ue.get(ue_ip, {})
-            touched = 0
-            for key, rule in flows.items():
-                if rule.downstream_teid in teid_remap:
-                    flows[key] = rule._replace(
-                        downstream_teid=teid_remap[rule.downstream_teid],
-                        enb_addr=new_enb_addr, state=RuleState.ACTIVE)
-                    touched += 1
-            return touched
+            self._silent.discard(ue_ip)
+            flows = self._by_ue.pop(ue_ip, {})
+            kept = {key: rule._replace(downstream_teid=teid_remap[teid],
+                                       enb_addr=new_enb_addr)
+                    for key, rule in flows.items()
+                    if (teid := rule.downstream_teid) in teid_remap}
+            if kept:
+                self._by_ue[ue_ip] = kept
+            self._count -= len(flows) - len(kept)
+            return len(kept)
 
     def release_ue(self, ue_ip: int) -> int:
-        """Remove every rule of a subscriber; returns rules removed.
+        """Drop a subscriber's rules and its silence; returns rules removed.
 
-        Used when a subscriber hands over to a different gateway: the old
-        gateway's tunnel state must not outlive the handover, or it would
-        swallow this subscriber's traffic transiting here later.
+        Used when a subscriber hands over to a different gateway, whose
+        old tunnel state would swallow its traffic transiting here later,
+        and when a context setup ends a subscriber's tunnels or silence.
         """
         with self._lock:
+            self._silent.discard(ue_ip)
             released = len(self._by_ue.pop(ue_ip, ()))
             self._count -= released
             return released
@@ -390,7 +388,7 @@ def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
         if flow.dst_ip not in cfg.vips:
             return Emit(ip_str(view.dst), data, note="ip-route")
         rule = rules.lookup(flow)
-        if rule is not None and rule.state is RuleState.SILENT:
+        if rule is SILENT:
             # silent period: hold edge traffic, keep the controller informed
             return CloneToController(FlowMiss(flow, pkt.teid))
         prelude = ()
@@ -436,7 +434,7 @@ def _downstream_edge(data: bytes, view: gtp.Ipv4View, rules: RuleStore,
     rule = rules.lookup(candidate)
     if rule is None:
         return Emit(ip_str(view.dst), data, note="ip-route")
-    if rule.state is RuleState.SILENT:
+    if rule is SILENT:
         return Drop("silent-period")
     tunneled = encode_gtpu(gtp.GtpuPacket(
         rule.sgw_addr, rule.enb_addr, rule.downstream_teid,

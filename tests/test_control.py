@@ -17,7 +17,7 @@ from megw.control import (HandoverScenario, InstallRule,
                           ScenarioDetected, SilenceUe, TopologyError,
                           TopologyView, classify_handover)
 from megw.s1ap import BearerItem, MessageKind, S1apLiteMessage
-from megw.steering import FiveTuple, FlowRule, RuleState, RuleStore
+from megw.steering import SILENT, FiveTuple, FlowRule, RuleStore
 
 UE = ip_int("172.16.0.2")
 ENB1, ENB2, ENB3, ENB4 = map(ip_int, ("10.1.0.1", "10.1.0.2", "10.1.0.3",
@@ -133,7 +133,7 @@ class TestReattachInSilentPeriod:
             MessageKind.PATH_SWITCH_REQUEST,
             [BearerItem(5, upstream_teid=100)], enb=ENB2)))
         apply(store, proc.on_end_marker(ENB1, 200))
-        assert store.lookup(flow).state is RuleState.SILENT
+        assert store.lookup(flow) is SILENT
         effects = apply(store, proc.on_control_message(msg(
             MessageKind.INITIAL_CONTEXT_SETUP_REQUEST,
             [BearerItem(5, upstream_teid=100, transport_addr=SGW)],
@@ -145,9 +145,7 @@ class TestReattachInSilentPeriod:
             [BearerItem(5, downstream_teid=300, transport_addr=ENB2)],
             enb=ENB2)))
         apply(store, proc.on_flow_miss(flow, 100))
-        rule = store.lookup(flow)
-        assert (rule.downstream_teid, rule.enb_addr, rule.state) == (
-            300, ENB2, RuleState.ACTIVE)
+        assert store.lookup(flow) == FlowRule(flow, 300, ENB2, SGW)
 
     def test_attached_reattach_releases_nothing(self):
         proc = S1apProcessor("mgw-a", TOPOLOGY)
@@ -177,9 +175,7 @@ class TestReattachWhileAttached:
             [BearerItem(5, downstream_teid=300, transport_addr=ENB2)],
             enb=ENB2))) == []
         apply(store, proc.on_flow_miss(flow, 100))
-        rule = store.lookup(flow)
-        assert (rule.downstream_teid, rule.enb_addr, rule.state) == (
-            300, ENB2, RuleState.ACTIVE)
+        assert store.lookup(flow) == FlowRule(flow, 300, ENB2, SGW)
 
     def test_no_rule_between_request_and_response(self):
         # 10.1.0.2 never assigned TEID 200: until its response names a
@@ -223,6 +219,19 @@ class TestReattachWhileAttached:
         assert [type(e) for e in effects] == (
             [ReleaseUeRules] if released else [])
 
+    def test_request_dropping_a_bearer_releases(self):
+        # a request at the same eNB that no longer lists bearer 5 ends its
+        # tunnel, and the rule on it with it
+        proc, store = S1apProcessor("mgw-a", TOPOLOGY), RuleStore()
+        attach(proc, enb=ENB1, pairs=((5, 100, 200),))
+        flow = FiveTuple(UE, VIP, 6, 5000, 80)
+        apply(store, proc.on_flow_miss(flow, 100))
+        effects = apply(store, proc.on_control_message(msg(
+            MessageKind.INITIAL_CONTEXT_SETUP_REQUEST,
+            [BearerItem(6, upstream_teid=101, transport_addr=SGW)])))
+        assert [type(e) for e in effects] == [ReleaseUeRules]
+        assert store.lookup(flow) is None
+
     def test_first_attach_and_new_bearer_release_nothing(self):
         proc = S1apProcessor("mgw-a", TOPOLOGY)
         attach(proc, enb=ENB1, pairs=((5, 100, 200),))
@@ -243,7 +252,6 @@ class TestFlowMiss:
         assert rule.downstream_teid == 200
         assert rule.enb_addr == ENB1
         assert rule.sgw_addr == SGW
-        assert rule.state is RuleState.ACTIVE
 
     def test_two_flows_two_bearers(self):
         proc = S1apProcessor("mgw-a", TOPOLOGY)
@@ -314,6 +322,54 @@ class TestHandover:
         assert proc.contexts[UE].silent
         effects = proc.on_flow_miss(FiveTuple(UE, VIP, 6, 1, 2), 100)
         assert isinstance(effects[0], NoContext)
+
+    def test_ack_ends_flows_of_unlisted_bearers(self):
+        # the acknowledgement lists bearer 5 only: bearer 6's flow must not
+        # stay silenced on the old eNB's tunnel for as long as the
+        # subscriber stays
+        proc, store = S1apProcessor("mgw-a", TOPOLOGY), RuleStore()
+        attach(proc, pairs=((5, 100, 200), (6, 101, 201)))
+        flow5, flow6 = (FiveTuple(UE, VIP, 6, port, 80)
+                        for port in (5000, 5001))
+        apply(store, proc.on_flow_miss(flow5, 100))
+        apply(store, proc.on_flow_miss(flow6, 101))
+        apply(store, proc.on_control_message(msg(
+            MessageKind.PATH_SWITCH_REQUEST,
+            [BearerItem(5, upstream_teid=100), BearerItem(6, upstream_teid=101)],
+            enb=ENB2)))
+        apply(store, proc.on_end_marker(ENB1, 200))
+        apply(store, proc.on_end_marker(ENB1, 201))
+        apply(store, proc.on_control_message(msg(
+            MessageKind.PATH_SWITCH_ACKNOWLEDGE,
+            [BearerItem(5, upstream_teid=100, downstream_teid=300)],
+            enb=ENB2)))
+        assert store.rules_for_ue(UE) == [FlowRule(flow5, 300, ENB2, SGW)]
+        assert store.lookup(flow6) is None
+
+    def test_path_switch_request_keeps_the_silence(self):
+        # the acknowledgement is lost and the path switch request comes
+        # again: the silence holds, and no rule goes on the old tunnel
+        # beside the silenced one
+        proc, store = S1apProcessor("mgw-a", TOPOLOGY), RuleStore()
+        attach(proc)
+        flow, other = (FiveTuple(UE, VIP, 6, port, 80)
+                       for port in (5000, 5001))
+        apply(store, proc.on_flow_miss(flow, 100))
+        request = msg(MessageKind.PATH_SWITCH_REQUEST,
+                      [BearerItem(5, upstream_teid=100)], enb=ENB2)
+        apply(store, proc.on_control_message(request))
+        apply(store, proc.on_end_marker(ENB1, 200))
+        apply(store, proc.on_control_message(request))
+        assert proc.contexts[UE].silent
+        effects = apply(store, proc.on_flow_miss(other, 100))
+        assert [type(e) for e in effects] == [NoContext]
+        assert store.lookup(flow) is SILENT
+        assert store.lookup(other) is None
+        apply(store, proc.on_control_message(msg(
+            MessageKind.PATH_SWITCH_ACKNOWLEDGE,
+            [BearerItem(5, upstream_teid=100, downstream_teid=300)],
+            enb=ENB2)))
+        assert store.rules_for_ue(UE) == [FlowRule(flow, 300, ENB2, SGW)]
 
     def test_cross_region_notice_at_silence_start(self):
         proc = S1apProcessor("mgw-a", TOPOLOGY)
@@ -422,7 +478,7 @@ class TestEffectLog:
     def test_shallow_asdict_equals_asdict(self):
         flow = FiveTuple(UE, VIP, 6, 5000, 80)
         effects = [
-            InstallRule(FlowRule(flow, 200, ENB1, SGW, RuleState.SILENT)),
+            InstallRule(FlowRule(flow, 200, ENB1, SGW)),
             SilenceUe(UE),
             ReactivateUe(UE, ((200, 300), (201, 301)), ENB2),
             ReleaseUeRules(UE),
@@ -454,7 +510,7 @@ class TestEffectLog:
             "detail": {"five_tuple": flow, "upstream_teid": 100},
             "effects": [{"type": "InstallRule", "rule": {
                 "key": flow, "downstream_teid": 200, "enb_addr": "10.1.0.1",
-                "sgw_addr": "10.2.0.1", "state": "active"}}]}
+                "sgw_addr": "10.2.0.1"}}]}
         assert marker == {"seq": 4, "event": "END_MARKER",
                           "detail": {"enb": "10.1.0.1", "teid": 200},
                           "effects": []}
@@ -615,11 +671,16 @@ class ControllerMachine(RuleBasedStateMachine):
     Downstream TEIDs come from one counter, so they are unique per eNB as
     3GPP TS 29.281 requires; TEID 0 means "not yet assigned" and names no
     tunnel, so no end marker carries it. Every installed rule must send to
-    a tunnel that a response or an acknowledgement handed out."""
+    a tunnel that a response or an acknowledgement handed out.
+
+    Every effect goes to a rule store, as a gateway applies it. A
+    subscriber's rules are silenced exactly when its context is, and each
+    names one of the context's current tunnels."""
 
     def __init__(self):
         super().__init__()
         self.proc = S1apProcessor("mgw-a", TOPOLOGY)
+        self.store = RuleStore()
         self.teids = itertools.count(200)
         self.assigned = [0xDEAD]    # every TEID handed out, and a stranger
         self.tunnels = set()        # every (eNB, downstream TEID) handed out
@@ -634,38 +695,38 @@ class ControllerMachine(RuleBasedStateMachine):
           bearers=MACHINE_BEARERS)
     def ics_request(self, ue, enb, bearers):
         self.in_handover.discard(ue)
-        self.proc.on_control_message(msg(
+        apply(self.store, self.proc.on_control_message(msg(
             MessageKind.INITIAL_CONTEXT_SETUP_REQUEST,
             [BearerItem(b, upstream_teid=100 + b, transport_addr=SGW)
-             for b in sorted(bearers)], ue_ip=ue, enb=enb))
+             for b in sorted(bearers)], ue_ip=ue, enb=enb)))
 
     @rule(ue=st.sampled_from(MACHINE_UES), bearers=MACHINE_BEARERS)
     def ics_response(self, ue, bearers):
         ctx = self.proc.contexts.get(ue)
         enb = ENB1 if ctx is None else ctx.enb_addr
         self.in_handover.discard(ue)
-        self.proc.on_control_message(msg(
+        apply(self.store, self.proc.on_control_message(msg(
             MessageKind.INITIAL_CONTEXT_SETUP_RESPONSE,
             [BearerItem(b, downstream_teid=self.teid(enb), transport_addr=enb)
-             for b in sorted(bearers)], ue_ip=ue, enb=enb))
+             for b in sorted(bearers)], ue_ip=ue, enb=enb)))
 
     @rule(ue=st.sampled_from(MACHINE_UES), enb=st.sampled_from(ENBS))
     def path_switch_request(self, ue, enb):
         if ue in self.proc.contexts:
             self.in_handover.add(ue)
-        self.proc.on_control_message(msg(
+        apply(self.store, self.proc.on_control_message(msg(
             MessageKind.PATH_SWITCH_REQUEST,
-            [BearerItem(5, upstream_teid=105)], ue_ip=ue, enb=enb))
+            [BearerItem(5, upstream_teid=105)], ue_ip=ue, enb=enb)))
 
     @rule(ue=st.sampled_from(MACHINE_UES), enb=st.sampled_from(ENBS),
           bearers=MACHINE_BEARERS)
     def path_switch_ack(self, ue, enb, bearers):
         self.in_handover.discard(ue)
-        self.proc.on_control_message(msg(
+        apply(self.store, self.proc.on_control_message(msg(
             MessageKind.PATH_SWITCH_ACKNOWLEDGE,
             [BearerItem(b, upstream_teid=100 + b,
                         downstream_teid=self.teid(enb), transport_addr=enb)
-             for b in sorted(bearers)], ue_ip=ue, enb=enb))
+             for b in sorted(bearers)], ue_ip=ue, enb=enb)))
 
     @rule(data=st.data())
     def end_marker(self, data):
@@ -683,7 +744,7 @@ class ControllerMachine(RuleBasedStateMachine):
             and ctx.enb_addr == enb
             and any(bc.downstream_teid == teid for bc in ctx.bearers.values())]
         assert len(expected) <= 1
-        effects = self.proc.on_end_marker(enb, teid)
+        effects = apply(self.store, self.proc.on_end_marker(enb, teid))
         assert [e.ue_ip for e in effects if isinstance(e, SilenceUe)] == expected
         for ue_ip in expected:
             self.in_handover.discard(ue_ip)
@@ -698,8 +759,8 @@ class ControllerMachine(RuleBasedStateMachine):
         live = ctx is not None and not ctx.silent
         match = [bc for bc in (ctx.bearers.values() if live else ())
                  if bc.upstream_teid == 100 + bearer and bc.complete()]
-        effects = self.proc.on_flow_miss(
-            FiveTuple(ue, VIP, 6, 40000 + bearer, 80), 100 + bearer)
+        effects = apply(self.store, self.proc.on_flow_miss(
+            FiveTuple(ue, VIP, 6, 40000 + bearer, 80), 100 + bearer))
         if match:
             installed = effects[0].rule
             assert installed.downstream_teid == match[0].downstream_teid
@@ -716,6 +777,24 @@ class ControllerMachine(RuleBasedStateMachine):
             assert ctx.enb_addr == enb
             assert teid != 0
             assert teid in {bc.downstream_teid for bc in ctx.bearers.values()}
+
+    @invariant()
+    def rules_silenced_with_their_context(self):
+        for ue_ip in MACHINE_UES:
+            ctx = self.proc.contexts.get(ue_ip)
+            silenced = {self.store.lookup(r.key) is SILENT
+                        for r in self.store.rules_for_ue(ue_ip)}
+            assert silenced <= {ctx is not None and ctx.silent}
+
+    @invariant()
+    def rules_name_current_tunnels(self):
+        for ue_ip in MACHINE_UES:
+            ctx = self.proc.contexts.get(ue_ip)
+            tunnels = set() if ctx is None else {
+                (ctx.enb_addr, bc.downstream_teid)
+                for bc in ctx.bearers.values()}
+            for r in self.store.rules_for_ue(ue_ip):
+                assert (r.enb_addr, r.downstream_teid) in tunnels
 
 
 TestControllerMachine = ControllerMachine.TestCase

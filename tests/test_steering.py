@@ -20,7 +20,7 @@ from megw.gtp import (Direction, FiveTuple, GtpMessageType, GtpuPacket,
                       ip_int)
 from megw.steering import (CloneToController, DipAffinityTable, Drop, Emit,
                            EndMarkerSeen, FlowMiss, FlowRule, Multiple,
-                           RuleState, RuleStore, S1apClone, SelectError,
+                           RuleStore, S1apClone, SelectError, SILENT,
                            SteeringConfig, process_packet, rendezvous_pick,
                            rendezvous_select, stage1_select)
 
@@ -263,10 +263,9 @@ class TestStage2:
 
 
 class TestRuleStore:
-    def rule(self, teid=200, state=RuleState.ACTIVE):
+    def rule(self, teid=200):
         return FlowRule(key=FiveTuple.parse("172.16.0.2", VIP, 6, 5000, 80),
-                        downstream_teid=teid, enb_addr=ENB1,
-                        sgw_addr=SGW, state=state)
+                        downstream_teid=teid, enb_addr=ENB1, sgw_addr=SGW)
 
     def test_install_lookup(self):
         store = RuleStore()
@@ -294,27 +293,28 @@ class TestRuleStore:
                 downstream_teid=200, enb_addr=ENB1,
                 sgw_addr=SGW))
         assert store.set_ue_silent(UE) == 2
-        assert all(r.state is RuleState.SILENT
+        assert all(store.lookup(r.key) is SILENT
                    for r in store.rules_for_ue(UE))
         assert store.set_ue_silent(ip_int("172.16.9.9")) == 0
         assert store.reactivate_ue(UE, {200: 300}, ENB2) == 2
         for r in store.rules_for_ue(UE):
-            assert r.state is RuleState.ACTIVE
+            assert store.lookup(r.key) == r
             assert r.downstream_teid == 300
             assert r.enb_addr == ENB2
 
     def test_reactivate_with_remap_per_bearer(self):
+        # the flow on TEID 202 belongs to a bearer the remap does not list:
+        # it ends with the handover
         store = RuleStore()
-        store.install(FlowRule(
-            key=FiveTuple.parse("172.16.0.2", VIP, 6, 5000, 80),
-            downstream_teid=200, enb_addr=ENB1, sgw_addr=SGW))
-        store.install(FlowRule(
-            key=FiveTuple.parse("172.16.0.2", VIP, 6, 5001, 80),
-            downstream_teid=201, enb_addr=ENB1, sgw_addr=SGW))
+        for sport, teid in ((5000, 200), (5001, 201), (5002, 202)):
+            store.install(FlowRule(
+                key=FiveTuple.parse("172.16.0.2", VIP, 6, sport, 80),
+                downstream_teid=teid, enb_addr=ENB1, sgw_addr=SGW))
         store.set_ue_silent(UE)
-        touched = store.reactivate_ue(UE, {200: 300, 201: 301}, ENB2)
-        assert touched == 2
+        kept = store.reactivate_ue(UE, {200: 300, 201: 301}, ENB2)
+        assert kept == len(store) == 2
         by_port = {r.key.src_port: r for r in store.rules_for_ue(UE)}
+        assert by_port.keys() == {5000, 5001}
         assert by_port[5000].downstream_teid == 300
         assert by_port[5001].downstream_teid == 301
 
@@ -329,20 +329,22 @@ flow_keys = st.builds(FiveTuple, st.sampled_from(UES), st.just(ip_int(VIP)),
 
 class RuleStoreMachine(RuleBasedStateMachine):
     """RuleStore against a flat {5-tuple: rule} table whose per-subscriber
-    operations scan every rule and filter on the subscriber address."""
+    operations scan every rule and filter on the subscriber address, and a
+    set of silenced subscribers."""
 
     def __init__(self):
         super().__init__()
         self.store = RuleStore()
         self.model: dict[FiveTuple, FlowRule] = {}
+        self.silent: set[int] = set()
 
     def flows_of(self, ue):
         return [k for k in self.model if k.src_ip == ue]
 
     @rule(key=flow_keys, teid=st.sampled_from(TEIDS),
-          enb=st.sampled_from(ENBS), state=st.sampled_from(RuleState))
-    def install(self, key, teid, enb, state):
-        new = FlowRule(key, teid, enb, SGW, state)
+          enb=st.sampled_from(ENBS))
+    def install(self, key, teid, enb):
+        new = FlowRule(key, teid, enb, SGW)
         old = self.model.get(key)
         if old is not None and (old.downstream_teid, old.enb_addr) != (
                 teid, enb):
@@ -364,40 +366,39 @@ class RuleStoreMachine(RuleBasedStateMachine):
 
     @rule(ue=st.sampled_from(UES))
     def set_ue_silent(self, ue):
-        touched = 0
-        for k in self.flows_of(ue):
-            if self.model[k].state is not RuleState.SILENT:
-                self.model[k] = FlowRule(k, self.model[k].downstream_teid,
-                                         self.model[k].enb_addr,
-                                         self.model[k].sgw_addr,
-                                         RuleState.SILENT)
-                touched += 1
-        assert self.store.set_ue_silent(ue) == touched
+        self.silent.add(ue)
+        assert self.store.set_ue_silent(ue) == len(self.flows_of(ue))
 
     @rule(ue=st.sampled_from(UES),
           remap=st.dictionaries(st.sampled_from(TEIDS),
                                 st.sampled_from(TEIDS), max_size=3),
           enb=st.sampled_from(ENBS))
     def reactivate_ue(self, ue, remap, enb):
-        touched = 0
+        # a flow whose TEID the remap lacks ends with the handover
+        kept = 0
         for k in self.flows_of(ue):
-            old = self.model[k]
+            old = self.model.pop(k)
             if old.downstream_teid in remap:
                 self.model[k] = FlowRule(k, remap[old.downstream_teid], enb,
-                                         old.sgw_addr, RuleState.ACTIVE)
-                touched += 1
-        assert self.store.reactivate_ue(ue, remap, enb) == touched
+                                         old.sgw_addr)
+                kept += 1
+        self.silent.discard(ue)
+        assert self.store.reactivate_ue(ue, remap, enb) == kept
 
     @rule(ue=st.sampled_from(UES))
     def release_ue(self, ue):
         keys = self.flows_of(ue)
         for k in keys:
             del self.model[k]
+        self.silent.discard(ue)
         assert self.store.release_ue(ue) == len(keys)
 
     @rule(key=flow_keys)
     def lookup(self, key):
-        assert self.store.lookup(key) == self.model.get(key)
+        expected = self.model.get(key)
+        if expected is not None and key.src_ip in self.silent:
+            expected = SILENT
+        assert self.store.lookup(key) == expected
 
     @invariant()
     def same_rules_per_subscriber(self):
@@ -707,7 +708,7 @@ class TestProcessPacket:
 
     def test_gtp_with_optional_fields_routes_by_outer(self):
         # flags 0x32 (sequence number present) fail the tunnel checks, so
-        # the frame is plain-routed, not steered (ROADMAP item 2)
+        # the frame is plain-routed, not steered (ROADMAP, "Wire conformance")
         frame = bytearray(upstream_frame())
         frame[28] = 0x32
         act = self.process(bytes(frame))
