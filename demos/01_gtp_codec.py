@@ -19,7 +19,7 @@ inner = build_ipv4(UE, VIP, 6, build_tcpish(6, 5000, 80, b"GET /"))
 pkt = GtpuPacket(outer_src=ENB, outer_dst=SGW,
                  teid=0x11223344, message_type=GtpMessageType.GPDU,
                  inner=inner)
-wire = encode_gtpu(pkt)
+wire = encode_gtpu(*pkt)
 
 print("wire bytes:", wire.hex())
 print("tunnel header:", wire[28:36].hex(),
@@ -37,7 +37,7 @@ print("from RAN :", classify(wire, Direction.FROM_RAN).value)
 print("from core:", classify(wire, Direction.FROM_CORE).value)
 
 # End markers close a tunnel during handover: message type 254, no payload.
-marker = encode_gtpu(GtpuPacket(SGW, ENB, 0xC8, GtpMessageType.END_MARKER))
+marker = encode_gtpu(SGW, ENB, 0xC8, GtpMessageType.END_MARKER)
 print("end-marker type byte:", marker[29], "classified:",
       classify(marker, Direction.FROM_CORE).value)
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gtp, harness, sim
-from .gtp import GtpMessageType, GtpuPacket, ip_int, ip_str
+from .gtp import GtpMessageType, ip_int, ip_str
 
 
 class _UsageError(Exception):
@@ -96,13 +96,12 @@ def _cmd_codec_encode(args) -> int:
     doc = _load_json(args.packet)
     mt = {"gpdu": GtpMessageType.GPDU,
           "end-marker": GtpMessageType.END_MARKER}[doc["message_type"]]
-    pkt = GtpuPacket(outer_src=ip_int(doc["outer_src"]),
-                     outer_dst=ip_int(doc["outer_dst"]),
-                     teid=int(doc["teid"], 0) if isinstance(doc["teid"], str)
-                     else int(doc["teid"]),
-                     message_type=mt,
-                     inner=bytes.fromhex(doc.get("inner_hex", "")))
-    print(gtp.encode_gtpu(pkt).hex())
+    wire = gtp.encode_gtpu(
+        outer_src=ip_int(doc["outer_src"]), outer_dst=ip_int(doc["outer_dst"]),
+        teid=int(doc["teid"], 0) if isinstance(doc["teid"], str)
+        else int(doc["teid"]),
+        message_type=mt, inner=bytes.fromhex(doc.get("inner_hex", "")))
+    print(wire.hex())
     return 0
 
 

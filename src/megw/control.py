@@ -24,6 +24,7 @@ State and effects hold integer addresses; `dump_jsonl` writes them dotted.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from collections import deque
 from dataclasses import dataclass, field, fields
@@ -164,7 +165,12 @@ def _shallow_asdict(obj) -> dict:
     """`dataclasses.asdict` without its deep copy: every value is shared.
     The effects hold only immutable values, so the log reads the same and
     costs a fraction of the time."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return {name: getattr(obj, name) for name in _field_names(type(obj))}
+
+
+@functools.lru_cache(maxsize=32)
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
 
 
 # fields that hold an IPv4 address, which logs and traces write dotted

@@ -4,14 +4,14 @@ Encodes and decodes the outer IPv4 / UDP / GTPv1-U framing used between
 eNB and SGW, extracts inner-packet 5-tuples, and classifies raw frames
 into the handful of traffic classes the gateway pipeline cares about.
 
-One parse serves classification and decoding: `parse_frame` makes every
-outer IPv4 / UDP / GTP-U check once, `classify` reads the `Frame` it
-returns and `decode_gtpu` runs the same checks, so they agree by
-construction. Only the 8-byte header with flags 0x30 is accepted: a
-frame carrying the optional sequence, N-PDU or extension fields fails
-the tunnel checks, so the gateway plain-routes it (ROADMAP, "Wire
-conformance"). Views hold addresses as integers, read with one `struct`
-unpack per header; `ip_int` and `ip_str` convert dotted quads at the edges.
+Each header's checks live in one reader that unpacks it in place, at an
+offset, into integers: `read_ipv4`, `read_tunnel` (UDP and GTP-U) and
+`read_ports`. The packet path calls them directly; `parse_ipv4`,
+`parse_frame`, `decode_gtpu`, `classify` and `inner_five_tuple` build
+views from them for the harness, the CLI and the tests. Only the 8-byte
+header with flags 0x30 is accepted: optional sequence, N-PDU or extension
+fields fail the tunnel checks, so the frame is plain-routed (ROADMAP,
+"Wire conformance"). Addresses are integers; `ip_int` and `ip_str` convert.
 
 All functions here are pure and operate on immutable byte strings; they
 are safe to call from any number of concurrent contexts.
@@ -42,8 +42,13 @@ _INNER_AT = UDP_HEADER_LEN + GTP_HEADER_LEN  # inner packet in a G-PDU's UDP
 # version/IHL, total length, protocol, source, destination
 _IPV4_FIELDS = struct.Struct("!BxH5xB2xII")
 _IPV4_HEADER = struct.Struct("!BBHHHBBHII")
-_GTP = struct.Struct("!BBHI")
+# UDP destination port and length; GTP-U flags, type, length and TEID
+_TUNNEL = struct.Struct("!2xHH2xBBHI")
+# the outer IPv4, UDP and GTP-U headers of an encoded frame
+_OUTER = struct.Struct("!BBHHHBBHIIHHHHBBHI")
 _PORTS = struct.Struct("!HH")
+_pack_word16 = struct.Struct("!H").pack_into
+_pack_word32 = struct.Struct("!I").pack_into
 _FLOW_KEY = struct.Struct("!IIBHH")
 
 
@@ -151,10 +156,6 @@ class FiveTuple(NamedTuple):
         """The 5-tuple of two dotted-quad addresses."""
         return cls(ip_int(src_ip), ip_int(dst_ip), proto, src_port, dst_port)
 
-    def reversed(self) -> "FiveTuple":
-        return FiveTuple(self.dst_ip, self.src_ip, self.proto,
-                         self.dst_port, self.src_port)
-
     def key_bytes(self) -> bytes:
         """Canonical byte form, used as a hash key by the load balancers."""
         return _FLOW_KEY.pack(*self)
@@ -197,51 +198,105 @@ def build_tcpish(proto: int, src_port: int, dst_port: int,
     return _PORTS.pack(src_port, dst_port) + payload
 
 
-def encode_gtpu(pkt: GtpuPacket) -> bytes:
-    """Encode to outer IPv4 + UDP (port 2152) + 8-byte GTPv1-U + inner."""
-    if len(pkt.inner) > MAX_INNER_LEN:
-        raise EncodeError(f"inner packet too large ({len(pkt.inner)} bytes)")
-    if not 0 <= pkt.teid <= 0xFFFFFFFF:
-        raise EncodeError(f"TEID out of range: {pkt.teid:#x}")
-    gtp = _GTP.pack(GTP_FLAGS, pkt.message_type.value, len(pkt.inner),
-                    pkt.teid) + pkt.inner
-    udp = build_udp(GTP_UDP_PORT, GTP_UDP_PORT, gtp)
-    return build_ipv4(pkt.outer_src, pkt.outer_dst, PROTO_UDP, udp)
+def encode_gtpu(outer_src: int, outer_dst: int, teid: int,
+                message_type: GtpMessageType, inner: bytes = b"") -> bytes:
+    """Encode to outer IPv4 + UDP (port 2152) + 8-byte GTPv1-U + inner:
+    one `struct` pack of the 36 header bytes, then the IPv4 checksum.
+    `encode_gtpu(*pkt)` is the inverse of `decode_gtpu`."""
+    n = len(inner)
+    if n > MAX_INNER_LEN:
+        raise EncodeError(f"inner packet too large ({n} bytes)")
+    if not 0 <= teid <= 0xFFFFFFFF:
+        raise EncodeError(f"TEID out of range: {teid:#x}")
+    # `_value_` is the member's value; `.value` reads it through a property
+    head = _OUTER.pack(0x45, 0, _OUTER.size + n, 0, 0, 64, PROTO_UDP, 0,
+                       outer_src, outer_dst, GTP_UDP_PORT, GTP_UDP_PORT,
+                       _INNER_AT + n, 0, GTP_FLAGS, message_type._value_, n,
+                       teid)
+    csum = ipv4_checksum(head[:IPV4_MIN_HEADER])
+    return b"".join((head[:10], csum.to_bytes(2, "big"), head[12:], inner))
+
+
+def read_ipv4(data: bytes, at: int = 0, end: int | None = None) -> tuple:
+    """(IHL, total length, protocol, source, destination) of the IPv4
+    header at `at` of a packet that may run to `end` (default: the end of
+    `data`). Checks length, version, IHL, total; raises a DecodeError."""
+    size = (len(data) if end is None else end) - at
+    if size < IPV4_MIN_HEADER:
+        raise TruncatedError(f"IPv4 header needs 20 bytes, got {size}")
+    ver_ihl, total, proto, src, dst = _IPV4_FIELDS.unpack_from(data, at)
+    if ver_ihl >> 4 != 4:
+        raise VersionError(f"IP version {ver_ihl >> 4}, expected 4")
+    ihl = (ver_ihl & 0x0F) * 4
+    if ihl < IPV4_MIN_HEADER:
+        raise LengthError(f"IPv4 IHL {ihl} below minimum")
+    if total < ihl or total > size:
+        raise LengthError(f"IPv4 total length {total} vs {size} bytes")
+    return ihl, total, proto, src, dst
+
+
+def read_ports(data: bytes, at: int, size: int, proto: int) -> tuple:
+    """(source, destination) port of the `size` transport bytes at `at`:
+    the first two words of TCP and UDP, (0, 0) for any other protocol."""
+    if proto != PROTO_TCP and proto != PROTO_UDP:
+        return 0, 0
+    if size < 4:
+        raise TruncatedError("transport header truncated")
+    return _PORTS.unpack_from(data, at)
+
+
+def read_tunnel(data: bytes, proto: int, ihl: int,
+                total: int) -> tuple[int, int, int] | DecodeError:
+    """(message type, TEID, inner offset) of the UDP and GTP-U headers
+    behind an IPv4 header of `ihl` bytes, `total` long, carrying `proto`;
+    or the error of the first failed check, returned so that reading a
+    plain frame costs no exception."""
+    if proto != PROTO_UDP:
+        return MessageTypeError(f"outer protocol {proto}, expected UDP")
+    size = total - ihl
+    if size < UDP_HEADER_LEN:
+        return TruncatedError("UDP header truncated")
+    buf, at = data, ihl
+    if size < _INNER_AT:
+        # zero-pad a datagram too short for a GTP-U header, so that one
+        # unpack reads it and the port and length checks still come first
+        buf, at = data[ihl:total] + bytes(_INNER_AT - size), 0
+    port, udp_len, flags, mtype, length, teid = _TUNNEL.unpack_from(buf, at)
+    if port != GTP_UDP_PORT:
+        return MessageTypeError(f"UDP port {port}, expected {GTP_UDP_PORT}")
+    if udp_len != size:
+        return LengthError(f"UDP length {udp_len} vs {size} bytes")
+    if size < _INNER_AT:
+        return TruncatedError("GTP header truncated")
+    if flags >> 5 != 1:
+        return VersionError(f"GTP version {flags >> 5}, expected 1")
+    if flags != GTP_FLAGS:
+        return MessageTypeError(f"unsupported GTP flags {flags:#04x}")
+    if mtype != MSG_TYPE_GPDU and mtype != MSG_TYPE_END_MARKER:
+        return MessageTypeError(f"unsupported GTP message type {mtype}")
+    if length != size - _INNER_AT:
+        return LengthError(f"GTP length {length} vs {size - _INNER_AT} bytes")
+    return mtype, teid, ihl + _INNER_AT
 
 
 class Ipv4View(NamedTuple):
-    """Parsed IPv4 header fields, the transport payload and the packet."""
+    """Parsed IPv4 header fields and the transport payload."""
 
     src: int
     dst: int
     proto: int
     header_len: int
     payload: bytes
-    packet: bytes
 
     def five_tuple(self) -> FiveTuple:
-        """TCP/UDP ports come from the first transport words; other
-        protocols report ports (0, 0)."""
-        if self.proto == PROTO_TCP or self.proto == PROTO_UDP:
-            if len(self.payload) < 4:
-                raise TruncatedError("transport header truncated")
-            return FiveTuple(self.src, self.dst, self.proto,
-                             *_PORTS.unpack_from(self.payload))
-        return FiveTuple(self.src, self.dst, self.proto, 0, 0)
+        """Ports from TCP/UDP's first words; (0, 0) for other protocols."""
+        return FiveTuple(self.src, self.dst, self.proto, *read_ports(
+            self.payload, 0, len(self.payload), self.proto))
 
 
 def parse_ipv4(data: bytes) -> Ipv4View:
-    if len(data) < IPV4_MIN_HEADER:
-        raise TruncatedError(f"IPv4 header needs 20 bytes, got {len(data)}")
-    ver_ihl, total, proto, src, dst = _IPV4_FIELDS.unpack_from(data)
-    if ver_ihl >> 4 != 4:
-        raise VersionError(f"IP version {ver_ihl >> 4}, expected 4")
-    ihl = (ver_ihl & 0x0F) * 4
-    if ihl < IPV4_MIN_HEADER:
-        raise LengthError(f"IPv4 IHL {ihl} below minimum")
-    if total < ihl or total > len(data):
-        raise LengthError(f"IPv4 total length {total} vs {len(data)} bytes")
-    return Ipv4View(src, dst, proto, ihl, data[ihl:total], data)
+    ihl, total, proto, src, dst = read_ipv4(data)
+    return Ipv4View(src, dst, proto, ihl, data[ihl:total])
 
 
 class Frame(NamedTuple):
@@ -273,42 +328,23 @@ def parse_frame(data: bytes) -> Frame:
     `tunnel` None.
     """
     ip = parse_ipv4(data)
-    tunnel = _decode_tunnel(ip)
+    tunnel = _decode_tunnel(data, ip)
     return Frame(ip, None if isinstance(tunnel, DecodeError) else tunnel)
 
 
-def _decode_tunnel(ip: Ipv4View) -> GtpuPacket | DecodeError:
-    """The GTP-U packet, or the error of the first check it fails: returned,
-    not raised, so that parsing a plain frame costs no exception."""
-    if ip.proto != PROTO_UDP:
-        return MessageTypeError(f"outer protocol {ip.proto}, expected UDP")
-    udp = ip.payload
-    if len(udp) < UDP_HEADER_LEN:
-        return TruncatedError("UDP header truncated")
-    dst_port, udp_len = _PORTS.unpack_from(udp, 2)
-    if dst_port != GTP_UDP_PORT:
-        return MessageTypeError(f"UDP port {dst_port}, expected {GTP_UDP_PORT}")
-    if udp_len != len(udp):
-        return LengthError(f"UDP length {udp_len} vs {len(udp)} bytes")
-    if len(udp) < _INNER_AT:
-        return TruncatedError("GTP header truncated")
-    flags, msg_type, length, teid = _GTP.unpack_from(udp, UDP_HEADER_LEN)
-    if flags >> 5 != 1:
-        return VersionError(f"GTP version {flags >> 5}, expected 1")
-    if flags != GTP_FLAGS:
-        return MessageTypeError(f"unsupported GTP flags {flags:#04x}")
-    mt = _MESSAGE_TYPES.get(msg_type)
-    if mt is None:
-        return MessageTypeError(f"unsupported GTP message type {msg_type}")
-    if length != len(udp) - _INNER_AT:
-        return LengthError(
-            f"GTP length {length} vs {len(udp) - _INNER_AT} payload bytes")
-    return GtpuPacket(ip.src, ip.dst, teid, mt, udp[_INNER_AT:])
+def _decode_tunnel(data: bytes, ip: Ipv4View) -> GtpuPacket | DecodeError:
+    total = ip.header_len + len(ip.payload)
+    tunnel = read_tunnel(data, ip.proto, ip.header_len, total)
+    if isinstance(tunnel, DecodeError):
+        return tunnel
+    msg_type, teid, at = tunnel
+    return GtpuPacket(ip.src, ip.dst, teid, _MESSAGE_TYPES[msg_type],
+                      data[at:total])
 
 
 def decode_gtpu(data: bytes) -> GtpuPacket:
     """Inverse of encode_gtpu. Raises a DecodeError subclass on bad input."""
-    tunnel = _decode_tunnel(parse_ipv4(data))
+    tunnel = _decode_tunnel(data, parse_ipv4(data))
     if isinstance(tunnel, DecodeError):
         raise tunnel
     return tunnel
@@ -331,9 +367,11 @@ def classify(data: bytes, direction: Direction) -> PacketClass:
     return frame.packet_class(direction)
 
 
-def rewrite_ipv4(ip: Ipv4View, src: int | None = None,
-                 dst: int | None = None) -> bytes:
-    """Return a copy with src and/or dst rewritten and the checksum fixed.
+def rewrite_ipv4(data: bytes, src: int | None = None, dst: int | None = None,
+                 at: int = 0, end: int | None = None) -> bytes:
+    """The IPv4 packet at `at` of `data` up to `end` (default: the end of
+    `data`, past the total length), with src and/or dst rewritten and the
+    checksum fixed; `read_ipv4` must accept its header.
 
     The header checksum is a full recompute, so a corrupt incoming
     checksum is repaired, not carried through as an RFC 1624 incremental
@@ -341,11 +379,11 @@ def rewrite_ipv4(ip: Ipv4View, src: int | None = None,
     pipeline's UDP checksums are zero and its echo servers do not verify
     them.
     """
-    head = bytearray(ip.packet[:ip.header_len])
+    out = bytearray(data[at:end])
     if src is not None:
-        head[12:16] = src.to_bytes(4, "big")
+        _pack_word32(out, 12, src)
     if dst is not None:
-        head[16:20] = dst.to_bytes(4, "big")
-    head[10:12] = b"\x00\x00"
-    head[10:12] = ipv4_checksum(head).to_bytes(2, "big")
-    return bytes(head) + ip.packet[ip.header_len:]
+        _pack_word32(out, 16, dst)
+    out[10] = out[11] = 0
+    _pack_word16(out, 10, ipv4_checksum(out[:(out[0] & 0x0F) * 4]))
+    return bytes(out)

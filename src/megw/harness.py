@@ -578,9 +578,9 @@ class Harness:
         flow = gtp.inner_five_tuple(inner)
         ue.last_flow = (flow, bearer.bearer_id)
         enb = ue.radio_enb
-        frame = gtp.encode_gtpu(GtpuPacket(
+        frame = gtp.encode_gtpu(
             self.topology.nodes[enb].ip, self._sgw.ip, bearer.upstream_teid,
-            GtpMessageType.GPDU, inner))
+            GtpMessageType.GPDU, inner)
         self._record(ue.node_id, SENT, {"vip": vip, "sport": sport,
                                         "bearer_id": bearer.bearer_id})
         self._send(enb, self._sgw.addr, frame, note="uplink")
@@ -647,9 +647,9 @@ class Harness:
 
         # steps 5-6: end markers close the old tunnels and start the silence
         for b in ue.bearers.values():
-            marker = gtp.encode_gtpu(GtpuPacket(
+            marker = gtp.encode_gtpu(
                 sgw.ip, old_spec.ip, b.downstream_teid,
-                GtpMessageType.END_MARKER))
+                GtpMessageType.END_MARKER)
             self._send(self._sgw_node, old_spec.addr, marker,
                        note="end-marker")
         self.run_until_idle()

@@ -35,12 +35,12 @@ import threading
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
-from . import gtp
 # classify, decode_gtpu and inner_five_tuple are unused here; they stay
 # importable because benchmarks/layers.py wraps the codec under these names.
-from .gtp import (Direction, FiveTuple, GtpMessageType, PacketClass,
-                  classify, decode_gtpu, encode_gtpu, inner_five_tuple,
-                  ip_int, ip_str, rewrite_ipv4)
+from .gtp import (MSG_TYPE_END_MARKER, PROTO_SCTP, DecodeError, Direction,
+                  FiveTuple, GtpMessageType, classify, decode_gtpu,
+                  encode_gtpu, inner_five_tuple, ip_int, ip_str, read_ipv4,
+                  read_ports, read_tunnel, rewrite_ipv4)
 
 
 class SelectError(ValueError):
@@ -59,20 +59,12 @@ def rendezvous_pick(keys: Sequence[bytes],
     blake2b hash of its length-prefixed id and the key, mapped into the
     open interval (0, 1). So every score is a positive finite float and a
     candidate wins with probability proportional to its weight. The first
-    candidate wins a tie. Each id is hashed once and each key extends a
-    copy of that state.
+    candidate wins a tie. Each key extends a copy of the id's hash state.
     """
-    if not candidates:
-        raise SelectError("empty candidate list")
     unpack = struct.Struct(f">{len(keys)}Q").unpack
     log = math.log
     rows = []
-    for cand_id, weight in candidates:
-        if weight <= 0:
-            raise SelectError(f"non-positive weight for {cand_id!r}")
-        ident = cand_id.encode()
-        fresh = hashlib.blake2b(struct.pack("!I", len(ident)) + ident,
-                                digest_size=8).copy
+    for weight, fresh in _prefixes(tuple(candidates)):
         digests = []
         for key in keys:
             h = fresh()
@@ -81,6 +73,22 @@ def rendezvous_pick(keys: Sequence[bytes],
         rows.append([-weight / log((x + 0.5) / 2.0 ** 64)
                      for x in unpack(b"".join(digests))])
     return [scores.index(max(scores)) for scores in zip(*rows)]
+
+
+@functools.lru_cache(maxsize=256)
+def _prefixes(candidates: tuple[tuple[str, float], ...]) -> tuple:
+    """(weight, copy of the hashed length-prefixed id) per candidate;
+    validates on every call, since a raised SelectError is not cached."""
+    if not candidates:
+        raise SelectError("empty candidate list")
+    out = []
+    for cand_id, weight in candidates:
+        if weight <= 0:
+            raise SelectError(f"non-positive weight for {cand_id!r}")
+        ident = cand_id.encode()
+        out.append((weight, hashlib.blake2b(
+            struct.pack("!I", len(ident)) + ident, digest_size=8).copy))
+    return tuple(out)
 
 
 def rendezvous_select(key: bytes,
@@ -275,9 +283,9 @@ class DipAffinityTable:
                                      flow.dst_ip)
             return dip
 
-    def vip_for(self, dip_flow: FiveTuple) -> int | None:
+    def vip_for(self, dip_flow: tuple) -> int | None:
         """VIP of the pinned flow that this gateway rewrote to `dip_flow`,
-        the upstream-oriented 5-tuple with the DIP as destination."""
+        the upstream-oriented 5-tuple (any tuple) with the DIP as dst."""
         with self._lock:
             return self._reverse.get(dip_flow)
 
@@ -335,108 +343,97 @@ class FlowMiss:
 ControllerEvent = S1apClone | EndMarkerSeen | FlowMiss
 
 
-def _steer_to_service(inner: gtp.Ipv4View, flow: FiveTuple,
-                      cfg: SteeringConfig, affinity: DipAffinityTable,
-                      prelude: tuple = ()) -> ForwardAction:
-    """Stage I then (locally) Stage II for a decapsulated VIP-bound packet."""
-    serving = stage1_select(flow.src_ip, cfg)
-    if serving != cfg.megw_id:
-        act = Emit(cfg.peer_address(serving), inner.packet, note="stage1-handoff")
-    else:
-        dip = affinity.get_or_assign(flow, cfg.dips)
-        act = Emit(ip_str(dip), rewrite_ipv4(inner, dst=dip),
-                   note="dip-rewrite")
-    if prelude:
-        return Multiple(prelude + (act,))
-    return act
-
-
 def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
                    rules: RuleStore, affinity: DipAffinityTable) -> ForwardAction:
     """One frame through the service offloader and both load balancers.
 
     Pure in (data, ingress, config, table snapshots); malformed traffic
-    degrades to plain routing or Drop, never an exception. The outer
-    header is parsed once and the inner header at most once.
-    """
+    degrades to plain routing or Drop, never an exception. Headers are read
+    once, in place; only emitted bytes are made, and a `FiveTuple` only to
+    look up a table keyed by one."""
     try:
-        frame = gtp.parse_frame(data)
-    except gtp.DecodeError:
+        ihl, total, proto, src, dst = read_ipv4(data)
+    except DecodeError:
         return Drop("unparseable frame")
-    view = frame.ip
-    pclass = frame.packet_class(ingress)
 
-    if pclass is PacketClass.CONTROL_PLANE:
-        clone = CloneToController(S1apClone(view.payload))
-        return Multiple((Emit(ip_str(view.dst), data,
-                              note="control-passthrough"),
-                         clone))
+    if proto == PROTO_SCTP:
+        return Multiple((Emit(ip_str(dst), data, note="control-passthrough"),
+                         CloneToController(S1apClone(data[ihl:total]))))
 
-    pkt = frame.tunnel
-    if pclass is PacketClass.END_MARKER:
-        return Multiple((Emit(ip_str(pkt.outer_dst), data,
+    tunnel = read_tunnel(data, proto, ihl, total)
+    if isinstance(tunnel, tuple) and tunnel[0] == MSG_TYPE_END_MARKER:
+        return Multiple((Emit(ip_str(dst), data,
                               note="end-marker-passthrough"),
-                         CloneToController(EndMarkerSeen(pkt.outer_dst,
-                                                       pkt.teid))))
+                         CloneToController(EndMarkerSeen(dst, tunnel[1]))))
 
-    if pclass is PacketClass.UPSTREAM_GTP:
+    if isinstance(tunnel, tuple) and ingress is Direction.FROM_RAN:
+        # uplink G-PDU: steer the inner packet, data[at:total], if VIP-bound
+        _, teid, at = tunnel
         try:
-            inner = gtp.parse_ipv4(pkt.inner)
-            flow = inner.five_tuple()
-        except gtp.DecodeError:
-            return Emit(ip_str(view.dst), data, note="ip-route")
-        if flow.dst_ip not in cfg.vips:
-            return Emit(ip_str(view.dst), data, note="ip-route")
+            hl, size, proto, src, vip = read_ipv4(data, at, total)
+            sport, dport = read_ports(data, at + hl, size - hl, proto)
+        except DecodeError:
+            return Emit(ip_str(dst), data, note="ip-route")
+        if vip not in cfg.vips:
+            return Emit(ip_str(dst), data, note="ip-route")
+        flow = FiveTuple(src, vip, proto, sport, dport)
         rule = rules.lookup(flow)
         if rule is SILENT:
             # silent period: hold edge traffic, keep the controller informed
-            return CloneToController(FlowMiss(flow, pkt.teid))
-        prelude = ()
+            return CloneToController(FlowMiss(flow, teid))
+        serving = stage1_select(src, cfg)
+        if serving != cfg.megw_id:
+            act = Emit(cfg.peer_address(serving), data[at:total],
+                       note="stage1-handoff")
+        else:
+            dip = affinity.get_or_assign(flow, cfg.dips)
+            act = Emit(ip_str(dip), note="dip-rewrite",
+                       data=rewrite_ipv4(data, dst=dip, at=at, end=total))
         if rule is None:
-            prelude = (CloneToController(FlowMiss(flow, pkt.teid)),)
-        return _steer_to_service(inner, flow, cfg, affinity, prelude)
+            return Multiple((CloneToController(FlowMiss(flow, teid)), act))
+        return act
 
-    # PLAIN_IP (and any GTP arriving on an unexpected side)
-    if view.dst in cfg.vips:
+    # plain IP, and a G-PDU from the core or the cluster
+    if dst in cfg.vips:
         # stage-I hand-off from a source gateway: not GTP, addressed to a VIP
         try:
-            flow = view.five_tuple()
-        except gtp.DecodeError:
+            sport, dport = read_ports(data, ihl, total - ihl, proto)
+        except DecodeError:
             return Drop("malformed VIP-bound packet")
-        dip = affinity.get_or_assign(flow, cfg.dips)
-        return Emit(ip_str(dip), rewrite_ipv4(view, dst=dip),
+        dip = affinity.get_or_assign(FiveTuple(src, dst, proto, sport, dport),
+                                     cfg.dips)
+        return Emit(ip_str(dip), rewrite_ipv4(data, dst=dip),
                     note="dip-rewrite")
 
     if ingress is Direction.FROM_CLUSTER:
-        return _downstream_edge(data, view, rules, affinity)
+        return _downstream_edge(data, ihl, total, proto, src, dst, rules,
+                                affinity)
 
-    return Emit(ip_str(view.dst), data, note="ip-route")
+    return Emit(ip_str(dst), data, note="ip-route")
 
 
-def _downstream_edge(data: bytes, view: gtp.Ipv4View, rules: RuleStore,
+def _downstream_edge(data: bytes, ihl: int, total: int, proto: int, src: int,
+                     dst: int, rules: RuleStore,
                      affinity: DipAffinityTable) -> ForwardAction:
     """Cluster-side return traffic: undo the DIP rewrite if this gateway
     made it, then re-encapsulate into the flow's downstream tunnel."""
     try:
-        down = view.five_tuple()
-    except gtp.DecodeError:
-        return Emit(ip_str(view.dst), data, note="ip-route")
+        sport, dport = read_ports(data, ihl, total - ihl, proto)
+    except DecodeError:
+        return Emit(ip_str(dst), data, note="ip-route")
 
     # If the source address is a DIP this gateway assigned to the reversed
     # flow, restore the VIP so the subscriber sees the service address.
-    candidate = down.reversed()
-    vip = affinity.vip_for(candidate)
+    vip = affinity.vip_for((dst, src, proto, dport, sport))
     if vip is not None:
-        data = rewrite_ipv4(view, src=vip)
-        candidate = FiveTuple(candidate.src_ip, vip, candidate.proto,
-                              candidate.src_port, candidate.dst_port)
+        data = rewrite_ipv4(data, src=vip)
+        src = vip
 
-    rule = rules.lookup(candidate)
+    rule = rules.lookup(FiveTuple(dst, src, proto, dport, sport))
     if rule is None:
-        return Emit(ip_str(view.dst), data, note="ip-route")
+        return Emit(ip_str(dst), data, note="ip-route")
     if rule is SILENT:
         return Drop("silent-period")
-    tunneled = encode_gtpu(gtp.GtpuPacket(
-        rule.sgw_addr, rule.enb_addr, rule.downstream_teid,
-        GtpMessageType.GPDU, data))
+    tunneled = encode_gtpu(rule.sgw_addr, rule.enb_addr, rule.downstream_teid,
+                           GtpMessageType.GPDU, data)
     return Emit(ip_str(rule.enb_addr), tunneled, note="gtp-encap")

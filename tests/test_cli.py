@@ -5,7 +5,7 @@ from pathlib import Path
 
 from megw import gtp
 from megw.cli import main
-from megw.gtp import GtpMessageType, GtpuPacket, encode_gtpu, ip_int
+from megw.gtp import GtpMessageType, encode_gtpu, ip_int
 
 
 def run(capsys, *argv):
@@ -14,9 +14,9 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-END_MARKER_HEX = encode_gtpu(GtpuPacket(
+END_MARKER_HEX = encode_gtpu(
     ip_int("10.2.0.1"), ip_int("10.1.0.1"), 0xC8, GtpMessageType.END_MARKER,
-    b"")).hex()
+    b"").hex()
 
 
 class TestCodec:
@@ -29,8 +29,8 @@ class TestCodec:
     def test_decode_gpdu_flow(self, capsys):
         inner = gtp.build_ipv4(ip_int("172.16.0.2"), ip_int("10.100.1.1"), 6,
                                gtp.build_tcpish(6, 5000, 80, b"x"))
-        wire = encode_gtpu(GtpuPacket(ip_int("10.1.0.1"), ip_int("10.2.0.1"),
-                                      7, GtpMessageType.GPDU, inner)).hex()
+        wire = encode_gtpu(ip_int("10.1.0.1"), ip_int("10.2.0.1"),
+                           7, GtpMessageType.GPDU, inner).hex()
         code, out, _ = run(capsys, "codec", "decode", wire)
         assert code == 0
         assert "inner_flow=172.16.0.2:5000 -> 10.100.1.1:80 proto=6" in out

@@ -45,7 +45,7 @@ class TestEncode:
         inner = bytes(range(8))
         pkt = tunnel("192.168.1.1", "192.168.1.2", 0x11223344,
                      GtpMessageType.GPDU, inner)
-        wire = encode_gtpu(pkt)
+        wire = encode_gtpu(*pkt)
         gtp_header = wire[28:36]
         expected = struct.pack("!BBHI", 0x30, 0xFF, 8, 0x11223344)
         assert gtp_header == expected
@@ -55,14 +55,14 @@ class TestEncode:
     def test_end_marker_bytes(self):
         pkt = tunnel("10.0.0.1", "10.0.0.2", 0xC8,
                      GtpMessageType.END_MARKER, b"")
-        wire = encode_gtpu(pkt)
+        wire = encode_gtpu(*pkt)
         assert wire[29] == 0xFE  # message type 254
         assert wire[30:32] == b"\x00\x00"  # zero payload length
 
     def test_outer_framing(self):
         pkt = tunnel("10.0.0.1", "10.0.0.2", 1, GtpMessageType.GPDU,
                      make_inner())
-        wire = encode_gtpu(pkt)
+        wire = encode_gtpu(*pkt)
         assert wire[0] == 0x45
         assert wire[9] == 17  # UDP
         assert wire[12:16] == bytes([10, 0, 0, 1])
@@ -78,29 +78,45 @@ class TestEncode:
         pkt = tunnel("10.0.0.1", "10.0.0.2", 1, GtpMessageType.GPDU,
                      b"\x00" * (gtp.MAX_INNER_LEN + 1))
         with pytest.raises(gtp.EncodeError):
-            encode_gtpu(pkt)
+            encode_gtpu(*pkt)
 
     def test_bad_address_rejected(self):
         # a malformed dotted address is refused where it becomes an integer
         with pytest.raises(gtp.EncodeError):
-            encode_gtpu(tunnel("10.0.0", "10.0.0.2", 1, GtpMessageType.GPDU))
+            encode_gtpu(*tunnel("10.0.0", "10.0.0.2", 1, GtpMessageType.GPDU))
 
     def test_deterministic(self):
         pkt = tunnel("10.0.0.1", "10.0.0.2", 77, GtpMessageType.GPDU,
                      make_inner())
-        assert encode_gtpu(pkt) == encode_gtpu(pkt)
+        assert encode_gtpu(*pkt) == encode_gtpu(*pkt)
+
+    @given(src=st.integers(0, 0xFFFFFFFF), dst=st.integers(0, 0xFFFFFFFF),
+           teid=st.integers(0, 0xFFFFFFFF),
+           message_type=st.sampled_from(GtpMessageType),
+           inner=st.binary(max_size=300))
+    @example(src=0, dst=0, teid=0, message_type=GtpMessageType.GPDU,
+             inner=bytes(gtp.MAX_INNER_LEN))
+    def test_one_pack_equals_layered(self, src, dst, teid, message_type,
+                                     inner):
+        # the 36 header bytes packed at once equal the IPv4, UDP and GTP-U
+        # layers built one inside the other
+        layered = build_ipv4(src, dst, 17, build_udp(2152, 2152, struct.pack(
+            "!BBHI", 0x30, message_type.value, len(inner), teid) + inner))
+        wire = encode_gtpu(src, dst, teid, message_type, inner)
+        assert wire == layered
+        assert checksum_oracle(wire[:20]) == 0
 
 
 class TestDecode:
     def test_round_trip_example(self):
         pkt = tunnel("192.168.1.1", "192.168.1.2", 0x11223344,
                      GtpMessageType.GPDU, make_inner())
-        assert decode_gtpu(encode_gtpu(pkt)) == pkt
+        assert decode_gtpu(encode_gtpu(*pkt)) == pkt
 
     def test_end_marker_type_254(self):
         pkt = tunnel("10.0.0.1", "10.0.0.2", 5,
                      GtpMessageType.END_MARKER, b"")
-        wire = encode_gtpu(pkt)
+        wire = encode_gtpu(*pkt)
         assert wire[29] == 254
         decoded = decode_gtpu(wire)
         assert decoded.message_type is GtpMessageType.END_MARKER
@@ -108,7 +124,7 @@ class TestDecode:
     def test_wrong_gtp_version(self):
         pkt = tunnel("10.0.0.1", "10.0.0.2", 1, GtpMessageType.GPDU,
                      make_inner())
-        wire = bytearray(encode_gtpu(pkt))
+        wire = bytearray(encode_gtpu(*pkt))
         wire[28] = 0x50  # version 2
         with pytest.raises(gtp.VersionError):
             decode_gtpu(bytes(wire))
@@ -116,7 +132,7 @@ class TestDecode:
     def test_unknown_message_type(self):
         pkt = tunnel("10.0.0.1", "10.0.0.2", 1, GtpMessageType.GPDU,
                      make_inner())
-        wire = bytearray(encode_gtpu(pkt))
+        wire = bytearray(encode_gtpu(*pkt))
         wire[29] = 0x01  # echo request: not accepted here
         with pytest.raises(gtp.MessageTypeError):
             decode_gtpu(bytes(wire))
@@ -124,14 +140,14 @@ class TestDecode:
     def test_truncated(self):
         pkt = tunnel("10.0.0.1", "10.0.0.2", 1, GtpMessageType.GPDU,
                      make_inner())
-        wire = encode_gtpu(pkt)
+        wire = encode_gtpu(*pkt)
         with pytest.raises(gtp.DecodeError):
             decode_gtpu(wire[:30])
 
     def test_length_mismatch(self):
         pkt = tunnel("10.0.0.1", "10.0.0.2", 1, GtpMessageType.GPDU,
                      b"abcd")
-        wire = bytearray(encode_gtpu(pkt))
+        wire = bytearray(encode_gtpu(*pkt))
         wire[30:32] = struct.pack("!H", 99)
         with pytest.raises(gtp.LengthError):
             decode_gtpu(bytes(wire))
@@ -154,7 +170,77 @@ class TestDecode:
             f"192.0.2.{rng.randrange(1, 255)}",
             f"198.51.100.{rng.randrange(1, 255)}",
             teid, mt, inner)
-            assert decode_gtpu(encode_gtpu(pkt)) == pkt
+            assert decode_gtpu(encode_gtpu(*pkt)) == pkt
+
+
+def tunnel_error_oracle(data: bytes):
+    """The DecodeError subclass of the first failed check, in the order the
+    view-based decoder made them: the IPv4 header (`parse_error_oracle`),
+    then protocol, UDP header length, port, UDP length, GTP-U header
+    length, version, flags, message type and GTP-U length. None for a
+    frame it accepts."""
+    error = parse_error_oracle(data)
+    if error is not None:
+        return error
+    ihl = (data[0] & 0x0F) * 4
+    udp = data[ihl:int.from_bytes(data[2:4], "big")]
+    if data[9] != 17:
+        return gtp.MessageTypeError
+    if len(udp) < 8:
+        return gtp.TruncatedError
+    port, length = struct.unpack_from("!HH", udp, 2)
+    if port != 2152:
+        return gtp.MessageTypeError
+    if length != len(udp):
+        return gtp.LengthError
+    if len(udp) < 16:
+        return gtp.TruncatedError
+    flags, msg_type, gtp_len, _ = struct.unpack_from("!BBHI", udp, 8)
+    if flags >> 5 != 1:
+        return gtp.VersionError
+    if flags != 0x30 or msg_type not in (0xFF, 0xFE):
+        return gtp.MessageTypeError
+    if gtp_len != len(udp) - 16:
+        return gtp.LengthError
+    return None
+
+
+class TestDecodeChecks:
+    @given(proto=st.sampled_from((17, 17, 6)),
+           ihl=st.integers(5, 15), inner=st.binary(max_size=24),
+           cut=st.none() | st.integers(0, 40),
+           port=st.sampled_from((2152, 2152, 2153)),
+           udp_delta=st.sampled_from((0, 0, -1, 1)),
+           flags=st.sampled_from((0x30, 0x30, 0x32)) | st.integers(0, 255),
+           msg_type=st.sampled_from((0xFF, 0xFE)) | st.integers(0, 255),
+           gtp_delta=st.sampled_from((0, 0, -1, 1)),
+           trailer=st.sampled_from((b"", b"\x00")))
+    @example(proto=17, ihl=5, inner=b"", cut=12, port=2153, udp_delta=0,
+             flags=0x30, msg_type=0xFF, gtp_delta=0, trailer=b"")
+    @example(proto=17, ihl=6, inner=b"", cut=10, port=2152, udp_delta=0,
+             flags=0x30, msg_type=0xFF, gtp_delta=0, trailer=b"\x00")
+    @example(proto=17, ihl=5, inner=b"abc", cut=None, port=2152, udp_delta=0,
+             flags=0x32, msg_type=0xFF, gtp_delta=0, trailer=b"")
+    def test_errors_keep_their_class(self, proto, ihl, inner, cut, port,
+                                     udp_delta, flags, msg_type, gtp_delta,
+                                     trailer):
+        # datagrams cut short of a GTP-U header still fail the port and
+        # UDP length checks first, as the view-based decoder did
+        udp = bytearray(struct.pack("!HHHHBBHI", 2152, port, 0, 0, flags,
+                                    msg_type, len(inner) + gtp_delta & 0xFFFF,
+                                    7) + inner)[:cut]
+        if len(udp) >= 6:
+            udp[4:6] = struct.pack("!H", len(udp) + udp_delta & 0xFFFF)
+        head = struct.pack("!BBHHHBBHII", 0x40 | ihl, 0, ihl * 4 + len(udp),
+                           0, 0, 64, proto, 0, 1, 2) + bytes(ihl * 4 - 20)
+        frame = head + bytes(udp) + trailer
+        expected = tunnel_error_oracle(frame)
+        if expected is None:
+            assert decode_gtpu(frame).inner == bytes(udp[16:])
+        else:
+            with pytest.raises(gtp.DecodeError) as info:
+                decode_gtpu(frame)
+            assert type(info.value) is expected
 
 
 class TestFiveTuple:
@@ -191,14 +277,14 @@ class TestClassify:
             assert classify(frame, d) is PacketClass.CONTROL_PLANE
 
     def test_gtp_by_direction(self):
-        wire = encode_gtpu(tunnel("10.1.0.1", "10.2.0.1", 9,
+        wire = encode_gtpu(*tunnel("10.1.0.1", "10.2.0.1", 9,
                                   GtpMessageType.GPDU, make_inner()))
         assert classify(wire, Direction.FROM_RAN) is PacketClass.UPSTREAM_GTP
         assert classify(wire, Direction.FROM_CORE) is PacketClass.DOWNSTREAM_GTP
         assert classify(wire, Direction.FROM_CLUSTER) is PacketClass.PLAIN_IP
 
     def test_end_marker_from_core(self):
-        wire = encode_gtpu(tunnel("10.2.0.1", "10.1.0.1", 9,
+        wire = encode_gtpu(*tunnel("10.2.0.1", "10.1.0.1", 9,
                                   GtpMessageType.END_MARKER, b""))
         assert classify(wire, Direction.FROM_CORE) is PacketClass.END_MARKER
 
@@ -219,7 +305,7 @@ class TestClassify:
     @example(flags=0x32, msg_type=0xFF, udp_len=None, gtp_len=None)
     def test_gtp_class_iff_decodes(self, flags, msg_type, udp_len, gtp_len):
         # None keeps the length field the encoder wrote
-        wire = bytearray(encode_gtpu(tunnel(
+        wire = bytearray(encode_gtpu(*tunnel(
         "10.1.0.1", "10.2.0.1", 42, GtpMessageType.GPDU, make_inner())))
         wire[28], wire[29] = flags, msg_type
         if udp_len is not None:
@@ -276,7 +362,7 @@ class TestChecksum:
         total = hl + len(payload)
         packet = (bytes([0x40 | ihl, 0]) + struct.pack("!H", total) + fields
                   + addrs + options[:hl - 20] + payload)
-        out = gtp.rewrite_ipv4(gtp.parse_ipv4(packet),
+        out = gtp.rewrite_ipv4(packet,
                                src=None if src is None else ip_int(src),
                                dst=None if dst is None else ip_int(dst))
         assert len(out) == len(packet)
@@ -296,11 +382,10 @@ class TestChecksum:
         frame = bytearray(make_inner())
         good = bytes(frame[10:12])
         frame[10:12] = struct.pack("!H", corrupt)
-        out = gtp.rewrite_ipv4(gtp.parse_ipv4(bytes(frame)),
-                               dst=ip_int("10.200.0.5"))
+        out = gtp.rewrite_ipv4(bytes(frame), dst=ip_int("10.200.0.5"))
         assert checksum_oracle(out[:20]) == 0
         # the rewrite to the original destination restores the original
-        back = gtp.rewrite_ipv4(gtp.parse_ipv4(out), dst=ip_int("10.100.1.1"))
+        back = gtp.rewrite_ipv4(out, dst=ip_int("10.100.1.1"))
         assert back[10:12] == good
 
 
@@ -405,7 +490,7 @@ class TestFuzz:
 
     def test_mutated_valid_packets(self):
         rng = random.Random(0xF023)
-        wire = bytearray(encode_gtpu(tunnel(
+        wire = bytearray(encode_gtpu(*tunnel(
         "10.1.0.1", "10.2.0.1", 42, GtpMessageType.GPDU, make_inner())))
         for _ in range(2000):
             mutated = bytearray(wire)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from megw import gtp, harness
-from megw.gtp import GtpMessageType, GtpuPacket, ip_int
+from megw.gtp import GtpMessageType, ip_int
 from megw.harness import (CLONED, DROPPED, MIGRATION_NOTIFIED, RECEIVED,
                           REACTIVATED, RULE_INSTALLED, SCENARIOS, SENT,
                           SILENCED, ConfigError, Harness, StateError,
@@ -188,8 +188,8 @@ class TestRadioDelivery:
         sgw, node = h.topology.nodes["sgw"], h.topology.nodes[enb]
         inner = gtp.build_ipv4(ip_int("10.100.1.1"), h.ues["ue1"].ip, 6,
                                gtp.build_tcpish(6, 80, 40000, payload))
-        frame = gtp.encode_gtpu(GtpuPacket(sgw.ip, node.ip, teid,
-                                           GtpMessageType.GPDU, inner))
+        frame = gtp.encode_gtpu(sgw.ip, node.ip, teid,
+                                GtpMessageType.GPDU, inner)
         mark = len(h.trace)
         h._send("sgw", node.addr, frame, note="late-downlink")
         h.run_until_idle()

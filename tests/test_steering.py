@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,9 +16,9 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant, precondition,
                                  rule)
 
 from megw import gtp, steering
-from megw.gtp import (Direction, FiveTuple, GtpMessageType, GtpuPacket,
-                      build_ipv4, build_tcpish, encode_gtpu, decode_gtpu,
-                      ip_int)
+from megw.gtp import (Direction, FiveTuple, GtpMessageType, build_ipv4,
+                      build_tcpish, build_udp, encode_gtpu, decode_gtpu,
+                      ip_int, ip_str)
 from megw.steering import (CloneToController, DipAffinityTable, Drop, Emit,
                            EndMarkerSeen, FlowMiss, FlowRule, Multiple,
                            RuleStore, S1apClone, SelectError, SILENT,
@@ -45,8 +46,8 @@ def make_cfg(megw_id="mgw-a", peers=None, dips=None):
 def upstream_frame(ue="172.16.0.2", sport=5000, teid=100,
                    enb="10.1.0.1", sgw="10.2.0.1", dst=VIP, payload=b"req"):
     inner = ipv4(ue, dst, 6, build_tcpish(6, sport, 80, payload))
-    return encode_gtpu(GtpuPacket(ip_int(enb), ip_int(sgw), teid,
-                                  GtpMessageType.GPDU, inner))
+    return encode_gtpu(ip_int(enb), ip_int(sgw), teid,
+                       GtpMessageType.GPDU, inner)
 
 
 def reference_pick(key, candidates):
@@ -537,8 +538,8 @@ class TestProcessPacket:
         assert clones[0].event.payload == b"signalling"
 
     def test_end_marker_clone(self):
-        frame = encode_gtpu(GtpuPacket(SGW, ENB1, 0xC8,
-                                       GtpMessageType.END_MARKER, b""))
+        frame = encode_gtpu(SGW, ENB1, 0xC8,
+                            GtpMessageType.END_MARKER, b"")
         acts = flatten(self.process(frame, Direction.FROM_CORE))
         clones = [a for a in acts if isinstance(a, CloneToController)]
         assert clones and clones[0].event == EndMarkerSeen(
@@ -737,3 +738,342 @@ class TestProcessPacket:
         a2 = self.process(frame)
         # identical inputs and table snapshots give identical actions
         assert a1 == a2
+
+
+# --- the view-based packet path, kept as an oracle --------------------------
+
+class RefView(NamedTuple):
+    """An IPv4 header as the view-based path parsed it: copied payload."""
+
+    src: int
+    dst: int
+    proto: int
+    header_len: int
+    payload: bytes
+    packet: bytes
+
+
+def ref_parse_ipv4(data):
+    if len(data) < 20:
+        raise gtp.TruncatedError("IPv4 header truncated")
+    ver_ihl, total, proto, src, dst = struct.unpack_from("!BxH5xB2xII", data)
+    if ver_ihl >> 4 != 4:
+        raise gtp.VersionError("IP version")
+    ihl = (ver_ihl & 0x0F) * 4
+    if ihl < 20 or total < ihl or total > len(data):
+        raise gtp.LengthError("IPv4 lengths")
+    return RefView(src, dst, proto, ihl, data[ihl:total], data)
+
+
+def ref_five_tuple(view):
+    if view.proto in (6, 17):
+        if len(view.payload) < 4:
+            raise gtp.TruncatedError("transport header truncated")
+        return FiveTuple(view.src, view.dst, view.proto,
+                         *struct.unpack_from("!HH", view.payload))
+    return FiveTuple(view.src, view.dst, view.proto, 0, 0)
+
+
+def ref_tunnel(view):
+    """(TEID, message type, inner bytes) of a well-formed GTP-U frame with
+    the 8-byte header, else None."""
+    udp = view.payload
+    if view.proto != 17 or len(udp) < 8:
+        return None
+    dst_port, udp_len = struct.unpack_from("!HH", udp, 2)
+    if dst_port != 2152 or udp_len != len(udp) or len(udp) < 16:
+        return None
+    flags, msg_type, length, teid = struct.unpack_from("!BBHI", udp, 8)
+    if flags != 0x30 or msg_type not in (0xFF, 0xFE) or length != len(udp) - 16:
+        return None
+    return teid, msg_type, udp[16:]
+
+
+def ref_rewrite(view, src=None, dst=None):
+    head = bytearray(view.packet[:view.header_len])
+    if src is not None:
+        head[12:16] = src.to_bytes(4, "big")
+    if dst is not None:
+        head[16:20] = dst.to_bytes(4, "big")
+    head[10:12] = b"\x00\x00"
+    head[10:12] = gtp.ipv4_checksum(head).to_bytes(2, "big")
+    return bytes(head) + view.packet[view.header_len:]
+
+
+def ref_encode(src, dst, teid, inner):
+    return build_ipv4(src, dst, 17, build_udp(2152, 2152, struct.pack(
+        "!BBHI", 0x30, 0xFF, len(inner), teid) + inner))
+
+
+def reference_process_packet(data, ingress, cfg, rules, affinity):
+    """The packet path that `process_packet` replaced: every header becomes
+    a view, every payload a copy, and the return tunnel is built in layers.
+    Its parse is its own, so it checks the readers in `gtp` as well."""
+    try:
+        view = ref_parse_ipv4(data)
+    except gtp.DecodeError:
+        return Drop("unparseable frame")
+    if view.proto == 132:
+        return Multiple((Emit(ip_str(view.dst), data,
+                              note="control-passthrough"),
+                         CloneToController(S1apClone(view.payload))))
+    tunnel = ref_tunnel(view)
+    if tunnel is not None and tunnel[1] == 0xFE:
+        return Multiple((Emit(ip_str(view.dst), data,
+                              note="end-marker-passthrough"),
+                         CloneToController(EndMarkerSeen(view.dst,
+                                                         tunnel[0]))))
+    if tunnel is not None and ingress is Direction.FROM_RAN:
+        teid = tunnel[0]
+        try:
+            inner = ref_parse_ipv4(tunnel[2])
+            flow = ref_five_tuple(inner)
+        except gtp.DecodeError:
+            return Emit(ip_str(view.dst), data, note="ip-route")
+        if flow.dst_ip not in cfg.vips:
+            return Emit(ip_str(view.dst), data, note="ip-route")
+        rule = rules.lookup(flow)
+        if rule is SILENT:
+            return CloneToController(FlowMiss(flow, teid))
+        prelude = ()
+        if rule is None:
+            prelude = (CloneToController(FlowMiss(flow, teid)),)
+        serving = stage1_select(flow.src_ip, cfg)
+        if serving != cfg.megw_id:
+            act = Emit(cfg.peer_address(serving), inner.packet,
+                       note="stage1-handoff")
+        else:
+            dip = affinity.get_or_assign(flow, cfg.dips)
+            act = Emit(ip_str(dip), ref_rewrite(inner, dst=dip),
+                       note="dip-rewrite")
+        return Multiple(prelude + (act,)) if prelude else act
+    # plain IP, and GTP arriving on another side
+    if view.dst in cfg.vips:
+        try:
+            flow = ref_five_tuple(view)
+        except gtp.DecodeError:
+            return Drop("malformed VIP-bound packet")
+        dip = affinity.get_or_assign(flow, cfg.dips)
+        return Emit(ip_str(dip), ref_rewrite(view, dst=dip),
+                    note="dip-rewrite")
+    if ingress is Direction.FROM_CLUSTER:
+        try:
+            down = ref_five_tuple(view)
+        except gtp.DecodeError:
+            return Emit(ip_str(view.dst), data, note="ip-route")
+        candidate = FiveTuple(down.dst_ip, down.src_ip, down.proto,
+                              down.dst_port, down.src_port)
+        vip = affinity.vip_for(candidate)
+        if vip is not None:
+            data = ref_rewrite(view, src=vip)
+            candidate = candidate._replace(dst_ip=vip)
+        rule = rules.lookup(candidate)
+        if rule is None:
+            return Emit(ip_str(view.dst), data, note="ip-route")
+        if rule is SILENT:
+            return Drop("silent-period")
+        return Emit(ip_str(rule.enb_addr),
+                    ref_encode(rule.sgw_addr, rule.enb_addr,
+                               rule.downstream_teid, data),
+                    note="gtp-encap")
+    return Emit(ip_str(view.dst), data, note="ip-route")
+
+
+DIFF_CFG = SteeringConfig(megw_id="mgw-a",
+                          vips=frozenset({VIP, "10.100.1.2"}),
+                          region_peers=(("mgw-a", "10.50.0.1", 1.0),
+                                        ("mgw-b", "10.50.0.2", 1.0)),
+                          dips=(("10.200.0.5", 1.0), ("10.200.0.6", 1.0)),
+                          local_sgw="10.2.0.1")
+# one subscriber served here, one handed off to mgw-b by stage I
+DIFF_UES = tuple(next(
+    ue for ue in (ip_int(f"172.16.0.{i}") for i in range(2, 250))
+    if stage1_select(ue, DIFF_CFG) == gw) for gw in ("mgw-a", "mgw-b"))
+DIFF_VIPS = (ip_int(VIP), ip_int("10.100.1.2"))
+DIFF_DIPS = tuple(ip_int(d) for d, _ in DIFF_CFG.dips)
+DIFF_ADDRS = DIFF_UES + DIFF_VIPS + DIFF_DIPS + (ip_int("93.184.216.34"),)
+DIFF_PORTS = (5000, 80)
+DIFF_FLOWS = [FiveTuple(ue, vip, proto, sport, dport)
+              for ue in DIFF_UES for vip in DIFF_VIPS
+              for proto, sport, dport in [(1, 0, 0)] + [
+                  (p, s, d) for p in (6, 17) for s in DIFF_PORTS
+                  for d in DIFF_PORTS]]
+
+
+def raw_ipv4(src, dst, proto, payload, ihl=5, options=b"", trailer=b"",
+             length_delta=0):
+    """An IPv4 packet with IHL `ihl` (options zero-padded), a valid
+    checksum, `trailer` bytes past its end, and a total length field
+    `length_delta` off its true length."""
+    opts = (options + bytes(40))[:ihl * 4 - 20]
+    head = struct.pack("!BBHHHBBHII", 0x40 | ihl, 0,
+                       ihl * 4 + len(payload) + length_delta, 0, 0, 64, proto,
+                       0, src, dst) + opts
+    csum = gtp.ipv4_checksum(head).to_bytes(2, "big")
+    return head[:10] + csum + head[12:] + payload + trailer
+
+
+def tunnel_frame(inner, flags=0x30, msg_type=0xFF, gtp_delta=0, port_delta=0,
+                 udp_delta=0, outer_dst=SGW, **outer):
+    """A G-PDU or end marker from ENB1 around `inner`, its header fields
+    as given or off by the deltas; `outer` goes to `raw_ipv4`."""
+    gtp_part = struct.pack("!BBHI", flags, msg_type,
+                           (len(inner) + gtp_delta) & 0xFFFF, 7) + inner
+    udp = struct.pack("!HHHH", 2152, 2152 + port_delta,
+                      16 + len(inner) + udp_delta, 0) + gtp_part
+    return raw_ipv4(ENB1, outer_dst, 17, udp, **outer)
+
+
+# draws in which one value repeats are biased toward it, so that most
+# frames reach the steering decisions and the rest cover each mutation
+ihls = st.just(5) | st.integers(5, 15)
+one_off = st.sampled_from((-1, 1))
+MUTATIONS = ("flags", "type", "udp-length", "port", "gtp-length",
+             "ip-length", "cut")
+UPLINK = (DIFF_UES, DIFF_VIPS)
+RETURN = (DIFF_VIPS + DIFF_VIPS + DIFF_DIPS, DIFF_UES)
+ANY_PAIR = (DIFF_ADDRS, DIFF_ADDRS)
+
+
+@st.composite
+def ip_packets(draw, shapes, length_delta=0):
+    """An IPv4 packet from and to addresses of one of `shapes`: TCP, UDP or
+    other transports, transport payloads down to 0 bytes, any IHL, and
+    sometimes bytes past its end."""
+    src, dst = draw(st.sampled_from(shapes))
+    proto = draw(st.sampled_from((6, 17, 6, 17, 6, 17, 1, 132)))
+    ports = struct.pack("!HH", draw(st.sampled_from(DIFF_PORTS)),
+                        draw(st.sampled_from(DIFF_PORTS)))
+    payload = (ports + draw(st.binary(max_size=8)))[:draw(
+        st.sampled_from((12, 12, 12, 4, 3, 0)))]
+    return raw_ipv4(draw(st.sampled_from(src)), draw(st.sampled_from(dst)),
+                    proto, payload, ihl=draw(ihls),
+                    options=draw(st.binary(max_size=40)),
+                    trailer=draw(st.sampled_from((b"", b"\x00", b"tail"))),
+                    length_delta=length_delta)
+
+
+@st.composite
+def frames(draw):
+    """G-PDUs, end markers, SCTP, and plain IP (a hand-off to a VIP,
+    return traffic, or any other), a third of them mutated: any flags or
+    message type, a UDP length, port, GTP length or IPv4 total length off
+    by one, or truncated at any length; the outer IHL is 5-15."""
+    kind = draw(st.sampled_from(("gpdu", "gpdu", "gpdu", "end-marker", "sctp",
+                                 "handoff", "plain", "return", "return",
+                                 "return")))
+    mutations = draw(st.just(()) | st.just(()) | st.lists(
+        st.sampled_from(MUTATIONS), min_size=1, max_size=2))
+
+    def field(name, value, mutated):
+        return draw(mutated) if name in mutations else value
+
+    inner = draw(ip_packets({"handoff": (UPLINK,), "plain": (ANY_PAIR,),
+                             "return": (RETURN,)}.get(
+                                 kind, (UPLINK, UPLINK, ANY_PAIR)),
+                            field("ip-length", 0, one_off)))
+    if kind in ("handoff", "plain", "return"):
+        frame = inner
+    elif kind == "sctp":
+        frame = raw_ipv4(ENB1, SGW, 132, draw(st.binary(max_size=16)))
+    else:
+        if kind == "end-marker":
+            inner = draw(st.sampled_from((b"", inner)))
+        frame = tunnel_frame(
+            inner, flags=field("flags", 0x30, st.integers(0, 255)),
+            msg_type=field("type", 0xFF if kind == "gpdu" else 0xFE,
+                           st.integers(0, 255)),
+            gtp_delta=field("gtp-length", 0, one_off),
+            port_delta=field("port", 0, one_off),
+            udp_delta=field("udp-length", 0, one_off),
+            outer_dst=draw(st.sampled_from((SGW,) + DIFF_VIPS)),
+            ihl=draw(ihls), options=draw(st.binary(max_size=40)),
+            trailer=draw(st.sampled_from((b"", b"\x00"))))
+    if "cut" in mutations:
+        frame = frame[:draw(st.integers(0, len(frame)))]
+    return frame
+
+
+def uplink_inner(ue, **kw):
+    """A TCP packet from `ue` to the first VIP, for fixed examples."""
+    return raw_ipv4(ue, DIFF_VIPS[0], 6,
+                    struct.pack("!HH", 5000, 80) + b"payload", **kw)
+
+
+# a pinned and ruled flow, and a reply to it from its DIP
+PINNED = FiveTuple(DIFF_UES[0], DIFF_VIPS[0], 6, 5000, 80)
+DIP_REPLY = raw_ipv4(DipAffinityTable().get_or_assign(PINNED, DIFF_CFG.dips),
+                     PINNED.src_ip, 6, struct.pack("!HH", 80, 5000) + b"ok")
+
+
+def seeded_tables(ruled, silent, pinned):
+    """A rule store and an affinity table from the drawn flows: `ruled`
+    get a rule, `silent` subscribers are silenced, and `pinned` flows are
+    pinned to a DIP in list order."""
+    rules, affinity = RuleStore(), DipAffinityTable()
+    for i, flow in enumerate(ruled):
+        rules.install(FlowRule(flow, 0x100 + i, ENB1, SGW))
+    for ue in silent:
+        rules.set_ue_silent(ue)
+    for flow in pinned:
+        affinity.get_or_assign(flow, DIFF_CFG.dips)
+    return rules, affinity
+
+
+# rules and pins: a few, or a dense table that most return traffic and
+# most uplink flows find; no subscriber silent, either one, or both
+flow_tables = (st.sampled_from((DIFF_FLOWS, DIFF_FLOWS[::-2]))
+               | st.lists(st.sampled_from(DIFF_FLOWS), unique=True,
+                          max_size=12))
+TABLES = dict(ruled=flow_tables, pinned=flow_tables,
+              silent=st.sampled_from(((), DIFF_UES[:1], DIFF_UES[1:],
+                                      DIFF_UES)))
+
+
+class TestProcessPacketDifferential:
+    @settings(max_examples=400, deadline=None)
+    @given(frame=frames(), **TABLES)
+    @example(frame=upstream_frame(), ruled=[], silent=(), pinned=[])
+    # bytes past the outer total length stay out of the inner packet, and
+    # an inner total length past the datagram fails its check
+    @example(frame=tunnel_frame(uplink_inner(DIFF_UES[0]), trailer=b"\x00"),
+             ruled=[], silent=(), pinned=[])
+    @example(frame=tunnel_frame(uplink_inner(DIFF_UES[1]), trailer=b"\x00"),
+             ruled=[], silent=(), pinned=[])
+    @example(frame=tunnel_frame(uplink_inner(DIFF_UES[0], length_delta=1),
+                                trailer=b"\x00"),
+             ruled=[], silent=(), pinned=[])
+    @example(frame=tunnel_frame(uplink_inner(DIFF_UES[0], length_delta=-1)),
+             ruled=[], silent=(), pinned=[])
+    @example(frame=DIP_REPLY, ruled=[PINNED], silent=(), pinned=[PINNED])
+    def test_equals_view_based_path(self, frame, ruled, silent, pinned):
+        for ingress in Direction:
+            rules, affinity = seeded_tables(ruled, silent, pinned)
+            ref_rules, ref_affinity = seeded_tables(ruled, silent, pinned)
+            act = process_packet(frame, ingress, DIFF_CFG, rules, affinity)
+            assert act == reference_process_packet(
+                frame, ingress, DIFF_CFG, ref_rules, ref_affinity)
+            assert len(affinity) == len(ref_affinity)
+
+    def test_every_outcome_is_drawn(self):
+        # the strategies reach every action the packet path can take
+        seen = set()
+
+        @settings(max_examples=400, deadline=None, database=None,
+                  derandomize=True)
+        @given(frame=frames(), **TABLES)
+        def run(frame, ruled, silent, pinned):
+            for ingress in Direction:
+                rules, affinity = seeded_tables(ruled, silent, pinned)
+                for a in flatten(process_packet(frame, ingress, DIFF_CFG,
+                                                rules, affinity)):
+                    seen.add(a.note if isinstance(a, Emit)
+                             else a.reason if isinstance(a, Drop)
+                             else type(a.event).__name__)
+
+        run()
+        assert seen >= {"control-passthrough", "end-marker-passthrough",
+                        "ip-route", "dip-rewrite", "stage1-handoff",
+                        "gtp-encap", "unparseable frame", "silent-period",
+                        "malformed VIP-bound packet", "S1apClone",
+                        "EndMarkerSeen", "FlowMiss"}
