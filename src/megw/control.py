@@ -247,13 +247,8 @@ class S1apProcessor:
     # -- event handlers -----------------------------------------------------
 
     def on_control_message(self, msg: S1apLiteMessage) -> list:
-        handler = {
-            MessageKind.INITIAL_CONTEXT_SETUP_REQUEST: self._on_ics_request,
-            MessageKind.INITIAL_CONTEXT_SETUP_RESPONSE: self._on_ics_response,
-            MessageKind.PATH_SWITCH_REQUEST: self._on_path_switch_request,
-            MessageKind.PATH_SWITCH_ACKNOWLEDGE: self._on_path_switch_ack,
-        }[msg.kind]
-        effects = handler(msg)
+        # _HANDLERS, below the handlers, raises KeyError for an unknown kind
+        effects = self._HANDLERS[msg.kind](self, msg)
         return self._emit(msg.kind.name, {"ue_ip": msg.ue_ip}, effects)
 
     def _on_ics_request(self, msg: S1apLiteMessage) -> list:
@@ -337,6 +332,13 @@ class S1apProcessor:
         ctx.silent = False
         return [ReactivateUe(ue_ip=msg.ue_ip, teid_remap=tuple(remap),
                              new_enb_addr=msg.enb_addr)]
+
+    _HANDLERS = {
+        MessageKind.INITIAL_CONTEXT_SETUP_REQUEST: _on_ics_request,
+        MessageKind.INITIAL_CONTEXT_SETUP_RESPONSE: _on_ics_response,
+        MessageKind.PATH_SWITCH_REQUEST: _on_path_switch_request,
+        MessageKind.PATH_SWITCH_ACKNOWLEDGE: _on_path_switch_ack,
+    }
 
     def on_flow_miss(self, five_tuple: FiveTuple, upstream_teid: int) -> list:
         ctx = self.contexts.get(five_tuple.src_ip)

@@ -20,6 +20,7 @@ are safe to call from any number of concurrent contexts.
 from __future__ import annotations
 
 import enum
+import functools
 import struct
 from typing import NamedTuple
 
@@ -119,8 +120,11 @@ def ip_int(addr: str) -> int:
     return int.from_bytes(pack_ip(addr), "big")
 
 
+@functools.lru_cache(maxsize=4096)
 def ip_str(addr: int) -> str:
-    """An integer IPv4 address as a dotted-quad string."""
+    """An integer IPv4 address as a dotted-quad string. Memoized: every
+    forwarded frame names its destination dotted, and a gateway's traffic
+    goes to a handful of DIPs, peers, eNBs and SGWs."""
     return "%d.%d.%d.%d" % (addr >> 24, addr >> 16 & 0xFF, addr >> 8 & 0xFF,
                             addr & 0xFF)
 

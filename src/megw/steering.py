@@ -23,6 +23,9 @@ flows of one subscriber that differ only in the VIP and land on the same
 DIP share a reverse key; the VIP pinned first keeps it, so the restore
 never depends on set or hash order. Tables are keyed by integer
 addresses; only `SteeringConfig` input and `Emit.dst` are dotted quads.
+Table probes take any 5-tuple, so the packet path probes with plain
+tuples and builds a `FiveTuple` only for a `FlowMiss` and for a key the
+affinity table stores.
 """
 
 from __future__ import annotations
@@ -108,7 +111,9 @@ class SteeringConfig:
     region_peers lists every gateway in the region (self included) with
     its fabric address and capacity weight; dips lists the local service
     instances behind the VIPs, all by dotted address (a DIP's is its stage
-    II candidate id). The VIPs become integers when the config is built.
+    II candidate id). The VIPs become integers when the config is built,
+    and the config is hashed once then: the stage I memo hashes it for
+    every uplink G-PDU bound for a VIP.
     """
 
     megw_id: str
@@ -121,6 +126,9 @@ class SteeringConfig:
         # integers stay, so that dataclasses.replace works
         object.__setattr__(self, "vips", frozenset(
             v if isinstance(v, int) else ip_int(v) for v in self.vips))
+        object.__setattr__(self, "_hash", hash((
+            self.megw_id, self.vips, self.region_peers, self.dips,
+            self.local_sgw)))
         ids = [p[0] for p in self.region_peers]
         if ids.count(self.megw_id) != 1:
             raise ValueError(
@@ -129,6 +137,9 @@ class SteeringConfig:
             raise ValueError("region peer weights must be positive")
         if any(w <= 0 for _, w in self.dips):
             raise ValueError("DIP weights must be positive")
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def peer_address(self, megw_id: str) -> str:
         for pid, addr, _ in self.region_peers:
@@ -143,8 +154,8 @@ def stage1_select(ue_ip: int, cfg: SteeringConfig) -> str:
 
     Keyed by the subscriber address alone so every gateway in the region
     agrees, and so all of one subscriber's edge state lands in one place.
-    Memoized per (ue_ip, cfg): SteeringConfig is frozen and hashable, so
-    a changed config is a different key and never sees a stale answer.
+    Memoized per (ue_ip, cfg): SteeringConfig is frozen and hashes once,
+    so a changed config is a different key and never sees a stale answer.
     """
     return rendezvous_select(ue_ip.to_bytes(4, "big"),
                              [(pid, w) for pid, _, w in cfg.region_peers])
@@ -177,11 +188,12 @@ class RuleStore:
     def __len__(self) -> int:
         return self._count
 
-    def lookup(self, key: FiveTuple) -> FlowRule | object | None:
-        """The flow's rule, None, or SILENT while its subscriber is silent."""
+    def lookup(self, key: tuple) -> FlowRule | object | None:
+        """The flow's rule, None, or SILENT while its subscriber is silent.
+        `key` is any 5-tuple: a plain one finds the `FiveTuple` it equals."""
         with self._lock:
-            rule = self._by_ue.get(key.src_ip, {}).get(key)
-            return SILENT if rule and key.src_ip in self._silent else rule
+            rule = self._by_ue.get(key[0], {}).get(key)
+            return SILENT if rule and key[0] in self._silent else rule
 
     def install(self, rule: FlowRule) -> None:
         """Install a rule; identical re-install is a no-op.
@@ -265,17 +277,19 @@ class DipAffinityTable:
         with self._lock:
             return self._table.get(flow)
 
-    def get_or_assign(self, flow: FiveTuple,
+    def get_or_assign(self, flow: tuple,
                       dips: Sequence[tuple[str, float]]) -> int:
         """Return the pinned DIP (an integer), choosing and pinning one of
         the dotted `dips` by HRW on first sight. The pin survives any later
-        change to the DIP pool."""
+        change to the DIP pool. `flow` is any 5-tuple; a miss stores it as
+        a `FiveTuple`."""
         with self._lock:
             dip = self._table.get(flow)
             if dip is not None:
                 return dip
             if not dips:
                 raise SelectError("empty DIP pool")
+            flow = FiveTuple(*flow)
             dip = ip_int(rendezvous_select(flow.key_bytes(), dips))
             self._table[flow] = dip
             self._reverse.setdefault((flow.src_ip, dip, flow.proto,
@@ -291,8 +305,11 @@ class DipAffinityTable:
 
 
 # --- forwarding actions ---------------------------------------------------
+# Slotted, not frozen: a frozen dataclass sets each field through
+# object.__setattr__, and every frame builds at least one of these. Not
+# tuples either, whose equality ignores the type.
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Emit:
     """Send these bytes toward this address (fabric resolves the peer)."""
 
@@ -301,17 +318,17 @@ class Emit:
     note: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CloneToController:
     event: "ControllerEvent"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Drop:
     reason: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Multiple:
     actions: tuple
 
@@ -319,14 +336,14 @@ class Multiple:
 ForwardAction = Emit | CloneToController | Drop | Multiple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class S1apClone:
     """Cloned control-plane frame; payload is the signalling bytes."""
 
     payload: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EndMarkerSeen:
     """An end marker for tunnel `teid` of the eNB at `enb_addr`."""
 
@@ -334,7 +351,7 @@ class EndMarkerSeen:
     teid: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FlowMiss:
     five_tuple: FiveTuple
     upstream_teid: int
@@ -349,8 +366,9 @@ def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
 
     Pure in (data, ingress, config, table snapshots); malformed traffic
     degrades to plain routing or Drop, never an exception. Headers are read
-    once, in place; only emitted bytes are made, and a `FiveTuple` only to
-    look up a table keyed by one."""
+    once, in place; only emitted bytes are made. Tables are probed with
+    plain tuples, and a `FiveTuple` is built only for a `FlowMiss` and for
+    a key the affinity table stores."""
     try:
         ihl, total, proto, src, dst = read_ipv4(data)
     except DecodeError:
@@ -376,11 +394,11 @@ def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
             return Emit(ip_str(dst), data, note="ip-route")
         if vip not in cfg.vips:
             return Emit(ip_str(dst), data, note="ip-route")
-        flow = FiveTuple(src, vip, proto, sport, dport)
+        flow = (src, vip, proto, sport, dport)
         rule = rules.lookup(flow)
         if rule is SILENT:
             # silent period: hold edge traffic, keep the controller informed
-            return CloneToController(FlowMiss(flow, teid))
+            return CloneToController(FlowMiss(FiveTuple(*flow), teid))
         serving = stage1_select(src, cfg)
         if serving != cfg.megw_id:
             act = Emit(cfg.peer_address(serving), data[at:total],
@@ -390,7 +408,8 @@ def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
             act = Emit(ip_str(dip), note="dip-rewrite",
                        data=rewrite_ipv4(data, dst=dip, at=at, end=total))
         if rule is None:
-            return Multiple((CloneToController(FlowMiss(flow, teid)), act))
+            miss = CloneToController(FlowMiss(FiveTuple(*flow), teid))
+            return Multiple((miss, act))
         return act
 
     # plain IP, and a G-PDU from the core or the cluster
@@ -400,7 +419,7 @@ def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
             sport, dport = read_ports(data, ihl, total - ihl, proto)
         except DecodeError:
             return Drop("malformed VIP-bound packet")
-        dip = affinity.get_or_assign(FiveTuple(src, dst, proto, sport, dport),
+        dip = affinity.get_or_assign((src, dst, proto, sport, dport),
                                      cfg.dips)
         return Emit(ip_str(dip), rewrite_ipv4(data, dst=dip),
                     note="dip-rewrite")
@@ -429,7 +448,7 @@ def _downstream_edge(data: bytes, ihl: int, total: int, proto: int, src: int,
         data = rewrite_ipv4(data, src=vip)
         src = vip
 
-    rule = rules.lookup(FiveTuple(dst, src, proto, dport, sport))
+    rule = rules.lookup((dst, src, proto, dport, sport))
     if rule is None:
         return Emit(ip_str(dst), data, note="ip-route")
     if rule is SILENT:

@@ -87,6 +87,12 @@ class TestAttach:
         assert any(isinstance(e, OrphanMessage) for e in effects)
         assert UE not in proc.contexts
 
+    def test_unknown_kind_raises_and_logs_nothing(self):
+        proc = S1apProcessor("mgw-a", TOPOLOGY)
+        with pytest.raises(KeyError):
+            proc.on_control_message(msg("not-a-kind", []))
+        assert not proc.log and not proc.contexts
+
     def test_reattach_refreshes(self):
         proc = S1apProcessor("mgw-a", TOPOLOGY)
         attach(proc)

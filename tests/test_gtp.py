@@ -442,6 +442,20 @@ class TestAddresses:
         assert n.to_bytes(4, "big") == gtp.pack_ip(addr)
         assert gtp.ip_str(n) == addr
 
+    def test_dotted_memo_is_bounded(self):
+        assert gtp.ip_str.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("n, addr", [(0, "0.0.0.0"),
+                                         (0xFFFFFFFF, "255.255.255.255"),
+                                         (0x0A000001, "10.0.0.1")])
+    def test_known_dotted_forms(self, n, addr):
+        assert gtp.ip_str(n) == addr
+        assert gtp.ip_str(n) == addr        # a memo hit
+
+    @given(st.integers(0, 0xFFFFFFFF))
+    def test_int_dotted_int_round_trip(self, n):
+        assert ip_int(gtp.ip_str(n)) == n
+
     @given(malformed_addresses)
     def test_malformed_dotted_raises_at_the_edge(self, addr):
         with pytest.raises(gtp.EncodeError):

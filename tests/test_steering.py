@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields, is_dataclass, replace
 from typing import NamedTuple
 
 import pytest
@@ -67,6 +68,19 @@ def reference_pick(key, candidates):
 
 def flatten(action):
     return list(action.actions) if isinstance(action, Multiple) else [action]
+
+
+def shape(value):
+    """A value as (type, fields), recursing into dataclasses (the actions
+    and events) and tuples (`Multiple.actions`, `FiveTuple`), so that two
+    values compare equal only if every part has the same type: a tuple
+    equals a NamedTuple, and a tuple of equal fields of another type."""
+    if is_dataclass(value):
+        return type(value), tuple(shape(getattr(value, f.name))
+                                  for f in fields(value))
+    if isinstance(value, tuple):
+        return type(value), tuple(shape(v) for v in value)
+    return value
 
 
 class TestRendezvous:
@@ -222,6 +236,22 @@ class TestStage1:
                                                                        heavy)
         assert any(stage1_select(ip_int(ue), light)
                    != stage1_select(ip_int(ue), heavy) for ue in ues)
+        # a replaced config hashes afresh, so the memo answers it apart
+        heavier = replace(heavy, dips=(("10.200.0.5", 9.0),))
+        assert heavier != heavy and heavier.vips == heavy.vips
+        assert hash(heavier) == hash(replace(heavier))
+        misses = stage1_select.cache_info().misses
+        for ue in ues:
+            assert stage1_select(ip_int(ue), heavier) == self.direct(ue,
+                                                                     heavy)
+        assert stage1_select.cache_info().misses == misses + len(ues)
+
+    def test_equal_configs_hash_alike(self):
+        a, b = make_cfg(), make_cfg()
+        assert a == b and a is not b
+        assert hash(a) == hash(b) == hash((a.megw_id, a.vips, a.region_peers,
+                                           a.dips, a.local_sgw))
+        assert stage1_select(UE, a) == stage1_select(UE, b)
 
 
 class TestStage2:
@@ -253,6 +283,23 @@ class TestStage2:
             hits[table.get_or_assign(flow, cfg.dips)] += 1
         assert all(v > 0 for v in hits.values())
 
+    def test_plain_tuple_probes_as_five_tuple(self):
+        cfg = make_cfg()
+        flow = FiveTuple.parse("172.16.0.2", VIP, 6, 5000, 80)
+        table, ref = DipAffinityTable(), DipAffinityTable()
+        dip = table.get_or_assign(tuple(flow), cfg.dips)        # a miss
+        assert dip == ref.get_or_assign(flow, cfg.dips)
+        assert [type(k) for k in table._table] == [FiveTuple]
+        assert table.get_or_assign(flow, cfg.dips) == dip       # hits
+        assert table.get_or_assign(tuple(flow), cfg.dips) == dip
+        assert len(table) == 1
+        back = (flow.src_ip, dip, 6, 5000, 80)
+        assert table.vip_for(back) == table.vip_for(FiveTuple(*back)) \
+            == flow.dst_ip
+        other = (flow.src_ip, dip, 6, 5001, 80)
+        assert table.vip_for(other) is table.vip_for(FiveTuple(*other)) \
+            is None
+
     def test_empty_pool(self):
         cfg = make_cfg(dips=None)
         cfg = SteeringConfig(megw_id="mgw-a", vips=frozenset({VIP}),
@@ -273,6 +320,17 @@ class TestRuleStore:
         r = self.rule()
         store.install(r)
         assert store.lookup(r.key) == r
+
+    def test_plain_tuple_lookup(self):
+        store = RuleStore()
+        r = self.rule()
+        store.install(r)
+        miss = r.key._replace(src_port=5001)
+        assert store.lookup(tuple(r.key)) == store.lookup(r.key) == r
+        assert store.lookup(tuple(miss)) is store.lookup(miss) is None
+        store.set_ue_silent(UE)
+        assert store.lookup(tuple(r.key)) is store.lookup(r.key) is SILENT
+        assert store.lookup(tuple(miss)) is store.lookup(miss) is None
 
     def test_idempotent_reinstall(self):
         store = RuleStore()
@@ -1046,14 +1104,35 @@ class TestProcessPacketDifferential:
     @example(frame=tunnel_frame(uplink_inner(DIFF_UES[0], length_delta=-1)),
              ruled=[], silent=(), pinned=[])
     @example(frame=DIP_REPLY, ruled=[PINNED], silent=(), pinned=[PINNED])
+    # a ruled flow of a silenced subscriber: a flow miss alone
+    @example(frame=tunnel_frame(uplink_inner(DIFF_UES[0])), ruled=[PINNED],
+             silent=DIFF_UES[:1], pinned=[])
     def test_equals_view_based_path(self, frame, ruled, silent, pinned):
         for ingress in Direction:
             rules, affinity = seeded_tables(ruled, silent, pinned)
             ref_rules, ref_affinity = seeded_tables(ruled, silent, pinned)
             act = process_packet(frame, ingress, DIFF_CFG, rules, affinity)
-            assert act == reference_process_packet(
-                frame, ingress, DIFF_CFG, ref_rules, ref_affinity)
+            assert shape(act) == shape(reference_process_packet(
+                frame, ingress, DIFF_CFG, ref_rules, ref_affinity))
+            assert all(type(a.event.five_tuple) is FiveTuple
+                       for a in flatten(act)
+                       if isinstance(getattr(a, "event", None), FlowMiss))
             assert len(affinity) == len(ref_affinity)
+            assert all(type(k) is FiveTuple
+                       for t in (affinity, ref_affinity) for k in t._table)
+
+    def test_shape_tells_types_apart(self):
+        # actions of different types with equal fields differ, as does an
+        # action from the tuple of its fields
+        flow = FiveTuple(1, 2, 6, 3, 4)
+        assert Drop("x") != S1apClone("x") and Drop("x") != ("x",)
+        assert EndMarkerSeen(1, 2) != FlowMiss(1, 2)
+        assert shape(FlowMiss(flow, 7)) != shape(FlowMiss(tuple(flow), 7))
+        assert shape(Multiple((Drop("x"),))) != shape(
+            Multiple((S1apClone("x"),)))
+        assert shape(CloneToController(EndMarkerSeen(1, 2))) != shape(
+            CloneToController(FlowMiss(1, 2)))
+        assert shape(Emit("a", b"b", "c")) == shape(Emit("a", b"b", note="c"))
 
     def test_every_outcome_is_drawn(self):
         # the strategies reach every action the packet path can take
