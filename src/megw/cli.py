@@ -124,11 +124,19 @@ def _sidecar(out_path: str) -> Path:
     return Path(out_path).with_suffix(".meta.json")
 
 
-def _cmd_sim(args) -> int:
+def _sim_config(args) -> dict:
+    """The config file's JSON object, its seed overridden by --seed."""
     doc = json.loads(Path(args.config).read_text())
+    if not isinstance(doc, dict):
+        raise sim.ConfigError(f"config must be a JSON object, not "
+                              f"{type(doc).__name__}")
     if args.seed is not None:
         doc["seed"] = args.seed
-    cfg = sim.SimConfig.from_dict(doc)
+    return doc
+
+
+def _cmd_sim(args) -> int:
+    cfg = sim.SimConfig.from_dict(_sim_config(args))
     world = sim.build_world(cfg)
     rng = np.random.default_rng([cfg.seed, 0x515])
     rate = cfg.migration_rate / max(1, cfg.population)
@@ -151,9 +159,7 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_sim_sweep(args) -> int:
-    doc = json.loads(Path(args.config).read_text())
-    if args.seed is not None:
-        doc["seed"] = args.seed
+    doc = _sim_config(args)
 
     def pick(key, flag, default=None):
         value = doc.pop(key, default)  # leaves the config even when flagged

@@ -4,14 +4,17 @@ Encodes and decodes the outer IPv4 / UDP / GTPv1-U framing used between
 eNB and SGW, extracts inner-packet 5-tuples, and classifies raw frames
 into the handful of traffic classes the gateway pipeline cares about.
 
-Each header's checks live in one reader that unpacks it in place, at an
-offset, into integers: `read_ipv4`, `read_tunnel` (UDP and GTP-U) and
-`read_ports`. The packet path calls them directly; `parse_ipv4`,
-`parse_frame`, `decode_gtpu`, `classify` and `inner_five_tuple` build
-views from them for the harness, the CLI and the tests. Only the 8-byte
+A frame is read one way: each header's checks live in one reader that
+unpacks it in place, at an offset, into integers: `read_ipv4`,
+`read_tunnel` (UDP and GTP-U) and `read_ports`. The packet path and the
+harness nodes call them directly, and `decode_gtpu`, `classify` and
+`inner_five_tuple` are built straight from them. No module calls
+`parse_ipv4` (and its `Ipv4View`); they remain for the tests and for the
+per-layer benchmark, which wraps `parse_ipv4` by name. Only the 8-byte
 header with flags 0x30 is accepted: optional sequence, N-PDU or extension
 fields fail the tunnel checks, so the frame is plain-routed (ROADMAP,
-"Wire conformance"). Addresses are integers; `ip_int` and `ip_str` convert.
+"Wire conformance"). Addresses are integers; `ip_int` and `ip_str`
+convert.
 
 All functions here are pure and operate on immutable byte strings; they
 are safe to call from any number of concurrent contexts.
@@ -56,9 +59,6 @@ _FLOW_KEY = struct.Struct("!IIBHH")
 class GtpMessageType(enum.Enum):
     GPDU = MSG_TYPE_GPDU
     END_MARKER = MSG_TYPE_END_MARKER
-
-
-_MESSAGE_TYPES = {t.value: t for t in GtpMessageType}
 
 
 class Direction(enum.Enum):
@@ -210,13 +210,15 @@ def encode_gtpu(outer_src: int, outer_dst: int, teid: int,
     n = len(inner)
     if n > MAX_INNER_LEN:
         raise EncodeError(f"inner packet too large ({n} bytes)")
-    if not 0 <= teid <= 0xFFFFFFFF:
-        raise EncodeError(f"TEID out of range: {teid:#x}")
     # `_value_` is the member's value; `.value` reads it through a property
-    head = _OUTER.pack(0x45, 0, _OUTER.size + n, 0, 0, 64, PROTO_UDP, 0,
-                       outer_src, outer_dst, GTP_UDP_PORT, GTP_UDP_PORT,
-                       _INNER_AT + n, 0, GTP_FLAGS, message_type._value_, n,
-                       teid)
+    try:
+        head = _OUTER.pack(0x45, 0, _OUTER.size + n, 0, 0, 64, PROTO_UDP, 0,
+                           outer_src, outer_dst, GTP_UDP_PORT, GTP_UDP_PORT,
+                           _INNER_AT + n, 0, GTP_FLAGS, message_type._value_,
+                           n, teid)
+    except struct.error as exc:
+        # an address or TEID outside 32 bits
+        raise EncodeError(f"header field out of range: {exc}") from None
     csum = ipv4_checksum(head[:IPV4_MIN_HEADER])
     return b"".join((head[:10], csum.to_bytes(2, "big"), head[12:], inner))
 
@@ -292,71 +294,28 @@ class Ipv4View(NamedTuple):
     header_len: int
     payload: bytes
 
-    def five_tuple(self) -> FiveTuple:
-        """Ports from TCP/UDP's first words; (0, 0) for other protocols."""
-        return FiveTuple(self.src, self.dst, self.proto, *read_ports(
-            self.payload, 0, len(self.payload), self.proto))
-
 
 def parse_ipv4(data: bytes) -> Ipv4View:
     ihl, total, proto, src, dst = read_ipv4(data)
     return Ipv4View(src, dst, proto, ihl, data[ihl:total])
 
 
-class Frame(NamedTuple):
-    """One parse of a raw frame: the outer IPv4 view and, for a well-formed
-    GTP-U frame, the decoded tunnel packet (None for any other frame)."""
-
-    ip: Ipv4View
-    tunnel: GtpuPacket | None
-
-    def packet_class(self, direction: Direction) -> PacketClass:
-        if self.ip.proto == PROTO_SCTP:
-            return PacketClass.CONTROL_PLANE
-        if self.tunnel is None:
-            return PacketClass.PLAIN_IP
-        if self.tunnel.message_type is GtpMessageType.END_MARKER:
-            return PacketClass.END_MARKER
-        if direction is Direction.FROM_RAN:
-            return PacketClass.UPSTREAM_GTP
-        if direction is Direction.FROM_CORE:
-            return PacketClass.DOWNSTREAM_GTP
-        return PacketClass.PLAIN_IP
-
-
-def parse_frame(data: bytes) -> Frame:
-    """Parse the outer IPv4 header, then UDP and GTP-U when present.
-
-    Raises a DecodeError subclass only when the outer IPv4 header itself
-    is malformed; a frame that is not well-formed GTP-U comes back with
-    `tunnel` None.
-    """
-    ip = parse_ipv4(data)
-    tunnel = _decode_tunnel(data, ip)
-    return Frame(ip, None if isinstance(tunnel, DecodeError) else tunnel)
-
-
-def _decode_tunnel(data: bytes, ip: Ipv4View) -> GtpuPacket | DecodeError:
-    total = ip.header_len + len(ip.payload)
-    tunnel = read_tunnel(data, ip.proto, ip.header_len, total)
-    if isinstance(tunnel, DecodeError):
-        return tunnel
-    msg_type, teid, at = tunnel
-    return GtpuPacket(ip.src, ip.dst, teid, _MESSAGE_TYPES[msg_type],
-                      data[at:total])
-
-
 def decode_gtpu(data: bytes) -> GtpuPacket:
     """Inverse of encode_gtpu. Raises a DecodeError subclass on bad input."""
-    tunnel = _decode_tunnel(data, parse_ipv4(data))
+    ihl, total, proto, src, dst = read_ipv4(data)
+    tunnel = read_tunnel(data, proto, ihl, total)
     if isinstance(tunnel, DecodeError):
         raise tunnel
-    return tunnel
+    msg_type, teid, at = tunnel
+    return GtpuPacket(src, dst, teid, GtpMessageType(msg_type),
+                      data[at:total])
 
 
 def inner_five_tuple(inner: bytes) -> FiveTuple:
     """Extract the 5-tuple from an inner IPv4 packet."""
-    return parse_ipv4(inner).five_tuple()
+    ihl, total, proto, src, dst = read_ipv4(inner)
+    return FiveTuple(src, dst, proto,
+                     *read_ports(inner, ihl, total - ihl, proto))
 
 
 def classify(data: bytes, direction: Direction) -> PacketClass:
@@ -365,10 +324,21 @@ def classify(data: bytes, direction: Direction) -> PacketClass:
     Total: anything unparseable falls through to PLAIN_IP.
     """
     try:
-        frame = parse_frame(data)
+        ihl, total, proto, _, _ = read_ipv4(data)
     except DecodeError:
         return PacketClass.PLAIN_IP
-    return frame.packet_class(direction)
+    if proto == PROTO_SCTP:
+        return PacketClass.CONTROL_PLANE
+    tunnel = read_tunnel(data, proto, ihl, total)
+    if isinstance(tunnel, DecodeError):
+        return PacketClass.PLAIN_IP
+    if tunnel[0] == MSG_TYPE_END_MARKER:
+        return PacketClass.END_MARKER
+    if direction is Direction.FROM_RAN:
+        return PacketClass.UPSTREAM_GTP
+    if direction is Direction.FROM_CORE:
+        return PacketClass.DOWNSTREAM_GTP
+    return PacketClass.PLAIN_IP
 
 
 def rewrite_ipv4(data: bytes, src: int | None = None, dst: int | None = None,

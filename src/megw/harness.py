@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, asdict
 from . import control, gtp, s1ap, steering
 from .control import (InstallRule, MigrationNotice, ReactivateUe,
                       ReleaseUeRules, S1apProcessor, SilenceUe, TopologyView)
-from .gtp import Direction, GtpMessageType, GtpuPacket, ip_int, ip_str
+from .gtp import Direction, GtpMessageType, ip_int, ip_str
 from .s1ap import BearerItem, MessageKind, S1apLiteMessage
 from .steering import (CloneToController, DipAffinityTable, Drop, Emit,
                        EndMarkerSeen, FlowMiss, Multiple, RuleStore,
@@ -404,84 +404,79 @@ class Harness:
     # -- other nodes ----------------------------------------------------------
 
     def _enb_frame(self, enb: str, data: bytes) -> None:
-        spec = self.topology.nodes[enb]
         try:
-            frame = gtp.parse_frame(data)
+            ihl, total, proto, _, dst = gtp.read_ipv4(data)
         except gtp.DecodeError:
             self._record(enb, DROPPED, {"reason": "unparseable"})
             return
-        view, pkt = frame.ip, frame.tunnel
-        if view.dst != spec.ip:
+        if dst != self.topology.nodes[enb].ip:
             self._record(enb, DROPPED, {"reason": "not-addressed-here",
-                                        "dst": ip_str(view.dst)})
+                                        "dst": ip_str(dst)})
             return
-        if view.proto == gtp.PROTO_SCTP:
+        if proto == gtp.PROTO_SCTP:
             self._record(enb, RECEIVED, {"kind": "control",
-                                         "bytes": len(view.payload)})
+                                         "bytes": total - ihl})
             return
-        if pkt is None:
+        tunnel = gtp.read_tunnel(data, proto, ihl, total)
+        if isinstance(tunnel, gtp.DecodeError):
             self._record(enb, DROPPED, {"reason": "untunneled"})
             return
-        if pkt.message_type is GtpMessageType.END_MARKER:
-            self._record(enb, RECEIVED, {"kind": "end-marker",
-                                         "teid": pkt.teid})
+        msg_type, teid, at = tunnel
+        if msg_type == gtp.MSG_TYPE_END_MARKER:
+            self._record(enb, RECEIVED, {"kind": "end-marker", "teid": teid})
             return
-        self._radio_deliver(enb, pkt)
+        self._radio_deliver(enb, teid, data[at:total])
 
-    def _radio_deliver(self, enb: str, pkt: GtpuPacket) -> None:
-        hit = self._downlink.get(pkt.teid)
+    def _radio_deliver(self, enb: str, teid: int, inner: bytes) -> None:
+        hit = self._downlink.get(teid)
         if hit is None:
             self._record(enb, DROPPED, {"reason": "unknown-teid",
-                                        "teid": pkt.teid})
+                                        "teid": teid})
             return
         ue, bearer = hit
-        detail = {"teid": pkt.teid, "bearer_id": bearer.bearer_id}
+        detail = {"teid": teid, "bearer_id": bearer.bearer_id}
         try:
-            view = gtp.parse_ipv4(pkt.inner)
-            body = view.payload[4:] if view.proto in (6, 17) else view.payload
-            detail["flow_src"] = ip_str(view.src)
-            detail["payload"] = body.hex()
+            ihl, total, proto, src, _ = gtp.read_ipv4(inner)
+            # the payload starts past TCP's and UDP's port words
+            at = ihl + 4 if proto in (gtp.PROTO_TCP, gtp.PROTO_UDP) else ihl
+            detail["flow_src"] = ip_str(src)
+            detail["payload"] = inner[at:total].hex()
         except gtp.DecodeError:
-            detail["payload"] = pkt.inner.hex()
+            detail["payload"] = inner.hex()
         if ue.radio_enb != enb:
             # forwarding phase: relay over X2 to the new radio
             self._record(enb, SENT, {"via": "x2-forwarding",
-                                     "to": ue.radio_enb, "teid": pkt.teid})
+                                     "to": ue.radio_enb, "teid": teid})
             detail["via"] = "x2-forwarding"
         self._record(ue.node_id, RECEIVED, detail)
 
     def _dip_frame(self, dip: str, data: bytes) -> None:
         spec = self.topology.nodes[dip]
         try:
-            view = gtp.parse_ipv4(data)
-            flow = view.five_tuple()
+            ihl, total, proto, src, dst = gtp.read_ipv4(data)
+            sport, dport = gtp.read_ports(data, ihl, total - ihl, proto)
         except gtp.DecodeError:
             self._record(dip, DROPPED, {"reason": "unparseable"})
             return
-        if flow.dst_ip != spec.ip:
+        if dst != spec.ip:
             self._record(dip, DROPPED, {"reason": "not-addressed-here"})
             return
-        client = ip_str(flow.src_ip)
-        self._record(dip, RECEIVED, {"from": client,
-                                     "dst_port": flow.dst_port})
-        payload = view.payload[4:] if flow.proto in (6, 17) else view.payload
-        reply = gtp.build_ipv4(
-            spec.ip, flow.src_ip, flow.proto,
-            gtp.build_tcpish(flow.proto, flow.dst_port, flow.src_port,
-                             payload))
+        client = ip_str(src)
+        self._record(dip, RECEIVED, {"from": client, "dst_port": dport})
+        at = ihl + 4 if proto in (gtp.PROTO_TCP, gtp.PROTO_UDP) else ihl
+        reply = gtp.build_ipv4(spec.ip, src, proto, gtp.build_tcpish(
+            proto, dport, sport, data[at:total]))
         self._send(dip, client, reply, note="echo")
 
     def _sgw_frame(self, sgw: str, data: bytes, dst_addr: str) -> None:
-        spec = self.topology.nodes[sgw]
         try:
-            view = gtp.parse_ipv4(data)
+            _, _, proto, src, dst = gtp.read_ipv4(data)
         except gtp.DecodeError:
             self._record(sgw, DROPPED, {"reason": "unparseable"})
             return
-        if view.dst == spec.ip:
-            kind = "control" if view.proto == gtp.PROTO_SCTP else "data"
-            self._record(sgw, RECEIVED, {"kind": kind,
-                                         "src": ip_str(view.src)})
+        if dst == self.topology.nodes[sgw].ip:
+            kind = "control" if proto == gtp.PROTO_SCTP else "data"
+            self._record(sgw, RECEIVED, {"kind": kind, "src": ip_str(src)})
             return
         # plain router behaviour for transit frames
         self._send(sgw, dst_addr, data, note="epc-transit")

@@ -92,11 +92,15 @@ def encode_message(msg: S1apLiteMessage) -> bytes:
     if len(msg.bearers) > 255:
         raise S1apEncodeError("too many bearers")
     body = bytes([msg.kind.value])
-    body += _FIXED.pack(msg.mme_ue_id, msg.enb_ue_id, msg.ue_ip, msg.enb_addr,
-                        msg.sgw_addr, len(msg.bearers))
-    for b in msg.bearers:
-        body += _BEARER.pack(b.bearer_id, b.upstream_teid, b.downstream_teid,
-                             b.transport_addr)
+    try:
+        body += _FIXED.pack(msg.mme_ue_id, msg.enb_ue_id, msg.ue_ip,
+                            msg.enb_addr, msg.sgw_addr, len(msg.bearers))
+        for b in msg.bearers:
+            body += _BEARER.pack(b.bearer_id, b.upstream_teid,
+                                 b.downstream_teid, b.transport_addr)
+    except struct.error as exc:
+        # an id, address or TEID wider than its slot
+        raise S1apEncodeError(f"field out of range: {exc}") from None
     return struct.pack("!H", len(body)) + body
 
 

@@ -33,7 +33,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -96,6 +96,9 @@ class SimConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "SimConfig":
+        unknown = sorted(set(doc) - {f.name for f in fields(SimConfig)})
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         kwargs = dict(doc)
         if "policy" in kwargs:
             kwargs["policy"] = Policy(kwargs["policy"])

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from megw import gtp
 from megw.cli import main
 from megw.gtp import GtpMessageType, encode_gtpu, ip_int
@@ -173,6 +175,20 @@ class TestSimCommands:
                            str(tmp_path / "absent.json"), "--out",
                            str(tmp_path / "o.csv"))
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["sim", "sim-sweep"])
+    @pytest.mark.parametrize("doc", [{"step": 5}, [1, 2], "sim"])
+    def test_bad_config_runtime_error(self, capsys, tmp_path, command, doc):
+        # an unknown key or a document that is not an object is one error
+        # line and exit 2, with or without a seed override
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        for seed in ((), ("--seed", "3")):
+            code, out, err = run(capsys, command, "--config", str(cfg_path),
+                                 "--out", str(tmp_path / "o.csv"), *seed)
+            assert code == 2
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not out and not (tmp_path / "o.csv").exists()
 
     def test_sweep_migration_ratio_below_threshold(self, capsys, tmp_path):
         # the full-size map through the CLI: region steering keeps

@@ -4,13 +4,14 @@ import random
 import struct
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from megw import gtp
 from megw.gtp import (Direction, FiveTuple, GtpMessageType, GtpuPacket,
                       PacketClass, build_ipv4, build_tcpish, build_udp,
                       classify, decode_gtpu, encode_gtpu, inner_five_tuple,
                       ip_int)
+from test_steering import frames
 
 
 def checksum_oracle(header: bytes) -> int:
@@ -84,6 +85,13 @@ class TestEncode:
         # a malformed dotted address is refused where it becomes an integer
         with pytest.raises(gtp.EncodeError):
             encode_gtpu(*tunnel("10.0.0", "10.0.0.2", 1, GtpMessageType.GPDU))
+
+    @pytest.mark.parametrize("src, dst, teid", [
+        (1 << 32, 1, 1), (1, -1, 1), (1, 2, 1 << 32), (1, 2, -1)])
+    def test_field_out_of_range_rejected(self, src, dst, teid):
+        # an outer address or TEID wider than its slot is an EncodeError
+        with pytest.raises(gtp.EncodeError):
+            encode_gtpu(src, dst, teid, GtpMessageType.GPDU, b"x")
 
     def test_deterministic(self):
         pkt = tunnel("10.0.0.1", "10.0.0.2", 77, GtpMessageType.GPDU,
@@ -514,3 +522,75 @@ class TestFuzz:
                 decode_gtpu(bytes(mutated))
             except gtp.DecodeError:
                 pass
+
+
+# The view-based decoders the codec had before it read frames in place
+# (`Frame`, `parse_frame`), kept as references for the reader-based ones.
+REF_MESSAGE_TYPES = {t.value: t for t in GtpMessageType}
+
+
+def ref_decode_tunnel(data, ip):
+    total = ip.header_len + len(ip.payload)
+    tunnel = gtp.read_tunnel(data, ip.proto, ip.header_len, total)
+    if isinstance(tunnel, gtp.DecodeError):
+        return tunnel
+    msg_type, teid, at = tunnel
+    return GtpuPacket(ip.src, ip.dst, teid, REF_MESSAGE_TYPES[msg_type],
+                      data[at:total])
+
+
+def ref_decode_gtpu(data):
+    tunnel = ref_decode_tunnel(data, gtp.parse_ipv4(data))
+    if isinstance(tunnel, gtp.DecodeError):
+        raise tunnel
+    return tunnel
+
+
+def ref_inner_five_tuple(inner):
+    view = gtp.parse_ipv4(inner)
+    return FiveTuple(view.src, view.dst, view.proto, *gtp.read_ports(
+        view.payload, 0, len(view.payload), view.proto))
+
+
+def ref_classify(data, direction):
+    try:
+        ip = gtp.parse_ipv4(data)
+    except gtp.DecodeError:
+        return PacketClass.PLAIN_IP
+    tunnel = ref_decode_tunnel(data, ip)
+    if ip.proto == gtp.PROTO_SCTP:
+        return PacketClass.CONTROL_PLANE
+    if isinstance(tunnel, gtp.DecodeError):
+        return PacketClass.PLAIN_IP
+    if tunnel.message_type is GtpMessageType.END_MARKER:
+        return PacketClass.END_MARKER
+    if direction is Direction.FROM_RAN:
+        return PacketClass.UPSTREAM_GTP
+    if direction is Direction.FROM_CORE:
+        return PacketClass.DOWNSTREAM_GTP
+    return PacketClass.PLAIN_IP
+
+
+def outcome(fn, *args):
+    """What `fn` returns, or the class of the DecodeError it raises."""
+    try:
+        return fn(*args)
+    except gtp.DecodeError as exc:
+        return type(exc)
+
+
+class TestReadersDifferential:
+    @settings(max_examples=400, deadline=None)
+    @given(frame=frames())
+    def test_equals_view_based_decoders(self, frame):
+        for direction in Direction:
+            assert classify(frame, direction) is ref_classify(frame,
+                                                              direction)
+        pkt = outcome(decode_gtpu, frame)
+        assert pkt == outcome(ref_decode_gtpu, frame)
+        assert type(pkt) is type(outcome(ref_decode_gtpu, frame))
+        for data in (frame,) + ((pkt.inner,) if type(pkt) is GtpuPacket
+                                else ()):
+            flow = outcome(inner_five_tuple, data)
+            assert flow == outcome(ref_inner_five_tuple, data)
+            assert type(flow) is type(outcome(ref_inner_five_tuple, data))

@@ -1,6 +1,7 @@
 """Virtual fabric: attach, edge requests, and the three handover shapes."""
 
 import copy
+import struct
 from pathlib import Path
 
 import pytest
@@ -227,6 +228,145 @@ class TestRadioDelivery:
         assert got[0].detail["teid"] == teid
         assert got[0].detail["payload"] == b"in-flight".hex()
         assert trace.index(relay[0]) < trace.index(got[0])
+
+
+ENB1, ENB2 = ip_int("10.1.0.1"), ip_int("10.1.0.2")
+SGW, DIP_A1, DIP_A2 = (ip_int("10.2.0.1"), ip_int("10.200.0.5"),
+                       ip_int("10.200.0.6"))
+UE1 = ip_int("172.16.0.2")
+
+
+def ipv4_with(src, dst, proto, payload, ihl=5, trailer=b""):
+    """An IPv4 packet with IHL `ihl` (zeroed options) and `trailer` bytes
+    past its total length."""
+    head = struct.pack("!BBHHHBBHII", 0x40 | ihl, 0, ihl * 4 + len(payload),
+                       0, 0, 64, proto, 0, src, dst) + bytes(ihl * 4 - 20)
+    csum = gtp.ipv4_checksum(head).to_bytes(2, "big")
+    return head[:10] + csum + head[12:] + payload + trailer
+
+
+def deliver(h, node, data, dst_addr=None):
+    """The trace events one frame records at `node`, as (node, action,
+    detail) triples."""
+    mark = len(h.trace)
+    h._deliver(node, "mgw-a", data, dst_addr or h.topology.nodes[node].addr)
+    return [(e.node, e.action, e.detail) for e in h.trace[mark:]]
+
+
+class TestNodeFrames:
+    """Each branch of the eNB, DIP and SGW nodes, on one crafted frame."""
+
+    def test_enb_unparseable(self):
+        for data in (b"", b"\x45\x00", b"\x65" + bytes(19),
+                     ipv4_with(SGW, ENB1, 17, b"x")[:-1]):
+            assert deliver(make_harness(), "enb1", data) == [
+                ("enb1", DROPPED, {"reason": "unparseable"})]
+
+    def test_enb_not_addressed_here(self):
+        frame = gtp.encode_gtpu(SGW, ENB2, 9, GtpMessageType.GPDU, b"")
+        assert deliver(make_harness(), "enb1", frame) == [
+            ("enb1", DROPPED, {"reason": "not-addressed-here",
+                               "dst": "10.1.0.2"})]
+
+    def test_enb_control(self):
+        # the byte count is the transport payload: no options, no trailer
+        frame = ipv4_with(SGW, ENB1, gtp.PROTO_SCTP, bytes(10), ihl=7,
+                          trailer=b"pad")
+        assert deliver(make_harness(), "enb1", frame) == [
+            ("enb1", RECEIVED, {"kind": "control", "bytes": 10})]
+
+    def test_enb_untunneled(self):
+        gpdu = bytearray(gtp.encode_gtpu(SGW, ENB1, 9, GtpMessageType.GPDU,
+                                         b"x"))
+        gpdu[28] = 0x32        # a sequence number flag: not read as GTP-U
+        for data in (gtp.build_ipv4(SGW, ENB1, 6,
+                                    gtp.build_tcpish(6, 1, 2, b"")),
+                     gtp.build_ipv4(SGW, ENB1, 17,
+                                    gtp.build_udp(2152, 2152, b"")),
+                     bytes(gpdu)):
+            assert deliver(make_harness(), "enb1", data) == [
+                ("enb1", DROPPED, {"reason": "untunneled"})]
+
+    def test_enb_end_marker(self):
+        frame = gtp.encode_gtpu(SGW, ENB1, 0xC8, GtpMessageType.END_MARKER)
+        assert deliver(make_harness(), "enb1", frame) == [
+            ("enb1", RECEIVED, {"kind": "end-marker", "teid": 0xC8})]
+
+    def test_enb_unknown_teid(self):
+        frame = gtp.encode_gtpu(SGW, ENB1, 0xC8, GtpMessageType.GPDU, b"x")
+        assert deliver(make_harness(), "enb1", frame) == [
+            ("enb1", DROPPED, {"reason": "unknown-teid", "teid": 0xC8})]
+
+    @pytest.mark.parametrize("inner, extra", [
+        # TCP and UDP lose their 4 port bytes, shorter ones leave nothing
+        (gtp.build_ipv4(DIP_A1, UE1, 6, gtp.build_tcpish(6, 80, 1, b"hi")),
+         {"flow_src": "10.200.0.5", "payload": b"hi".hex()}),
+        (ipv4_with(DIP_A1, UE1, 17, b"\x00\x50\x00\x01ok", ihl=6,
+                   trailer=b"t"),
+         {"flow_src": "10.200.0.5", "payload": b"ok".hex()}),
+        (gtp.build_ipv4(DIP_A1, UE1, 6, b"\x00\x50"),
+         {"flow_src": "10.200.0.5", "payload": ""}),
+        # other protocols keep their whole payload
+        (gtp.build_ipv4(DIP_A1, UE1, 1, b"\x08\x00ping"),
+         {"flow_src": "10.200.0.5", "payload": b"\x08\x00ping".hex()}),
+        # an inner packet that does not parse arrives as raw bytes
+        (b"\x45\x00junk", {"payload": b"\x45\x00junk".hex()}),
+    ])
+    def test_enb_radio_delivery(self, inner, extra):
+        h = make_harness()
+        h.run_attach("ue1", "enb1")
+        teid = h.ues["ue1"].bearers[5].downstream_teid
+        frame = gtp.encode_gtpu(SGW, ENB1, teid, GtpMessageType.GPDU, inner)
+        assert deliver(h, "enb1", frame) == [
+            ("ue1", RECEIVED, {"teid": teid, "bearer_id": 5, **extra})]
+
+    def test_dip_unparseable(self):
+        for data in (b"\x45\x00", b"\x65" + bytes(19),
+                     # TCP and UDP need their 4 port bytes
+                     gtp.build_ipv4(UE1, DIP_A1, 6, b"\x00\x01\x00"),
+                     gtp.build_ipv4(UE1, DIP_A1, 17, b"")):
+            assert deliver(make_harness(), "dip-a1", data) == [
+                ("dip-a1", DROPPED, {"reason": "unparseable"})]
+
+    def test_dip_not_addressed_here(self):
+        frame = gtp.build_ipv4(UE1, DIP_A2, 6, gtp.build_tcpish(6, 1, 80, b""))
+        assert deliver(make_harness(), "dip-a1", frame) == [
+            ("dip-a1", DROPPED, {"reason": "not-addressed-here"})]
+
+    @pytest.mark.parametrize("proto, transport, dport, echoed", [
+        (6, b"\x9c\x40\x00\x50req", 80, b"\x00\x50\x9c\x40req"),
+        (17, b"\x9c\x40\x00\x35q", 53, b"\x00\x35\x9c\x40q"),
+        (1, b"\x08\x00ping", 0, b"\x00\x00\x00\x00\x08\x00ping"),
+    ])
+    def test_dip_echo(self, proto, transport, dport, echoed):
+        h = make_harness()
+        h.run_attach("ue1", "enb1")
+        frame = ipv4_with(UE1, DIP_A1, proto, transport, ihl=6, trailer=b"t")
+        events = deliver(h, "dip-a1", frame)
+        reply = gtp.build_ipv4(DIP_A1, UE1, proto, echoed)
+        assert events == [
+            ("dip-a1", RECEIVED, {"from": "172.16.0.2", "dst_port": dport}),
+            ("dip-a1", SENT, {"dst": "172.16.0.2", "via": "mgw-a",
+                              "note": "echo", "bytes": len(reply)})]
+        assert h._queue[-1][2] == reply
+
+    def test_sgw_unparseable(self):
+        for data in (b"", b"\x45\x00", b"\x65" + bytes(19)):
+            assert deliver(make_harness(), "sgw", data) == [
+                ("sgw", DROPPED, {"reason": "unparseable"})]
+
+    @pytest.mark.parametrize("proto, kind", [(gtp.PROTO_SCTP, "control"),
+                                             (17, "data"), (6, "data")])
+    def test_sgw_received(self, proto, kind):
+        frame = gtp.build_ipv4(ENB1, SGW, proto, b"")
+        assert deliver(make_harness(), "sgw", frame) == [
+            ("sgw", RECEIVED, {"kind": kind, "src": "10.1.0.1"})]
+
+    def test_sgw_transit(self):
+        frame = gtp.encode_gtpu(ENB1, ENB2, 9, GtpMessageType.GPDU, b"x")
+        assert deliver(make_harness(), "sgw", frame, "10.1.0.2") == [
+            ("sgw", SENT, {"dst": "10.1.0.2", "via": "mgw-a",
+                           "note": "epc-transit", "bytes": len(frame)})]
 
 
 class TestHandoverScenario2:

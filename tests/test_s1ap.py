@@ -1,6 +1,7 @@
 """Control-message wire format: round trips, invariants, fuzz."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -62,6 +63,23 @@ def test_zero_bearers_rejected():
 
 def test_duplicate_bearer_ids_rejected():
     msg = sample_message(bearers=(BearerItem(5), BearerItem(5)))
+    with pytest.raises(s1ap.S1apEncodeError):
+        encode_message(msg)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mme_ue_id", 1 << 32), ("enb_ue_id", -1), ("ue_ip", 1 << 32),
+    ("sgw_addr", -1), ("bearer_id", 256), ("bearer_id", -1),
+    ("upstream_teid", 1 << 32), ("downstream_teid", -1),
+    ("transport_addr", 1 << 32)])
+def test_field_out_of_range_rejected(field, value):
+    # a value wider than its slot is an S1apEncodeError, not struct's error
+    msg = sample_message()
+    if hasattr(msg, field):
+        msg = replace(msg, **{field: value})
+    else:
+        bearer = replace(msg.bearers[0], **{field: value})
+        msg = replace(msg, bearers=(bearer,))
     with pytest.raises(s1ap.S1apEncodeError):
         encode_message(msg)
 
