@@ -92,15 +92,35 @@ def _cmd_codec_decode(args) -> int:
     return 0
 
 
+_MESSAGE_TYPES = {"gpdu": GtpMessageType.GPDU,
+                  "end-marker": GtpMessageType.END_MARKER}
+
+
 def _cmd_codec_encode(args) -> int:
     doc = _load_json(args.packet)
-    mt = {"gpdu": GtpMessageType.GPDU,
-          "end-marker": GtpMessageType.END_MARKER}[doc["message_type"]]
+    if not isinstance(doc, dict):
+        raise gtp.EncodeError(f"packet must be a JSON object, not "
+                              f"{type(doc).__name__}")
+    missing = [k for k in ("message_type", "outer_src", "outer_dst", "teid")
+               if k not in doc]
+    if missing:
+        raise gtp.EncodeError(f"packet lacks {', '.join(missing)}")
+    teid = doc["teid"]
+    if not (all(isinstance(doc.get(k, ""), str) for k in
+                ("message_type", "outer_src", "outer_dst", "inner_hex"))
+            and isinstance(teid, (int, str)) and not isinstance(teid, bool)):
+        raise gtp.EncodeError("message_type, outer_src, outer_dst and "
+                              "inner_hex must be strings, teid an integer "
+                              "or a string")
+    if doc["message_type"] not in _MESSAGE_TYPES:
+        raise gtp.EncodeError(f"message_type must be one of "
+                              f"{', '.join(_MESSAGE_TYPES)}, not "
+                              f"{doc['message_type']!r}")
     wire = gtp.encode_gtpu(
         outer_src=ip_int(doc["outer_src"]), outer_dst=ip_int(doc["outer_dst"]),
-        teid=int(doc["teid"], 0) if isinstance(doc["teid"], str)
-        else int(doc["teid"]),
-        message_type=mt, inner=bytes.fromhex(doc.get("inner_hex", "")))
+        teid=int(teid, 0) if isinstance(teid, str) else teid,
+        message_type=_MESSAGE_TYPES[doc["message_type"]],
+        inner=bytes.fromhex(doc.get("inner_hex", "")))
     print(wire.hex())
     return 0
 
@@ -165,7 +185,7 @@ def _cmd_sim_sweep(args) -> int:
         value = doc.pop(key, default)  # leaves the config even when flagged
         return value if flag is None else flag
 
-    rates = pick("rates", args.rates) or [0.01, 0.02, 0.05, 0.10, 0.20]
+    rates = pick("rates", args.rates, [0.01, 0.02, 0.05, 0.10, 0.20])
     replications = pick("replications", args.replications, 20)
     steps = pick("steps", args.steps)
     doc["migration_rate"] = 0  # the rate axis drives movement in a sweep

@@ -11,6 +11,10 @@ A single-threaded loop delivers frames one at a time, in the order they
 were sent: deterministic given (config, script, seed). Routing and the
 trace use dotted addresses; frames and signalling use each node's
 integer `ip`.
+
+`build_topology` works out each topology fact once: every next hop, by
+one breadth-first search per source (shortest path, ties to the first
+neighbour in sorted order), and the `TopologyView` all controllers share.
 """
 
 from __future__ import annotations
@@ -50,6 +54,10 @@ MIGRATION_NOTIFIED = "MigrationNotified"
 
 TRACE_LIMIT = 4096  # trace events kept from before the running operation
 
+# a gateway's view of a frame's direction, by the kind of node that sent it;
+# any other sender is in the cluster
+_INGRESS = {"enb": Direction.FROM_RAN, "sgw_mme": Direction.FROM_CORE}
+
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -75,31 +83,65 @@ class NodeSpec:
 class Topology:
     nodes: dict
     enb_to_megw: dict
-    megw_to_region: dict
+    view: TopologyView               # the controllers' maps, shared by all
     vips: list
     steering_configs: dict           # megw_id -> SteeringConfig
     addr_to_node: dict
     next_hop: dict                   # (src, dst) -> neighbor
 
-    def view(self) -> TopologyView:
-        enb_addr_to_megw = {self.nodes[e].addr: m
-                            for e, m in self.enb_to_megw.items()}
-        return TopologyView(enb_to_megw=enb_addr_to_megw,
-                            megw_to_region=dict(self.megw_to_region))
+
+def _check_shape(config) -> None:
+    """Raise ConfigError unless the document has the shape read below:
+    objects and lists where they belong, names and addresses strings."""
+    def need(ok, what):
+        if not ok:
+            raise ConfigError(f"topology: {what}")
+
+    def strings(doc, keys):
+        return isinstance(doc, dict) and all(
+            isinstance(doc.get(k), str) for k in keys)
+
+    need(isinstance(config, dict), "the document must be a JSON object")
+    for key in ("enb_to_megw", "megw_to_region"):
+        doc = config.get(key, {})
+        need(strings(doc, doc), f"{key!r} must be an object of names")
+    vips = config.get("vips", [])
+    need(isinstance(vips, list) and all(isinstance(v, str) for v in vips),
+         "'vips' must be a list of addresses")
+    nodes = config.get("nodes", {})
+    need(isinstance(nodes, dict), "'nodes' must be an object")
+    for node_id, doc in nodes.items():
+        need(strings(doc, ("kind", "addr"))
+             and isinstance(doc.get("megw", ""), str)
+             and isinstance(doc.get("weight", 1.0), (int, float)),
+             f"node {node_id!r} must be an object with string 'kind' and "
+             f"'addr', and a string 'megw' and a numeric 'weight' if any")
+    links = config.get("links", [])
+    need(isinstance(links, list), "'links' must be a list")
+    for doc in links:
+        need(strings(doc, ("a", "b")),
+             f"link {doc!r} must be an object with string 'a' and 'b'")
 
 
 def build_topology(config: dict) -> Topology:
-    """Validate a topology document and precompute routing."""
+    """Validate a topology document and work out each routing fact once."""
+    _check_shape(config)
     nodes: dict[str, NodeSpec] = {}
+    addrs: dict[str, str] = {}
     for node_id, doc in config.get("nodes", {}).items():
-        nodes[node_id] = NodeSpec(kind=doc["kind"], addr=doc["addr"],
-                                  megw=doc.get("megw"),
-                                  weight=float(doc.get("weight", 1.0)))
+        spec = nodes[node_id] = NodeSpec(
+            kind=doc["kind"], addr=doc["addr"], megw=doc.get("megw"),
+            weight=float(doc.get("weight", 1.0)))
+        if spec.addr in addrs:
+            raise ConfigError(
+                f"address {spec.addr} reused by {node_id!r} and "
+                f"{addrs[spec.addr]!r}")
+        addrs[spec.addr] = node_id
 
     def require(node_id, kinds, context):
         if node_id not in nodes:
             raise ConfigError(f"{context}: unknown node {node_id!r}")
-        if nodes[node_id].kind not in kinds:
+        if kinds is not None and nodes[node_id].kind not in kinds:
             raise ConfigError(
                 f"{context}: {node_id!r} is a {nodes[node_id].kind}, "
                 f"expected one of {kinds}")
@@ -114,32 +156,29 @@ def build_topology(config: dict) -> Topology:
     for enb, megw in enb_to_megw.items():
         require(enb, {"enb"}, "enb_to_megw")
         require(megw, {"megw"}, "enb_to_megw")
-    for node_id, spec in nodes.items():
+    # one pass in id order: each region's gateways and each gateway's DIPs
+    regions: dict[str, list] = {}
+    dips: dict[str, list] = {m: [] for m in megws}
+    for node_id, spec in sorted(nodes.items()):
         if spec.kind == "enb" and node_id not in enb_to_megw:
             raise ConfigError(f"eNB {node_id!r} has no gateway mapping")
+        if spec.kind == "megw":
+            if node_id not in megw_to_region:
+                raise ConfigError(f"gateway {node_id!r} has no region")
+            regions.setdefault(megw_to_region[node_id], []).append(node_id)
         if spec.kind == "dip":
             if spec.megw is None:
                 raise ConfigError(f"DIP {node_id!r} has no host gateway")
             require(spec.megw, {"megw"}, f"DIP {node_id!r}")
-    for megw in megws:
-        if megw not in megw_to_region:
-            raise ConfigError(f"gateway {megw!r} has no region")
+            dips[spec.megw].append((spec.addr, spec.weight))
     for megw in megw_to_region:
         require(megw, {"megw"}, "megw_to_region")
-
-    addrs: dict[str, str] = {}
-    for node_id, spec in nodes.items():
-        if spec.addr in addrs:
-            raise ConfigError(
-                f"address {spec.addr} reused by {node_id!r} and "
-                f"{addrs[spec.addr]!r}")
-        addrs[spec.addr] = node_id
 
     neighbors: dict[str, list] = {n: [] for n in nodes}
     for doc in config.get("links", []):
         a, b = doc["a"], doc["b"]
-        require(a, {s.kind for s in nodes.values()}, "link")
-        require(b, {s.kind for s in nodes.values()}, "link")
+        require(a, None, "link")
+        require(b, None, "link")
         if "latency" in doc:
             raise ConfigError(f"link {a!r}-{b!r}: links carry no latency")
         neighbors[a].append(b)
@@ -152,44 +191,36 @@ def build_topology(config: dict) -> Topology:
     local_sgw = nodes[sgws[0]].addr
 
     # per-gateway steering view: region peers share a region, DIPs are local
-    regions: dict[str, list] = {}
-    for megw in sorted(megws):
-        regions.setdefault(megw_to_region[megw], []).append(megw)
     steering_configs = {}
     for megw in megws:
         peers = tuple((m, nodes[m].addr, nodes[m].weight)
                       for m in regions[megw_to_region[megw]])
-        dips = tuple((s.addr, s.weight) for n, s in sorted(nodes.items())
-                     if s.kind == "dip" and s.megw == megw)
         steering_configs[megw] = SteeringConfig(
             megw_id=megw, vips=frozenset(vips), region_peers=peers,
-            dips=dips, local_sgw=local_sgw)
+            dips=tuple(dips[megw]), local_sgw=local_sgw)
 
-    # shortest-path next hops; ties broken by sorted neighbor order
+    # shortest-path next hops, ties broken by sorted neighbor order: one BFS
+    # per source carries each node's first hop forward from its parent
     next_hop = {}
     for src in nodes:
+        first = {src: None}
         frontier = [src]
-        parent = {src: None}
         while frontier:
             nxt = []
             for u in frontier:
                 for v in neighbors[u]:
-                    if v not in parent:
-                        parent[v] = u
+                    if v not in first:
+                        first[v] = v if u == src else first[u]
                         nxt.append(v)
             frontier = nxt
-        for dst in parent:
-            if dst == src:
-                continue
-            hop = dst
-            while parent[hop] != src:
-                hop = parent[hop]
-            next_hop[(src, dst)] = hop
+        next_hop.update(((src, d), h) for d, h in first.items() if d != src)
 
-    return Topology(nodes=nodes, enb_to_megw=enb_to_megw,
-                    megw_to_region=megw_to_region, vips=vips,
-                    steering_configs=steering_configs, addr_to_node=addrs,
-                    next_hop=next_hop)
+    view = TopologyView(enb_to_megw={nodes[e].addr: m
+                                     for e, m in enb_to_megw.items()},
+                        megw_to_region=megw_to_region)
+    return Topology(nodes=nodes, enb_to_megw=enb_to_megw, view=view,
+                    vips=vips, steering_configs=steering_configs,
+                    addr_to_node=addrs, next_hop=next_hop)
 
 
 @dataclass
@@ -238,7 +269,7 @@ class Harness:
         self.megws = {
             m: MegwState(config=cfg, rules=RuleStore(),
                          affinity=DipAffinityTable(),
-                         processor=S1apProcessor(m, topology.view()))
+                         processor=S1apProcessor(m, topology.view))
             for m, cfg in topology.steering_configs.items()}
         self.ues = {n: UeRecord(node_id=n, addr=s.addr, ip=s.ip)
                     for n, s in topology.nodes.items() if s.kind == "ue"}
@@ -269,13 +300,8 @@ class Harness:
 
     def _resolve(self, addr: str) -> str | None:
         node = self.topology.addr_to_node.get(addr)
-        if node is None:
-            return None
-        spec = self.topology.nodes[node]
-        if spec.kind == "ue":
-            ue = self.ues[node]
-            return ue.route_enb
-        return node
+        ue = self.ues.get(node)
+        return node if ue is None else ue.route_enb
 
     def _send(self, from_node: str, dst_addr: str, data: bytes,
               note: str = "") -> None:
@@ -318,20 +344,12 @@ class Harness:
 
     # -- gateway -------------------------------------------------------------
 
-    def _ingress_direction(self, sender: str) -> Direction:
-        kind = self.topology.nodes[sender].kind
-        if kind == "enb":
-            return Direction.FROM_RAN
-        if kind == "sgw_mme":
-            return Direction.FROM_CORE
-        return Direction.FROM_CLUSTER
-
     def _megw_frame(self, megw: str, sender: str, data: bytes) -> None:
         state = self.megws[megw]
-        ingress = self._ingress_direction(sender)
-        action = steering.process_packet(data, ingress, state.config,
-                                         state.rules, state.affinity)
-        self._apply_action(megw, state, action)
+        ingress = _INGRESS.get(self.topology.nodes[sender].kind,
+                               Direction.FROM_CLUSTER)
+        self._apply_action(megw, state, steering.process_packet(
+            data, ingress, state.config, state.rules, state.affinity))
 
     def _apply_action(self, megw: str, state: MegwState, action) -> None:
         if isinstance(action, Multiple):
@@ -712,7 +730,9 @@ SCENARIOS = ("attach", "edge-request", "two-bearers",
 def run_scenario(name: str, config: dict | None = None,
                  seed: int = 0) -> Harness:
     """Drive one named end-to-end scenario; the full trace is on the result."""
-    h = Harness(build_topology(config or default_topology_config()), seed=seed)
+    if config is None:
+        config = default_topology_config()
+    h = Harness(build_topology(config), seed=seed)
     if name == "attach":
         h.run_attach("ue1", "enb1")
     elif name == "edge-request":

@@ -32,6 +32,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 import struct
 from dataclasses import dataclass, fields, replace
 
@@ -56,6 +57,14 @@ class ConfigError(ValueError):
     pass
 
 
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 class Policy(enum.Enum):
     WITH_REGIONS = "with_regions"
     WITHOUT_REGIONS = "without_regions"
@@ -73,14 +82,22 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("regions_count", "mecs_per_region", "users_per_capacity",
+                     "steps", "migration_rate", "seed"):
+            if not _integer(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, not "
+                                  f"{getattr(self, name)!r}")
+        if not isinstance(self.capacities, (list, tuple)):
+            raise ConfigError(f"capacities must be a list, not "
+                              f"{self.capacities!r}")
         if self.regions_count < 1 or self.mecs_per_region < 1:
             raise ConfigError("region and MEC counts must be positive")
         if len(self.capacities) != self.mecs_per_region:
             raise ConfigError(
                 f"need {self.mecs_per_region} capacities, "
                 f"got {len(self.capacities)}")
-        if any(int(c) <= 0 for c in self.capacities):
-            raise ConfigError("capacities must be positive")
+        if not all(_number(c) and int(c) > 0 for c in self.capacities):
+            raise ConfigError("capacities must be positive numbers")
         if self.users_per_capacity < 1 or self.steps < 0:
             raise ConfigError("users_per_capacity and steps must be positive")
         if self.migration_rate < 0:
@@ -102,7 +119,7 @@ class SimConfig:
         kwargs = dict(doc)
         if "policy" in kwargs:
             kwargs["policy"] = Policy(kwargs["policy"])
-        if "capacities" in kwargs:
+        if isinstance(kwargs.get("capacities"), list):
             kwargs["capacities"] = tuple(kwargs["capacities"])
         return SimConfig(**kwargs)
 
@@ -447,8 +464,16 @@ def run_experiment(base: SimConfig, rates: list, replications: int = 20,
     replication.
     """
     steps = steps if steps is not None else base.steps
-    if replications < 1:
-        raise ConfigError("replications must be positive")
+    if not (isinstance(rates, (list, tuple)) and rates
+            and all(map(_number, rates))):
+        raise ConfigError(f"rates must be a non-empty list of numbers, not "
+                          f"{rates!r}")
+    if not _integer(replications) or replications < 1:
+        raise ConfigError(f"replications must be a positive integer, not "
+                          f"{replications!r}")
+    if not _integer(steps) or steps < 0:
+        raise ConfigError(f"steps must be a non-negative integer, not "
+                          f"{steps!r}")
     rows = []
     summary = {}
     for rate_idx, rate in enumerate(rates):

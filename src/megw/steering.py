@@ -9,8 +9,12 @@ affinity table that pins the choice for the life of the connection.
 The flow-rule store carries the per-connection GTP context installed by
 the control plane: which downstream tunnel carries a flow's return
 traffic; beside it, a set of the subscribers in a handover silent period.
-It is grouped by subscriber, so silencing, reactivating (by a map of old
-to new downstream TEIDs) or releasing one subscriber never scans others.
+A silenced subscriber's edge traffic is held in both directions, new
+connections included: every lookup of its flows answers SILENT, so an
+upstream packet goes to the controller alone, unsteered and unpinned,
+and a downstream one is dropped. The store is grouped by subscriber, so
+silencing, reactivating (by a map of old to new downstream TEIDs) or
+releasing one subscriber never scans others.
 
 Neither stage hashes on the packet path once a subscriber and its flows
 are known. Stage I is memoized per (subscriber, config) in a bounded
@@ -189,11 +193,13 @@ class RuleStore:
         return self._count
 
     def lookup(self, key: tuple) -> FlowRule | object | None:
-        """The flow's rule, None, or SILENT while its subscriber is silent.
-        `key` is any 5-tuple: a plain one finds the `FiveTuple` it equals."""
+        """SILENT for every flow of a subscriber in its silent period, with
+        a rule or not; otherwise the flow's rule or None. `key` is any
+        5-tuple: a plain one finds the `FiveTuple` it equals."""
         with self._lock:
-            rule = self._by_ue.get(key[0], {}).get(key)
-            return SILENT if rule and key[0] in self._silent else rule
+            if key[0] in self._silent:
+                return SILENT
+            return self._by_ue.get(key[0], {}).get(key)
 
     def install(self, rule: FlowRule) -> None:
         """Install a rule; identical re-install is a no-op.

@@ -48,6 +48,27 @@ class TestCodec:
         decoded = gtp.decode_gtpu(bytes.fromhex(out.strip()))
         assert decoded.teid == 0x11223344
 
+    @pytest.mark.parametrize("doc, named", [
+        ([1], "JSON object"), ("gpdu", "JSON object"),
+        ({"outer_src": "10.1.0.1", "outer_dst": "10.2.0.1", "teid": 7},
+         "lacks message_type"),
+        ({"message_type": "gpdu", "teid": 7}, "outer_src, outer_dst"),
+        ({"message_type": "echo", "outer_src": "10.1.0.1",
+          "outer_dst": "10.2.0.1", "teid": 7}, "one of gpdu, end-marker"),
+        ({"message_type": ["gpdu"], "outer_src": "10.1.0.1",
+          "outer_dst": "10.2.0.1", "teid": 7}, "strings"),
+        ({"message_type": "gpdu", "outer_src": 167837697,
+          "outer_dst": "10.2.0.1", "teid": 7}, "strings"),
+        ({"message_type": "gpdu", "outer_src": "10.1.0.1",
+          "outer_dst": "10.2.0.1", "teid": [7]}, "teid"),
+    ])
+    def test_encode_malformed_packet(self, capsys, doc, named):
+        # one error line naming what is wrong or missing, exit 2
+        code, out, err = run(capsys, "codec", "encode", json.dumps(doc))
+        assert code == 2 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+
     def test_bad_hex_is_runtime_error(self, capsys):
         code, _, err = run(capsys, "codec", "decode", "zz")
         assert code == 2
@@ -190,6 +211,33 @@ class TestSimCommands:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert not out and not (tmp_path / "o.csv").exists()
 
+    SMALL = {"regions_count": 1, "mecs_per_region": 2, "capacities": [1, 1],
+             "users_per_capacity": 20, "steps": 3, "seed": 9}
+
+    # a field of the wrong type in either command, a sweep key of the wrong
+    # type, and migration_rate, which only `sim` reads (a sweep sets its own)
+    @pytest.mark.parametrize("command, doc", [
+        (command, doc) for command in ("sim", "sim-sweep") for doc in (
+            {"regions_count": "1"}, {"mecs_per_region": 2.0},
+            {"users_per_capacity": None}, {"steps": "5"}, {"seed": "9"},
+            {"seed": False}, {"capacities": "11"}, {"capacities": 2},
+            {"capacities": [1, "1"]}, {"capacities": [1, True]})
+    ] + [("sim-sweep", doc) for doc in (
+        {"rates": "0.1"}, {"rates": [0.1, "0.2"]}, {"rates": [True]},
+        {"rates": []}, {"rates": None},
+        {"replications": "2"}, {"replications": 1.5}, {"steps": 2.5})
+    ] + [("sim", {"migration_rate": True})])
+    def test_config_field_types(self, capsys, tmp_path, command, doc):
+        # one error line naming the field, exit 2
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**self.SMALL, **doc}))
+        code, out, err = run(capsys, command, "--config", str(cfg_path),
+                             "--out", str(tmp_path / "o.csv"))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert next(iter(doc)) in err
+        assert not out and not (tmp_path / "o.csv").exists()
+
     def test_sweep_migration_ratio_below_threshold(self, capsys, tmp_path):
         # the full-size map through the CLI: region steering keeps
         # migrations under 30% of the baseline at each swept rate
@@ -219,6 +267,26 @@ class TestSimCommands:
 
 
 class TestCustomTopology:
+    @pytest.mark.parametrize("edit", [
+        lambda cfg: [],
+        lambda cfg: cfg.update(nodes=[]),
+        lambda cfg: cfg["nodes"]["enb1"].pop("addr"),
+        lambda cfg: cfg.update(links={"a": "enb1", "b": "mgw-a"}),
+        lambda cfg: cfg.update(enb_to_megw=[]),
+    ], ids=["list", "node-list", "no-addr", "links-object", "map-list"])
+    def test_malformed_topology_runtime_error(self, capsys, tmp_path, edit):
+        from megw.harness import default_topology_config
+
+        cfg = default_topology_config()
+        doc = edit(cfg)     # a replacement document, or None after an edit
+        cfg = cfg if doc is None else doc
+        topo_path = tmp_path / "topo.json"
+        topo_path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "harness", "--scenario", "attach",
+                             "--topology", str(topo_path))
+        assert code == 2 and not out
+        assert err.startswith("error: topology: ") and err.count("\n") == 1
+
     def test_harness_accepts_topology_file(self, capsys, tmp_path):
         from megw.harness import default_topology_config
 

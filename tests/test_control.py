@@ -370,7 +370,8 @@ class TestHandover:
         effects = apply(store, proc.on_flow_miss(other, 100))
         assert [type(e) for e in effects] == [NoContext]
         assert store.lookup(flow) is SILENT
-        assert store.lookup(other) is None
+        assert store.lookup(other) is SILENT
+        assert [r.key for r in store.rules_for_ue(UE)] == [flow]
         apply(store, proc.on_control_message(msg(
             MessageKind.PATH_SWITCH_ACKNOWLEDGE,
             [BearerItem(5, upstream_teid=100, downstream_teid=300)],

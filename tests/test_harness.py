@@ -5,6 +5,7 @@ import struct
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from megw import gtp, harness
 from megw.gtp import GtpMessageType, ip_int
@@ -84,6 +85,167 @@ class TestBuildTopology:
         topo = build_topology(default_topology_config())
         peers = topo.steering_configs["mgw-a"].region_peers
         assert {p[0] for p in peers} == {"mgw-a", "mgw-b"}
+
+
+class TestTopologyShape:
+    @pytest.mark.parametrize("edit", [
+        lambda cfg: [1],
+        lambda cfg: cfg.update(nodes=[]),
+        lambda cfg: cfg["nodes"].update(enb1="enb"),
+        lambda cfg: cfg["nodes"]["enb1"].pop("addr"),
+        lambda cfg: cfg["nodes"]["enb1"].pop("kind"),
+        lambda cfg: cfg["nodes"]["enb1"].update(addr=167837697),
+        lambda cfg: cfg["nodes"]["dip-a1"].update(megw=["mgw-a"]),
+        lambda cfg: cfg["nodes"]["dip-a1"].update(weight=[2]),
+        lambda cfg: cfg.update(enb_to_megw=[["enb1", "mgw-a"]]),
+        lambda cfg: cfg["enb_to_megw"].update(enb1=["mgw-a"]),
+        lambda cfg: cfg.update(megw_to_region="r1"),
+        lambda cfg: cfg["megw_to_region"].update({"mgw-a": ["r1"]}),
+        lambda cfg: cfg.update(vips="10.100.1.1"),
+        lambda cfg: cfg.update(vips=[174326017]),
+        lambda cfg: cfg.update(links={"a": "enb1", "b": "mgw-a"}),
+        lambda cfg: cfg["links"].append(["enb1", "mgw-a"]),
+        lambda cfg: cfg["links"][0].pop("b"),
+        lambda cfg: cfg["links"][0].update(a=["enb1"]),
+    ], ids=["list-document", "node-list", "node-string", "no-addr",
+            "no-kind", "int-addr", "list-megw", "list-weight",
+            "enb-map-list", "enb-map-list-value", "region-map-string",
+            "region-map-list-value", "vips-string", "int-vip", "links-object",
+            "link-list", "link-no-b", "link-list-end"])
+    def test_malformed_document(self, edit):
+        # each is a ConfigError naming the topology, not a TypeError,
+        # AttributeError or a bare KeyError
+        cfg = default_topology_config()
+        doc = edit(cfg)     # a replacement document, or None after an edit
+        cfg = cfg if doc is None else doc
+        with pytest.raises(ConfigError, match="^topology: "):
+            build_topology(cfg)
+
+    def test_empty_document_is_not_the_default(self):
+        with pytest.raises(ConfigError):
+            run_scenario("attach", config={})
+
+
+def walk_back_next_hop(config):
+    """Next hops as the router once found them: a BFS from each source
+    records parents, then each destination walks back to the source's
+    neighbor on its path. Shortest path, ties broken by sorted neighbor
+    order."""
+    neighbors = {n: [] for n in config["nodes"]}
+    for doc in config["links"]:
+        neighbors[doc["a"]].append(doc["b"])
+        neighbors[doc["b"]].append(doc["a"])
+    neighbors = {n: sorted(set(peers)) for n, peers in neighbors.items()}
+    next_hop = {}
+    for src in config["nodes"]:
+        frontier = [src]
+        parent = {src: None}
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in neighbors[u]:
+                    if v not in parent:
+                        parent[v] = u
+                        nxt.append(v)
+            frontier = nxt
+        for dst in parent:
+            if dst == src:
+                continue
+            hop = dst
+            while parent[hop] != src:
+                hop = parent[hop]
+            next_hop[(src, dst)] = hop
+    return next_hop
+
+
+@st.composite
+def topologies(draw):
+    """A valid topology document on a random connected graph: an EPC stub,
+    gateways in one or two regions, their eNBs and DIPs, and subscribers,
+    under drawn names so that sorted order is not insertion order."""
+    counts = {"megw": draw(st.integers(1, 4)), "enb": draw(st.integers(1, 4)),
+              "dip": draw(st.integers(0, 4)), "ue": draw(st.integers(0, 3))}
+    kinds = ["sgw_mme"] + [k for k, n in counts.items() for _ in range(n)]
+    ids = draw(st.lists(st.text("abcxyz", min_size=1, max_size=3),
+                        min_size=len(kinds), max_size=len(kinds),
+                        unique=True))
+    nodes = {i: {"kind": k, "addr": f"10.0.0.{n + 1}"}
+             for n, (i, k) in enumerate(zip(ids, kinds))}
+    megws = [i for i in ids if nodes[i]["kind"] == "megw"]
+    for i in ids:
+        if nodes[i]["kind"] == "dip":
+            nodes[i]["megw"] = draw(st.sampled_from(megws))
+    # a random spanning tree, then a few extra links
+    order = draw(st.permutations(ids))
+    links = [{"a": v, "b": draw(st.sampled_from(order[:n]))}
+             for n, v in enumerate(order) if n]
+    links += [{"a": a, "b": b} for a, b in draw(st.lists(
+        st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=8))
+        if a != b]
+    return {"vips": ["10.100.1.1"], "nodes": nodes, "links": links,
+            "enb_to_megw": {i: draw(st.sampled_from(megws)) for i in ids
+                            if nodes[i]["kind"] == "enb"},
+            "megw_to_region": {m: draw(st.sampled_from(["r1", "r2"]))
+                               for m in megws}}
+
+
+def mobility_shaped_config():
+    """Four gateways in two regions, three eNBs and two weighted DIPs
+    each, a link inside each region, and subscribers off the fabric."""
+    regions = {"mgw-1": "r1", "mgw-2": "r1", "mgw-3": "r2", "mgw-4": "r2"}
+    nodes = {"sgw": {"kind": "sgw_mme", "addr": "10.2.0.1"}}
+    links, enb_to_megw = [], {}
+    for g, gw in enumerate(sorted(regions), start=1):
+        nodes[gw] = {"kind": "megw", "addr": f"10.50.0.{g}"}
+        links.append({"a": gw, "b": "sgw"})
+        for e in range(3):
+            enb_to_megw[f"enb-{g}-{e}"] = gw
+            nodes[f"enb-{g}-{e}"] = {"kind": "enb", "addr": f"10.1.{g}.{e}"}
+            links.append({"a": f"enb-{g}-{e}", "b": gw})
+        for d in (1, 2):
+            nodes[f"dip-{g}-{d}"] = {"kind": "dip", "megw": gw, "weight": d,
+                                     "addr": f"10.200.{g}.{d}"}
+            links.append({"a": f"dip-{g}-{d}", "b": gw})
+    links += [{"a": "mgw-1", "b": "mgw-2"}, {"a": "mgw-3", "b": "mgw-4"}]
+    for i in range(4):
+        nodes[f"ue{i}"] = {"kind": "ue", "addr": f"172.16.0.{i + 2}"}
+    return {"vips": ["10.100.1.1"], "nodes": nodes, "links": links,
+            "enb_to_megw": enb_to_megw, "megw_to_region": regions}
+
+
+class TestRouting:
+    @settings(max_examples=200, deadline=None)
+    @given(config=topologies())
+    def test_first_hops_equal_walk_back(self, config):
+        assert build_topology(config).next_hop == walk_back_next_hop(config)
+
+    @pytest.mark.parametrize("config", [default_topology_config(),
+                                        mobility_shaped_config()])
+    def test_named_shapes_equal_walk_back(self, config):
+        next_hop = build_topology(config).next_hop
+        assert next_hop == walk_back_next_hop(config)
+        # every node the fabric forwards through reaches every other
+        fabric = [n for n, d in config["nodes"].items() if d["kind"] != "ue"]
+        assert all((a, b) in next_hop for a in fabric for b in fabric
+                   if a != b)
+
+    def test_ties_go_to_the_first_sorted_neighbor(self):
+        diamond = default_topology_config()
+        diamond["links"] += [{"a": "enb1", "b": "mgw-b"}]
+        # enb1 reaches sgw through mgw-a or mgw-b, two hops each
+        assert build_topology(diamond).next_hop[("enb1", "sgw")] == "mgw-a"
+        diamond["nodes"]["mgw-0"] = {"kind": "megw", "addr": "10.50.0.9"}
+        diamond["megw_to_region"]["mgw-0"] = "r2"
+        diamond["links"] += [{"a": "enb1", "b": "mgw-0"},
+                             {"a": "mgw-0", "b": "sgw"}]
+        assert build_topology(diamond).next_hop[("enb1", "sgw")] == "mgw-0"
+
+    def test_one_view_shared_by_every_controller(self):
+        h = make_harness()
+        views = {id(m.processor.topology) for m in h.megws.values()}
+        assert views == {id(h.topology.view)}
+        assert h.topology.view.megw_of(ip_int("10.1.0.3")) == "mgw-b"
+        assert h.topology.view.region_of("mgw-c") == "r2"
 
 
 class TestAttach:
@@ -402,6 +564,22 @@ class TestHandoverScenario2:
         assert trace.index(silenced[0]) < trace.index(reactivated[0])
         assert silenced[0].node == "mgw-a"
         assert reactivated[0].node == "mgw-b"
+
+
+class TestSilentPeriod:
+    def test_new_connection_is_held(self):
+        # a subscriber silenced mid-handover opens a connection: the flow
+        # miss is refused and nothing reaches a DIP, so no reply leaves the
+        # gateway untunneled for the eNB to drop
+        h = make_harness()
+        h.run_attach("ue1", "enb1")
+        state, ue = h.megws["mgw-a"], h.ues["ue1"]
+        state.rules.set_ue_silent(ue.ip)
+        state.processor.contexts[ue.ip].silent = True
+        trace = h.run_edge_request("ue1")
+        assert [(e.node, e.action) for e in trace] == [
+            ("ue1", SENT), ("enb1", SENT), ("mgw-a", CLONED)]
+        assert len(state.affinity) == 0 and len(state.rules) == 0
 
 
 class TestHandoverScenario3:

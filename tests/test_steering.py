@@ -330,7 +330,8 @@ class TestRuleStore:
         assert store.lookup(tuple(miss)) is store.lookup(miss) is None
         store.set_ue_silent(UE)
         assert store.lookup(tuple(r.key)) is store.lookup(r.key) is SILENT
-        assert store.lookup(tuple(miss)) is store.lookup(miss) is None
+        # the silence holds a flow with no rule too
+        assert store.lookup(tuple(miss)) is store.lookup(miss) is SILENT
 
     def test_idempotent_reinstall(self):
         store = RuleStore()
@@ -455,7 +456,7 @@ class RuleStoreMachine(RuleBasedStateMachine):
     @rule(key=flow_keys)
     def lookup(self, key):
         expected = self.model.get(key)
-        if expected is not None and key.src_ip in self.silent:
+        if key.src_ip in self.silent:
             expected = SILENT
         assert self.store.lookup(key) == expected
 
@@ -746,6 +747,21 @@ class TestProcessPacket:
         act = self.process(upstream_frame())
         assert isinstance(act, CloneToController)
         assert isinstance(act.event, FlowMiss)
+
+    def test_silence_holds_a_new_connection(self):
+        # a connection opened mid-handover has no rule: it is held too, not
+        # pinned to a DIP whose reply the controller could not tunnel
+        old = FiveTuple.parse("172.16.0.2", VIP, 6, 5000, 80)
+        self.rules.install(FlowRule(old, 0xC8, ENB1, SGW))
+        self.rules.set_ue_silent(UE)
+        act = self.process(upstream_frame(sport=5001))
+        assert act == CloneToController(
+            FlowMiss(old._replace(src_port=5001), 100))
+        assert len(self.affinity) == 0
+        for src in (VIP, "10.200.0.5", "10.200.0.6"):
+            echo = ipv4(src, "172.16.0.2", 6, build_tcpish(6, 80, 5001, b"x"))
+            assert self.process(echo, Direction.FROM_CLUSTER) == Drop(
+                "silent-period")
 
     def test_silent_then_reactivated_resumes_with_new_teid(self):
         flow = FiveTuple.parse("172.16.0.2", VIP, 6, 5000, 80)
