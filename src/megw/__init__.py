@@ -8,6 +8,7 @@ Subpackages:
 - ``megw.control``   control-plane processor (TEID reconstruction, handovers)
 - ``megw.harness``   in-process virtual fabric replaying attach/handover flows
 - ``megw.sim``       flow-level regional mobility simulator
+- ``megw.shape``     one shape check for every JSON document read
 - ``megw.cli``       command-line front end
 """
 

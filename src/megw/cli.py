@@ -16,6 +16,7 @@ import numpy as np
 
 from . import gtp, harness, sim
 from .gtp import GtpMessageType, ip_int, ip_str
+from .shape import check
 
 
 class _UsageError(Exception):
@@ -94,24 +95,14 @@ def _cmd_codec_decode(args) -> int:
 
 _MESSAGE_TYPES = {"gpdu": GtpMessageType.GPDU,
                   "end-marker": GtpMessageType.END_MARKER}
+_PACKET = {"message_type": str, "outer_src": str, "outer_dst": str,
+           "teid": (int, str), "inner_hex?": str}
 
 
 def _cmd_codec_encode(args) -> int:
     doc = _load_json(args.packet)
-    if not isinstance(doc, dict):
-        raise gtp.EncodeError(f"packet must be a JSON object, not "
-                              f"{type(doc).__name__}")
-    missing = [k for k in ("message_type", "outer_src", "outer_dst", "teid")
-               if k not in doc]
-    if missing:
-        raise gtp.EncodeError(f"packet lacks {', '.join(missing)}")
+    check(doc, _PACKET, gtp.EncodeError, "packet")
     teid = doc["teid"]
-    if not (all(isinstance(doc.get(k, ""), str) for k in
-                ("message_type", "outer_src", "outer_dst", "inner_hex"))
-            and isinstance(teid, (int, str)) and not isinstance(teid, bool)):
-        raise gtp.EncodeError("message_type, outer_src, outer_dst and "
-                              "inner_hex must be strings, teid an integer "
-                              "or a string")
     if doc["message_type"] not in _MESSAGE_TYPES:
         raise gtp.EncodeError(f"message_type must be one of "
                               f"{', '.join(_MESSAGE_TYPES)}, not "
@@ -147,9 +138,7 @@ def _sidecar(out_path: str) -> Path:
 def _sim_config(args) -> dict:
     """The config file's JSON object, its seed overridden by --seed."""
     doc = json.loads(Path(args.config).read_text())
-    if not isinstance(doc, dict):
-        raise sim.ConfigError(f"config must be a JSON object, not "
-                              f"{type(doc).__name__}")
+    check(doc, {}, sim.ConfigError, "config")
     if args.seed is not None:
         doc["seed"] = args.seed
     return doc
@@ -165,13 +154,8 @@ def _cmd_sim(args) -> int:
         metrics.append(sim.step(world, rng))
     rows = [sim.csv_row(cfg.policy, rate, 0, m) for m in metrics]
     sim.write_rows_csv(args.out, rows)
-    meta = {"seed": cfg.seed, "policy": cfg.policy.value,
-            "capacities": list(cfg.capacities),
-            "regions_count": cfg.regions_count,
-            "mecs_per_region": cfg.mecs_per_region,
-            "users_per_capacity": cfg.users_per_capacity,
-            "migration_rate": cfg.migration_rate,
-            "population": cfg.population, "steps": cfg.steps,
+    meta = {**vars(cfg), "policy": cfg.policy.value,
+            "capacities": list(cfg.capacities), "population": cfg.population,
             "grid_cells": len(world.grid.cells)}
     sim.write_metadata(_sidecar(args.out), meta)
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)

@@ -29,6 +29,7 @@ from .control import (InstallRule, MigrationNotice, ReactivateUe,
                       ReleaseUeRules, S1apProcessor, SilenceUe, TopologyView)
 from .gtp import Direction, GtpMessageType, ip_int, ip_str
 from .s1ap import BearerItem, MessageKind, S1apLiteMessage
+from .shape import check
 from .steering import (CloneToController, DipAffinityTable, Drop, Emit,
                        EndMarkerSeen, FlowMiss, Multiple, RuleStore,
                        S1apClone, SteeringConfig)
@@ -71,12 +72,9 @@ class TraceEvent:
 class NodeSpec:
     kind: str
     addr: str
+    ip: int
     megw: str | None = None     # for DIPs: host gateway
     weight: float = 1.0
-    ip: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.ip = ip_int(self.addr)
 
 
 @dataclass
@@ -90,47 +88,24 @@ class Topology:
     next_hop: dict                   # (src, dst) -> neighbor
 
 
-def _check_shape(config) -> None:
-    """Raise ConfigError unless the document has the shape read below:
-    objects and lists where they belong, names and addresses strings."""
-    def need(ok, what):
-        if not ok:
-            raise ConfigError(f"topology: {what}")
-
-    def strings(doc, keys):
-        return isinstance(doc, dict) and all(
-            isinstance(doc.get(k), str) for k in keys)
-
-    need(isinstance(config, dict), "the document must be a JSON object")
-    for key in ("enb_to_megw", "megw_to_region"):
-        doc = config.get(key, {})
-        need(strings(doc, doc), f"{key!r} must be an object of names")
-    vips = config.get("vips", [])
-    need(isinstance(vips, list) and all(isinstance(v, str) for v in vips),
-         "'vips' must be a list of addresses")
-    nodes = config.get("nodes", {})
-    need(isinstance(nodes, dict), "'nodes' must be an object")
-    for node_id, doc in nodes.items():
-        need(strings(doc, ("kind", "addr"))
-             and isinstance(doc.get("megw", ""), str)
-             and isinstance(doc.get("weight", 1.0), (int, float)),
-             f"node {node_id!r} must be an object with string 'kind' and "
-             f"'addr', and a string 'megw' and a numeric 'weight' if any")
-    links = config.get("links", [])
-    need(isinstance(links, list), "'links' must be a list")
-    for doc in links:
-        need(strings(doc, ("a", "b")),
-             f"link {doc!r} must be an object with string 'a' and 'b'")
+_TOPOLOGY = {"nodes?": {str: {"kind": str, "addr": str, "megw?": str,
+                               "weight?": float}},
+             "enb_to_megw?": {str: str}, "megw_to_region?": {str: str},
+             "vips?": [str], "links?": [{"a": str, "b": str}]}
 
 
 def build_topology(config: dict) -> Topology:
     """Validate a topology document and work out each routing fact once."""
-    _check_shape(config)
+    check(config, _TOPOLOGY, ConfigError, "topology")
     nodes: dict[str, NodeSpec] = {}
     addrs: dict[str, str] = {}
     for node_id, doc in config.get("nodes", {}).items():
+        try:
+            ip = ip_int(doc["addr"])
+        except gtp.EncodeError as exc:
+            raise ConfigError(f"node {node_id!r}: {exc}") from None
         spec = nodes[node_id] = NodeSpec(
-            kind=doc["kind"], addr=doc["addr"], megw=doc.get("megw"),
+            kind=doc["kind"], addr=doc["addr"], ip=ip, megw=doc.get("megw"),
             weight=float(doc.get("weight", 1.0)))
         if spec.addr in addrs:
             raise ConfigError(
@@ -195,9 +170,12 @@ def build_topology(config: dict) -> Topology:
     for megw in megws:
         peers = tuple((m, nodes[m].addr, nodes[m].weight)
                       for m in regions[megw_to_region[megw]])
-        steering_configs[megw] = SteeringConfig(
-            megw_id=megw, vips=frozenset(vips), region_peers=peers,
-            dips=tuple(dips[megw]), local_sgw=local_sgw)
+        try:
+            steering_configs[megw] = SteeringConfig(
+                megw_id=megw, vips=frozenset(vips), region_peers=peers,
+                dips=tuple(dips[megw]), local_sgw=local_sgw)
+        except ValueError as exc:   # a bad VIP, or a weight not positive
+            raise ConfigError(f"gateway {megw!r}: {exc}") from None
 
     # shortest-path next hops, ties broken by sorted neighbor order: one BFS
     # per source carries each node's first hop forward from its parent

@@ -32,12 +32,12 @@ import functools
 import hashlib
 import json
 import math
-import numbers
 import struct
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .shape import check
 from .steering import rendezvous_pick
 # rendezvous_select is unused here; it stays importable because
 # benchmarks/layers.py counts calls under this name.
@@ -57,12 +57,10 @@ class ConfigError(ValueError):
     pass
 
 
-def _integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+_CONFIG = {"regions_count": int, "mecs_per_region": int,
+           "capacities": [float], "users_per_capacity": int, "steps": int,
+           "migration_rate": int, "seed": int}
+_SWEEP = {"rates": [float], "replications": int, "steps": int}
 
 
 class Policy(enum.Enum):
@@ -82,22 +80,17 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("regions_count", "mecs_per_region", "users_per_capacity",
-                     "steps", "migration_rate", "seed"):
-            if not _integer(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, not "
-                                  f"{getattr(self, name)!r}")
-        if not isinstance(self.capacities, (list, tuple)):
-            raise ConfigError(f"capacities must be a list, not "
-                              f"{self.capacities!r}")
+        check(vars(self), _CONFIG, ConfigError, "config")
+        object.__setattr__(self, "capacities", tuple(self.capacities))
         if self.regions_count < 1 or self.mecs_per_region < 1:
             raise ConfigError("region and MEC counts must be positive")
         if len(self.capacities) != self.mecs_per_region:
             raise ConfigError(
                 f"need {self.mecs_per_region} capacities, "
                 f"got {len(self.capacities)}")
-        if not all(_number(c) and int(c) > 0 for c in self.capacities):
-            raise ConfigError("capacities must be positive numbers")
+        if not (all(int(c) > 0 for c in self.capacities)
+                and sum(self.capacities) < math.inf):
+            raise ConfigError("capacities must be positive, with a finite sum")
         if self.users_per_capacity < 1 or self.steps < 0:
             raise ConfigError("users_per_capacity and steps must be positive")
         if self.migration_rate < 0:
@@ -113,14 +106,16 @@ class SimConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "SimConfig":
+        check(doc, {}, ConfigError, "config")
         unknown = sorted(set(doc) - {f.name for f in fields(SimConfig)})
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         kwargs = dict(doc)
         if "policy" in kwargs:
-            kwargs["policy"] = Policy(kwargs["policy"])
-        if isinstance(kwargs.get("capacities"), list):
-            kwargs["capacities"] = tuple(kwargs["capacities"])
+            try:
+                kwargs["policy"] = Policy(kwargs["policy"])
+            except ValueError as exc:
+                raise ConfigError(f"config: policy: {exc}") from None
         return SimConfig(**kwargs)
 
 
@@ -180,8 +175,7 @@ class HexGrid:
 
 
 def build_grid(cfg: SimConfig) -> HexGrid:
-    return _grid(cfg.regions_count, cfg.mecs_per_region,
-                 tuple(cfg.capacities))
+    return _grid(cfg.regions_count, cfg.mecs_per_region, cfg.capacities)
 
 
 @functools.lru_cache(maxsize=8)
@@ -464,16 +458,14 @@ def run_experiment(base: SimConfig, rates: list, replications: int = 20,
     replication.
     """
     steps = steps if steps is not None else base.steps
-    if not (isinstance(rates, (list, tuple)) and rates
-            and all(map(_number, rates))):
-        raise ConfigError(f"rates must be a non-empty list of numbers, not "
-                          f"{rates!r}")
-    if not _integer(replications) or replications < 1:
-        raise ConfigError(f"replications must be a positive integer, not "
-                          f"{replications!r}")
-    if not _integer(steps) or steps < 0:
-        raise ConfigError(f"steps must be a non-negative integer, not "
-                          f"{steps!r}")
+    check({"rates": rates, "replications": replications, "steps": steps},
+          _SWEEP, ConfigError, "sweep")
+    if not rates or not all(0 <= rate <= 1 for rate in rates):
+        raise ConfigError(f"rates must be a non-empty list of fractions "
+                          f"from 0 to 1, not {rates!r}")
+    if replications < 1 or steps < 0:
+        raise ConfigError(f"replications must be positive and steps "
+                          f"non-negative, not {replications} and {steps}")
     rows = []
     summary = {}
     for rate_idx, rate in enumerate(rates):

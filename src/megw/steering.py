@@ -90,8 +90,8 @@ def _prefixes(candidates: tuple[tuple[str, float], ...]) -> tuple:
         raise SelectError("empty candidate list")
     out = []
     for cand_id, weight in candidates:
-        if weight <= 0:
-            raise SelectError(f"non-positive weight for {cand_id!r}")
+        if not 0 < weight < math.inf:
+            raise SelectError(f"weight for {cand_id!r} must be in (0, inf)")
         ident = cand_id.encode()
         out.append((weight, hashlib.blake2b(
             struct.pack("!I", len(ident)) + ident, digest_size=8).copy))
@@ -137,10 +137,10 @@ class SteeringConfig:
         if ids.count(self.megw_id) != 1:
             raise ValueError(
                 f"{self.megw_id!r} must appear exactly once in region_peers")
-        if any(w <= 0 for _, _, w in self.region_peers):
-            raise ValueError("region peer weights must be positive")
-        if any(w <= 0 for _, w in self.dips):
-            raise ValueError("DIP weights must be positive")
+        if not all(0 < w < math.inf for _, _, w in self.region_peers):
+            raise ValueError("region peer weights must be positive and finite")
+        if not all(0 < w < math.inf for _, w in self.dips):
+            raise ValueError("DIP weights must be positive and finite")
 
     def __hash__(self) -> int:
         return self._hash

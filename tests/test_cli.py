@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, output stability."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -56,9 +57,9 @@ class TestCodec:
         ({"message_type": "echo", "outer_src": "10.1.0.1",
           "outer_dst": "10.2.0.1", "teid": 7}, "one of gpdu, end-marker"),
         ({"message_type": ["gpdu"], "outer_src": "10.1.0.1",
-          "outer_dst": "10.2.0.1", "teid": 7}, "strings"),
+          "outer_dst": "10.2.0.1", "teid": 7}, "message_type"),
         ({"message_type": "gpdu", "outer_src": 167837697,
-          "outer_dst": "10.2.0.1", "teid": 7}, "strings"),
+          "outer_dst": "10.2.0.1", "teid": 7}, "outer_src"),
         ({"message_type": "gpdu", "outer_src": "10.1.0.1",
           "outer_dst": "10.2.0.1", "teid": [7]}, "teid"),
     ])
@@ -238,6 +239,28 @@ class TestSimCommands:
         assert next(iter(doc)) in err
         assert not out and not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("rate", ["inf", "1e400", "nan", "-0.1", "1.5"])
+    def test_sweep_rate_must_be_a_fraction(self, capsys, tmp_path, rate):
+        # one error line naming rates, not the migration_rate a sweep derives
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(self.SMALL))
+        code, out, err = run(capsys, "sim-sweep", "--config", str(cfg_path),
+                             "--out", str(tmp_path / "o.csv"), "--rates", rate)
+        assert code == 2 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "rates" in err and "migration_rate" not in err
+
+    @pytest.mark.parametrize("command", ["sim", "sim-sweep"])
+    def test_capacities_must_be_finite(self, capsys, tmp_path, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**self.SMALL,
+                                        "capacities": [1, math.inf]}))
+        code, out, err = run(capsys, command, "--config", str(cfg_path),
+                             "--out", str(tmp_path / "o.csv"))
+        assert code == 2 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "capacities" in err
+
     def test_sweep_migration_ratio_below_threshold(self, capsys, tmp_path):
         # the full-size map through the CLI: region steering keeps
         # migrations under 30% of the baseline at each swept rate
@@ -286,6 +309,21 @@ class TestCustomTopology:
                              "--topology", str(topo_path))
         assert code == 2 and not out
         assert err.startswith("error: topology: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, 10 ** 400],
+                             ids=["nan", "inf", "huge-int"])
+    def test_weight_must_be_finite(self, capsys, tmp_path, weight):
+        from megw.harness import default_topology_config
+
+        cfg = default_topology_config()
+        cfg["nodes"]["dip-a1"]["weight"] = weight
+        topo_path = tmp_path / "topo.json"
+        topo_path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "harness", "--scenario", "attach",
+                             "--topology", str(topo_path))
+        assert code == 2 and not out
+        assert err.startswith("error: topology: ") and err.count("\n") == 1
+        assert "weight" in err
 
     def test_harness_accepts_topology_file(self, capsys, tmp_path):
         from megw.harness import default_topology_config

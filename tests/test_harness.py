@@ -1,6 +1,7 @@
 """Virtual fabric: attach, edge requests, and the three handover shapes."""
 
 import copy
+import math
 import struct
 from pathlib import Path
 
@@ -119,6 +120,27 @@ class TestTopologyShape:
         doc = edit(cfg)     # a replacement document, or None after an edit
         cfg = cfg if doc is None else doc
         with pytest.raises(ConfigError, match="^topology: "):
+            build_topology(cfg)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, 10 ** 400],
+                             ids=["nan", "inf", "huge-int"])
+    def test_weight_must_be_finite(self, weight):
+        cfg = default_topology_config()
+        cfg["nodes"]["dip-a1"]["weight"] = weight
+        with pytest.raises(
+                ConfigError, match=r"^topology: nodes\['dip-a1'\]\.weight "):
+            build_topology(cfg)
+
+    @pytest.mark.parametrize("edit", [
+        lambda cfg: cfg["nodes"]["enb1"].update(addr="10.1.0.256"),
+        lambda cfg: cfg.update(vips=["10.100.1"]),
+        lambda cfg: cfg["nodes"]["dip-a1"].update(weight=0),
+        lambda cfg: cfg["nodes"]["mgw-a"].update(weight=-1),
+    ], ids=["bad-addr", "bad-vip", "zero-dip-weight", "negative-peer-weight"])
+    def test_bad_value_is_a_config_error(self, edit):
+        cfg = default_topology_config()
+        edit(cfg)
+        with pytest.raises(ConfigError):
             build_topology(cfg)
 
     def test_empty_document_is_not_the_default(self):

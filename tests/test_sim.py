@@ -34,6 +34,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_cfg(migration_rate=10_000)
 
+    @pytest.mark.parametrize("doc", [
+        None, [1], {"policy": "regions"}, {"policy": ["with_regions"]},
+        {"capacities": [1e308, 1e308, 1, 1]}])
+    def test_malformed_document(self, doc):
+        # the module's own error, never a TypeError, a bare ValueError or
+        # an OverflowError
+        with pytest.raises(ConfigError):
+            SimConfig.from_dict(doc)
+
     def test_population(self):
         assert SimConfig().population == 500 * 6 * 3
 

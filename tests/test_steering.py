@@ -111,6 +111,16 @@ class TestRendezvous:
             reduced = [(c, w) for c, w in cands if c != loser]
             assert rendezvous_select(key, reduced) == winner
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_weight_must_be_finite(self, weight):
+        # a NaN weight never won a key and an infinite one won them all
+        with pytest.raises(SelectError):
+            rendezvous_pick([b"k"], [("a", 1.0), ("b", weight), ("c", 1.0)])
+        with pytest.raises(ValueError):
+            SteeringConfig(megw_id="mgw-a", vips=frozenset({VIP}),
+                           region_peers=(("mgw-a", "10.50.0.1", weight),),
+                           dips=(), local_sgw="10.2.0.1")
+
     def test_batch_scores_bad_weight(self):
         for keys in ([b"k"], []):
             with pytest.raises(SelectError):
