@@ -24,10 +24,9 @@ State and effects hold integer addresses; `dump_jsonl` writes them dotted.
 from __future__ import annotations
 
 import enum
-import functools
 import json
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .gtp import ip_int, ip_str
 from .s1ap import MessageKind, S1apLiteMessage
@@ -161,18 +160,6 @@ Effect = (InstallRule | SilenceUe | ReactivateUe | ReleaseUeRules
           | MigrationNotice | ScenarioDetected | OrphanMessage | NoContext)
 
 
-def _shallow_asdict(obj) -> dict:
-    """`dataclasses.asdict` without its deep copy: every value is shared.
-    The effects hold only immutable values, so the log reads the same and
-    costs a fraction of the time."""
-    return {name: getattr(obj, name) for name in _field_names(type(obj))}
-
-
-@functools.lru_cache(maxsize=32)
-def _field_names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
-
-
 # fields that hold an IPv4 address, which logs and traces write dotted
 _ADDRESS_FIELDS = frozenset({"ue_ip", "enb_addr", "sgw_addr", "new_enb_addr",
                              "old_enb", "new_enb", "enb", "src_ip", "dst_ip"})
@@ -200,6 +187,13 @@ def _json_default(obj):
     return str(obj)
 
 
+def jsonl(records) -> str:
+    """One JSON line per record (a dict or a NamedTuple), keys sorted and
+    values as `dotted` gives them."""
+    return "\n".join(json.dumps(dotted(r), sort_keys=True,
+                                default=_json_default) for r in records)
+
+
 class S1apProcessor:
     """Per-gateway controller over a local event loop.
 
@@ -220,16 +214,15 @@ class S1apProcessor:
 
     def _emit(self, event_name: str, detail: dict, effects: list) -> list:
         self.clock += 1
+        # effects hold immutable values: their `vars` read as `asdict` would
         self.log.append({"seq": self.clock, "event": event_name,
                          "detail": detail, "effects": [
-                             {"type": type(e).__name__, **_shallow_asdict(e)}
+                             {"type": type(e).__name__, **vars(e)}
                              for e in effects]})
         return effects
 
     def dump_jsonl(self) -> str:
-        return "\n".join(json.dumps(dotted(entry), sort_keys=True,
-                                    default=_json_default)
-                         for entry in self.log)
+        return jsonl(self.log)
 
     def _pend(self, ctx: UeContext, scenario, new_enb: int) -> None:
         for bc in ctx.bearers.values():

@@ -102,17 +102,16 @@ class LengthError(DecodeError):
 
 
 def pack_ip(addr: str) -> bytes:
-    """Dotted-quad string to 4 network-order bytes."""
-    parts = addr.split(".")
-    if len(parts) != 4:
-        raise EncodeError(f"bad IPv4 address {addr!r}")
+    """Dotted-quad string to 4 network-order bytes. Only the spelling
+    `ip_str` writes is accepted (no sign, space, underscore, leading zero
+    or non-ASCII digit), so that equal addresses are equal strings."""
     try:
-        octets = [int(p) for p in parts]
-    except ValueError:
-        raise EncodeError(f"bad IPv4 address {addr!r}") from None
-    if any(o < 0 or o > 255 for o in octets):
+        octets = bytes(int(p) for p in addr.split("."))
+    except ValueError:      # not a number, or outside 0-255
+        octets = b""
+    if len(octets) != 4 or "%d.%d.%d.%d" % tuple(octets) != addr:
         raise EncodeError(f"bad IPv4 address {addr!r}")
-    return bytes(octets)
+    return octets
 
 
 def ip_int(addr: str) -> int:

@@ -5,12 +5,13 @@ EPC stub, gateways, echo servers) connected by zero-loss in-order links,
 and replays attach, edge-request, and X2 handover sequences over it.
 Frames are real wire bytes; every gateway hop runs the actual steering
 pipeline and control-plane processor, so traces reflect exactly what the
-data plane would do.
+data plane would do. The four S1AP messages are built from one table,
+`_SIGNALS`: each one's trace note, sender and bearer TEIDs.
 
 A single-threaded loop delivers frames one at a time, in the order they
 were sent: deterministic given (config, script, seed). Routing and the
 trace use dotted addresses; frames and signalling use each node's
-integer `ip`.
+integer `ip`. Trace events are tuples; `control.jsonl` writes them.
 
 `build_topology` works out each topology fact once: every next hop, by
 one breadth-first search per source (shortest path, ties to the first
@@ -20,19 +21,19 @@ neighbour in sorted order), and the `TopologyView` all controllers share.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import deque
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import control, gtp, s1ap, steering
 from .control import (InstallRule, MigrationNotice, ReactivateUe,
                       ReleaseUeRules, S1apProcessor, SilenceUe, TopologyView)
-from .gtp import Direction, GtpMessageType, ip_int, ip_str
+from .gtp import Direction, FiveTuple, GtpMessageType, ip_int, ip_str
 from .s1ap import BearerItem, MessageKind, S1apLiteMessage
 from .shape import check
 from .steering import (CloneToController, DipAffinityTable, Drop, Emit,
-                       EndMarkerSeen, FlowMiss, Multiple, RuleStore,
-                       S1apClone, SteeringConfig)
+                       EndMarkerSeen, Multiple, RuleStore, S1apClone,
+                       SteeringConfig)
 
 
 class ConfigError(ValueError):
@@ -59,9 +60,22 @@ TRACE_LIMIT = 4096  # trace events kept from before the running operation
 # any other sender is in the cluster
 _INGRESS = {"enb": Direction.FROM_RAN, "sgw_mme": Direction.FROM_CORE}
 
+# the S1AP-lite messages the fabric replays (3GPP TS 36.413): each one's
+# trace note, whether the EPC stub sends it (else the eNB does), and whether
+# its bearer items carry the upstream and the downstream TEID
+_SIGNALS = {
+    MessageKind.INITIAL_CONTEXT_SETUP_REQUEST: ("ics-request", True,
+                                                True, False),
+    MessageKind.INITIAL_CONTEXT_SETUP_RESPONSE: ("ics-response", False,
+                                                 False, True),
+    MessageKind.PATH_SWITCH_REQUEST: ("path-switch-request", False,
+                                      True, False),
+    MessageKind.PATH_SWITCH_ACKNOWLEDGE: ("path-switch-ack", True,
+                                          True, True),
+}
 
-@dataclass(frozen=True)
-class TraceEvent:
+
+class TraceEvent(NamedTuple):
     step: int
     node: str
     action: str
@@ -80,7 +94,6 @@ class NodeSpec:
 @dataclass
 class Topology:
     nodes: dict
-    enb_to_megw: dict
     view: TopologyView               # the controllers' maps, shared by all
     vips: list
     steering_configs: dict           # megw_id -> SteeringConfig
@@ -168,6 +181,8 @@ def build_topology(config: dict) -> Topology:
     # per-gateway steering view: region peers share a region, DIPs are local
     steering_configs = {}
     for megw in megws:
+        if not dips[megw]:
+            raise ConfigError(f"gateway {megw!r} has no DIP")
         peers = tuple((m, nodes[m].addr, nodes[m].weight)
                       for m in regions[megw_to_region[megw]])
         try:
@@ -193,12 +208,11 @@ def build_topology(config: dict) -> Topology:
             frontier = nxt
         next_hop.update(((src, d), h) for d, h in first.items() if d != src)
 
-    view = TopologyView(enb_to_megw={nodes[e].addr: m
-                                     for e, m in enb_to_megw.items()},
-                        megw_to_region=megw_to_region)
-    return Topology(nodes=nodes, enb_to_megw=enb_to_megw, view=view,
-                    vips=vips, steering_configs=steering_configs,
-                    addr_to_node=addrs, next_hop=next_hop)
+    view = TopologyView({nodes[e].addr: m for e, m in enb_to_megw.items()},
+                        megw_to_region)
+    return Topology(nodes=nodes, view=view, vips=vips,
+                    steering_configs=steering_configs, addr_to_node=addrs,
+                    next_hop=next_hop)
 
 
 @dataclass
@@ -260,8 +274,7 @@ class Harness:
     # -- plumbing ------------------------------------------------------------
 
     def _record(self, node: str, action: str, detail: dict) -> None:
-        self.trace.append(TraceEvent(step=next(self._step), node=node,
-                                     action=action, detail=detail))
+        self.trace.append(TraceEvent(next(self._step), node, action, detail))
 
     def _begin(self) -> int:
         """Start a scripted operation: drop the oldest trace events beyond
@@ -270,11 +283,8 @@ class Harness:
         del self.trace[:-TRACE_LIMIT]
         return len(self.trace)
 
-    def trace_jsonl(self, events=None) -> str:
-        events = self.trace if events is None else events
-        return "\n".join(
-            json.dumps(asdict(e), sort_keys=True, default=control._json_default)
-            for e in events)
+    def trace_jsonl(self) -> str:
+        return control.jsonl(self.trace)
 
     def _resolve(self, addr: str) -> str | None:
         node = self.topology.addr_to_node.get(addr)
@@ -358,14 +368,12 @@ class Harness:
                                         "teid": event.teid})
             effects = state.processor.on_end_marker(event.enb_addr,
                                                     event.teid)
-        elif isinstance(event, FlowMiss):
+        else:   # a FlowMiss
             self._record(megw, CLONED, {
                 "kind": "flow-miss", "ue_ip": ip_str(event.five_tuple.src_ip),
                 "upstream_teid": event.upstream_teid})
             effects = state.processor.on_flow_miss(event.five_tuple,
                                                    event.upstream_teid)
-        else:
-            return
         self._apply_effects(megw, state, effects)
 
     def _apply_effects(self, megw: str, state: MegwState, effects) -> None:
@@ -484,29 +492,44 @@ class Harness:
             raise StateError(f"unknown subscriber {ue_id!r}")
         return self.ues[ue_id]
 
+    def _enb(self, enb: str) -> NodeSpec:
+        spec = self.topology.nodes.get(enb)
+        if spec is None or spec.kind != "enb":
+            raise StateError(f"unknown base station {enb!r}")
+        return spec
+
     def _signal(self, kind: MessageKind, ue: UeRecord, ue_num: int,
-                enb: NodeSpec, bearers, sender: str, src: NodeSpec,
-                dst: NodeSpec, note: str) -> None:
-        """Send S1AP-lite `kind` about `ue` at `enb`, then run until idle."""
-        msg = S1apLiteMessage(kind=kind, mme_ue_id=ue_num, enb_ue_id=ue_num,
-                              ue_ip=ue.ip, enb_addr=enb.ip,
-                              sgw_addr=self._sgw.ip, bearers=tuple(bearers))
-        self._send(sender, dst.addr, gtp.build_ipv4(
-            src.ip, dst.ip, gtp.PROTO_SCTP, s1ap.encode_message(msg)),
-            note=note)
+                enb: str, sender: str | None = None) -> None:
+        """Send S1AP-lite `kind` about `ue` at `enb`, between `enb` and the
+        EPC stub, from `sender` if given; then run until idle."""
+        note, from_epc, up, down = _SIGNALS[kind]
+        spec, sgw = self.topology.nodes[enb], self._sgw
+        # a bearer's tunnel end: the EPC's, none, or the eNB's
+        transport = {MessageKind.INITIAL_CONTEXT_SETUP_REQUEST: sgw.ip,
+                     MessageKind.PATH_SWITCH_REQUEST: 0}.get(kind, spec.ip)
+        msg = S1apLiteMessage(
+            kind=kind, mme_ue_id=ue_num, enb_ue_id=ue_num, ue_ip=ue.ip,
+            enb_addr=spec.ip, sgw_addr=sgw.ip, bearers=tuple(
+                BearerItem(b.bearer_id, b.upstream_teid if up else 0,
+                           b.downstream_teid if down else 0, transport)
+                for b in ue.bearers.values()))
+        src, dst = (sgw, spec) if from_epc else (spec, sgw)
+        self._send(sender or (self._sgw_node if from_epc else enb), dst.addr,
+                   gtp.build_ipv4(src.ip, dst.ip, gtp.PROTO_SCTP,
+                                  s1ap.encode_message(msg)), note=note)
         self.run_until_idle()
 
-    def _megw_of_enb(self, enb: str) -> str:
-        if enb not in self.topology.enb_to_megw:
-            raise StateError(f"unknown base station {enb!r}")
-        return self.topology.enb_to_megw[enb]
+    def _new_downlink(self, ue: UeRecord, bearer: Bearer) -> None:
+        """Give `bearer` a fresh downstream TEID, the key radios deliver by."""
+        self._downlink.pop(bearer.downstream_teid, None)
+        bearer.downstream_teid = next(self._down_teids)
+        self._downlink[bearer.downstream_teid] = (ue, bearer)
 
     def run_attach(self, ue_id: str, enb: str, bearers: int = 1) -> list:
         """Initial context setup through the gateway on the S1 path."""
         ue = self._ue(ue_id)
-        self._megw_of_enb(enb)
+        self._enb(enb)
         mark = self._begin()
-        enb_spec, sgw = self.topology.nodes[enb], self._sgw
         ue_num = next(self._ue_ids)
 
         if not ue.bearers:
@@ -514,23 +537,13 @@ class Harness:
                 bid = 5 + i
                 ue.bearers[bid] = Bearer(bearer_id=bid,
                                          upstream_teid=next(self._up_teids))
-        self._signal(MessageKind.INITIAL_CONTEXT_SETUP_REQUEST, ue, ue_num,
-                     enb_spec, (BearerItem(b.bearer_id,
-                                           upstream_teid=b.upstream_teid,
-                                           transport_addr=sgw.ip)
-                                for b in ue.bearers.values()),
-                     self._sgw_node, sgw, enb_spec, "ics-request")
+        self._signal(MessageKind.INITIAL_CONTEXT_SETUP_REQUEST, ue, ue_num, enb)
 
         for b in ue.bearers.values():
             if not b.downstream_teid:
-                b.downstream_teid = next(self._down_teids)
-                self._downlink[b.downstream_teid] = (ue, b)
+                self._new_downlink(ue, b)
         self._signal(MessageKind.INITIAL_CONTEXT_SETUP_RESPONSE, ue, ue_num,
-                     enb_spec, (BearerItem(b.bearer_id,
-                                           downstream_teid=b.downstream_teid,
-                                           transport_addr=enb_spec.ip)
-                                for b in ue.bearers.values()),
-                     enb, enb_spec, sgw, "ics-response")
+                     enb)
 
         ue.radio_enb = enb
         ue.route_enb = enb
@@ -549,32 +562,29 @@ class Harness:
         ue = self._ue(ue_id)
         if ue.radio_enb is None:
             raise StateError(f"{ue_id!r} is not attached")
-        vip = vip or self.topology.vips[0]
         mark = self._begin()
         if reuse_flow:
             if ue.last_flow is None:
                 raise StateError(f"{ue_id!r} has no flow to continue")
-            prev, prev_bearer = ue.last_flow
-            sport, dst_port, vip = (prev.src_port, prev.dst_port,
-                                    ip_str(prev.dst_ip))
+            flow, prev_bearer = ue.last_flow
             if bearer_id is None:
                 bearer_id = prev_bearer
         else:
-            sport = ue.next_port
+            flow = FiveTuple(ue.ip, ip_int(vip or self.topology.vips[0]), 6,
+                             ue.next_port, dst_port)
             ue.next_port += 1
         bearer = (ue.bearers[bearer_id] if bearer_id is not None
                   else next(iter(ue.bearers.values())))
-        inner = gtp.build_ipv4(ue.ip, ip_int(vip), 6,
-                               gtp.build_tcpish(6, sport, dst_port, payload))
-        flow = gtp.inner_five_tuple(inner)
+        inner = gtp.build_ipv4(ue.ip, flow.dst_ip, 6, gtp.build_tcpish(
+            6, flow.src_port, flow.dst_port, payload))
         ue.last_flow = (flow, bearer.bearer_id)
-        enb = ue.radio_enb
         frame = gtp.encode_gtpu(
-            self.topology.nodes[enb].ip, self._sgw.ip, bearer.upstream_teid,
-            GtpMessageType.GPDU, inner)
-        self._record(ue.node_id, SENT, {"vip": vip, "sport": sport,
+            self.topology.nodes[ue.radio_enb].ip, self._sgw.ip,
+            bearer.upstream_teid, GtpMessageType.GPDU, inner)
+        self._record(ue.node_id, SENT, {"vip": ip_str(flow.dst_ip),
+                                        "sport": flow.src_port,
                                         "bearer_id": bearer.bearer_id})
-        self._send(enb, self._sgw.addr, frame, note="uplink")
+        self._send(ue.radio_enb, self._sgw.addr, frame, note="uplink")
         self.run_until_idle()
         return self.trace[mark:]
 
@@ -590,9 +600,7 @@ class Harness:
     def _inject_downstream(self, ue: UeRecord, payload: bytes) -> None:
         """The downstream replay, inside whichever operation runs it."""
         flow, _ = ue.last_flow
-        serving = self._serving_megw(ue)
-        state = self.megws[serving]
-        dip = state.affinity.get(flow)
+        dip = self.megws[self._serving_megw(ue)].affinity.get(flow)
         src = dip if dip is not None else flow.dst_ip
         data = gtp.build_ipv4(src, ue.ip, flow.proto,
                               gtp.build_tcpish(flow.proto, flow.dst_port,
@@ -605,22 +613,20 @@ class Harness:
         self.run_until_idle()
 
     def _serving_megw(self, ue: UeRecord) -> str:
-        source = self.topology.enb_to_megw[ue.route_enb]
-        return steering.stage1_select(ue.ip,
-                                      self.topology.steering_configs[source])
+        topo = self.topology
+        source = topo.view.megw_of(topo.nodes[ue.route_enb].ip)
+        return steering.stage1_select(ue.ip, topo.steering_configs[source])
 
     def run_x2_handover(self, ue_id: str, old_enb: str, new_enb: str) -> list:
         """The eight-step X2 timeline, with the path-switch request cloned
         at the old gateway and the acknowledgement at the new one."""
         ue = self._ue(ue_id)
-        self._megw_of_enb(old_enb)
-        self._megw_of_enb(new_enb)
+        old_spec = self._enb(old_enb)
+        self._enb(new_enb)
         if ue.radio_enb != old_enb:
             raise StateError(
                 f"{ue_id!r} is attached to {ue.radio_enb!r}, not {old_enb!r}")
         mark = self._begin()
-        nodes, sgw = self.topology.nodes, self._sgw
-        old_spec, new_spec = nodes[old_enb], nodes[new_enb]
 
         # steps 1-2: radio-side request/ack over X2, invisible to the EPC
         self._record(old_enb, SENT, {"kind": "x2-handover-request",
@@ -631,18 +637,14 @@ class Harness:
 
         # step 3: path switch request, observed by the old-side gateway
         ue_num = next(self._ue_ids)
-        self._signal(MessageKind.PATH_SWITCH_REQUEST, ue, ue_num, new_spec,
-                     (BearerItem(b.bearer_id, upstream_teid=b.upstream_teid)
-                      for b in ue.bearers.values()),
-                     old_enb, new_spec, sgw, "path-switch-request")
+        self._signal(MessageKind.PATH_SWITCH_REQUEST, ue, ue_num, new_enb,
+                     sender=old_enb)
 
         # steps 5-6: end markers close the old tunnels and start the silence
         for b in ue.bearers.values():
-            marker = gtp.encode_gtpu(
-                sgw.ip, old_spec.ip, b.downstream_teid,
-                GtpMessageType.END_MARKER)
-            self._send(self._sgw_node, old_spec.addr, marker,
-                       note="end-marker")
+            self._send(self._sgw_node, old_spec.addr, gtp.encode_gtpu(
+                self._sgw.ip, old_spec.ip, b.downstream_teid,
+                GtpMessageType.END_MARKER), note="end-marker")
         self.run_until_idle()
 
         if ue.last_flow is not None:
@@ -650,15 +652,8 @@ class Harness:
 
         # step 8: acknowledgement with the new tunnel pairs, via the new side
         for b in ue.bearers.values():
-            del self._downlink[b.downstream_teid]
-            b.downstream_teid = next(self._down_teids)
-            self._downlink[b.downstream_teid] = (ue, b)
-        self._signal(MessageKind.PATH_SWITCH_ACKNOWLEDGE, ue, ue_num, new_spec,
-                     (BearerItem(b.bearer_id, upstream_teid=b.upstream_teid,
-                                 downstream_teid=b.downstream_teid,
-                                 transport_addr=new_spec.ip)
-                      for b in ue.bearers.values()),
-                     self._sgw_node, sgw, new_spec, "path-switch-ack")
+            self._new_downlink(ue, b)
+        self._signal(MessageKind.PATH_SWITCH_ACKNOWLEDGE, ue, ue_num, new_enb)
         ue.route_enb = new_enb
         return self.trace[mark:]
 

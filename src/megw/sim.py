@@ -33,6 +33,7 @@ import hashlib
 import json
 import math
 import struct
+import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -93,6 +94,9 @@ class SimConfig:
             raise ConfigError("capacities must be positive, with a finite sum")
         if self.users_per_capacity < 1 or self.steps < 0:
             raise ConfigError("users_per_capacity and steps must be positive")
+        if self.population > sys.float_info.max:    # a sweep scales it
+            raise ConfigError("users_per_capacity: the population must fit "
+                              "in a float")
         if self.migration_rate < 0:
             raise ConfigError("migration_rate must be non-negative")
         if self.migration_rate > self.population:

@@ -116,8 +116,8 @@ class SteeringConfig:
     its fabric address and capacity weight; dips lists the local service
     instances behind the VIPs, all by dotted address (a DIP's is its stage
     II candidate id). The VIPs become integers when the config is built,
-    and the config is hashed once then: the stage I memo hashes it for
-    every uplink G-PDU bound for a VIP.
+    every other address is checked then, and the config is hashed once:
+    the stage I memo hashes it for every uplink G-PDU bound for a VIP.
     """
 
     megw_id: str
@@ -141,6 +141,10 @@ class SteeringConfig:
             raise ValueError("region peer weights must be positive and finite")
         if not all(0 < w < math.inf for _, w in self.dips):
             raise ValueError("DIP weights must be positive and finite")
+        for _, addr, _ in self.region_peers:
+            ip_int(addr)    # an EncodeError, a ValueError, if malformed
+        for addr, _ in self.dips:
+            ip_int(addr)
 
     def __hash__(self) -> int:
         return self._hash

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from megw import gtp
+from megw import gtp, sim
 from megw.cli import main
 from megw.gtp import GtpMessageType, encode_gtpu, ip_int
 
@@ -249,6 +249,22 @@ class TestSimCommands:
         assert code == 2 and not out
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "rates" in err and "migration_rate" not in err
+
+    @pytest.mark.parametrize("command", ["sim", "sim-sweep"])
+    def test_population_out_of_memory(self, capsys, tmp_path, monkeypatch,
+                                      command):
+        # a population too large to allocate is a runtime error; the world
+        # build fails here without allocating anything
+        def out_of_memory(cfg):
+            raise MemoryError("cannot allocate the world")
+        monkeypatch.setattr(sim, "build_world", out_of_memory)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**self.SMALL,
+                                        "users_per_capacity": 100}))
+        code, out, err = run(capsys, command, "--config", str(cfg_path),
+                             "--out", str(tmp_path / "o.csv"))
+        assert code == 2 and not out
+        assert err == "error: cannot allocate the world\n"
 
     @pytest.mark.parametrize("command", ["sim", "sim-sweep"])
     def test_capacities_must_be_finite(self, capsys, tmp_path, command):

@@ -482,7 +482,7 @@ class TestEffectLog:
         assert json.loads(lines[-1])["event"] == "FLOW_MISS"
         assert json.loads(lines[-1])["effects"][0]["type"] == "InstallRule"
 
-    def test_shallow_asdict_equals_asdict(self):
+    def test_logged_effects_equal_asdict(self):
         flow = FiveTuple(UE, VIP, 6, 5000, 80)
         effects = [
             InstallRule(FlowRule(flow, 200, ENB1, SGW)),
@@ -496,8 +496,10 @@ class TestEffectLog:
         ]
         assert ({type(e) for e in effects}
                 == set(typing.get_args(control.Effect)))
-        for eff in effects:
-            assert control._shallow_asdict(eff) == asdict(eff)
+        proc = S1apProcessor("mgw-a", TOPOLOGY)
+        proc._emit("TEST", {}, effects)
+        assert proc.log[-1]["effects"] == [
+            {"type": type(e).__name__, **asdict(e)} for e in effects]
         # the key is a NamedTuple now; the log writes it as asdict wrote
         # the former dataclass, addresses dotted
         assert control.dotted(flow) == {

@@ -464,6 +464,15 @@ class TestAddresses:
     def test_int_dotted_int_round_trip(self, n):
         assert ip_int(gtp.ip_str(n)) == n
 
+    @pytest.mark.parametrize("alias", ["010.1.0.1", " 10.1.0.1", "+10.1.0.1",
+                                       "1_0.0.0.1", "\u0661\u0660.1.0.1",
+                                       "10.1.0.1 ", "-0.1.0.1"])
+    def test_only_the_written_spelling_parses(self, alias):
+        # int() reads each of these as a valid octet; an address has one
+        # spelling, the one ip_str writes, so equal addresses compare equal
+        with pytest.raises(gtp.EncodeError):
+            ip_int(alias)
+
     @given(malformed_addresses)
     def test_malformed_dotted_raises_at_the_edge(self, addr):
         with pytest.raises(gtp.EncodeError):

@@ -68,6 +68,23 @@ class TestBuildTopology:
         with pytest.raises(ConfigError):
             build_topology(cfg)
 
+    def test_alias_of_a_used_address(self):
+        # "010.1.0.1" would name enb1's address under another spelling
+        cfg = default_topology_config()
+        cfg["nodes"]["enb2"]["addr"] = "010.1.0.1"
+        with pytest.raises(ConfigError):
+            build_topology(cfg)
+
+    def test_gateway_without_dip(self):
+        # stage I may hand mgw-b a subscriber; with no DIP it could not
+        # steer its edge traffic anywhere
+        cfg = default_topology_config()
+        del cfg["nodes"]["dip-b1"]
+        cfg["links"] = [link for link in cfg["links"]
+                        if "dip-b1" not in link.values()]
+        with pytest.raises(ConfigError, match="gateway 'mgw-b' has no DIP"):
+            build_topology(cfg)
+
     def test_unmapped_enb(self):
         cfg = default_topology_config()
         del cfg["enb_to_megw"]["enb4"]
@@ -183,10 +200,13 @@ def walk_back_next_hop(config):
 @st.composite
 def topologies(draw):
     """A valid topology document on a random connected graph: an EPC stub,
-    gateways in one or two regions, their eNBs and DIPs, and subscribers,
-    under drawn names so that sorted order is not insertion order."""
-    counts = {"megw": draw(st.integers(1, 4)), "enb": draw(st.integers(1, 4)),
-              "dip": draw(st.integers(0, 4)), "ue": draw(st.integers(0, 3))}
+    gateways in one or two regions, their eNBs and DIPs (at least one per
+    gateway), and subscribers, under drawn names so that sorted order is
+    not insertion order."""
+    n_megws = draw(st.integers(1, 4))
+    counts = {"megw": n_megws, "enb": draw(st.integers(1, 4)),
+              "dip": n_megws + draw(st.integers(0, 4)),
+              "ue": draw(st.integers(0, 3))}
     kinds = ["sgw_mme"] + [k for k, n in counts.items() for _ in range(n)]
     ids = draw(st.lists(st.text("abcxyz", min_size=1, max_size=3),
                         min_size=len(kinds), max_size=len(kinds),
@@ -194,9 +214,10 @@ def topologies(draw):
     nodes = {i: {"kind": k, "addr": f"10.0.0.{n + 1}"}
              for n, (i, k) in enumerate(zip(ids, kinds))}
     megws = [i for i in ids if nodes[i]["kind"] == "megw"]
-    for i in ids:
-        if nodes[i]["kind"] == "dip":
-            nodes[i]["megw"] = draw(st.sampled_from(megws))
+    dips = [i for i in ids if nodes[i]["kind"] == "dip"]
+    for n, i in enumerate(dips):
+        nodes[i]["megw"] = (megws[n] if n < len(megws)
+                            else draw(st.sampled_from(megws)))
     # a random spanning tree, then a few extra links
     order = draw(st.permutations(ids))
     links = [{"a": v, "b": draw(st.sampled_from(order[:n]))}
@@ -257,9 +278,12 @@ class TestRouting:
         # enb1 reaches sgw through mgw-a or mgw-b, two hops each
         assert build_topology(diamond).next_hop[("enb1", "sgw")] == "mgw-a"
         diamond["nodes"]["mgw-0"] = {"kind": "megw", "addr": "10.50.0.9"}
+        diamond["nodes"]["dip-01"] = {"kind": "dip", "addr": "10.200.0.9",
+                                      "megw": "mgw-0"}
         diamond["megw_to_region"]["mgw-0"] = "r2"
         diamond["links"] += [{"a": "enb1", "b": "mgw-0"},
-                             {"a": "mgw-0", "b": "sgw"}]
+                             {"a": "mgw-0", "b": "sgw"},
+                             {"a": "dip-01", "b": "mgw-0"}]
         assert build_topology(diamond).next_hop[("enb1", "sgw")] == "mgw-0"
 
     def test_one_view_shared_by_every_controller(self):

@@ -46,6 +46,11 @@ class TestConfig:
     def test_population(self):
         assert SimConfig().population == 500 * 6 * 3
 
+    def test_population_must_fit_in_a_float(self):
+        # a sweep scales the population by a float rate
+        with pytest.raises(ConfigError, match="users_per_capacity"):
+            SimConfig(users_per_capacity=10**400)
+
 
 class TestGrid:
     def test_flower_tiling_partitions(self):

@@ -498,6 +498,16 @@ class TestConfigLoading:
                            region_peers=(("mgw-a", "10.50.0.1", -1.0),),
                            dips=(), local_sgw="10.2.0.1")
 
+    @pytest.mark.parametrize("peer, dip", [("10.50.0.1", "10.200.0.999"),
+                                           ("10.50.0.1", "010.200.0.5"),
+                                           ("10.50.0.256", "10.200.0.5")])
+    def test_addresses_checked_when_built(self, peer, dip):
+        # a bad DIP would otherwise raise on the first VIP-bound packet
+        with pytest.raises(gtp.EncodeError):
+            SteeringConfig(megw_id="mgw-a", vips=frozenset({VIP}),
+                           region_peers=(("mgw-a", peer, 1.0),),
+                           dips=((dip, 1.0),), local_sgw="10.2.0.1")
+
 
 class TestConcurrency:
     def test_many_packet_contexts(self):
