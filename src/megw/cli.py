@@ -36,8 +36,10 @@ def build_parser() -> _Parser:
     codec_sub = codec.add_subparsers(dest="codec_command", required=True)
     dec = codec_sub.add_parser("decode", help="decode a hex frame")
     dec.add_argument("hex", help="hex bytes of an outer IPv4/UDP/GTP frame")
+    dec.set_defaults(run=_cmd_codec_decode)
     enc = codec_sub.add_parser("encode", help="encode a JSON packet to hex")
     enc.add_argument("packet", help="JSON object or @file with packet fields")
+    enc.set_defaults(run=_cmd_codec_encode)
 
     har = sub.add_parser("harness", help="run a named fabric scenario")
     har.add_argument("--scenario", required=True,
@@ -45,11 +47,13 @@ def build_parser() -> _Parser:
     har.add_argument("--topology", help="topology JSON (default built-in)")
     har.add_argument("--trace", help="write trace JSONL here (default stdout)")
     har.add_argument("--seed", type=int, default=0)
+    har.set_defaults(run=_cmd_harness)
 
     sim_one = sub.add_parser("sim", help="run one mobility simulation")
     sim_one.add_argument("--config", required=True, help="SimConfig JSON")
     sim_one.add_argument("--out", required=True, help="CSV output path")
     sim_one.add_argument("--seed", type=int, help="override config seed")
+    sim_one.set_defaults(run=_cmd_sim)
 
     sweep = sub.add_parser("sim-sweep",
                            help="sweep migration rates under both policies")
@@ -60,6 +64,7 @@ def build_parser() -> _Parser:
     sweep.add_argument("--replications", type=int)
     sweep.add_argument("--steps", type=int)
     sweep.add_argument("--seed", type=int, help="override config seed")
+    sweep.set_defaults(run=_cmd_sim_sweep)
     return parser
 
 
@@ -146,17 +151,14 @@ def _sim_config(args) -> dict:
 
 def _cmd_sim(args) -> int:
     cfg = sim.SimConfig.from_dict(_sim_config(args))
-    world = sim.build_world(cfg)
-    rng = np.random.default_rng([cfg.seed, 0x515])
+    [metrics] = sim.replay(cfg, (cfg.policy,),
+                           np.random.default_rng([cfg.seed, 0x515]))
     rate = cfg.migration_rate / max(1, cfg.population)
-    metrics = [world.metrics()]
-    for _ in range(cfg.steps):
-        metrics.append(sim.step(world, rng))
     rows = [sim.csv_row(cfg.policy, rate, 0, m) for m in metrics]
     sim.write_rows_csv(args.out, rows)
     meta = {**vars(cfg), "policy": cfg.policy.value,
             "capacities": list(cfg.capacities), "population": cfg.population,
-            "grid_cells": len(world.grid.cells)}
+            "grid_cells": len(sim.build_grid(cfg).cells)}
     sim.write_metadata(_sidecar(args.out), meta)
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     return 0
@@ -189,27 +191,13 @@ def _cmd_sim_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        if args.command == "codec":
-            if args.codec_command == "decode":
-                return _cmd_codec_decode(args)
-            return _cmd_codec_encode(args)
-        if args.command == "harness":
-            return _cmd_harness(args)
-        if args.command == "sim":
-            return _cmd_sim(args)
-        if args.command == "sim-sweep":
-            return _cmd_sim_sweep(args)
-        raise _UsageError(f"unknown command {args.command!r}")
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        return args.run(args)
     except (OSError, KeyError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,9 +9,12 @@ data plane would do. The four S1AP messages are built from one table,
 `_SIGNALS`: each one's trace note, sender and bearer TEIDs.
 
 A single-threaded loop delivers frames one at a time, in the order they
-were sent: deterministic given (config, script, seed). Routing and the
-trace use dotted addresses; frames and signalling use each node's
-integer `ip`. Trace events are tuples; `control.jsonl` writes them.
+were sent: deterministic given (config, script, seed). `_deliver` is the
+one place a frame arrives: a gateway applies `process_packet`'s flat
+action list, and any other forwarder gets the IPv4 header read once,
+with an unparseable frame dropped there. Routing and the trace use
+dotted addresses; frames and signalling use each node's integer `ip`.
+Trace events are tuples; `control.jsonl` writes them.
 
 `build_topology` works out each topology fact once: every next hop, by
 one breadth-first search per source (shortest path, ties to the first
@@ -31,9 +34,8 @@ from .control import (InstallRule, MigrationNotice, ReactivateUe,
 from .gtp import Direction, FiveTuple, GtpMessageType, ip_int, ip_str
 from .s1ap import BearerItem, MessageKind, S1apLiteMessage
 from .shape import check
-from .steering import (CloneToController, DipAffinityTable, Drop, Emit,
-                       EndMarkerSeen, Multiple, RuleStore, S1apClone,
-                       SteeringConfig)
+from .steering import (DipAffinityTable, Drop, Emit, EndMarkerSeen, Multiple,
+                       RuleStore, S1apClone, SteeringConfig)
 
 
 class ConfigError(ValueError):
@@ -318,37 +320,34 @@ class Harness:
 
     def _deliver(self, node: str, sender: str, data: bytes,
                  dst_addr: str) -> None:
+        """The one place a frame arrives. A gateway runs its steering
+        pipeline; any other forwarder gets the IPv4 header read once."""
         kind = self.topology.nodes[node].kind
         if kind == "megw":
-            self._megw_frame(node, sender, data)
-        elif kind == "enb":
-            self._enb_frame(node, data)
-        elif kind == "dip":
-            self._dip_frame(node, data)
-        elif kind == "sgw_mme":
-            self._sgw_frame(node, data, dst_addr)
-        else:
+            state = self.megws[node]
+            ingress = _INGRESS.get(self.topology.nodes[sender].kind,
+                                   Direction.FROM_CLUSTER)
+            action = steering.process_packet(data, ingress, state.config,
+                                             state.rules, state.affinity)
+            # process_packet never nests a Multiple
+            for act in (action.actions if isinstance(action, Multiple)
+                        else (action,)):
+                if isinstance(act, Emit):
+                    self._send(node, act.dst, act.data, note=act.note)
+                elif isinstance(act, Drop):
+                    self._record(node, DROPPED, {"reason": act.reason})
+                else:   # a CloneToController
+                    self._handle_clone(node, state, act.event)
+            return
+        handler = self._HANDLERS.get(kind)
+        if handler is None:
             self._record(node, DROPPED, {"reason": "not-a-forwarder"})
-
-    # -- gateway -------------------------------------------------------------
-
-    def _megw_frame(self, megw: str, sender: str, data: bytes) -> None:
-        state = self.megws[megw]
-        ingress = _INGRESS.get(self.topology.nodes[sender].kind,
-                               Direction.FROM_CLUSTER)
-        self._apply_action(megw, state, steering.process_packet(
-            data, ingress, state.config, state.rules, state.affinity))
-
-    def _apply_action(self, megw: str, state: MegwState, action) -> None:
-        if isinstance(action, Multiple):
-            for sub in action.actions:
-                self._apply_action(megw, state, sub)
-        elif isinstance(action, Emit):
-            self._send(megw, action.dst, action.data, note=action.note)
-        elif isinstance(action, Drop):
-            self._record(megw, DROPPED, {"reason": action.reason})
-        elif isinstance(action, CloneToController):
-            self._handle_clone(megw, state, action.event)
+            return
+        try:
+            # a handler reads any further header before it acts
+            handler(self, node, data, *gtp.read_ipv4(data), dst_addr)
+        except gtp.DecodeError:
+            self._record(node, DROPPED, {"reason": "unparseable"})
 
     def _handle_clone(self, megw: str, state: MegwState, event) -> None:
         # the controller is local: its effects land before the next frame
@@ -407,12 +406,11 @@ class Harness:
 
     # -- other nodes ----------------------------------------------------------
 
-    def _enb_frame(self, enb: str, data: bytes) -> None:
-        try:
-            ihl, total, proto, _, dst = gtp.read_ipv4(data)
-        except gtp.DecodeError:
-            self._record(enb, DROPPED, {"reason": "unparseable"})
-            return
+    # a forwarder other than a gateway gets its frame with the IPv4 header
+    # read: (node, data, ihl, total, proto, src, dst, dst_addr)
+
+    def _enb_frame(self, enb, data, ihl, total, proto, src, dst,
+                   dst_addr) -> None:
         if dst != self.topology.nodes[enb].ip:
             self._record(enb, DROPPED, {"reason": "not-addressed-here",
                                         "dst": ip_str(dst)})
@@ -454,14 +452,10 @@ class Harness:
             detail["via"] = "x2-forwarding"
         self._record(ue.node_id, RECEIVED, detail)
 
-    def _dip_frame(self, dip: str, data: bytes) -> None:
+    def _dip_frame(self, dip, data, ihl, total, proto, src, dst,
+                   dst_addr) -> None:
+        sport, dport = gtp.read_ports(data, ihl, total - ihl, proto)
         spec = self.topology.nodes[dip]
-        try:
-            ihl, total, proto, src, dst = gtp.read_ipv4(data)
-            sport, dport = gtp.read_ports(data, ihl, total - ihl, proto)
-        except gtp.DecodeError:
-            self._record(dip, DROPPED, {"reason": "unparseable"})
-            return
         if dst != spec.ip:
             self._record(dip, DROPPED, {"reason": "not-addressed-here"})
             return
@@ -472,18 +466,16 @@ class Harness:
             proto, dport, sport, data[at:total]))
         self._send(dip, client, reply, note="echo")
 
-    def _sgw_frame(self, sgw: str, data: bytes, dst_addr: str) -> None:
-        try:
-            _, _, proto, src, dst = gtp.read_ipv4(data)
-        except gtp.DecodeError:
-            self._record(sgw, DROPPED, {"reason": "unparseable"})
-            return
+    def _sgw_frame(self, sgw, data, ihl, total, proto, src, dst,
+                   dst_addr) -> None:
         if dst == self.topology.nodes[sgw].ip:
             kind = "control" if proto == gtp.PROTO_SCTP else "data"
             self._record(sgw, RECEIVED, {"kind": kind, "src": ip_str(src)})
             return
         # plain router behaviour for transit frames
         self._send(sgw, dst_addr, data, note="epc-transit")
+
+    _HANDLERS = {"enb": _enb_frame, "dip": _dip_frame, "sgw_mme": _sgw_frame}
 
     # -- scripted operations ---------------------------------------------------
 
@@ -562,19 +554,24 @@ class Harness:
         ue = self._ue(ue_id)
         if ue.radio_enb is None:
             raise StateError(f"{ue_id!r} is not attached")
-        mark = self._begin()
+        if reuse_flow and ue.last_flow is None:
+            raise StateError(f"{ue_id!r} has no flow to continue")
+        if bearer_id is None:
+            bearer_id = (ue.last_flow[1] if reuse_flow
+                         else next(iter(ue.bearers), None))
+        bearer = ue.bearers.get(bearer_id)
+        if bearer is None:
+            raise StateError(f"{ue_id!r} has no bearer {bearer_id}")
         if reuse_flow:
-            if ue.last_flow is None:
-                raise StateError(f"{ue_id!r} has no flow to continue")
-            flow, prev_bearer = ue.last_flow
-            if bearer_id is None:
-                bearer_id = prev_bearer
+            flow = ue.last_flow[0]
+        elif ue.next_port > 0xFFFF:
+            # no wrap: a reused 5-tuple would hit a live affinity pin
+            raise StateError(f"{ue_id!r} has used every source port")
         else:
             flow = FiveTuple(ue.ip, ip_int(vip or self.topology.vips[0]), 6,
                              ue.next_port, dst_port)
             ue.next_port += 1
-        bearer = (ue.bearers[bearer_id] if bearer_id is not None
-                  else next(iter(ue.bearers.values())))
+        mark = self._begin()
         inner = gtp.build_ipv4(ue.ip, flow.dst_ip, 6, gtp.build_tcpish(
             6, flow.src_port, flow.dst_port, payload))
         ue.last_flow = (flow, bearer.bearer_id)

@@ -18,10 +18,11 @@ Two serving policies are compared:
 Metrics per step: application-state migrations and the min-max fairness
 ratio of cluster utilizations (least loaded over most loaded).
 
-A sweep replays each replication's movement trace under both policies in
-lockstep, one draw per step. A with-regions pick is scored the first time
-a crossing reads it and then kept in a memo shared by the worlds of one
-map shape.
+`replay` is the one step loop: it runs one movement trace under each
+policy it is given, drawing each step's moves once. `megw sim` replays its
+config's policy; a sweep replays each replication under both. A
+with-regions pick is scored the first time a crossing reads it and then
+kept in a memo shared by the worlds of one map shape.
 """
 
 from __future__ import annotations
@@ -432,18 +433,16 @@ def derive_seed(*parts: int) -> int:
 POLICIES = (Policy.WITH_REGIONS, Policy.WITHOUT_REGIONS)   # row order
 
 
-def _lockstep(base: SimConfig, moved: int, steps: int,
-              rep_seed: int) -> list:
-    """One replication: each step draws its moves once and applies them to
-    one world per policy. Returns each policy's metrics series."""
-    worlds = [build_world(replace(
-        base, steps=steps, migration_rate=moved, policy=policy, seed=rep_seed))
-        for policy in POLICIES]
+def replay(cfg: SimConfig, policies: tuple,
+           rng: np.random.Generator) -> list:
+    """Replay one movement trace of `cfg` under each of `policies`: each
+    step draws its moves once and applies them to one world per policy.
+    Returns each policy's metrics series, from t=0."""
+    worlds = [build_world(replace(cfg, policy=policy)) for policy in policies]
     for world in worlds[1:]:
         world.user_cell = worlds[0].user_cell   # same seed, same cells
     series = [[world.metrics()] for world in worlds]
-    rng = np.random.default_rng([rep_seed, 0x30B5])
-    for _ in range(steps):
+    for _ in range(cfg.steps):
         movers, new_cells = draw_moves(worlds[0], rng)
         for world, metrics in zip(worlds, series):
             metrics.append(apply_moves(world, movers, new_cells))
@@ -455,9 +454,8 @@ def run_experiment(base: SimConfig, rates: list, replications: int = 20,
     """Sweep migration rates under both policies.
 
     rates are fractions of the population moved per minute. Each
-    replication gets an independent seed derived from the base seed and
-    replays one movement trace under both policies in lockstep: each step
-    draws its moves once and applies them to both worlds, so their metrics
+    replication gets an independent seed derived from the base seed, and
+    `replay` runs its movement trace under both policies, so their metrics
     differ only by the serving policy. Rows run by rate, then policy, then
     replication.
     """
@@ -474,18 +472,18 @@ def run_experiment(base: SimConfig, rates: list, replications: int = 20,
     summary = {}
     for rate_idx, rate in enumerate(rates):
         moved = int(round(rate * base.population))
-        runs = {policy: [] for policy in POLICIES}   # per-replication series
+        runs = []   # per replication: each policy's series
         for rep in range(replications):
-            series = _lockstep(base, moved, steps,
-                               derive_seed(base.seed, rate_idx, rep))
-            for policy, metrics in zip(POLICIES, series):
-                runs[policy].append(metrics)
-        for policy in POLICIES:
+            seed = derive_seed(base.seed, rate_idx, rep)
+            cfg = replace(base, steps=steps, migration_rate=moved, seed=seed)
+            runs.append(replay(cfg, POLICIES,
+                               np.random.default_rng([seed, 0x30B5])))
+        for policy, series in zip(POLICIES, zip(*runs)):
             cumulative = np.array([[m.cumulative_migrations for m in metrics]
-                                   for metrics in runs[policy]], dtype=float)
+                                   for metrics in series], dtype=float)
             ratios = np.array([[m.min_max_ratio for m in metrics]
-                               for metrics in runs[policy]])
-            for rep, metrics in enumerate(runs[policy]):
+                               for metrics in series])
+            for rep, metrics in enumerate(series):
                 rows.extend(csv_row(policy, rate, rep, m) for m in metrics)
             summary[(policy.value, rate)] = {
                 "mean_cumulative": cumulative.mean(axis=0),

@@ -102,18 +102,29 @@ class TestHarnessCommand:
         assert code == 1
 
 
+@pytest.mark.parametrize("argv", [[], ["codec"], ["bogus"]])
+def test_missing_or_unknown_command_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("usage error: ")
+
+
 class TestSimCommands:
-    def test_sim_matches_golden(self, capsys, tmp_path):
-        # the committed output of `megw sim` on the paper's map with regions
+    @pytest.mark.parametrize("name", ["sim-small", "sim-small-without"])
+    def test_sim_matches_golden(self, capsys, tmp_path, name):
+        # the committed output of `megw sim` on the paper's map, with and
+        # without regions
         golden = Path(__file__).parent / "golden"
-        out_path = tmp_path / "sim-small.csv"
+        out_path = tmp_path / f"{name}.csv"
         code, _, _ = run(capsys, "sim", "--config",
-                         str(golden / "sim-small.json"), "--out",
+                         str(golden / f"{name}.json"), "--out",
                          str(out_path))
         assert code == 0
-        assert out_path.read_bytes() == (golden / "sim-small.csv").read_bytes()
-        assert (tmp_path / "sim-small.meta.json").read_bytes() \
-            == (golden / "sim-small.meta.json").read_bytes()
+        assert out_path.read_bytes() == (golden / f"{name}.csv").read_bytes()
+        assert (tmp_path / f"{name}.meta.json").read_bytes() \
+            == (golden / f"{name}.meta.json").read_bytes()
 
     def test_sim_single(self, capsys, tmp_path):
         cfg = {"regions_count": 1, "mecs_per_region": 2,

@@ -360,6 +360,36 @@ class TestEdgeRequest:
         with pytest.raises(StateError):
             h.run_edge_request("ue1")
 
+    def test_source_ports_run_out(self):
+        # the last port opens a connection; the next one is refused, not
+        # wrapped onto a 5-tuple an affinity pin may still hold
+        h = make_harness()
+        h.run_attach("ue1", "enb1")
+        ue = h.ues["ue1"]
+        ue.next_port = 65535
+        h.run_edge_request("ue1")
+        assert ue.last_flow[0].src_port == 65535
+        last, events = ue.last_flow, len(h.trace)
+        with pytest.raises(StateError, match="'ue1'"):
+            h.run_edge_request("ue1")
+        assert (ue.next_port, ue.last_flow, len(h.trace)) == (65536, last,
+                                                              events)
+        # a continued connection needs no new port
+        h.run_edge_request("ue1", reuse_flow=True)
+        assert ue.last_flow == last
+
+    @pytest.mark.parametrize("reuse_flow", [False, True])
+    def test_unknown_bearer(self, reuse_flow):
+        h = make_harness()
+        h.run_attach("ue1", "enb1")
+        h.run_edge_request("ue1")
+        ue = h.ues["ue1"]
+        port, last, events = ue.next_port, ue.last_flow, len(h.trace)
+        with pytest.raises(StateError, match="'ue1' has no bearer 9"):
+            h.run_edge_request("ue1", bearer_id=9, reuse_flow=reuse_flow)
+        assert (ue.next_port, ue.last_flow, len(h.trace)) == (port, last,
+                                                              events)
+
 
 def serving_dip(trace, harness):
     hits = [ev for ev in count(trace, RECEIVED)
@@ -532,7 +562,9 @@ class TestNodeFrames:
         for data in (b"\x45\x00", b"\x65" + bytes(19),
                      # TCP and UDP need their 4 port bytes
                      gtp.build_ipv4(UE1, DIP_A1, 6, b"\x00\x01\x00"),
-                     gtp.build_ipv4(UE1, DIP_A1, 17, b"")):
+                     gtp.build_ipv4(UE1, DIP_A1, 17, b""),
+                     # the ports are read before the address is checked
+                     gtp.build_ipv4(UE1, DIP_A2, 17, b"")):
             assert deliver(make_harness(), "dip-a1", data) == [
                 ("dip-a1", DROPPED, {"reason": "unparseable"})]
 
@@ -557,6 +589,12 @@ class TestNodeFrames:
             ("dip-a1", SENT, {"dst": "172.16.0.2", "via": "mgw-a",
                               "note": "echo", "bytes": len(reply)})]
         assert h._queue[-1][2] == reply
+
+    def test_other_kinds_do_not_forward(self):
+        frame = gtp.build_ipv4(SGW, UE1, 17, b"")
+        for data in (frame, b""):
+            assert deliver(make_harness(), "ue1", data) == [
+                ("ue1", DROPPED, {"reason": "not-a-forwarder"})]
 
     def test_sgw_unparseable(self):
         for data in (b"", b"\x45\x00", b"\x65" + bytes(19)):

@@ -1,0 +1,95 @@
+"""One movement trace through the simulator and the packet-level fabric.
+
+The simulator counts a with-regions migration for each move into another
+region; the fabric's gateways notify a migration for each cross-region X2
+handover. Driving both with the same `draw_moves` batches, this checks that
+the two agree at every step, that every handover runs to its
+acknowledgement, and that each subscriber's context lives only on the
+gateway of its current base station.
+"""
+
+import numpy as np
+
+from megw import sim
+from megw.gtp import ip_int, ip_str
+from megw.harness import (MIGRATION_NOTIFIED, REACTIVATED, SILENCED, Harness,
+                          build_topology)
+
+
+def fabric_config(grid: sim.HexGrid, n_users: int) -> dict:
+    """A topology for the sim's map: one eNB per cell, one gateway per MEC
+    (named after it, weighted by its capacity) with one DIP, the gateways
+    of each region linked to each other, every gateway linked to the EPC
+    stub, and one subscriber per sim user."""
+    def addr(base, i):
+        return ip_str(ip_int(base) + i)
+
+    nodes = {"sgw": {"kind": "sgw_mme", "addr": "10.2.0.1"}}
+    links, enb_to_megw, megw_to_region = [], {}, {}
+    for m, name in enumerate(grid.mec_names):
+        nodes[name] = {"kind": "megw", "addr": addr("10.50.0.1", m),
+                       "weight": float(grid.capacities[m])}
+        nodes[f"dip-{m}"] = {"kind": "dip", "addr": addr("10.200.0.1", m),
+                             "megw": name}
+        megw_to_region[name] = f"r{grid.region_of_mec[m]}"
+        links += [{"a": name, "b": "sgw"}, {"a": f"dip-{m}", "b": name}]
+        links += [{"a": name, "b": grid.mec_names[peer]}
+                  for peer in range(m)
+                  if grid.region_of_mec[peer] == grid.region_of_mec[m]]
+    for c in range(len(grid.cells)):
+        mec = grid.mec_names[grid.mec_of_cell[c]]
+        nodes[f"enb-{c}"] = {"kind": "enb", "addr": addr("10.1.0.1", c)}
+        enb_to_megw[f"enb-{c}"] = mec
+        links.append({"a": f"enb-{c}", "b": mec})
+    for u in range(n_users):
+        nodes[f"ue{u}"] = {"kind": "ue", "addr": addr("172.16.0.1", u)}
+    return {"vips": ["10.100.1.1"], "nodes": nodes, "links": links,
+            "enb_to_megw": enb_to_megw, "megw_to_region": megw_to_region}
+
+
+def test_fabric_replays_sim_migrations():
+    cfg = sim.SimConfig(users_per_capacity=100, steps=30, migration_rate=120,
+                        seed=5)
+    world = sim.build_world(cfg)
+    grid = world.grid
+    topology = build_topology(fabric_config(grid, world.population))
+    h = Harness(topology, seed=5)
+    gateway_of = topology.view.enb_to_megw
+    for u, cell in enumerate(world.user_cell.tolist()):
+        h.run_attach(f"ue{u}", f"enb-{cell}")
+
+    rng = np.random.default_rng([cfg.seed, 0x515])
+    series = [world.metrics()]
+    for _ in range(cfg.steps):
+        movers, new_cells = sim.draw_moves(world, rng)
+        old_cells = world.user_cell[movers]
+        series.append(sim.apply_moves(world, movers, new_cells))
+        notices = 0
+        for u, old, new in zip(movers.tolist(), old_cells.tolist(),
+                               new_cells.tolist()):
+            trace = h.run_x2_handover(f"ue{u}", f"enb-{old}", f"enb-{new}")
+            notices += sum(ev.action == MIGRATION_NOTIFIED for ev in trace)
+            # complete: the end marker silenced the old gateway's rules and
+            # the acknowledgement moved them to the new tunnels
+            old_gw, new_gw = (gateway_of[topology.nodes[f"enb-{c}"].ip]
+                              for c in (old, new))
+            assert [ev.node for ev in trace if ev.action == SILENCED] \
+                == [old_gw]
+            assert [ev.node for ev in trace if ev.action == REACTIVATED] \
+                == [new_gw]
+        assert notices == series[-1].migrations
+
+        assert not any(gw.processor.pending for gw in h.megws.values())
+        holders = {}
+        for name, gw in h.megws.items():
+            for ue_ip, ctx in gw.processor.contexts.items():
+                assert not ctx.silent
+                holders.setdefault(ue_ip, []).append((name, ctx.enb_addr))
+        for ue in h.ues.values():
+            enb_ip = topology.nodes[ue.radio_enb].ip
+            assert holders[ue.ip] == [(gateway_of[enb_ip], enb_ip)]
+
+    assert sum(m.migrations for m in series) > 0
+    # the loop above is `sim.replay` of one policy, step for step
+    assert series == sim.replay(cfg, (sim.Policy.WITH_REGIONS,),
+                                np.random.default_rng([cfg.seed, 0x515]))[0]
