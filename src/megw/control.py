@@ -19,6 +19,8 @@ flows of bearers it does not list, or the `ReleaseUeRules` of an initial
 context setup, which also ends any pending handover and drops the rules
 on every tunnel it does not carry over. A path-switch request keeps it.
 State and effects hold integer addresses; `dump_jsonl` writes them dotted.
+The log keeps values, not dicts: each entry is a `LogEntry` of the detail
+values and the effects themselves, rendered only when the log is read.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import enum
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .gtp import ip_int, ip_str
 from .s1ap import MessageKind, S1apLiteMessage
@@ -80,7 +83,7 @@ def classify_handover(old_enb: int, new_enb: int,
     return HandoverScenario.CROSS_REGION
 
 
-@dataclass
+@dataclass(slots=True)
 class BearerContext:
     upstream_teid: int = 0       # eNB -> SGW path
     downstream_teid: int = 0     # SGW -> eNB path
@@ -90,7 +93,7 @@ class BearerContext:
         return self.upstream_teid != 0 and self.downstream_teid != 0
 
 
-@dataclass
+@dataclass(slots=True)
 class UeContext:
     ue_ip: int
     enb_addr: int
@@ -99,32 +102,33 @@ class UeContext:
 
 
 # --- effects ---------------------------------------------------------------
+# Slotted: the log keeps every effect it is given for LOG_LIMIT entries.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstallRule:
     rule: FlowRule
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SilenceUe:
     ue_ip: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReactivateUe:
     ue_ip: int
     teid_remap: tuple  # ((old_downstream, new_downstream), ...)
     new_enb_addr: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReleaseUeRules:
     """Drop the subscriber's flow rules, and its silence with them."""
 
     ue_ip: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MigrationNotice:
     """Tell the application layer to move a subscriber's state.
 
@@ -137,7 +141,7 @@ class MigrationNotice:
     issued_at: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioDetected:
     ue_ip: int
     scenario: HandoverScenario
@@ -145,13 +149,13 @@ class ScenarioDetected:
     new_enb: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrphanMessage:
     kind: MessageKind
     ue_ip: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NoContext:
     upstream_teid: int
 
@@ -194,6 +198,34 @@ def jsonl(records) -> str:
                                 default=_json_default) for r in records)
 
 
+# the names of a log entry's detail values, by event; an S1AP message
+# names the subscriber
+DETAIL_FIELDS = {"FLOW_MISS": ("five_tuple", "upstream_teid"),
+                 "END_MARKER": ("enb", "teid")}
+
+
+class LogEntry(NamedTuple):
+    """One event in a processor's log, kept as values: the detail values
+    in `DETAIL_FIELDS` order, and the very effects the handler returned.
+    Dicts are built only when the log is read (`render`)."""
+
+    seq: int
+    event: str
+    detail: tuple
+    effects: tuple
+
+    def render(self) -> dict:
+        """The entry as `dump_jsonl` writes it, before `dotted`: each effect
+        becomes its type name and fields, as `asdict` reads them (every
+        effect holds immutable values)."""
+        names = DETAIL_FIELDS.get(self.event, ("ue_ip",))
+        return {"seq": self.seq, "event": self.event,
+                "detail": dict(zip(names, self.detail)),
+                "effects": [{"type": type(e).__name__,
+                             **{f: getattr(e, f) for f in e.__slots__}}
+                            for e in self.effects]}
+
+
 class S1apProcessor:
     """Per-gateway controller over a local event loop.
 
@@ -208,21 +240,18 @@ class S1apProcessor:
         # (old eNB, downstream TEID) -> (context, scenario, new eNB)
         self.pending: dict[tuple[int, int], tuple] = {}
         self.clock = 0          # logical event counter
-        self.log: deque[dict] = deque(maxlen=LOG_LIMIT)
+        self.log: deque[LogEntry] = deque(maxlen=LOG_LIMIT)
 
     # -- bookkeeping --------------------------------------------------------
 
-    def _emit(self, event_name: str, detail: dict, effects: list) -> list:
+    def _emit(self, event_name: str, detail: tuple, effects: list) -> list:
         self.clock += 1
-        # effects hold immutable values: their `vars` read as `asdict` would
-        self.log.append({"seq": self.clock, "event": event_name,
-                         "detail": detail, "effects": [
-                             {"type": type(e).__name__, **vars(e)}
-                             for e in effects]})
+        self.log.append(LogEntry(self.clock, event_name, detail,
+                                 tuple(effects)))
         return effects
 
     def dump_jsonl(self) -> str:
-        return jsonl(self.log)
+        return jsonl(entry.render() for entry in self.log)
 
     def _pend(self, ctx: UeContext, scenario, new_enb: int) -> None:
         for bc in ctx.bearers.values():
@@ -242,7 +271,7 @@ class S1apProcessor:
     def on_control_message(self, msg: S1apLiteMessage) -> list:
         # _HANDLERS, below the handlers, raises KeyError for an unknown kind
         effects = self._HANDLERS[msg.kind](self, msg)
-        return self._emit(msg.kind.name, {"ue_ip": msg.ue_ip}, effects)
+        return self._emit(msg.kind.name, (msg.ue_ip,), effects)
 
     def _on_ics_request(self, msg: S1apLiteMessage) -> list:
         ctx = self.contexts.get(msg.ue_ip)
@@ -343,9 +372,7 @@ class S1apProcessor:
                         five_tuple, bc.downstream_teid, ctx.enb_addr,
                         bc.sgw_addr))]
                     break
-        return self._emit("FLOW_MISS", {"five_tuple": five_tuple,
-                                        "upstream_teid": upstream_teid},
-                          effects)
+        return self._emit("FLOW_MISS", (five_tuple, upstream_teid), effects)
 
     def on_end_marker(self, enb_addr: int, teid: int) -> list:
         hit = self.pending.get((enb_addr, teid))
@@ -366,5 +393,4 @@ class S1apProcessor:
                 # tombstones would swallow the subscriber's transit traffic
                 effects.append(ReleaseUeRules(ue_ip=ctx.ue_ip))
                 del self.contexts[ctx.ue_ip]
-        return self._emit("END_MARKER", {"enb": enb_addr, "teid": teid},
-                          effects)
+        return self._emit("END_MARKER", (enb_addr, teid), effects)

@@ -217,14 +217,14 @@ def build_topology(config: dict) -> Topology:
                     next_hop=next_hop)
 
 
-@dataclass
+@dataclass(slots=True)
 class Bearer:
     bearer_id: int
     upstream_teid: int = 0
     downstream_teid: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class UeRecord:
     node_id: str
     addr: str

@@ -405,11 +405,6 @@ def apply_moves(world: SimWorld, movers: np.ndarray,
     return world.metrics(migrations)
 
 
-def step(world: SimWorld, rng: np.random.Generator) -> StepMetrics:
-    movers, new_cells = draw_moves(world, rng)
-    return apply_moves(world, movers, new_cells)
-
-
 @dataclass
 class ExperimentResult:
     rows: list          # per (policy, rate, replication, step)

@@ -28,8 +28,8 @@ DIP share a reverse key; the VIP pinned first keeps it, so the restore
 never depends on set or hash order. Tables are keyed by integer
 addresses; only `SteeringConfig` input and `Emit.dst` are dotted quads.
 Table probes take any 5-tuple, so the packet path probes with plain
-tuples and builds a `FiveTuple` only for a `FlowMiss` and for a key the
-affinity table stores.
+tuples. A new flow gets one `FiveTuple`, which its `FlowMiss` (and so its
+rule and the controller's log) and its affinity pin share.
 """
 
 from __future__ import annotations
@@ -291,15 +291,16 @@ class DipAffinityTable:
                       dips: Sequence[tuple[str, float]]) -> int:
         """Return the pinned DIP (an integer), choosing and pinning one of
         the dotted `dips` by HRW on first sight. The pin survives any later
-        change to the DIP pool. `flow` is any 5-tuple; a miss stores it as
-        a `FiveTuple`."""
+        change to the DIP pool. `flow` is any 5-tuple; a miss stores a
+        `FiveTuple` as it is given, and any other as a new `FiveTuple`."""
         with self._lock:
             dip = self._table.get(flow)
             if dip is not None:
                 return dip
             if not dips:
                 raise SelectError("empty DIP pool")
-            flow = FiveTuple(*flow)
+            if type(flow) is not FiveTuple:
+                flow = FiveTuple(*flow)
             dip = ip_int(rendezvous_select(flow.key_bytes(), dips))
             self._table[flow] = dip
             self._reverse.setdefault((flow.src_ip, dip, flow.proto,
@@ -377,8 +378,8 @@ def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
     Pure in (data, ingress, config, table snapshots); malformed traffic
     degrades to plain routing or Drop, never an exception. Headers are read
     once, in place; only emitted bytes are made. Tables are probed with
-    plain tuples, and a `FiveTuple` is built only for a `FlowMiss` and for
-    a key the affinity table stores."""
+    plain tuples; a new flow's one `FiveTuple` goes in its `FlowMiss` and
+    is the key the affinity table stores."""
     try:
         ihl, total, proto, src, dst = read_ipv4(data)
     except DecodeError:
@@ -409,6 +410,10 @@ def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
         if rule is SILENT:
             # silent period: hold edge traffic, keep the controller informed
             return CloneToController(FlowMiss(FiveTuple(*flow), teid))
+        if rule is None:
+            # a new flow: one key for its miss (so its rule and the log)
+            # and its pin
+            flow = FiveTuple(*flow)
         serving = stage1_select(src, cfg)
         if serving != cfg.megw_id:
             act = Emit(cfg.peer_address(serving), data[at:total],
@@ -418,8 +423,7 @@ def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
             act = Emit(ip_str(dip), note="dip-rewrite",
                        data=rewrite_ipv4(data, dst=dip, at=at, end=total))
         if rule is None:
-            miss = CloneToController(FlowMiss(FiveTuple(*flow), teid))
-            return Multiple((miss, act))
+            return Multiple((CloneToController(FlowMiss(flow, teid)), act))
         return act
 
     # plain IP, and a G-PDU from the core or the cluster

@@ -11,11 +11,11 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from megw import control
 from megw.gtp import ip_int, ip_str
-from megw.control import (HandoverScenario, InstallRule,
+from megw.control import (BearerContext, HandoverScenario, InstallRule,
                           MigrationNotice, NoContext, OrphanMessage,
                           ReactivateUe, ReleaseUeRules, S1apProcessor,
                           ScenarioDetected, SilenceUe, TopologyError,
-                          TopologyView, classify_handover)
+                          TopologyView, UeContext, classify_handover)
 from megw.s1ap import BearerItem, MessageKind, S1apLiteMessage
 from megw.steering import SILENT, FiveTuple, FlowRule, RuleStore
 
@@ -75,8 +75,8 @@ class TestAttach:
         assert ctx.bearers[5].upstream_teid == 100
         assert ctx.bearers[5].downstream_teid == 200
         assert not ctx.silent
-        installs = [e for entry in proc.log for e in entry["effects"]
-                    if e["type"] == "InstallRule"]
+        installs = [e for entry in proc.log for e in entry.effects
+                    if isinstance(e, InstallRule)]
         assert installs == []
 
     def test_response_alone_is_orphan(self):
@@ -242,7 +242,7 @@ class TestReattachWhileAttached:
         proc = S1apProcessor("mgw-a", TOPOLOGY)
         attach(proc, enb=ENB1, pairs=((5, 100, 200),))
         attach(proc, enb=ENB1, pairs=((5, 100, 200), (6, 101, 201)))
-        effects = [e for entry in proc.log for e in entry["effects"]]
+        effects = [e for entry in proc.log for e in entry.effects]
         assert effects == []
 
 
@@ -393,7 +393,7 @@ class TestHandover:
         # silence and notice come from one end marker, whose log entry
         # carries the notice's time
         assert any(isinstance(e, SilenceUe) for e in eff_end)
-        assert notices[0].issued_at == proc.log[-1]["seq"]
+        assert notices[0].issued_at == proc.log[-1].seq
 
     def test_same_region_no_notice(self):
         proc = S1apProcessor("mgw-a", TOPOLOGY)
@@ -471,7 +471,54 @@ class TestLocality:
         assert first == second == third
 
 
+def one_effect_of_each_type(flow):
+    return [
+        InstallRule(FlowRule(flow, 200, ENB1, SGW)),
+        SilenceUe(UE),
+        ReactivateUe(UE, ((200, 300), (201, 301)), ENB2),
+        ReleaseUeRules(UE),
+        MigrationNotice(UE, "mec-1", "mec-2", 7),
+        ScenarioDetected(UE, HandoverScenario.CROSS_REGION, ENB1, ENB4),
+        OrphanMessage(MessageKind.PATH_SWITCH_ACKNOWLEDGE, UE),
+        NoContext(0xBEEF),
+    ]
+
+
 class TestEffectLog:
+    def test_state_and_effects_are_slotted(self):
+        proc = S1apProcessor("mgw-a", TOPOLOGY)
+        attach(proc)
+        ctx = proc.contexts[UE]
+        objects = [ctx, *ctx.bearers.values(),
+                   *one_effect_of_each_type(FiveTuple(UE, VIP, 6, 5000, 80))]
+        assert ({type(o) for o in objects}
+                == {UeContext, BearerContext,
+                    *typing.get_args(control.Effect)})
+        for obj in objects:
+            assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+    def test_entries_keep_what_the_handlers_return(self):
+        proc = S1apProcessor("mgw-a", TOPOLOGY)
+        attach(proc)
+        flow = FiveTuple(UE, VIP, 6, 5000, 80)
+        for event in (
+                lambda: proc.on_flow_miss(flow, 100),
+                lambda: proc.on_control_message(msg(
+                    MessageKind.PATH_SWITCH_REQUEST,
+                    [BearerItem(5, upstream_teid=100)], enb=ENB4)),
+                lambda: proc.on_end_marker(ENB1, 200)):
+            effects = event()
+            entry = proc.log[-1]
+            assert entry.seq == proc.clock
+            assert effects and len(entry.effects) == len(effects)
+            assert all(kept is made
+                       for kept, made in zip(entry.effects, effects))
+        # the flow miss's key is the one the rule and the log hold
+        miss = proc.log[-3]
+        assert miss.event == "FLOW_MISS"
+        assert miss.detail == (flow, 100) and miss.detail[0] is flow
+        assert miss.effects[0].rule.key is flow
+
     def test_jsonl_serializable_and_ordered(self):
         proc = S1apProcessor("mgw-a", TOPOLOGY)
         attach(proc)
@@ -484,21 +531,12 @@ class TestEffectLog:
 
     def test_logged_effects_equal_asdict(self):
         flow = FiveTuple(UE, VIP, 6, 5000, 80)
-        effects = [
-            InstallRule(FlowRule(flow, 200, ENB1, SGW)),
-            SilenceUe(UE),
-            ReactivateUe(UE, ((200, 300), (201, 301)), ENB2),
-            ReleaseUeRules(UE),
-            MigrationNotice(UE, "mec-1", "mec-2", 7),
-            ScenarioDetected(UE, HandoverScenario.CROSS_REGION, ENB1, ENB4),
-            OrphanMessage(MessageKind.PATH_SWITCH_ACKNOWLEDGE, UE),
-            NoContext(0xBEEF),
-        ]
+        effects = one_effect_of_each_type(flow)
         assert ({type(e) for e in effects}
                 == set(typing.get_args(control.Effect)))
         proc = S1apProcessor("mgw-a", TOPOLOGY)
-        proc._emit("TEST", {}, effects)
-        assert proc.log[-1]["effects"] == [
+        proc._emit("TEST", (), effects)
+        assert proc.log[-1].render()["effects"] == [
             {"type": type(e).__name__, **asdict(e)} for e in effects]
         # the key is a NamedTuple now; the log writes it as asdict wrote
         # the former dataclass, addresses dotted
@@ -659,8 +697,8 @@ class TestPendingHandovers:
         for port in range(control.LOG_LIMIT + 10):
             proc.on_flow_miss(FiveTuple(UE, VIP, 6, port, 80), 100)
         assert len(proc.log) == control.LOG_LIMIT
-        assert proc.log[-1]["seq"] == proc.clock
-        assert proc.log[0]["seq"] == proc.clock - control.LOG_LIMIT + 1
+        assert proc.log[-1].seq == proc.clock
+        assert proc.log[0].seq == proc.clock - control.LOG_LIMIT + 1
         assert len(proc.dump_jsonl().splitlines()) == control.LOG_LIMIT
 
 

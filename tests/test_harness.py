@@ -343,6 +343,27 @@ class TestEdgeRequest:
         # the subscriber sees the service VIP, not the chosen instance
         assert ue_hits[0].detail["flow_src"] == "10.100.1.1"
 
+    def test_subscriber_records_are_slotted(self):
+        h = make_harness()
+        h.run_attach("ue1", "enb1", bearers=2)
+        records = [*h.ues.values(), *h.ues["ue1"].bearers.values()]
+        assert {type(r) for r in records} == {harness.UeRecord,
+                                              harness.Bearer}
+        for record in records:
+            assert not hasattr(record, "__dict__"), type(record).__name__
+
+    def test_new_flow_has_one_key(self):
+        """The serving gateway's rule, its log and its affinity pin share
+        the `FiveTuple` of the flow miss."""
+        h = make_harness()
+        h.run_attach("ue1", "enb1")
+        h.run_edge_request("ue1")
+        (gw,) = [g for g in h.megws.values() if len(g.affinity)]
+        (rule,) = gw.rules.rules_for_ue(h.ues["ue1"].ip)
+        (pinned,) = gw.affinity._table
+        (miss,) = [e for e in gw.processor.log if e.event == "FLOW_MISS"]
+        assert rule.key is pinned is miss.detail[0]
+
     def test_two_bearers_two_distinct_teids(self):
         h = make_harness()
         h.run_attach("ue1", "enb1", bearers=2)
@@ -788,3 +809,14 @@ class TestGoldenTraces:
     def test_trace_matches_golden(self, name):
         trace = run_scenario(name, seed=7).trace_jsonl() + "\n"
         assert trace.encode() == (GOLDEN / f"{name}.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("name", ("x2-same-megw", "x2-cross-region"))
+    def test_controller_logs_match_golden(self, name):
+        """Every gateway's `dump_jsonl()` in gateway-id order, one line
+        after each (an empty log leaves an empty line): the log is stored
+        compactly and rendered when read, and must read as it always has."""
+        h = run_scenario(name, seed=7)
+        logs = "".join(h.megws[m].processor.dump_jsonl() + "\n"
+                       for m in sorted(h.megws))
+        assert logs.encode() == (
+            GOLDEN / f"{name}.controller.jsonl").read_bytes()

@@ -10,8 +10,14 @@ from hypothesis import example, given, strategies as st
 from megw import sim
 from megw.sim import (ConfigError, Policy, SimConfig, apply_moves,
                       build_grid, build_world, derive_seed, draw_moves,
-                      run_experiment, step)
+                      run_experiment)
 from megw.steering import rendezvous_pick, rendezvous_select
+
+
+def step(world, rng):
+    """One step by hand, so these tests do not lean on `sim.replay`."""
+    movers, new_cells = draw_moves(world, rng)
+    return apply_moves(world, movers, new_cells)
 
 
 def small_cfg(**kw):

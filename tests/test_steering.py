@@ -310,6 +310,13 @@ class TestStage2:
         assert table.vip_for(other) is table.vip_for(FiveTuple(*other)) \
             is None
 
+    def test_stores_a_five_tuple_as_given(self):
+        cfg = make_cfg()
+        flow = FiveTuple.parse("172.16.0.2", VIP, 6, 5000, 80)
+        table = DipAffinityTable()
+        table.get_or_assign(flow, cfg.dips)
+        assert [k is flow for k in table._table] == [True]
+
     def test_empty_pool(self):
         cfg = make_cfg(dips=None)
         cfg = SteeringConfig(megw_id="mgw-a", vips=frozenset({VIP}),
@@ -637,6 +644,18 @@ class TestProcessPacket:
         assert miss.upstream_teid == 100
         assert miss.five_tuple == FiveTuple.parse("172.16.0.2", VIP, 6, 5000,
                                                   80)
+
+    def test_new_local_flow_has_one_key(self):
+        ue = next(f"172.16.0.{i}" for i in range(1, 250)
+                  if stage1_select(ip_int(f"172.16.0.{i}"), self.cfg)
+                  == "mgw-a")
+        acts = flatten(self.process(upstream_frame(ue=ue)))
+        miss = [a.event for a in acts if isinstance(a, CloneToController)]
+        assert [type(m) for m in miss] == [FlowMiss]
+        assert [a.note for a in acts if isinstance(a, Emit)] == [
+            "dip-rewrite"]
+        (stored,) = self.affinity._table
+        assert stored is miss[0].five_tuple
 
     def test_upstream_hit_no_clone(self):
         flow = FiveTuple.parse("172.16.0.2", VIP, 6, 5000, 80)

@@ -1,0 +1,97 @@
+"""Per-subscriber memory of one gateway, measured with tracemalloc.
+
+Attaches SUBSCRIBERS subscribers (one bearer each) through
+`S1apProcessor`, then opens FLOWS edge connections per subscriber
+through `process_packet`, handing each flow miss to the processor and
+its rule to the `RuleStore`, as the fabric does. Every subscriber is
+served locally, so each new flow is also pinned in the affinity table. Prints the memory still allocated per
+subscriber, the whole and the processor's part, and appends it to
+`$GITHUB_STEP_SUMMARY` when that is set. It records the figure and
+sets it no bound.
+
+    PYTHONPATH=src python tools/memory_report.py
+"""
+
+from __future__ import annotations
+
+import gc
+import os
+import tracemalloc
+
+from megw.control import InstallRule, S1apProcessor, TopologyView
+from megw.gtp import (Direction, GtpMessageType, build_ipv4, build_tcpish,
+                      encode_gtpu, ip_int)
+from megw.s1ap import BearerItem, MessageKind, S1apLiteMessage
+from megw.steering import (CloneToController, DipAffinityTable, FlowMiss,
+                           Multiple, RuleStore, SteeringConfig,
+                           process_packet)
+
+ENB, SGW, VIP = "10.1.0.1", "10.2.0.1", "10.100.1.1"
+UE_BASE = ip_int("172.16.0.0")
+SUBSCRIBERS, FLOWS = 10_000, 4
+
+
+def measure(subscribers: int, flows: int) -> tuple[float, float]:
+    """(bytes per subscriber in all, of which in the processor)."""
+    cfg = SteeringConfig(megw_id="mgw-a", vips=frozenset({VIP}),
+                         region_peers=(("mgw-a", "10.50.0.1", 1.0),),
+                         dips=(("10.200.0.5", 1.0), ("10.200.0.6", 1.0)),
+                         local_sgw=SGW)
+    enb, sgw, vip = ip_int(ENB), ip_int(SGW), ip_int(VIP)
+    tracemalloc.start()
+    proc = S1apProcessor("mgw-a", TopologyView({ENB: "mgw-a"},
+                                               {"mgw-a": "r1"}))
+    rules, affinity = RuleStore(), DipAffinityTable()
+    for n in range(subscribers):
+        ue = UE_BASE + 2 + n
+        up, down = 0x1000 + n, 0x200000 + n
+        for kind, item in (
+                (MessageKind.INITIAL_CONTEXT_SETUP_REQUEST,
+                 BearerItem(5, upstream_teid=up, transport_addr=sgw)),
+                (MessageKind.INITIAL_CONTEXT_SETUP_RESPONSE,
+                 BearerItem(5, downstream_teid=down, transport_addr=enb))):
+            proc.on_control_message(S1apLiteMessage(
+                kind=kind, mme_ue_id=n, enb_ue_id=n, ue_ip=ue, enb_addr=enb,
+                sgw_addr=sgw, bearers=(item,)))
+        for port in range(40000, 40000 + flows):
+            inner = build_ipv4(ue, vip, 6, build_tcpish(6, port, 80, b"req"))
+            act = process_packet(
+                encode_gtpu(enb, sgw, up, GtpMessageType.GPDU, inner),
+                Direction.FROM_RAN, cfg, rules, affinity)
+            for a in act.actions if isinstance(act, Multiple) else (act,):
+                if (isinstance(a, CloneToController)
+                        and isinstance(a.event, FlowMiss)):
+                    for effect in proc.on_flow_miss(a.event.five_tuple,
+                                                    a.event.upstream_teid):
+                        if isinstance(effect, InstallRule):
+                            rules.install(effect.rule)
+    gc.collect()
+    whole = tracemalloc.get_traced_memory()[0]
+    snapshot = tracemalloc.take_snapshot()
+    tracemalloc.stop()
+    # the processor's part: what the control module allocated and kept
+    in_control = sum(
+        stat.size for stat in snapshot.statistics("filename")
+        if stat.traceback[0].filename.endswith(os.path.join("megw",
+                                                            "control.py")))
+    if not (len(proc.contexts) == subscribers
+            and len(rules) == len(affinity) == subscribers * flows):
+        raise RuntimeError("the setup left other than one context per "
+                           "subscriber and one rule and pin per flow")
+    return whole / subscribers, in_control / subscribers
+
+
+def main() -> None:
+    whole, in_control = measure(SUBSCRIBERS, FLOWS)
+    line = (f"Per-subscriber memory ({SUBSCRIBERS} subscribers x "
+            f"{FLOWS} flows, tracemalloc): {whole:.0f} B in all, "
+            f"{in_control:.0f} B allocated in megw/control.py")
+    print(line)
+    summary = os.environ.get("GITHUB_STEP_SUMMARY")
+    if summary:
+        with open(summary, "a") as out:
+            out.write(line + "\n")
+
+
+if __name__ == "__main__":
+    main()
