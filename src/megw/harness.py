@@ -112,6 +112,9 @@ _TOPOLOGY = {"nodes?": {str: {"kind": str, "addr": str, "megw?": str,
 def build_topology(config: dict) -> Topology:
     """Validate a topology document and work out each routing fact once."""
     check(config, _TOPOLOGY, ConfigError, "topology")
+    vips = list(config.get("vips", []))
+    if not vips:
+        raise ConfigError("at least one VIP is required")
     nodes: dict[str, NodeSpec] = {}
     addrs: dict[str, str] = {}
     for node_id, doc in config.get("nodes", {}).items():
@@ -122,10 +125,11 @@ def build_topology(config: dict) -> Topology:
         spec = nodes[node_id] = NodeSpec(
             kind=doc["kind"], addr=doc["addr"], ip=ip, megw=doc.get("megw"),
             weight=float(doc.get("weight", 1.0)))
-        if spec.addr in addrs:
+        other = (repr(addrs[spec.addr]) if spec.addr in addrs
+                 else "a VIP" if spec.addr in vips else None)
+        if other:
             raise ConfigError(
-                f"address {spec.addr} reused by {node_id!r} and "
-                f"{addrs[spec.addr]!r}")
+                f"address {spec.addr} reused by {node_id!r} and {other}")
         addrs[spec.addr] = node_id
 
     def require(node_id, kinds, context):
@@ -138,9 +142,6 @@ def build_topology(config: dict) -> Topology:
 
     enb_to_megw = dict(config.get("enb_to_megw", {}))
     megw_to_region = dict(config.get("megw_to_region", {}))
-    vips = list(config.get("vips", []))
-    if not vips:
-        raise ConfigError("at least one VIP is required")
 
     megws = [n for n, s in nodes.items() if s.kind == "megw"]
     for enb, megw in enb_to_megw.items():

@@ -2,18 +2,18 @@
 
 A hexagonal cell map is tiled by 7-cell neighborhoods (a center cell plus
 its six surrounding cells), one edge cluster per neighborhood, each with a
-relative capacity. Neighborhoods group into contiguous regions. Users are
-placed proportionally to capacity and wander to random neighbor cells each
-simulated minute.
+whole-number capacity. Neighborhoods group into contiguous regions. Users
+are placed proportionally to capacity and wander to random neighbor cells
+each simulated minute.
 
 Two serving policies are compared:
 
 - without regions: a user is always served by the cluster covering its
   cell, so every neighborhood boundary crossing migrates application state;
 - with regions: the serving cluster is fixed while the user stays inside
-  the region, and a capacity-weighted rendezvous hash (the same scheme the
-  gateway data plane uses for stage I) picks the new serving cluster only
-  when the user enters a different region.
+  the region; the gateway's stage I (a capacity-weighted rendezvous hash
+  of user u's subscriber address, `USER_BASE + u`) picks the new serving
+  cluster only when the user enters a different region.
 
 Metrics per step: application-state migrations and the min-max fairness
 ratio of cluster utilizations (least loaded over most loaded).
@@ -34,13 +34,12 @@ import hashlib
 import json
 import math
 import struct
-import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .shape import check
-from .steering import rendezvous_pick
+from .steering import rendezvous_pick, stage1_key
 # rendezvous_select is unused here; it stays importable because
 # benchmarks/layers.py counts calls under this name.
 from .steering import rendezvous_select  # noqa: F401
@@ -51,7 +50,7 @@ from .steering import rendezvous_select  # noqa: F401
 HEX_DIRS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
 _BASIS_A = (2, 1)
 _BASIS_B = (-1, 3)
-_USER_KEY = struct.Struct("!Q").pack    # a user's rendezvous-hash key
+USER_BASE = 0xAC100001  # 172.16.0.1: user u's subscriber address, less u
 HASH_CHUNK = 4096   # users scored per batch: bounds the score lists' memory
 
 
@@ -60,7 +59,7 @@ class ConfigError(ValueError):
 
 
 _CONFIG = {"regions_count": int, "mecs_per_region": int,
-           "capacities": [float], "users_per_capacity": int, "steps": int,
+           "capacities": [int], "users_per_capacity": int, "steps": int,
            "migration_rate": int, "seed": int}
 _SWEEP = {"rates": [float], "replications": int, "steps": int}
 
@@ -90,14 +89,13 @@ class SimConfig:
             raise ConfigError(
                 f"need {self.mecs_per_region} capacities, "
                 f"got {len(self.capacities)}")
-        if not (all(int(c) > 0 for c in self.capacities)
-                and sum(self.capacities) < math.inf):
-            raise ConfigError("capacities must be positive, with a finite sum")
+        if not all(c > 0 for c in self.capacities):
+            raise ConfigError("capacities must be positive")
         if self.users_per_capacity < 1 or self.steps < 0:
             raise ConfigError("users_per_capacity and steps must be positive")
-        if self.population > sys.float_info.max:    # a sweep scales it
+        if USER_BASE + self.population > 1 << 32:   # one address per user
             raise ConfigError("users_per_capacity: the population must fit "
-                              "in a float")
+                              "in the subscriber addresses")
         if self.migration_rate < 0:
             raise ConfigError("migration_rate must be non-negative")
         if self.migration_rate > self.population:
@@ -106,7 +104,7 @@ class SimConfig:
 
     @property
     def population(self) -> int:
-        return (self.users_per_capacity * int(sum(self.capacities))
+        return (self.users_per_capacity * sum(self.capacities)
                 * self.regions_count)
 
     @staticmethod
@@ -167,7 +165,7 @@ class HexGrid:
     mec_of_cell: np.ndarray      # (n_cells,) MEC index
     region_of_cell: np.ndarray   # (n_cells,)
     region_of_mec: np.ndarray    # (n_mecs,)
-    capacities: np.ndarray       # (n_mecs,) float
+    capacities: np.ndarray       # (n_mecs,) int
     region_capacity: np.ndarray  # (n_mecs,) capacity of the MEC's region
     mec_cells: tuple             # per MEC: array of its 7 cell indices
     neighbor_table: np.ndarray   # (n_cells, 6) neighbor index or -1
@@ -201,8 +199,7 @@ def _grid(regions_count: int, mecs_per_region: int,
     mec_of_cell = np.array([cell_owner[c] for c in cells], dtype=np.int64)
     region_of_mec = np.array(center_regions, dtype=np.int64)
     region_of_cell = region_of_mec[mec_of_cell]
-    capacities = np.array([float(capacity_of[m % mecs_per_region])
-                           for m in range(len(centers))])
+    capacities = np.array(capacity_of * regions_count, dtype=np.int64)
     region_capacity = np.bincount(region_of_mec, weights=capacities)[
         region_of_mec]
     mec_cells = tuple(np.flatnonzero(mec_of_cell == m)
@@ -237,11 +234,11 @@ def _grid(regions_count: int, mecs_per_region: int,
 class RegionPicks:
     """Each user's serving MEC in each region, scored on first use.
 
-    A pick is the weighted rendezvous selection of the gateway's stage I
-    over the region's MECs. A crossing reads only the mover's pick in the
-    region it enters, and a sweep reads about a third of all (user, region)
-    pairs, so each pair is scored when first asked for and then kept. The
-    array holds -1 for a pair not scored yet, in the narrowest signed dtype
+    A pick is stage I's choice over the region's MECs for user u, whose
+    subscriber address is `USER_BASE + u`. A crossing reads only the mover's
+    pick in the region it enters, and a sweep reads about a third of all (user,
+    region) pairs, so each pair is scored when first asked for and then kept.
+    The array holds -1 for a pair not scored yet, in the narrowest signed dtype
     that holds a MEC index. Callers get copies, so no world writes a pick.
     """
 
@@ -273,7 +270,7 @@ class RegionPicks:
         mecs = self._members[region]
         for start in range(0, len(users), HASH_CHUNK):
             chunk = users[start:start + HASH_CHUNK]
-            keys = [_USER_KEY(user) for user in chunk.tolist()]
+            keys = [stage1_key(USER_BASE + user) for user in chunk.tolist()]
             self._picks[chunk, region] = mecs[rendezvous_pick(
                 keys, self._candidates[region])]
 
@@ -345,11 +342,9 @@ def build_world(cfg: SimConfig) -> SimWorld:
     the geographically covering MEC, so utilizations start exactly equal."""
     grid = build_grid(cfg)
     rng = np.random.default_rng([cfg.seed, 0x9E37])
-    chunks = []
-    for m in range(grid.n_mecs):
-        count = cfg.users_per_capacity * int(grid.capacities[m])
-        chunks.append(rng.choice(grid.mec_cells[m], size=count, replace=True))
-    user_cell = np.concatenate(chunks)
+    user_cell = np.concatenate([
+        rng.choice(cells, size=cfg.users_per_capacity * capacity, replace=True)
+        for cells, capacity in zip(grid.mec_cells, grid.capacities.tolist())])
     serving = grid.mec_of_cell[user_cell]
     table = (_region_picks(len(user_cell), grid.mec_names,
                            tuple(grid.capacities.tolist()),
@@ -457,9 +452,10 @@ def run_experiment(base: SimConfig, rates: list, replications: int = 20,
     steps = steps if steps is not None else base.steps
     check({"rates": rates, "replications": replications, "steps": steps},
           _SWEEP, ConfigError, "sweep")
-    if not rates or not all(0 <= rate <= 1 for rate in rates):
-        raise ConfigError(f"rates must be a non-empty list of fractions "
-                          f"from 0 to 1, not {rates!r}")
+    if (not rates or not all(0 <= rate <= 1 for rate in rates)
+            or len(set(rates)) < len(rates)):   # the summary keys by rate
+        raise ConfigError(f"rates must be a non-empty list of distinct "
+                          f"fractions from 0 to 1, not {rates!r}")
     if replications < 1 or steps < 0:
         raise ConfigError(f"replications must be positive and steps "
                           f"non-negative, not {replications} and {steps}")

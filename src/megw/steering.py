@@ -156,6 +156,11 @@ class SteeringConfig:
         raise KeyError(megw_id)
 
 
+def stage1_key(ue_ip: int) -> bytes:
+    """Stage I's hash key for a subscriber: its address in network order."""
+    return ue_ip.to_bytes(4, "big")
+
+
 @functools.lru_cache(maxsize=1 << 16)
 def stage1_select(ue_ip: int, cfg: SteeringConfig) -> str:
     """Serving gateway for a subscriber: HRW over the region peers.
@@ -165,7 +170,7 @@ def stage1_select(ue_ip: int, cfg: SteeringConfig) -> str:
     Memoized per (ue_ip, cfg): SteeringConfig is frozen and hashes once,
     so a changed config is a different key and never sees a stale answer.
     """
-    return rendezvous_select(ue_ip.to_bytes(4, "big"),
+    return rendezvous_select(stage1_key(ue_ip),
                              [(pid, w) for pid, _, w in cfg.region_peers])
 
 

@@ -126,6 +126,21 @@ class TestSimCommands:
         assert (tmp_path / f"{name}.meta.json").read_bytes() \
             == (golden / f"{name}.meta.json").read_bytes()
 
+    def test_sweep_matches_golden(self, capsys, tmp_path):
+        # the committed output of `megw sim-sweep` on the paper's map: two
+        # rates, two replications, with-regions crossings at both rates
+        golden = Path(__file__).parent / "golden"
+        out_path = tmp_path / "sweep-small.csv"
+        code, out, _ = run(capsys, "sim-sweep", "--config",
+                           str(golden / "sweep-small.json"), "--out",
+                           str(out_path))
+        assert code == 0
+        assert out_path.read_bytes() \
+            == (golden / "sweep-small.csv").read_bytes()
+        assert (tmp_path / "sweep-small.meta.json").read_bytes() \
+            == (golden / "sweep-small.meta.json").read_bytes()
+        assert out == (golden / "sweep-small.stdout").read_text()
+
     def test_sim_single(self, capsys, tmp_path):
         cfg = {"regions_count": 1, "mecs_per_region": 2,
                "capacities": [1, 1], "users_per_capacity": 20,
@@ -227,7 +242,8 @@ class TestSimCommands:
              "users_per_capacity": 20, "steps": 3, "seed": 9}
 
     # a field of the wrong type in either command, a sweep key of the wrong
-    # type, and migration_rate, which only `sim` reads (a sweep sets its own)
+    # type, migration_rate, which only `sim` reads (a sweep sets its own),
+    # and a capacity that is not a whole number
     @pytest.mark.parametrize("command, doc", [
         (command, doc) for command in ("sim", "sim-sweep") for doc in (
             {"regions_count": "1"}, {"mecs_per_region": 2.0},
@@ -238,7 +254,9 @@ class TestSimCommands:
         {"rates": "0.1"}, {"rates": [0.1, "0.2"]}, {"rates": [True]},
         {"rates": []}, {"rates": None},
         {"replications": "2"}, {"replications": 1.5}, {"steps": 2.5})
-    ] + [("sim", {"migration_rate": True})])
+    ] + [("sim", {"migration_rate": True})] + [
+        (command, {"capacities": [1, 1.5]}) for command in ("sim", "sim-sweep")
+    ])
     def test_config_field_types(self, capsys, tmp_path, command, doc):
         # one error line naming the field, exit 2
         cfg_path = tmp_path / "cfg.json"
@@ -250,13 +268,16 @@ class TestSimCommands:
         assert next(iter(doc)) in err
         assert not out and not (tmp_path / "o.csv").exists()
 
-    @pytest.mark.parametrize("rate", ["inf", "1e400", "nan", "-0.1", "1.5"])
+    # a repeated rate too: the summary has one line per rate
+    @pytest.mark.parametrize("rate", ["inf", "1e400", "nan", "-0.1", "1.5",
+                                      "0.1 0.1"])
     def test_sweep_rate_must_be_a_fraction(self, capsys, tmp_path, rate):
         # one error line naming rates, not the migration_rate a sweep derives
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(self.SMALL))
         code, out, err = run(capsys, "sim-sweep", "--config", str(cfg_path),
-                             "--out", str(tmp_path / "o.csv"), "--rates", rate)
+                             "--out", str(tmp_path / "o.csv"), "--rates",
+                             *rate.split())
         assert code == 2 and not out
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "rates" in err and "migration_rate" not in err

@@ -75,6 +75,18 @@ class TestBuildTopology:
         with pytest.raises(ConfigError):
             build_topology(cfg)
 
+    @pytest.mark.parametrize("vips", [["10.100.1.1", "10.1.0.2"],
+                                      ["10.1.0.2"]])
+    def test_vip_at_a_node_address(self, vips):
+        # 10.1.0.2 is enb2's: a gateway would take the SGW's G-PDUs to enb2
+        # for edge traffic and hand them to a DIP
+        cfg = default_topology_config()
+        cfg["vips"] = vips
+        with pytest.raises(ConfigError) as info:
+            build_topology(cfg)
+        assert "10.1.0.2" in str(info.value) and "'enb2'" in str(info.value)
+        assert "VIP" in str(info.value)
+
     def test_gateway_without_dip(self):
         # stage I may hand mgw-b a subscriber; with no DIP it could not
         # steer its edge traffic anywhere

@@ -4,8 +4,9 @@ The simulator counts a with-regions migration for each move into another
 region; the fabric's gateways notify a migration for each cross-region X2
 handover. Driving both with the same `draw_moves` batches, this checks that
 the two agree at every step, that every handover runs to its
-acknowledgement, and that each subscriber's context lives only on the
-gateway of its current base station.
+acknowledgement, that each subscriber's context lives only on the gateway
+of its current base station, and that a user who has crossed a region is
+served in the simulator by the MEC that the gateways' stage I picks.
 """
 
 import numpy as np
@@ -14,13 +15,14 @@ from megw import sim
 from megw.gtp import ip_int, ip_str
 from megw.harness import (MIGRATION_NOTIFIED, REACTIVATED, SILENCED, Harness,
                           build_topology)
+from megw.steering import stage1_select
 
 
 def fabric_config(grid: sim.HexGrid, n_users: int) -> dict:
     """A topology for the sim's map: one eNB per cell, one gateway per MEC
     (named after it, weighted by its capacity) with one DIP, the gateways
     of each region linked to each other, every gateway linked to the EPC
-    stub, and one subscriber per sim user."""
+    stub, and one subscriber per sim user, at the sim's address for it."""
     def addr(base, i):
         return ip_str(ip_int(base) + i)
 
@@ -42,9 +44,33 @@ def fabric_config(grid: sim.HexGrid, n_users: int) -> dict:
         enb_to_megw[f"enb-{c}"] = mec
         links.append({"a": f"enb-{c}", "b": mec})
     for u in range(n_users):
-        nodes[f"ue{u}"] = {"kind": "ue", "addr": addr("172.16.0.1", u)}
+        nodes[f"ue{u}"] = {"kind": "ue", "addr": ip_str(sim.USER_BASE + u)}
     return {"vips": ["10.100.1.1"], "nodes": nodes, "links": links,
             "enb_to_megw": enb_to_megw, "megw_to_region": megw_to_region}
+
+
+def stage1_mec(topology, grid: sim.HexGrid, ue_ip: int, region: int) -> str:
+    """The MEC that stage I serves the subscriber from in the region, as
+    the config of the region's first gateway names it."""
+    first = grid.mec_names[int(np.argmax(grid.region_of_mec == region))]
+    return stage1_select(ue_ip, topology.steering_configs[first])
+
+
+def test_region_picks_are_stage1_picks():
+    # every (user, region) pair on the paper's map: the simulator's pick is
+    # the gateway's for the subscriber address the fabric gives that user
+    cfg = sim.SimConfig(users_per_capacity=20, migration_rate=0)
+    grid = sim.build_grid(cfg)
+    topology = build_topology(fabric_config(grid, cfg.population))
+    n_regions = cfg.regions_count
+    picks = sim.RegionPicks(
+        cfg.population, grid.mec_names, tuple(grid.capacities.tolist()),
+        tuple(grid.region_of_mec.tolist())).get(
+            np.repeat(np.arange(cfg.population), n_regions),
+            np.tile(np.arange(n_regions), cfg.population))
+    expected = [stage1_mec(topology, grid, topology.nodes[f"ue{u}"].ip, r)
+                for u in range(cfg.population) for r in range(n_regions)]
+    assert [grid.mec_names[m] for m in picks.tolist()] == expected
 
 
 def test_fabric_replays_sim_migrations():
@@ -60,9 +86,12 @@ def test_fabric_replays_sim_migrations():
 
     rng = np.random.default_rng([cfg.seed, 0x515])
     series = [world.metrics()]
+    crossed = np.zeros(world.population, dtype=bool)
     for _ in range(cfg.steps):
         movers, new_cells = sim.draw_moves(world, rng)
         old_cells = world.user_cell[movers]
+        crossed[movers] |= (grid.region_of_cell[old_cells]
+                            != grid.region_of_cell[new_cells])
         series.append(sim.apply_moves(world, movers, new_cells))
         notices = 0
         for u, old, new in zip(movers.tolist(), old_cells.tolist(),
@@ -78,6 +107,11 @@ def test_fabric_replays_sim_migrations():
             assert [ev.node for ev in trace if ev.action == REACTIVATED] \
                 == [new_gw]
         assert notices == series[-1].migrations
+        # a user who has crossed a region is served where stage I serves it
+        for u in np.flatnonzero(crossed).tolist():
+            region = int(grid.region_of_cell[world.user_cell[u]])
+            assert grid.mec_names[world.serving[u]] == stage1_mec(
+                topology, grid, h.ues[f"ue{u}"].ip, region)
 
         assert not any(gw.processor.pending for gw in h.megws.values())
         holders = {}
@@ -89,7 +123,7 @@ def test_fabric_replays_sim_migrations():
             enb_ip = topology.nodes[ue.radio_enb].ip
             assert holders[ue.ip] == [(gateway_of[enb_ip], enb_ip)]
 
-    assert sum(m.migrations for m in series) > 0
+    assert sum(m.migrations for m in series) > 0 and crossed.any()
     # the loop above is `sim.replay` of one policy, step for step
     assert series == sim.replay(cfg, (sim.Policy.WITH_REGIONS,),
                                 np.random.default_rng([cfg.seed, 0x515]))[0]

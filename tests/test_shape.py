@@ -114,7 +114,7 @@ def edits(draw, valid, values=VALUES):
 TOPOLOGY = harness.default_topology_config()
 for node in TOPOLOGY["nodes"].values():
     node["weight"] = 1.5
-SIM = {"regions_count": 1, "mecs_per_region": 2, "capacities": [1, 2.5],
+SIM = {"regions_count": 1, "mecs_per_region": 2, "capacities": [1, 2],
        "users_per_capacity": 2, "steps": 1, "migration_rate": 1,
        "policy": "with_regions", "seed": 3}
 TINY = sim.SimConfig(regions_count=1, mecs_per_region=1, capacities=(1,),

@@ -1,17 +1,17 @@
 """Regional mobility simulator: grid construction, stepping, experiments."""
 
 import functools
-import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from megw import sim
 from megw.sim import (ConfigError, Policy, SimConfig, apply_moves,
                       build_grid, build_world, derive_seed, draw_moves,
                       run_experiment)
-from megw.steering import rendezvous_pick, rendezvous_select
+from megw.steering import rendezvous_pick, rendezvous_select, stage1_key
 
 
 def step(world, rng):
@@ -56,6 +56,15 @@ class TestConfig:
         # a sweep scales the population by a float rate
         with pytest.raises(ConfigError, match="users_per_capacity"):
             SimConfig(users_per_capacity=10**400)
+
+    def test_population_must_fit_the_subscriber_addresses(self):
+        # user u is subscriber USER_BASE + u, an IPv4 address
+        room = (1 << 32) - sim.USER_BASE
+        cfg = SimConfig(regions_count=1, mecs_per_region=1, capacities=(1,),
+                        users_per_capacity=room, migration_rate=0)
+        assert cfg.population == room
+        with pytest.raises(ConfigError, match="users_per_capacity"):
+            replace(cfg, users_per_capacity=room + 1)
 
 
 class TestGrid:
@@ -122,7 +131,7 @@ def scalar_table(grid, n_users):
         index = {grid.mec_names[m]: m for m in members}
         for user in range(n_users):
             table[user, region] = index[rendezvous_select(
-                struct.pack("!Q", user), cands)]
+                stage1_key(sim.USER_BASE + user), cands)]
     return table
 
 
@@ -215,6 +224,33 @@ class TestBuildWorld:
         for cfg in (SimConfig(), small_cfg(),
                     SimConfig(policy=Policy.WITHOUT_REGIONS)):
             assert build_world(cfg).min_max_ratio() == 1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), regions_count=st.integers(1, 3),
+           mecs_per_region=st.integers(1, 4),
+           users_per_capacity=st.integers(1, 20), seed=st.integers(0, 99))
+    def test_capacity_is_one_number(self, data, regions_count,
+                                    mecs_per_region, users_per_capacity,
+                                    seed):
+        # a capacity places its users and gives the population, so every
+        # world starts with exactly `population` users at ratio 1.0
+        capacities = data.draw(st.lists(st.integers(1, 4),
+                                         min_size=mecs_per_region,
+                                         max_size=mecs_per_region))
+        cfg = SimConfig(regions_count=regions_count,
+                        mecs_per_region=mecs_per_region,
+                        capacities=capacities,
+                        users_per_capacity=users_per_capacity,
+                        migration_rate=0, seed=seed)
+        for policy in Policy:
+            world = build_world(replace(cfg, policy=policy))
+            assert len(world.user_cell) == cfg.population
+            assert world.min_max_ratio() == 1.0
+        # a capacity that is not an integer, 2.0 included, is refused
+        capacities[data.draw(st.integers(0, mecs_per_region - 1))] = \
+            data.draw(st.floats(0.5, 4))
+        with pytest.raises(ConfigError, match="capacities"):
+            replace(cfg, capacities=capacities)
 
     def test_single_mec_world(self):
         cfg = SimConfig(regions_count=1, mecs_per_region=1, capacities=(1,),
@@ -342,7 +378,8 @@ class TestStep:
             members = np.flatnonzero(grid.region_of_mec == region)
             cands = [(grid.mec_names[m], float(grid.capacities[m]))
                      for m in members]
-            pick = rendezvous_select(struct.pack("!Q", int(u)), cands)
+            pick = rendezvous_select(stage1_key(sim.USER_BASE + int(u)),
+                                     cands)
             assert grid.mec_names[world.serving[u]] == pick
 
     def test_ratio_zero_when_mec_empty(self):
@@ -443,6 +480,14 @@ class TestExperiment:
         for key, stats in summary.items():
             for name, values in stats.items():
                 assert np.array_equal(res.summary[key][name], values)
+
+    @pytest.mark.parametrize("rates", [[0.1, 0.1], [0.05, 0.2, 0.05],
+                                       [1, 1.0]])
+    def test_repeated_rate_rejected(self, rates):
+        # the summary keys by (policy, rate), so a second run of one rate
+        # would hide the first
+        with pytest.raises(ConfigError, match="rates"):
+            run_experiment(small_cfg(), rates, replications=1, steps=1)
 
     def test_determinism(self):
         cfg = small_cfg()
