@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from .gtp import ip_int, ip_str
 from .s1ap import MessageKind, S1apLiteMessage
-from .steering import FiveTuple, FlowRule
+from .steering import FiveTuple, FlowRule, rendezvous_select, stage1_key
 
 LOG_LIMIT = 4096    # effect-log entries a processor keeps
 
@@ -44,14 +44,22 @@ class TopologyError(KeyError):
 
 @dataclass(frozen=True)
 class TopologyView:
-    """The static maps scenario classification needs (eNBs by address)."""
+    """The static maps scenario classification needs (eNBs by address),
+    and each gateway's stage I weight (1.0 unless `weights` names it)."""
 
     enb_to_megw: dict
     megw_to_region: dict
+    weights: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "enb_to_megw", {
             ip_int(enb): megw for enb, megw in self.enb_to_megw.items()})
+        # each region's stage I candidates, in id order as in region_peers
+        peers: dict[str, list] = {}
+        for megw in sorted(self.megw_to_region):
+            peers.setdefault(self.megw_to_region[megw], []).append(
+                (megw, self.weights.get(megw, 1.0)))
+        object.__setattr__(self, "_peers", peers)
 
     def megw_of(self, enb_addr: int) -> str:
         try:
@@ -64,6 +72,12 @@ class TopologyView:
             return self.megw_to_region[megw_id]
         except KeyError:
             raise TopologyError(f"unknown gateway {megw_id!r}") from None
+
+    def serving_megw(self, ue_ip: int, enb_addr: int) -> str:
+        """The gateway stage I serves the subscriber from in the region of
+        this eNB's gateway: the pick every gateway there makes."""
+        region = self.region_of(self.megw_of(enb_addr))
+        return rendezvous_select(stage1_key(ue_ip), self._peers[region])
 
 
 class HandoverScenario(enum.Enum):
@@ -133,6 +147,8 @@ class MigrationNotice:
     """Tell the application layer to move a subscriber's state.
 
     Emitted exactly once per cross-region handover, at silence start.
+    Each MEC is the gateway stage I serves the subscriber from in the old
+    and in the new region.
     """
 
     ue_ip: int
@@ -364,14 +380,15 @@ class S1apProcessor:
 
     def on_flow_miss(self, five_tuple: FiveTuple, upstream_teid: int) -> list:
         ctx = self.contexts.get(five_tuple.src_ip)
-        effects = [NoContext(upstream_teid=upstream_teid)]
-        if ctx is not None and not ctx.silent:
-            for bc in ctx.bearers.values():
-                if bc.upstream_teid == upstream_teid and bc.complete():
-                    effects = [InstallRule(rule=FlowRule(
-                        five_tuple, bc.downstream_teid, ctx.enb_addr,
-                        bc.sgw_addr))]
-                    break
+        bearers = () if ctx is None or ctx.silent else ctx.bearers.values()
+        for bc in bearers:
+            if bc.upstream_teid == upstream_teid and bc.complete():
+                effects = [InstallRule(rule=FlowRule(
+                    five_tuple, bc.downstream_teid, ctx.enb_addr,
+                    bc.sgw_addr))]
+                break
+        else:
+            effects = [NoContext(upstream_teid=upstream_teid)]
         return self._emit("FLOW_MISS", (five_tuple, upstream_teid), effects)
 
     def on_end_marker(self, enb_addr: int, teid: int) -> list:
@@ -383,8 +400,9 @@ class S1apProcessor:
             effects.append(SilenceUe(ue_ip=ctx.ue_ip))
             if scenario is HandoverScenario.CROSS_REGION:
                 effects.append(MigrationNotice(
-                    ue_ip=ctx.ue_ip, old_mec=self.topology.megw_of(enb_addr),
-                    new_mec=self.topology.megw_of(new_enb),
+                    ue_ip=ctx.ue_ip,
+                    old_mec=self.topology.serving_megw(ctx.ue_ip, enb_addr),
+                    new_mec=self.topology.serving_megw(ctx.ue_ip, new_enb),
                     issued_at=self.clock + 1))
             if scenario is HandoverScenario.SAME_MEGW:
                 ctx.silent = True   # refuses flow misses

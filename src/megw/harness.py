@@ -212,7 +212,8 @@ def build_topology(config: dict) -> Topology:
         next_hop.update(((src, d), h) for d, h in first.items() if d != src)
 
     view = TopologyView({nodes[e].addr: m for e, m in enb_to_megw.items()},
-                        megw_to_region)
+                        megw_to_region,
+                        {m: nodes[m].weight for m in megws})
     return Topology(nodes=nodes, view=view, vips=vips,
                     steering_configs=steering_configs, addr_to_node=addrs,
                     next_hop=next_hop)

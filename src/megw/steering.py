@@ -14,7 +14,9 @@ connections included: every lookup of its flows answers SILENT, so an
 upstream packet goes to the controller alone, unsteered and unpinned,
 and a downstream one is dropped. The store is grouped by subscriber, so
 silencing, reactivating (by a map of old to new downstream TEIDs) or
-releasing one subscriber never scans others.
+releasing one subscriber never scans others. It holds each fact once: a
+tunnel is one `Tunnel` value that all flows on it share, and a
+subscriber's record keeps the address int that its new flows' keys reuse.
 
 Neither stage hashes on the packet path once a subscriber and its flows
 are known. Stage I is memoized per (subscriber, config) in a bounded
@@ -29,7 +31,9 @@ never depends on set or hash order. Tables are keyed by integer
 addresses; only `SteeringConfig` input and `Emit.dst` are dotted quads.
 Table probes take any 5-tuple, so the packet path probes with plain
 tuples. A new flow gets one `FiveTuple`, which its `FlowMiss` (and so its
-rule and the controller's log) and its affinity pin share.
+rule and the controller's log) and its affinity pin share; it holds the
+rule store's int for the subscriber and the config's for the VIP, and the
+pin holds the affinity table's one int for the DIP.
 """
 
 from __future__ import annotations
@@ -118,6 +122,8 @@ class SteeringConfig:
     II candidate id). The VIPs become integers when the config is built,
     every other address is checked then, and the config is hashed once:
     the stage I memo hashes it for every uplink G-PDU bound for a VIP.
+    `vip_ints` gives the config's own int for an equal one, so the keys
+    of new flows all hold it.
     """
 
     megw_id: str
@@ -130,6 +136,7 @@ class SteeringConfig:
         # integers stay, so that dataclasses.replace works
         object.__setattr__(self, "vips", frozenset(
             v if isinstance(v, int) else ip_int(v) for v in self.vips))
+        object.__setattr__(self, "vip_ints", {v: v for v in self.vips})
         object.__setattr__(self, "_hash", hash((
             self.megw_id, self.vips, self.region_peers, self.dips,
             self.local_sgw)))
@@ -175,7 +182,9 @@ def stage1_select(ue_ip: int, cfg: SteeringConfig) -> str:
 
 
 class FlowRule(NamedTuple):
-    """Per-flow GTP context: key is the upstream-oriented 5-tuple."""
+    """Per-flow GTP context: key is the upstream-oriented 5-tuple. What
+    the controller installs; the rule store keeps its tunnel part as a
+    `Tunnel` shared by the flows on it."""
 
     key: FiveTuple
     downstream_teid: int
@@ -183,17 +192,46 @@ class FlowRule(NamedTuple):
     sgw_addr: int
 
 
+class Tunnel(NamedTuple):
+    """A bearer's downstream tunnel, where its flows' return traffic goes:
+    what `RuleStore.lookup` answers for a ruled flow."""
+
+    downstream_teid: int
+    enb_addr: int
+    sgw_addr: int
+
+
+class _Subscriber(dict):
+    """One subscriber's flows, {5-tuple: Tunnel}, with its address int,
+    `ip`. Each tunnel is one value that all flows on it share. Most
+    subscribers have one, which any flow holds, so `more` lists the
+    tunnels only once there are two (a 1-tuple would cost 48 bytes)."""
+
+    __slots__ = ("ip", "more")
+
+    def __init__(self, ip: int, flows=(), more: tuple = ()):
+        super().__init__(flows)
+        self.ip = ip
+        self.more = more
+
+    def tunnels(self) -> tuple:
+        """The distinct tunnels of its flows."""
+        if self.more or not self:
+            return self.more
+        return (next(iter(self.values())),)
+
+
 # what RuleStore.lookup answers for a ruled flow of a silenced subscriber
 SILENT = object()
 
 
 class RuleStore:
-    """Flow-rule table keyed ue_ip -> {5-tuple: rule}, and the subscribers
-    in a handover silent period. Single control-plane writer, many packet
-    readers."""
+    """Flow-rule table keyed ue_ip -> {5-tuple: tunnel}, and the
+    subscribers in a handover silent period. Single control-plane writer,
+    many packet readers."""
 
     def __init__(self):
-        self._by_ue: dict[int, dict[FiveTuple, FlowRule]] = {}
+        self._by_ue: dict[int, _Subscriber] = {}
         self._silent: set[int] = set()
         self._count = 0     # rules in all of _by_ue, kept by the writers
         self._lock = threading.Lock()
@@ -201,34 +239,52 @@ class RuleStore:
     def __len__(self) -> int:
         return self._count
 
-    def lookup(self, key: tuple) -> FlowRule | object | None:
+    def lookup(self, key: tuple) -> Tunnel | object | None:
         """SILENT for every flow of a subscriber in its silent period, with
-        a rule or not; otherwise the flow's rule or None. `key` is any
+        a rule or not; otherwise the flow's tunnel or None. `key` is any
         5-tuple: a plain one finds the `FiveTuple` it equals."""
         with self._lock:
             if key[0] in self._silent:
                 return SILENT
             return self._by_ue.get(key[0], {}).get(key)
 
+    def address(self, ue_ip: int) -> int:
+        """The int this store keeps for the subscriber's address, or
+        `ue_ip` itself for a subscriber it holds no rule of."""
+        with self._lock:
+            flows = self._by_ue.get(ue_ip)
+            return ue_ip if flows is None else flows.ip
+
     def install(self, rule: FlowRule) -> None:
         """Install a rule; identical re-install is a no-op.
 
         A different tunnel binding for an existing key is a control-plane
         bug and raises ConflictError; legitimate tunnel changes go through
-        reactivate_ue.
+        reactivate_ue. A rule on a tunnel the subscriber already has shares
+        that tunnel's value.
         """
+        key = rule.key
+        bound = rule[1:]
         with self._lock:
-            flows = self._by_ue.setdefault(rule.key.src_ip, {})
-            existing = flows.get(rule.key)
+            flows = self._by_ue.get(key.src_ip)
+            if flows is None:
+                flows = self._by_ue[key.src_ip] = _Subscriber(key.src_ip)
+            existing = flows.get(key)
             if existing is not None:
-                if (existing.downstream_teid, existing.enb_addr,
-                        existing.sgw_addr) != (rule.downstream_teid,
-                                               rule.enb_addr, rule.sgw_addr):
+                if existing != bound:
                     raise ConflictError(
-                        f"rule for {rule.key} already bound to TEID "
+                        f"rule for {key} already bound to TEID "
                         f"{existing.downstream_teid:#x}")
                 return
-            flows[rule.key] = rule
+            tunnels = flows.tunnels()
+            for tunnel in tunnels:
+                if tunnel == bound:
+                    break
+            else:
+                tunnel = Tunnel._make(bound)
+                if tunnels:
+                    flows.more = tunnels + (tunnel,)
+            flows[key] = tunnel
             self._count += 1
 
     def set_ue_silent(self, ue_ip: int) -> int:
@@ -243,22 +299,34 @@ class RuleStore:
 
         teid_remap maps each flow's old downstream TEID to its new one; a
         flow whose TEID it lacks is deleted, since its bearer did not
-        survive the handover. Returns rules kept.
+        survive the handover. One new value per remapped tunnel, shared by
+        its flows (and by another old tunnel that maps to the same one).
+        Returns rules kept.
         """
         with self._lock:
             self._silent.discard(ue_ip)
-            flows = self._by_ue.pop(ue_ip, {})
-            kept = {key: rule._replace(downstream_teid=teid_remap[teid],
-                                       enb_addr=new_enb_addr)
-                    for key, rule in flows.items()
-                    if (teid := rule.downstream_teid) in teid_remap}
+            flows = self._by_ue.pop(ue_ip, None)
+            if flows is None:
+                return 0
+            moved: dict[Tunnel, Tunnel] = {}    # old -> new
+            new: dict[Tunnel, Tunnel] = {}      # each new value once
+            for old in flows.tunnels():
+                if old.downstream_teid in teid_remap:
+                    tunnel = Tunnel(teid_remap[old.downstream_teid],
+                                    new_enb_addr, old.sgw_addr)
+                    moved[old] = new.setdefault(tunnel, tunnel)
+            kept = _Subscriber(flows.ip, (
+                (key, tunnel) for key, old in flows.items()
+                if (tunnel := moved.get(old)) is not None),
+                tuple(new) if len(new) > 1 else ())
             if kept:
                 self._by_ue[ue_ip] = kept
             self._count -= len(flows) - len(kept)
             return len(kept)
 
     def release_ue(self, ue_ip: int) -> int:
-        """Drop a subscriber's rules and its silence; returns rules removed.
+        """Drop a subscriber's rules, its address int and its silence;
+        returns rules removed.
 
         Used when a subscriber hands over to a different gateway, whose
         old tunnel state would swallow its traffic transiting here later,
@@ -272,7 +340,8 @@ class RuleStore:
 
     def rules_for_ue(self, ue_ip: int) -> list[FlowRule]:
         with self._lock:
-            return list(self._by_ue.get(ue_ip, {}).values())
+            return [FlowRule(key, *tunnel) for key, tunnel
+                    in self._by_ue.get(ue_ip, {}).items()]
 
 
 class DipAffinityTable:
@@ -283,6 +352,8 @@ class DipAffinityTable:
         self._table: dict[FiveTuple, int] = {}
         # (ue, dip, proto, ue_port, port) -> VIP of the first flow pinned
         self._reverse: dict[tuple, int] = {}
+        # dotted DIP -> the one int every pin to it holds
+        self._dips: dict[str, int] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -297,7 +368,8 @@ class DipAffinityTable:
         """Return the pinned DIP (an integer), choosing and pinning one of
         the dotted `dips` by HRW on first sight. The pin survives any later
         change to the DIP pool. `flow` is any 5-tuple; a miss stores a
-        `FiveTuple` as it is given, and any other as a new `FiveTuple`."""
+        `FiveTuple` as it is given, and any other as a new `FiveTuple`.
+        Every pin to one DIP holds one int, read once per table."""
         with self._lock:
             dip = self._table.get(flow)
             if dip is not None:
@@ -306,7 +378,10 @@ class DipAffinityTable:
                 raise SelectError("empty DIP pool")
             if type(flow) is not FiveTuple:
                 flow = FiveTuple(*flow)
-            dip = ip_int(rendezvous_select(flow.key_bytes(), dips))
+            addr = rendezvous_select(flow.key_bytes(), dips)
+            dip = self._dips.get(addr)
+            if dip is None:
+                dip = self._dips[addr] = ip_int(addr)
             self._table[flow] = dip
             self._reverse.setdefault((flow.src_ip, dip, flow.proto,
                                       flow.src_port, flow.dst_port),
@@ -417,8 +492,9 @@ def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
             return CloneToController(FlowMiss(FiveTuple(*flow), teid))
         if rule is None:
             # a new flow: one key for its miss (so its rule and the log)
-            # and its pin
-            flow = FiveTuple(*flow)
+            # and its pin, holding the subscriber's and the VIP's kept ints
+            flow = FiveTuple(rules.address(src), cfg.vip_ints[vip], proto,
+                             sport, dport)
         serving = stage1_select(src, cfg)
         if serving != cfg.megw_id:
             act = Emit(cfg.peer_address(serving), data[at:total],
@@ -438,8 +514,8 @@ def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
             sport, dport = read_ports(data, ihl, total - ihl, proto)
         except DecodeError:
             return Drop("malformed VIP-bound packet")
-        dip = affinity.get_or_assign((src, dst, proto, sport, dport),
-                                     cfg.dips)
+        dip = affinity.get_or_assign(
+            (src, cfg.vip_ints[dst], proto, sport, dport), cfg.dips)
         return Emit(ip_str(dip), rewrite_ipv4(data, dst=dip),
                     note="dip-rewrite")
 

@@ -17,7 +17,8 @@ from megw.control import (BearerContext, HandoverScenario, InstallRule,
                           ScenarioDetected, SilenceUe, TopologyError,
                           TopologyView, UeContext, classify_handover)
 from megw.s1ap import BearerItem, MessageKind, S1apLiteMessage
-from megw.steering import SILENT, FiveTuple, FlowRule, RuleStore
+from megw.steering import (SILENT, FiveTuple, FlowRule, RuleStore,
+                           SteeringConfig, Tunnel, stage1_select)
 
 UE = ip_int("172.16.0.2")
 ENB1, ENB2, ENB3, ENB4 = map(ip_int, ("10.1.0.1", "10.1.0.2", "10.1.0.3",
@@ -151,7 +152,7 @@ class TestReattachInSilentPeriod:
             [BearerItem(5, downstream_teid=300, transport_addr=ENB2)],
             enb=ENB2)))
         apply(store, proc.on_flow_miss(flow, 100))
-        assert store.lookup(flow) == FlowRule(flow, 300, ENB2, SGW)
+        assert store.lookup(flow) == Tunnel(300, ENB2, SGW)
 
     def test_attached_reattach_releases_nothing(self):
         proc = S1apProcessor("mgw-a", TOPOLOGY)
@@ -181,7 +182,7 @@ class TestReattachWhileAttached:
             [BearerItem(5, downstream_teid=300, transport_addr=ENB2)],
             enb=ENB2))) == []
         apply(store, proc.on_flow_miss(flow, 100))
-        assert store.lookup(flow) == FlowRule(flow, 300, ENB2, SGW)
+        assert store.lookup(flow) == Tunnel(300, ENB2, SGW)
 
     def test_no_rule_between_request_and_response(self):
         # 10.1.0.2 never assigned TEID 200: until its response names a
@@ -394,6 +395,40 @@ class TestHandover:
         # carries the notice's time
         assert any(isinstance(e, SilenceUe) for e in eff_end)
         assert notices[0].issued_at == proc.log[-1].seq
+
+    def test_notice_names_stage1_gateways(self):
+        # two weighted gateways in each region, and the subscriber's eNBs
+        # at the ones stage I does not pick: the notice names stage I's
+        # picks, listed in region_peers (id) order whatever the map's order
+        view = TopologyView(
+            enb_to_megw={"10.1.0.1": "mgw-a", "10.1.0.4": "mgw-d"},
+            megw_to_region={"mgw-d": "r2", "mgw-b": "r1", "mgw-a": "r1",
+                            "mgw-c": "r2"},
+            weights={"mgw-b": 2.0, "mgw-c": 3.0})
+        regions = {"r1": (("mgw-a", "10.50.0.1", 1.0),
+                          ("mgw-b", "10.50.0.2", 2.0)),
+                   "r2": (("mgw-c", "10.50.0.3", 3.0),
+                          ("mgw-d", "10.50.0.4", 1.0))}
+
+        def stage1(ue_ip, region):     # as the region's gateways pick
+            peers = regions[region]
+            return stage1_select(ue_ip, SteeringConfig(
+                megw_id=peers[0][0], vips=frozenset({VIP}),
+                region_peers=peers, dips=(), local_sgw="10.2.0.1"))
+
+        ue = next(UE + i for i in range(1000)
+                  if (stage1(UE + i, "r1"), stage1(UE + i, "r2"))
+                  == ("mgw-b", "mgw-c"))
+        proc = S1apProcessor("mgw-a", view)
+        attach(proc, ue_ip=ue)
+        proc.on_control_message(msg(
+            MessageKind.PATH_SWITCH_REQUEST,
+            [BearerItem(5, upstream_teid=100)], ue_ip=ue, enb=ENB4))
+        (notice,) = [e for e in proc.on_end_marker(ENB1, 200)
+                     if isinstance(e, MigrationNotice)]
+        assert (notice.old_mec, notice.new_mec) == ("mgw-b", "mgw-c")
+        assert (view.megw_of(ENB1), view.megw_of(ENB4)) == ("mgw-a",
+                                                            "mgw-d")
 
     def test_same_region_no_notice(self):
         proc = S1apProcessor("mgw-a", TOPOLOGY)

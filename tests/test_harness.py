@@ -376,6 +376,38 @@ class TestEdgeRequest:
         (miss,) = [e for e in gw.processor.log if e.event == "FLOW_MISS"]
         assert rule.key is pinned is miss.detail[0]
 
+    def test_flow_facts_are_kept_once(self):
+        """At the serving gateway, every key of the subscriber's flows in
+        the rule store and the affinity table holds one int for its
+        address and the config's int for the VIP; every pin to a DIP holds
+        one int; flows on a bearer share one tunnel value, before and
+        after a handover moves them to new tunnels."""
+        h = make_harness()
+        h.run_attach("ue1", "enb1", bearers=2)
+        for n in range(8):
+            h.run_edge_request("ue1", bearer_id=5 + n % 2)
+        h.run_x2_handover("ue1", "enb1", "enb2")
+        for n in range(4):
+            h.run_edge_request("ue1", bearer_id=5 + n % 2)
+        gw = h.megws["mgw-a"]
+        ue = gw.rules.address(h.ues["ue1"].ip)
+        rules = gw.rules.rules_for_ue(ue)
+        pins = gw.affinity._table
+        assert len(rules) == len(pins) == 12
+        vips = gw.config.vip_ints
+        for key in [r.key for r in rules] + list(pins):
+            assert key.src_ip is ue
+            assert key.dst_ip is vips[key.dst_ip]
+        dips = {}
+        for dip in pins.values():
+            assert dips.setdefault(dip, dip) is dip
+        assert len(dips) == 2
+        tunnels = {}
+        for r in rules:
+            tunnel = gw.rules.lookup(r.key)
+            assert tunnels.setdefault(r.downstream_teid, tunnel) is tunnel
+        assert len(tunnels) == 2
+
     def test_two_bearers_two_distinct_teids(self):
         h = make_harness()
         h.run_attach("ue1", "enb1", bearers=2)

@@ -90,14 +90,31 @@ def test_fabric_replays_sim_migrations():
     for _ in range(cfg.steps):
         movers, new_cells = sim.draw_moves(world, rng)
         old_cells = world.user_cell[movers]
+        old_serving = world.serving[movers]
+        had_crossed = crossed[movers]
         crossed[movers] |= (grid.region_of_cell[old_cells]
                             != grid.region_of_cell[new_cells])
         series.append(sim.apply_moves(world, movers, new_cells))
         notices = 0
-        for u, old, new in zip(movers.tolist(), old_cells.tolist(),
-                               new_cells.tolist()):
+        for u, old, new, was, before in zip(
+                movers.tolist(), old_cells.tolist(), new_cells.tolist(),
+                old_serving.tolist(), had_crossed.tolist()):
             trace = h.run_x2_handover(f"ue{u}", f"enb-{old}", f"enb-{new}")
-            notices += sum(ev.action == MIGRATION_NOTIFIED for ev in trace)
+            # a notice names the MECs stage I serves the subscriber from in
+            # the old and the new region: the sim's new serving MEC, and its
+            # old one once the user has crossed before (the sim starts each
+            # user at its cell's MEC, which stage I need not pick)
+            for ev in trace:
+                if ev.action != MIGRATION_NOTIFIED:
+                    continue
+                notices += 1
+                ue_ip = h.ues[f"ue{u}"].ip
+                assert ev.detail["new_mec"] \
+                    == grid.mec_names[world.serving[u]]
+                assert ev.detail["old_mec"] == stage1_mec(
+                    topology, grid, ue_ip, int(grid.region_of_cell[old]))
+                if before:
+                    assert ev.detail["old_mec"] == grid.mec_names[was]
             # complete: the end marker silenced the old gateway's rules and
             # the acknowledgement moved them to the new tunnels
             old_gw, new_gw = (gateway_of[topology.nodes[f"enb-{c}"].ip]

@@ -23,8 +23,8 @@ from megw.gtp import (Direction, FiveTuple, GtpMessageType, build_ipv4,
 from megw.steering import (CloneToController, DipAffinityTable, Drop, Emit,
                            EndMarkerSeen, FlowMiss, FlowRule, Multiple,
                            RuleStore, S1apClone, SelectError, SILENT,
-                           SteeringConfig, process_packet, rendezvous_pick,
-                           rendezvous_select, stage1_select)
+                           SteeringConfig, Tunnel, process_packet,
+                           rendezvous_pick, rendezvous_select, stage1_select)
 
 VIP = "10.100.1.1"
 ENB1, ENB2, SGW = ip_int("10.1.0.1"), ip_int("10.1.0.2"), ip_int("10.2.0.1")
@@ -336,14 +336,15 @@ class TestRuleStore:
         store = RuleStore()
         r = self.rule()
         store.install(r)
-        assert store.lookup(r.key) == r
+        assert store.lookup(r.key) == Tunnel(200, ENB1, SGW)
 
     def test_plain_tuple_lookup(self):
         store = RuleStore()
         r = self.rule()
         store.install(r)
         miss = r.key._replace(src_port=5001)
-        assert store.lookup(tuple(r.key)) == store.lookup(r.key) == r
+        assert store.lookup(tuple(r.key)) == store.lookup(r.key) \
+            == Tunnel(200, ENB1, SGW)
         assert store.lookup(tuple(miss)) is store.lookup(miss) is None
         store.set_ue_silent(UE)
         assert store.lookup(tuple(r.key)) is store.lookup(r.key) is SILENT
@@ -375,7 +376,7 @@ class TestRuleStore:
         assert store.set_ue_silent(ip_int("172.16.9.9")) == 0
         assert store.reactivate_ue(UE, {200: 300}, ENB2) == 2
         for r in store.rules_for_ue(UE):
-            assert store.lookup(r.key) == r
+            assert store.lookup(r.key) == Tunnel(*r[1:])
             assert r.downstream_teid == 300
             assert r.enb_addr == ENB2
 
@@ -407,7 +408,8 @@ flow_keys = st.builds(FiveTuple, st.sampled_from(UES), st.just(ip_int(VIP)),
 class RuleStoreMachine(RuleBasedStateMachine):
     """RuleStore against a flat {5-tuple: rule} table whose per-subscriber
     operations scan every rule and filter on the subscriber address, and a
-    set of silenced subscribers."""
+    set of silenced subscribers. The store keeps one value per tunnel,
+    which all flows on it share."""
 
     def __init__(self):
         super().__init__()
@@ -475,7 +477,18 @@ class RuleStoreMachine(RuleBasedStateMachine):
         expected = self.model.get(key)
         if key.src_ip in self.silent:
             expected = SILENT
+        elif expected is not None:
+            expected = Tunnel(*expected[1:])
         assert self.store.lookup(key) == expected
+
+    @invariant()
+    def one_value_per_tunnel(self):
+        # after installs and reactivations alike: equal tunnels are one
+        # object, which every flow on it gets from lookup
+        for ue in set(UES) - self.silent:
+            found = [self.store.lookup(k) for k in self.flows_of(ue)]
+            assert all(type(t) is Tunnel for t in found)
+            assert len(set(map(id, found))) == len(set(found))
 
     @invariant()
     def same_rules_per_subscriber(self):

@@ -4,10 +4,12 @@ Attaches SUBSCRIBERS subscribers (one bearer each) through
 `S1apProcessor`, then opens FLOWS edge connections per subscriber
 through `process_packet`, handing each flow miss to the processor and
 its rule to the `RuleStore`, as the fabric does. Every subscriber is
-served locally, so each new flow is also pinned in the affinity table. Prints the memory still allocated per
-subscriber, the whole and the processor's part, and appends it to
-`$GITHUB_STEP_SUMMARY` when that is set. It records the figure and
-sets it no bound.
+served locally, so each new flow is also pinned in the affinity table.
+Prints the memory still allocated per subscriber: the whole, the
+processor's part (allocated in `megw/control.py`) and the data plane's
+(in `megw/steering.py`: the rule store, the affinity table and the
+stage I memo), and appends it to `$GITHUB_STEP_SUMMARY` when that is
+set. It records the figures and sets them no bound.
 
     PYTHONPATH=src python tools/memory_report.py
 """
@@ -29,16 +31,20 @@ from megw.steering import (CloneToController, DipAffinityTable, FlowMiss,
 ENB, SGW, VIP = "10.1.0.1", "10.2.0.1", "10.100.1.1"
 UE_BASE = ip_int("172.16.0.0")
 SUBSCRIBERS, FLOWS = 10_000, 4
+# where a NamedTuple's constructors run
+_GENERATED = ("<string>", os.path.join("collections", "__init__.py"))
 
 
-def measure(subscribers: int, flows: int) -> tuple[float, float]:
-    """(bytes per subscriber in all, of which in the processor)."""
+def measure(subscribers: int, flows: int) -> tuple[float, float, float]:
+    """(bytes per subscriber in all, of which in the processor, of which in
+    the data plane's tables)."""
     cfg = SteeringConfig(megw_id="mgw-a", vips=frozenset({VIP}),
                          region_peers=(("mgw-a", "10.50.0.1", 1.0),),
                          dips=(("10.200.0.5", 1.0), ("10.200.0.6", 1.0)),
                          local_sgw=SGW)
     enb, sgw, vip = ip_int(ENB), ip_int(SGW), ip_int(VIP)
-    tracemalloc.start()
+    # two frames, so a NamedTuple counts where its module builds it
+    tracemalloc.start(2)
     proc = S1apProcessor("mgw-a", TopologyView({ENB: "mgw-a"},
                                                {"mgw-a": "r1"}))
     rules, affinity = RuleStore(), DipAffinityTable()
@@ -69,23 +75,34 @@ def measure(subscribers: int, flows: int) -> tuple[float, float]:
     whole = tracemalloc.get_traced_memory()[0]
     snapshot = tracemalloc.take_snapshot()
     tracemalloc.stop()
-    # the processor's part: what the control module allocated and kept
-    in_control = sum(
-        stat.size for stat in snapshot.statistics("filename")
-        if stat.traceback[0].filename.endswith(os.path.join("megw",
-                                                            "control.py")))
+    # each module's part: what it allocated and kept, a record built by a
+    # NamedTuple's generated code counted in the module that called it
+    by_file: dict[str, int] = {}
+    for stat in snapshot.statistics("traceback"):
+        frames = [f.filename for f in reversed(stat.traceback)]
+        owner = next((name for name in frames
+                      if not name.endswith(_GENERATED)), frames[0])
+        by_file[owner] = by_file.get(owner, 0) + stat.size
+
+    def part(module: str) -> int:
+        suffix = os.path.join("megw", module)
+        return sum(size for name, size in by_file.items()
+                   if name.endswith(suffix))
+
     if not (len(proc.contexts) == subscribers
             and len(rules) == len(affinity) == subscribers * flows):
         raise RuntimeError("the setup left other than one context per "
                            "subscriber and one rule and pin per flow")
-    return whole / subscribers, in_control / subscribers
+    return (whole / subscribers, part("control.py") / subscribers,
+            part("steering.py") / subscribers)
 
 
 def main() -> None:
-    whole, in_control = measure(SUBSCRIBERS, FLOWS)
+    whole, in_control, in_steering = measure(SUBSCRIBERS, FLOWS)
     line = (f"Per-subscriber memory ({SUBSCRIBERS} subscribers x "
             f"{FLOWS} flows, tracemalloc): {whole:.0f} B in all, "
-            f"{in_control:.0f} B allocated in megw/control.py")
+            f"{in_control:.0f} B allocated in megw/control.py, "
+            f"{in_steering:.0f} B in megw/steering.py")
     print(line)
     summary = os.environ.get("GITHUB_STEP_SUMMARY")
     if summary:
