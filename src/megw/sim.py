@@ -91,8 +91,11 @@ class SimConfig:
                 f"got {len(self.capacities)}")
         if not all(c > 0 for c in self.capacities):
             raise ConfigError("capacities must be positive")
-        if self.users_per_capacity < 1 or self.steps < 0:
-            raise ConfigError("users_per_capacity and steps must be positive")
+        if self.users_per_capacity < 1:
+            raise ConfigError(f"users_per_capacity must be positive, "
+                              f"not {self.users_per_capacity}")
+        if self.steps < 0:
+            raise ConfigError(f"steps must be non-negative, not {self.steps}")
         if USER_BASE + self.population > 1 << 32:   # one address per user
             raise ConfigError("users_per_capacity: the population must fit "
                               "in the subscriber addresses")
@@ -171,6 +174,9 @@ class HexGrid:
     neighbor_table: np.ndarray   # (n_cells, 6) neighbor index or -1
     neighbor_count: np.ndarray   # (n_cells,)
     mec_names: tuple
+    # per MEC: (region, capacity, region capacity), plain numbers for the
+    # ratio computed at every step
+    mec_plain: tuple
 
     @property
     def n_mecs(self) -> int:
@@ -218,6 +224,8 @@ def _grid(regions_count: int, mecs_per_region: int,
     if (neighbor_count == 0).any():
         raise ConfigError("isolated cell in tiling")
 
+    mec_plain = tuple(zip(region_of_mec.tolist(), capacities.tolist(),
+                          region_capacity.tolist()))
     names = tuple(f"mec-{r}-{m}" for r, m in zip(
         center_regions, list(range(mecs_per_region)) * regions_count))
     arrays = (mec_of_cell, region_of_cell, region_of_mec, capacities,
@@ -228,7 +236,8 @@ def _grid(regions_count: int, mecs_per_region: int,
                    region_of_cell=region_of_cell, region_of_mec=region_of_mec,
                    capacities=capacities, region_capacity=region_capacity,
                    mec_cells=mec_cells, neighbor_table=neighbor_table,
-                   neighbor_count=neighbor_count, mec_names=names)
+                   neighbor_count=neighbor_count, mec_names=names,
+                   mec_plain=mec_plain)
 
 
 class RegionPicks:
@@ -238,8 +247,10 @@ class RegionPicks:
     subscriber address is `USER_BASE + u`. A crossing reads only the mover's
     pick in the region it enters, and a sweep reads about a third of all (user,
     region) pairs, so each pair is scored when first asked for and then kept.
-    The array holds -1 for a pair not scored yet, in the narrowest signed dtype
-    that holds a MEC index. Callers get copies, so no world writes a pick.
+    A step asks only for its region crossers' picks. The flat array holds
+    the pair (u, region) at `u * regions + region`, -1 while not scored yet,
+    in the narrowest signed dtype that holds a MEC index. Callers get copies,
+    so no world writes a pick.
     """
 
     def __init__(self, n_users: int, mec_names: tuple, capacities: tuple,
@@ -247,32 +258,35 @@ class RegionPicks:
         self._members = [np.array([m for m, r in enumerate(region_of_mec)
                                    if r == region])
                          for region in range(max(region_of_mec) + 1)]
-        self._candidates = [[(mec_names[m], capacities[m]) for m in mecs]
+        self._candidates = [tuple((mec_names[m], capacities[m]) for m in mecs)
                             for mecs in self._members]
-        self._picks = np.full((n_users, len(self._members)), -1,
+        self._picks = np.full(n_users * len(self._members), -1,
                               dtype=np.min_scalar_type(-len(mec_names)))
 
     def get(self, users: np.ndarray, regions: np.ndarray) -> np.ndarray:
-        """The picks of the pairs (users[i], regions[i]); the pairs not
-        scored yet are scored in one batch per region."""
-        picks = self._picks[users, regions]
-        missing = picks < 0
-        if missing.any():
+        """The picks of the pairs (users[i], regions[i]) in one gather; the
+        pairs not scored yet are scored in one batch per region."""
+        pairs = users * len(self._members) + regions
+        picks = self._picks[pairs]
+        missing = np.flatnonzero(picks < 0)
+        if len(missing):
+            missing_regions = regions[missing]
             for region in range(len(self._members)):
-                batch = users[missing & (regions == region)]
+                batch = missing[missing_regions == region]
                 if len(batch):
-                    self._score(batch, region)
-            picks = self._picks[users, regions]
+                    picks[batch] = self._score(users[batch], region)
+            self._picks[pairs[missing]] = picks[missing]
         return picks
 
-    def _score(self, users: np.ndarray, region: int) -> None:
-        """Pick for HASH_CHUNK users at a time among the region's MECs."""
-        mecs = self._members[region]
-        for start in range(0, len(users), HASH_CHUNK):
-            chunk = users[start:start + HASH_CHUNK]
-            keys = [stage1_key(USER_BASE + user) for user in chunk.tolist()]
-            self._picks[chunk, region] = mecs[rendezvous_pick(
-                keys, self._candidates[region])]
+    def _score(self, users: np.ndarray, region: int) -> np.ndarray:
+        """The users' picks among the region's MECs, HASH_CHUNK at a time."""
+        keys = [stage1_key(USER_BASE + user) for user in users.tolist()]
+        candidates = self._candidates[region]
+        picks = []
+        for start in range(0, len(keys), HASH_CHUNK):
+            picks += rendezvous_pick(keys[start:start + HASH_CHUNK],
+                                     candidates)
+        return self._members[region][picks]
 
 
 # one memo is kept, since every with-regions world of a sweep shares it
@@ -316,19 +330,27 @@ class SimWorld:
         so a MEC carries its capacity share of the region's users; the
         pooling is what absorbs per-user randomness.
         """
+        return np.array(self._load())
+
+    def _load(self) -> list:
+        """`mec_load` as plain floats, from the grid's plain per-MEC values:
+        a dozen numbers, which numpy would only slow down."""
+        users = self.mec_users.tolist()
         if self.cfg.policy is Policy.WITHOUT_REGIONS:
-            return self.mec_users.astype(float)
-        grid = self.grid
-        region_users = np.bincount(grid.region_of_mec, weights=self.mec_users)
-        share = region_users[grid.region_of_mec] / grid.region_capacity
-        return share * grid.capacities
+            return [float(n) for n in users]
+        region_users = [0.0] * len(users)
+        for (region, _, _), n in zip(self.grid.mec_plain, users):
+            region_users[region] += n
+        return [region_users[region] / region_capacity * capacity
+                for region, capacity, region_capacity in self.grid.mec_plain]
 
     def min_max_ratio(self) -> float:
-        load = self.mec_load()
-        if (load == 0).any():
+        load = self._load()
+        if 0.0 in load:
             return 0.0
-        util = load / self.grid.capacities
-        return float(util.min() / util.max())
+        util = [x / capacity
+                for x, (_, capacity, _) in zip(load, self.grid.mec_plain)]
+        return min(util) / max(util)
 
     def metrics(self, migrations: int = 0) -> StepMetrics:
         return StepMetrics(t=self.t, migrations=migrations,
@@ -369,32 +391,38 @@ def draw_moves(world: SimWorld, rng: np.random.Generator,
     movers = rng.choice(world.population, size=count, replace=False)
     cells = world.user_cell[movers]
     pick = rng.integers(0, world.grid.neighbor_count[cells])
-    new_cells = world.grid.neighbor_table[cells, pick]
+    # one flat gather: a (row, column) gather of the table is twice as slow
+    new_cells = world.grid.neighbor_table.ravel()[cells * len(HEX_DIRS) + pick]
     return movers, new_cells
 
 
 def apply_moves(world: SimWorld, movers: np.ndarray,
                 new_cells: np.ndarray) -> StepMetrics:
-    """Move the users, reassign serving MECs per policy, count migrations."""
+    """Move the users, reassign serving MECs per policy, count migrations.
+
+    Past finding who they are, a step touches only the movers whose
+    serving MEC changes: it gathers, scatters and counts just those.
+    """
     grid = world.grid
     old_serving = world.serving[movers]
     world.user_cell[movers] = new_cells
     if world.cfg.policy is Policy.WITHOUT_REGIONS:
         new_serving = grid.mec_of_cell[new_cells]
+        changed = np.flatnonzero(new_serving != old_serving)
+        users, new_serving = movers[changed], new_serving[changed]
     else:
         # serving MEC sticks within the region; crossing into another
-        # region rehashes over that region's MECs, weighted by capacity
+        # region rehashes over that region's MECs, weighted by capacity,
+        # and so always changes the MEC
         new_region = grid.region_of_cell[new_cells]
-        crossed = new_region != grid.region_of_mec[old_serving]
-        new_serving = old_serving.copy()
-        if crossed.any():
-            new_serving[crossed] = world.hash_table.get(movers[crossed],
-                                                        new_region[crossed])
-    world.serving[movers] = new_serving
+        changed = np.flatnonzero(new_region != grid.region_of_mec[old_serving])
+        users = movers[changed]
+        new_serving = world.hash_table.get(users, new_region[changed])
+    world.serving[users] = new_serving
     n = grid.n_mecs
     world.mec_users += (np.bincount(new_serving, minlength=n)
-                        - np.bincount(old_serving, minlength=n))
-    migrations = int((new_serving != old_serving).sum())
+                        - np.bincount(old_serving[changed], minlength=n))
+    migrations = len(changed)
     world.t += 1
     world.cumulative_migrations += migrations
     return world.metrics(migrations)

@@ -72,10 +72,10 @@ def rendezvous_pick(keys: Sequence[bytes],
     candidate wins with probability proportional to its weight. The first
     candidate wins a tie. Each key extends a copy of the id's hash state.
     """
-    unpack = struct.Struct(f">{len(keys)}Q").unpack
+    unpack = _unpacker(len(keys))
     log = math.log
     rows = []
-    for weight, fresh in _prefixes(tuple(candidates)):
+    for weight, fresh in _prefixes(tuple(candidates)):  # a tuple: no copy
         digests = []
         for key in keys:
             h = fresh()
@@ -84,6 +84,13 @@ def rendezvous_pick(keys: Sequence[bytes],
         rows.append([-weight / log((x + 0.5) / 2.0 ** 64)
                      for x in unpack(b"".join(digests))])
     return [scores.index(max(scores)) for scores in zip(*rows)]
+
+
+@functools.lru_cache(maxsize=64)
+def _unpacker(n: int):
+    """Unpacks n big-endian 64-bit digests; kept for the last few batch
+    sizes, since most calls repeat a size (1 for the gateway's picks)."""
+    return struct.Struct(f">{n}Q").unpack
 
 
 @functools.lru_cache(maxsize=256)

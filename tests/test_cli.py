@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, output stability."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -140,6 +141,30 @@ class TestSimCommands:
         assert (tmp_path / "sweep-small.meta.json").read_bytes() \
             == (golden / "sweep-small.meta.json").read_bytes()
         assert out == (golden / "sweep-small.stdout").read_text()
+
+    def test_sweep_at_benchmark_scale(self, capsys, tmp_path):
+        # the benchmark's sweep (45,000 users, five rates, four
+        # replications, 60 steps), pinned by digest: at this scale a step
+        # scores picks in several regions at once, which the small goldens
+        # never reach
+        cfg_path, out_path = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+        cfg_path.write_text(json.dumps({
+            "regions_count": 3, "mecs_per_region": 4,
+            "capacities": [1, 1, 2, 2], "users_per_capacity": 2500,
+            "steps": 60, "migration_rate": 0, "policy": "with_regions",
+            "seed": 1}))
+        code, out, _ = run(capsys, "sim-sweep", "--config", str(cfg_path),
+                           "--out", str(out_path), "--rates", "0.01", "0.02",
+                           "0.05", "0.1", "0.2", "--replications", "4",
+                           "--steps", "60", "--seed", "1")
+        assert code == 0
+        digests = [hashlib.sha256(data).hexdigest() for data in (
+            out_path.read_bytes(),
+            (tmp_path / "sweep.meta.json").read_bytes(), out.encode())]
+        assert digests == [
+            "f60fad00065f2c95494989e9f985b6e65cc86d03fe94e6f9989a7889131d6de2",
+            "a4c2970c7d3872a8cdec26ded4bee8642831b082daf526a20c19a5365d80e39c",
+            "d2eb540a5b05251bebfce267944ae53b5c897973f1b9972782dff7891da97e91"]
 
     def test_sim_single(self, capsys, tmp_path):
         cfg = {"regions_count": 1, "mecs_per_region": 2,

@@ -52,6 +52,19 @@ class TestConfig:
     def test_population(self):
         assert SimConfig().population == 500 * 6 * 3
 
+    def test_steps_may_be_zero_but_not_negative(self):
+        # the message names the field and its value, as run_experiment's
+        assert small_cfg(steps=0).steps == 0
+        with pytest.raises(ConfigError,
+                           match=r"^steps must be non-negative, not -1$"):
+            small_cfg(steps=-1)
+
+    def test_users_per_capacity_must_be_positive(self):
+        with pytest.raises(
+                ConfigError,
+                match=r"^users_per_capacity must be positive, not 0$"):
+            small_cfg(users_per_capacity=0)
+
     def test_population_must_fit_in_a_float(self):
         # a sweep scales the population by a float rate
         with pytest.raises(ConfigError, match="users_per_capacity"):
@@ -409,6 +422,102 @@ class TestStep:
                     users = (region[grid.region_of_mec] * grid.capacities
                              / grid.region_capacity)
                 assert np.allclose(world.mec_load(), users, rtol=0, atol=1e-9)
+
+
+def full_array_ratio(grid, policy, mec_users):
+    """The min-max ratio as numpy computed it over the per-MEC arrays."""
+    if policy is Policy.WITHOUT_REGIONS:
+        load = mec_users.astype(float)
+    else:
+        region_users = np.bincount(grid.region_of_mec, weights=mec_users)
+        share = region_users[grid.region_of_mec] / grid.region_capacity
+        load = share * grid.capacities
+    if (load == 0).any():
+        return 0.0
+    util = load / grid.capacities
+    return float(util.min() / util.max())
+
+
+class FullArrayStep:
+    """A reference step over every mover: gather, scatter and count all of
+    them, whether or not their serving MEC changes. Keeps its own serving
+    array, counts and pick memo."""
+
+    def __init__(self, world):
+        self.grid, self.policy = world.grid, world.cfg.policy
+        self.serving = world.serving.copy()
+        self.mec_users = world.mec_users.copy()
+        self.cumulative_migrations = 0
+        self.picks = fresh_memo(world.grid, world.population)
+
+    def apply(self, movers, new_cells):
+        grid = self.grid
+        old_serving = self.serving[movers]
+        if self.policy is Policy.WITHOUT_REGIONS:
+            new_serving = grid.mec_of_cell[new_cells]
+        else:
+            new_region = grid.region_of_cell[new_cells]
+            crossed = new_region != grid.region_of_mec[old_serving]
+            new_serving = old_serving.copy()
+            if crossed.any():
+                new_serving[crossed] = self.picks.get(movers[crossed],
+                                                      new_region[crossed])
+        self.serving[movers] = new_serving
+        n = grid.n_mecs
+        self.mec_users += (np.bincount(new_serving, minlength=n)
+                           - np.bincount(old_serving, minlength=n))
+        migrations = int((new_serving != old_serving).sum())
+        self.cumulative_migrations += migrations
+        return migrations, full_array_ratio(grid, self.policy, self.mec_users)
+
+
+class TestStepDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), regions_count=st.integers(1, 3),
+           mecs_per_region=st.integers(1, 4),
+           users_per_capacity=st.integers(1, 12), seed=st.integers(0, 99))
+    def test_step_equals_full_array_step(self, data, regions_count,
+                                         mecs_per_region, users_per_capacity,
+                                         seed):
+        # both policies replay one trace on one shared cell array, as
+        # `replay` does; after every step each world agrees with its
+        # full-array reference, the ratio to the last bit
+        capacities = data.draw(st.lists(st.integers(1, 3),
+                                         min_size=mecs_per_region,
+                                         max_size=mecs_per_region))
+        cfg = SimConfig(regions_count=regions_count,
+                        mecs_per_region=mecs_per_region,
+                        capacities=capacities,
+                        users_per_capacity=users_per_capacity,
+                        migration_rate=0, seed=seed)
+        worlds = [build_world(replace(cfg, policy=p)) for p in sim.POLICIES]
+        worlds[1].user_cell = worlds[0].user_cell
+        refs = [FullArrayStep(world) for world in worlds]
+        population, n_cells = cfg.population, len(worlds[0].grid.cells)
+        rng = np.random.default_rng(seed)
+        for _ in range(data.draw(st.integers(1, 8), label="steps")):
+            if data.draw(st.booleans(), label="drawn by draw_moves"):
+                # neighbor moves, up to the whole population
+                count = data.draw(st.integers(0, population), label="count")
+                movers, new_cells = draw_moves(worlds[0], rng, count)
+            else:
+                # jumps to any cell, so MECs and regions can empty
+                movers = int_array(data.draw(st.lists(
+                    st.integers(0, population - 1), unique=True,
+                    max_size=min(population, 30)), label="movers"))
+                new_cells = int_array(data.draw(st.lists(
+                    st.integers(0, n_cells - 1), min_size=len(movers),
+                    max_size=len(movers)), label="cells"))
+            for world, ref in zip(worlds, refs):
+                m = apply_moves(world, movers, new_cells)
+                migrations, ratio = ref.apply(movers, new_cells)
+                assert np.array_equal(world.serving, ref.serving)
+                assert np.array_equal(world.mec_users, ref.mec_users)
+                assert m.migrations == migrations
+                assert m.cumulative_migrations \
+                    == world.cumulative_migrations \
+                    == ref.cumulative_migrations
+                assert m.min_max_ratio == world.min_max_ratio() == ratio
 
 
 class TestDominance:

@@ -17,6 +17,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant, precondition,
                                  rule)
 
 from megw import gtp, steering
+from megw.sim import HASH_CHUNK
 from megw.gtp import (Direction, FiveTuple, GtpMessageType, build_ipv4,
                       build_tcpish, build_udp, encode_gtpu, decode_gtpu,
                       ip_int, ip_str)
@@ -140,6 +141,28 @@ class TestRendezvous:
     def test_batch_scores_equal_scalar(self, keys, cands):
         assert rendezvous_pick(keys, cands) == [
             reference_pick(key, cands) for key in keys]
+
+    @pytest.mark.parametrize("size", [1, 12, HASH_CHUNK, HASH_CHUNK + 1])
+    @pytest.mark.parametrize("container", [list, tuple])
+    def test_any_batch_size_picks_as_single_keys(self, size, container):
+        # the simulator's batches run from one key to HASH_CHUNK of them; a
+        # batch picks what key-by-key calls do, whether the candidates come
+        # as a list or a tuple
+        rng = random.Random(size)
+        keys = [rng.randbytes(4) for _ in range(size)]
+        cands = container([("mec-0-0", 1), ("mec-0-1", 1), ("mec-0-2", 2),
+                           ("mec-0-3", 2)])
+        picks = rendezvous_pick(keys, cands)
+        assert picks == [rendezvous_pick([key], cands)[0] for key in keys]
+        assert picks == [reference_pick(key, cands) for key in keys]
+
+    def test_batch_size_memo_is_bounded(self):
+        # one unpacker per batch size is kept, for a bounded set of sizes
+        for size in range(1, 200):
+            rendezvous_pick([b"k"] * size, [("a", 1.0)])
+        info = steering._unpacker.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize < 200
 
     def test_known_picks(self):
         # recorded picks: any change to the hash, the score or the tie rule
