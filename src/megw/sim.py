@@ -265,7 +265,9 @@ class RegionPicks:
 
     def get(self, users: np.ndarray, regions: np.ndarray) -> np.ndarray:
         """The picks of the pairs (users[i], regions[i]) in one gather; the
-        pairs not scored yet are scored in one batch per region."""
+        pairs not scored yet are scored in one batch per region. A user
+        out of range raises IndexError; a region out of range is not
+        checked, and would read another user's pair."""
         pairs = users * len(self._members) + regions
         picks = self._picks[pairs]
         missing = np.flatnonzero(picks < 0)

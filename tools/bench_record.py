@@ -27,11 +27,14 @@ SEED, SECONDS = 1, 20   # BENCHMARK.json's run_seconds
 def run_workload(workload: str) -> dict:
     """One `benchmarks/run.py` run; its record, read from the file the run
     leaves in `.bench_out`."""
-    subprocess.run([sys.executable, "benchmarks/run.py", "--workload",
-                    workload, "--seed", str(SEED), "--seconds",
-                    str(SECONDS), "--trace", "0"], cwd=ROOT,
-                   stdout=subprocess.DEVNULL, timeout=20 * SECONDS)
-    # exit status 1 means a failed operation: the record still counts it
+    code = subprocess.run([sys.executable, "benchmarks/run.py",
+                           "--workload", workload, "--seed", str(SEED),
+                           "--seconds", str(SECONDS), "--trace", "0"],
+                          cwd=ROOT, stdout=subprocess.DEVNULL,
+                          timeout=20 * SECONDS).returncode
+    # exit status 1 means a failed operation, which the record counts
+    if code not in (0, 1):
+        raise SystemExit(f"{workload}: benchmarks/run.py exited with {code}")
     last = json.loads((ROOT / ".bench_out" / f"last-{workload}.json")
                       .read_text())
     result = last["result"]
@@ -57,8 +60,6 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("pr", type=int, help="number in the file name")
     args = p.parse_args(argv)
-    for stale in WORKLOADS:     # a run that cannot start writes no record
-        (ROOT / ".bench_out" / f"last-{stale}.json").unlink(missing_ok=True)
     doc = {"pr": args.pr, "seed": SEED, "seconds": SECONDS,
            "workloads": {w: run_workload(w) for w in WORKLOADS},
            "memory": memory()}
