@@ -6,23 +6,25 @@ whole-number capacity. Neighborhoods group into contiguous regions. Users
 are placed proportionally to capacity and wander to random neighbor cells
 each simulated minute.
 
-Two serving policies are compared:
+Two serving policies are compared. Under both a user is served by its
+cell's owner, and a move to a cell of another owner migrates application
+state:
 
-- without regions: a user is always served by the cluster covering its
-  cell, so every neighborhood boundary crossing migrates application state;
-- with regions: the serving cluster is fixed while the user stays inside
-  the region; the gateway's stage I (a capacity-weighted rendezvous hash
-  of user u's subscriber address, `USER_BASE + u`) picks the new serving
-  cluster only when the user enters a different region.
+- without regions: the owner is the cluster covering the cell, so every
+  neighborhood boundary crossing migrates;
+- with regions: the owner is the cell's region, and the serving cluster
+  in it is the gateway's stage I pick (a capacity-weighted rendezvous hash
+  of user u's subscriber address, `USER_BASE + u`), so it changes only
+  when the user enters a different region.
 
-Metrics per step: application-state migrations and the min-max fairness
-ratio of cluster utilizations (least loaded over most loaded).
+A world counts users per owner; `SimWorld.serving` derives the serving
+clusters only when asked. Metrics per step: application-state migrations
+and the min-max fairness ratio of cluster utilizations (least loaded
+over most loaded).
 
 `replay` is the one step loop: it runs one movement trace under each
 policy it is given, drawing each step's moves once. `megw sim` replays its
-config's policy; a sweep replays each replication under both. A
-with-regions pick is scored the first time a crossing reads it and then
-kept in a memo shared by the worlds of one map shape.
+config's policy; a sweep replays each replication under both.
 """
 
 from __future__ import annotations
@@ -244,13 +246,12 @@ class RegionPicks:
     """Each user's serving MEC in each region, scored on first use.
 
     A pick is stage I's choice over the region's MECs for user u, whose
-    subscriber address is `USER_BASE + u`. A crossing reads only the mover's
-    pick in the region it enters, and a sweep reads about a third of all (user,
-    region) pairs, so each pair is scored when first asked for and then kept.
-    A step asks only for its region crossers' picks. The flat array holds
-    the pair (u, region) at `u * regions + region`, -1 while not scored yet,
-    in the narrowest signed dtype that holds a MEC index. Callers get copies,
-    so no world writes a pick.
+    subscriber address is `USER_BASE + u`. No step reads a pick:
+    `SimWorld.serving` asks for them, so each pair is scored when first
+    asked for and then kept. The flat array holds the pair (u, region) at
+    `u * regions + region`, -1 while not scored yet, in the narrowest signed
+    dtype that holds a MEC index. Callers get copies, so no world writes a
+    pick.
     """
 
     def __init__(self, n_users: int, mec_names: tuple, capacities: tuple,
@@ -265,10 +266,12 @@ class RegionPicks:
 
     def get(self, users: np.ndarray, regions: np.ndarray) -> np.ndarray:
         """The picks of the pairs (users[i], regions[i]) in one gather; the
-        pairs not scored yet are scored in one batch per region. A user
-        out of range raises IndexError; a region out of range is not
-        checked, and would read another user's pair."""
-        pairs = users * len(self._members) + regions
+        pairs not scored yet are scored in one batch per region. A user or
+        a region out of range raises IndexError."""
+        n_regions = len(self._members)
+        if ((users < 0) | (regions < 0) | (regions >= n_regions)).any():
+            raise IndexError("a (user, region) pair out of range")
+        pairs = users * n_regions + regions
         picks = self._picks[pairs]
         missing = np.flatnonzero(picks < 0)
         if len(missing):
@@ -305,16 +308,16 @@ class StepMetrics:
 
 @dataclass
 class SimWorld:
-    """One run's state. `serving` and `mec_users` change together, only in
-    `apply_moves`: a direct write to `serving` leaves the counts stale.
-    Worlds replaying one movement trace may share `user_cell`, since each
-    `apply_moves` writes the same cells to it."""
+    """One run's state. A user is served by the owner of its cell: its MEC
+    without regions, its region with them. `user_cell` and `owner_users`
+    change together, only in `apply_moves`: a direct write to `user_cell`
+    leaves the counts stale, and so does sharing it with another world."""
 
     cfg: SimConfig
     grid: HexGrid
     user_cell: np.ndarray
-    serving: np.ndarray
-    mec_users: np.ndarray        # (n_mecs,) users served, bincount(serving)
+    owner: np.ndarray            # (n_cells,) the cell's MEC, or its region
+    owner_users: np.ndarray      # users per owner, bincount(owner[user_cell])
     hash_table: RegionPicks | None   # with regions: the shared pick memo
     t: int = 0
     cumulative_migrations: int = 0
@@ -322,6 +325,14 @@ class SimWorld:
     @property
     def population(self) -> int:
         return len(self.user_cell)
+
+    def serving(self) -> np.ndarray:
+        """Each user's serving MEC: its cell's MEC without regions, stage
+        I's pick in its cell's region with them."""
+        if self.cfg.policy is Policy.WITHOUT_REGIONS:
+            return self.grid.mec_of_cell[self.user_cell]
+        return self.hash_table.get(np.arange(self.population),
+                                   self.grid.region_of_cell[self.user_cell])
 
     def mec_load(self) -> np.ndarray:
         """Users per MEC.
@@ -337,13 +348,10 @@ class SimWorld:
     def _load(self) -> list:
         """`mec_load` as plain floats, from the grid's plain per-MEC values:
         a dozen numbers, which numpy would only slow down."""
-        users = self.mec_users.tolist()
+        users = [float(n) for n in self.owner_users.tolist()]
         if self.cfg.policy is Policy.WITHOUT_REGIONS:
-            return [float(n) for n in users]
-        region_users = [0.0] * len(users)
-        for (region, _, _), n in zip(self.grid.mec_plain, users):
-            region_users[region] += n
-        return [region_users[region] / region_capacity * capacity
+            return users
+        return [users[region] / region_capacity * capacity
                 for region, capacity, region_capacity in self.grid.mec_plain]
 
     def min_max_ratio(self) -> float:
@@ -362,20 +370,23 @@ class SimWorld:
 
 def build_world(cfg: SimConfig) -> SimWorld:
     """Deterministic initial world: users_per_capacity x capacity users in
-    each neighborhood, spread uniformly over its 7 cells, each served by
-    the geographically covering MEC, so utilizations start exactly equal."""
+    each neighborhood, spread uniformly over its 7 cells, so utilizations
+    start exactly equal."""
     grid = build_grid(cfg)
     rng = np.random.default_rng([cfg.seed, 0x9E37])
     user_cell = np.concatenate([
         rng.choice(cells, size=cfg.users_per_capacity * capacity, replace=True)
         for cells, capacity in zip(grid.mec_cells, grid.capacities.tolist())])
-    serving = grid.mec_of_cell[user_cell]
-    table = (_region_picks(len(user_cell), grid.mec_names,
-                           tuple(grid.capacities.tolist()),
-                           tuple(grid.region_of_mec.tolist()))
-             if cfg.policy is Policy.WITH_REGIONS else None)
-    return SimWorld(cfg=cfg, grid=grid, user_cell=user_cell, serving=serving,
-                    mec_users=np.bincount(serving, minlength=grid.n_mecs),
+    if cfg.policy is Policy.WITHOUT_REGIONS:
+        owner, owners, table = grid.mec_of_cell, grid.n_mecs, None
+    else:
+        owner, owners = grid.region_of_cell, cfg.regions_count
+        table = _region_picks(len(user_cell), grid.mec_names,
+                              tuple(grid.capacities.tolist()),
+                              tuple(grid.region_of_mec.tolist()))
+    return SimWorld(cfg=cfg, grid=grid, user_cell=user_cell, owner=owner,
+                    owner_users=np.bincount(owner[user_cell],
+                                            minlength=owners),
                     hash_table=table)
 
 
@@ -400,31 +411,18 @@ def draw_moves(world: SimWorld, rng: np.random.Generator,
 
 def apply_moves(world: SimWorld, movers: np.ndarray,
                 new_cells: np.ndarray) -> StepMetrics:
-    """Move the users, reassign serving MECs per policy, count migrations.
-
-    Past finding who they are, a step touches only the movers whose
-    serving MEC changes: it gathers, scatters and counts just those.
-    """
-    grid = world.grid
-    old_serving = world.serving[movers]
+    """Move the users and count migrations: a mover whose cell's owner
+    changes migrates, under either policy. Past finding who they are, a
+    step counts only those movers."""
+    owner = world.owner
+    old_owner = owner[world.user_cell[movers]]
+    new_owner = owner[new_cells]
     world.user_cell[movers] = new_cells
-    if world.cfg.policy is Policy.WITHOUT_REGIONS:
-        new_serving = grid.mec_of_cell[new_cells]
-        changed = np.flatnonzero(new_serving != old_serving)
-        users, new_serving = movers[changed], new_serving[changed]
-    else:
-        # serving MEC sticks within the region; crossing into another
-        # region rehashes over that region's MECs, weighted by capacity,
-        # and so always changes the MEC
-        new_region = grid.region_of_cell[new_cells]
-        changed = np.flatnonzero(new_region != grid.region_of_mec[old_serving])
-        users = movers[changed]
-        new_serving = world.hash_table.get(users, new_region[changed])
-    world.serving[users] = new_serving
-    n = grid.n_mecs
-    world.mec_users += (np.bincount(new_serving, minlength=n)
-                        - np.bincount(old_serving[changed], minlength=n))
-    migrations = len(changed)
+    changed = new_owner != old_owner
+    n = len(world.owner_users)
+    world.owner_users += (np.bincount(new_owner[changed], minlength=n)
+                          - np.bincount(old_owner[changed], minlength=n))
+    migrations = int(np.count_nonzero(changed))
     world.t += 1
     world.cumulative_migrations += migrations
     return world.metrics(migrations)
@@ -459,8 +457,6 @@ def replay(cfg: SimConfig, policies: tuple,
     step draws its moves once and applies them to one world per policy.
     Returns each policy's metrics series, from t=0."""
     worlds = [build_world(replace(cfg, policy=policy)) for policy in policies]
-    for world in worlds[1:]:
-        world.user_cell = worlds[0].user_cell   # same seed, same cells
     series = [[world.metrics()] for world in worlds]
     for _ in range(cfg.steps):
         movers, new_cells = draw_moves(worlds[0], rng)

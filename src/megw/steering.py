@@ -72,7 +72,7 @@ def rendezvous_pick(keys: Sequence[bytes],
     candidate wins with probability proportional to its weight. The first
     candidate wins a tie. Each key extends a copy of the id's hash state.
     """
-    unpack = _unpacker(len(keys))
+    digest_format = f">{len(keys)}Q"   # struct caches the compiled format
     log = math.log
     rows = []
     for weight, fresh in _prefixes(tuple(candidates)):  # a tuple: no copy
@@ -82,15 +82,9 @@ def rendezvous_pick(keys: Sequence[bytes],
             h.update(key)
             digests.append(h.digest())
         rows.append([-weight / log((x + 0.5) / 2.0 ** 64)
-                     for x in unpack(b"".join(digests))])
+                     for x in struct.unpack(digest_format,
+                                            b"".join(digests))])
     return [scores.index(max(scores)) for scores in zip(*rows)]
-
-
-@functools.lru_cache(maxsize=64)
-def _unpacker(n: int):
-    """Unpacks n big-endian 64-bit digests; kept for the last few batch
-    sizes, since most calls repeat a size (1 for the gateway's picks)."""
-    return struct.Struct(f">{n}Q").unpack
 
 
 @functools.lru_cache(maxsize=256)

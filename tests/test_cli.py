@@ -144,9 +144,8 @@ class TestSimCommands:
 
     def test_sweep_at_benchmark_scale(self, capsys, tmp_path):
         # the benchmark's sweep (45,000 users, five rates, four
-        # replications, 60 steps), pinned by digest: at this scale a step
-        # scores picks in several regions at once, which the small goldens
-        # never reach
+        # replications, 60 steps), pinned by digest at a scale the small
+        # goldens never reach
         cfg_path, out_path = tmp_path / "sweep.json", tmp_path / "sweep.csv"
         cfg_path.write_text(json.dumps({
             "regions_count": 3, "mecs_per_region": 4,

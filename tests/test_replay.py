@@ -5,8 +5,9 @@ region; the fabric's gateways notify a migration for each cross-region X2
 handover. Driving both with the same `draw_moves` batches, this checks that
 the two agree at every step, that every handover runs to its
 acknowledgement, that each subscriber's context lives only on the gateway
-of its current base station, and that a user who has crossed a region is
-served in the simulator by the MEC that the gateways' stage I picks.
+of its current base station, and that every migration notice names the
+simulator's old and new serving MECs, the MECs that the gateways' stage I
+picks.
 """
 
 import numpy as np
@@ -90,31 +91,27 @@ def test_fabric_replays_sim_migrations():
     for _ in range(cfg.steps):
         movers, new_cells = sim.draw_moves(world, rng)
         old_cells = world.user_cell[movers]
-        old_serving = world.serving[movers]
-        had_crossed = crossed[movers]
+        old_serving = world.serving()[movers]
         crossed[movers] |= (grid.region_of_cell[old_cells]
                             != grid.region_of_cell[new_cells])
         series.append(sim.apply_moves(world, movers, new_cells))
+        serving = world.serving()
         notices = 0
-        for u, old, new, was, before in zip(
+        for u, old, new, was in zip(
                 movers.tolist(), old_cells.tolist(), new_cells.tolist(),
-                old_serving.tolist(), had_crossed.tolist()):
+                old_serving.tolist()):
             trace = h.run_x2_handover(f"ue{u}", f"enb-{old}", f"enb-{new}")
             # a notice names the MECs stage I serves the subscriber from in
-            # the old and the new region: the sim's new serving MEC, and its
-            # old one once the user has crossed before (the sim starts each
-            # user at its cell's MEC, which stage I need not pick)
+            # the old and the new region: the sim's old and new serving MEC
             for ev in trace:
                 if ev.action != MIGRATION_NOTIFIED:
                     continue
                 notices += 1
                 ue_ip = h.ues[f"ue{u}"].ip
-                assert ev.detail["new_mec"] \
-                    == grid.mec_names[world.serving[u]]
+                assert ev.detail["new_mec"] == grid.mec_names[serving[u]]
                 assert ev.detail["old_mec"] == stage1_mec(
                     topology, grid, ue_ip, int(grid.region_of_cell[old]))
-                if before:
-                    assert ev.detail["old_mec"] == grid.mec_names[was]
+                assert ev.detail["old_mec"] == grid.mec_names[was]
             # complete: the end marker silenced the old gateway's rules and
             # the acknowledgement moved them to the new tunnels
             old_gw, new_gw = (gateway_of[topology.nodes[f"enb-{c}"].ip]
@@ -127,7 +124,7 @@ def test_fabric_replays_sim_migrations():
         # a user who has crossed a region is served where stage I serves it
         for u in np.flatnonzero(crossed).tolist():
             region = int(grid.region_of_cell[world.user_cell[u]])
-            assert grid.mec_names[world.serving[u]] == stage1_mec(
+            assert grid.mec_names[serving[u]] == stage1_mec(
                 topology, grid, h.ues[f"ue{u}"].ip, region)
 
         assert not any(gw.processor.pending for gw in h.megws.values())

@@ -202,6 +202,17 @@ class TestRegionHashTable:
             assert memo.get(users, regions).tolist() \
                 == expected[users, regions].tolist()
 
+    def test_pair_out_of_range_raises(self):
+        # the flat memo holds user u's pairs next to user u-1's and u+1's:
+        # region -1 or the region count, or user -1, would read a pair of
+        # another user
+        memo = fresh_memo(build_grid(PICK_CFG), PICK_CFG.population)
+        for user, region in ((1, PICK_CFG.regions_count), (1, -1), (-1, 0)):
+            with pytest.raises(IndexError):
+                memo.get(int_array([user]), int_array([region]))
+        assert memo.get(int_array([1]), int_array([2])).tolist() \
+            == [pick_cfg_table()[1, 2]]
+
     def test_tie_goes_to_first_candidate(self):
         # two candidates with one id and one weight score alike for every
         # key; `rendezvous_select` keeps the first, and so does the memo
@@ -270,11 +281,20 @@ class TestBuildWorld:
                         migration_rate=0)
         world = build_world(cfg)
         assert world.population == 500
-        assert (world.serving == 0).all()
+        assert (world.serving() == 0).all()
 
     def test_initial_serving_geographic(self):
-        world = build_world(SimConfig())
-        assert (world.serving == world.grid.mec_of_cell[world.user_cell]).all()
+        # from t=0 a user is served where its cell puts it: by the cell's
+        # MEC without regions, by stage I's pick in the cell's region with
+        # them
+        without = build_world(replace(PICK_CFG,
+                                      policy=Policy.WITHOUT_REGIONS))
+        assert np.array_equal(without.serving(),
+                              without.grid.mec_of_cell[without.user_cell])
+        world = build_world(PICK_CFG)
+        regions = world.grid.region_of_cell[world.user_cell]
+        assert world.serving().tolist() == pick_cfg_table()[
+            np.arange(world.population), regions].tolist()
 
     def test_hash_table_cache_holds_one_table(self):
         small = build_world(small_cfg(users_per_capacity=20))
@@ -370,10 +390,10 @@ class TestStep:
         world = build_world(cfg)
         rng = np.random.default_rng(11)
         for _ in range(20):
-            serving_before = world.serving.copy()
+            serving_before = world.serving()
             region_before = world.grid.region_of_mec[serving_before]
             step(world, rng)
-            changed = world.serving != serving_before
+            changed = world.serving() != serving_before
             new_region = world.grid.region_of_cell[world.user_cell]
             assert (new_region[changed] != region_before[changed]).all()
 
@@ -381,9 +401,9 @@ class TestStep:
         cfg = SimConfig(migration_rate=2000, seed=13)
         world = build_world(cfg)
         rng = np.random.default_rng(13)
-        serving_before = world.serving.copy()
+        serving_before = world.serving()
         step(world, rng)
-        changed = np.flatnonzero(world.serving != serving_before)
+        changed = np.flatnonzero(world.serving() != serving_before)
         assert changed.size > 0
         grid = world.grid
         for u in changed[:20]:
@@ -393,20 +413,20 @@ class TestStep:
                      for m in members]
             pick = rendezvous_select(stage1_key(sim.USER_BASE + int(u)),
                                      cands)
-            assert grid.mec_names[world.serving[u]] == pick
+            assert grid.mec_names[world.serving()[u]] == pick
 
     def test_ratio_zero_when_mec_empty(self):
         world = build_world(small_cfg(policy=Policy.WITHOUT_REGIONS))
         # everyone piles onto MEC 0
-        movers = np.flatnonzero(world.serving != 0)
+        movers = np.flatnonzero(world.serving() != 0)
         apply_moves(world, movers,
                     np.full(len(movers), world.grid.mec_cells[0][0]))
         assert world.min_max_ratio() == 0.0
 
     @pytest.mark.parametrize("policy", list(Policy))
     def test_counts_follow_serving(self, policy):
-        # the per-MEC counts equal a recount after every step, and so does
-        # the load computed from them
+        # the per-owner counts equal a recount after every step, and the
+        # load computed from them equals one computed from the serving MECs
         for seed in (1, 2):
             world = build_world(SimConfig(migration_rate=900, seed=seed,
                                           policy=policy))
@@ -414,10 +434,13 @@ class TestStep:
             rng = np.random.default_rng(seed)
             for _ in range(30):
                 step(world, rng)
-                users = np.bincount(world.serving, minlength=grid.n_mecs)
-                assert np.array_equal(world.mec_users, users)
+                assert np.array_equal(world.owner_users, np.bincount(
+                    world.owner[world.user_cell],
+                    minlength=len(world.owner_users)))
+                serving = world.serving()
+                users = np.bincount(serving, minlength=grid.n_mecs)
                 if policy is Policy.WITH_REGIONS:
-                    region = np.bincount(grid.region_of_mec[world.serving],
+                    region = np.bincount(grid.region_of_mec[serving],
                                          minlength=3)
                     users = (region[grid.region_of_mec] * grid.capacities
                              / grid.region_capacity)
@@ -441,14 +464,26 @@ def full_array_ratio(grid, policy, mec_users):
 class FullArrayStep:
     """A reference step over every mover: gather, scatter and count all of
     them, whether or not their serving MEC changes. Keeps its own serving
-    array, counts and pick memo."""
+    array, per-MEC counts and pick memo; with regions a user starts at
+    stage I's pick in its cell's region."""
 
     def __init__(self, world):
-        self.grid, self.policy = world.grid, world.cfg.policy
-        self.serving = world.serving.copy()
-        self.mec_users = world.mec_users.copy()
+        grid = self.grid = world.grid
+        self.policy = world.cfg.policy
+        self.serving = grid.mec_of_cell[world.user_cell]
+        self.picks = fresh_memo(grid, world.population)
+        if self.policy is Policy.WITH_REGIONS:
+            self.serving = self.picks.get(
+                np.arange(world.population),
+                grid.region_of_cell[world.user_cell]).astype(np.int64)
+        self.mec_users = np.bincount(self.serving, minlength=grid.n_mecs)
         self.cumulative_migrations = 0
-        self.picks = fresh_memo(world.grid, world.population)
+
+    def owner_users(self):
+        """The per-MEC counts, summed per region with regions."""
+        if self.policy is Policy.WITHOUT_REGIONS:
+            return self.mec_users
+        return np.bincount(self.grid.region_of_mec, weights=self.mec_users)
 
     def apply(self, movers, new_cells):
         grid = self.grid
@@ -479,9 +514,9 @@ class TestStepDifferential:
     def test_step_equals_full_array_step(self, data, regions_count,
                                          mecs_per_region, users_per_capacity,
                                          seed):
-        # both policies replay one trace on one shared cell array, as
-        # `replay` does; after every step each world agrees with its
-        # full-array reference, the ratio to the last bit
+        # both policies replay one trace, each world on its own cell
+        # array, as `replay` does; after every step each world agrees with
+        # its full-array reference, the ratio to the last bit
         capacities = data.draw(st.lists(st.integers(1, 3),
                                          min_size=mecs_per_region,
                                          max_size=mecs_per_region))
@@ -491,7 +526,6 @@ class TestStepDifferential:
                         users_per_capacity=users_per_capacity,
                         migration_rate=0, seed=seed)
         worlds = [build_world(replace(cfg, policy=p)) for p in sim.POLICIES]
-        worlds[1].user_cell = worlds[0].user_cell
         refs = [FullArrayStep(world) for world in worlds]
         population, n_cells = cfg.population, len(worlds[0].grid.cells)
         rng = np.random.default_rng(seed)
@@ -511,8 +545,8 @@ class TestStepDifferential:
             for world, ref in zip(worlds, refs):
                 m = apply_moves(world, movers, new_cells)
                 migrations, ratio = ref.apply(movers, new_cells)
-                assert np.array_equal(world.serving, ref.serving)
-                assert np.array_equal(world.mec_users, ref.mec_users)
+                assert np.array_equal(world.serving(), ref.serving)
+                assert np.array_equal(world.owner_users, ref.owner_users())
                 assert m.migrations == migrations
                 assert m.cumulative_migrations \
                     == world.cumulative_migrations \
