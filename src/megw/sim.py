@@ -17,10 +17,11 @@ state:
   of user u's subscriber address, `USER_BASE + u`), so it changes only
   when the user enters a different region.
 
-A world counts users per owner; `SimWorld.serving` derives the serving
-clusters only when asked. Metrics per step: application-state migrations
-and the min-max fairness ratio of cluster utilizations (least loaded
-over most loaded).
+A world counts users per owner. `SimWorld.serving` gathers the serving
+clusters only when asked, with regions from the world's `stage1_table`
+of each user's pick in each region, computed on first use. Metrics per
+step: application-state migrations and the min-max fairness ratio of
+cluster utilizations (least loaded over most loaded).
 
 `replay` is the one step loop: it runs one movement trace under each
 policy it is given, drawing each step's moves once. `megw sim` replays its
@@ -242,60 +243,30 @@ def _grid(regions_count: int, mecs_per_region: int,
                    mec_plain=mec_plain)
 
 
-class RegionPicks:
-    """Each user's serving MEC in each region, scored on first use.
+def stage1_table(grid: HexGrid, n_users: int) -> np.ndarray:
+    """Stage I's pick for each of `n_users` users in each region.
 
-    A pick is stage I's choice over the region's MECs for user u, whose
-    subscriber address is `USER_BASE + u`. No step reads a pick:
-    `SimWorld.serving` asks for them, so each pair is scored when first
-    asked for and then kept. The flat array holds the pair (u, region) at
-    `u * regions + region`, -1 while not scored yet, in the narrowest signed
-    dtype that holds a MEC index. Callers get copies, so no world writes a
-    pick.
+    An (n_users, regions) array of MEC indices, in the narrowest signed
+    dtype that holds one. User u is keyed by its subscriber address,
+    `USER_BASE + u`; each region's column is one capacity-weighted
+    `rendezvous_pick` pass over the region's MECs, HASH_CHUNK keys at a
+    time.
     """
-
-    def __init__(self, n_users: int, mec_names: tuple, capacities: tuple,
-                 region_of_mec: tuple):
-        self._members = [np.array([m for m, r in enumerate(region_of_mec)
-                                   if r == region])
-                         for region in range(max(region_of_mec) + 1)]
-        self._candidates = [tuple((mec_names[m], capacities[m]) for m in mecs)
-                            for mecs in self._members]
-        self._picks = np.full(n_users * len(self._members), -1,
-                              dtype=np.min_scalar_type(-len(mec_names)))
-
-    def get(self, users: np.ndarray, regions: np.ndarray) -> np.ndarray:
-        """The picks of the pairs (users[i], regions[i]) in one gather; the
-        pairs not scored yet are scored in one batch per region. A user or
-        a region out of range raises IndexError."""
-        n_regions = len(self._members)
-        if ((users < 0) | (regions < 0) | (regions >= n_regions)).any():
-            raise IndexError("a (user, region) pair out of range")
-        pairs = users * n_regions + regions
-        picks = self._picks[pairs]
-        missing = np.flatnonzero(picks < 0)
-        if len(missing):
-            missing_regions = regions[missing]
-            for region in range(len(self._members)):
-                batch = missing[missing_regions == region]
-                if len(batch):
-                    picks[batch] = self._score(users[batch], region)
-            self._picks[pairs[missing]] = picks[missing]
-        return picks
-
-    def _score(self, users: np.ndarray, region: int) -> np.ndarray:
-        """The users' picks among the region's MECs, HASH_CHUNK at a time."""
-        keys = [stage1_key(USER_BASE + user) for user in users.tolist()]
-        candidates = self._candidates[region]
+    keys = [stage1_key(USER_BASE + user) for user in range(n_users)]
+    capacities = grid.capacities.tolist()
+    regions = int(grid.region_of_mec.max()) + 1
+    table = np.empty((n_users, regions),
+                     dtype=np.min_scalar_type(-grid.n_mecs))
+    for region in range(regions):
+        members = np.flatnonzero(grid.region_of_mec == region)
+        candidates = [(grid.mec_names[m], capacities[m])
+                      for m in members.tolist()]
         picks = []
-        for start in range(0, len(keys), HASH_CHUNK):
+        for start in range(0, n_users, HASH_CHUNK):
             picks += rendezvous_pick(keys[start:start + HASH_CHUNK],
                                      candidates)
-        return self._members[region][picks]
-
-
-# one memo is kept, since every with-regions world of a sweep shares it
-_region_picks = functools.lru_cache(maxsize=1)(RegionPicks)
+        table[:, region] = members[picks]
+    return table
 
 
 @dataclass
@@ -311,14 +282,15 @@ class SimWorld:
     """One run's state. A user is served by the owner of its cell: its MEC
     without regions, its region with them. `user_cell` and `owner_users`
     change together, only in `apply_moves`: a direct write to `user_cell`
-    leaves the counts stale, and so does sharing it with another world."""
+    leaves the counts stale, and so does sharing it with another world.
+    With regions, the world's `stage1_table` is computed the first time
+    `serving()` asks for it and kept; no step reads it."""
 
     cfg: SimConfig
     grid: HexGrid
     user_cell: np.ndarray
     owner: np.ndarray            # (n_cells,) the cell's MEC, or its region
     owner_users: np.ndarray      # users per owner, bincount(owner[user_cell])
-    hash_table: RegionPicks | None   # with regions: the shared pick memo
     t: int = 0
     cumulative_migrations: int = 0
 
@@ -326,16 +298,22 @@ class SimWorld:
     def population(self) -> int:
         return len(self.user_cell)
 
+    @functools.cached_property
+    def _stage1(self) -> np.ndarray:
+        return stage1_table(self.grid, self.population)
+
     def serving(self) -> np.ndarray:
-        """Each user's serving MEC: its cell's MEC without regions, stage
-        I's pick in its cell's region with them."""
+        """Each user's serving MEC, a new array: its cell's MEC without
+        regions, stage I's pick in its cell's region with them, gathered
+        from the world's `stage1_table`."""
         if self.cfg.policy is Policy.WITHOUT_REGIONS:
             return self.grid.mec_of_cell[self.user_cell]
-        return self.hash_table.get(np.arange(self.population),
-                                   self.grid.region_of_cell[self.user_cell])
+        return self._stage1[np.arange(self.population),
+                            self.grid.region_of_cell[self.user_cell]]
 
-    def mec_load(self) -> np.ndarray:
-        """Users per MEC.
+    def mec_load(self) -> list:
+        """Users per MEC, as plain floats: a dozen numbers, which numpy
+        would only slow down.
 
         Without regions a MEC carries exactly the users assigned to it.
         With regions each region acts as one pooled cluster whose load the
@@ -343,11 +321,6 @@ class SimWorld:
         so a MEC carries its capacity share of the region's users; the
         pooling is what absorbs per-user randomness.
         """
-        return np.array(self._load())
-
-    def _load(self) -> list:
-        """`mec_load` as plain floats, from the grid's plain per-MEC values:
-        a dozen numbers, which numpy would only slow down."""
         users = [float(n) for n in self.owner_users.tolist()]
         if self.cfg.policy is Policy.WITHOUT_REGIONS:
             return users
@@ -355,7 +328,7 @@ class SimWorld:
                 for region, capacity, region_capacity in self.grid.mec_plain]
 
     def min_max_ratio(self) -> float:
-        load = self._load()
+        load = self.mec_load()
         if 0.0 in load:
             return 0.0
         util = [x / capacity
@@ -378,16 +351,12 @@ def build_world(cfg: SimConfig) -> SimWorld:
         rng.choice(cells, size=cfg.users_per_capacity * capacity, replace=True)
         for cells, capacity in zip(grid.mec_cells, grid.capacities.tolist())])
     if cfg.policy is Policy.WITHOUT_REGIONS:
-        owner, owners, table = grid.mec_of_cell, grid.n_mecs, None
+        owner, owners = grid.mec_of_cell, grid.n_mecs
     else:
         owner, owners = grid.region_of_cell, cfg.regions_count
-        table = _region_picks(len(user_cell), grid.mec_names,
-                              tuple(grid.capacities.tolist()),
-                              tuple(grid.region_of_mec.tolist()))
     return SimWorld(cfg=cfg, grid=grid, user_cell=user_cell, owner=owner,
                     owner_users=np.bincount(owner[user_cell],
-                                            minlength=owners),
-                    hash_table=table)
+                                            minlength=owners))
 
 
 def draw_moves(world: SimWorld, rng: np.random.Generator,

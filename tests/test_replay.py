@@ -63,15 +63,11 @@ def test_region_picks_are_stage1_picks():
     cfg = sim.SimConfig(users_per_capacity=20, migration_rate=0)
     grid = sim.build_grid(cfg)
     topology = build_topology(fabric_config(grid, cfg.population))
-    n_regions = cfg.regions_count
-    picks = sim.RegionPicks(
-        cfg.population, grid.mec_names, tuple(grid.capacities.tolist()),
-        tuple(grid.region_of_mec.tolist())).get(
-            np.repeat(np.arange(cfg.population), n_regions),
-            np.tile(np.arange(n_regions), cfg.population))
+    picks = sim.stage1_table(grid, cfg.population)
     expected = [stage1_mec(topology, grid, topology.nodes[f"ue{u}"].ip, r)
-                for u in range(cfg.population) for r in range(n_regions)]
-    assert [grid.mec_names[m] for m in picks.tolist()] == expected
+                for u in range(cfg.population)
+                for r in range(cfg.regions_count)]
+    assert [grid.mec_names[m] for m in picks.ravel().tolist()] == expected
 
 
 def test_fabric_replays_sim_migrations():

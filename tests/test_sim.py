@@ -134,7 +134,7 @@ class TestGrid:
 
 
 def scalar_table(grid, n_users):
-    """The region hash table one `rendezvous_select` call at a time."""
+    """`sim.stage1_table` one `rendezvous_select` call at a time."""
     n_regions = int(grid.region_of_mec.max()) + 1
     table = np.empty((n_users, n_regions), dtype=np.int64)
     for region in range(n_regions):
@@ -146,13 +146,6 @@ def scalar_table(grid, n_users):
             table[user, region] = index[rendezvous_select(
                 stage1_key(sim.USER_BASE + user), cands)]
     return table
-
-
-def fresh_memo(grid, n_users):
-    """A pick memo of its own, outside the one-memo cache."""
-    return sim.RegionPicks(n_users, grid.mec_names,
-                           tuple(grid.capacities.tolist()),
-                           tuple(grid.region_of_mec.tolist()))
 
 
 def int_array(values):
@@ -173,52 +166,12 @@ class TestRegionHashTable:
     @pytest.mark.parametrize("users_per_capacity", [20, 40, 500, 2500])
     def test_equals_scalar_selection(self, users_per_capacity):
         # every size the tests, the demo and the benchmark use, on the
-        # paper's map, asking for every (user, region) pair at once; 500
-        # and 2500 span several batches
+        # paper's map; 500 and 2500 span several batches
         cfg = SimConfig(users_per_capacity=users_per_capacity)
         grid = build_grid(cfg)
-        expected = scalar_table(grid, cfg.population)
-        n_users, n_regions = expected.shape
-        users = np.repeat(np.arange(n_users), n_regions)
-        regions = np.tile(np.arange(n_regions), n_users)
-        memo = fresh_memo(grid, cfg.population)
-        picks = memo.get(users, regions)
-        assert picks.dtype == np.int8
-        assert np.array_equal(picks.reshape(expected.shape), expected)
-        assert np.array_equal(memo.get(users, regions), picks)
-
-    @given(batches=st.lists(st.lists(st.tuples(
-        st.integers(0, PICK_CFG.population - 1), st.integers(0, 2)),
-        max_size=20), max_size=8))
-    @example(batches=[[(3, 1), (3, 1), (7, 1)], [(3, 1), (3, 0)], []])
-    def test_any_batches_return_scalar_picks(self, batches):
-        # picks scored in any order, with repeats and with earlier batches
-        # already memoized, are the scalar selection's
-        expected = pick_cfg_table()
-        memo = fresh_memo(build_grid(PICK_CFG), PICK_CFG.population)
-        for batch in batches:
-            users = int_array([u for u, _ in batch])
-            regions = int_array([r for _, r in batch])
-            assert memo.get(users, regions).tolist() \
-                == expected[users, regions].tolist()
-
-    def test_pair_out_of_range_raises(self):
-        # the flat memo holds user u's pairs next to user u-1's and u+1's:
-        # region -1 or the region count, or user -1, would read a pair of
-        # another user
-        memo = fresh_memo(build_grid(PICK_CFG), PICK_CFG.population)
-        for user, region in ((1, PICK_CFG.regions_count), (1, -1), (-1, 0)):
-            with pytest.raises(IndexError):
-                memo.get(int_array([user]), int_array([region]))
-        assert memo.get(int_array([1]), int_array([2])).tolist() \
-            == [pick_cfg_table()[1, 2]]
-
-    def test_tie_goes_to_first_candidate(self):
-        # two candidates with one id and one weight score alike for every
-        # key; `rendezvous_select` keeps the first, and so does the memo
-        memo = sim.RegionPicks(6, ("a", "b", "b"), (1.0, 2.0, 2.0), (0, 1, 1))
-        picks = memo.get(np.arange(6), np.ones(6, dtype=np.int64))
-        assert picks.tolist() == [1] * 6
+        table = sim.stage1_table(grid, cfg.population)
+        assert table.dtype == np.int8
+        assert np.array_equal(table, scalar_table(grid, cfg.population))
 
     @given(keys=st.lists(st.binary(max_size=12), min_size=1, max_size=12),
            cands=st.lists(st.tuples(
@@ -296,26 +249,14 @@ class TestBuildWorld:
         assert world.serving().tolist() == pick_cfg_table()[
             np.arange(world.population), regions].tolist()
 
-    def test_hash_table_cache_holds_one_table(self):
-        small = build_world(small_cfg(users_per_capacity=20))
-        large = build_world(small_cfg(users_per_capacity=40))
-        region = int_array([0])
-        # each memo spans its world's population: 40 and 80 users
-        for world, n_users in ((small, 40), (large, 80)):
-            world.hash_table.get(int_array([n_users - 1]), region)
-            with pytest.raises(IndexError):
-                world.hash_table.get(int_array([n_users]), region)
-        assert sim._region_picks.cache_info().currsize <= 1
-        assert build_world(small_cfg(users_per_capacity=40)).hash_table \
-            is large.hash_table
-        # a world has no way to write picks: the memo exposes no array, and
-        # the picks it hands out are copies
-        assert all(name.startswith("_") for name in vars(large.hash_table))
-        users, regions = np.arange(80), np.zeros(80, dtype=np.int64)
-        picks = large.hash_table.get(users, regions)
-        picks[:] = 1 - picks
-        assert np.array_equal(large.hash_table.get(users, regions),
-                              scalar_table(large.grid, 80)[:, 0])
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_serving_is_a_new_array(self, policy):
+        # a caller that writes into what serving() returns changes no pick
+        world = build_world(replace(PICK_CFG, policy=policy))
+        serving = world.serving()
+        expected = serving.copy()
+        serving[:] = 1 - serving
+        assert np.array_equal(world.serving(), expected)
 
 
 class TestStep:
@@ -334,7 +275,7 @@ class TestStep:
         for _ in range(10):
             step(world, rng)
         assert world.population == cfg.population
-        assert world.mec_load().sum() == pytest.approx(cfg.population)
+        assert sum(world.mec_load()) == pytest.approx(cfg.population)
 
     def test_movers_go_to_neighbor_cells(self):
         world = build_world(small_cfg())
@@ -464,18 +405,18 @@ def full_array_ratio(grid, policy, mec_users):
 class FullArrayStep:
     """A reference step over every mover: gather, scatter and count all of
     them, whether or not their serving MEC changes. Keeps its own serving
-    array, per-MEC counts and pick memo; with regions a user starts at
+    array, per-MEC counts and pick table; with regions a user starts at
     stage I's pick in its cell's region."""
 
     def __init__(self, world):
         grid = self.grid = world.grid
         self.policy = world.cfg.policy
         self.serving = grid.mec_of_cell[world.user_cell]
-        self.picks = fresh_memo(grid, world.population)
+        self.picks = sim.stage1_table(grid, world.population)
         if self.policy is Policy.WITH_REGIONS:
-            self.serving = self.picks.get(
+            self.serving = self.picks[
                 np.arange(world.population),
-                grid.region_of_cell[world.user_cell]).astype(np.int64)
+                grid.region_of_cell[world.user_cell]].astype(np.int64)
         self.mec_users = np.bincount(self.serving, minlength=grid.n_mecs)
         self.cumulative_migrations = 0
 
@@ -495,8 +436,8 @@ class FullArrayStep:
             crossed = new_region != grid.region_of_mec[old_serving]
             new_serving = old_serving.copy()
             if crossed.any():
-                new_serving[crossed] = self.picks.get(movers[crossed],
-                                                      new_region[crossed])
+                new_serving[crossed] = self.picks[movers[crossed],
+                                                  new_region[crossed]]
         self.serving[movers] = new_serving
         n = grid.n_mecs
         self.mec_users += (np.bincount(new_serving, minlength=n)

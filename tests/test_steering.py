@@ -168,6 +168,16 @@ class TestRendezvous:
         assert rendezvous_pick(keys, dips) == [2, 3, 0, 3, 2, 1, 2, 2]
         assert rendezvous_pick(keys, region0) == [3, 3, 3, 2, 3, 3, 2, 0]
 
+    def test_tie_goes_to_first_candidate(self):
+        # two candidates with one id and one weight score alike for every
+        # key; the first of them wins, also behind a candidate with another
+        # id. Checked by index, since a comparison of names cannot tell
+        # the two apart
+        keys = [struct.pack("!Q", u) for u in range(8)]
+        assert rendezvous_pick(keys, [("b", 2.0), ("b", 2.0)]) == [0] * 8
+        assert rendezvous_pick(keys, [("a", 1.0), ("b", 2.0), ("b", 2.0)]) \
+            == [1, 1, 1, 0, 0, 1, 0, 1]
+
     def test_batch_form_loads_no_numpy(self):
         # gateway processes never load numpy; the batch form must not either
         script = ("import sys, megw.steering; "
