@@ -3,12 +3,14 @@
 Run: python demos/03_attach_and_edge_request.py
 """
 
+from megw import control
 from megw.harness import Harness, build_topology, default_topology_config
 
 
 def show(events):
     for e in events:
-        detail = {k: v for k, v in e.detail.items() if k != "flow"}
+        detail = {k: v for k, v in control.dotted(e.detail).items()
+                  if k != "flow"}
         print(f"  {e.step:3d} {e.node:8s} {e.action:14s} {detail}")
 
 

@@ -3,6 +3,7 @@
 Run: python demos/04_x2_handovers.py
 """
 
+from megw import control
 from megw.harness import (DROPPED, MIGRATION_NOTIFIED, RECEIVED, REACTIVATED,
                           SILENCED, Harness, build_topology,
                           default_topology_config)
@@ -23,7 +24,7 @@ def run_case(title, new_enb):
     print(f"\n=== {title} ===")
     for e in trace:
         if e.action in INTERESTING:
-            print(f"  {e.node:8s} {e.action:18s} {e.detail}")
+            print(f"  {e.node:8s} {e.action:18s} {control.dotted(e.detail)}")
     notices = sum(e.action == MIGRATION_NOTIFIED for e in trace)
     print(f"  serving instance: {dip_before} -> {dip_after}"
           f"   migration notices: {notices}")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import gtp, harness, sim
+from . import control, gtp, harness, sim
 from .gtp import GtpMessageType, ip_int, ip_str
 from .shape import check
 
@@ -126,7 +126,7 @@ def _cmd_harness(args) -> int:
     if args.topology:
         config = json.loads(Path(args.topology).read_text())
     h = harness.run_scenario(args.scenario, config=config, seed=args.seed)
-    out = h.trace_jsonl() + "\n"
+    out = control.jsonl(h.trace) + "\n"
     if args.trace:
         Path(args.trace).write_text(out)
         print(f"wrote {len(h.trace)} trace events to {args.trace}",

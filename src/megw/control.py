@@ -45,21 +45,22 @@ class TopologyError(KeyError):
 @dataclass(frozen=True)
 class TopologyView:
     """The static maps scenario classification needs (eNBs by address),
-    and each gateway's stage I weight (1.0 unless `weights` names it)."""
+    and `peers`: each region's stage I candidates, (id, weight) in id
+    order, the weight 1.0 unless `weights` names the gateway."""
 
     enb_to_megw: dict
     megw_to_region: dict
     weights: dict = field(default_factory=dict)
+    peers: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "enb_to_megw", {
             ip_int(enb): megw for enb, megw in self.enb_to_megw.items()})
-        # each region's stage I candidates, in id order as in region_peers
         peers: dict[str, list] = {}
         for megw in sorted(self.megw_to_region):
             peers.setdefault(self.megw_to_region[megw], []).append(
                 (megw, self.weights.get(megw, 1.0)))
-        object.__setattr__(self, "_peers", peers)
+        object.__setattr__(self, "peers", peers)
 
     def megw_of(self, enb_addr: int) -> str:
         try:
@@ -77,7 +78,7 @@ class TopologyView:
         """The gateway stage I serves the subscriber from in the region of
         this eNB's gateway: the pick every gateway there makes."""
         region = self.region_of(self.megw_of(enb_addr))
-        return rendezvous_select(stage1_key(ue_ip), self._peers[region])
+        return rendezvous_select(stage1_key(ue_ip), self.peers[region])
 
 
 class HandoverScenario(enum.Enum):
@@ -180,9 +181,10 @@ Effect = (InstallRule | SilenceUe | ReactivateUe | ReleaseUeRules
           | MigrationNotice | ScenarioDetected | OrphanMessage | NoContext)
 
 
-# fields that hold an IPv4 address, which logs and traces write dotted
+# record fields that hold an IPv4 address: kept as ints, written dotted
 _ADDRESS_FIELDS = frozenset({"ue_ip", "enb_addr", "sgw_addr", "new_enb_addr",
-                             "old_enb", "new_enb", "enb", "src_ip", "dst_ip"})
+                             "old_enb", "new_enb", "enb", "src_ip", "dst_ip",
+                             "dst", "src", "flow_src", "vip", "from"})
 
 
 def dotted(value, name: str = ""):

@@ -201,6 +201,11 @@ def build_tcpish(proto: int, src_port: int, dst_port: int,
     return _PORTS.pack(src_port, dst_port) + payload
 
 
+def tcpish_payload_at(proto: int, ihl: int) -> int:
+    """Where the payload starts: past the header and any TCP/UDP stub."""
+    return ihl + _PORTS.size if proto in (PROTO_TCP, PROTO_UDP) else ihl
+
+
 def encode_gtpu(outer_src: int, outer_dst: int, teid: int,
                 message_type: GtpMessageType, inner: bytes = b"") -> bytes:
     """Encode to outer IPv4 + UDP (port 2152) + 8-byte GTPv1-U + inner:

@@ -12,13 +12,14 @@ A single-threaded loop delivers frames one at a time, in the order they
 were sent: deterministic given (config, script, seed). `_deliver` is the
 one place a frame arrives: a gateway applies `process_packet`'s flat
 action list, and any other forwarder gets the IPv4 header read once,
-with an unparseable frame dropped there. Routing and the trace use
-dotted addresses; frames and signalling use each node's integer `ip`.
-Trace events are tuples; `control.jsonl` writes them.
+with an unparseable frame dropped there. Routing uses dotted addresses;
+frames, signalling and trace details keep integers, and `control.jsonl`
+writes the trace's tuples with their addresses dotted.
 
 `build_topology` works out each topology fact once: every next hop, by
 one breadth-first search per source (shortest path, ties to the first
-neighbour in sorted order), and the `TopologyView` all controllers share.
+neighbour in sorted order), and the `TopologyView` all controllers share,
+whose `peers` give each gateway's `region_peers`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from . import control, gtp, s1ap, steering
+from . import gtp, s1ap, steering
 from .control import (InstallRule, MigrationNotice, ReactivateUe,
                       ReleaseUeRules, S1apProcessor, SilenceUe, TopologyView)
 from .gtp import Direction, FiveTuple, GtpMessageType, ip_int, ip_str
@@ -101,6 +102,7 @@ class Topology:
     steering_configs: dict           # megw_id -> SteeringConfig
     addr_to_node: dict
     next_hop: dict                   # (src, dst) -> neighbor
+    sgw: str                         # the EPC stub's node id
 
 
 _TOPOLOGY = {"nodes?": {str: {"kind": str, "addr": str, "megw?": str,
@@ -147,8 +149,7 @@ def build_topology(config: dict) -> Topology:
     for enb, megw in enb_to_megw.items():
         require(enb, {"enb"}, "enb_to_megw")
         require(megw, {"megw"}, "enb_to_megw")
-    # one pass in id order: each region's gateways and each gateway's DIPs
-    regions: dict[str, list] = {}
+    # one pass in id order: each gateway's DIPs
     dips: dict[str, list] = {m: [] for m in megws}
     for node_id, spec in sorted(nodes.items()):
         if spec.kind == "enb" and node_id not in enb_to_megw:
@@ -156,7 +157,6 @@ def build_topology(config: dict) -> Topology:
         if spec.kind == "megw":
             if node_id not in megw_to_region:
                 raise ConfigError(f"gateway {node_id!r} has no region")
-            regions.setdefault(megw_to_region[node_id], []).append(node_id)
         if spec.kind == "dip":
             if spec.megw is None:
                 raise ConfigError(f"DIP {node_id!r} has no host gateway")
@@ -164,6 +164,9 @@ def build_topology(config: dict) -> Topology:
             dips[spec.megw].append((spec.addr, spec.weight))
     for megw in megw_to_region:
         require(megw, {"megw"}, "megw_to_region")
+    view = TopologyView({nodes[e].addr: m for e, m in enb_to_megw.items()},
+                        megw_to_region,
+                        {m: nodes[m].weight for m in megws})
 
     neighbors: dict[str, list] = {n: [] for n in nodes}
     for doc in config.get("links", []):
@@ -179,19 +182,18 @@ def build_topology(config: dict) -> Topology:
     sgws = [n for n, s in nodes.items() if s.kind == "sgw_mme"]
     if len(sgws) != 1:
         raise ConfigError(f"exactly one EPC stub required, found {sgws}")
-    local_sgw = nodes[sgws[0]].addr
 
-    # per-gateway steering view: region peers share a region, DIPs are local
+    # per-gateway steering view: the view's region peers, the local DIPs
     steering_configs = {}
     for megw in megws:
         if not dips[megw]:
             raise ConfigError(f"gateway {megw!r} has no DIP")
-        peers = tuple((m, nodes[m].addr, nodes[m].weight)
-                      for m in regions[megw_to_region[megw]])
+        peers = tuple((m, nodes[m].addr, w)
+                      for m, w in view.peers[megw_to_region[megw]])
         try:
             steering_configs[megw] = SteeringConfig(
                 megw_id=megw, vips=frozenset(vips), region_peers=peers,
-                dips=tuple(dips[megw]), local_sgw=local_sgw)
+                dips=tuple(dips[megw]), local_sgw=nodes[sgws[0]].addr)
         except ValueError as exc:   # a bad VIP, or a weight not positive
             raise ConfigError(f"gateway {megw!r}: {exc}") from None
 
@@ -211,12 +213,9 @@ def build_topology(config: dict) -> Topology:
             frontier = nxt
         next_hop.update(((src, d), h) for d, h in first.items() if d != src)
 
-    view = TopologyView({nodes[e].addr: m for e, m in enb_to_megw.items()},
-                        megw_to_region,
-                        {m: nodes[m].weight for m in megws})
     return Topology(nodes=nodes, view=view, vips=vips,
                     steering_configs=steering_configs, addr_to_node=addrs,
-                    next_hop=next_hop)
+                    next_hop=next_hop, sgw=sgws[0])
 
 
 @dataclass(slots=True)
@@ -271,9 +270,7 @@ class Harness:
                     for n, s in topology.nodes.items() if s.kind == "ue"}
         # downstream TEID -> the subscriber and bearer a radio delivers to
         self._downlink: dict[int, tuple[UeRecord, Bearer]] = {}
-        self._sgw_node = next(n for n, s in topology.nodes.items()
-                              if s.kind == "sgw_mme")
-        self._sgw = topology.nodes[self._sgw_node]
+        self._sgw = topology.nodes[topology.sgw]
 
     # -- plumbing ------------------------------------------------------------
 
@@ -286,9 +283,6 @@ class Harness:
         the outermost operations call it, so no returned slice is cut."""
         del self.trace[:-TRACE_LIMIT]
         return len(self.trace)
-
-    def trace_jsonl(self) -> str:
-        return control.jsonl(self.trace)
 
     def _resolve(self, addr: str) -> str | None:
         node = self.topology.addr_to_node.get(addr)
@@ -362,7 +356,7 @@ class Harness:
                 return
             self._record(megw, CLONED, {"kind": "s1ap",
                                         "message": msg.kind.name,
-                                        "ue_ip": ip_str(msg.ue_ip)})
+                                        "ue_ip": msg.ue_ip})
             effects = state.processor.on_control_message(msg)
         elif isinstance(event, EndMarkerSeen):
             self._record(megw, CLONED, {"kind": "end-marker",
@@ -371,7 +365,7 @@ class Harness:
                                                     event.teid)
         else:   # a FlowMiss
             self._record(megw, CLONED, {
-                "kind": "flow-miss", "ue_ip": ip_str(event.five_tuple.src_ip),
+                "kind": "flow-miss", "ue_ip": event.five_tuple.src_ip,
                 "upstream_teid": event.upstream_teid})
             effects = state.processor.on_flow_miss(event.five_tuple,
                                                    event.upstream_teid)
@@ -381,23 +375,22 @@ class Harness:
         for eff in effects:
             if isinstance(eff, InstallRule):
                 state.rules.install(eff.rule)
-                flow = control.dotted(eff.rule.key)
                 self._record(megw, RULE_INSTALLED, {
-                    "ue_ip": flow["src_ip"], "flow": flow,
+                    "ue_ip": eff.rule.key.src_ip, "flow": eff.rule.key,
                     "downstream_teid": eff.rule.downstream_teid})
             elif isinstance(eff, SilenceUe):
                 n = state.rules.set_ue_silent(eff.ue_ip)
                 self._record(megw, SILENCED,
-                             {"ue_ip": ip_str(eff.ue_ip), "rules": n})
+                             {"ue_ip": eff.ue_ip, "rules": n})
             elif isinstance(eff, ReactivateUe):
                 n = state.rules.reactivate_ue(eff.ue_ip, dict(eff.teid_remap),
                                               eff.new_enb_addr)
                 self._record(megw, REACTIVATED,
-                             {"ue_ip": ip_str(eff.ue_ip), "rules": n,
-                              "new_enb": ip_str(eff.new_enb_addr)})
+                             {"ue_ip": eff.ue_ip, "rules": n,
+                              "new_enb": eff.new_enb_addr})
             elif isinstance(eff, MigrationNotice):
                 self._record(megw, MIGRATION_NOTIFIED,
-                             {"ue_ip": ip_str(eff.ue_ip),
+                             {"ue_ip": eff.ue_ip,
                               "old_mec": eff.old_mec,
                               "new_mec": eff.new_mec})
             elif isinstance(eff, ReleaseUeRules):
@@ -415,7 +408,7 @@ class Harness:
                    dst_addr) -> None:
         if dst != self.topology.nodes[enb].ip:
             self._record(enb, DROPPED, {"reason": "not-addressed-here",
-                                        "dst": ip_str(dst)})
+                                        "dst": dst})
             return
         if proto == gtp.PROTO_SCTP:
             self._record(enb, RECEIVED, {"kind": "control",
@@ -441,9 +434,8 @@ class Harness:
         detail = {"teid": teid, "bearer_id": bearer.bearer_id}
         try:
             ihl, total, proto, src, _ = gtp.read_ipv4(inner)
-            # the payload starts past TCP's and UDP's port words
-            at = ihl + 4 if proto in (gtp.PROTO_TCP, gtp.PROTO_UDP) else ihl
-            detail["flow_src"] = ip_str(src)
+            at = gtp.tcpish_payload_at(proto, ihl)
+            detail["flow_src"] = src
             detail["payload"] = inner[at:total].hex()
         except gtp.DecodeError:
             detail["payload"] = inner.hex()
@@ -461,18 +453,17 @@ class Harness:
         if dst != spec.ip:
             self._record(dip, DROPPED, {"reason": "not-addressed-here"})
             return
-        client = ip_str(src)
-        self._record(dip, RECEIVED, {"from": client, "dst_port": dport})
-        at = ihl + 4 if proto in (gtp.PROTO_TCP, gtp.PROTO_UDP) else ihl
+        self._record(dip, RECEIVED, {"from": src, "dst_port": dport})
+        at = gtp.tcpish_payload_at(proto, ihl)
         reply = gtp.build_ipv4(spec.ip, src, proto, gtp.build_tcpish(
             proto, dport, sport, data[at:total]))
-        self._send(dip, client, reply, note="echo")
+        self._send(dip, ip_str(src), reply, note="echo")
 
     def _sgw_frame(self, sgw, data, ihl, total, proto, src, dst,
                    dst_addr) -> None:
         if dst == self.topology.nodes[sgw].ip:
             kind = "control" if proto == gtp.PROTO_SCTP else "data"
-            self._record(sgw, RECEIVED, {"kind": kind, "src": ip_str(src)})
+            self._record(sgw, RECEIVED, {"kind": kind, "src": src})
             return
         # plain router behaviour for transit frames
         self._send(sgw, dst_addr, data, note="epc-transit")
@@ -508,7 +499,7 @@ class Harness:
                            b.downstream_teid if down else 0, transport)
                 for b in ue.bearers.values()))
         src, dst = (sgw, spec) if from_epc else (spec, sgw)
-        self._send(sender or (self._sgw_node if from_epc else enb), dst.addr,
+        self._send(sender or (self.topology.sgw if from_epc else enb), dst.addr,
                    gtp.build_ipv4(src.ip, dst.ip, gtp.PROTO_SCTP,
                                   s1ap.encode_message(msg)), note=note)
         self.run_until_idle()
@@ -580,7 +571,7 @@ class Harness:
         frame = gtp.encode_gtpu(
             self.topology.nodes[ue.radio_enb].ip, self._sgw.ip,
             bearer.upstream_teid, GtpMessageType.GPDU, inner)
-        self._record(ue.node_id, SENT, {"vip": ip_str(flow.dst_ip),
+        self._record(ue.node_id, SENT, {"vip": flow.dst_ip,
                                         "sport": flow.src_port,
                                         "bearer_id": bearer.bearer_id})
         self._send(ue.radio_enb, self._sgw.addr, frame, note="uplink")
@@ -599,7 +590,9 @@ class Harness:
     def _inject_downstream(self, ue: UeRecord, payload: bytes) -> None:
         """The downstream replay, inside whichever operation runs it."""
         flow, _ = ue.last_flow
-        dip = self.megws[self._serving_megw(ue)].affinity.get(flow)
+        serving = self.topology.view.serving_megw(
+            ue.ip, self.topology.nodes[ue.route_enb].ip)
+        dip = self.megws[serving].affinity.get(flow)
         src = dip if dip is not None else flow.dst_ip
         data = gtp.build_ipv4(src, ue.ip, flow.proto,
                               gtp.build_tcpish(flow.proto, flow.dst_port,
@@ -610,11 +603,6 @@ class Harness:
             raise StateError(f"no server node owns {src}")
         self._send(dip_node, ue.addr, data, note="downstream-inject")
         self.run_until_idle()
-
-    def _serving_megw(self, ue: UeRecord) -> str:
-        topo = self.topology
-        source = topo.view.megw_of(topo.nodes[ue.route_enb].ip)
-        return steering.stage1_select(ue.ip, topo.steering_configs[source])
 
     def run_x2_handover(self, ue_id: str, old_enb: str, new_enb: str) -> list:
         """The eight-step X2 timeline, with the path-switch request cloned
@@ -641,7 +629,7 @@ class Harness:
 
         # steps 5-6: end markers close the old tunnels and start the silence
         for b in ue.bearers.values():
-            self._send(self._sgw_node, old_spec.addr, gtp.encode_gtpu(
+            self._send(self.topology.sgw, old_spec.addr, gtp.encode_gtpu(
                 self._sgw.ip, old_spec.ip, b.downstream_teid,
                 GtpMessageType.END_MARKER), note="end-marker")
         self.run_until_idle()

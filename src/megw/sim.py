@@ -85,6 +85,9 @@ class SimConfig:
 
     def __post_init__(self):
         check(vars(self), _CONFIG, ConfigError, "config")
+        if not isinstance(self.policy, Policy):   # from_dict converts names
+            raise ConfigError(
+                f"config: policy must be a Policy, not {self.policy!r}")
         object.__setattr__(self, "capacities", tuple(self.capacities))
         if self.regions_count < 1 or self.mecs_per_region < 1:
             raise ConfigError("region and MEC counts must be positive")

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from megw import gtp, harness
+from megw import control, gtp, harness
 from megw.gtp import GtpMessageType, ip_int
 from megw.harness import (CLONED, DROPPED, MIGRATION_NOTIFIED, RECEIVED,
                           REACTIVATED, RULE_INSTALLED, SCENARIOS, SENT,
@@ -24,7 +24,8 @@ def count(trace, action, **detail_filters):
     for ev in trace:
         if ev.action != action:
             continue
-        if all(ev.detail.get(k) == v for k, v in detail_filters.items()):
+        detail = control.dotted(ev.detail)
+        if all(detail.get(k) == v for k, v in detail_filters.items()):
             hits.append(ev)
     return hits
 
@@ -115,6 +116,23 @@ class TestBuildTopology:
         topo = build_topology(default_topology_config())
         peers = topo.steering_configs["mgw-a"].region_peers
         assert {p[0] for p in peers} == {"mgw-a", "mgw-b"}
+
+    def test_region_peers_are_the_views_candidates(self):
+        # every gateway of a region picks from the one list the view holds:
+        # ids in id order, whatever order the map names them in, each with
+        # its own weight
+        cfg = default_topology_config()
+        cfg["megw_to_region"] = {"mgw-c": "r2", "mgw-b": "r1", "mgw-a": "r1"}
+        cfg["nodes"]["mgw-a"]["weight"] = 3.0
+        cfg["nodes"]["mgw-b"]["weight"] = 0.5
+        topo = build_topology(cfg)
+        assert topo.view.peers == {"r1": [("mgw-a", 3.0), ("mgw-b", 0.5)],
+                                   "r2": [("mgw-c", 1.0)]}
+        for megw, region in cfg["megw_to_region"].items():
+            peers = topo.steering_configs[megw].region_peers
+            assert [(m, w) for m, _, w in peers] == topo.view.peers[region]
+            assert all(addr == cfg["nodes"][m]["addr"]
+                       for m, addr, _ in peers)
 
 
 class TestTopologyShape:
@@ -353,7 +371,7 @@ class TestEdgeRequest:
         assert ue_hits[0].detail["teid"] == bearer.downstream_teid
         assert ue_hits[0].detail["payload"] == b"hello-edge".hex()
         # the subscriber sees the service VIP, not the chosen instance
-        assert ue_hits[0].detail["flow_src"] == "10.100.1.1"
+        assert control.dotted(ue_hits[0].detail)["flow_src"] == "10.100.1.1"
 
     def test_subscriber_records_are_slotted(self):
         h = make_harness()
@@ -553,7 +571,8 @@ def deliver(h, node, data, dst_addr=None):
     detail) triples."""
     mark = len(h.trace)
     h._deliver(node, "mgw-a", data, dst_addr or h.topology.nodes[node].addr)
-    return [(e.node, e.action, e.detail) for e in h.trace[mark:]]
+    return [(e.node, e.action, control.dotted(e.detail))
+            for e in h.trace[mark:]]
 
 
 class TestNodeFrames:
@@ -829,7 +848,7 @@ class TestDeterminism:
     def test_identical_seed_identical_trace(self):
         h1 = run_scenario("x2-cross-region", seed=7)
         h2 = run_scenario("x2-cross-region", seed=7)
-        assert h1.trace_jsonl() == h2.trace_jsonl()
+        assert control.jsonl(h1.trace) == control.jsonl(h2.trace)
 
     def test_trace_totally_ordered(self):
         h = run_scenario("x2-same-region")
@@ -851,7 +870,7 @@ class TestGoldenTraces:
 
     @pytest.mark.parametrize("name", SCENARIOS)
     def test_trace_matches_golden(self, name):
-        trace = run_scenario(name, seed=7).trace_jsonl() + "\n"
+        trace = control.jsonl(run_scenario(name, seed=7).trace) + "\n"
         assert trace.encode() == (GOLDEN / f"{name}.jsonl").read_bytes()
 
     @pytest.mark.parametrize("name", ("x2-same-megw", "x2-cross-region"))

@@ -79,6 +79,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="users_per_capacity"):
             replace(cfg, users_per_capacity=room + 1)
 
+    @pytest.mark.parametrize("policy", ["without_regions", "with_regions",
+                                        None])
+    def test_policy_must_be_a_policy(self, policy):
+        # a name is not a policy: it would run as with-regions whatever it
+        # says; from_dict converts the name a document gives
+        with pytest.raises(ConfigError,
+                           match=r"^config: policy must be a Policy, not "):
+            SimConfig(policy=policy)
+        if policy is not None:
+            assert (SimConfig.from_dict({"policy": policy}).policy
+                    is Policy(policy))
+
 
 class TestGrid:
     def test_flower_tiling_partitions(self):
