@@ -193,11 +193,11 @@ def build_udp(src_port: int, dst_port: int, payload: bytes) -> bytes:
 
 def build_tcpish(proto: int, src_port: int, dst_port: int,
                  payload: bytes) -> bytes:
-    """Minimal 4-byte port stub for TCP-like transports in test traffic.
-
-    Only the port words are meaningful to the pipeline; everything after
-    them is opaque payload.
-    """
+    """Test traffic's transport: a 4-byte port stub for TCP and UDP, none
+    for any other protocol, then the opaque payload, which
+    `tcpish_payload_at` finds again."""
+    if proto not in (PROTO_TCP, PROTO_UDP):
+        return payload
     return _PORTS.pack(src_port, dst_port) + payload
 
 

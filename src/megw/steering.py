@@ -21,18 +21,17 @@ subscriber's record keeps the address int that its new flows' keys reuse.
 Neither stage hashes on the packet path once a subscriber and its flows
 are known. Stage I is memoized per (subscriber, config) in a bounded
 cache: the answer depends on nothing else, and a config is frozen, so a
-new config gets fresh answers. When the affinity table pins a flow it
-also records the reverse entry: the plain 5-tuple (subscriber, DIP,
-protocol, subscriber port, service port) -> VIP. Return traffic from a
-DIP, reversed, is that 5-tuple, so it finds its VIP in one lookup. Two
-flows of one subscriber that differ only in the VIP and land on the same
-DIP share a reverse key; the VIP pinned first keeps it, so the restore
-never depends on set or hash order. Tables are keyed by integer
-addresses; only `SteeringConfig` input and `Emit.dst` are dotted quads.
-Table probes take any 5-tuple, so the packet path probes with plain
-tuples. A new flow gets one `FiveTuple`, which its `FlowMiss` (and so its
-rule and the controller's log) and its affinity pin share; it holds the
-rule store's int for the subscriber and the config's for the VIP, and the
+new config gets fresh answers. Stage II keeps one table, each pinned
+flow's DIP. Return traffic from a DIP, reversed, is a pinned flow with
+the DIP in the VIP's place, so it finds its VIP by probing that table
+for each VIP of the config, lowest first: if two flows that differ only
+in the VIP land on one DIP, the lowest VIP wins, whatever the pin, set
+or hash order. Tables are keyed by integer addresses; only
+`SteeringConfig` input and `Emit.dst` are dotted quads. Table probes
+take any 5-tuple, so the packet path probes with plain tuples. A new
+flow gets one `FiveTuple`, which its `FlowMiss` (and so its rule and
+the controller's log) and its affinity pin share; it holds the rule
+store's int for the subscriber and the config's for the VIP, and the
 pin holds the affinity table's one int for the DIP.
 """
 
@@ -44,7 +43,7 @@ import math
 import struct
 import threading
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 # classify, decode_gtpu and inner_five_tuple are unused here; they stay
 # importable because benchmarks/layers.py wraps the codec under these names.
@@ -124,7 +123,7 @@ class SteeringConfig:
     every other address is checked then, and the config is hashed once:
     the stage I memo hashes it for every uplink G-PDU bound for a VIP.
     `vip_ints` gives the config's own int for an equal one, so the keys
-    of new flows all hold it.
+    of new flows all hold it, and lists the VIPs in ascending order.
     """
 
     megw_id: str
@@ -137,7 +136,8 @@ class SteeringConfig:
         # integers stay, so that dataclasses.replace works
         object.__setattr__(self, "vips", frozenset(
             v if isinstance(v, int) else ip_int(v) for v in self.vips))
-        object.__setattr__(self, "vip_ints", {v: v for v in self.vips})
+        object.__setattr__(self, "vip_ints",
+                           {v: v for v in sorted(self.vips)})
         object.__setattr__(self, "_hash", hash((
             self.megw_id, self.vips, self.region_peers, self.dips,
             self.local_sgw)))
@@ -346,13 +346,11 @@ class RuleStore:
 
 
 class DipAffinityTable:
-    """Connection-to-DIP mapping that never changes while the flow lives,
-    with the reverse DIP-side entry that return traffic looks up."""
+    """Connection-to-DIP mapping that never changes while the flow lives;
+    stage II's one table, which the return path reads too."""
 
     def __init__(self):
         self._table: dict[FiveTuple, int] = {}
-        # (ue, dip, proto, ue_port, port) -> VIP of the first flow pinned
-        self._reverse: dict[tuple, int] = {}
         # dotted DIP -> the one int every pin to it holds
         self._dips: dict[str, int] = {}
         self._lock = threading.Lock()
@@ -384,16 +382,17 @@ class DipAffinityTable:
             if dip is None:
                 dip = self._dips[addr] = ip_int(addr)
             self._table[flow] = dip
-            self._reverse.setdefault((flow.src_ip, dip, flow.proto,
-                                      flow.src_port, flow.dst_port),
-                                     flow.dst_ip)
             return dip
 
-    def vip_for(self, dip_flow: tuple) -> int | None:
-        """VIP of the pinned flow that this gateway rewrote to `dip_flow`,
-        the upstream-oriented 5-tuple (any tuple) with the DIP as dst."""
+    def vip_for(self, dip_flow: tuple, vips: Iterable[int]) -> int | None:
+        """The first of `vips` whose flow, `dip_flow` (any tuple) with the
+        VIP in the DIP's place, is pinned to that DIP; or None."""
+        ue, dip, proto, ue_port, port = dip_flow
         with self._lock:
-            return self._reverse.get(dip_flow)
+            for vip in vips:
+                if self._table.get((ue, vip, proto, ue_port, port)) == dip:
+                    return vip
+        return None
 
 
 # --- forwarding actions ---------------------------------------------------
@@ -521,14 +520,14 @@ def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
                     note="dip-rewrite")
 
     if ingress is Direction.FROM_CLUSTER:
-        return _downstream_edge(data, ihl, total, proto, src, dst, rules,
-                                affinity)
+        return _downstream_edge(data, ihl, total, proto, src, dst,
+                                cfg.vip_ints, rules, affinity)
 
     return Emit(ip_str(dst), data, note="ip-route")
 
 
 def _downstream_edge(data: bytes, ihl: int, total: int, proto: int, src: int,
-                     dst: int, rules: RuleStore,
+                     dst: int, vips: Iterable[int], rules: RuleStore,
                      affinity: DipAffinityTable) -> ForwardAction:
     """Cluster-side return traffic: undo the DIP rewrite if this gateway
     made it, then re-encapsulate into the flow's downstream tunnel."""
@@ -537,9 +536,9 @@ def _downstream_edge(data: bytes, ihl: int, total: int, proto: int, src: int,
     except DecodeError:
         return Emit(ip_str(dst), data, note="ip-route")
 
-    # If the source address is a DIP this gateway assigned to the reversed
-    # flow, restore the VIP so the subscriber sees the service address.
-    vip = affinity.vip_for((dst, src, proto, dport, sport))
+    # If the source address is a DIP this gateway pinned the reversed flow
+    # to, restore the VIP so the subscriber sees the service address.
+    vip = affinity.vip_for((dst, src, proto, dport, sport), vips)
     if vip is not None:
         data = rewrite_ipv4(data, src=vip)
         src = vip

@@ -660,7 +660,9 @@ class TestNodeFrames:
     @pytest.mark.parametrize("proto, transport, dport, echoed", [
         (6, b"\x9c\x40\x00\x50req", 80, b"\x00\x50\x9c\x40req"),
         (17, b"\x9c\x40\x00\x35q", 53, b"\x00\x35\x9c\x40q"),
-        (1, b"\x08\x00ping", 0, b"\x00\x00\x00\x00\x08\x00ping"),
+        # a portless packet's payload comes back unchanged
+        (1, b"\x08\x00ping", 0, b"\x08\x00ping"),
+        (47, b"\x00\x00\x08\x00gre", 0, b"\x00\x00\x08\x00gre"),
     ])
     def test_dip_echo(self, proto, transport, dport, echoed):
         h = make_harness()

@@ -328,12 +328,13 @@ class TestStage2:
         assert table.get_or_assign(flow, cfg.dips) == dip       # hits
         assert table.get_or_assign(tuple(flow), cfg.dips) == dip
         assert len(table) == 1
+        vips = cfg.vip_ints
         back = (flow.src_ip, dip, 6, 5000, 80)
-        assert table.vip_for(back) == table.vip_for(FiveTuple(*back)) \
-            == flow.dst_ip
+        assert table.vip_for(back, vips) \
+            == table.vip_for(FiveTuple(*back), vips) == flow.dst_ip
         other = (flow.src_ip, dip, 6, 5001, 80)
-        assert table.vip_for(other) is table.vip_for(FiveTuple(*other)) \
-            is None
+        assert table.vip_for(other, vips) \
+            is table.vip_for(FiveTuple(*other), vips) is None
 
     def test_stores_a_five_tuple_as_given(self):
         cfg = make_cfg()
@@ -752,9 +753,9 @@ class TestProcessPacket:
         assert gtp.parse_ipv4(pkt.inner).src == ip_int(VIP)  # sees the VIP
 
     @pytest.mark.parametrize("first", ["10.100.1.1", "10.100.1.2"])
-    def test_downstream_restores_first_pinned_vip(self, first):
+    def test_downstream_restores_lowest_matching_vip(self, first):
         # two flows differing only in the VIP, pinned to the one DIP: the
-        # return packet restores the VIP pinned first
+        # return packet restores the lowest VIP, whatever the pin order
         cfg = SteeringConfig(megw_id="mgw-a",
                              vips=frozenset({"10.100.1.1", "10.100.1.2"}),
                              region_peers=(("mgw-a", "10.50.0.1", 1.0),),
@@ -767,7 +768,7 @@ class TestProcessPacket:
                     build_tcpish(6, 80, 5000, b"ok"))
         act = process_packet(echo, Direction.FROM_CLUSTER, cfg, self.rules,
                              self.affinity)
-        assert gtp.parse_ipv4(act.data).src == ip_int(first)
+        assert gtp.parse_ipv4(act.data).src == ip_int("10.100.1.1")
 
     def test_downstream_restore_independent_of_hash_seed(self):
         # frozenset iteration order changes with PYTHONHASHSEED; seeds 0 and
@@ -799,7 +800,40 @@ class TestProcessPacket:
                                  capture_output=True, text=True, timeout=60,
                                  check=True)
             restored.append(out.stdout.strip())
-        assert restored == ["10.100.1.2", "10.100.1.2"]
+        assert restored == ["10.100.1.1", "10.100.1.1"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(vips=st.lists(st.sampled_from(("10.100.1.3", "10.100.1.1",
+                                          "10.100.1.2")),
+                         min_size=1, max_size=3, unique=True),
+           dips=st.lists(st.sampled_from(("10.200.0.5", "10.200.0.6",
+                                          "10.200.0.7", "10.200.0.8")),
+                         min_size=1, max_size=4, unique=True),
+           # few ports, so flows to two VIPs often share both ports
+           pins=st.lists(st.tuples(st.integers(0, 2), st.sampled_from(
+               (5000, 5001)), st.sampled_from((80, 443))), max_size=8),
+           reply=st.tuples(st.integers(0, 3), st.sampled_from((5000, 5001)),
+                           st.sampled_from((80, 443))))
+    def test_downstream_restore_matches_model(self, vips, dips, pins, reply):
+        # a return packet restores the lowest VIP whose pin of the reversed
+        # flow is the packet's source DIP, or keeps its source
+        cfg = SteeringConfig("mgw-a", frozenset(vips),
+                             (("mgw-a", "10.50.0.1", 1.0),),
+                             tuple((d, 1.0) for d in dips), "10.2.0.1")
+        affinity, pinned = DipAffinityTable(), {}
+        for i, sport, dport in pins:
+            vip = ip_int(vips[i % len(vips)])
+            pinned[vip, sport, dport] = affinity.get_or_assign(
+                FiveTuple(UE, vip, 6, sport, dport), cfg.dips)
+        i, sport, dport = reply
+        dip = ip_int(dips[i % len(dips)])
+        expected = next((vip for vip in sorted(map(ip_int, vips))
+                         if pinned.get((vip, sport, dport)) == dip), dip)
+        echo = build_ipv4(dip, UE, 6, build_tcpish(6, dport, sport, b"ok"))
+        act = process_packet(echo, Direction.FROM_CLUSTER, cfg, RuleStore(),
+                             affinity)
+        assert act.note == "ip-route"
+        assert gtp.parse_ipv4(act.data).src == expected
 
     def test_handoff_arrival_repairs_corrupt_checksum(self):
         inner = bytearray(ipv4("172.16.0.9", VIP, 6,
@@ -1014,10 +1048,12 @@ def reference_process_packet(data, ingress, cfg, rules, affinity):
             return Emit(ip_str(view.dst), data, note="ip-route")
         candidate = FiveTuple(down.dst_ip, down.src_ip, down.proto,
                               down.dst_port, down.src_port)
-        vip = affinity.vip_for(candidate)
-        if vip is not None:
-            data = ref_rewrite(view, src=vip)
-            candidate = candidate._replace(dst_ip=vip)
+        # the lowest VIP whose pin of the reversed flow is the source DIP
+        for vip in sorted(cfg.vips):
+            if affinity.get(candidate._replace(dst_ip=vip)) == view.src:
+                data = ref_rewrite(view, src=vip)
+                candidate = candidate._replace(dst_ip=vip)
+                break
         rule = rules.lookup(candidate)
         if rule is None:
             return Emit(ip_str(view.dst), data, note="ip-route")

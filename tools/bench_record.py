@@ -3,8 +3,10 @@
 Runs `benchmarks/run.py --trace 0` for each workload, one after another,
 with the seed and seconds below, then `memory_report.measure`. Writes
 `BENCH_<PR>.json` at the root of the checkout this file is in: per
-workload the run's `env` block, its end-to-end metrics and
-`correct`/`attempted`/`failed`, and beside them the bytes per subscriber.
+workload the run's `env` block, the tree it ran on (`source`: the
+commit, whether the tree differs from it, and the sha256 of `git diff
+HEAD`), its end-to-end metrics and `correct`/`attempted`/`failed`, and
+beside them the bytes per subscriber.
 It records the figures and sets them no bound. A speed claim compares two
 such files taken on the same machine, the parent's and the change's.
 
@@ -14,6 +16,7 @@ such files taken on the same machine, the parent's and the change's.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -24,9 +27,23 @@ WORKLOADS = ("dataplane", "mobility", "sim-sweep")
 SEED, SECONDS = 1, 20   # BENCHMARK.json's run_seconds
 
 
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                          check=True).stdout
+
+
+def source() -> dict:
+    """The tree a run measures. `env.commit` names only HEAD, so an
+    uncommitted change shows here as `dirty` and by its diff's hash."""
+    return {"commit": git("rev-parse", "HEAD").decode().strip(),
+            "dirty": bool(git("status", "--porcelain")),
+            "diff_sha256": hashlib.sha256(git("diff", "HEAD")).hexdigest()}
+
+
 def run_workload(workload: str) -> dict:
     """One `benchmarks/run.py` run; its record, read from the file the run
     leaves in `.bench_out`."""
+    tree = source()
     code = subprocess.run([sys.executable, "benchmarks/run.py",
                            "--workload", workload, "--seed", str(SEED),
                            "--seconds", str(SECONDS), "--trace", "0"],
@@ -38,7 +55,7 @@ def run_workload(workload: str) -> dict:
     last = json.loads((ROOT / ".bench_out" / f"last-{workload}.json")
                       .read_text())
     result = last["result"]
-    return {"env": last["env"], "correct": result["correct"],
+    return {"env": last["env"], "source": tree, "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
             "metrics": {name: metric["value"]
                         for name, metric in result["metrics"].items()}}
