@@ -31,8 +31,8 @@ cfg_b = SteeringConfig(megw_id="mgw-b", vips=cfg_a.vips,
                        local_sgw="10.2.0.1")
 ue = "172.16.0.2"
 print(f"\n{ue}: serving gateway seen from mgw-a = "
-      f"{stage1_select(ip_int(ue), cfg_a)}, from mgw-b = "
-      f"{stage1_select(ip_int(ue), cfg_b)} (always equal)")
+      f"{stage1_select(ip_int(ue), cfg_a.stage1_peers)}, from mgw-b = "
+      f"{stage1_select(ip_int(ue), cfg_b.stage1_peers)} (always equal)")
 
 # Remove a gateway: only the keys it was serving move (minimal disruption).
 reduced = [(p, w) for p, _, w in peers if p != "mgw-b"]

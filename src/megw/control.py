@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from .gtp import ip_int, ip_str
 from .s1ap import MessageKind, S1apLiteMessage
-from .steering import FiveTuple, FlowRule, rendezvous_select, stage1_key
+from .steering import FiveTuple, FlowRule, stage1_select
 
 LOG_LIMIT = 4096    # effect-log entries a processor keeps
 
@@ -45,8 +45,8 @@ class TopologyError(KeyError):
 @dataclass(frozen=True)
 class TopologyView:
     """The static maps scenario classification needs (eNBs by address),
-    and `peers`: each region's stage I candidates, (id, weight) in id
-    order, the weight 1.0 unless `weights` names the gateway."""
+    and `peers`: each region's stage I candidates, a tuple of (id, weight)
+    in id order, the weight 1.0 unless `weights` names the gateway."""
 
     enb_to_megw: dict
     megw_to_region: dict
@@ -60,7 +60,8 @@ class TopologyView:
         for megw in sorted(self.megw_to_region):
             peers.setdefault(self.megw_to_region[megw], []).append(
                 (megw, self.weights.get(megw, 1.0)))
-        object.__setattr__(self, "peers", peers)
+        object.__setattr__(self, "peers", {
+            region: tuple(cands) for region, cands in peers.items()})
 
     def megw_of(self, enb_addr: int) -> str:
         try:
@@ -78,7 +79,7 @@ class TopologyView:
         """The gateway stage I serves the subscriber from in the region of
         this eNB's gateway: the pick every gateway there makes."""
         region = self.region_of(self.megw_of(enb_addr))
-        return rendezvous_select(stage1_key(ue_ip), self.peers[region])
+        return stage1_select(ue_ip, self.peers[region])
 
 
 class HandoverScenario(enum.Enum):

@@ -102,12 +102,12 @@ class LengthError(DecodeError):
 
 
 def pack_ip(addr: str) -> bytes:
-    """Dotted-quad string to 4 network-order bytes. Only the spelling
-    `ip_str` writes is accepted (no sign, space, underscore, leading zero
-    or non-ASCII digit), so that equal addresses are equal strings."""
+    """Dotted-quad string to 4 network-order bytes. Only a str spelled as
+    `ip_str` writes it is accepted (no sign, space, underscore, leading
+    zero or non-ASCII digit), so that equal addresses are equal strings."""
     try:
         octets = bytes(int(p) for p in addr.split("."))
-    except ValueError:      # not a number, or outside 0-255
+    except (AttributeError, TypeError, ValueError):  # not a str of octets
         octets = b""
     if len(octets) != 4 or "%d.%d.%d.%d" % tuple(octets) != addr:
         raise EncodeError(f"bad IPv4 address {addr!r}")

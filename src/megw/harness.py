@@ -408,7 +408,7 @@ class Harness:
                    dst_addr) -> None:
         if dst != self.topology.nodes[enb].ip:
             self._record(enb, DROPPED, {"reason": "not-addressed-here",
-                                        "dst": dst})
+                                        "dst": ip_str(dst)})
             return
         if proto == gtp.PROTO_SCTP:
             self._record(enb, RECEIVED, {"kind": "control",

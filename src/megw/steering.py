@@ -19,20 +19,21 @@ tunnel is one `Tunnel` value that all flows on it share, and a
 subscriber's record keeps the address int that its new flows' keys reuse.
 
 Neither stage hashes on the packet path once a subscriber and its flows
-are known. Stage I is memoized per (subscriber, config) in a bounded
-cache: the answer depends on nothing else, and a config is frozen, so a
-new config gets fresh answers. Stage II keeps one table, each pinned
-flow's DIP. Return traffic from a DIP, reversed, is a pinned flow with
-the DIP in the VIP's place, so it finds its VIP by probing that table
-for each VIP of the config, lowest first: if two flows that differ only
-in the VIP land on one DIP, the lowest VIP wins, whatever the pin, set
-or hash order. Tables are keyed by integer addresses; only
+are known. Stage I is memoized, bounded, per (subscriber, the region's
+(id, weight) candidates): the answer depends on nothing else, so a
+region's gateways and controllers share each entry, and only a changed
+weight or candidate set is a new key. Stage II keeps one table, each
+pinned flow's DIP. Return traffic from a DIP, reversed, is a pinned flow
+with the DIP in the VIP's place, so it finds its VIP by probing that
+table for each VIP of the config, lowest first: if two flows that differ
+only in the VIP land on one DIP, the lowest VIP wins, whatever the pin,
+set or hash order. Tables are keyed by integer addresses; only
 `SteeringConfig` input and `Emit.dst` are dotted quads. Table probes
 take any 5-tuple, so the packet path probes with plain tuples. A new
-flow gets one `FiveTuple`, which its `FlowMiss` (and so its rule and
-the controller's log) and its affinity pin share; it holds the rule
-store's int for the subscriber and the config's for the VIP, and the
-pin holds the affinity table's one int for the DIP.
+flow gets one `FiveTuple`, which its `FlowMiss` (and so its rule and the
+controller's log) and its affinity pin share; it holds the rule store's
+int for the subscriber and the config's for the VIP, and the pin holds
+the affinity table's one int for the DIP.
 """
 
 from __future__ import annotations
@@ -116,31 +117,26 @@ def rendezvous_select(key: bytes,
 class SteeringConfig:
     """One gateway's steering view.
 
-    region_peers lists every gateway in the region (self included) with
-    its fabric address and capacity weight; dips lists the local service
-    instances behind the VIPs, all by dotted address (a DIP's is its stage
-    II candidate id). The VIPs become integers when the config is built,
-    every other address is checked then, and the config is hashed once:
-    the stage I memo hashes it for every uplink G-PDU bound for a VIP.
-    `vip_ints` gives the config's own int for an equal one, so the keys
-    of new flows all hold it, and lists the VIPs in ascending order.
+    region_peers lists every gateway in the region (self included) with its
+    fabric address and capacity weight; vips the service addresses and dips
+    the local service instances behind them, all by dotted address (a DIP's
+    is its stage II candidate id), each checked when the config is built.
+    `vip_ints`, the packet path's VIPs in ascending order, maps each to the
+    config's own int, which the keys of new flows all hold; `stage1_peers`
+    is the region's (id, weight) candidates, stage I's memo key.
     """
 
     megw_id: str
-    vips: frozenset     # dotted strings when built, integers after
+    vips: frozenset     # dotted strings
     region_peers: tuple[tuple[str, str, float], ...]  # (id, address, weight)
     dips: tuple[tuple[str, float], ...]               # (address, weight)
     local_sgw: str
 
     def __post_init__(self):
-        # integers stay, so that dataclasses.replace works
-        object.__setattr__(self, "vips", frozenset(
-            v if isinstance(v, int) else ip_int(v) for v in self.vips))
-        object.__setattr__(self, "vip_ints",
-                           {v: v for v in sorted(self.vips)})
-        object.__setattr__(self, "_hash", hash((
-            self.megw_id, self.vips, self.region_peers, self.dips,
-            self.local_sgw)))
+        object.__setattr__(self, "vip_ints", {
+            v: v for v in sorted(ip_int(v) for v in self.vips)})
+        object.__setattr__(self, "stage1_peers", tuple(
+            (pid, w) for pid, _, w in self.region_peers))
         ids = [p[0] for p in self.region_peers]
         if ids.count(self.megw_id) != 1:
             raise ValueError(
@@ -153,9 +149,6 @@ class SteeringConfig:
             ip_int(addr)    # an EncodeError, a ValueError, if malformed
         for addr, _ in self.dips:
             ip_int(addr)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def peer_address(self, megw_id: str) -> str:
         for pid, addr, _ in self.region_peers:
@@ -170,16 +163,17 @@ def stage1_key(ue_ip: int) -> bytes:
 
 
 @functools.lru_cache(maxsize=1 << 16)
-def stage1_select(ue_ip: int, cfg: SteeringConfig) -> str:
-    """Serving gateway for a subscriber: HRW over the region peers.
+def stage1_select(ue_ip: int, peers: tuple[tuple[str, float], ...]) -> str:
+    """Serving gateway for a subscriber: HRW over the region's (id, weight)
+    candidates, `SteeringConfig.stage1_peers` or `TopologyView.peers`.
 
     Keyed by the subscriber address alone so every gateway in the region
     agrees, and so all of one subscriber's edge state lands in one place.
-    Memoized per (ue_ip, cfg): SteeringConfig is frozen and hashes once,
-    so a changed config is a different key and never sees a stale answer.
+    Memoized on exactly its inputs, so the region's gateways and their
+    controllers share an answer, and a changed weight or candidate set is
+    a different key that never sees a stale one.
     """
-    return rendezvous_select(stage1_key(ue_ip),
-                             [(pid, w) for pid, _, w in cfg.region_peers])
+    return rendezvous_select(stage1_key(ue_ip), peers)
 
 
 class FlowRule(NamedTuple):
@@ -483,7 +477,7 @@ def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
             sport, dport = read_ports(data, at + hl, size - hl, proto)
         except DecodeError:
             return Emit(ip_str(dst), data, note="ip-route")
-        if vip not in cfg.vips:
+        if vip not in cfg.vip_ints:
             return Emit(ip_str(dst), data, note="ip-route")
         flow = (src, vip, proto, sport, dport)
         rule = rules.lookup(flow)
@@ -495,7 +489,7 @@ def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
             # and its pin, holding the subscriber's and the VIP's kept ints
             flow = FiveTuple(rules.address(src), cfg.vip_ints[vip], proto,
                              sport, dport)
-        serving = stage1_select(src, cfg)
+        serving = stage1_select(src, cfg.stage1_peers)
         if serving != cfg.megw_id:
             act = Emit(cfg.peer_address(serving), data[at:total],
                        note="stage1-handoff")
@@ -508,7 +502,7 @@ def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
         return act
 
     # plain IP, and a G-PDU from the core or the cluster
-    if dst in cfg.vips:
+    if dst in cfg.vip_ints:
         # stage-I hand-off from a source gateway: not GTP, addressed to a VIP
         try:
             sport, dport = read_ports(data, ihl, total - ihl, proto)

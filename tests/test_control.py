@@ -413,8 +413,9 @@ class TestHandover:
         def stage1(ue_ip, region):     # as the region's gateways pick
             peers = regions[region]
             return stage1_select(ue_ip, SteeringConfig(
-                megw_id=peers[0][0], vips=frozenset({VIP}),
-                region_peers=peers, dips=(), local_sgw="10.2.0.1"))
+                megw_id=peers[0][0], vips=frozenset({"10.100.1.1"}),
+                region_peers=peers, dips=(),
+                local_sgw="10.2.0.1").stage1_peers)
 
         ue = next(UE + i for i in range(1000)
                   if (stage1(UE + i, "r1"), stage1(UE + i, "r2"))

@@ -473,6 +473,16 @@ class TestAddresses:
         with pytest.raises(gtp.EncodeError):
             ip_int(alias)
 
+    @pytest.mark.parametrize("addr", [5, 0x0A010001, None, b"10.1.0.1",
+                                      bytearray(b"10.1.0.1"), 10.1,
+                                      ["10", "1", "0", "1"]])
+    def test_non_str_address_raises_encode_error(self, addr):
+        # a config or topology catches ValueError, EncodeError's base
+        with pytest.raises(gtp.EncodeError):
+            gtp.pack_ip(addr)
+        with pytest.raises(gtp.EncodeError):
+            ip_int(addr)
+
     @given(malformed_addresses)
     def test_malformed_dotted_raises_at_the_edge(self, addr):
         with pytest.raises(gtp.EncodeError):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from megw import control, gtp, harness
+from megw import control, gtp, harness, steering
 from megw.gtp import GtpMessageType, ip_int
 from megw.harness import (CLONED, DROPPED, MIGRATION_NOTIFIED, RECEIVED,
                           REACTIVATED, RULE_INSTALLED, SCENARIOS, SENT,
@@ -126,13 +126,36 @@ class TestBuildTopology:
         cfg["nodes"]["mgw-a"]["weight"] = 3.0
         cfg["nodes"]["mgw-b"]["weight"] = 0.5
         topo = build_topology(cfg)
-        assert topo.view.peers == {"r1": [("mgw-a", 3.0), ("mgw-b", 0.5)],
-                                   "r2": [("mgw-c", 1.0)]}
+        assert topo.view.peers == {"r1": (("mgw-a", 3.0), ("mgw-b", 0.5)),
+                                   "r2": (("mgw-c", 1.0),)}
         for megw, region in cfg["megw_to_region"].items():
-            peers = topo.steering_configs[megw].region_peers
-            assert [(m, w) for m, _, w in peers] == topo.view.peers[region]
+            steer = topo.steering_configs[megw]
+            assert steer.stage1_peers == topo.view.peers[region]
+            assert [m for m, _, _ in steer.region_peers] == [
+                m for m, _ in topo.view.peers[region]]
             assert all(addr == cfg["nodes"][m]["addr"]
-                       for m, addr, _ in peers)
+                       for m, addr, _ in steer.region_peers)
+
+    def test_region_asks_stage1_memo_once(self):
+        # both r1 gateways steering a new subscriber's uplink G-PDU, and the
+        # controllers' view naming its serving gateway, ask one question
+        topo = build_topology(default_topology_config())
+        ue, enb = ip_int("172.16.77.7"), ip_int("10.1.0.3")
+        inner = gtp.build_ipv4(ue, ip_int("10.100.1.1"), 6,
+                               gtp.build_tcpish(6, 5000, 80, b"req"))
+        frame = gtp.encode_gtpu(enb, ip_int("10.2.0.1"), 100,
+                                GtpMessageType.GPDU, inner)
+        steering.stage1_select.cache_clear()
+        notes = [[a.note for a in steering.process_packet(
+            frame, gtp.Direction.FROM_RAN, topo.steering_configs[megw],
+            steering.RuleStore(), steering.DipAffinityTable()).actions
+            if isinstance(a, steering.Emit)] for megw in ("mgw-a", "mgw-b")]
+        serving = topo.view.serving_megw(ue, enb)
+        assert notes == [["dip-rewrite" if megw == serving
+                          else "stage1-handoff"]
+                         for megw in ("mgw-a", "mgw-b")]
+        info = steering.stage1_select.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
 
 class TestTopologyShape:
@@ -857,6 +880,14 @@ class TestDeterminism:
         steps = [e.step for e in h.trace]
         assert steps == sorted(steps)
         assert len(set(steps)) == len(steps)
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_trace_dst_is_dotted(self, name):
+        # read raw, not through control.dotted: every record that names a
+        # destination keeps it as the dotted routing key, as _send does
+        dsts = [ev.detail["dst"] for ev in run_scenario(name, seed=7).trace
+                if "dst" in ev.detail]
+        assert dsts and all(type(d) is str for d in dsts)
 
     def test_all_scenarios_run_clean(self):
         for name in ("attach", "edge-request", "two-bearers", "x2-same-megw",

@@ -54,7 +54,8 @@ def stage1_mec(topology, grid: sim.HexGrid, ue_ip: int, region: int) -> str:
     """The MEC that stage I serves the subscriber from in the region, as
     the config of the region's first gateway names it."""
     first = grid.mec_names[int(np.argmax(grid.region_of_mec == region))]
-    return stage1_select(ue_ip, topology.steering_configs[first])
+    return stage1_select(ue_ip,
+                         topology.steering_configs[first].stage1_peers)
 
 
 def test_region_picks_are_stage1_picks():

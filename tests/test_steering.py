@@ -215,13 +215,13 @@ class TestStage1:
         rng = random.Random(3)
         for _ in range(200):
             ue = f"172.16.{rng.randrange(256)}.{rng.randrange(1, 255)}"
-            picks = {stage1_select(ip_int(ue), c)
+            picks = {stage1_select(ip_int(ue), c.stage1_peers)
                      for c in (cfg_a, cfg_b, cfg_c)}
             assert len(picks) == 1
 
     def test_single_peer_is_self(self):
         cfg = make_cfg("mgw-a", [("mgw-a", "10.50.0.1", 1.0)])
-        assert stage1_select(UE, cfg) == "mgw-a"
+        assert stage1_select(UE, cfg.stage1_peers) == "mgw-a"
 
     def test_memo_is_bounded(self):
         assert stage1_select.cache_info().maxsize is not None
@@ -242,8 +242,9 @@ class TestStage1:
                                    rng.randrange(1, 255))
             for cfg in configs:
                 expected = self.direct(ue, cfg)
-                assert stage1_select(ip_int(ue), cfg) == expected
-                assert stage1_select(ip_int(ue), cfg) == expected  # a memo hit
+                peers = cfg.stage1_peers
+                assert stage1_select(ip_int(ue), peers) == expected
+                assert stage1_select(ip_int(ue), peers) == expected  # a hit
 
     @given(octets=st.tuples(*[st.integers(0, 255)] * 4),
            weights=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=4))
@@ -254,8 +255,9 @@ class TestStage1:
         peers = [(f"mgw-{i}", f"10.50.0.{i + 1}", w)
                  for i, w in enumerate(weights)]
         cfg = make_cfg("mgw-0", peers)
-        assert stage1_select(ip_int(ue), cfg) == rendezvous_select(
-            gtp.pack_ip(ue), [(pid, w) for pid, _, w in peers])
+        assert stage1_select(ip_int(ue), cfg.stage1_peers) \
+            == rendezvous_select(gtp.pack_ip(ue),
+                                 [(pid, w) for pid, _, w in peers])
 
     def test_weight_change_is_a_new_key(self):
         light = make_cfg("mgw-a", [("mgw-a", "10.50.0.1", 1.0),
@@ -265,28 +267,52 @@ class TestStage1:
         ues = [f"172.16.1.{i}" for i in range(1, 200)]
         for _ in range(2):
             for ue in ues:
-                assert stage1_select(ip_int(ue), light) == self.direct(ue,
-                                                                       light)
-                assert stage1_select(ip_int(ue), heavy) == self.direct(ue,
-                                                                       heavy)
-        assert any(stage1_select(ip_int(ue), light)
-                   != stage1_select(ip_int(ue), heavy) for ue in ues)
-        # a replaced config hashes afresh, so the memo answers it apart
-        heavier = replace(heavy, dips=(("10.200.0.5", 9.0),))
-        assert heavier != heavy and heavier.vips == heavy.vips
-        assert hash(heavier) == hash(replace(heavier))
+                for cfg in (light, heavy):
+                    assert stage1_select(ip_int(ue), cfg.stage1_peers) \
+                        == self.direct(ue, cfg)
+        assert any(stage1_select(ip_int(ue), light.stage1_peers)
+                   != stage1_select(ip_int(ue), heavy.stage1_peers)
+                   for ue in ues)
+        # a changed peer weight is a new key, so the memo answers it apart
+        heavier = replace(heavy, region_peers=(("mgw-a", "10.50.0.1", 1.0),
+                                               ("mgw-b", "10.50.0.2", 60.0)))
+        assert heavier.stage1_peers == (("mgw-a", 1.0), ("mgw-b", 60.0))
         misses = stage1_select.cache_info().misses
         for ue in ues:
-            assert stage1_select(ip_int(ue), heavier) == self.direct(ue,
-                                                                     heavy)
+            assert stage1_select(ip_int(ue), heavier.stage1_peers) \
+                == self.direct(ue, heavier)
         assert stage1_select.cache_info().misses == misses + len(ues)
 
+    def test_dip_or_vip_change_keeps_the_key(self):
+        # stage I reads only the region's candidates: a config with other
+        # DIPs or VIPs asks the memo the same question and hits
+        cfg = make_cfg("mgw-a", [("mgw-a", "10.50.0.1", 1.0),
+                                 ("mgw-b", "10.50.0.2", 2.0)])
+        ues = [ip_int(f"172.16.2.{i}") for i in range(1, 200)]
+        picks = [stage1_select(ue, cfg.stage1_peers) for ue in ues]
+        info = stage1_select.cache_info()
+        for changed in (replace(cfg, dips=(("10.200.0.9", 3.0),)),
+                        replace(cfg, vips=frozenset({"10.100.1.9"}))):
+            assert changed != cfg
+            assert changed.stage1_peers == cfg.stage1_peers
+            assert [stage1_select(ue, changed.stage1_peers)
+                    for ue in ues] == picks
+        assert stage1_select.cache_info().misses == info.misses
+        assert stage1_select.cache_info().hits == info.hits + 2 * len(ues)
+
     def test_equal_configs_hash_alike(self):
+        # the dataclass hashes its fields, the VIPs as they were given, and
+        # equal configs ask the memo one question
         a, b = make_cfg(), make_cfg()
         assert a == b and a is not b
+        assert a.vips == frozenset({VIP}) and list(a.vip_ints) == [ip_int(VIP)]
         assert hash(a) == hash(b) == hash((a.megw_id, a.vips, a.region_peers,
                                            a.dips, a.local_sgw))
-        assert stage1_select(UE, a) == stage1_select(UE, b)
+        assert a.stage1_peers == b.stage1_peers == (("mgw-a", 1.0),)
+        pick = stage1_select(UE, a.stage1_peers)
+        misses = stage1_select.cache_info().misses
+        assert stage1_select(UE, b.stage1_peers) == pick
+        assert stage1_select.cache_info().misses == misses
 
 
 class TestStage2:
@@ -554,6 +580,14 @@ class TestConfigLoading:
                            region_peers=(("mgw-a", peer, 1.0),),
                            dips=((dip, 1.0),), local_sgw="10.2.0.1")
 
+    @pytest.mark.parametrize("vip", [ip_int(VIP), None, b"10.100.1.1"])
+    def test_vips_must_be_dotted(self, vip):
+        # the config keeps its VIPs as given, so an int is no VIP either
+        with pytest.raises(gtp.EncodeError):
+            SteeringConfig(megw_id="mgw-a", vips=frozenset({vip}),
+                           region_peers=(("mgw-a", "10.50.0.1", 1.0),),
+                           dips=(), local_sgw="10.2.0.1")
+
 
 class TestConcurrency:
     def test_many_packet_contexts(self):
@@ -686,7 +720,8 @@ class TestProcessPacket:
 
     def test_new_local_flow_has_one_key(self):
         ue = next(f"172.16.0.{i}" for i in range(1, 250)
-                  if stage1_select(ip_int(f"172.16.0.{i}"), self.cfg)
+                  if stage1_select(ip_int(f"172.16.0.{i}"),
+                                   self.cfg.stage1_peers)
                   == "mgw-a")
         acts = flatten(self.process(upstream_frame(ue=ue)))
         miss = [a.event for a in acts if isinstance(a, CloneToController)]
@@ -705,7 +740,8 @@ class TestProcessPacket:
     def test_stage1_self_rewrites_to_dip(self):
         # find a subscriber that hashes to mgw-a so stage II runs locally
         ue = next(f"172.16.0.{i}" for i in range(1, 250)
-                  if stage1_select(ip_int(f"172.16.0.{i}"), self.cfg)
+                  if stage1_select(ip_int(f"172.16.0.{i}"),
+                                   self.cfg.stage1_peers)
                   == "mgw-a")
         acts = flatten(self.process(upstream_frame(ue=ue)))
         emit = [a for a in acts if isinstance(a, Emit)][0]
@@ -716,7 +752,8 @@ class TestProcessPacket:
 
     def test_stage1_remote_hands_off_decapsulated(self):
         ue = next(f"172.16.0.{i}" for i in range(1, 250)
-                  if stage1_select(ip_int(f"172.16.0.{i}"), self.cfg)
+                  if stage1_select(ip_int(f"172.16.0.{i}"),
+                                   self.cfg.stage1_peers)
                   == "mgw-b")
         acts = flatten(self.process(upstream_frame(ue=ue)))
         emit = [a for a in acts if isinstance(a, Emit)][0]
@@ -994,6 +1031,7 @@ def reference_process_packet(data, ingress, cfg, rules, affinity):
     """The packet path that `process_packet` replaced: every header becomes
     a view, every payload a copy, and the return tunnel is built in layers.
     Its parse is its own, so it checks the readers in `gtp` as well."""
+    vips = {ip_int(v) for v in cfg.vips}
     try:
         view = ref_parse_ipv4(data)
     except gtp.DecodeError:
@@ -1015,7 +1053,7 @@ def reference_process_packet(data, ingress, cfg, rules, affinity):
             flow = ref_five_tuple(inner)
         except gtp.DecodeError:
             return Emit(ip_str(view.dst), data, note="ip-route")
-        if flow.dst_ip not in cfg.vips:
+        if flow.dst_ip not in vips:
             return Emit(ip_str(view.dst), data, note="ip-route")
         rule = rules.lookup(flow)
         if rule is SILENT:
@@ -1023,7 +1061,7 @@ def reference_process_packet(data, ingress, cfg, rules, affinity):
         prelude = ()
         if rule is None:
             prelude = (CloneToController(FlowMiss(flow, teid)),)
-        serving = stage1_select(flow.src_ip, cfg)
+        serving = stage1_select(flow.src_ip, cfg.stage1_peers)
         if serving != cfg.megw_id:
             act = Emit(cfg.peer_address(serving), inner.packet,
                        note="stage1-handoff")
@@ -1033,7 +1071,7 @@ def reference_process_packet(data, ingress, cfg, rules, affinity):
                        note="dip-rewrite")
         return Multiple(prelude + (act,)) if prelude else act
     # plain IP, and GTP arriving on another side
-    if view.dst in cfg.vips:
+    if view.dst in vips:
         try:
             flow = ref_five_tuple(view)
         except gtp.DecodeError:
@@ -1049,7 +1087,7 @@ def reference_process_packet(data, ingress, cfg, rules, affinity):
         candidate = FiveTuple(down.dst_ip, down.src_ip, down.proto,
                               down.dst_port, down.src_port)
         # the lowest VIP whose pin of the reversed flow is the source DIP
-        for vip in sorted(cfg.vips):
+        for vip in sorted(vips):
             if affinity.get(candidate._replace(dst_ip=vip)) == view.src:
                 data = ref_rewrite(view, src=vip)
                 candidate = candidate._replace(dst_ip=vip)
@@ -1075,7 +1113,8 @@ DIFF_CFG = SteeringConfig(megw_id="mgw-a",
 # one subscriber served here, one handed off to mgw-b by stage I
 DIFF_UES = tuple(next(
     ue for ue in (ip_int(f"172.16.0.{i}") for i in range(2, 250))
-    if stage1_select(ue, DIFF_CFG) == gw) for gw in ("mgw-a", "mgw-b"))
+    if stage1_select(ue, DIFF_CFG.stage1_peers) == gw)
+    for gw in ("mgw-a", "mgw-b"))
 DIFF_VIPS = (ip_int(VIP), ip_int("10.100.1.2"))
 DIFF_DIPS = tuple(ip_int(d) for d, _ in DIFF_CFG.dips)
 DIFF_ADDRS = DIFF_UES + DIFF_VIPS + DIFF_DIPS + (ip_int("93.184.216.34"),)
