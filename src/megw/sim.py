@@ -6,26 +6,26 @@ whole-number capacity. Neighborhoods group into contiguous regions. Users
 are placed proportionally to capacity and wander to random neighbor cells
 each simulated minute.
 
-Two serving policies are compared. Under both a user is served by its
-cell's owner, and a move to a cell of another owner migrates application
-state:
+Two serving policies are compared on the same users making the same
+moves. A move migrates a user's application state when it changes the
+user's serving cluster:
 
-- without regions: the owner is the cluster covering the cell, so every
-  neighborhood boundary crossing migrates;
-- with regions: the owner is the cell's region, and the serving cluster
-  in it is the gateway's stage I pick (a capacity-weighted rendezvous hash
-  of user u's subscriber address, `USER_BASE + u`), so it changes only
-  when the user enters a different region.
+- without regions: the cluster covering the cell, so every neighborhood
+  boundary crossing migrates;
+- with regions: stage I's pick in the cell's region (a capacity-weighted
+  rendezvous hash of user u's subscriber address, `USER_BASE + u`), so it
+  changes only when the user enters a different region.
 
-A world counts users per owner. `SimWorld.serving` gathers the serving
-clusters only when asked, with regions from the world's `stage1_table`
-of each user's pick in each region, computed on first use. Metrics per
-step: application-state migrations and the min-max fairness ratio of
-cluster utilizations (least loaded over most loaded).
+A region change is always also a cluster change, so one world holds what
+both read: each user's cell and the users per cluster. The readers take
+the policy; `SimWorld.serving` gathers the serving clusters on demand,
+with regions from a `stage1_table` computed on first use. Metrics per
+step and policy: migrations and the min-max fairness ratio of cluster
+utilizations (least loaded over most loaded).
 
-`replay` is the one step loop: it runs one movement trace under each
-policy it is given, drawing each step's moves once. `megw sim` replays its
-config's policy; a sweep replays each replication under both.
+`replay` is the one step loop: one movement trace on one world, each
+policy's series returned. `megw sim` writes its config's policy's series;
+a sweep writes both.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -80,7 +80,7 @@ class SimConfig:
     users_per_capacity: int = 500
     steps: int = 60
     migration_rate: int = 60              # users moved per simulated minute
-    policy: Policy = Policy.WITH_REGIONS
+    policy: Policy = Policy.WITH_REGIONS  # the series `megw sim` writes
     seed: int = 0
 
     def __post_init__(self):
@@ -88,6 +88,9 @@ class SimConfig:
         if not isinstance(self.policy, Policy):   # from_dict converts names
             raise ConfigError(
                 f"config: policy must be a Policy, not {self.policy!r}")
+        if not 0 <= self.seed < 1 << 63:   # derive_seed packs a signed int64
+            raise ConfigError(f"seed must be from 0 to 2**63 - 1, "
+                              f"not {self.seed}")
         object.__setattr__(self, "capacities", tuple(self.capacities))
         if self.regions_count < 1 or self.mecs_per_region < 1:
             raise ConfigError("region and MEC counts must be positive")
@@ -282,20 +285,19 @@ class StepMetrics:
 
 @dataclass
 class SimWorld:
-    """One run's state. A user is served by the owner of its cell: its MEC
-    without regions, its region with them. `user_cell` and `owner_users`
-    change together, only in `apply_moves`: a direct write to `user_cell`
-    leaves the counts stale, and so does sharing it with another world.
-    With regions, the world's `stage1_table` is computed the first time
-    `serving()` asks for it and kept; no step reads it."""
+    """One replay's users, with no policy in them: each reader takes the
+    policy. `user_cell` and `mec_users` change together, only in
+    `apply_moves`: a direct write to `user_cell` leaves the counts stale.
+    `serving` computes the world's `stage1_table` on first use and keeps
+    it; no step reads it."""
 
     cfg: SimConfig
     grid: HexGrid
     user_cell: np.ndarray
-    owner: np.ndarray            # (n_cells,) the cell's MEC, or its region
-    owner_users: np.ndarray      # users per owner, bincount(owner[user_cell])
+    mec_users: np.ndarray        # bincount(grid.mec_of_cell[user_cell])
     t: int = 0
-    cumulative_migrations: int = 0
+    cumulative_migrations: dict = field(
+        default_factory=lambda: dict.fromkeys(Policy, 0))
 
     @property
     def population(self) -> int:
@@ -305,43 +307,40 @@ class SimWorld:
     def _stage1(self) -> np.ndarray:
         return stage1_table(self.grid, self.population)
 
-    def serving(self) -> np.ndarray:
+    def serving(self, policy: Policy) -> np.ndarray:
         """Each user's serving MEC, a new array: its cell's MEC without
         regions, stage I's pick in its cell's region with them, gathered
         from the world's `stage1_table`."""
-        if self.cfg.policy is Policy.WITHOUT_REGIONS:
+        if policy is Policy.WITHOUT_REGIONS:
             return self.grid.mec_of_cell[self.user_cell]
         return self._stage1[np.arange(self.population),
                             self.grid.region_of_cell[self.user_cell]]
 
-    def mec_load(self) -> list:
-        """Users per MEC, as plain floats: a dozen numbers, which numpy
-        would only slow down.
-
-        Without regions a MEC carries exactly the users assigned to it.
-        With regions each region acts as one pooled cluster whose load the
-        two-stage steering spreads over its MECs in proportion to capacity,
-        so a MEC carries its capacity share of the region's users; the
-        pooling is what absorbs per-user randomness.
-        """
-        users = [float(n) for n in self.owner_users.tolist()]
-        if self.cfg.policy is Policy.WITHOUT_REGIONS:
-            return users
+    def mec_load(self, policy: Policy) -> list:
+        """Users per MEC, as a dozen plain floats. Without regions a MEC
+        carries the users of its cells. With regions each region is one
+        pooled cluster whose load the two-stage steering spreads over its
+        MECs in proportion to capacity, so a MEC carries its capacity share
+        of the region's users; the pooling absorbs per-user randomness."""
+        if policy is Policy.WITHOUT_REGIONS:
+            return [float(n) for n in self.mec_users.tolist()]
+        users = np.bincount(self.grid.region_of_mec,
+                            weights=self.mec_users).tolist()
         return [users[region] / region_capacity * capacity
                 for region, capacity, region_capacity in self.grid.mec_plain]
 
-    def min_max_ratio(self) -> float:
-        load = self.mec_load()
+    def min_max_ratio(self, policy: Policy) -> float:
+        load = self.mec_load(policy)
         if 0.0 in load:
             return 0.0
         util = [x / capacity
                 for x, (_, capacity, _) in zip(load, self.grid.mec_plain)]
         return min(util) / max(util)
 
-    def metrics(self, migrations: int = 0) -> StepMetrics:
-        return StepMetrics(t=self.t, migrations=migrations,
-                           cumulative_migrations=self.cumulative_migrations,
-                           min_max_ratio=self.min_max_ratio())
+    def metrics(self, policy: Policy, migrations: int = 0) -> StepMetrics:
+        return StepMetrics(self.t, migrations,
+                           self.cumulative_migrations[policy],
+                           self.min_max_ratio(policy))
 
 
 def build_world(cfg: SimConfig) -> SimWorld:
@@ -353,21 +352,17 @@ def build_world(cfg: SimConfig) -> SimWorld:
     user_cell = np.concatenate([
         rng.choice(cells, size=cfg.users_per_capacity * capacity, replace=True)
         for cells, capacity in zip(grid.mec_cells, grid.capacities.tolist())])
-    if cfg.policy is Policy.WITHOUT_REGIONS:
-        owner, owners = grid.mec_of_cell, grid.n_mecs
-    else:
-        owner, owners = grid.region_of_cell, cfg.regions_count
-    return SimWorld(cfg=cfg, grid=grid, user_cell=user_cell, owner=owner,
-                    owner_users=np.bincount(owner[user_cell],
-                                            minlength=owners))
+    return SimWorld(cfg=cfg, grid=grid, user_cell=user_cell,
+                    mec_users=np.bincount(grid.mec_of_cell[user_cell],
+                                          minlength=grid.n_mecs))
 
 
 def draw_moves(world: SimWorld, rng: np.random.Generator,
                count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Pick distinct movers and a uniform valid neighbor cell for each.
 
-    The movement trace is policy-independent, so one drawn batch can be
-    replayed under both serving policies.
+    The movement trace is policy-independent: one drawn batch moves the
+    users that both serving policies read.
     """
     if count is None:
         count = world.cfg.migration_rate
@@ -382,22 +377,28 @@ def draw_moves(world: SimWorld, rng: np.random.Generator,
 
 
 def apply_moves(world: SimWorld, movers: np.ndarray,
-                new_cells: np.ndarray) -> StepMetrics:
-    """Move the users and count migrations: a mover whose cell's owner
-    changes migrates, under either policy. Past finding who they are, a
-    step counts only those movers."""
-    owner = world.owner
-    old_owner = owner[world.user_cell[movers]]
-    new_owner = owner[new_cells]
+                new_cells: np.ndarray) -> dict:
+    """Move the users and count each policy's migrations: a mover whose
+    MEC changes migrates without regions, and one whose MEC's region
+    changes migrates with them. Past finding who they are, a step counts
+    only the movers whose MEC changes. Returns {Policy: StepMetrics}."""
+    grid = world.grid
+    old_mec = grid.mec_of_cell[world.user_cell[movers]]
+    new_mec = grid.mec_of_cell[new_cells]
     world.user_cell[movers] = new_cells
-    changed = new_owner != old_owner
-    n = len(world.owner_users)
-    world.owner_users += (np.bincount(new_owner[changed], minlength=n)
-                          - np.bincount(old_owner[changed], minlength=n))
-    migrations = int(np.count_nonzero(changed))
+    changed = new_mec != old_mec
+    old_mec, new_mec = old_mec[changed], new_mec[changed]
+    n = grid.n_mecs
+    world.mec_users += (np.bincount(new_mec, minlength=n)
+                        - np.bincount(old_mec, minlength=n))
+    crossed = grid.region_of_mec[old_mec] != grid.region_of_mec[new_mec]
+    migrations = {Policy.WITH_REGIONS: int(np.count_nonzero(crossed)),
+                  Policy.WITHOUT_REGIONS: len(old_mec)}
     world.t += 1
-    world.cumulative_migrations += migrations
-    return world.metrics(migrations)
+    for policy, count in migrations.items():
+        world.cumulative_migrations[policy] += count
+    return {policy: world.metrics(policy, count)
+            for policy, count in migrations.items()}
 
 
 @dataclass
@@ -423,17 +424,16 @@ def derive_seed(*parts: int) -> int:
 POLICIES = (Policy.WITH_REGIONS, Policy.WITHOUT_REGIONS)   # row order
 
 
-def replay(cfg: SimConfig, policies: tuple,
-           rng: np.random.Generator) -> list:
-    """Replay one movement trace of `cfg` under each of `policies`: each
-    step draws its moves once and applies them to one world per policy.
-    Returns each policy's metrics series, from t=0."""
-    worlds = [build_world(replace(cfg, policy=policy)) for policy in policies]
-    series = [[world.metrics()] for world in worlds]
+def replay(cfg: SimConfig, rng: np.random.Generator) -> dict:
+    """Replay one movement trace of `cfg` on one world: each step draws
+    its moves and applies them once. Returns each policy's metrics series,
+    from t=0, as {Policy: [StepMetrics]}."""
+    world = build_world(cfg)
+    series = {policy: [world.metrics(policy)] for policy in POLICIES}
     for _ in range(cfg.steps):
-        movers, new_cells = draw_moves(worlds[0], rng)
-        for world, metrics in zip(worlds, series):
-            metrics.append(apply_moves(world, movers, new_cells))
+        for policy, metrics in apply_moves(world,
+                                           *draw_moves(world, rng)).items():
+            series[policy].append(metrics)
     return series
 
 
@@ -443,9 +443,9 @@ def run_experiment(base: SimConfig, rates: list, replications: int = 20,
 
     rates are fractions of the population moved per minute. Each
     replication gets an independent seed derived from the base seed, and
-    `replay` runs its movement trace under both policies, so their metrics
-    differ only by the serving policy. Rows run by rate, then policy, then
-    replication.
+    `replay` runs its movement trace on one world read under both
+    policies, so their metrics differ only by the serving policy. Rows
+    run by rate, then policy, then replication.
     """
     steps = steps if steps is not None else base.steps
     check({"rates": rates, "replications": replications, "steps": steps},
@@ -465,9 +465,9 @@ def run_experiment(base: SimConfig, rates: list, replications: int = 20,
         for rep in range(replications):
             seed = derive_seed(base.seed, rate_idx, rep)
             cfg = replace(base, steps=steps, migration_rate=moved, seed=seed)
-            runs.append(replay(cfg, POLICIES,
-                               np.random.default_rng([seed, 0x30B5])))
-        for policy, series in zip(POLICIES, zip(*runs)):
+            runs.append(replay(cfg, np.random.default_rng([seed, 0x30B5])))
+        for policy in POLICIES:
+            series = [run[policy] for run in runs]
             cumulative = np.array([[m.cumulative_migrations for m in metrics]
                                    for metrics in series], dtype=float)
             ratios = np.array([[m.min_max_ratio for m in metrics]

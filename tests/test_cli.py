@@ -280,6 +280,10 @@ class TestSimCommands:
         {"replications": "2"}, {"replications": 1.5}, {"steps": 2.5})
     ] + [("sim", {"migration_rate": True})] + [
         (command, {"capacities": [1, 1.5]}) for command in ("sim", "sim-sweep")
+    ] + [
+        # the RNG takes no negative seed; a sweep packs seeds as int64
+        (command, {"seed": seed}) for command in ("sim", "sim-sweep")
+        for seed in (-1, 2**63)
     ])
     def test_config_field_types(self, capsys, tmp_path, command, doc):
         # one error line naming the field, exit 2
@@ -291,6 +295,20 @@ class TestSimCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert next(iter(doc)) in err
         assert not out and not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("command", ["sim", "sim-sweep"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**63)])
+    def test_seed_flag_out_of_range(self, capsys, tmp_path, command, seed):
+        # a seed outside 0 <= seed < 2**63 is one error line naming seed,
+        # exit 2: the RNG refuses a negative seed and a sweep packs its
+        # seeds as signed 64-bit ints
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(self.SMALL))
+        code, out, err = run(capsys, command, "--config", str(cfg_path),
+                             "--out", str(tmp_path / "o.csv"), "--seed", seed)
+        assert code == 2 and not out
+        assert err == f"error: seed must be from 0 to 2**63 - 1, not {seed}\n"
+        assert not (tmp_path / "o.csv").exists()
 
     # a repeated rate too: the summary has one line per rate
     @pytest.mark.parametrize("rate", ["inf", "1e400", "nan", "-0.1", "1.5",

@@ -83,16 +83,17 @@ def test_fabric_replays_sim_migrations():
         h.run_attach(f"ue{u}", f"enb-{cell}")
 
     rng = np.random.default_rng([cfg.seed, 0x515])
-    series = [world.metrics()]
+    with_regions = sim.Policy.WITH_REGIONS
+    series = [world.metrics(with_regions)]
     crossed = np.zeros(world.population, dtype=bool)
     for _ in range(cfg.steps):
         movers, new_cells = sim.draw_moves(world, rng)
         old_cells = world.user_cell[movers]
-        old_serving = world.serving()[movers]
+        old_serving = world.serving(with_regions)[movers]
         crossed[movers] |= (grid.region_of_cell[old_cells]
                             != grid.region_of_cell[new_cells])
-        series.append(sim.apply_moves(world, movers, new_cells))
-        serving = world.serving()
+        series.append(sim.apply_moves(world, movers, new_cells)[with_regions])
+        serving = world.serving(with_regions)
         notices = 0
         for u, old, new, was in zip(
                 movers.tolist(), old_cells.tolist(), new_cells.tolist(),
@@ -135,6 +136,6 @@ def test_fabric_replays_sim_migrations():
             assert holders[ue.ip] == [(gateway_of[enb_ip], enb_ip)]
 
     assert sum(m.migrations for m in series) > 0 and crossed.any()
-    # the loop above is `sim.replay` of one policy, step for step
-    assert series == sim.replay(cfg, (sim.Policy.WITH_REGIONS,),
-                                np.random.default_rng([cfg.seed, 0x515]))[0]
+    # the loop above is `sim.replay`'s with-regions series, step for step
+    assert series == sim.replay(
+        cfg, np.random.default_rng([cfg.seed, 0x515]))[with_regions]

@@ -15,7 +15,8 @@ from megw.steering import rendezvous_pick, rendezvous_select, stage1_key
 
 
 def step(world, rng):
-    """One step by hand, so these tests do not lean on `sim.replay`."""
+    """One step by hand, so these tests do not lean on `sim.replay`:
+    {Policy: StepMetrics}."""
     movers, new_cells = draw_moves(world, rng)
     return apply_moves(world, movers, new_cells)
 
@@ -210,9 +211,10 @@ class TestBuildWorld:
             assert in_hood == expected
 
     def test_initial_ratio_exactly_one(self):
-        for cfg in (SimConfig(), small_cfg(),
-                    SimConfig(policy=Policy.WITHOUT_REGIONS)):
-            assert build_world(cfg).min_max_ratio() == 1.0
+        for cfg in (SimConfig(), small_cfg()):
+            world = build_world(cfg)
+            for policy in Policy:
+                assert world.min_max_ratio(policy) == 1.0
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), regions_count=st.integers(1, 3),
@@ -231,10 +233,10 @@ class TestBuildWorld:
                         capacities=capacities,
                         users_per_capacity=users_per_capacity,
                         migration_rate=0, seed=seed)
+        world = build_world(cfg)
+        assert len(world.user_cell) == cfg.population
         for policy in Policy:
-            world = build_world(replace(cfg, policy=policy))
-            assert len(world.user_cell) == cfg.population
-            assert world.min_max_ratio() == 1.0
+            assert world.min_max_ratio(policy) == 1.0
         # a capacity that is not an integer, 2.0 included, is refused
         capacities[data.draw(st.integers(0, mecs_per_region - 1))] = \
             data.draw(st.floats(0.5, 4))
@@ -246,39 +248,38 @@ class TestBuildWorld:
                         migration_rate=0)
         world = build_world(cfg)
         assert world.population == 500
-        assert (world.serving() == 0).all()
+        for policy in Policy:
+            assert (world.serving(policy) == 0).all()
 
     def test_initial_serving_geographic(self):
         # from t=0 a user is served where its cell puts it: by the cell's
         # MEC without regions, by stage I's pick in the cell's region with
         # them
-        without = build_world(replace(PICK_CFG,
-                                      policy=Policy.WITHOUT_REGIONS))
-        assert np.array_equal(without.serving(),
-                              without.grid.mec_of_cell[without.user_cell])
         world = build_world(PICK_CFG)
+        assert np.array_equal(world.serving(Policy.WITHOUT_REGIONS),
+                              world.grid.mec_of_cell[world.user_cell])
         regions = world.grid.region_of_cell[world.user_cell]
-        assert world.serving().tolist() == pick_cfg_table()[
+        assert world.serving(Policy.WITH_REGIONS).tolist() == pick_cfg_table()[
             np.arange(world.population), regions].tolist()
 
     @pytest.mark.parametrize("policy", list(Policy))
     def test_serving_is_a_new_array(self, policy):
         # a caller that writes into what serving() returns changes no pick
-        world = build_world(replace(PICK_CFG, policy=policy))
-        serving = world.serving()
+        world = build_world(PICK_CFG)
+        serving = world.serving(policy)
         expected = serving.copy()
         serving[:] = 1 - serving
-        assert np.array_equal(world.serving(), expected)
+        assert np.array_equal(world.serving(policy), expected)
 
 
 class TestStep:
     def test_zero_rate_no_change(self):
         cfg = small_cfg(migration_rate=0)
         world = build_world(cfg)
-        before = world.min_max_ratio()
-        m = step(world, np.random.default_rng(0))
-        assert m.migrations == 0
-        assert m.min_max_ratio == before
+        before = {policy: world.min_max_ratio(policy) for policy in Policy}
+        for policy, m in step(world, np.random.default_rng(0)).items():
+            assert m.migrations == 0
+            assert m.min_max_ratio == before[policy]
 
     def test_conservation(self):
         cfg = SimConfig(migration_rate=500)
@@ -287,7 +288,9 @@ class TestStep:
         for _ in range(10):
             step(world, rng)
         assert world.population == cfg.population
-        assert sum(world.mec_load()) == pytest.approx(cfg.population)
+        for policy in Policy:
+            assert sum(world.mec_load(policy)) == pytest.approx(
+                cfg.population)
 
     def test_movers_go_to_neighbor_cells(self):
         world = build_world(small_cfg())
@@ -300,42 +303,41 @@ class TestStep:
     def test_scripted_intra_region_move(self):
         # one user crosses between two neighborhoods of the same region:
         # geographic serving changes, region serving does not
-        for policy, expected in ((Policy.WITHOUT_REGIONS, 1),
-                                 (Policy.WITH_REGIONS, 0)):
-            world = build_world(small_cfg(policy=policy))
-            grid = world.grid
-            pair = None
-            for i, c in enumerate(grid.cells):
-                for j in grid.neighbor_table[i]:
-                    if j >= 0 and grid.mec_of_cell[i] != grid.mec_of_cell[j]:
-                        pair = (i, int(j))
-                        break
-                if pair:
+        world = build_world(small_cfg())
+        grid = world.grid
+        pair = None
+        for i, c in enumerate(grid.cells):
+            for j in grid.neighbor_table[i]:
+                if j >= 0 and grid.mec_of_cell[i] != grid.mec_of_cell[j]:
+                    pair = (i, int(j))
                     break
-            user = int(np.flatnonzero(world.user_cell == pair[0])[0])
-            m = apply_moves(world, np.array([user]), np.array([pair[1]]))
-            assert m.migrations == expected
+            if pair:
+                break
+        user = int(np.flatnonzero(world.user_cell == pair[0])[0])
+        m = apply_moves(world, np.array([user]), np.array([pair[1]]))
+        assert m[Policy.WITHOUT_REGIONS].migrations == 1
+        assert m[Policy.WITH_REGIONS].migrations == 0
 
     def test_scripted_cross_region_move(self):
         # two single-MEC regions: a border crossing migrates either way
-        for policy in (Policy.WITHOUT_REGIONS, Policy.WITH_REGIONS):
-            cfg = SimConfig(regions_count=2, mecs_per_region=1,
-                            capacities=(1,), users_per_capacity=50,
-                            migration_rate=1, seed=3, policy=policy)
-            world = build_world(cfg)
-            grid = world.grid
-            pair = None
-            for i, c in enumerate(grid.cells):
-                for j in grid.neighbor_table[i]:
-                    if j >= 0 and grid.region_of_cell[i] != grid.region_of_cell[j]:
-                        pair = (i, int(j))
-                        break
-                if pair:
+        cfg = SimConfig(regions_count=2, mecs_per_region=1,
+                        capacities=(1,), users_per_capacity=50,
+                        migration_rate=1, seed=3)
+        world = build_world(cfg)
+        grid = world.grid
+        pair = None
+        for i, c in enumerate(grid.cells):
+            for j in grid.neighbor_table[i]:
+                if j >= 0 and grid.region_of_cell[i] != grid.region_of_cell[j]:
+                    pair = (i, int(j))
                     break
-            assert pair, "regions must touch"
-            user = int(np.flatnonzero(world.user_cell == pair[0])[0])
-            m = apply_moves(world, np.array([user]), np.array([pair[1]]))
-            assert m.migrations == 1
+            if pair:
+                break
+        assert pair, "regions must touch"
+        user = int(np.flatnonzero(world.user_cell == pair[0])[0])
+        m = apply_moves(world, np.array([user]), np.array([pair[1]]))
+        for policy in Policy:
+            assert m[policy].migrations == 1
 
     def test_hash_stability_within_region(self):
         # serving changes only alongside a region change
@@ -343,10 +345,10 @@ class TestStep:
         world = build_world(cfg)
         rng = np.random.default_rng(11)
         for _ in range(20):
-            serving_before = world.serving()
+            serving_before = world.serving(Policy.WITH_REGIONS)
             region_before = world.grid.region_of_mec[serving_before]
             step(world, rng)
-            changed = world.serving() != serving_before
+            changed = world.serving(Policy.WITH_REGIONS) != serving_before
             new_region = world.grid.region_of_cell[world.user_cell]
             assert (new_region[changed] != region_before[changed]).all()
 
@@ -354,9 +356,10 @@ class TestStep:
         cfg = SimConfig(migration_rate=2000, seed=13)
         world = build_world(cfg)
         rng = np.random.default_rng(13)
-        serving_before = world.serving()
+        serving_before = world.serving(Policy.WITH_REGIONS)
         step(world, rng)
-        changed = np.flatnonzero(world.serving() != serving_before)
+        changed = np.flatnonzero(
+            world.serving(Policy.WITH_REGIONS) != serving_before)
         assert changed.size > 0
         grid = world.grid
         for u in changed[:20]:
@@ -366,38 +369,48 @@ class TestStep:
                      for m in members]
             pick = rendezvous_select(stage1_key(sim.USER_BASE + int(u)),
                                      cands)
-            assert grid.mec_names[world.serving()[u]] == pick
+            assert grid.mec_names[world.serving(Policy.WITH_REGIONS)[u]] \
+                == pick
 
     def test_ratio_zero_when_mec_empty(self):
-        world = build_world(small_cfg(policy=Policy.WITHOUT_REGIONS))
+        world = build_world(small_cfg())
         # everyone piles onto MEC 0
-        movers = np.flatnonzero(world.serving() != 0)
+        movers = np.flatnonzero(world.serving(Policy.WITHOUT_REGIONS) != 0)
         apply_moves(world, movers,
                     np.full(len(movers), world.grid.mec_cells[0][0]))
-        assert world.min_max_ratio() == 0.0
+        assert world.min_max_ratio(Policy.WITHOUT_REGIONS) == 0.0
 
     @pytest.mark.parametrize("policy", list(Policy))
     def test_counts_follow_serving(self, policy):
         # the per-owner counts equal a recount after every step, and the
         # load computed from them equals one computed from the serving MECs
         for seed in (1, 2):
-            world = build_world(SimConfig(migration_rate=900, seed=seed,
-                                          policy=policy))
+            world = build_world(SimConfig(migration_rate=900, seed=seed))
             grid = world.grid
+            owner = (grid.mec_of_cell if policy is Policy.WITHOUT_REGIONS
+                     else grid.region_of_cell)
             rng = np.random.default_rng(seed)
             for _ in range(30):
                 step(world, rng)
-                assert np.array_equal(world.owner_users, np.bincount(
-                    world.owner[world.user_cell],
-                    minlength=len(world.owner_users)))
-                serving = world.serving()
+                assert np.array_equal(owner_users(world, policy), np.bincount(
+                    owner[world.user_cell], minlength=owner.max() + 1))
+                serving = world.serving(policy)
                 users = np.bincount(serving, minlength=grid.n_mecs)
                 if policy is Policy.WITH_REGIONS:
                     region = np.bincount(grid.region_of_mec[serving],
                                          minlength=3)
                     users = (region[grid.region_of_mec] * grid.capacities
                              / grid.region_capacity)
-                assert np.allclose(world.mec_load(), users, rtol=0, atol=1e-9)
+                assert np.allclose(world.mec_load(policy), users, rtol=0,
+                                   atol=1e-9)
+
+
+def owner_users(world, policy):
+    """The world's users per serving unit: per MEC without regions, per
+    region with them."""
+    if policy is Policy.WITHOUT_REGIONS:
+        return world.mec_users
+    return np.bincount(world.grid.region_of_mec, weights=world.mec_users)
 
 
 def full_array_ratio(grid, policy, mec_users):
@@ -420,9 +433,9 @@ class FullArrayStep:
     array, per-MEC counts and pick table; with regions a user starts at
     stage I's pick in its cell's region."""
 
-    def __init__(self, world):
+    def __init__(self, world, policy):
         grid = self.grid = world.grid
-        self.policy = world.cfg.policy
+        self.policy = policy
         self.serving = grid.mec_of_cell[world.user_cell]
         self.picks = sim.stage1_table(grid, world.population)
         if self.policy is Policy.WITH_REGIONS:
@@ -467,9 +480,9 @@ class TestStepDifferential:
     def test_step_equals_full_array_step(self, data, regions_count,
                                          mecs_per_region, users_per_capacity,
                                          seed):
-        # both policies replay one trace, each world on its own cell
-        # array, as `replay` does; after every step each world agrees with
-        # its full-array reference, the ratio to the last bit
+        # both policies read one world, as in `replay`; after every step
+        # each policy's reading agrees with its own full-array reference,
+        # the ratio to the last bit
         capacities = data.draw(st.lists(st.integers(1, 3),
                                          min_size=mecs_per_region,
                                          max_size=mecs_per_region))
@@ -478,15 +491,16 @@ class TestStepDifferential:
                         capacities=capacities,
                         users_per_capacity=users_per_capacity,
                         migration_rate=0, seed=seed)
-        worlds = [build_world(replace(cfg, policy=p)) for p in sim.POLICIES]
-        refs = [FullArrayStep(world) for world in worlds]
-        population, n_cells = cfg.population, len(worlds[0].grid.cells)
+        world = build_world(cfg)
+        refs = {policy: FullArrayStep(world, policy)
+                for policy in sim.POLICIES}
+        population, n_cells = cfg.population, len(world.grid.cells)
         rng = np.random.default_rng(seed)
         for _ in range(data.draw(st.integers(1, 8), label="steps")):
             if data.draw(st.booleans(), label="drawn by draw_moves"):
                 # neighbor moves, up to the whole population
                 count = data.draw(st.integers(0, population), label="count")
-                movers, new_cells = draw_moves(worlds[0], rng, count)
+                movers, new_cells = draw_moves(world, rng, count)
             else:
                 # jumps to any cell, so MECs and regions can empty
                 movers = int_array(data.draw(st.lists(
@@ -495,33 +509,59 @@ class TestStepDifferential:
                 new_cells = int_array(data.draw(st.lists(
                     st.integers(0, n_cells - 1), min_size=len(movers),
                     max_size=len(movers)), label="cells"))
-            for world, ref in zip(worlds, refs):
-                m = apply_moves(world, movers, new_cells)
+            step_metrics = apply_moves(world, movers, new_cells)
+            assert list(step_metrics) == list(sim.POLICIES)
+            for policy, ref in refs.items():
+                m = step_metrics[policy]
                 migrations, ratio = ref.apply(movers, new_cells)
-                assert np.array_equal(world.serving(), ref.serving)
-                assert np.array_equal(world.owner_users, ref.owner_users())
+                assert np.array_equal(world.serving(policy), ref.serving)
+                assert np.array_equal(owner_users(world, policy),
+                                      ref.owner_users())
                 assert m.migrations == migrations
                 assert m.cumulative_migrations \
-                    == world.cumulative_migrations \
+                    == world.cumulative_migrations[policy] \
                     == ref.cumulative_migrations
-                assert m.min_max_ratio == world.min_max_ratio() == ratio
+                assert m.min_max_ratio == world.min_max_ratio(policy) == ratio
 
 
 class TestDominance:
     def test_replayed_trace_orders_policies(self):
-        cfg_base = SimConfig(migration_rate=900)
         for seed in range(5):
             rep_seed = derive_seed(42, seed)
-            worlds = {p: build_world(SimConfig(migration_rate=900, seed=rep_seed,
-                                               policy=p))
-                      for p in Policy}
+            world = build_world(SimConfig(migration_rate=900, seed=rep_seed))
             rng = np.random.default_rng([rep_seed, 1])
             for _ in range(15):
-                movers, cells = draw_moves(worlds[Policy.WITH_REGIONS], rng)
-                with_m = apply_moves(worlds[Policy.WITH_REGIONS], movers, cells)
-                without_m = apply_moves(worlds[Policy.WITHOUT_REGIONS],
-                                        movers, cells)
-                assert with_m.migrations <= without_m.migrations
+                m = step(world, rng)
+                assert m[Policy.WITH_REGIONS].migrations \
+                    <= m[Policy.WITHOUT_REGIONS].migrations
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), regions_count=st.integers(1, 3),
+           mecs_per_region=st.integers(1, 4), seed=st.integers(0, 99))
+    def test_region_migrations_within_mec_migrations(
+            self, data, regions_count, mecs_per_region, seed):
+        # a region change is also a MEC change: every step migrates no
+        # more users with regions than without, and without regions it
+        # migrates exactly the movers whose cell's MEC changed
+        cfg = SimConfig(regions_count=regions_count,
+                        mecs_per_region=mecs_per_region,
+                        capacities=(1,) * mecs_per_region,
+                        users_per_capacity=5, migration_rate=0, seed=seed)
+        world = build_world(cfg)
+        mec_of_cell = world.grid.mec_of_cell
+        for _ in range(data.draw(st.integers(1, 6), label="steps")):
+            movers = int_array(data.draw(st.lists(
+                st.integers(0, cfg.population - 1), unique=True,
+                max_size=cfg.population), label="movers"))
+            new_cells = int_array(data.draw(st.lists(
+                st.integers(0, len(world.grid.cells) - 1),
+                min_size=len(movers), max_size=len(movers)), label="cells"))
+            old_cells = world.user_cell[movers]
+            m = apply_moves(world, movers, new_cells)
+            assert m[Policy.WITH_REGIONS].migrations \
+                <= m[Policy.WITHOUT_REGIONS].migrations
+            assert m[Policy.WITHOUT_REGIONS].migrations == int(
+                (mec_of_cell[old_cells] != mec_of_cell[new_cells]).sum())
 
 
 def per_policy_experiment(base, rates, replications, steps):
@@ -543,9 +583,9 @@ def per_policy_experiment(base, rates, replications, steps):
                                 policy=policy, seed=rep_seed)
                 world = build_world(cfg)
                 rng = np.random.default_rng([rep_seed, 0x30B5])
-                metrics = [world.metrics()]
+                metrics = [world.metrics(policy)]
                 for _ in range(steps):
-                    metrics.append(step(world, rng))
+                    metrics.append(step(world, rng)[policy])
                 for m in metrics:
                     rows.append(sim.csv_row(policy, rate, rep, m))
                     cumulative[rep, m.t] = m.cumulative_migrations
@@ -576,6 +616,19 @@ class TestExperiment:
         for key, stats in summary.items():
             for name, values in stats.items():
                 assert np.array_equal(res.summary[key][name], values)
+
+    def test_one_world_per_replay(self, monkeypatch):
+        # both policies read one world: a sweep builds one per
+        # (rate, replication)
+        built = []
+
+        def counting_build_world(cfg):
+            built.append(cfg.seed)
+            return build_world(cfg)
+        monkeypatch.setattr(sim, "build_world", counting_build_world)
+        run_experiment(small_cfg(), [0.05, 0.1, 0.2], replications=4,
+                       steps=2)
+        assert len(built) == 3 * 4 == len(set(built))
 
     @pytest.mark.parametrize("rates", [[0.1, 0.1], [0.05, 0.2, 0.05],
                                        [1, 1.0]])
