@@ -39,6 +39,7 @@ UDP_HEADER_LEN = 8
 PROTO_TCP = 6
 PROTO_UDP = 17
 PROTO_SCTP = 132
+TTL = 64            # every packet this codec builds starts with it
 
 # 65535 (max IPv4 total length) - 20 (outer IPv4) - 8 (UDP) - 8 (GTP)
 MAX_INNER_LEN = 65535 - IPV4_MIN_HEADER - UDP_HEADER_LEN - GTP_HEADER_LEN
@@ -174,13 +175,12 @@ class GtpuPacket(NamedTuple):
     inner: bytes = b""
 
 
-def build_ipv4(src: int, dst: int, proto: int, payload: bytes,
-               ttl: int = 64) -> bytes:
+def build_ipv4(src: int, dst: int, proto: int, payload: bytes) -> bytes:
     """Assemble a minimal (no-options) IPv4 packet with a valid checksum."""
     total = IPV4_MIN_HEADER + len(payload)
     if total > 0xFFFF:
         raise EncodeError(f"IPv4 payload too large ({len(payload)} bytes)")
-    head = _IPV4_HEADER.pack(0x45, 0, total, 0, 0, ttl, proto, 0, src, dst)
+    head = _IPV4_HEADER.pack(0x45, 0, total, 0, 0, TTL, proto, 0, src, dst)
     csum = ipv4_checksum(head)
     return head[:10] + csum.to_bytes(2, "big") + head[12:] + payload
 
@@ -216,7 +216,7 @@ def encode_gtpu(outer_src: int, outer_dst: int, teid: int,
         raise EncodeError(f"inner packet too large ({n} bytes)")
     # `_value_` is the member's value; `.value` reads it through a property
     try:
-        head = _OUTER.pack(0x45, 0, _OUTER.size + n, 0, 0, 64, PROTO_UDP, 0,
+        head = _OUTER.pack(0x45, 0, _OUTER.size + n, 0, 0, TTL, PROTO_UDP, 0,
                            outer_src, outer_dst, GTP_UDP_PORT, GTP_UDP_PORT,
                            _INNER_AT + n, 0, GTP_FLAGS, message_type._value_,
                            n, teid)

@@ -12,18 +12,21 @@ A single-threaded loop delivers frames one at a time, in the order they
 were sent: deterministic given (config, script, seed). `_deliver` is the
 one place a frame arrives: a gateway applies `process_packet`'s flat
 action list, and any other forwarder gets the IPv4 header read once,
-with an unparseable frame dropped there. Routing uses dotted addresses;
-frames, signalling and trace details keep integers, and `control.jsonl`
-writes the trace's tuples with their addresses dotted.
+with an unparseable frame dropped there. Routes, frames, signalling and
+trace details hold addresses as ints, and `control.jsonl` writes them
+dotted; a gateway's `Emit.dst`, dotted, is read back through a memo.
 
 `build_topology` works out each topology fact once: every next hop, by
 one breadth-first search per source (shortest path, ties to the first
 neighbour in sorted order), and the `TopologyView` all controllers share,
-whose `peers` give each gateway's `region_peers`.
+whose `peers` give each gateway's `region_peers`. The gateways of one
+region must share a link: a hand-off between them that went through the
+EPC would reach its peer as core traffic, which is not steered.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
@@ -58,6 +61,10 @@ REACTIVATED = "Reactivated"
 MIGRATION_NOTIFIED = "MigrationNotified"
 
 TRACE_LIMIT = 4096  # trace events kept from before the running operation
+
+# `Emit.dst` is dotted until the benchmark's oracle reads ints (ROADMAP
+# item 1): read each of a gateway's handful of destinations back once
+_emit_ip = functools.lru_cache(maxsize=4096)(ip_int)
 
 # a gateway's view of a frame's direction, by the kind of node that sent it;
 # any other sender is in the cluster
@@ -100,7 +107,7 @@ class Topology:
     view: TopologyView               # the controllers' maps, shared by all
     vips: list
     steering_configs: dict           # megw_id -> SteeringConfig
-    addr_to_node: dict
+    addr_to_node: dict               # address int -> node id
     next_hop: dict                   # (src, dst) -> neighbor
     sgw: str                         # the EPC stub's node id
 
@@ -118,7 +125,7 @@ def build_topology(config: dict) -> Topology:
     if not vips:
         raise ConfigError("at least one VIP is required")
     nodes: dict[str, NodeSpec] = {}
-    addrs: dict[str, str] = {}
+    addrs: dict[int, str] = {}
     for node_id, doc in config.get("nodes", {}).items():
         try:
             ip = ip_int(doc["addr"])
@@ -127,12 +134,12 @@ def build_topology(config: dict) -> Topology:
         spec = nodes[node_id] = NodeSpec(
             kind=doc["kind"], addr=doc["addr"], ip=ip, megw=doc.get("megw"),
             weight=float(doc.get("weight", 1.0)))
-        other = (repr(addrs[spec.addr]) if spec.addr in addrs
+        other = (repr(addrs[ip]) if ip in addrs
                  else "a VIP" if spec.addr in vips else None)
         if other:
             raise ConfigError(
                 f"address {spec.addr} reused by {node_id!r} and {other}")
-        addrs[spec.addr] = node_id
+        addrs[ip] = node_id
 
     def require(node_id, kinds, context):
         if node_id not in nodes:
@@ -178,6 +185,11 @@ def build_topology(config: dict) -> Topology:
         neighbors[a].append(b)
         neighbors[b].append(a)
     neighbors = {n: sorted(set(peers)) for n, peers in neighbors.items()}
+    for region, peers in view.peers.items():
+        for (a, _), (b, _) in itertools.combinations(peers, 2):
+            if b not in neighbors[a]:
+                raise ConfigError(f"region {region!r}: gateways {a!r} and "
+                                  f"{b!r} share no link")
 
     sgws = [n for n, s in nodes.items() if s.kind == "sgw_mme"]
     if len(sgws) != 1:
@@ -228,7 +240,6 @@ class Bearer:
 @dataclass(slots=True)
 class UeRecord:
     node_id: str
-    addr: str
     ip: int
     radio_enb: str | None = None    # where the radio currently is
     route_enb: str | None = None    # where the fabric still routes to
@@ -266,7 +277,7 @@ class Harness:
                          affinity=DipAffinityTable(),
                          processor=S1apProcessor(m, topology.view))
             for m, cfg in topology.steering_configs.items()}
-        self.ues = {n: UeRecord(node_id=n, addr=s.addr, ip=s.ip)
+        self.ues = {n: UeRecord(node_id=n, ip=s.ip)
                     for n, s in topology.nodes.items() if s.kind == "ue"}
         # downstream TEID -> the subscriber and bearer a radio delivers to
         self._downlink: dict[int, tuple[UeRecord, Bearer]] = {}
@@ -284,12 +295,12 @@ class Harness:
         del self.trace[:-TRACE_LIMIT]
         return len(self.trace)
 
-    def _resolve(self, addr: str) -> str | None:
+    def _resolve(self, addr: int) -> str | None:
         node = self.topology.addr_to_node.get(addr)
         ue = self.ues.get(node)
         return node if ue is None else ue.route_enb
 
-    def _send(self, from_node: str, dst_addr: str, data: bytes,
+    def _send(self, from_node: str, dst_addr: int, data: bytes,
               note: str = "") -> None:
         target = self._resolve(dst_addr)
         if target is None or target == from_node:
@@ -315,7 +326,7 @@ class Harness:
             self._deliver(*self._queue.popleft())
 
     def _deliver(self, node: str, sender: str, data: bytes,
-                 dst_addr: str) -> None:
+                 dst_addr: int) -> None:
         """The one place a frame arrives. A gateway runs its steering
         pipeline; any other forwarder gets the IPv4 header read once."""
         kind = self.topology.nodes[node].kind
@@ -329,7 +340,7 @@ class Harness:
             for act in (action.actions if isinstance(action, Multiple)
                         else (action,)):
                 if isinstance(act, Emit):
-                    self._send(node, act.dst, act.data, note=act.note)
+                    self._send(node, _emit_ip(act.dst), act.data, note=act.note)
                 elif isinstance(act, Drop):
                     self._record(node, DROPPED, {"reason": act.reason})
                 else:   # a CloneToController
@@ -408,7 +419,7 @@ class Harness:
                    dst_addr) -> None:
         if dst != self.topology.nodes[enb].ip:
             self._record(enb, DROPPED, {"reason": "not-addressed-here",
-                                        "dst": ip_str(dst)})
+                                        "dst": dst})
             return
         if proto == gtp.PROTO_SCTP:
             self._record(enb, RECEIVED, {"kind": "control",
@@ -457,7 +468,7 @@ class Harness:
         at = gtp.tcpish_payload_at(proto, ihl)
         reply = gtp.build_ipv4(spec.ip, src, proto, gtp.build_tcpish(
             proto, dport, sport, data[at:total]))
-        self._send(dip, ip_str(src), reply, note="echo")
+        self._send(dip, src, reply, note="echo")
 
     def _sgw_frame(self, sgw, data, ihl, total, proto, src, dst,
                    dst_addr) -> None:
@@ -499,7 +510,7 @@ class Harness:
                            b.downstream_teid if down else 0, transport)
                 for b in ue.bearers.values()))
         src, dst = (sgw, spec) if from_epc else (spec, sgw)
-        self._send(sender or (self.topology.sgw if from_epc else enb), dst.addr,
+        self._send(sender or (self.topology.sgw if from_epc else enb), dst.ip,
                    gtp.build_ipv4(src.ip, dst.ip, gtp.PROTO_SCTP,
                                   s1ap.encode_message(msg)), note=note)
         self.run_until_idle()
@@ -574,7 +585,7 @@ class Harness:
         self._record(ue.node_id, SENT, {"vip": flow.dst_ip,
                                         "sport": flow.src_port,
                                         "bearer_id": bearer.bearer_id})
-        self._send(ue.radio_enb, self._sgw.addr, frame, note="uplink")
+        self._send(ue.radio_enb, self._sgw.ip, frame, note="uplink")
         self.run_until_idle()
         return self.trace[mark:]
 
@@ -597,11 +608,10 @@ class Harness:
         data = gtp.build_ipv4(src, ue.ip, flow.proto,
                               gtp.build_tcpish(flow.proto, flow.dst_port,
                                                flow.src_port, payload))
-        src = ip_str(src)
         dip_node = self.topology.addr_to_node.get(src)
         if dip_node is None:
-            raise StateError(f"no server node owns {src}")
-        self._send(dip_node, ue.addr, data, note="downstream-inject")
+            raise StateError(f"no server node owns {ip_str(src)}")
+        self._send(dip_node, ue.ip, data, note="downstream-inject")
         self.run_until_idle()
 
     def run_x2_handover(self, ue_id: str, old_enb: str, new_enb: str) -> list:
@@ -629,7 +639,7 @@ class Harness:
 
         # steps 5-6: end markers close the old tunnels and start the silence
         for b in ue.bearers.values():
-            self._send(self.topology.sgw, old_spec.addr, gtp.encode_gtpu(
+            self._send(self.topology.sgw, old_spec.ip, gtp.encode_gtpu(
                 self._sgw.ip, old_spec.ip, b.downstream_teid,
                 GtpMessageType.END_MARKER), note="end-marker")
         self.run_until_idle()

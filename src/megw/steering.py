@@ -122,8 +122,9 @@ class SteeringConfig:
     the local service instances behind them, all by dotted address (a DIP's
     is its stage II candidate id), each checked when the config is built.
     `vip_ints`, the packet path's VIPs in ascending order, maps each to the
-    config's own int, which the keys of new flows all hold; `stage1_peers`
-    is the region's (id, weight) candidates, stage I's memo key.
+    config's own int, which the keys of new flows all hold; `peer_ints`
+    maps each peer's id to its address int; `stage1_peers` is the
+    region's (id, weight) candidates, stage I's memo key.
     """
 
     megw_id: str
@@ -145,16 +146,10 @@ class SteeringConfig:
             raise ValueError("region peer weights must be positive and finite")
         if not all(0 < w < math.inf for _, w in self.dips):
             raise ValueError("DIP weights must be positive and finite")
-        for _, addr, _ in self.region_peers:
-            ip_int(addr)    # an EncodeError, a ValueError, if malformed
+        object.__setattr__(self, "peer_ints", {
+            pid: ip_int(addr) for pid, addr, _ in self.region_peers})
         for addr, _ in self.dips:
-            ip_int(addr)
-
-    def peer_address(self, megw_id: str) -> str:
-        for pid, addr, _ in self.region_peers:
-            if pid == megw_id:
-                return addr
-        raise KeyError(megw_id)
+            ip_int(addr)    # an EncodeError, a ValueError, if malformed
 
 
 def stage1_key(ue_ip: int) -> bytes:
@@ -491,7 +486,7 @@ def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
                              sport, dport)
         serving = stage1_select(src, cfg.stage1_peers)
         if serving != cfg.megw_id:
-            act = Emit(cfg.peer_address(serving), data[at:total],
+            act = Emit(ip_str(cfg.peer_ints[serving]), data[at:total],
                        note="stage1-handoff")
         else:
             dip = affinity.get_or_assign(flow, cfg.dips)

@@ -1,6 +1,7 @@
 """Virtual fabric: attach, edge requests, and the three handover shapes."""
 
 import copy
+import itertools
 import math
 import struct
 from pathlib import Path
@@ -109,6 +110,16 @@ class TestBuildTopology:
         cfg = default_topology_config()
         cfg["links"][0]["latency"] = 3
         with pytest.raises(ConfigError, match="latency"):
+            build_topology(cfg)
+
+    def test_region_gateways_share_a_link(self):
+        # a hand-off from mgw-a to mgw-b through the EPC would arrive as
+        # core traffic, which mgw-b routes instead of steering: the DIP's
+        # reply would reach enb3 untunnelled and be dropped there
+        cfg = default_topology_config()
+        cfg["links"].remove({"a": "mgw-a", "b": "mgw-b"})
+        with pytest.raises(ConfigError, match="^region 'r1': gateways "
+                           "'mgw-a' and 'mgw-b' share no link$"):
             build_topology(cfg)
 
     def test_paper_shaped_two_megw_region(self):
@@ -278,11 +289,14 @@ def topologies(draw):
     links += [{"a": a, "b": b} for a, b in draw(st.lists(
         st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=8))
         if a != b]
+    regions = {m: draw(st.sampled_from(["r1", "r2"])) for m in megws}
+    # the gateways of one region share a link
+    links += [{"a": a, "b": b} for a, b in itertools.combinations(megws, 2)
+              if regions[a] == regions[b]]
     return {"vips": ["10.100.1.1"], "nodes": nodes, "links": links,
             "enb_to_megw": {i: draw(st.sampled_from(megws)) for i in ids
                             if nodes[i]["kind"] == "enb"},
-            "megw_to_region": {m: draw(st.sampled_from(["r1", "r2"]))
-                               for m in megws}}
+            "megw_to_region": regions}
 
 
 def mobility_shaped_config():
@@ -336,6 +350,7 @@ class TestRouting:
         diamond["megw_to_region"]["mgw-0"] = "r2"
         diamond["links"] += [{"a": "enb1", "b": "mgw-0"},
                              {"a": "mgw-0", "b": "sgw"},
+                             {"a": "mgw-0", "b": "mgw-c"},
                              {"a": "dip-01", "b": "mgw-0"}]
         assert build_topology(diamond).next_hop[("enb1", "sgw")] == "mgw-0"
 
@@ -536,7 +551,7 @@ class TestRadioDelivery:
         frame = gtp.encode_gtpu(sgw.ip, node.ip, teid,
                                 GtpMessageType.GPDU, inner)
         mark = len(h.trace)
-        h._send("sgw", node.addr, frame, note="late-downlink")
+        h._send("sgw", node.ip, frame, note="late-downlink")
         h.run_until_idle()
         return h.trace[mark:]
 
@@ -593,7 +608,7 @@ def deliver(h, node, data, dst_addr=None):
     """The trace events one frame records at `node`, as (node, action,
     detail) triples."""
     mark = len(h.trace)
-    h._deliver(node, "mgw-a", data, dst_addr or h.topology.nodes[node].addr)
+    h._deliver(node, "mgw-a", data, dst_addr or h.topology.nodes[node].ip)
     return [(e.node, e.action, control.dotted(e.detail))
             for e in h.trace[mark:]]
 
@@ -719,7 +734,7 @@ class TestNodeFrames:
 
     def test_sgw_transit(self):
         frame = gtp.encode_gtpu(ENB1, ENB2, 9, GtpMessageType.GPDU, b"x")
-        assert deliver(make_harness(), "sgw", frame, "10.1.0.2") == [
+        assert deliver(make_harness(), "sgw", frame, ENB2) == [
             ("sgw", SENT, {"dst": "10.1.0.2", "via": "mgw-a",
                            "note": "epc-transit", "bytes": len(frame)})]
 
@@ -882,12 +897,12 @@ class TestDeterminism:
         assert len(set(steps)) == len(steps)
 
     @pytest.mark.parametrize("name", SCENARIOS)
-    def test_trace_dst_is_dotted(self, name):
+    def test_trace_dst_is_int(self, name):
         # read raw, not through control.dotted: every record that names a
-        # destination keeps it as the dotted routing key, as _send does
+        # destination keeps it as the int routing key, as _send does
         dsts = [ev.detail["dst"] for ev in run_scenario(name, seed=7).trace
                 if "dst" in ev.detail]
-        assert dsts and all(type(d) is str for d in dsts)
+        assert dsts and all(type(d) is int for d in dsts)
 
     def test_all_scenarios_run_clean(self):
         for name in ("attach", "edge-request", "two-bearers", "x2-same-megw",

@@ -580,6 +580,14 @@ class TestConfigLoading:
                            region_peers=(("mgw-a", peer, 1.0),),
                            dips=((dip, 1.0),), local_sgw="10.2.0.1")
 
+    def test_peer_ints_read_each_peer_once(self):
+        cfg = SteeringConfig(megw_id="mgw-a", vips=frozenset({VIP}),
+                             region_peers=(("mgw-a", "10.50.0.1", 1.0),
+                                           ("mgw-b", "10.50.0.2", 2.0)),
+                             dips=(), local_sgw="10.2.0.1")
+        assert cfg.peer_ints == {"mgw-a": ip_int("10.50.0.1"),
+                                 "mgw-b": ip_int("10.50.0.2")}
+
     @pytest.mark.parametrize("vip", [ip_int(VIP), None, b"10.100.1.1"])
     def test_vips_must_be_dotted(self, vip):
         # the config keeps its VIPs as given, so an int is no VIP either
@@ -1063,8 +1071,10 @@ def reference_process_packet(data, ingress, cfg, rules, affinity):
             prelude = (CloneToController(FlowMiss(flow, teid)),)
         serving = stage1_select(flow.src_ip, cfg.stage1_peers)
         if serving != cfg.megw_id:
-            act = Emit(cfg.peer_address(serving), inner.packet,
-                       note="stage1-handoff")
+            # the peer's address from the config's input, not its peer_ints
+            peer = next(addr for pid, addr, _ in cfg.region_peers
+                        if pid == serving)
+            act = Emit(peer, inner.packet, note="stage1-handoff")
         else:
             dip = affinity.get_or_assign(flow, cfg.dips)
             act = Emit(ip_str(dip), ref_rewrite(inner, dst=dip),

@@ -8,16 +8,20 @@ directory, removed when done. For each workload, runs
 `benchmarks/run.py --seed 1 --trace 0` N times in that checkout and N
 times in the working tree, one pair at a time, alternating which side
 runs first. Then prints, per end-to-end metric of BENCHMARK.json, both
-sides' medians, the base side's interquartile range and how many pairs
-the working tree won (a win is a strictly better value in the direction
-of the metric's `better`), and each side's failed operations. It records
-the figures and asserts nothing; a run that cannot run at all stops it.
+sides' medians, the base side's interquartile range, how many pairs the
+working tree won (a win is a strictly better value in the direction of
+the metric's `better`), and how much worse the working tree's median is
+than the base's, relative to it: positive is worse, and a flag marks a
+metric worse by more than its `bound`. Last come each side's failed
+operations. It records the figures and asserts nothing; a run that
+cannot run at all stops it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -59,21 +63,29 @@ def iqr(values: list) -> float:
     return q3 - q1
 
 
-def summarize(pairs: list, better: dict) -> dict:
+def summarize(pairs: list, end_to_end: list) -> dict:
     """The figures of one workload's `pairs`, each a (base, change) pair of
-    `run_once` records. `better` maps each metric to "higher" or "lower".
+    `run_once` records, for the metrics of `end_to_end`, BENCHMARK.json's
+    list of {"name", "better": "higher" or "lower", "bound"}.
     """
     metrics = {}
-    for name, direction in better.items():
+    for metric in end_to_end:
+        name = metric["name"]
         base = [b["metrics"][name] for b, _ in pairs]
         change = [c["metrics"][name] for _, c in pairs]
-        sign = 1 if direction == "higher" else -1
+        sign = 1 if metric["better"] == "higher" else -1
+        base_median = statistics.median(base)
+        change_median = statistics.median(change)
+        worse = (sign * (base_median - change_median) / base_median
+                 if base_median else math.nan)
         metrics[name] = {
-            "base_median": statistics.median(base),
-            "change_median": statistics.median(change),
+            "base_median": base_median,
+            "change_median": change_median,
             "base_iqr": iqr(base),
             "change_won": sum(sign * (c - b) > 0
-                              for b, c in zip(base, change))}
+                              for b, c in zip(base, change)),
+            "change_worse": worse,
+            "beyond_bound": worse > metric["bound"]}
     sides = {side: {key: sum(pair[i][key] for pair in pairs)
                     for key in ("failed", "attempted")}
              for i, side in enumerate(("base", "change"))}
@@ -84,13 +96,14 @@ def report(workload: str, summary: dict) -> str:
     n = summary["pairs"]
     lines = [f"== {workload}: {n} pairs",
              f"{'metric':<14}{'base':>12}{'change':>12}{'base IQR':>18}"
-             f"{'change won':>12}"]
+             f"{'change won':>12}{'worse by':>10}"]
     for name, m in summary["metrics"].items():
         base = m["base_median"]
         share = f"({m['base_iqr'] / base:.0%})" if base else ""
         lines.append(f"{name:<14}{base:>12.4g}{m['change_median']:>12.4g}"
                      f"{m['base_iqr']:>11.3g} {share:>6}"
-                     f"{m['change_won']:>9}/{n}")
+                     f"{m['change_won']:>9}/{n}{m['change_worse']:>+10.1%}"
+                     + ("  beyond bound" if m["beyond_bound"] else ""))
     lines.append("failed operations: " + ", ".join(
         f"{side} {summary[side]['failed']} of {summary[side]['attempted']}"
         for side in ("base", "change")))
@@ -110,7 +123,6 @@ def main(argv=None) -> int:
     if args.n < 1 or args.seconds < 1:
         p.error("N and --seconds must be positive")
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     print(f"base {git('rev-parse', '--short', args.base)} ({args.base}) "
           f"against the working tree of {ROOT}, {args.seconds} s per run")
 
@@ -126,7 +138,8 @@ def main(argv=None) -> int:
                     runs = {tree: run_once(tree, workload, args.seconds)
                             for tree in order}
                     pairs.append((runs[base_tree], runs[ROOT]))
-                print(report(workload, summarize(pairs, better)), flush=True)
+                print(report(workload, summarize(pairs, bench["end_to_end"])),
+                      flush=True)
         finally:
             subprocess.run(["git", "worktree", "remove", "--force",
                             str(base_tree)], cwd=ROOT, check=False)
