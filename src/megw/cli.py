@@ -153,7 +153,7 @@ def _cmd_sim(args) -> int:
     cfg = sim.SimConfig.from_dict(_sim_config(args))
     metrics = sim.replay(cfg, np.random.default_rng([cfg.seed, 0x515]))[
         cfg.policy]
-    rate = cfg.migration_rate / max(1, cfg.population)
+    rate = cfg.migration_rate / cfg.population
     rows = [sim.csv_row(cfg.policy, rate, 0, m) for m in metrics]
     sim.write_rows_csv(args.out, rows)
     meta = {**vars(cfg), "policy": cfg.policy.value,

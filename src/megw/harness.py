@@ -9,12 +9,16 @@ data plane would do. The four S1AP messages are built from one table,
 `_SIGNALS`: each one's trace note, sender and bearer TEIDs.
 
 A single-threaded loop delivers frames one at a time, in the order they
-were sent: deterministic given (config, script, seed). `_deliver` is the
-one place a frame arrives: a gateway applies `process_packet`'s flat
-action list, and any other forwarder gets the IPv4 header read once,
-with an unparseable frame dropped there. Routes, frames, signalling and
-trace details hold addresses as ints, and `control.jsonl` writes them
-dotted; a gateway's `Emit.dst`, dotted, is read back through a memo.
+were sent: deterministic given (config, script, seed). A frame in flight
+is its next hop, its sender and its bytes. `_deliver` is the one place a
+frame arrives: a gateway applies `process_packet`'s flat action list, and
+any other forwarder gets the IPv4 header read once, with an unparseable
+frame dropped there; the SGW routes a transit frame by that header's
+`dst`. Only a stage I hand-off goes to another address than its header's
+(the peer gateway, not the VIP), and the region link rule below makes it
+one hop between gateways. Routes, frames, signalling and trace details
+hold addresses as ints, and `control.jsonl` writes them dotted; a
+gateway's `Emit.dst`, dotted, is read back through a memo.
 
 `build_topology` works out each topology fact once: every next hop, by
 one breadth-first search per source (shortest path, ties to the first
@@ -198,15 +202,13 @@ def build_topology(config: dict) -> Topology:
     # per-gateway steering view: the view's region peers, the local DIPs
     steering_configs = {}
     for megw in megws:
-        if not dips[megw]:
-            raise ConfigError(f"gateway {megw!r} has no DIP")
         peers = tuple((m, nodes[m].addr, w)
                       for m, w in view.peers[megw_to_region[megw]])
         try:
             steering_configs[megw] = SteeringConfig(
                 megw_id=megw, vips=frozenset(vips), region_peers=peers,
                 dips=tuple(dips[megw]), local_sgw=nodes[sgws[0]].addr)
-        except ValueError as exc:   # a bad VIP, or a weight not positive
+        except ValueError as exc:   # a bad VIP, no DIP, a weight not positive
             raise ConfigError(f"gateway {megw!r}: {exc}") from None
 
     # shortest-path next hops, ties broken by sorted neighbor order: one BFS
@@ -315,7 +317,7 @@ class Harness:
         self._record(from_node, SENT,
                      {"dst": dst_addr, "via": hop, "note": note,
                       "bytes": len(data)})
-        self._queue.append((hop, from_node, data, dst_addr))
+        self._queue.append((hop, from_node, data))
 
     def run_until_idle(self) -> None:
         events = 0
@@ -325,8 +327,7 @@ class Harness:
                 raise RuntimeError("event budget exhausted: routing loop?")
             self._deliver(*self._queue.popleft())
 
-    def _deliver(self, node: str, sender: str, data: bytes,
-                 dst_addr: int) -> None:
+    def _deliver(self, node: str, sender: str, data: bytes) -> None:
         """The one place a frame arrives. A gateway runs its steering
         pipeline; any other forwarder gets the IPv4 header read once."""
         kind = self.topology.nodes[node].kind
@@ -352,7 +353,7 @@ class Harness:
             return
         try:
             # a handler reads any further header before it acts
-            handler(self, node, data, *gtp.read_ipv4(data), dst_addr)
+            handler(self, node, data, *gtp.read_ipv4(data))
         except gtp.DecodeError:
             self._record(node, DROPPED, {"reason": "unparseable"})
 
@@ -413,10 +414,9 @@ class Harness:
     # -- other nodes ----------------------------------------------------------
 
     # a forwarder other than a gateway gets its frame with the IPv4 header
-    # read: (node, data, ihl, total, proto, src, dst, dst_addr)
+    # read: (node, data, ihl, total, proto, src, dst)
 
-    def _enb_frame(self, enb, data, ihl, total, proto, src, dst,
-                   dst_addr) -> None:
+    def _enb_frame(self, enb, data, ihl, total, proto, src, dst) -> None:
         if dst != self.topology.nodes[enb].ip:
             self._record(enb, DROPPED, {"reason": "not-addressed-here",
                                         "dst": dst})
@@ -457,8 +457,7 @@ class Harness:
             detail["via"] = "x2-forwarding"
         self._record(ue.node_id, RECEIVED, detail)
 
-    def _dip_frame(self, dip, data, ihl, total, proto, src, dst,
-                   dst_addr) -> None:
+    def _dip_frame(self, dip, data, ihl, total, proto, src, dst) -> None:
         sport, dport = gtp.read_ports(data, ihl, total - ihl, proto)
         spec = self.topology.nodes[dip]
         if dst != spec.ip:
@@ -470,14 +469,13 @@ class Harness:
             proto, dport, sport, data[at:total]))
         self._send(dip, src, reply, note="echo")
 
-    def _sgw_frame(self, sgw, data, ihl, total, proto, src, dst,
-                   dst_addr) -> None:
+    def _sgw_frame(self, sgw, data, ihl, total, proto, src, dst) -> None:
         if dst == self.topology.nodes[sgw].ip:
             kind = "control" if proto == gtp.PROTO_SCTP else "data"
             self._record(sgw, RECEIVED, {"kind": kind, "src": src})
             return
         # plain router behaviour for transit frames
-        self._send(sgw, dst_addr, data, note="epc-transit")
+        self._send(sgw, dst, data, note="epc-transit")
 
     _HANDLERS = {"enb": _enb_frame, "dip": _dip_frame, "sgw_mme": _sgw_frame}
 

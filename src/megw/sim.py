@@ -19,13 +19,14 @@ user's serving cluster:
 A region change is always also a cluster change, so one world holds what
 both read: each user's cell and the users per cluster. The readers take
 the policy; `SimWorld.serving` gathers the serving clusters on demand,
-with regions from a `stage1_table` computed on first use. Metrics per
-step and policy: migrations and the min-max fairness ratio of cluster
-utilizations (least loaded over most loaded).
+with regions from a `stage1_table` computed on first use. `apply_moves`
+moves the users and counts each policy's migrations.
 
-`replay` is the one step loop: one movement trace on one world, each
-policy's series returned. `megw sim` writes its config's policy's series;
-a sweep writes both.
+`replay` is the one step loop: one movement trace on one world. It
+numbers the steps, keeps each policy's running total and reads the
+min-max fairness ratio of cluster utilizations (least loaded over most
+loaded) after each step. `megw sim` writes the series of its config's
+policy; a sweep writes both.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -285,19 +286,16 @@ class StepMetrics:
 
 @dataclass
 class SimWorld:
-    """One replay's users, with no policy in them: each reader takes the
-    policy. `user_cell` and `mec_users` change together, only in
-    `apply_moves`: a direct write to `user_cell` leaves the counts stale.
-    `serving` computes the world's `stage1_table` on first use and keeps
-    it; no step reads it."""
+    """One replay's users, with no policy, clock or totals in them: each
+    reader takes the policy, and `replay` numbers the steps. `user_cell`
+    and `mec_users` change together, only in `apply_moves`: a direct write
+    to `user_cell` leaves the counts stale. `serving` computes the world's
+    `stage1_table` on first use and keeps it; no step reads it."""
 
     cfg: SimConfig
     grid: HexGrid
     user_cell: np.ndarray
     mec_users: np.ndarray        # bincount(grid.mec_of_cell[user_cell])
-    t: int = 0
-    cumulative_migrations: dict = field(
-        default_factory=lambda: dict.fromkeys(Policy, 0))
 
     @property
     def population(self) -> int:
@@ -337,11 +335,6 @@ class SimWorld:
                 for x, (_, capacity, _) in zip(load, self.grid.mec_plain)]
         return min(util) / max(util)
 
-    def metrics(self, policy: Policy, migrations: int = 0) -> StepMetrics:
-        return StepMetrics(self.t, migrations,
-                           self.cumulative_migrations[policy],
-                           self.min_max_ratio(policy))
-
 
 def build_world(cfg: SimConfig) -> SimWorld:
     """Deterministic initial world: users_per_capacity x capacity users in
@@ -357,18 +350,16 @@ def build_world(cfg: SimConfig) -> SimWorld:
                                           minlength=grid.n_mecs))
 
 
-def draw_moves(world: SimWorld, rng: np.random.Generator,
-               count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Pick distinct movers and a uniform valid neighbor cell for each.
+def draw_moves(world: SimWorld,
+               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Pick `cfg.migration_rate` distinct movers and a uniform valid
+    neighbor cell for each.
 
     The movement trace is policy-independent: one drawn batch moves the
     users that both serving policies read.
     """
-    if count is None:
-        count = world.cfg.migration_rate
-    if count > world.population:
-        raise ConfigError(f"cannot move {count} of {world.population} users")
-    movers = rng.choice(world.population, size=count, replace=False)
+    movers = rng.choice(world.population, size=world.cfg.migration_rate,
+                        replace=False)
     cells = world.user_cell[movers]
     pick = rng.integers(0, world.grid.neighbor_count[cells])
     # one flat gather: a (row, column) gather of the table is twice as slow
@@ -381,7 +372,7 @@ def apply_moves(world: SimWorld, movers: np.ndarray,
     """Move the users and count each policy's migrations: a mover whose
     MEC changes migrates without regions, and one whose MEC's region
     changes migrates with them. Past finding who they are, a step counts
-    only the movers whose MEC changes. Returns {Policy: StepMetrics}."""
+    only the movers whose MEC changes. Returns {Policy: migrations}."""
     grid = world.grid
     old_mec = grid.mec_of_cell[world.user_cell[movers]]
     new_mec = grid.mec_of_cell[new_cells]
@@ -392,13 +383,8 @@ def apply_moves(world: SimWorld, movers: np.ndarray,
     world.mec_users += (np.bincount(new_mec, minlength=n)
                         - np.bincount(old_mec, minlength=n))
     crossed = grid.region_of_mec[old_mec] != grid.region_of_mec[new_mec]
-    migrations = {Policy.WITH_REGIONS: int(np.count_nonzero(crossed)),
-                  Policy.WITHOUT_REGIONS: len(old_mec)}
-    world.t += 1
-    for policy, count in migrations.items():
-        world.cumulative_migrations[policy] += count
-    return {policy: world.metrics(policy, count)
-            for policy, count in migrations.items()}
+    return {Policy.WITH_REGIONS: int(np.count_nonzero(crossed)),
+            Policy.WITHOUT_REGIONS: len(old_mec)}
 
 
 @dataclass
@@ -429,11 +415,14 @@ def replay(cfg: SimConfig, rng: np.random.Generator) -> dict:
     its moves and applies them once. Returns each policy's metrics series,
     from t=0, as {Policy: [StepMetrics]}."""
     world = build_world(cfg)
-    series = {policy: [world.metrics(policy)] for policy in POLICIES}
-    for _ in range(cfg.steps):
-        for policy, metrics in apply_moves(world,
-                                           *draw_moves(world, rng)).items():
-            series[policy].append(metrics)
+    series = {policy: [StepMetrics(0, 0, 0, world.min_max_ratio(policy))]
+              for policy in POLICIES}
+    for t in range(1, cfg.steps + 1):
+        moved = apply_moves(world, *draw_moves(world, rng))
+        for policy, metrics in series.items():
+            cumulative = metrics[-1].cumulative_migrations + moved[policy]
+            metrics.append(StepMetrics(t, moved[policy], cumulative,
+                                       world.min_max_ratio(policy)))
     return series
 
 
@@ -476,9 +465,7 @@ def run_experiment(base: SimConfig, rates: list, replications: int = 20,
                 rows.extend(csv_row(policy, rate, rep, m) for m in metrics)
             summary[(policy.value, rate)] = {
                 "mean_cumulative": cumulative.mean(axis=0),
-                "std_cumulative": cumulative.std(axis=0),
                 "mean_ratio": ratios.mean(axis=0),
-                "std_ratio": ratios.std(axis=0),
             }
     grid = build_grid(base)
     metadata = {

@@ -144,6 +144,8 @@ class SteeringConfig:
                 f"{self.megw_id!r} must appear exactly once in region_peers")
         if not all(0 < w < math.inf for _, _, w in self.region_peers):
             raise ValueError("region peer weights must be positive and finite")
+        if not self.dips:   # stage II would have no DIP to pick
+            raise ValueError("the DIP pool is empty")
         if not all(0 < w < math.inf for _, w in self.dips):
             raise ValueError("DIP weights must be positive and finite")
         object.__setattr__(self, "peer_ints", {
@@ -362,8 +364,6 @@ class DipAffinityTable:
             dip = self._table.get(flow)
             if dip is not None:
                 return dip
-            if not dips:
-                raise SelectError("empty DIP pool")
             if type(flow) is not FiveTuple:
                 flow = FiveTuple(*flow)
             addr = rendezvous_select(flow.key_bytes(), dips)

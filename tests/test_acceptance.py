@@ -84,10 +84,9 @@ def test_trace_dominance():
                 migration_rate=900, seed=seed))
             rng = np.random.default_rng([seed, 0xD0])
             for _ in range(10):
-                movers, cells = draw_moves(world, rng, count=900)
+                movers, cells = draw_moves(world, rng)
                 m = apply_moves(world, movers, cells)
-                assert m[Policy.WITH_REGIONS].migrations \
-                    <= m[Policy.WITHOUT_REGIONS].migrations
+                assert m[Policy.WITH_REGIONS] <= m[Policy.WITHOUT_REGIONS]
 
 
 def random_packet(rng):

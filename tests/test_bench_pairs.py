@@ -43,7 +43,8 @@ def test_one_pair_has_no_spread():
     s = bench_pairs.summarize([(record(1.0, 9), record(1.5, 8))], END_TO_END)
     assert s["metrics"]["ops_per_s"] == {
         "base_median": 1.0, "change_median": 1.5, "base_iqr": 0.0,
-        "change_won": 1, "change_worse": -0.5, "beyond_bound": False}
+        "change_won": 1, "change_worse": -0.5, "beyond_bound": False,
+        "unresolved": False}
     text = bench_pairs.report("sim-sweep", s)
     assert text.splitlines()[0] == "== sim-sweep: 1 pairs"
     assert text.splitlines()[-1] == \
@@ -64,3 +65,52 @@ def test_worse_relative_to_the_base_and_beyond_the_bound():
     ops_line, p90_line = bench_pairs.report("dataplane", s).splitlines()[2:4]
     assert ops_line.endswith("+10.0%")
     assert p90_line.endswith("+6.0%  beyond bound")
+
+
+SIM_SWEEP_P90 = [{"name": "op_p90_ms", "better": "lower", "bound": 0.25}]
+
+
+def p90_pairs(base, change):
+    return [(record(1.0, b), record(1.0, c)) for b, c in zip(base, change)]
+
+
+def test_spread_within_the_bound_resolves():
+    # base quartiles 310 and 377.2 around a median of 320: an IQR of 21%
+    # of the median, inside the 0.25 bound, so the pairs can tell
+    s = bench_pairs.summarize(
+        p90_pairs([300, 310, 320, 377.2, 420], [310, 330, 320, 390, 410]),
+        SIM_SWEEP_P90)
+    p90 = s["metrics"]["op_p90_ms"]
+    assert p90["base_iqr"] / p90["base_median"] == pytest.approx(0.21)
+    assert not p90["unresolved"]
+    assert "unresolved" not in bench_pairs.report("sim-sweep", s)
+
+
+def test_spread_beyond_the_bound_is_unresolved():
+    # an IQR of 30% of the base median, and the sides overlap
+    base = [300, 300, 320, 396, 420]
+    s = bench_pairs.summarize(p90_pairs(base, [310, 290, 330, 380, 400]),
+                              SIM_SWEEP_P90)
+    p90 = s["metrics"]["op_p90_ms"]
+    assert p90["base_iqr"] / p90["base_median"] == pytest.approx(0.30)
+    assert p90["unresolved"] and not p90["beyond_bound"]
+    assert bench_pairs.report("sim-sweep", s).splitlines()[2].endswith(
+        "  unresolved")
+    # unless every run of the change beats every base run: lower is
+    # better here, so all below 300; a tie with the best base run is no win
+    for change, unresolved in (([250, 260, 270, 280, 299], False),
+                               ([250, 260, 270, 280, 300], True)):
+        s = bench_pairs.summarize(p90_pairs(base, change), SIM_SWEEP_P90)
+        assert s["metrics"]["op_p90_ms"]["unresolved"] is unresolved
+
+
+def test_separation_follows_better():
+    # higher is better for ops_per_s: every change run above every base run
+    end_to_end = [{"name": "ops_per_s", "better": "higher", "bound": 0.05}]
+    base = [1.0, 2.0, 3.0]
+    for change, unresolved in (([3.1, 3.2, 3.3], False),
+                               ([0.5, 0.6, 0.7], True)):
+        pairs = [(record(b, 1.0), record(c, 1.0))
+                 for b, c in zip(base, change)]
+        s = bench_pairs.summarize(pairs, end_to_end)
+        assert s["metrics"]["ops_per_s"]["unresolved"] is unresolved

@@ -414,7 +414,7 @@ class TestHandover:
             peers = regions[region]
             return stage1_select(ue_ip, SteeringConfig(
                 megw_id=peers[0][0], vips=frozenset({"10.100.1.1"}),
-                region_peers=peers, dips=(),
+                region_peers=peers, dips=(("10.200.0.5", 1.0),),
                 local_sgw="10.2.0.1").stage1_peers)
 
         ue = next(UE + i for i in range(1000)

@@ -96,7 +96,8 @@ class TestBuildTopology:
         del cfg["nodes"]["dip-b1"]
         cfg["links"] = [link for link in cfg["links"]
                         if "dip-b1" not in link.values()]
-        with pytest.raises(ConfigError, match="gateway 'mgw-b' has no DIP"):
+        with pytest.raises(ConfigError,
+                           match="^gateway 'mgw-b': the DIP pool is empty$"):
             build_topology(cfg)
 
     def test_unmapped_enb(self):
@@ -604,11 +605,11 @@ def ipv4_with(src, dst, proto, payload, ihl=5, trailer=b""):
     return head[:10] + csum + head[12:] + payload + trailer
 
 
-def deliver(h, node, data, dst_addr=None):
+def deliver(h, node, data):
     """The trace events one frame records at `node`, as (node, action,
     detail) triples."""
     mark = len(h.trace)
-    h._deliver(node, "mgw-a", data, dst_addr or h.topology.nodes[node].ip)
+    h._deliver(node, "mgw-a", data)
     return [(e.node, e.action, control.dotted(e.detail))
             for e in h.trace[mark:]]
 
@@ -733,8 +734,9 @@ class TestNodeFrames:
             ("sgw", RECEIVED, {"kind": kind, "src": "10.1.0.1"})]
 
     def test_sgw_transit(self):
+        # a transit frame goes where its IPv4 header says, as a router's
         frame = gtp.encode_gtpu(ENB1, ENB2, 9, GtpMessageType.GPDU, b"x")
-        assert deliver(make_harness(), "sgw", frame, ENB2) == [
+        assert deliver(make_harness(), "sgw", frame) == [
             ("sgw", SENT, {"dst": "10.1.0.2", "via": "mgw-a",
                            "note": "epc-transit", "bytes": len(frame)})]
 

@@ -84,7 +84,7 @@ def test_fabric_replays_sim_migrations():
 
     rng = np.random.default_rng([cfg.seed, 0x515])
     with_regions = sim.Policy.WITH_REGIONS
-    series = [world.metrics(with_regions)]
+    series = [sim.StepMetrics(0, 0, 0, world.min_max_ratio(with_regions))]
     crossed = np.zeros(world.population, dtype=bool)
     for _ in range(cfg.steps):
         movers, new_cells = sim.draw_moves(world, rng)
@@ -92,7 +92,10 @@ def test_fabric_replays_sim_migrations():
         old_serving = world.serving(with_regions)[movers]
         crossed[movers] |= (grid.region_of_cell[old_cells]
                             != grid.region_of_cell[new_cells])
-        series.append(sim.apply_moves(world, movers, new_cells)[with_regions])
+        moved = sim.apply_moves(world, movers, new_cells)[with_regions]
+        series.append(sim.StepMetrics(
+            len(series), moved, series[-1].cumulative_migrations + moved,
+            world.min_max_ratio(with_regions)))
         serving = world.serving(with_regions)
         notices = 0
         for u, old, new, was in zip(
@@ -118,7 +121,7 @@ def test_fabric_replays_sim_migrations():
                 == [old_gw]
             assert [ev.node for ev in trace if ev.action == REACTIVATED] \
                 == [new_gw]
-        assert notices == series[-1].migrations
+        assert notices == moved
         # a user who has crossed a region is served where stage I serves it
         for u in np.flatnonzero(crossed).tolist():
             region = int(grid.region_of_cell[world.user_cell[u]])

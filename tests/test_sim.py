@@ -8,15 +8,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from megw import sim
-from megw.sim import (ConfigError, Policy, SimConfig, apply_moves,
-                      build_grid, build_world, derive_seed, draw_moves,
-                      run_experiment)
+from megw.sim import (ConfigError, Policy, SimConfig, StepMetrics,
+                      apply_moves, build_grid, build_world, derive_seed,
+                      draw_moves, run_experiment)
 from megw.steering import rendezvous_pick, rendezvous_select, stage1_key
 
 
 def step(world, rng):
     """One step by hand, so these tests do not lean on `sim.replay`:
-    {Policy: StepMetrics}."""
+    {Policy: migrations}."""
     movers, new_cells = draw_moves(world, rng)
     return apply_moves(world, movers, new_cells)
 
@@ -277,9 +277,10 @@ class TestStep:
         cfg = small_cfg(migration_rate=0)
         world = build_world(cfg)
         before = {policy: world.min_max_ratio(policy) for policy in Policy}
-        for policy, m in step(world, np.random.default_rng(0)).items():
-            assert m.migrations == 0
-            assert m.min_max_ratio == before[policy]
+        for policy, migrations in step(world,
+                                       np.random.default_rng(0)).items():
+            assert migrations == 0
+            assert world.min_max_ratio(policy) == before[policy]
 
     def test_conservation(self):
         cfg = SimConfig(migration_rate=500)
@@ -315,8 +316,7 @@ class TestStep:
                 break
         user = int(np.flatnonzero(world.user_cell == pair[0])[0])
         m = apply_moves(world, np.array([user]), np.array([pair[1]]))
-        assert m[Policy.WITHOUT_REGIONS].migrations == 1
-        assert m[Policy.WITH_REGIONS].migrations == 0
+        assert m == {Policy.WITH_REGIONS: 0, Policy.WITHOUT_REGIONS: 1}
 
     def test_scripted_cross_region_move(self):
         # two single-MEC regions: a border crossing migrates either way
@@ -336,8 +336,7 @@ class TestStep:
         assert pair, "regions must touch"
         user = int(np.flatnonzero(world.user_cell == pair[0])[0])
         m = apply_moves(world, np.array([user]), np.array([pair[1]]))
-        for policy in Policy:
-            assert m[policy].migrations == 1
+        assert m == dict.fromkeys(Policy, 1)
 
     def test_hash_stability_within_region(self):
         # serving changes only alongside a region change
@@ -443,7 +442,6 @@ class FullArrayStep:
                 np.arange(world.population),
                 grid.region_of_cell[world.user_cell]].astype(np.int64)
         self.mec_users = np.bincount(self.serving, minlength=grid.n_mecs)
-        self.cumulative_migrations = 0
 
     def owner_users(self):
         """The per-MEC counts, summed per region with regions."""
@@ -468,7 +466,6 @@ class FullArrayStep:
         self.mec_users += (np.bincount(new_serving, minlength=n)
                            - np.bincount(old_serving, minlength=n))
         migrations = int((new_serving != old_serving).sum())
-        self.cumulative_migrations += migrations
         return migrations, full_array_ratio(grid, self.policy, self.mec_users)
 
 
@@ -500,7 +497,8 @@ class TestStepDifferential:
             if data.draw(st.booleans(), label="drawn by draw_moves"):
                 # neighbor moves, up to the whole population
                 count = data.draw(st.integers(0, population), label="count")
-                movers, new_cells = draw_moves(world, rng, count)
+                world.cfg = replace(world.cfg, migration_rate=count)
+                movers, new_cells = draw_moves(world, rng)
             else:
                 # jumps to any cell, so MECs and regions can empty
                 movers = int_array(data.draw(st.lists(
@@ -509,19 +507,15 @@ class TestStepDifferential:
                 new_cells = int_array(data.draw(st.lists(
                     st.integers(0, n_cells - 1), min_size=len(movers),
                     max_size=len(movers)), label="cells"))
-            step_metrics = apply_moves(world, movers, new_cells)
-            assert list(step_metrics) == list(sim.POLICIES)
+            moved = apply_moves(world, movers, new_cells)
+            assert list(moved) == list(sim.POLICIES)
             for policy, ref in refs.items():
-                m = step_metrics[policy]
                 migrations, ratio = ref.apply(movers, new_cells)
                 assert np.array_equal(world.serving(policy), ref.serving)
                 assert np.array_equal(owner_users(world, policy),
                                       ref.owner_users())
-                assert m.migrations == migrations
-                assert m.cumulative_migrations \
-                    == world.cumulative_migrations[policy] \
-                    == ref.cumulative_migrations
-                assert m.min_max_ratio == world.min_max_ratio(policy) == ratio
+                assert moved[policy] == migrations
+                assert world.min_max_ratio(policy) == ratio
 
 
 class TestDominance:
@@ -532,8 +526,7 @@ class TestDominance:
             rng = np.random.default_rng([rep_seed, 1])
             for _ in range(15):
                 m = step(world, rng)
-                assert m[Policy.WITH_REGIONS].migrations \
-                    <= m[Policy.WITHOUT_REGIONS].migrations
+                assert m[Policy.WITH_REGIONS] <= m[Policy.WITHOUT_REGIONS]
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), regions_count=st.integers(1, 3),
@@ -558,9 +551,8 @@ class TestDominance:
                 min_size=len(movers), max_size=len(movers)), label="cells"))
             old_cells = world.user_cell[movers]
             m = apply_moves(world, movers, new_cells)
-            assert m[Policy.WITH_REGIONS].migrations \
-                <= m[Policy.WITHOUT_REGIONS].migrations
-            assert m[Policy.WITHOUT_REGIONS].migrations == int(
+            assert m[Policy.WITH_REGIONS] <= m[Policy.WITHOUT_REGIONS]
+            assert m[Policy.WITHOUT_REGIONS] == int(
                 (mec_of_cell[old_cells] != mec_of_cell[new_cells]).sum())
 
 
@@ -583,20 +575,37 @@ def per_policy_experiment(base, rates, replications, steps):
                                 policy=policy, seed=rep_seed)
                 world = build_world(cfg)
                 rng = np.random.default_rng([rep_seed, 0x30B5])
-                metrics = [world.metrics(policy)]
-                for _ in range(steps):
-                    metrics.append(step(world, rng)[policy])
-                for m in metrics:
+                total = 0
+                for t in range(steps + 1):
+                    migrations = step(world, rng)[policy] if t else 0
+                    total += migrations
+                    m = StepMetrics(t, migrations, total,
+                                    world.min_max_ratio(policy))
                     rows.append(sim.csv_row(policy, rate, rep, m))
-                    cumulative[rep, m.t] = m.cumulative_migrations
-                    ratios[rep, m.t] = m.min_max_ratio
+                    cumulative[rep, t] = total
+                    ratios[rep, t] = m.min_max_ratio
             summary[(policy.value, rate)] = {
                 "mean_cumulative": cumulative.mean(axis=0),
-                "std_cumulative": cumulative.std(axis=0),
                 "mean_ratio": ratios.mean(axis=0),
-                "std_ratio": ratios.std(axis=0),
             }
     return rows, summary
+
+
+class TestReplay:
+    @pytest.mark.parametrize("steps", [0, 1, 7])
+    def test_steps_numbered_and_totals_summed(self, steps):
+        # replay numbers the steps 0..steps, and each policy's running
+        # total is the sum of its migrations so far
+        cfg = small_cfg(steps=steps, migration_rate=40)
+        series = sim.replay(cfg, np.random.default_rng(3))
+        assert list(series) == list(sim.POLICIES)
+        for metrics in series.values():
+            assert [m.t for m in metrics] == list(range(steps + 1))
+            assert metrics[0].migrations == 0
+            assert [m.cumulative_migrations for m in metrics] == np.cumsum(
+                [m.migrations for m in metrics]).tolist()
+        if steps:
+            assert series[Policy.WITHOUT_REGIONS][-1].cumulative_migrations
 
 
 class TestExperiment:
@@ -655,6 +664,7 @@ class TestExperiment:
     def test_summary_shapes(self):
         res = run_experiment(small_cfg(), [0.1], replications=2, steps=4)
         s = res.summary[(Policy.WITH_REGIONS.value, 0.1)]
+        assert set(s) == {"mean_cumulative", "mean_ratio"}
         assert s["mean_cumulative"].shape == (5,)
         assert res.metadata["replications"] == 2
 

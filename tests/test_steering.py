@@ -120,7 +120,7 @@ class TestRendezvous:
         with pytest.raises(ValueError):
             SteeringConfig(megw_id="mgw-a", vips=frozenset({VIP}),
                            region_peers=(("mgw-a", "10.50.0.1", weight),),
-                           dips=(), local_sgw="10.2.0.1")
+                           dips=(("10.200.0.5", 1.0),), local_sgw="10.2.0.1")
 
     def test_batch_scores_bad_weight(self):
         for keys in ([b"k"], []):
@@ -370,13 +370,11 @@ class TestStage2:
         assert [k is flow for k in table._table] == [True]
 
     def test_empty_pool(self):
-        cfg = make_cfg(dips=None)
-        cfg = SteeringConfig(megw_id="mgw-a", vips=frozenset({VIP}),
-                             region_peers=(("mgw-a", "10.50.0.1", 1.0),),
-                             dips=(), local_sgw="10.2.0.1")
+        # HRW's own check: no candidate, nothing pinned
+        table = DipAffinityTable()
         with pytest.raises(SelectError):
-            DipAffinityTable().get_or_assign(
-                FiveTuple.parse("1.2.3.4", VIP, 6, 1, 2), cfg.dips)
+            table.get_or_assign(FiveTuple.parse("1.2.3.4", VIP, 6, 1, 2), ())
+        assert not table._table
 
 
 class TestRuleStore:
@@ -562,12 +560,20 @@ class TestConfigLoading:
         with pytest.raises(ValueError):
             SteeringConfig(megw_id="mgw-x", vips=frozenset({VIP}),
                            region_peers=(("mgw-a", "10.50.0.1", 1.0),),
-                           dips=(), local_sgw="10.2.0.1")
+                           dips=(("10.200.0.5", 1.0),), local_sgw="10.2.0.1")
 
     def test_positive_weights_required(self):
         with pytest.raises(ValueError):
             SteeringConfig(megw_id="mgw-a", vips=frozenset({VIP}),
                            region_peers=(("mgw-a", "10.50.0.1", -1.0),),
+                           dips=(("10.200.0.5", 1.0),), local_sgw="10.2.0.1")
+
+    def test_dip_pool_must_not_be_empty(self):
+        # stage II needs a DIP to pick: an empty pool would make every
+        # VIP-bound frame raise in process_packet, which never raises
+        with pytest.raises(ValueError, match="^the DIP pool is empty$"):
+            SteeringConfig(megw_id="mgw-a", vips=frozenset({VIP}),
+                           region_peers=(("mgw-a", "10.50.0.1", 1.0),),
                            dips=(), local_sgw="10.2.0.1")
 
     @pytest.mark.parametrize("peer, dip", [("10.50.0.1", "10.200.0.999"),
@@ -584,7 +590,7 @@ class TestConfigLoading:
         cfg = SteeringConfig(megw_id="mgw-a", vips=frozenset({VIP}),
                              region_peers=(("mgw-a", "10.50.0.1", 1.0),
                                            ("mgw-b", "10.50.0.2", 2.0)),
-                             dips=(), local_sgw="10.2.0.1")
+                             dips=(("10.200.0.5", 1.0),), local_sgw="10.2.0.1")
         assert cfg.peer_ints == {"mgw-a": ip_int("10.50.0.1"),
                                  "mgw-b": ip_int("10.50.0.2")}
 
@@ -594,7 +600,7 @@ class TestConfigLoading:
         with pytest.raises(gtp.EncodeError):
             SteeringConfig(megw_id="mgw-a", vips=frozenset({vip}),
                            region_peers=(("mgw-a", "10.50.0.1", 1.0),),
-                           dips=(), local_sgw="10.2.0.1")
+                           dips=(("10.200.0.5", 1.0),), local_sgw="10.2.0.1")
 
 
 class TestConcurrency:

@@ -12,9 +12,11 @@ sides' medians, the base side's interquartile range, how many pairs the
 working tree won (a win is a strictly better value in the direction of
 the metric's `better`), and how much worse the working tree's median is
 than the base's, relative to it: positive is worse, and a flag marks a
-metric worse by more than its `bound`. Last come each side's failed
-operations. It records the figures and asserts nothing; a run that
-cannot run at all stops it.
+metric worse by more than its `bound`. Another flag marks a metric the
+pairs cannot resolve: its base IQR is larger than `bound` times the base
+median, and not every run of the working tree beats every base run.
+Last come each side's failed operations. It records the figures and
+asserts nothing; a run that cannot run at all stops it.
 """
 
 from __future__ import annotations
@@ -78,14 +80,21 @@ def summarize(pairs: list, end_to_end: list) -> dict:
         change_median = statistics.median(change)
         worse = (sign * (base_median - change_median) / base_median
                  if base_median else math.nan)
+        spread = iqr(base)
+        # a spread wider than the bound hides a change of the bound's size,
+        # unless the two sides do not overlap at all
+        separated = (min(sign * c for c in change)
+                     > max(sign * b for b in base))
         metrics[name] = {
             "base_median": base_median,
             "change_median": change_median,
-            "base_iqr": iqr(base),
+            "base_iqr": spread,
             "change_won": sum(sign * (c - b) > 0
                               for b, c in zip(base, change)),
             "change_worse": worse,
-            "beyond_bound": worse > metric["bound"]}
+            "beyond_bound": worse > metric["bound"],
+            "unresolved": (spread > metric["bound"] * abs(base_median)
+                           and not separated)}
     sides = {side: {key: sum(pair[i][key] for pair in pairs)
                     for key in ("failed", "attempted")}
              for i, side in enumerate(("base", "change"))}
@@ -103,7 +112,8 @@ def report(workload: str, summary: dict) -> str:
         lines.append(f"{name:<14}{base:>12.4g}{m['change_median']:>12.4g}"
                      f"{m['base_iqr']:>11.3g} {share:>6}"
                      f"{m['change_won']:>9}/{n}{m['change_worse']:>+10.1%}"
-                     + ("  beyond bound" if m["beyond_bound"] else ""))
+                     + ("  beyond bound" if m["beyond_bound"] else "")
+                     + ("  unresolved" if m["unresolved"] else ""))
     lines.append("failed operations: " + ", ".join(
         f"{side} {summary[side]['failed']} of {summary[side]['attempted']}"
         for side in ("base", "change")))
