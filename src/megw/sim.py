@@ -19,8 +19,14 @@ user's serving cluster:
 A region change is always also a cluster change, so one world holds what
 both read: each user's cell and the users per cluster. The readers take
 the policy; `SimWorld.serving` gathers the serving clusters on demand,
-with regions from a `stage1_table` computed on first use. `apply_moves`
-moves the users and counts each policy's migrations.
+with regions from a `stage1_table` computed on first use.
+
+A move goes through a neighbour slot, `cell * 6 + k` for the k-th entry
+of the grid's `neighbor_table`, and the grid knows per slot the cluster
+it leaves, the one it enters and its migration kind. So `apply_moves`
+writes the movers' new cells and does the rest of its bookkeeping on one
+histogram of the step's slots: the users per cluster and each policy's
+migration count, with no per-mover gather or compare.
 
 `replay` is the one step loop: one movement trace on one world. It
 numbers the steps, keeps each policy's running total and reads the
@@ -183,6 +189,13 @@ class HexGrid:
     mec_cells: tuple             # per MEC: array of its 7 cell indices
     neighbor_table: np.ndarray   # (n_cells, 6) neighbor index or -1
     neighbor_count: np.ndarray   # (n_cells,)
+    # per neighbour slot s = cell * 6 + k, a move from the cell to
+    # neighbor_table[cell, k]: the MEC it leaves, the MEC it enters and
+    # its kind: 0 same MEC, 1 another MEC of the region, 2 another
+    # region; an empty slot stays in its own cell, kind 0, never drawn
+    slot_from_mec: np.ndarray    # (n_cells * 6,)
+    slot_to_mec: np.ndarray      # (n_cells * 6,)
+    slot_kind: np.ndarray        # (n_cells * 6,)
     mec_names: tuple
     # per MEC: (region, capacity, region capacity), plain numbers for the
     # ratio computed at every step
@@ -233,21 +246,30 @@ def _grid(regions_count: int, mecs_per_region: int,
         neighbor_count[i] = k
     if (neighbor_count == 0).any():
         raise ConfigError("isolated cell in tiling")
+    own = np.repeat(np.arange(n), len(HEX_DIRS))
+    entered = np.where(neighbor_table.ravel() >= 0, neighbor_table.ravel(),
+                       own)
+    slot_from_mec, slot_to_mec = mec_of_cell[own], mec_of_cell[entered]
+    # a region change is also a MEC change, so the two add up to the kind
+    slot_kind = ((slot_from_mec != slot_to_mec).astype(np.int64)
+                 + (region_of_cell[own] != region_of_cell[entered]))
 
     mec_plain = tuple(zip(region_of_mec.tolist(), capacities.tolist(),
                           region_capacity.tolist()))
     names = tuple(f"mec-{r}-{m}" for r, m in zip(
         center_regions, list(range(mecs_per_region)) * regions_count))
     arrays = (mec_of_cell, region_of_cell, region_of_mec, capacities,
-              region_capacity, neighbor_table, neighbor_count) + mec_cells
+              region_capacity, neighbor_table, neighbor_count, slot_from_mec,
+              slot_to_mec, slot_kind) + mec_cells
     for a in arrays:
         a.flags.writeable = False
     return HexGrid(cells=tuple(cells), mec_of_cell=mec_of_cell,
                    region_of_cell=region_of_cell, region_of_mec=region_of_mec,
                    capacities=capacities, region_capacity=region_capacity,
                    mec_cells=mec_cells, neighbor_table=neighbor_table,
-                   neighbor_count=neighbor_count, mec_names=names,
-                   mec_plain=mec_plain)
+                   neighbor_count=neighbor_count, slot_from_mec=slot_from_mec,
+                   slot_to_mec=slot_to_mec, slot_kind=slot_kind,
+                   mec_names=names, mec_plain=mec_plain)
 
 
 def stage1_table(grid: HexGrid, n_users: int) -> np.ndarray:
@@ -288,9 +310,11 @@ class StepMetrics:
 class SimWorld:
     """One replay's users, with no policy, clock or totals in them: each
     reader takes the policy, and `replay` numbers the steps. `user_cell`
-    and `mec_users` change together, only in `apply_moves`: a direct write
-    to `user_cell` leaves the counts stale. `serving` computes the world's
-    `stage1_table` on first use and keeps it; no step reads it."""
+    and `mec_users` change together, only in `apply_moves`, which counts
+    from the grid's per-slot MECs and never reads `user_cell`: a direct
+    write to `user_cell`, or a slot of another cell than its mover's,
+    leaves the counts stale. `serving` computes the world's `stage1_table`
+    on first use and keeps it; no step reads it."""
 
     cfg: SimConfig
     grid: HexGrid
@@ -353,7 +377,7 @@ def build_world(cfg: SimConfig) -> SimWorld:
 def draw_moves(world: SimWorld,
                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Pick `cfg.migration_rate` distinct movers and a uniform valid
-    neighbor cell for each.
+    neighbour slot of each one's cell: `(movers, slots)`.
 
     The movement trace is policy-independent: one drawn batch moves the
     users that both serving policies read.
@@ -362,29 +386,33 @@ def draw_moves(world: SimWorld,
                         replace=False)
     cells = world.user_cell[movers]
     pick = rng.integers(0, world.grid.neighbor_count[cells])
-    # one flat gather: a (row, column) gather of the table is twice as slow
-    new_cells = world.grid.neighbor_table.ravel()[cells * len(HEX_DIRS) + pick]
-    return movers, new_cells
+    return movers, cells * len(HEX_DIRS) + pick
 
 
 def apply_moves(world: SimWorld, movers: np.ndarray,
-                new_cells: np.ndarray) -> dict:
-    """Move the users and count each policy's migrations: a mover whose
-    MEC changes migrates without regions, and one whose MEC's region
-    changes migrates with them. Past finding who they are, a step counts
-    only the movers whose MEC changes. Returns {Policy: migrations}."""
+                slots: np.ndarray) -> dict:
+    """Move each mover to the neighbour cell of its slot and count each
+    policy's migrations: a move to another MEC migrates without regions,
+    and one to another region migrates with them. Past the movers' new
+    cells, the step reads only the histogram of its slots. Returns
+    {Policy: migrations}.
+
+    Precondition: each slot belongs to its mover's current cell
+    (`slots // 6 == user_cell[movers]`), and no user moves twice, as
+    `draw_moves` draws them; otherwise `mec_users` goes stale.
+    """
     grid = world.grid
-    old_mec = grid.mec_of_cell[world.user_cell[movers]]
-    new_mec = grid.mec_of_cell[new_cells]
-    world.user_cell[movers] = new_cells
-    changed = new_mec != old_mec
-    old_mec, new_mec = old_mec[changed], new_mec[changed]
+    world.user_cell[movers] = grid.neighbor_table.ravel()[slots]
+    moves = np.bincount(slots, minlength=grid.slot_kind.size)
     n = grid.n_mecs
-    world.mec_users += (np.bincount(new_mec, minlength=n)
-                        - np.bincount(old_mec, minlength=n))
-    crossed = grid.region_of_mec[old_mec] != grid.region_of_mec[new_mec]
-    return {Policy.WITH_REGIONS: int(np.count_nonzero(crossed)),
-            Policy.WITHOUT_REGIONS: len(old_mec)}
+    # the counts stay below 2**32, one subscriber address per user, so
+    # the float64 weighted sums are exact
+    world.mec_users += (np.bincount(grid.slot_to_mec, moves, n)
+                        - np.bincount(grid.slot_from_mec, moves, n)
+                        ).astype(np.int64)
+    _, within, across = np.bincount(grid.slot_kind, moves, 3).tolist()
+    return {Policy.WITH_REGIONS: int(across),
+            Policy.WITHOUT_REGIONS: int(within + across)}
 
 
 @dataclass

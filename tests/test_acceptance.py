@@ -84,8 +84,8 @@ def test_trace_dominance():
                 migration_rate=900, seed=seed))
             rng = np.random.default_rng([seed, 0xD0])
             for _ in range(10):
-                movers, cells = draw_moves(world, rng)
-                m = apply_moves(world, movers, cells)
+                movers, slots = draw_moves(world, rng)
+                m = apply_moves(world, movers, slots)
                 assert m[Policy.WITH_REGIONS] <= m[Policy.WITHOUT_REGIONS]
 
 

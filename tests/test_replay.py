@@ -87,12 +87,13 @@ def test_fabric_replays_sim_migrations():
     series = [sim.StepMetrics(0, 0, 0, world.min_max_ratio(with_regions))]
     crossed = np.zeros(world.population, dtype=bool)
     for _ in range(cfg.steps):
-        movers, new_cells = sim.draw_moves(world, rng)
+        movers, slots = sim.draw_moves(world, rng)
         old_cells = world.user_cell[movers]
+        new_cells = grid.neighbor_table.ravel()[slots]
         old_serving = world.serving(with_regions)[movers]
         crossed[movers] |= (grid.region_of_cell[old_cells]
                             != grid.region_of_cell[new_cells])
-        moved = sim.apply_moves(world, movers, new_cells)[with_regions]
+        moved = sim.apply_moves(world, movers, slots)[with_regions]
         series.append(sim.StepMetrics(
             len(series), moved, series[-1].cumulative_migrations + moved,
             world.min_max_ratio(with_regions)))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from megw import sim
-from megw.sim import (ConfigError, Policy, SimConfig, StepMetrics,
+from megw.sim import (ConfigError, Policy, SimConfig, SimWorld, StepMetrics,
                       apply_moves, build_grid, build_world, derive_seed,
                       draw_moves, run_experiment)
 from megw.steering import rendezvous_pick, rendezvous_select, stage1_key
@@ -17,8 +17,8 @@ from megw.steering import rendezvous_pick, rendezvous_select, stage1_key
 def step(world, rng):
     """One step by hand, so these tests do not lean on `sim.replay`:
     {Policy: migrations}."""
-    movers, new_cells = draw_moves(world, rng)
-    return apply_moves(world, movers, new_cells)
+    movers, slots = draw_moves(world, rng)
+    return apply_moves(world, movers, slots)
 
 
 def small_cfg(**kw):
@@ -143,7 +143,45 @@ class TestGrid:
             grid.mec_of_cell[0] = 1
         with pytest.raises(ValueError):
             grid.mec_cells[0][0] = 1
+        for slot_array in (grid.slot_from_mec, grid.slot_to_mec,
+                           grid.slot_kind):
+            with pytest.raises(ValueError):
+                slot_array[0] = 1
         assert grid.region_capacity.tolist() == [6.0] * 12
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), regions_count=st.integers(1, 4),
+           mecs_per_region=st.integers(1, 5))
+    def test_slot_arrays_equal_a_per_slot_recount(
+            self, data, regions_count, mecs_per_region):
+        # slot cell * 6 + k moves from the cell to neighbor_table[cell, k]:
+        # it leaves the cell's MEC, enters the neighbour's and its kind
+        # says whether the MEC or the region changes; a slot with no
+        # neighbour stays in its own cell
+        grid = build_grid(SimConfig(
+            regions_count=regions_count, mecs_per_region=mecs_per_region,
+            capacities=data.draw(st.lists(
+                st.integers(1, 3), min_size=mecs_per_region,
+                max_size=mecs_per_region)),
+            users_per_capacity=1, migration_rate=0))
+        n_cells = len(grid.cells)
+        assert (grid.slot_from_mec.shape == grid.slot_to_mec.shape
+                == grid.slot_kind.shape == (n_cells * 6,))
+        for cell in range(n_cells):
+            for k in range(6):
+                slot = cell * 6 + k
+                j = int(grid.neighbor_table[cell, k])
+                entered = j if j >= 0 else cell
+                assert (j >= 0) == (k < grid.neighbor_count[cell])
+                assert grid.slot_from_mec[slot] == grid.mec_of_cell[cell]
+                assert grid.slot_to_mec[slot] == grid.mec_of_cell[entered]
+                if grid.region_of_cell[cell] != grid.region_of_cell[entered]:
+                    kind = 2
+                elif grid.mec_of_cell[cell] != grid.mec_of_cell[entered]:
+                    kind = 1
+                else:
+                    kind = 0
+                assert grid.slot_kind[slot] == kind
 
 
 def scalar_table(grid, n_users):
@@ -163,6 +201,18 @@ def scalar_table(grid, n_users):
 
 def int_array(values):
     return np.array(values, dtype=np.int64)
+
+
+def neighbor_moves(data, world, max_size):
+    """Hypothesis-drawn moves for `apply_moves`: any distinct users, each
+    through any valid neighbour slot of its current cell."""
+    movers = int_array(data.draw(st.lists(
+        st.integers(0, world.population - 1), unique=True,
+        max_size=max_size), label="movers"))
+    cells = world.user_cell[movers]
+    picks = [data.draw(st.integers(0, count - 1), label="slot")
+             for count in world.grid.neighbor_count[cells].tolist()]
+    return movers, cells * 6 + int_array(picks)
 
 
 # three regions of two MECs, 45 users: small enough to score by hand
@@ -296,10 +346,14 @@ class TestStep:
     def test_movers_go_to_neighbor_cells(self):
         world = build_world(small_cfg())
         rng = np.random.default_rng(2)
+        grid = world.grid
         before = world.user_cell.copy()
-        movers, new_cells = draw_moves(world, rng)
+        movers, slots = draw_moves(world, rng)
+        assert np.array_equal(slots // 6, before[movers])
+        assert (slots % 6 < grid.neighbor_count[before[movers]]).all()
+        new_cells = grid.neighbor_table.ravel()[slots]
         for u, c in zip(movers, new_cells):
-            assert c in world.grid.neighbor_table[before[u]]
+            assert c in grid.neighbor_table[before[u]]
 
     def test_scripted_intra_region_move(self):
         # one user crosses between two neighborhoods of the same region:
@@ -308,14 +362,15 @@ class TestStep:
         grid = world.grid
         pair = None
         for i, c in enumerate(grid.cells):
-            for j in grid.neighbor_table[i]:
+            for k, j in enumerate(grid.neighbor_table[i]):
                 if j >= 0 and grid.mec_of_cell[i] != grid.mec_of_cell[j]:
-                    pair = (i, int(j))
+                    pair = (i, i * 6 + k, int(j))
                     break
             if pair:
                 break
         user = int(np.flatnonzero(world.user_cell == pair[0])[0])
         m = apply_moves(world, np.array([user]), np.array([pair[1]]))
+        assert world.user_cell[user] == pair[2]
         assert m == {Policy.WITH_REGIONS: 0, Policy.WITHOUT_REGIONS: 1}
 
     def test_scripted_cross_region_move(self):
@@ -327,15 +382,16 @@ class TestStep:
         grid = world.grid
         pair = None
         for i, c in enumerate(grid.cells):
-            for j in grid.neighbor_table[i]:
+            for k, j in enumerate(grid.neighbor_table[i]):
                 if j >= 0 and grid.region_of_cell[i] != grid.region_of_cell[j]:
-                    pair = (i, int(j))
+                    pair = (i, i * 6 + k, int(j))
                     break
             if pair:
                 break
         assert pair, "regions must touch"
         user = int(np.flatnonzero(world.user_cell == pair[0])[0])
         m = apply_moves(world, np.array([user]), np.array([pair[1]]))
+        assert world.user_cell[user] == pair[2]
         assert m == dict.fromkeys(Policy, 1)
 
     def test_hash_stability_within_region(self):
@@ -372,11 +428,13 @@ class TestStep:
                 == pick
 
     def test_ratio_zero_when_mec_empty(self):
-        world = build_world(small_cfg())
+        cfg = small_cfg()
+        grid = build_grid(cfg)
         # everyone piles onto MEC 0
-        movers = np.flatnonzero(world.serving(Policy.WITHOUT_REGIONS) != 0)
-        apply_moves(world, movers,
-                    np.full(len(movers), world.grid.mec_cells[0][0]))
+        user_cell = np.full(cfg.population, grid.mec_cells[0][0])
+        world = SimWorld(cfg=cfg, grid=grid, user_cell=user_cell,
+                         mec_users=np.bincount(grid.mec_of_cell[user_cell],
+                                               minlength=grid.n_mecs))
         assert world.min_max_ratio(Policy.WITHOUT_REGIONS) == 0.0
 
     @pytest.mark.parametrize("policy", list(Policy))
@@ -491,23 +549,21 @@ class TestStepDifferential:
         world = build_world(cfg)
         refs = {policy: FullArrayStep(world, policy)
                 for policy in sim.POLICIES}
-        population, n_cells = cfg.population, len(world.grid.cells)
+        population = cfg.population
         rng = np.random.default_rng(seed)
         for _ in range(data.draw(st.integers(1, 8), label="steps")):
             if data.draw(st.booleans(), label="drawn by draw_moves"):
                 # neighbor moves, up to the whole population
                 count = data.draw(st.integers(0, population), label="count")
                 world.cfg = replace(world.cfg, migration_rate=count)
-                movers, new_cells = draw_moves(world, rng)
+                movers, slots = draw_moves(world, rng)
             else:
-                # jumps to any cell, so MECs and regions can empty
-                movers = int_array(data.draw(st.lists(
-                    st.integers(0, population - 1), unique=True,
-                    max_size=min(population, 30)), label="movers"))
-                new_cells = int_array(data.draw(st.lists(
-                    st.integers(0, n_cells - 1), min_size=len(movers),
-                    max_size=len(movers)), label="cells"))
-            moved = apply_moves(world, movers, new_cells)
+                # any users through any of their slots: at a few users per
+                # capacity unit, MECs and regions can empty
+                movers, slots = neighbor_moves(data, world,
+                                               min(population, 30))
+            new_cells = world.grid.neighbor_table.ravel()[slots]
+            moved = apply_moves(world, movers, slots)
             assert list(moved) == list(sim.POLICIES)
             for policy, ref in refs.items():
                 migrations, ratio = ref.apply(movers, new_cells)
@@ -543,14 +599,10 @@ class TestDominance:
         world = build_world(cfg)
         mec_of_cell = world.grid.mec_of_cell
         for _ in range(data.draw(st.integers(1, 6), label="steps")):
-            movers = int_array(data.draw(st.lists(
-                st.integers(0, cfg.population - 1), unique=True,
-                max_size=cfg.population), label="movers"))
-            new_cells = int_array(data.draw(st.lists(
-                st.integers(0, len(world.grid.cells) - 1),
-                min_size=len(movers), max_size=len(movers)), label="cells"))
+            movers, slots = neighbor_moves(data, world, cfg.population)
+            new_cells = world.grid.neighbor_table.ravel()[slots]
             old_cells = world.user_cell[movers]
-            m = apply_moves(world, movers, new_cells)
+            m = apply_moves(world, movers, slots)
             assert m[Policy.WITH_REGIONS] <= m[Policy.WITHOUT_REGIONS]
             assert m[Policy.WITHOUT_REGIONS] == int(
                 (mec_of_cell[old_cells] != mec_of_cell[new_cells]).sum())
