@@ -24,9 +24,10 @@ with regions from a `stage1_table` computed on first use.
 A move goes through a neighbour slot, `cell * 6 + k` for the k-th entry
 of the grid's `neighbor_table`, and the grid knows per slot the cluster
 it leaves, the one it enters and its migration kind. So `apply_moves`
-writes the movers' new cells and does the rest of its bookkeeping on one
-histogram of the step's slots: the users per cluster and each policy's
-migration count, with no per-mover gather or compare.
+writes the movers' new cells and reads the rest of its bookkeeping off
+the step's slots: the users per cluster and each policy's migration
+count, with no per-mover mask or compare. A step with as many moves as
+the grid has slots reads it off one histogram of them.
 
 `replay` is the one step loop: one movement trace on one world. It
 numbers the steps, keeps each policy's running total and reads the
@@ -394,8 +395,14 @@ def apply_moves(world: SimWorld, movers: np.ndarray,
     """Move each mover to the neighbour cell of its slot and count each
     policy's migrations: a move to another MEC migrates without regions,
     and one to another region migrates with them. Past the movers' new
-    cells, the step reads only the histogram of its slots. Returns
-    {Policy: migrations}.
+    cells, the step reads only the grid's per-slot MECs and kinds.
+    Returns {Policy: migrations}.
+
+    A step with fewer moves than the grid has slots gathers the entries
+    of each move's slot. One with at least as many takes one histogram
+    of its slots and weighs every slot by its moves, which is cheaper
+    there than the gathers. Either way a step costs O(movers), with no
+    per-mover mask or compare.
 
     Precondition: each slot belongs to its mover's current cell
     (`slots // 6 == user_cell[movers]`), and no user moves twice, as
@@ -403,14 +410,17 @@ def apply_moves(world: SimWorld, movers: np.ndarray,
     """
     grid = world.grid
     world.user_cell[movers] = grid.neighbor_table.ravel()[slots]
-    moves = np.bincount(slots, minlength=grid.slot_kind.size)
+    read, moves = slots, None
+    if len(slots) >= grid.slot_kind.size:
+        read, moves = slice(None), np.bincount(slots,
+                                               minlength=grid.slot_kind.size)
     n = grid.n_mecs
     # the counts stay below 2**32, one subscriber address per user, so
     # the float64 weighted sums are exact
-    world.mec_users += (np.bincount(grid.slot_to_mec, moves, n)
-                        - np.bincount(grid.slot_from_mec, moves, n)
-                        ).astype(np.int64)
-    _, within, across = np.bincount(grid.slot_kind, moves, 3).tolist()
+    world.mec_users += (np.bincount(grid.slot_to_mec[read], moves, n)
+                        - np.bincount(grid.slot_from_mec[read], moves, n)
+                        ).astype(np.int64, copy=False)
+    _, within, across = np.bincount(grid.slot_kind[read], moves, 3).tolist()
     return {Policy.WITH_REGIONS: int(across),
             Policy.WITHOUT_REGIONS: int(within + across)}
 

@@ -344,8 +344,6 @@ class DipAffinityTable:
         self._table: dict[FiveTuple, int] = {}
         # dotted DIP -> the one int every pin to it holds
         self._dips: dict[str, int] = {}
-        # those ints, so the return path skips a source no pin can match
-        self._dip_ints: set[int] = set()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -372,18 +370,13 @@ class DipAffinityTable:
             dip = self._dips.get(addr)
             if dip is None:
                 dip = self._dips[addr] = ip_int(addr)
-                self._dip_ints.add(dip)
             self._table[flow] = dip
             return dip
 
     def vip_for(self, dip_flow: tuple, vips: Iterable[int]) -> int | None:
         """The first of `vips` whose flow, `dip_flow` (any tuple) with the
-        VIP in the DIP's place, is pinned to that DIP; or None, without
-        a probe, when the DIP is none this table has pinned to."""
+        VIP in the DIP's place, is pinned to that DIP; or None."""
         ue, dip, proto, ue_port, port = dip_flow
-        # the set only grows, and a DIP joins it before its first pin
-        if dip not in self._dip_ints:
-            return None
         with self._lock:
             for vip in vips:
                 if self._table.get((ue, vip, proto, ue_port, port)) == dip:

@@ -527,6 +527,21 @@ class FullArrayStep:
         return migrations, full_array_ratio(grid, self.policy, self.mec_users)
 
 
+def step_beside(world, refs, movers, slots):
+    """Apply one step to `world` and to each policy's full-array
+    reference in `refs`, and check that each policy's reading agrees
+    with its reference, the ratio to the last bit."""
+    new_cells = world.grid.neighbor_table.ravel()[slots]
+    moved = apply_moves(world, movers, slots)
+    assert list(moved) == list(sim.POLICIES)
+    for policy, ref in refs.items():
+        migrations, ratio = ref.apply(movers, new_cells)
+        assert np.array_equal(world.serving(policy), ref.serving)
+        assert np.array_equal(owner_users(world, policy), ref.owner_users())
+        assert moved[policy] == migrations
+        assert world.min_max_ratio(policy) == ratio
+
+
 class TestStepDifferential:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), regions_count=st.integers(1, 3),
@@ -562,16 +577,38 @@ class TestStepDifferential:
                 # capacity unit, MECs and regions can empty
                 movers, slots = neighbor_moves(data, world,
                                                min(population, 30))
-            new_cells = world.grid.neighbor_table.ravel()[slots]
-            moved = apply_moves(world, movers, slots)
-            assert list(moved) == list(sim.POLICIES)
-            for policy, ref in refs.items():
-                migrations, ratio = ref.apply(movers, new_cells)
-                assert np.array_equal(world.serving(policy), ref.serving)
-                assert np.array_equal(owner_users(world, policy),
-                                      ref.owner_users())
-                assert moved[policy] == migrations
-                assert world.min_max_ratio(policy) == ratio
+            step_beside(world, refs, movers, slots)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), regions_count=st.integers(1, 2),
+           mecs_per_region=st.integers(1, 3),
+           users_per_capacity=st.integers(43, 90), seed=st.integers(0, 99))
+    def test_steps_around_the_slot_count(self, data, regions_count,
+                                         mecs_per_region, users_per_capacity,
+                                         seed):
+        # a step with fewer moves than the grid has slots reads each
+        # move's slot, one with at least as many a histogram of them:
+        # both agree with the full-array reference, on either side of
+        # the switch and at it
+        capacities = data.draw(st.lists(st.integers(1, 3),
+                                         min_size=mecs_per_region,
+                                         max_size=mecs_per_region))
+        cfg = SimConfig(regions_count=regions_count,
+                        mecs_per_region=mecs_per_region,
+                        capacities=capacities,
+                        users_per_capacity=users_per_capacity,
+                        migration_rate=0, seed=seed)
+        world = build_world(cfg)
+        slots = world.grid.slot_kind.size
+        assert cfg.population > slots
+        refs = {policy: FullArrayStep(world, policy)
+                for policy in sim.POLICIES}
+        rng = np.random.default_rng(seed)
+        for _ in range(data.draw(st.integers(1, 4), label="steps")):
+            count = data.draw(st.sampled_from(
+                [slots - 1, slots, slots + 1, cfg.population]), label="count")
+            world.cfg = replace(world.cfg, migration_rate=count)
+            step_beside(world, refs, *draw_moves(world, rng))
 
 
 class TestDominance:

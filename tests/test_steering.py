@@ -1248,16 +1248,6 @@ DIP_REPLY = raw_ipv4(DipAffinityTable().get_or_assign(PINNED, DIFF_CFG.dips),
                      PINNED.src_ip, 6, struct.pack("!HH", 80, 5000) + b"ok")
 
 
-class CountingDict(dict):
-    """A dict that counts its `get` calls."""
-
-    gets = 0
-
-    def get(self, *args):
-        self.gets += 1
-        return super().get(*args)
-
-
 def seeded_tables(ruled, silent, pinned):
     """A rule store and an affinity table from the drawn flows: `ruled`
     get a rule, `silent` subscribers are silenced, and `pinned` flows are
@@ -1314,26 +1304,6 @@ class TestProcessPacketDifferential:
             assert len(affinity) == len(ref_affinity)
             assert all(type(k) is FiveTuple
                        for t in (affinity, ref_affinity) for k in t._table)
-
-    @pytest.mark.parametrize("src", [DIFF_VIPS[0], ip_int("93.184.216.34")],
-                             ids=["vip", "server"])
-    def test_return_path_skips_a_source_that_is_no_dip(self, src):
-        # a cluster-side packet from an address no pin holds (to a ruled
-        # flow, or to none) gets the action it always got, and no pin is
-        # probed for it; a DIP's reply still probes
-        frame = raw_ipv4(src, PINNED.src_ip, 6,
-                         struct.pack("!HH", 80, 5000) + b"ok")
-        rules, affinity = seeded_tables([PINNED], (), DIFF_FLOWS)
-        ref_rules, ref_affinity = seeded_tables([PINNED], (), DIFF_FLOWS)
-        affinity._table = pins = CountingDict(affinity._table)
-        act = process_packet(frame, Direction.FROM_CLUSTER, DIFF_CFG, rules,
-                             affinity)
-        assert shape(act) == shape(reference_process_packet(
-            frame, Direction.FROM_CLUSTER, DIFF_CFG, ref_rules, ref_affinity))
-        assert pins.gets == 0
-        process_packet(DIP_REPLY, Direction.FROM_CLUSTER, DIFF_CFG, rules,
-                       affinity)
-        assert pins.gets > 0
 
     def test_shape_tells_types_apart(self):
         # actions of different types with equal fields differ, as does an
