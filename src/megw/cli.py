@@ -151,10 +151,10 @@ def _sim_config(args) -> dict:
 
 def _cmd_sim(args) -> int:
     cfg = sim.SimConfig.from_dict(_sim_config(args))
-    metrics = sim.replay(cfg, np.random.default_rng([cfg.seed, 0x515]))[
+    series = sim.replay(cfg, np.random.default_rng([cfg.seed, 0x515]))[
         cfg.policy]
     rate = cfg.migration_rate / cfg.population
-    rows = [sim.csv_row(cfg.policy, rate, 0, m) for m in metrics]
+    rows = sim.csv_rows(cfg.policy, rate, 0, series)
     sim.write_rows_csv(args.out, rows)
     meta = {**vars(cfg), "policy": cfg.policy.value,
             "capacities": list(cfg.capacities), "population": cfg.population,

@@ -29,11 +29,17 @@ the step's slots: the users per cluster and each policy's migration
 count, with no per-mover mask or compare. A step with as many moves as
 the grid has slots reads it off one histogram of them.
 
-`replay` is the one step loop: one movement trace on one world. It
-numbers the steps, keeps each policy's running total and reads the
-min-max fairness ratio of cluster utilizations (least loaded over most
-loaded) after each step. `megw sim` writes the series of its config's
-policy; a sweep writes both.
+A step draws its neighbour picks as raw 32-bit words scaled into each
+cell's neighbour count, the multiply-shift numpy's bounded draw does
+itself, so the picks and the generator's state are exactly those of
+`rng.integers(0, counts)`.
+
+`replay` is the one step loop: one movement trace on one world. It keeps
+each step's users per cluster and migration counts in arrays, and once
+per replay computes each policy's running totals and its min-max
+fairness ratio of cluster utilizations (least loaded over most loaded)
+at every step. `megw sim` writes the series of its config's policy; a
+sweep writes both.
 """
 
 from __future__ import annotations
@@ -46,6 +52,8 @@ import json
 import math
 import struct
 from dataclasses import dataclass, fields, replace
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -198,9 +206,6 @@ class HexGrid:
     slot_to_mec: np.ndarray      # (n_cells * 6,)
     slot_kind: np.ndarray        # (n_cells * 6,)
     mec_names: tuple
-    # per MEC: (region, capacity, region capacity), plain numbers for the
-    # ratio computed at every step
-    mec_plain: tuple
 
     @property
     def n_mecs(self) -> int:
@@ -255,8 +260,6 @@ def _grid(regions_count: int, mecs_per_region: int,
     slot_kind = ((slot_from_mec != slot_to_mec).astype(np.int64)
                  + (region_of_cell[own] != region_of_cell[entered]))
 
-    mec_plain = tuple(zip(region_of_mec.tolist(), capacities.tolist(),
-                          region_capacity.tolist()))
     names = tuple(f"mec-{r}-{m}" for r, m in zip(
         center_regions, list(range(mecs_per_region)) * regions_count))
     arrays = (mec_of_cell, region_of_cell, region_of_mec, capacities,
@@ -270,7 +273,7 @@ def _grid(regions_count: int, mecs_per_region: int,
                    mec_cells=mec_cells, neighbor_table=neighbor_table,
                    neighbor_count=neighbor_count, slot_from_mec=slot_from_mec,
                    slot_to_mec=slot_to_mec, slot_kind=slot_kind,
-                   mec_names=names, mec_plain=mec_plain)
+                   mec_names=names)
 
 
 def stage1_table(grid: HexGrid, n_users: int) -> np.ndarray:
@@ -299,18 +302,36 @@ def stage1_table(grid: HexGrid, n_users: int) -> np.ndarray:
     return table
 
 
-@dataclass
-class StepMetrics:
-    t: int
-    migrations: int
-    cumulative_migrations: int
-    min_max_ratio: float
+def mec_load(grid: HexGrid, mec_users: np.ndarray,
+             policy: Policy) -> np.ndarray:
+    """Users per MEC, as floats, for users per MEC `mec_users` of shape
+    (..., n_mecs): one world's counts or a replay's row per step. Without
+    regions a MEC carries the users of its cells. With regions each
+    region is one pooled cluster whose load the two-stage steering
+    spreads over its MECs in proportion to capacity, so a MEC carries its
+    capacity share of the region's users; the pooling absorbs per-user
+    randomness."""
+    if policy is Policy.WITHOUT_REGIONS:
+        return mec_users.astype(float)
+    member = grid.region_of_mec[:, None] == np.arange(
+        grid.region_of_mec.max() + 1)
+    users = mec_users @ member     # per region, exact in int64
+    return (users[..., grid.region_of_mec] / grid.region_capacity
+            * grid.capacities)
+
+
+def min_max_ratio(grid: HexGrid, mec_users: np.ndarray,
+                  policy: Policy) -> np.ndarray:
+    """The least over the most MEC utilization (load over capacity) of
+    each row of `mec_users`: 0.0 when a MEC carries no load."""
+    util = mec_load(grid, mec_users, policy) / grid.capacities
+    return util.min(axis=-1) / util.max(axis=-1)
 
 
 @dataclass
 class SimWorld:
     """One replay's users, with no policy, clock or totals in them: each
-    reader takes the policy, and `replay` numbers the steps. `user_cell`
+    reader takes the policy, and `replay` keeps the series. `user_cell`
     and `mec_users` change together, only in `apply_moves`, which counts
     from the grid's per-slot MECs and never reads `user_cell`: a direct
     write to `user_cell`, or a slot of another cell than its mover's,
@@ -339,26 +360,9 @@ class SimWorld:
         return self._stage1[np.arange(self.population),
                             self.grid.region_of_cell[self.user_cell]]
 
-    def mec_load(self, policy: Policy) -> list:
-        """Users per MEC, as a dozen plain floats. Without regions a MEC
-        carries the users of its cells. With regions each region is one
-        pooled cluster whose load the two-stage steering spreads over its
-        MECs in proportion to capacity, so a MEC carries its capacity share
-        of the region's users; the pooling absorbs per-user randomness."""
-        if policy is Policy.WITHOUT_REGIONS:
-            return [float(n) for n in self.mec_users.tolist()]
-        users = np.bincount(self.grid.region_of_mec,
-                            weights=self.mec_users).tolist()
-        return [users[region] / region_capacity * capacity
-                for region, capacity, region_capacity in self.grid.mec_plain]
-
     def min_max_ratio(self, policy: Policy) -> float:
-        load = self.mec_load(policy)
-        if 0.0 in load:
-            return 0.0
-        util = [x / capacity
-                for x, (_, capacity, _) in zip(load, self.grid.mec_plain)]
-        return min(util) / max(util)
+        """The module's `min_max_ratio` of the world's current counts."""
+        return float(min_max_ratio(self.grid, self.mec_users, policy))
 
 
 def build_world(cfg: SimConfig) -> SimWorld:
@@ -375,18 +379,45 @@ def build_world(cfg: SimConfig) -> SimWorld:
                                           minlength=grid.n_mecs))
 
 
+def integers_below(rng: np.random.Generator,
+                   counts: np.ndarray) -> np.ndarray:
+    """`rng.integers(0, counts)` for int64 counts from 2 to 2**31: the
+    same values, and the generator left in the same state.
+
+    numpy draws each such value from one 32-bit word w as
+    `(w * count) >> 32`, and draws again only when the product's low 32
+    bits fall below a threshold that is less than the count (Lemire,
+    "Fast Random Integer Generation in an Interval", 2019). So one batch
+    of raw words gives the same values unless some low half falls below
+    its count, which is rare; then the generator is rewound and numpy
+    draws. A count of 1 would differ: numpy draws no word for it.
+    """
+    state = rng.bit_generator.state
+    word = rng.integers(0, 1 << 32, size=len(counts), dtype=np.uint32)
+    scaled = word.astype(np.int64) * counts
+    if ((scaled & 0xFFFFFFFF) < counts).any():
+        rng.bit_generator.state = state
+        return rng.integers(0, counts)
+    return scaled >> 32
+
+
 def draw_moves(world: SimWorld,
                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Pick `cfg.migration_rate` distinct movers and a uniform valid
     neighbour slot of each one's cell: `(movers, slots)`.
 
     The movement trace is policy-independent: one drawn batch moves the
-    users that both serving policies read.
+    users that both serving policies read. It is the trace of
+    `rng.choice(population, m, replace=False)` followed by
+    `rng.integers(0, neighbor_count[cells])`, with the second draw made
+    by `integers_below` (every cell has at least three neighbours).
+    `rng.choice` stays numpy's: its partial Fisher-Yates shuffle takes a
+    data-dependent number of masked words per mover.
     """
     movers = rng.choice(world.population, size=world.cfg.migration_rate,
                         replace=False)
     cells = world.user_cell[movers]
-    pick = rng.integers(0, world.grid.neighbor_count[cells])
+    pick = integers_below(rng, world.grid.neighbor_count[cells])
     return movers, cells * len(HEX_DIRS) + pick
 
 
@@ -427,7 +458,7 @@ def apply_moves(world: SimWorld, movers: np.ndarray,
 
 @dataclass
 class ExperimentResult:
-    rows: list          # per (policy, rate, replication, step)
+    rows: list          # CSV_HEADER tuples per (policy, rate, rep, step)
     summary: dict       # (policy, rate) -> per-step aggregate arrays
     metadata: dict
 
@@ -448,20 +479,32 @@ def derive_seed(*parts: int) -> int:
 POLICIES = (Policy.WITH_REGIONS, Policy.WITHOUT_REGIONS)   # row order
 
 
+class Series(NamedTuple):
+    """One policy's metrics over a replay, one entry per step from t=0."""
+
+    migrations: np.ndarray       # int64, 0 at t=0
+    cumulative: np.ndarray       # int64, running total of migrations
+    min_max_ratio: np.ndarray    # float64
+
+
 def replay(cfg: SimConfig, rng: np.random.Generator) -> dict:
     """Replay one movement trace of `cfg` on one world: each step draws
-    its moves and applies them once. Returns each policy's metrics series,
-    from t=0, as {Policy: [StepMetrics]}."""
+    its moves and applies them once, and its users per MEC and migration
+    counts go into arrays. Returns each policy's series, with its running
+    totals and min-max ratios computed once, as {Policy: Series}."""
     world = build_world(cfg)
-    series = {policy: [StepMetrics(0, 0, 0, world.min_max_ratio(policy))]
-              for policy in POLICIES}
+    users = np.empty((cfg.steps + 1, world.grid.n_mecs), dtype=np.int64)
+    users[0] = world.mec_users
+    moved = {policy: np.zeros(cfg.steps + 1, dtype=np.int64)
+             for policy in POLICIES}
     for t in range(1, cfg.steps + 1):
-        moved = apply_moves(world, *draw_moves(world, rng))
-        for policy, metrics in series.items():
-            cumulative = metrics[-1].cumulative_migrations + moved[policy]
-            metrics.append(StepMetrics(t, moved[policy], cumulative,
-                                       world.min_max_ratio(policy)))
-    return series
+        for policy, n in apply_moves(world,
+                                     *draw_moves(world, rng)).items():
+            moved[policy][t] = n
+        users[t] = world.mec_users
+    return {policy: Series(migrations, np.cumsum(migrations),
+                           min_max_ratio(world.grid, users, policy))
+            for policy, migrations in moved.items()}
 
 
 def run_experiment(base: SimConfig, rates: list, replications: int = 20,
@@ -495,15 +538,13 @@ def run_experiment(base: SimConfig, rates: list, replications: int = 20,
             runs.append(replay(cfg, np.random.default_rng([seed, 0x30B5])))
         for policy in POLICIES:
             series = [run[policy] for run in runs]
-            cumulative = np.array([[m.cumulative_migrations for m in metrics]
-                                   for metrics in series], dtype=float)
-            ratios = np.array([[m.min_max_ratio for m in metrics]
-                               for metrics in series])
-            for rep, metrics in enumerate(series):
-                rows.extend(csv_row(policy, rate, rep, m) for m in metrics)
+            for rep, s in enumerate(series):
+                rows += csv_rows(policy, rate, rep, s)
             summary[(policy.value, rate)] = {
-                "mean_cumulative": cumulative.mean(axis=0),
-                "mean_ratio": ratios.mean(axis=0),
+                "mean_cumulative": np.array([s.cumulative for s in series],
+                                            dtype=float).mean(axis=0),
+                "mean_ratio": np.array([s.min_max_ratio for s in series]
+                                       ).mean(axis=0),
             }
     grid = build_grid(base)
     metadata = {
@@ -526,20 +567,22 @@ CSV_HEADER = ["policy", "rate", "replication", "step", "migrations",
               "cumulative_migrations", "min_max_ratio"]
 
 
-def csv_row(policy: Policy, rate: float, replication: int,
-            m: StepMetrics) -> dict:
-    """One CSV_HEADER row for one step of one run."""
-    return dict(zip(CSV_HEADER, (policy.value, rate, replication, m.t,
-                                 m.migrations, m.cumulative_migrations,
-                                 m.min_max_ratio)))
+def csv_rows(policy: Policy, rate: float, replication: int,
+             series: Series) -> list:
+    """The CSV_HEADER rows of one policy's series in one run, one tuple
+    per step, of plain ints and floats."""
+    return list(zip(repeat(policy.value), repeat(rate), repeat(replication),
+                    range(len(series.migrations)),
+                    series.migrations.tolist(), series.cumulative.tolist(),
+                    series.min_max_ratio.tolist()))
 
 
 def write_rows_csv(path: str, rows: list) -> None:
+    """CSV_HEADER, then `rows`, each a sequence in its order."""
     with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=CSV_HEADER)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer = csv.writer(f)
+        writer.writerow(CSV_HEADER)
+        writer.writerows(rows)
 
 
 def write_metadata(path: str, metadata: dict) -> None:

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from megw import sim
-from megw.sim import (ConfigError, Policy, SimConfig, SimWorld, StepMetrics,
-                      apply_moves, build_grid, build_world, derive_seed,
-                      draw_moves, run_experiment)
+from megw.sim import (ConfigError, Policy, SimConfig, SimWorld, apply_moves,
+                      build_grid, build_world, derive_seed, draw_moves,
+                      run_experiment)
 from megw.steering import rendezvous_pick, rendezvous_select, stage1_key
 
 
@@ -165,6 +165,9 @@ class TestGrid:
                 max_size=mecs_per_region)),
             users_per_capacity=1, migration_rate=0))
         n_cells = len(grid.cells)
+        # numpy draws no word for a one-value range, so the neighbour
+        # draw needs at least two neighbours per cell
+        assert grid.neighbor_count.min() >= 3
         assert (grid.slot_from_mec.shape == grid.slot_to_mec.shape
                 == grid.slot_kind.shape == (n_cells * 6,))
         for cell in range(n_cells):
@@ -340,8 +343,8 @@ class TestStep:
             step(world, rng)
         assert world.population == cfg.population
         for policy in Policy:
-            assert sum(world.mec_load(policy)) == pytest.approx(
-                cfg.population)
+            assert sim.mec_load(world.grid, world.mec_users,
+                                policy).sum() == pytest.approx(cfg.population)
 
     def test_movers_go_to_neighbor_cells(self):
         world = build_world(small_cfg())
@@ -458,8 +461,90 @@ class TestStep:
                                          minlength=3)
                     users = (region[grid.region_of_mec] * grid.capacities
                              / grid.region_capacity)
-                assert np.allclose(world.mec_load(policy), users, rtol=0,
-                                   atol=1e-9)
+                assert np.allclose(
+                    sim.mec_load(grid, world.mec_users, policy), users,
+                    rtol=0, atol=1e-9)
+
+
+# the neighbour counts of the paper's map, one per cell
+PAPER_COUNTS = build_grid(SimConfig()).neighbor_count
+
+
+def with_next_word(rng, word):
+    """`rng`, its next 32-bit word set to `word`: PCG64 keeps the upper
+    half of a 64-bit output for the next 32-bit draw."""
+    rng.bit_generator.state = {**rng.bit_generator.state, "has_uint32": 1,
+                               "uinteger": word}
+    return rng
+
+
+class WordAfterChoice:
+    """A generator whose first 32-bit word after each `choice` is `word`."""
+
+    def __init__(self, seed, word):
+        self.rng, self.word = np.random.default_rng(seed), word
+
+    def choice(self, *args, **kwargs):
+        drawn = self.rng.choice(*args, **kwargs)
+        with_next_word(self.rng, self.word)
+        return drawn
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+class TestNeighbourDraw:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), size=st.integers(0, 9000),
+           counts_seed=st.integers(0, 2**32 - 1), paper=st.booleans(),
+           skip=st.integers(0, 3))
+    def test_equals_numpy_bounded_draw(self, seed, size, counts_seed, paper,
+                                       skip):
+        # the picks of `rng.integers(0, counts)` and the generator state
+        # after them, from either half of a buffered 64-bit output
+        source = np.random.default_rng(counts_seed)
+        counts = (source.choice(PAPER_COUNTS, size) if paper
+                  else source.integers(2, 7, size))
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for g in (rng, ref):
+            g.integers(0, 1 << 32, size=skip, dtype=np.uint32)
+        assert np.array_equal(sim.integers_below(rng, counts),
+                              ref.integers(0, counts))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("count,word,rejected", [
+        (6, 0, True),             # 2**32 % 6 == 4: numpy draws again
+        (3, 0, True),
+        (6, 1431655766, False),   # low half 4: below 6, not rejected
+        (4, 0, False),            # a power of two: never rejected
+    ])
+    def test_low_word_falls_back_to_numpy(self, count, word, rejected):
+        counts = np.full(5, count)
+        rng, ref, raw = (with_next_word(np.random.default_rng(7), word)
+                         for _ in range(3))
+        assert np.array_equal(sim.integers_below(rng, counts),
+                              ref.integers(0, counts))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        # the low half is below the count: a rejected word makes numpy
+        # draw one more, so raw words alone would leave another state
+        assert ((word * count) & 0xFFFFFFFF) < count
+        raw.integers(0, 1 << 32, size=5, dtype=np.uint32)
+        assert (raw.bit_generator.state != ref.bit_generator.state) \
+            == rejected
+
+    @pytest.mark.parametrize("word", [0, 1431655766, 0x9E3779B9])
+    def test_draw_moves_equals_numpy_draws(self, word):
+        # the movers of `rng.choice` and the picks of `rng.integers`,
+        # whether the first word after the choice falls back or not
+        world = build_world(SimConfig(migration_rate=900, seed=3))
+        rng, ref = WordAfterChoice(3, word), WordAfterChoice(3, word)
+        movers, slots = draw_moves(world, rng)
+        expected = ref.choice(world.population, size=900, replace=False)
+        cells = world.user_cell[expected]
+        picks = ref.integers(0, world.grid.neighbor_count[cells])
+        assert np.array_equal(movers, expected)
+        assert np.array_equal(slots, cells * 6 + picks)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def owner_users(world, policy):
@@ -668,11 +753,11 @@ def per_policy_experiment(base, rates, replications, steps):
                 for t in range(steps + 1):
                     migrations = step(world, rng)[policy] if t else 0
                     total += migrations
-                    m = StepMetrics(t, migrations, total,
-                                    world.min_max_ratio(policy))
-                    rows.append(sim.csv_row(policy, rate, rep, m))
+                    ratio = world.min_max_ratio(policy)
+                    rows.append((policy.value, rate, rep, t, migrations,
+                                 total, ratio))
                     cumulative[rep, t] = total
-                    ratios[rep, t] = m.min_max_ratio
+                    ratios[rep, t] = ratio
             summary[(policy.value, rate)] = {
                 "mean_cumulative": cumulative.mean(axis=0),
                 "mean_ratio": ratios.mean(axis=0),
@@ -683,18 +768,19 @@ def per_policy_experiment(base, rates, replications, steps):
 class TestReplay:
     @pytest.mark.parametrize("steps", [0, 1, 7])
     def test_steps_numbered_and_totals_summed(self, steps):
-        # replay numbers the steps 0..steps, and each policy's running
-        # total is the sum of its migrations so far
+        # a replay's rows number the steps 0..steps, and each policy's
+        # running total is the sum of its migrations so far
         cfg = small_cfg(steps=steps, migration_rate=40)
         series = sim.replay(cfg, np.random.default_rng(3))
         assert list(series) == list(sim.POLICIES)
-        for metrics in series.values():
-            assert [m.t for m in metrics] == list(range(steps + 1))
-            assert metrics[0].migrations == 0
-            assert [m.cumulative_migrations for m in metrics] == np.cumsum(
-                [m.migrations for m in metrics]).tolist()
+        for policy, s in series.items():
+            assert [row[3] for row in sim.csv_rows(policy, 0.1, 0, s)] \
+                == list(range(steps + 1))
+            assert s.migrations[0] == 0
+            assert s.cumulative.tolist() == np.cumsum(
+                s.migrations.tolist()).tolist()
         if steps:
-            assert series[Policy.WITHOUT_REGIONS][-1].cumulative_migrations
+            assert series[Policy.WITHOUT_REGIONS].cumulative[-1]
 
 
 class TestExperiment:
@@ -746,9 +832,11 @@ class TestExperiment:
         res = run_experiment(small_cfg(), [0.05, 0.1], replications=2, steps=4)
         assert len(res.rows) == 2 * 2 * 2 * 5  # rates x policies x reps x (steps+1)
         row = res.rows[0]
-        assert set(row) == {"policy", "rate", "replication", "step",
-                            "migrations", "cumulative_migrations",
-                            "min_max_ratio"}
+        assert len(row) == len(sim.CSV_HEADER)
+        assert set(sim.CSV_HEADER) == {"policy", "rate", "replication",
+                                       "step", "migrations",
+                                       "cumulative_migrations",
+                                       "min_max_ratio"}
 
     def test_summary_shapes(self):
         res = run_experiment(small_cfg(), [0.1], replications=2, steps=4)
