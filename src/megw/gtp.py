@@ -8,7 +8,13 @@ A frame is read one way: each header's checks live in one reader that
 unpacks it in place, at an offset, into integers: `read_ipv4`,
 `read_tunnel` (UDP and GTP-U) and `read_ports`. The packet path and the
 harness nodes call them directly, and `decode_gtpu`, `classify` and
-`inner_five_tuple` are built straight from them. No module calls
+`inner_five_tuple` are built straight from them. `read_tunnel` returns
+and never raises: None for a frame that is no GTP-U datagram at all (not
+UDP, or UDP to another port than 2152), so that a plain frame costs the
+packet path no error object; the error of the first failed check for a
+UDP datagram cut short of its header or a malformed one to port 2152;
+else the tunnel. Only `decode_gtpu` turns None into the
+`MessageTypeError` it raises. No module calls
 `parse_ipv4` (and its `Ipv4View`); they remain for the tests and for the
 per-layer benchmark, which wraps `parse_ipv4` by name. Only the 8-byte
 header with flags 0x30 is accepted: optional sequence, N-PDU or extension
@@ -256,13 +262,16 @@ def read_ports(data: bytes, at: int, size: int, proto: int) -> tuple:
 
 
 def read_tunnel(data: bytes, proto: int, ihl: int,
-                total: int) -> tuple[int, int, int] | DecodeError:
+                total: int) -> tuple[int, int, int] | DecodeError | None:
     """(message type, TEID, inner offset) of the UDP and GTP-U headers
-    behind an IPv4 header of `ihl` bytes, `total` long, carrying `proto`;
-    or the error of the first failed check, returned so that reading a
-    plain frame costs no exception."""
+    behind an IPv4 header of `ihl` bytes, `total` long, carrying `proto`.
+    None for a frame that is no GTP-U datagram: not UDP, or a whole UDP
+    header to a port other than 2152. Otherwise, a UDP header cut short
+    or a malformed datagram to port 2152, the error of the first failed
+    check. Both are returned, not raised, and None builds no error at
+    all, so that reading a plain frame costs nothing."""
     if proto != PROTO_UDP:
-        return MessageTypeError(f"outer protocol {proto}, expected UDP")
+        return None
     size = total - ihl
     if size < UDP_HEADER_LEN:
         return TruncatedError("UDP header truncated")
@@ -273,7 +282,7 @@ def read_tunnel(data: bytes, proto: int, ihl: int,
         buf, at = data[ihl:total] + bytes(_INNER_AT - size), 0
     port, udp_len, flags, mtype, length, teid = _TUNNEL.unpack_from(buf, at)
     if port != GTP_UDP_PORT:
-        return MessageTypeError(f"UDP port {port}, expected {GTP_UDP_PORT}")
+        return None
     if udp_len != size:
         return LengthError(f"UDP length {udp_len} vs {size} bytes")
     if size < _INNER_AT:
@@ -308,7 +317,12 @@ def decode_gtpu(data: bytes) -> GtpuPacket:
     """Inverse of encode_gtpu. Raises a DecodeError subclass on bad input."""
     ihl, total, proto, src, dst = read_ipv4(data)
     tunnel = read_tunnel(data, proto, ihl, total)
-    if isinstance(tunnel, DecodeError):
+    if tunnel is None:
+        if proto != PROTO_UDP:
+            raise MessageTypeError(f"outer protocol {proto}, expected UDP")
+        port = _PORTS.unpack_from(data, ihl)[1]
+        raise MessageTypeError(f"UDP port {port}, expected {GTP_UDP_PORT}")
+    if type(tunnel) is not tuple:
         raise tunnel
     msg_type, teid, at = tunnel
     return GtpuPacket(src, dst, teid, GtpMessageType(msg_type),
@@ -334,7 +348,7 @@ def classify(data: bytes, direction: Direction) -> PacketClass:
     if proto == PROTO_SCTP:
         return PacketClass.CONTROL_PLANE
     tunnel = read_tunnel(data, proto, ihl, total)
-    if isinstance(tunnel, DecodeError):
+    if type(tunnel) is not tuple:
         return PacketClass.PLAIN_IP
     if tunnel[0] == MSG_TYPE_END_MARKER:
         return PacketClass.END_MARKER

@@ -426,7 +426,7 @@ class Harness:
                                          "bytes": total - ihl})
             return
         tunnel = gtp.read_tunnel(data, proto, ihl, total)
-        if isinstance(tunnel, gtp.DecodeError):
+        if type(tunnel) is not tuple:
             self._record(enb, DROPPED, {"reason": "untunneled"})
             return
         msg_type, teid, at = tunnel

@@ -215,6 +215,8 @@ class _Subscriber(dict):
 
 # what RuleStore.lookup answers for a ruled flow of a silenced subscriber
 SILENT = object()
+# the flows of a subscriber with none: one shared, never written mapping
+_NO_FLOWS: Mapping = {}
 
 
 class RuleStore:
@@ -238,7 +240,7 @@ class RuleStore:
         with self._lock:
             if key[0] in self._silent:
                 return SILENT
-            return self._by_ue.get(key[0], {}).get(key)
+            return self._by_ue.get(key[0], _NO_FLOWS).get(key)
 
     def address(self, ue_ip: int) -> int:
         """The int this store keeps for the subscriber's address, or
@@ -455,25 +457,24 @@ def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
         return Drop("unparseable frame")
 
     if proto == PROTO_SCTP:
-        return Multiple((Emit(ip_str(dst), data, note="control-passthrough"),
+        return Multiple((Emit(ip_str(dst), data, "control-passthrough"),
                          CloneToController(S1apClone(data[ihl:total]))))
 
     tunnel = read_tunnel(data, proto, ihl, total)
-    if isinstance(tunnel, tuple) and tunnel[0] == MSG_TYPE_END_MARKER:
-        return Multiple((Emit(ip_str(dst), data,
-                              note="end-marker-passthrough"),
+    if type(tunnel) is tuple and tunnel[0] == MSG_TYPE_END_MARKER:
+        return Multiple((Emit(ip_str(dst), data, "end-marker-passthrough"),
                          CloneToController(EndMarkerSeen(dst, tunnel[1]))))
 
-    if isinstance(tunnel, tuple) and ingress is Direction.FROM_RAN:
+    if type(tunnel) is tuple and ingress is Direction.FROM_RAN:
         # uplink G-PDU: steer the inner packet, data[at:total], if VIP-bound
         _, teid, at = tunnel
         try:
             hl, size, proto, src, vip = read_ipv4(data, at, total)
             sport, dport = read_ports(data, at + hl, size - hl, proto)
         except DecodeError:
-            return Emit(ip_str(dst), data, note="ip-route")
+            return Emit(ip_str(dst), data, "ip-route")
         if vip not in cfg.vip_ints:
-            return Emit(ip_str(dst), data, note="ip-route")
+            return Emit(ip_str(dst), data, "ip-route")
         flow = (src, vip, proto, sport, dport)
         rule = rules.lookup(flow)
         if rule is SILENT:
@@ -487,11 +488,11 @@ def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
         serving = stage1_select(src, cfg.stage1_peers)
         if serving != cfg.megw_id:
             act = Emit(ip_str(cfg.peer_ints[serving]), data[at:total],
-                       note="stage1-handoff")
+                       "stage1-handoff")
         else:
             dip = affinity.get_or_assign(flow, cfg.dips)
-            act = Emit(ip_str(dip), note="dip-rewrite",
-                       data=rewrite_ipv4(data, dst=dip, at=at, end=total))
+            act = Emit(ip_str(dip), rewrite_ipv4(data, dst=dip, at=at,
+                                                 end=total), "dip-rewrite")
         if rule is None:
             return Multiple((CloneToController(FlowMiss(flow, teid)), act))
         return act
@@ -505,14 +506,13 @@ def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
             return Drop("malformed VIP-bound packet")
         dip = affinity.get_or_assign(
             (src, cfg.vip_ints[dst], proto, sport, dport), cfg.dips)
-        return Emit(ip_str(dip), rewrite_ipv4(data, dst=dip),
-                    note="dip-rewrite")
+        return Emit(ip_str(dip), rewrite_ipv4(data, dst=dip), "dip-rewrite")
 
     if ingress is Direction.FROM_CLUSTER:
         return _downstream_edge(data, ihl, total, proto, src, dst,
                                 cfg.vip_ints, rules, affinity)
 
-    return Emit(ip_str(dst), data, note="ip-route")
+    return Emit(ip_str(dst), data, "ip-route")
 
 
 def _downstream_edge(data: bytes, ihl: int, total: int, proto: int, src: int,
@@ -523,7 +523,7 @@ def _downstream_edge(data: bytes, ihl: int, total: int, proto: int, src: int,
     try:
         sport, dport = read_ports(data, ihl, total - ihl, proto)
     except DecodeError:
-        return Emit(ip_str(dst), data, note="ip-route")
+        return Emit(ip_str(dst), data, "ip-route")
 
     # If the source address is a DIP this gateway pinned the reversed flow
     # to, restore the VIP so the subscriber sees the service address.
@@ -534,9 +534,9 @@ def _downstream_edge(data: bytes, ihl: int, total: int, proto: int, src: int,
 
     rule = rules.lookup((dst, src, proto, dport, sport))
     if rule is None:
-        return Emit(ip_str(dst), data, note="ip-route")
+        return Emit(ip_str(dst), data, "ip-route")
     if rule is SILENT:
         return Drop("silent-period")
     tunneled = encode_gtpu(rule.sgw_addr, rule.enb_addr, rule.downstream_teid,
                            GtpMessageType.GPDU, data)
-    return Emit(ip_str(rule.enb_addr), tunneled, note="gtp-encap")
+    return Emit(ip_str(rule.enb_addr), tunneled, "gtp-encap")

@@ -71,6 +71,18 @@ class TestCodec:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
 
+    @pytest.mark.parametrize("proto, transport, message", [
+        (6, gtp.build_tcpish(6, 80, 5000, b"resp"),
+         "outer protocol 6, expected UDP"),
+        (17, gtp.build_udp(5000, 53, b"q"), "UDP port 53, expected 2152")])
+    def test_decode_frame_that_is_no_tunnel(self, capsys, proto, transport,
+                                            message):
+        frame = gtp.build_ipv4(ip_int("172.16.0.2"), ip_int("10.100.1.1"),
+                               proto, transport)
+        code, out, err = run(capsys, "codec", "decode", frame.hex())
+        assert code == 2 and not out
+        assert err == f"error: {message}\n"
+
     def test_bad_hex_is_runtime_error(self, capsys):
         code, _, err = run(capsys, "codec", "decode", "zz")
         assert code == 2

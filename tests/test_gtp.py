@@ -181,36 +181,43 @@ class TestDecode:
             assert decode_gtpu(encode_gtpu(*pkt)) == pkt
 
 
-def tunnel_error_oracle(data: bytes):
-    """The DecodeError subclass of the first failed check, in the order the
-    view-based decoder made them: the IPv4 header (`parse_error_oracle`),
-    then protocol, UDP header length, port, UDP length, GTP-U header
-    length, version, flags, message type and GTP-U length. None for a
-    frame it accepts."""
+def tunnel_check_oracle(data: bytes):
+    """(name, DecodeError subclass) of the first failed check, in the order
+    the view-based decoder made them: the IPv4 header
+    (`parse_error_oracle`), then protocol, UDP header length, port, UDP
+    length, GTP-U header length, version, flags, message type and GTP-U
+    length. None for a frame it accepts."""
     error = parse_error_oracle(data)
     if error is not None:
-        return error
+        return "ipv4", error
     ihl = (data[0] & 0x0F) * 4
     udp = data[ihl:int.from_bytes(data[2:4], "big")]
     if data[9] != 17:
-        return gtp.MessageTypeError
+        return "not udp", gtp.MessageTypeError
     if len(udp) < 8:
-        return gtp.TruncatedError
+        return "udp header", gtp.TruncatedError
     port, length = struct.unpack_from("!HH", udp, 2)
     if port != 2152:
-        return gtp.MessageTypeError
+        return "udp port", gtp.MessageTypeError
     if length != len(udp):
-        return gtp.LengthError
+        return "udp length", gtp.LengthError
     if len(udp) < 16:
-        return gtp.TruncatedError
+        return "gtp header", gtp.TruncatedError
     flags, msg_type, gtp_len, _ = struct.unpack_from("!BBHI", udp, 8)
     if flags >> 5 != 1:
-        return gtp.VersionError
+        return "gtp version", gtp.VersionError
     if flags != 0x30 or msg_type not in (0xFF, 0xFE):
-        return gtp.MessageTypeError
+        return "gtp flags or type", gtp.MessageTypeError
     if gtp_len != len(udp) - 16:
-        return gtp.LengthError
+        return "gtp length", gtp.LengthError
     return None
+
+
+def tunnel_error_oracle(data: bytes):
+    """The DecodeError subclass of the first failed check, or None for a
+    frame that decodes."""
+    failed = tunnel_check_oracle(data)
+    return None if failed is None else failed[1]
 
 
 class TestDecodeChecks:
@@ -551,6 +558,8 @@ REF_MESSAGE_TYPES = {t.value: t for t in GtpMessageType}
 def ref_decode_tunnel(data, ip):
     total = ip.header_len + len(ip.payload)
     tunnel = gtp.read_tunnel(data, ip.proto, ip.header_len, total)
+    if tunnel is None:  # no GTP-U datagram: not UDP, or not to port 2152
+        return gtp.MessageTypeError("not a GTP-U datagram")
     if isinstance(tunnel, gtp.DecodeError):
         return tunnel
     msg_type, teid, at = tunnel
@@ -596,6 +605,64 @@ def outcome(fn, *args):
         return fn(*args)
     except gtp.DecodeError as exc:
         return type(exc)
+
+
+def oracle_class(data: bytes, direction: Direction) -> PacketClass:
+    """The class of a frame, from the check oracle alone."""
+    failed = tunnel_check_oracle(data)
+    if failed is not None and failed[0] == "ipv4":
+        return PacketClass.PLAIN_IP
+    if data[9] == 132:
+        return PacketClass.CONTROL_PLANE
+    if failed is not None:
+        return PacketClass.PLAIN_IP
+    if data[(data[0] & 0x0F) * 4 + 9] == 0xFE:
+        return PacketClass.END_MARKER
+    return {Direction.FROM_RAN: PacketClass.UPSTREAM_GTP,
+            Direction.FROM_CORE: PacketClass.DOWNSTREAM_GTP}.get(
+                direction, PacketClass.PLAIN_IP)
+
+
+class TestReadTunnel:
+    @settings(max_examples=300, deadline=None)
+    @given(frame=frames())
+    @example(frame=ipv4("10.200.0.5", "172.16.0.2", 6,
+                        build_tcpish(6, 80, 5000, b"resp")))
+    @example(frame=ipv4("172.16.0.2", "10.100.1.1", 17,
+                        build_udp(5000, 53, b"q")))
+    @example(frame=ipv4("1.2.3.4", "5.6.7.8", 17,
+                        build_udp(2152, 2152, b"\x30")))
+    @example(frame=ipv4("1.2.3.4", "5.6.7.8", 17, b"\x08\x68\x08"))
+    def test_three_outcomes(self, frame):
+        # None exactly for a frame that is no GTP-U datagram, the oracle's
+        # error for any other failure, a tunnel for a frame it accepts; and
+        # decode_gtpu and classify answer as the oracle says, with the
+        # messages a frame that is no GTP-U datagram always had
+        for direction in Direction:
+            assert classify(frame, direction) is oracle_class(frame,
+                                                              direction)
+        failed = tunnel_check_oracle(frame)
+        if failed is None:
+            assert type(decode_gtpu(frame)) is GtpuPacket
+        else:
+            with pytest.raises(failed[1]) as info:
+                decode_gtpu(frame)
+            assert type(info.value) is failed[1]
+        if failed is not None and failed[0] == "ipv4":
+            return
+        ihl, total, proto, _, _ = gtp.read_ipv4(frame)
+        tunnel = gtp.read_tunnel(frame, proto, ihl, total)
+        if failed is None:
+            assert type(tunnel) is tuple and tunnel[2] == ihl + 16
+        elif failed[0] == "not udp":
+            assert tunnel is None
+            assert str(info.value) == f"outer protocol {proto}, expected UDP"
+        elif failed[0] == "udp port":
+            assert tunnel is None
+            port = int.from_bytes(frame[ihl + 2:ihl + 4], "big")
+            assert str(info.value) == f"UDP port {port}, expected 2152"
+        else:
+            assert type(tunnel) is failed[1]
 
 
 class TestReadersDifferential:

@@ -362,6 +362,41 @@ class TestStage2:
         assert table.vip_for(other, vips) \
             is table.vip_for(FiveTuple(*other), vips) is None
 
+    @given(data=st.data(), n_vips=st.integers(2, 3),
+           n_pinned=st.integers(0, 12), pool=st.integers(1, 3))
+    def test_vip_for_equals_a_table_scan(self, data, n_vips, n_pinned, pool):
+        # pins from the first `pool` DIPs of four, so the last is never
+        # pinned, some of one flow under every VIP, so that one DIP can
+        # hold it for two VIPs; the probe's source is a pinned DIP, an
+        # unpinned pool DIP, a VIP or any address, and its flow often
+        # that of a pin
+        dips = tuple((f"10.200.0.{i}", 1.0) for i in range(1, 5))
+        vips = tuple(ip_int(f"10.100.1.{i}") for i in range(1, n_vips + 1))
+        ports = st.sampled_from((5000, 80))
+        flows = st.builds(FiveTuple, st.sampled_from((UE, UE + 1)),
+                          st.sampled_from(vips), st.sampled_from((6, 17)),
+                          ports, ports)
+        table = DipAffinityTable()
+        for _ in range(n_pinned):
+            flow = data.draw(flows)
+            for vip in vips if data.draw(st.booleans()) else flow[1:2]:
+                table.get_or_assign(flow._replace(dst_ip=vip), dips[:pool])
+        pinned = sorted(set(table._table.values()))
+        unpinned = [d for d in (ip_int(a) for a, _ in dips)
+                    if d not in pinned]
+        source = data.draw(st.sampled_from(
+            [st.sampled_from(pinned)] * bool(pinned)
+            + [st.sampled_from(unpinned), st.sampled_from(vips),
+               st.integers(0, 0xFFFFFFFF)]).flatmap(lambda kind: kind))
+        pins = st.sampled_from(list(table._table)) if table._table \
+            else st.nothing()
+        ue, _, proto, ue_port, port = data.draw(pins | flows)
+        found = table.vip_for((ue, source, proto, ue_port, port), vips)
+        scan = [key.dst_ip for key, dip in table._table.items()
+                if dip == source and key.dst_ip in vips
+                and key[:1] + key[2:] == (ue, proto, ue_port, port)]
+        assert found == min(scan, default=None)
+
     def test_stores_a_five_tuple_as_given(self):
         cfg = make_cfg()
         flow = FiveTuple.parse("172.16.0.2", VIP, 6, 5000, 80)
