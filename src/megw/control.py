@@ -6,18 +6,23 @@ pairs, and emits data-plane effects as plain values. Keeping effects as
 values makes the processor a deterministic, replayable state machine:
 the caller applies them (or records them) in order.
 
+Each S1AP message kind is one row of `S1apProcessor._HANDLERS`: its
+handler, whether it creates a missing context (a message with none is an
+`OrphanMessage`), and whether it settles the subscriber, ending any pending
+handover before the handler and the silent period after it.
+
 Handover handling follows the X2 timeline. The path-switch request
-classifies the scenario and files each bearer as pending under (old eNB,
-downstream TEID), the pair that names a tunnel (3GPP TS 29.281); a bearer
-still waiting for its response has TEID 0, which names none, and is left
-out. An end marker is one lookup there: it opens the silent period,
-triggers the migration notice for a move across regions, and drops the
-context of a subscriber who moves to another gateway. A silence ends only
-with an effect that ends it in the rule store too: the acknowledgement's
-`ReactivateUe`, which moves the rules to the fresh tunnels and drops the
-flows of bearers it does not list, or the `ReleaseUeRules` of an initial
-context setup, which also ends any pending handover and drops the rules
-on every tunnel it does not carry over. A path-switch request keeps it.
+classifies the scenario (an eNB outside the view makes it an orphan) and
+files each bearer as pending under (old eNB, downstream TEID), the pair
+that names a tunnel (3GPP TS 29.281); a bearer still waiting for its
+response has TEID 0, which names none, and is left out. An end marker is
+one lookup there: it opens the silent period, triggers the migration
+notice for a move across regions, and drops the context of a subscriber
+who moves to another gateway. A silence ends only with an effect that ends
+it in the rule store too: the acknowledgement's `ReactivateUe`, which moves
+the rules to the fresh tunnels and drops the flows of bearers it does not
+list, or the `ReleaseUeRules` of an initial context setup, which drops the
+rules on every tunnel it does not carry over.
 State and effects hold integer addresses; `dump_jsonl` writes them dotted.
 The log keeps values, not dicts: each entry is a `LogEntry` of the detail
 values and the effects themselves, rendered only when the log is read.
@@ -205,9 +210,7 @@ def dotted(value, name: str = ""):
 def _json_default(obj):
     if isinstance(obj, enum.Enum):
         return obj.value
-    if isinstance(obj, (bytes, bytearray)):
-        return obj.hex()
-    return str(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def jsonl(records) -> str:
@@ -289,25 +292,35 @@ class S1apProcessor:
 
     def on_control_message(self, msg: S1apLiteMessage) -> list:
         # _HANDLERS, below the handlers, raises KeyError for an unknown kind
-        effects = self._HANDLERS[msg.kind](self, msg)
+        handler, creates, settles = self._HANDLERS[msg.kind]
+        ctx = self.contexts.get(msg.ue_ip)
+        if ctx is None and creates:
+            ctx = self.contexts[msg.ue_ip] = UeContext(msg.ue_ip, msg.enb_addr)
+        effects = None
+        if ctx is not None:
+            if settles:
+                self._unpend(ctx)
+            try:
+                effects = handler(self, ctx, msg)
+            except TopologyError:
+                pass    # an eNB outside this gateway's view: no handover
+            if settles:
+                ctx.silent = False
+        if effects is None:
+            effects = [OrphanMessage(kind=msg.kind, ue_ip=msg.ue_ip)]
         return self._emit(msg.kind.name, (msg.ue_ip,), effects)
 
-    def _on_ics_request(self, msg: S1apLiteMessage) -> list:
-        ctx = self.contexts.get(msg.ue_ip)
-        if ctx is None:
-            ctx = UeContext(ue_ip=msg.ue_ip, enb_addr=msg.enb_addr)
-            self.contexts[msg.ue_ip] = ctx
-        self._unpend(ctx)           # a setup ends any pending handover
+    def _on_ics_request(self, ctx: UeContext, msg: S1apLiteMessage) -> list:
         # a TEID names a tunnel only at the eNB that gave it: at a new eNB
         # no bearer keeps its downstream TEID until the response brings one.
         # The request names every bearer: others go
         old = ctx.bearers
         kept = old if msg.enb_addr == ctx.enb_addr else {}
         ctx.enb_addr = msg.enb_addr
-        ctx.bearers = {item.bearer_id: kept.get(item.bearer_id)
-                       or BearerContext() for item in msg.bearers}
+        ctx.bearers = {}
         for item in msg.bearers:
-            bc = ctx.bearers[item.bearer_id]
+            bc = ctx.bearers[item.bearer_id] = (kept.get(item.bearer_id)
+                                                or BearerContext())
             bc.upstream_teid = item.upstream_teid
             bc.sgw_addr = item.transport_addr or msg.sgw_addr
         # rules on a tunnel that does not carry over would send return
@@ -316,16 +329,11 @@ class S1apProcessor:
         release = ctx.silent or any(
             bc.downstream_teid and ctx.bearers.get(bid) is not bc
             for bid, bc in old.items())
-        ctx.silent = False
         # TEID pairs are reconstructed here but no data-plane rule exists
         # until the subscriber actually opens an edge connection
         return [ReleaseUeRules(ue_ip=msg.ue_ip)] if release else []
 
-    def _on_ics_response(self, msg: S1apLiteMessage) -> list:
-        ctx = self.contexts.get(msg.ue_ip)
-        if ctx is None:
-            return [OrphanMessage(kind=msg.kind, ue_ip=msg.ue_ip)]
-        self._unpend(ctx)
+    def _on_ics_response(self, ctx: UeContext, msg: S1apLiteMessage) -> list:
         # rules installed on a tunnel this setup replaces would send return
         # traffic where no eNB listens, and silenced rules would hold it:
         # drop them, so the next flow miss installs a rule on the new tunnel
@@ -334,51 +342,43 @@ class S1apProcessor:
             bc = ctx.bearers.setdefault(item.bearer_id, BearerContext())
             release |= bc.downstream_teid not in (0, item.downstream_teid)
             bc.downstream_teid = item.downstream_teid
-        ctx.silent = False
         return [ReleaseUeRules(ue_ip=msg.ue_ip)] if release else []
 
-    def _on_path_switch_request(self, msg: S1apLiteMessage) -> list:
-        ctx = self.contexts.get(msg.ue_ip)
-        if ctx is None:
-            return [OrphanMessage(kind=msg.kind, ue_ip=msg.ue_ip)]
-        try:
-            scenario = classify_handover(ctx.enb_addr, msg.enb_addr,
-                                         self.topology)
-        except TopologyError:
-            # an eNB outside this gateway's view: nothing to hand over to
-            return [OrphanMessage(kind=msg.kind, ue_ip=msg.ue_ip)]
+    def _on_path_switch_request(self, ctx: UeContext,
+                                msg: S1apLiteMessage) -> list:
+        scenario = classify_handover(ctx.enb_addr, msg.enb_addr,
+                                     self.topology)
         self._pend(ctx, scenario, msg.enb_addr)
         return [ScenarioDetected(ue_ip=msg.ue_ip, scenario=scenario,
                                  old_enb=ctx.enb_addr, new_enb=msg.enb_addr)]
 
-    def _on_path_switch_ack(self, msg: S1apLiteMessage) -> list:
-        ctx = self.contexts.get(msg.ue_ip)
-        if ctx is None:
-            # a gateway new to this subscriber sees nothing but step 8;
-            # the acknowledgement alone must rebuild full tunnel state
-            ctx = UeContext(ue_ip=msg.ue_ip, enb_addr=msg.enb_addr)
-            self.contexts[msg.ue_ip] = ctx
-        self._unpend(ctx)
+    def _on_path_switch_ack(self, ctx: UeContext,
+                            msg: S1apLiteMessage) -> list:
         remap = []
         new_bearers: dict[int, BearerContext] = {}
         for item in msg.bearers:
             new_bearers[item.bearer_id] = BearerContext(
-                upstream_teid=item.upstream_teid,
-                downstream_teid=item.downstream_teid, sgw_addr=msg.sgw_addr)
+                item.upstream_teid, item.downstream_teid, msg.sgw_addr)
             old = ctx.bearers.get(item.bearer_id)
             if old is not None and old.complete():
                 remap.append((old.downstream_teid, item.downstream_teid))
         ctx.bearers = new_bearers
         ctx.enb_addr = msg.enb_addr
-        ctx.silent = False
         return [ReactivateUe(ue_ip=msg.ue_ip, teid_remap=tuple(remap),
                              new_enb_addr=msg.enb_addr)]
 
+    # each kind's (handler, creates a missing context, settles: ends any
+    # pending handover and the silence); a gateway new to a subscriber sees
+    # only step 8, so the acknowledgement rebuilds full tunnel state
     _HANDLERS = {
-        MessageKind.INITIAL_CONTEXT_SETUP_REQUEST: _on_ics_request,
-        MessageKind.INITIAL_CONTEXT_SETUP_RESPONSE: _on_ics_response,
-        MessageKind.PATH_SWITCH_REQUEST: _on_path_switch_request,
-        MessageKind.PATH_SWITCH_ACKNOWLEDGE: _on_path_switch_ack,
+        MessageKind.INITIAL_CONTEXT_SETUP_REQUEST: (_on_ics_request,
+                                                    True, True),
+        MessageKind.INITIAL_CONTEXT_SETUP_RESPONSE: (_on_ics_response,
+                                                     False, True),
+        MessageKind.PATH_SWITCH_REQUEST: (_on_path_switch_request,
+                                          False, False),
+        MessageKind.PATH_SWITCH_ACKNOWLEDGE: (_on_path_switch_ack,
+                                              True, True),
     }
 
     def on_flow_miss(self, five_tuple: FiveTuple, upstream_teid: int) -> list:

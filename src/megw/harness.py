@@ -6,7 +6,7 @@ and replays attach, edge-request, and X2 handover sequences over it.
 Frames are real wire bytes; every gateway hop runs the actual steering
 pipeline and control-plane processor, so traces reflect exactly what the
 data plane would do. The four S1AP messages are built from one table,
-`_SIGNALS`: each one's trace note, sender and bearer TEIDs.
+`_SIGNALS`: each one's trace note, sender, bearer TEIDs and tunnel end.
 
 A single-threaded loop delivers frames one at a time, in the order they
 were sent: deterministic given (config, script, seed). A frame in flight
@@ -75,17 +75,18 @@ _emit_ip = functools.lru_cache(maxsize=4096)(ip_int)
 _INGRESS = {"enb": Direction.FROM_RAN, "sgw_mme": Direction.FROM_CORE}
 
 # the S1AP-lite messages the fabric replays (3GPP TS 36.413): each one's
-# trace note, whether the EPC stub sends it (else the eNB does), and whether
-# its bearer items carry the upstream and the downstream TEID
+# trace note, whether the EPC stub sends it (else the eNB does), whether its
+# bearer items carry the upstream and the downstream TEID, and whose address
+# they give as the bearer's tunnel end: the EPC's, none, or the eNB's
 _SIGNALS = {
     MessageKind.INITIAL_CONTEXT_SETUP_REQUEST: ("ics-request", True,
-                                                True, False),
+                                                True, False, "epc"),
     MessageKind.INITIAL_CONTEXT_SETUP_RESPONSE: ("ics-response", False,
-                                                 False, True),
+                                                 False, True, "enb"),
     MessageKind.PATH_SWITCH_REQUEST: ("path-switch-request", False,
-                                      True, False),
+                                      True, False, None),
     MessageKind.PATH_SWITCH_ACKNOWLEDGE: ("path-switch-ack", True,
-                                          True, True),
+                                          True, True, "enb"),
 }
 
 
@@ -265,7 +266,6 @@ class Harness:
 
     def __init__(self, topology: Topology, seed: int = 0):
         self.topology = topology
-        self.seed = seed
         # the latest events: TRACE_LIMIT older ones plus the running operation
         self.trace: list[TraceEvent] = []
         self._step = itertools.count()
@@ -496,11 +496,10 @@ class Harness:
                 enb: str, sender: str | None = None) -> None:
         """Send S1AP-lite `kind` about `ue` at `enb`, between `enb` and the
         EPC stub, from `sender` if given; then run until idle."""
-        note, from_epc, up, down = _SIGNALS[kind]
+        note, from_epc, up, down, end = _SIGNALS[kind]
         spec, sgw = self.topology.nodes[enb], self._sgw
-        # a bearer's tunnel end: the EPC's, none, or the eNB's
-        transport = {MessageKind.INITIAL_CONTEXT_SETUP_REQUEST: sgw.ip,
-                     MessageKind.PATH_SWITCH_REQUEST: 0}.get(kind, spec.ip)
+        transport = (sgw.ip if end == "epc" else spec.ip if end == "enb"
+                     else 0)
         msg = S1apLiteMessage(
             kind=kind, mme_ue_id=ue_num, enb_ue_id=ue_num, ue_ip=ue.ip,
             enb_addr=spec.ip, sgw_addr=sgw.ip, bearers=tuple(

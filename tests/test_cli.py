@@ -50,6 +50,26 @@ class TestCodec:
         decoded = gtp.decode_gtpu(bytes.fromhex(out.strip()))
         assert decoded.teid == 0x11223344
 
+    def test_encode_reads_a_file(self, capsys, tmp_path):
+        # `@path` names a file that holds the packet document
+        doc = json.dumps({"outer_src": "10.1.0.1", "outer_dst": "10.2.0.1",
+                          "teid": 7, "message_type": "end-marker"})
+        (tmp_path / "packet.json").write_text(doc)
+        inline = run(capsys, "codec", "encode", doc)
+        assert run(capsys, "codec", "encode",
+                   f"@{tmp_path / 'packet.json'}") == inline
+        assert inline[0] == 0 and inline[1] == encode_gtpu(
+            ip_int("10.1.0.1"), ip_int("10.2.0.1"), 7,
+            GtpMessageType.END_MARKER).hex() + "\n"
+
+    def test_decode_gpdu_whose_inner_is_not_ipv4(self, capsys):
+        # the tunnel decodes; the inner bytes give no flow line
+        wire = encode_gtpu(ip_int("10.1.0.1"), ip_int("10.2.0.1"), 7,
+                           GtpMessageType.GPDU, b"\x60not-ipv4")
+        assert run(capsys, "codec", "decode", wire.hex()) == (0, (
+            "message_type=GPdu\nteid=0x00000007\nouter_src=10.1.0.1\n"
+            "outer_dst=10.2.0.1\ninner_len=9\n"), "")
+
     @pytest.mark.parametrize("doc, named", [
         ([1], "JSON object"), ("gpdu", "JSON object"),
         ({"outer_src": "10.1.0.1", "outer_dst": "10.2.0.1", "teid": 7},

@@ -67,6 +67,10 @@ class TestClassifyHandover:
         with pytest.raises(TopologyError):
             classify_handover(ip_int("10.9.9.9"), ENB1, TOPOLOGY)
 
+    def test_unknown_gateway(self):
+        with pytest.raises(TopologyError, match="unknown gateway 'mgw-x'"):
+            TOPOLOGY.region_of("mgw-x")
+
 
 class TestAttach:
     def test_pairs_recorded_no_rules(self):
@@ -597,6 +601,11 @@ class TestEffectLog:
         assert marker == {"seq": 4, "event": "END_MARKER",
                           "detail": {"enb": "10.1.0.1", "teid": 200},
                           "effects": []}
+
+    def test_jsonl_refuses_a_value_without_a_json_form(self):
+        # no record holds bytes; one that did is refused, not guessed at
+        with pytest.raises(TypeError, match="^bytes is not JSON serializable"):
+            control.jsonl([{"payload": b"\x00"}])
 
 
 UNMAPPED_ENB = ip_int("10.9.9.9")

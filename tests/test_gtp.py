@@ -81,6 +81,12 @@ class TestEncode:
         with pytest.raises(gtp.EncodeError):
             encode_gtpu(*pkt)
 
+    def test_oversize_ipv4_payload_rejected(self):
+        # 20 header bytes and 65,515 payload bytes fill the total length
+        assert len(gtp.build_ipv4(1, 2, 17, bytes(65_515))) == 0xFFFF
+        with pytest.raises(gtp.EncodeError, match=r"\(65516 bytes\)"):
+            gtp.build_ipv4(1, 2, 17, bytes(65_516))
+
     def test_bad_address_rejected(self):
         # a malformed dotted address is refused where it becomes an integer
         with pytest.raises(gtp.EncodeError):

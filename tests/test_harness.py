@@ -16,6 +16,7 @@ from megw.harness import (CLONED, DROPPED, MIGRATION_NOTIFIED, RECEIVED,
                           SILENCED, ConfigError, Harness, StateError,
                           build_topology, default_topology_config,
                           run_scenario)
+from megw.s1ap import MessageKind
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -593,7 +594,7 @@ class TestRadioDelivery:
 ENB1, ENB2 = ip_int("10.1.0.1"), ip_int("10.1.0.2")
 SGW, DIP_A1, DIP_A2 = (ip_int("10.2.0.1"), ip_int("10.200.0.5"),
                        ip_int("10.200.0.6"))
-UE1 = ip_int("172.16.0.2")
+UE1, MGW_A = ip_int("172.16.0.2"), ip_int("10.50.0.1")
 
 
 def ipv4_with(src, dst, proto, payload, ihl=5, trailer=b""):
@@ -605,17 +606,18 @@ def ipv4_with(src, dst, proto, payload, ihl=5, trailer=b""):
     return head[:10] + csum + head[12:] + payload + trailer
 
 
-def deliver(h, node, data):
-    """The trace events one frame records at `node`, as (node, action,
-    detail) triples."""
+def deliver(h, node, data, sender="mgw-a"):
+    """The trace events one frame from `sender` records at `node`, as
+    (node, action, detail) triples."""
     mark = len(h.trace)
-    h._deliver(node, "mgw-a", data)
+    h._deliver(node, sender, data)
     return [(e.node, e.action, control.dotted(e.detail))
             for e in h.trace[mark:]]
 
 
 class TestNodeFrames:
-    """Each branch of the eNB, DIP and SGW nodes, on one crafted frame."""
+    """Each branch of the eNB, DIP and SGW nodes, and each way a gateway's
+    send or clone fails, on one crafted frame."""
 
     def test_enb_unparseable(self):
         for data in (b"", b"\x45\x00", b"\x65" + bytes(19),
@@ -739,6 +741,38 @@ class TestNodeFrames:
         assert deliver(make_harness(), "sgw", frame) == [
             ("sgw", SENT, {"dst": "10.1.0.2", "via": "mgw-a",
                            "note": "epc-transit", "bytes": len(frame)})]
+
+    def test_sgw_transit_without_route(self):
+        # no node owns the address
+        frame = gtp.build_ipv4(ENB1, ip_int("10.9.9.9"), 17, b"")
+        assert deliver(make_harness(), "sgw", frame) == [
+            ("sgw", DROPPED, {"reason": "no-route", "dst": "10.9.9.9"})]
+
+    def test_sgw_transit_unreachable(self):
+        # a node that no link joins to the fabric
+        cfg = default_topology_config()
+        cfg["nodes"]["dip-x"] = {"kind": "dip", "addr": "10.200.0.9",
+                                 "megw": "mgw-c"}
+        h = Harness(build_topology(cfg))
+        frame = gtp.build_ipv4(ENB1, ip_int("10.200.0.9"), 17, b"")
+        assert deliver(h, "sgw", frame) == [
+            ("sgw", DROPPED, {"reason": "unreachable", "dst": "10.200.0.9"})]
+
+    def test_gateway_routes_no_frame_to_itself(self):
+        # plain IP from the core, addressed to the gateway that routes it
+        frame = gtp.build_ipv4(SGW, MGW_A, 17, b"")
+        assert deliver(make_harness(), "mgw-a", frame, sender="sgw") == [
+            ("mgw-a", DROPPED, {"reason": "no-route", "dst": "10.50.0.1"})]
+
+    def test_gateway_records_an_s1ap_decode_error(self):
+        # the control frame passes on; its clone names why it is no S1AP
+        frame = gtp.build_ipv4(ENB1, SGW, gtp.PROTO_SCTP, b"junk")
+        assert deliver(make_harness(), "mgw-a", frame, sender="enb1") == [
+            ("mgw-a", SENT, {"dst": "10.2.0.1", "via": "sgw",
+                             "note": "control-passthrough",
+                             "bytes": len(frame)}),
+            ("mgw-a", CLONED, {"kind": "s1ap",
+                               "error": "4 bytes is below header size"})]
 
 
 class TestHandoverScenario2:
@@ -933,3 +967,11 @@ class TestGoldenTraces:
                        for m in sorted(h.megws))
         assert logs.encode() == (
             GOLDEN / f"{name}.controller.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("table", [control.S1apProcessor._HANDLERS,
+                                   harness._SIGNALS],
+                         ids=["controller", "fabric"])
+def test_every_message_kind_has_one_row(table):
+    # a kind added to one table and not to the other fails here
+    assert sorted(table, key=lambda kind: kind.value) == list(MessageKind)

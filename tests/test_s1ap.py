@@ -59,11 +59,31 @@ def test_zero_bearers_rejected():
     msg = sample_message(bearers=())
     with pytest.raises(s1ap.S1apEncodeError):
         encode_message(msg)
+    # on the wire: the fixed header alone, its count byte 0
+    wire = bytearray(encode_message(sample_message())[:s1ap.HEADER_LEN])
+    wire[:2] = (s1ap.HEADER_LEN - 2).to_bytes(2, "big")
+    wire[-1] = 0
+    with pytest.raises(s1ap.BearerListError, match="^zero bearers$"):
+        decode_message(bytes(wire))
 
 
 def test_duplicate_bearer_ids_rejected():
     msg = sample_message(bearers=(BearerItem(5), BearerItem(5)))
     with pytest.raises(s1ap.S1apEncodeError):
+        encode_message(msg)
+    # on the wire: the second bearer's id (13 bytes a bearer) made the first's
+    wire = bytearray(encode_message(replace(msg, bearers=(
+        BearerItem(5), BearerItem(6)))))
+    wire[s1ap.HEADER_LEN + 13] = 5
+    with pytest.raises(s1ap.BearerListError,
+                       match=r"^duplicate bearer ids: \[5, 5\]$"):
+        decode_message(bytes(wire))
+
+
+def test_too_many_bearers_rejected():
+    # 256 distinct ids, one more than the count byte holds
+    msg = sample_message(bearers=[BearerItem(bid) for bid in range(256)])
+    with pytest.raises(s1ap.S1apEncodeError, match="^too many bearers$"):
         encode_message(msg)
 
 
