@@ -34,6 +34,16 @@ flow gets one `FiveTuple`, which its `FlowMiss` (and so its rule and the
 controller's log) and its affinity pin share; it holds the rule store's
 int for the subscriber and the config's for the VIP, and the pin holds
 the affinity table's one int for the DIP.
+
+Packet-path reads take no lock; each table's writers serialize on its
+lock and publish read-copy-update style, so that a reader sees a state
+before a write or after it. The precondition: a read is single dict or
+set operations on ints or tuples of ints, whose hashing and comparison
+run no Python code, so each operation is atomic under the GIL. A lookup
+reads the silence before the flows, so writers end a silence last: a
+reactivation stores the subscriber's kept flows (or deletes its entry)
+and a release pops them, each before it discards the silence. The
+affinity table pins a flow only after looking again under its lock.
 """
 
 from __future__ import annotations
@@ -221,8 +231,18 @@ _NO_FLOWS: Mapping = {}
 
 class RuleStore:
     """Flow-rule table keyed ue_ip -> {5-tuple: tunnel}, and the
-    subscribers in a handover silent period. Single control-plane writer,
-    many packet readers."""
+    subscribers in a handover silent period.
+
+    Packet readers (`lookup`, `address`) take no lock: each is single
+    dict and set operations on int and tuple-of-int keys, atomic under the
+    GIL. Writers serialize on `_lock` and publish in an order in which a
+    reader sees either the old state or the new one: `reactivate_ue`
+    stores the kept flows, or deletes the entry, and only then discards
+    the silence, so a known flow never reads None; `release_ue` pops the
+    flows before it discards the silence, so a released subscriber never
+    reads its old tunnel. `rules_for_ue` iterates a subscriber's flows and
+    so locks too.
+    """
 
     def __init__(self):
         self._by_ue: dict[int, _Subscriber] = {}
@@ -236,18 +256,18 @@ class RuleStore:
     def lookup(self, key: tuple) -> Tunnel | object | None:
         """SILENT for every flow of a subscriber in its silent period, with
         a rule or not; otherwise the flow's tunnel or None. `key` is any
-        5-tuple: a plain one finds the `FiveTuple` it equals."""
-        with self._lock:
-            if key[0] in self._silent:
-                return SILENT
-            return self._by_ue.get(key[0], _NO_FLOWS).get(key)
+        5-tuple of ints: a plain one finds the `FiveTuple` it equals. No
+        lock: the silence is read before the flows, the reverse of the
+        order writers publish them in."""
+        if key[0] in self._silent:
+            return SILENT
+        return self._by_ue.get(key[0], _NO_FLOWS).get(key)
 
     def address(self, ue_ip: int) -> int:
         """The int this store keeps for the subscriber's address, or
-        `ue_ip` itself for a subscriber it holds no rule of."""
-        with self._lock:
-            flows = self._by_ue.get(ue_ip)
-            return ue_ip if flows is None else flows.ip
+        `ue_ip` itself for a subscriber it holds no rule of. No lock."""
+        flows = self._by_ue.get(ue_ip)
+        return ue_ip if flows is None else flows.ip
 
     def install(self, rule: FlowRule) -> None:
         """Install a rule; identical re-install is a no-op.
@@ -295,12 +315,14 @@ class RuleStore:
         flow whose TEID it lacks is deleted, since its bearer did not
         survive the handover. One new value per remapped tunnel, shared by
         its flows (and by another old tunnel that maps to the same one).
-        Returns rules kept.
+        Returns rules kept. The kept flows replace the old in one store,
+        and the silence ends after it, so a reader of a kept flow sees
+        SILENT or a tunnel, never None.
         """
         with self._lock:
-            self._silent.discard(ue_ip)
-            flows = self._by_ue.pop(ue_ip, None)
+            flows = self._by_ue.get(ue_ip)
             if flows is None:
+                self._silent.discard(ue_ip)
                 return 0
             moved: dict[Tunnel, Tunnel] = {}    # old -> new
             new: dict[Tunnel, Tunnel] = {}      # each new value once
@@ -315,6 +337,9 @@ class RuleStore:
                 tuple(new) if len(new) > 1 else ())
             if kept:
                 self._by_ue[ue_ip] = kept
+            else:
+                del self._by_ue[ue_ip]
+            self._silent.discard(ue_ip)
             self._count -= len(flows) - len(kept)
             return len(kept)
 
@@ -325,10 +350,12 @@ class RuleStore:
         Used when a subscriber hands over to a different gateway, whose
         old tunnel state would swallow its traffic transiting here later,
         and when a context setup ends a subscriber's tunnels or silence.
+        The flows go before the silence, so a reader of a silenced
+        subscriber sees SILENT or None, never its old tunnel.
         """
         with self._lock:
-            self._silent.discard(ue_ip)
             released = len(self._by_ue.pop(ue_ip, ()))
+            self._silent.discard(ue_ip)
             self._count -= released
             return released
 
@@ -340,7 +367,14 @@ class RuleStore:
 
 class DipAffinityTable:
     """Connection-to-DIP mapping that never changes while the flow lives;
-    stage II's one table, which the return path reads too."""
+    stage II's one table, which the return path reads too.
+
+    Readers (`get`, `vip_for` and a hit of `get_or_assign`) take no lock:
+    each probe is one dict read keyed by a tuple of ints, atomic under the
+    GIL. Pins are only added, and `get_or_assign` checks again under
+    `_lock` before it pins, so each flow gets one pin and every pin to one
+    DIP holds one int.
+    """
 
     def __init__(self):
         self._table: dict[FiveTuple, int] = {}
@@ -352,8 +386,7 @@ class DipAffinityTable:
         return len(self._table)
 
     def get(self, flow: FiveTuple) -> int | None:
-        with self._lock:
-            return self._table.get(flow)
+        return self._table.get(flow)
 
     def get_or_assign(self, flow: tuple,
                       dips: Sequence[tuple[str, float]]) -> int:
@@ -361,7 +394,11 @@ class DipAffinityTable:
         the dotted `dips` by HRW on first sight. The pin survives any later
         change to the DIP pool. `flow` is any 5-tuple; a miss stores a
         `FiveTuple` as it is given, and any other as a new `FiveTuple`.
-        Every pin to one DIP holds one int, read once per table."""
+        Every pin to one DIP holds one int, read once per table. A hit
+        takes no lock; a miss looks again under it before it pins."""
+        dip = self._table.get(flow)
+        if dip is not None:
+            return dip
         with self._lock:
             dip = self._table.get(flow)
             if dip is not None:
@@ -377,12 +414,14 @@ class DipAffinityTable:
 
     def vip_for(self, dip_flow: tuple, vips: Iterable[int]) -> int | None:
         """The first of `vips` whose flow, `dip_flow` (any tuple) with the
-        VIP in the DIP's place, is pinned to that DIP; or None."""
+        VIP in the DIP's place, is pinned to that DIP; or None. No lock:
+        each probe reads one pin. Pins are never removed, so a VIP it
+        answers stays pinned, and each earlier VIP was unpinned when
+        probed."""
         ue, dip, proto, ue_port, port = dip_flow
-        with self._lock:
-            for vip in vips:
-                if self._table.get((ue, vip, proto, ue_port, port)) == dip:
-                    return vip
+        for vip in vips:
+            if self._table.get((ue, vip, proto, ue_port, port)) == dip:
+                return vip
         return None
 
 

@@ -3,6 +3,7 @@
 import copy
 import itertools
 import math
+import re
 import struct
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from megw import control, gtp, harness, steering
-from megw.gtp import GtpMessageType, ip_int
+from megw.gtp import FiveTuple, GtpMessageType, ip_int
 from megw.harness import (CLONED, DROPPED, MIGRATION_NOTIFIED, RECEIVED,
                           REACTIVATED, RULE_INSTALLED, SCENARIOS, SENT,
                           SILENCED, ConfigError, Harness, StateError,
@@ -105,6 +106,13 @@ class TestBuildTopology:
         cfg = default_topology_config()
         del cfg["enb_to_megw"]["enb4"]
         with pytest.raises(ConfigError):
+            build_topology(cfg)
+
+    def test_mapping_names_a_node_of_another_kind(self):
+        cfg = default_topology_config()
+        cfg["enb_to_megw"]["enb1"] = "dip-a1"
+        with pytest.raises(ConfigError, match=re.escape(
+                "enb_to_megw: 'dip-a1' is a dip, expected one of {'megw'}")):
             build_topology(cfg)
 
     def test_link_latency_rejected(self):
@@ -871,6 +879,53 @@ class TestHandoverGuards:
         trace = h.run_x2_handover("ue1", "enb1", "enb2")
         x2 = count(trace, SENT, kind="x2-handover-request")
         assert x2 and x2[0].node == "enb1"
+
+
+class TestOperationErrors:
+    """Each scripted operation's refusal, by its exact message."""
+
+    def test_unknown_subscriber(self):
+        with pytest.raises(StateError, match="^unknown subscriber 'ue9'$"):
+            make_harness().run_attach("ue9", "enb1")
+
+    @pytest.mark.parametrize("enb", ["enb9", "mgw-a"])
+    def test_unknown_base_station(self, enb):
+        with pytest.raises(StateError,
+                           match=f"^unknown base station '{enb}'$"):
+            make_harness().run_attach("ue1", enb)
+
+    def test_no_flow_to_continue(self):
+        h = make_harness()
+        h.run_attach("ue1", "enb1")
+        with pytest.raises(StateError,
+                           match="^'ue1' has no flow to continue$"):
+            h.run_edge_request("ue1", reuse_flow=True)
+
+    def test_no_flow_to_answer(self):
+        h = make_harness()
+        h.run_attach("ue1", "enb1")
+        with pytest.raises(StateError,
+                           match="^'ue1' has no established flow$"):
+            h.inject_downstream("ue1")
+
+    def test_downstream_source_no_node_owns(self):
+        # a flow no gateway pinned is answered from its VIP, which no
+        # node holds
+        h = make_harness()
+        h.run_attach("ue1", "enb1")
+        ue = h.ues["ue1"]
+        ue.last_flow = (FiveTuple(ue.ip, ip_int("10.100.1.1"), 6, 4000, 80),
+                        5)
+        with pytest.raises(StateError,
+                           match=r"^no server node owns 10\.100\.1\.1$"):
+            h.inject_downstream("ue1")
+
+    def test_event_budget(self):
+        h = make_harness()
+        h.MAX_EVENTS = 1    # an attach's request alone takes two hops
+        with pytest.raises(RuntimeError,
+                           match=r"^event budget exhausted: routing loop\?$"):
+            h.run_attach("ue1", "enb1")
 
 
 def long_run(h):

@@ -1,5 +1,6 @@
 """Steering pipeline: rendezvous hashing, both stages, packet processing."""
 
+import functools
 import hashlib
 import math
 import os
@@ -8,6 +9,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import threading
 from dataclasses import fields, is_dataclass, replace
 from typing import NamedTuple
 
@@ -638,10 +640,34 @@ class TestConfigLoading:
                            dips=(("10.200.0.5", 1.0),), local_sgw="10.2.0.1")
 
 
+def race(*targets):
+    """Run each target in a thread of its own under a one-microsecond
+    switch interval, so that the threads interleave finely; join them all
+    and fail if one is left running or raised."""
+    errors = []
+
+    def guarded(target):
+        try:
+            target()
+        except Exception as exc:  # surface into the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(t,)) for t in targets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
 class TestConcurrency:
     def test_many_packet_contexts(self):
-        import threading
-
         cfg = make_cfg()
         rules = RuleStore()
         affinity = DipAffinityTable()
@@ -682,45 +708,133 @@ class TestConcurrency:
         assert len(rules) == 20
 
     def test_len_while_subscribers_come_and_go(self):
-        import threading
-
         rules = RuleStore()
-        errors = []
 
         def churn(base):
-            try:
-                for i in range(300):
-                    ue = f"172.{base}.{i // 250}.{i % 250}"
-                    rules.install(FlowRule(
-                        FiveTuple.parse(ue, VIP, 6, 5000, 80), 100, ENB1,
-                        SGW))
-                    if i % 2:
-                        rules.release_ue(ip_int(ue))
-            except Exception as exc:
-                errors.append(exc)
+            for i in range(300):
+                ue = f"172.{base}.{i // 250}.{i % 250}"
+                rules.install(FlowRule(
+                    FiveTuple.parse(ue, VIP, 6, 5000, 80), 100, ENB1, SGW))
+                if i % 2:
+                    rules.release_ue(ip_int(ue))
 
         def count():
-            try:
-                for _ in range(2000):
-                    assert 0 <= len(rules) <= 4 * 300
-            except Exception as exc:
-                errors.append(exc)
+            for _ in range(2000):
+                assert 0 <= len(rules) <= 4 * 300
 
-        threads = [threading.Thread(target=churn, args=(b,))
-                   for b in range(16, 20)]
-        threads += [threading.Thread(target=count) for _ in range(2)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
+        race(*(functools.partial(churn, b) for b in range(16, 20)),
+             count, count)
         assert len(rules) == 4 * 150
+
+    def test_known_flow_never_reads_new_during_reactivate(self):
+        # a reader that saw None for a ruled flow would report a FlowMiss
+        # and pin it afresh, and one that saw the old tunnel after the
+        # silence ended would send into it; reactivation i moves the flows
+        # to eNB address i, so once silence k has begun, a reader of a kept
+        # flow sees SILENT or a tunnel at an address of at least k
+        rules = RuleStore()
+        keys = [FiveTuple(UE, ip_int(VIP), 6, 5000 + i, 80) for i in range(4)]
+        for i, key in enumerate(keys):
+            rules.install(FlowRule(key, 100 + i % 2, 0, SGW))
+        silenced = [0]
+        done = []
+        seen = set()
+        wrong = []
+
+        def reader():
+            while not done:
+                for key in keys:
+                    k = silenced[0]
+                    answer = rules.lookup(key)
+                    if answer is SILENT:
+                        seen.add(SILENT)
+                    elif answer is None or answer.enb_addr < k:
+                        wrong.append((k, answer))
+                    else:
+                        seen.add(Tunnel)
+
+        def writer():
+            try:
+                for i in range(1, 1501):
+                    rules.set_ue_silent(UE)
+                    silenced[0] = i
+                    rules.reactivate_ue(UE, {100: 100, 101: 101}, i)
+            finally:
+                done.append(True)
+
+        race(writer, reader, reader)
+        assert wrong == []
+        assert seen == {SILENT, Tunnel}
+        assert len(rules) == 4
+        assert {t.enb_addr for t in (rules.lookup(k) for k in keys)} == {1500}
+
+    def test_released_subscriber_never_reads_its_old_tunnel(self):
+        # readers follow the subscriber being released; each is silenced
+        # first, so until its rules go it reads SILENT and after, None
+        rules = RuleStore()
+        ues = [UE + i for i in range(4000)]
+        for ue in ues:
+            for port in (5000, 5001):
+                rules.install(FlowRule(FiveTuple(ue, ip_int(VIP), 6, port,
+                                                 80), 100, ENB1, SGW))
+            rules.set_ue_silent(ue)
+        current = [0]
+        done = []
+        seen = set()
+
+        def reader():
+            vip = ip_int(VIP)
+            while not done:
+                ue = ues[current[0]]
+                for port in (5000, 5001):
+                    answer = rules.lookup((ue, vip, 6, port, 80))
+                    seen.add(answer if answer is SILENT or answer is None
+                             else Tunnel)
+
+        def writer():
+            try:
+                for i, ue in enumerate(ues):
+                    current[0] = i
+                    rules.release_ue(ue)
+            finally:
+                done.append(True)
+
+        race(writer, reader, reader)
+        assert seen <= {SILENT, None}
+        assert len(rules) == 0
+
+    def test_racing_misses_pin_each_flow_once(self, monkeypatch):
+        # threads that miss one fresh flow together pin it once: one HRW
+        # pick per flow, every thread answers that pick, and every pin to
+        # a DIP holds the table's one int for it
+        cfg = make_cfg()
+        affinity = DipAffinityTable()
+        picks = []
+
+        def counted(key, candidates):
+            picks.append(key)
+            return rendezvous_select(key, candidates)
+
+        monkeypatch.setattr(steering, "rendezvous_select", counted)
+        flows = [(UE + i, ip_int(VIP), 6, 5000 + i, 80) for i in range(300)]
+        answers = [[] for _ in range(4)]
+
+        def assign(out):
+            for flow in flows:
+                out.append(affinity.get_or_assign(flow, cfg.dips))
+
+        race(*(functools.partial(assign, out) for out in answers))
+        assert sorted(picks) == sorted(FiveTuple(*f).key_bytes()
+                                       for f in flows)
+        assert len(affinity) == len(flows)
+        pins = [affinity.get(flow) for flow in flows]
+        assert pins == [ip_int(rendezvous_select(FiveTuple(*f).key_bytes(),
+                                                 cfg.dips)) for f in flows]
+        ints = {}
+        assert all(ints.setdefault(pin, pin) is pin for pin in pins)
+        assert len(ints) == len(cfg.dips)
+        assert all(got is pin for out in answers
+                   for got, pin in zip(out, pins, strict=True))
 
 
 class TestProcessPacket:
