@@ -4,23 +4,29 @@ Encodes and decodes the outer IPv4 / UDP / GTPv1-U framing used between
 eNB and SGW, extracts inner-packet 5-tuples, and classifies raw frames
 into the handful of traffic classes the gateway pipeline cares about.
 
-A frame is read one way: each header's checks live in one reader that
-unpacks it in place, at an offset, into integers: `read_ipv4`,
-`read_tunnel` (UDP and GTP-U) and `read_ports`. The packet path and the
-harness nodes call them directly, and `decode_gtpu`, `classify` and
-`inner_five_tuple` are built straight from them. `read_tunnel` returns
-and never raises: None for a frame that is no GTP-U datagram at all (not
-UDP, or UDP to another port than 2152), so that a plain frame costs the
-packet path no error object; the error of the first failed check for a
-UDP datagram cut short of its header or a malformed one to port 2152;
-else the tunnel. Only `decode_gtpu` turns None into the
-`MessageTypeError` it raises. No module calls
-`parse_ipv4` (and its `Ipv4View`); they remain for the tests and for the
-per-layer benchmark, which wraps `parse_ipv4` by name. Only the 8-byte
-header with flags 0x30 is accepted: optional sequence, N-PDU or extension
-fields fail the tunnel checks, so the frame is plain-routed (ROADMAP,
-"Wire conformance"). Addresses are integers; `ip_int` and `ip_str`
-convert.
+A frame of the common shape is read with one `struct` unpack, and every
+other frame by the readers. `read_gpdu` reads an uplink G-PDU with no
+IPv4 options that carries TCP or UDP, and `read_plain` a TCP or UDP
+packet with no options that is not UDP to port 2152. Each answers None
+for any other frame, and for a frame it takes, the fields the readers
+give. The readers hold each header's checks once and unpack it in
+place, at an offset, into integers: `read_ipv4`, `read_tunnel` (UDP and
+GTP-U) and `read_ports`. The packet path and the harness nodes call
+them directly, and `decode_gtpu`, `classify` and `inner_five_tuple` are
+built straight from them. `read_tunnel` returns and never raises: None
+for a frame that is no GTP-U datagram at all (not UDP, or UDP to another
+port than 2152), so that a plain frame costs the packet path no error
+object; the error of the first failed check for a UDP datagram cut short
+of its header or a malformed one to port 2152; else the tunnel. Only
+`decode_gtpu` turns None into the `MessageTypeError` it raises. No
+module calls `parse_ipv4` (and its `Ipv4View`); they remain for the
+tests and for the per-layer benchmark, which wraps `parse_ipv4` by name.
+Only the 8-byte header with flags 0x30 is accepted: optional sequence,
+N-PDU or extension fields fail the tunnel checks, so the frame is
+plain-routed (ROADMAP, "Wire conformance"). `encode_gtpu` can rewrite
+the inner packet's source as it encapsulates it (`inner_src`), so that
+return traffic gets its VIP back in the same pass. Addresses are
+integers; `ip_int` and `ip_str` convert.
 
 All functions here are pure and operate on immutable byte strings; they
 are safe to call from any number of concurrent contexts.
@@ -58,6 +64,14 @@ _TUNNEL = struct.Struct("!2xHH2xBBHI")
 # the outer IPv4, UDP and GTP-U headers of an encoded frame
 _OUTER = struct.Struct("!BBHHHBBHIIHHHHBBHI")
 _PORTS = struct.Struct("!HH")
+# an uplink G-PDU of the common shape, up to the inner ports: outer
+# version/IHL, total length, protocol, destination; UDP destination port
+# and length; GTP-U flags, type, length, TEID; inner version/IHL, total
+# length, protocol, source, destination; source and destination port
+_GPDU = struct.Struct("!BxH5xB6xI2xHH2xBBHIBxH5xB2xIIHH")
+GPDU_INNER_AT = IPV4_MIN_HEADER + _INNER_AT  # where its inner packet starts
+# an IPv4 header with no options and the ports behind it
+_PLAIN = struct.Struct("!BxH5xB2xIIHH")
 _pack_word16 = struct.Struct("!H").pack_into
 _pack_word32 = struct.Struct("!I").pack_into
 _FLOW_KEY = struct.Struct("!IIBHH")
@@ -213,10 +227,16 @@ def tcpish_payload_at(proto: int, ihl: int) -> int:
 
 
 def encode_gtpu(outer_src: int, outer_dst: int, teid: int,
-                message_type: GtpMessageType, inner: bytes = b"") -> bytes:
+                message_type: GtpMessageType, inner: bytes = b"",
+                inner_src: int | None = None) -> bytes:
     """Encode to outer IPv4 + UDP (port 2152) + 8-byte GTPv1-U + inner:
     one `struct` pack of the 36 header bytes, then the IPv4 checksum.
-    `encode_gtpu(*pkt)` is the inverse of `decode_gtpu`."""
+    `encode_gtpu(*pkt)` is the inverse of `decode_gtpu`.
+
+    With `inner_src`, the inner packet's IPv4 source is rewritten in the
+    same pass and its header checksum recomputed over the IHL its first
+    byte gives: the bytes of `encode_gtpu(..., rewrite_ipv4(inner,
+    src=inner_src))`."""
     n = len(inner)
     if n > MAX_INNER_LEN:
         raise EncodeError(f"inner packet too large ({n} bytes)")
@@ -229,8 +249,15 @@ def encode_gtpu(outer_src: int, outer_dst: int, teid: int,
     except struct.error as exc:
         # an address or TEID outside 32 bits
         raise EncodeError(f"header field out of range: {exc}") from None
-    csum = ipv4_checksum(head[:IPV4_MIN_HEADER])
-    return b"".join((head[:10], csum.to_bytes(2, "big"), head[12:], inner))
+    csum = ipv4_checksum(head[:IPV4_MIN_HEADER]).to_bytes(2, "big")
+    if inner_src is None:
+        return b"".join((head[:10], csum, head[12:], inner))
+    ihl = (inner[0] & 0x0F) * 4
+    inner_head = bytearray(inner[:ihl])
+    _pack_word32(inner_head, 12, inner_src)
+    inner_head[10] = inner_head[11] = 0
+    _pack_word16(inner_head, 10, ipv4_checksum(inner_head))
+    return b"".join((head[:10], csum, head[12:], inner_head, inner[ihl:]))
 
 
 def read_ipv4(data: bytes, at: int = 0, end: int | None = None) -> tuple:
@@ -296,6 +323,45 @@ def read_tunnel(data: bytes, proto: int, ihl: int,
     if length != size - _INNER_AT:
         return LengthError(f"GTP length {length} vs {size - _INNER_AT} bytes")
     return mtype, teid, ihl + _INNER_AT
+
+
+def read_gpdu(data: bytes) -> tuple | None:
+    """(outer total length, outer destination, TEID, inner 5-tuple as a
+    plain tuple) of an uplink G-PDU of the common shape, with one unpack:
+    no IPv4 options, flags 0x30, a G-PDU, TCP or UDP inside; its inner
+    packet starts at `GPDU_INNER_AT`. None for any other frame. Its checks
+    are those of `read_ipv4`, `read_tunnel`, the inner `read_ipv4` and
+    `read_ports` on this shape, so it answers what they answer."""
+    size = len(data)
+    if size < _GPDU.size:
+        return None
+    (ver_ihl, total, proto, dst, port, udp_len, flags, mtype, length, teid,
+     inner_ver_ihl, inner_total, inner_proto, src, inner_dst, sport,
+     dport) = _GPDU.unpack_from(data)
+    if (ver_ihl != 0x45 or proto != PROTO_UDP or port != GTP_UDP_PORT
+            or total > size or udp_len != total - IPV4_MIN_HEADER
+            or flags != GTP_FLAGS or mtype != MSG_TYPE_GPDU
+            or length != total - GPDU_INNER_AT or inner_ver_ihl != 0x45
+            or (inner_proto != PROTO_TCP and inner_proto != PROTO_UDP)
+            or not _PLAIN.size <= inner_total <= total - GPDU_INNER_AT):
+        return None
+    return total, dst, teid, (src, inner_dst, inner_proto, sport, dport)
+
+
+def read_plain(data: bytes) -> tuple | None:
+    """The 5-tuple, as a plain tuple, of a TCP or UDP packet with no IPv4
+    options, with one unpack. None for any other frame, and for UDP to
+    port 2152, which may be GTP-U (an end marker from the cluster side
+    passes through as one). It answers what `read_ipv4` and `read_ports`
+    answer."""
+    if len(data) < _PLAIN.size:
+        return None
+    ver_ihl, total, proto, src, dst, sport, dport = _PLAIN.unpack_from(data)
+    if (ver_ihl != 0x45 or not _PLAIN.size <= total <= len(data)
+            or (proto != PROTO_TCP
+                and (proto != PROTO_UDP or dport == GTP_UDP_PORT))):
+        return None
+    return src, dst, proto, sport, dport
 
 
 class Ipv4View(NamedTuple):

@@ -35,6 +35,11 @@ controller's log) and its affinity pin share; it holds the rule store's
 int for the subscriber and the config's for the VIP, and the pin holds
 the affinity table's one int for the DIP.
 
+A frame's headers are read once: with one unpack for the common shape,
+by the general readers for every other frame. Both reads lead to one
+copy of each decision. Return traffic gets its VIP back in the pass that
+encapsulates it.
+
 Packet-path reads take no lock; each table's writers serialize on its
 lock and publish read-copy-update style, so that a reader sees a state
 before a write or after it. The precondition: a read is single dict or
@@ -58,10 +63,11 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 # classify, decode_gtpu and inner_five_tuple are unused here; they stay
 # importable because benchmarks/layers.py wraps the codec under these names.
-from .gtp import (MSG_TYPE_END_MARKER, PROTO_SCTP, DecodeError, Direction,
-                  FiveTuple, GtpMessageType, classify, decode_gtpu,
-                  encode_gtpu, inner_five_tuple, ip_int, ip_str, read_ipv4,
-                  read_ports, read_tunnel, rewrite_ipv4)
+from .gtp import (GPDU_INNER_AT, MSG_TYPE_END_MARKER, PROTO_SCTP,
+                  DecodeError, Direction, FiveTuple, GtpMessageType, classify,
+                  decode_gtpu, encode_gtpu, inner_five_tuple, ip_int, ip_str,
+                  read_gpdu, read_ipv4, read_plain, read_ports, read_tunnel,
+                  rewrite_ipv4)
 
 
 class SelectError(ValueError):
@@ -480,16 +486,37 @@ class FlowMiss:
 
 ControllerEvent = S1apClone | EndMarkerSeen | FlowMiss
 
+# the enum members the packet path compares with or passes, read once: an
+# Enum member read through its class costs several times a global's read
+_FROM_RAN, _FROM_CLUSTER = Direction.FROM_RAN, Direction.FROM_CLUSTER
+_GPDU_TYPE = GtpMessageType.GPDU
+
 
 def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
                    rules: RuleStore, affinity: DipAffinityTable) -> ForwardAction:
     """One frame through the service offloader and both load balancers.
 
     Pure in (data, ingress, config, table snapshots); malformed traffic
-    degrades to plain routing or Drop, never an exception. Headers are read
-    once, in place; only emitted bytes are made. Tables are probed with
-    plain tuples; a new flow's one `FiveTuple` goes in its `FlowMiss` and
-    is the key the affinity table stores."""
+    degrades to plain routing or Drop, never an exception. A frame of the
+    common shape is read with one unpack (`read_gpdu` from the RAN,
+    `read_plain` from the cluster), any other by the general readers, in
+    place; both reach one copy of each decision (`_uplink`, `_handoff`,
+    `_downstream_edge`). Only emitted bytes are made. Tables are probed
+    with plain tuples; a new flow's one `FiveTuple` goes in its
+    `FlowMiss` and is the key the affinity table stores."""
+    if ingress is _FROM_RAN:
+        gpdu = read_gpdu(data)
+        if gpdu is not None:
+            total, dst, teid, flow = gpdu
+            return _uplink(data, GPDU_INNER_AT, total, dst, teid, flow, cfg,
+                           rules, affinity)
+    elif ingress is _FROM_CLUSTER:
+        flow = read_plain(data)
+        if flow is not None:
+            if flow[1] in cfg.vip_ints:
+                return _handoff(data, flow, cfg, affinity)
+            return _downstream_edge(data, flow, cfg.vip_ints, rules, affinity)
+
     try:
         ihl, total, proto, src, dst = read_ipv4(data)
     except DecodeError:
@@ -504,78 +531,94 @@ def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
         return Multiple((Emit(ip_str(dst), data, "end-marker-passthrough"),
                          CloneToController(EndMarkerSeen(dst, tunnel[1]))))
 
-    if type(tunnel) is tuple and ingress is Direction.FROM_RAN:
-        # uplink G-PDU: steer the inner packet, data[at:total], if VIP-bound
+    if type(tunnel) is tuple and ingress is _FROM_RAN:
         _, teid, at = tunnel
         try:
             hl, size, proto, src, vip = read_ipv4(data, at, total)
             sport, dport = read_ports(data, at + hl, size - hl, proto)
         except DecodeError:
             return Emit(ip_str(dst), data, "ip-route")
-        if vip not in cfg.vip_ints:
-            return Emit(ip_str(dst), data, "ip-route")
-        flow = (src, vip, proto, sport, dport)
-        rule = rules.lookup(flow)
-        if rule is SILENT:
-            # silent period: hold edge traffic, keep the controller informed
-            return CloneToController(FlowMiss(FiveTuple(*flow), teid))
-        if rule is None:
-            # a new flow: one key for its miss (so its rule and the log)
-            # and its pin, holding the subscriber's and the VIP's kept ints
-            flow = FiveTuple(rules.address(src), cfg.vip_ints[vip], proto,
-                             sport, dport)
-        serving = stage1_select(src, cfg.stage1_peers)
-        if serving != cfg.megw_id:
-            act = Emit(ip_str(cfg.peer_ints[serving]), data[at:total],
-                       "stage1-handoff")
-        else:
-            dip = affinity.get_or_assign(flow, cfg.dips)
-            act = Emit(ip_str(dip), rewrite_ipv4(data, dst=dip, at=at,
-                                                 end=total), "dip-rewrite")
-        if rule is None:
-            return Multiple((CloneToController(FlowMiss(flow, teid)), act))
-        return act
+        return _uplink(data, at, total, dst, teid,
+                       (src, vip, proto, sport, dport), cfg, rules, affinity)
 
     # plain IP, and a G-PDU from the core or the cluster
     if dst in cfg.vip_ints:
-        # stage-I hand-off from a source gateway: not GTP, addressed to a VIP
         try:
             sport, dport = read_ports(data, ihl, total - ihl, proto)
         except DecodeError:
             return Drop("malformed VIP-bound packet")
-        dip = affinity.get_or_assign(
-            (src, cfg.vip_ints[dst], proto, sport, dport), cfg.dips)
-        return Emit(ip_str(dip), rewrite_ipv4(data, dst=dip), "dip-rewrite")
+        return _handoff(data, (src, dst, proto, sport, dport), cfg, affinity)
 
-    if ingress is Direction.FROM_CLUSTER:
-        return _downstream_edge(data, ihl, total, proto, src, dst,
+    if ingress is _FROM_CLUSTER:
+        try:
+            sport, dport = read_ports(data, ihl, total - ihl, proto)
+        except DecodeError:
+            return Emit(ip_str(dst), data, "ip-route")
+        return _downstream_edge(data, (src, dst, proto, sport, dport),
                                 cfg.vip_ints, rules, affinity)
 
     return Emit(ip_str(dst), data, "ip-route")
 
 
-def _downstream_edge(data: bytes, ihl: int, total: int, proto: int, src: int,
-                     dst: int, vips: Iterable[int], rules: RuleStore,
-                     affinity: DipAffinityTable) -> ForwardAction:
-    """Cluster-side return traffic: undo the DIP rewrite if this gateway
-    made it, then re-encapsulate into the flow's downstream tunnel."""
-    try:
-        sport, dport = read_ports(data, ihl, total - ihl, proto)
-    except DecodeError:
+def _uplink(data: bytes, at: int, total: int, dst: int, teid: int,
+            flow: tuple, cfg: SteeringConfig, rules: RuleStore,
+            affinity: DipAffinityTable) -> ForwardAction:
+    """An uplink G-PDU to `dst` on tunnel `teid`, whose inner packet,
+    data[at:total], has the 5-tuple `flow`: steered if it is VIP-bound,
+    else routed by the outer header."""
+    src, vip, proto, sport, dport = flow
+    if vip not in cfg.vip_ints:
         return Emit(ip_str(dst), data, "ip-route")
+    rule = rules.lookup(flow)
+    if rule is SILENT:
+        # silent period: hold edge traffic, keep the controller informed
+        return CloneToController(FlowMiss(FiveTuple(*flow), teid))
+    if rule is None:
+        # a new flow: one key for its miss (so its rule and the log)
+        # and its pin, holding the subscriber's and the VIP's kept ints
+        flow = FiveTuple(rules.address(src), cfg.vip_ints[vip], proto,
+                         sport, dport)
+    serving = stage1_select(src, cfg.stage1_peers)
+    if serving != cfg.megw_id:
+        act = Emit(ip_str(cfg.peer_ints[serving]), data[at:total],
+                   "stage1-handoff")
+    else:
+        dip = affinity.get_or_assign(flow, cfg.dips)
+        act = Emit(ip_str(dip), rewrite_ipv4(data, dst=dip, at=at,
+                                             end=total), "dip-rewrite")
+    if rule is None:
+        return Multiple((CloneToController(FlowMiss(flow, teid)), act))
+    return act
 
+
+def _handoff(data: bytes, flow: tuple, cfg: SteeringConfig,
+             affinity: DipAffinityTable) -> ForwardAction:
+    """A plain packet to a VIP, a stage I hand-off from a source gateway,
+    with the 5-tuple `flow`: to the flow's pinned DIP."""
+    src, vip, proto, sport, dport = flow
+    dip = affinity.get_or_assign(
+        (src, cfg.vip_ints[vip], proto, sport, dport), cfg.dips)
+    return Emit(ip_str(dip), rewrite_ipv4(data, dst=dip), "dip-rewrite")
+
+
+def _downstream_edge(data: bytes, flow: tuple, vips: Iterable[int],
+                     rules: RuleStore,
+                     affinity: DipAffinityTable) -> ForwardAction:
+    """Cluster-side return traffic with the 5-tuple `flow`: undo the DIP
+    rewrite if this gateway made it, then re-encapsulate into the flow's
+    downstream tunnel, restoring the VIP in the same pass."""
+    src, dst, proto, sport, dport = flow
     # If the source address is a DIP this gateway pinned the reversed flow
     # to, restore the VIP so the subscriber sees the service address.
     vip = affinity.vip_for((dst, src, proto, dport, sport), vips)
-    if vip is not None:
-        data = rewrite_ipv4(data, src=vip)
-        src = vip
-
-    rule = rules.lookup((dst, src, proto, dport, sport))
+    rule = rules.lookup((dst, src if vip is None else vip, proto, dport,
+                         sport))
     if rule is None:
+        if vip is not None:
+            data = rewrite_ipv4(data, src=vip)
         return Emit(ip_str(dst), data, "ip-route")
     if rule is SILENT:
         return Drop("silent-period")
     tunneled = encode_gtpu(rule.sgw_addr, rule.enb_addr, rule.downstream_teid,
-                           GtpMessageType.GPDU, data)
+                           _GPDU_TYPE, data, inner_src=vip)
     return Emit(ip_str(rule.enb_addr), tunneled, "gtp-encap")

@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import os
+import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,6 +33,26 @@ class TestCodec:
         assert code == 0
         assert "message_type=EndMarker" in out
         assert "teid=0x000000c8" in out
+
+    def test_module_entry_point(self, capsys, monkeypatch):
+        # `python -m megw.cli` exits with main's status and prints what
+        # main prints; then the same entry point in this process, where a
+        # line tracer (tools/line_report.py) sees `sys.exit(main())` run
+        code, out, _ = run(capsys, "codec", "decode", END_MARKER_HEX)
+        assert code == 0
+        src_dir = os.path.dirname(os.path.dirname(gtp.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "megw.cli", "codec", "decode",
+             END_MARKER_HEX], env=dict(os.environ, PYTHONPATH=src_dir),
+            capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (code, out)
+        monkeypatch.delitem(sys.modules, "megw.cli")
+        monkeypatch.setattr(sys, "argv",
+                            ["megw", "codec", "decode", END_MARKER_HEX])
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("megw.cli", run_name="__main__")
+        assert info.value.code == code
+        assert capsys.readouterr().out == out
 
     def test_decode_gpdu_flow(self, capsys):
         inner = gtp.build_ipv4(ip_int("172.16.0.2"), ip_int("10.100.1.1"), 6,

@@ -11,7 +11,8 @@ from megw.gtp import (Direction, FiveTuple, GtpMessageType, GtpuPacket,
                       PacketClass, build_ipv4, build_tcpish, build_udp,
                       classify, decode_gtpu, encode_gtpu, inner_five_tuple,
                       ip_int)
-from test_steering import frames
+from test_steering import (DIFF_DIPS, DIFF_UES, DIFF_VIPS, frames, raw_ipv4,
+                           tunnel_frame, uplink_inner)
 
 
 def checksum_oracle(header: bytes) -> int:
@@ -119,6 +120,43 @@ class TestEncode:
         wire = encode_gtpu(src, dst, teid, message_type, inner)
         assert wire == layered
         assert checksum_oracle(wire[:20]) == 0
+
+
+class TestReturnEncapsulation:
+    fields = st.integers(0, 0xFFFFFFFF) | st.sampled_from((-1, 1 << 32))
+
+    @settings(max_examples=300, deadline=None)
+    @given(ihl=st.integers(5, 15), options=st.binary(max_size=40),
+           payload=st.binary(max_size=24), trailer=st.binary(max_size=4),
+           checksum=st.none() | st.integers(0, 0xFFFF),
+           outer=st.tuples(fields, fields, fields),
+           message_type=st.sampled_from(GtpMessageType),
+           vip=st.sampled_from(DIFF_VIPS) | st.integers(0, 0xFFFFFFFF))
+    # an inner packet too large to tunnel, by the bytes past its total
+    @example(ihl=5, options=b"", payload=b"", trailer=bytes(gtp.MAX_INNER_LEN),
+             checksum=None, outer=(1, 2, 3),
+             message_type=GtpMessageType.GPDU, vip=DIFF_VIPS[0])
+    def test_equals_rewrite_then_encode(self, ihl, options, payload, trailer,
+                                        checksum, outer, message_type, vip):
+        # one pass gives the bytes, or the EncodeError, of rewrite_ipv4 and
+        # then encode_gtpu: IHL from the first byte, the checksum repaired
+        # even when it came in corrupt, bytes past the total kept
+        inner = raw_ipv4(DIFF_DIPS[0], DIFF_UES[0], 6, payload, ihl=ihl,
+                         options=options, trailer=trailer)
+        if checksum is not None:
+            inner = inner[:10] + checksum.to_bytes(2, "big") + inner[12:]
+
+        def encoded(*args, **kw):
+            try:
+                return encode_gtpu(*outer, message_type, *args, **kw)
+            except gtp.EncodeError as exc:
+                return type(exc), str(exc)
+
+        one_pass = encoded(inner, inner_src=vip)
+        assert one_pass == encoded(gtp.rewrite_ipv4(inner, src=vip))
+        if type(one_pass) is bytes:
+            assert checksum_oracle(one_pass[36:36 + ihl * 4]) == 0
+            assert one_pass[48:52] == vip.to_bytes(4, "big")
 
 
 class TestDecode:
@@ -686,3 +724,103 @@ class TestReadersDifferential:
             flow = outcome(inner_five_tuple, data)
             assert flow == outcome(ref_inner_five_tuple, data)
             assert type(flow) is type(outcome(ref_inner_five_tuple, data))
+
+
+def readers_gpdu(frame):
+    """What `read_gpdu` must answer, from the general readers: the fields
+    of an uplink G-PDU they accept, with no option in either IPv4 header
+    and TCP or UDP inside; None for any other frame."""
+    try:
+        ihl, total, proto, _, dst = gtp.read_ipv4(frame)
+    except gtp.DecodeError:
+        return None
+    header = gtp.read_tunnel(frame, proto, ihl, total)
+    if (ihl != 20 or type(header) is not tuple
+            or header[0] != gtp.MSG_TYPE_GPDU):
+        return None
+    _, teid, at = header
+    try:
+        hl, size, proto, src, vip = gtp.read_ipv4(frame, at, total)
+        ports = gtp.read_ports(frame, at + hl, size - hl, proto)
+    except gtp.DecodeError:
+        return None
+    if hl != 20 or proto not in (gtp.PROTO_TCP, gtp.PROTO_UDP):
+        return None
+    assert at == gtp.GPDU_INNER_AT
+    return total, dst, teid, (src, vip, proto) + ports
+
+
+def readers_plain(frame):
+    """What `read_plain` must answer, from the general readers: the
+    5-tuple of a TCP or UDP packet they accept, with no IPv4 option and
+    not UDP to port 2152; None for any other frame."""
+    try:
+        ihl, total, proto, src, dst = gtp.read_ipv4(frame)
+        ports = gtp.read_ports(frame, ihl, total - ihl, proto)
+    except gtp.DecodeError:
+        return None
+    if (ihl != 20 or proto not in (gtp.PROTO_TCP, gtp.PROTO_UDP)
+            or (proto == gtp.PROTO_UDP and ports[1] == gtp.GTP_UDP_PORT)):
+        return None
+    return (src, dst, proto) + ports
+
+
+class TestFastReaders:
+    @settings(max_examples=400, deadline=None)
+    @given(frame=frames())
+    # one example per decline: an option in the outer or the inner header
+    # or a plain packet's, flags 0x32, an end marker with and without an
+    # inner packet, ICMP inside and from the cluster, UDP to port 2152 from
+    # the cluster, and each length that disagrees (UDP, GTP-U, the inner
+    # total, an outer or a plain total past the end)
+    @example(frame=tunnel_frame(uplink_inner(DIFF_UES[0]), ihl=6))
+    @example(frame=tunnel_frame(uplink_inner(DIFF_UES[0], ihl=6)))
+    @example(frame=uplink_inner(DIFF_UES[0], ihl=6))
+    @example(frame=tunnel_frame(uplink_inner(DIFF_UES[0]), flags=0x32))
+    @example(frame=tunnel_frame(b"", msg_type=0xFE))
+    @example(frame=tunnel_frame(uplink_inner(DIFF_UES[0]), msg_type=0xFE))
+    @example(frame=tunnel_frame(raw_ipv4(DIFF_UES[0], DIFF_VIPS[0], 1,
+                                         b"\x08\x00\x00\x00ping")))
+    @example(frame=raw_ipv4(DIFF_DIPS[0], DIFF_UES[0], 1,
+                            b"\x00\x00\x00\x00pong"))
+    @example(frame=raw_ipv4(DIFF_DIPS[0], DIFF_UES[0], 17,
+                            build_udp(2152, 2152, b"")))
+    @example(frame=tunnel_frame(uplink_inner(DIFF_UES[0]), udp_delta=1))
+    @example(frame=tunnel_frame(uplink_inner(DIFF_UES[0]), gtp_delta=-1))
+    @example(frame=tunnel_frame(uplink_inner(DIFF_UES[0], length_delta=1)))
+    @example(frame=tunnel_frame(uplink_inner(DIFF_UES[0]), length_delta=1))
+    @example(frame=uplink_inner(DIFF_UES[0], length_delta=1))
+    def test_equal_the_readers(self, frame):
+        # each fast reader answers what the readers answer on its shape,
+        # and declines every other frame
+        assert gtp.read_gpdu(frame) == readers_gpdu(frame)
+        assert gtp.read_plain(frame) == readers_plain(frame)
+
+    def test_decline_every_cut(self):
+        # a G-PDU cut at every length, those below its 60 header bytes
+        # among them, and a reply cut below its 24 header and port bytes
+        frame = tunnel_frame(uplink_inner(DIFF_UES[0]))
+        reply = raw_ipv4(DIFF_DIPS[0], DIFF_UES[0], 6,
+                         struct.pack("!HH", 80, 5000) + b"ok")
+        for data in ([frame[:n] for n in range(len(frame))]
+                     + [reply[:n] for n in range(24)]):
+            assert gtp.read_gpdu(data) is None
+            assert gtp.read_plain(data) is None
+        assert gtp.read_plain(reply) == readers_plain(reply) is not None
+
+    @pytest.mark.parametrize("proto", (gtp.PROTO_TCP, gtp.PROTO_UDP))
+    @pytest.mark.parametrize("size", (64, 576, 1400))
+    @pytest.mark.parametrize("trailer", (b"", b"\x00"))
+    def test_take_the_common_frames(self, proto, size, trailer):
+        # a fast path that declined every frame would pass the test above;
+        # these take it: the frames the harness builds, at the sizes of the
+        # dataplane benchmark's mix, with and without a byte past the total
+        ue, vip = ip_int("172.16.0.2"), ip_int("10.100.1.1")
+        enb, sgw = ip_int("10.1.0.1"), ip_int("10.2.0.1")
+        inner = build_ipv4(ue, vip, proto,
+                           build_tcpish(proto, 5000, 80, bytes(size - 24)))
+        frame = encode_gtpu(enb, sgw, 7, GtpMessageType.GPDU, inner)
+        assert len(inner) == size
+        assert gtp.read_gpdu(frame + trailer) == (
+            len(frame), sgw, 7, (ue, vip, proto, 5000, 80))
+        assert gtp.read_plain(inner + trailer) == (ue, vip, proto, 5000, 80)

@@ -1440,6 +1440,9 @@ class TestProcessPacketDifferential:
     # a ruled flow of a silenced subscriber: a flow miss alone
     @example(frame=tunnel_frame(uplink_inner(DIFF_UES[0])), ruled=[PINNED],
              silent=DIFF_UES[:1], pinned=[])
+    # an end marker from the cluster side passes through as one
+    @example(frame=tunnel_frame(b"", msg_type=0xFE), ruled=[], silent=(),
+             pinned=[])
     def test_equals_view_based_path(self, frame, ruled, silent, pinned):
         for ingress in Direction:
             rules, affinity = seeded_tables(ruled, silent, pinned)
@@ -1453,6 +1456,23 @@ class TestProcessPacketDifferential:
             assert len(affinity) == len(ref_affinity)
             assert all(type(k) is FiveTuple
                        for t in (affinity, ref_affinity) for k in t._table)
+
+    def test_common_frames_skip_the_readers(self, monkeypatch):
+        # an uplink G-PDU, a stage I hand-off and a DIP's reply of the
+        # common shape are each read by one unpack, never by the readers
+        def general(*args):
+            raise AssertionError("read by the general readers")
+
+        for name in ("read_ipv4", "read_tunnel", "read_ports"):
+            monkeypatch.setattr(steering, name, general)
+        rules, affinity = seeded_tables([PINNED], (), [PINNED])
+        common = ((tunnel_frame(uplink_inner(DIFF_UES[0])),
+                   Direction.FROM_RAN),
+                  (uplink_inner(DIFF_UES[1]), Direction.FROM_CLUSTER),
+                  (DIP_REPLY, Direction.FROM_CLUSTER))
+        assert [process_packet(frame, ingress, DIFF_CFG, rules,
+                               affinity).note for frame, ingress in common] \
+            == ["dip-rewrite", "dip-rewrite", "gtp-encap"]
 
     def test_shape_tells_types_apart(self):
         # actions of different types with equal fields differ, as does an
