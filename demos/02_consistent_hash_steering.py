@@ -6,8 +6,8 @@ Run: python demos/02_consistent_hash_steering.py
 from collections import Counter
 
 from megw.gtp import FiveTuple, ip_int, ip_str
-from megw.steering import (DipAffinityTable, SteeringConfig,
-                           rendezvous_select, stage1_select)
+from megw.hrw import rendezvous_select
+from megw.steering import DipAffinityTable, SteeringConfig, stage1_select
 
 # Stage I: every gateway in a region ranks the region's gateways with the
 # same keyed hash, so they agree on the serving gateway without talking.

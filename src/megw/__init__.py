@@ -1,9 +1,10 @@
 """megw: mobile-edge gateway toolkit.
 
-Subpackages:
+Modules:
 
 - ``megw.gtp``       GTPv1-U wire codec and frame classification
 - ``megw.s1ap``      compact control-message wire format
+- ``megw.hrw``       weighted rendezvous hashing, for steering and the sim
 - ``megw.steering``  two-stage consistent-hash steering data plane
 - ``megw.control``   control-plane processor (TEID reconstruction, handovers)
 - ``megw.harness``   in-process virtual fabric replaying attach/handover flows

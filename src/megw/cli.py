@@ -14,9 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import control, gtp, harness, sim
-from .gtp import GtpMessageType, ip_int, ip_str
+from . import sim   # here, not per command: importing megw.cli readies a sweep
 from .shape import check
+
+# harness.SCENARIOS (a test keeps the two equal), for a parser with no fabric
+_SCENARIOS = ("attach", "edge-request", "two-bearers",
+              "x2-same-megw", "x2-same-region", "x2-cross-region")
 
 
 class _UsageError(Exception):
@@ -43,7 +46,7 @@ def build_parser() -> _Parser:
 
     har = sub.add_parser("harness", help="run a named fabric scenario")
     har.add_argument("--scenario", required=True,
-                     help=f"one of: {', '.join(harness.SCENARIOS)}")
+                     help=f"one of: {', '.join(_SCENARIOS)}")
     har.add_argument("--topology", help="topology JSON (default built-in)")
     har.add_argument("--trace", help="write trace JSONL here (default stdout)")
     har.add_argument("--seed", type=int, default=0)
@@ -75,6 +78,8 @@ def _load_json(arg: str):
 
 
 def _cmd_codec_decode(args) -> int:
+    from . import gtp
+    from .gtp import GtpMessageType, ip_str
     try:
         data = bytes.fromhex(args.hex.replace(" ", "").replace(":", ""))
     except ValueError as exc:
@@ -98,13 +103,14 @@ def _cmd_codec_decode(args) -> int:
     return 0
 
 
-_MESSAGE_TYPES = {"gpdu": GtpMessageType.GPDU,
-                  "end-marker": GtpMessageType.END_MARKER}
+_MESSAGE_TYPES = {"gpdu": "GPDU", "end-marker": "END_MARKER"}
 _PACKET = {"message_type": str, "outer_src": str, "outer_dst": str,
            "teid": (int, str), "inner_hex?": str}
 
 
 def _cmd_codec_encode(args) -> int:
+    from . import gtp
+    from .gtp import ip_int
     doc = _load_json(args.packet)
     check(doc, _PACKET, gtp.EncodeError, "packet")
     teid = doc["teid"]
@@ -115,13 +121,14 @@ def _cmd_codec_encode(args) -> int:
     wire = gtp.encode_gtpu(
         outer_src=ip_int(doc["outer_src"]), outer_dst=ip_int(doc["outer_dst"]),
         teid=int(teid, 0) if isinstance(teid, str) else teid,
-        message_type=_MESSAGE_TYPES[doc["message_type"]],
+        message_type=gtp.GtpMessageType[_MESSAGE_TYPES[doc["message_type"]]],
         inner=bytes.fromhex(doc.get("inner_hex", "")))
     print(wire.hex())
     return 0
 
 
 def _cmd_harness(args) -> int:
+    from . import control, harness
     config = None
     if args.topology:
         config = json.loads(Path(args.topology).read_text())

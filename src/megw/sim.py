@@ -19,7 +19,9 @@ user's serving cluster:
 A region change is always also a cluster change, so one world holds what
 both read: each user's cell and the users per cluster. The readers take
 the policy; `SimWorld.serving` gathers the serving clusters on demand,
-with regions from a `stage1_table` computed on first use.
+with regions from a `stage1_table` computed on first use. The table picks
+through `megw.hrw`, the kernel of both gateway stages, so the simulator
+loads nothing of the data plane.
 
 A move goes through a neighbour slot, `cell * 6 + k` for the k-th entry
 of the grid's `neighbor_table`, and the grid knows per slot the cluster
@@ -57,11 +59,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .shape import check
-from .steering import rendezvous_pick, stage1_key
+from .hrw import rendezvous_pick, stage1_key
 # rendezvous_select is unused here; it stays importable because
 # benchmarks/layers.py counts calls under this name.
-from .steering import rendezvous_select  # noqa: F401
+from .hrw import rendezvous_select  # noqa: F401
+from .shape import check
 
 # axial hexagonal geometry: six unit direction vectors and the basis of the
 # neighborhood-center sublattice (index 7: centers plus six offsets tile

@@ -1,10 +1,11 @@
 """Two-stage consistent-hash traffic steering data plane.
 
 Stage I maps a subscriber to the gateway serving it within the region,
-using weighted rendezvous (highest-random-weight) hashing so every
-gateway computes the same answer statelessly. Stage II maps each edge
-connection to a concrete service instance (VIP to DIP rewrite) with an
-affinity table that pins the choice for the life of the connection.
+using weighted rendezvous (highest-random-weight) hashing, the kernel in
+`megw.hrw`, so every gateway computes the same answer statelessly.
+Stage II maps each edge connection to a concrete service instance (VIP
+to DIP rewrite) with an affinity table that pins the choice for the life
+of the connection.
 
 The flow-rule store carries the per-connection GTP context installed by
 the control plane: which downstream tunnel carries a flow's return
@@ -54,9 +55,7 @@ affinity table pins a flow only after looking again under its lock.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
-import struct
 import threading
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -68,65 +67,11 @@ from .gtp import (GPDU_INNER_AT, MSG_TYPE_END_MARKER, PROTO_SCTP,
                   decode_gtpu, encode_gtpu, inner_five_tuple, ip_int, ip_str,
                   read_gpdu, read_ipv4, read_plain, read_ports, read_tunnel,
                   rewrite_ipv4)
-
-
-class SelectError(ValueError):
-    """No candidates to select from."""
+from .hrw import rendezvous_select, stage1_key
 
 
 class ConflictError(ValueError):
     """A rule install contradicts an existing rule for the same flow."""
-
-
-def rendezvous_pick(keys: Sequence[bytes],
-                    candidates: Sequence[tuple[str, float]]) -> list[int]:
-    """Index of the highest-scoring candidate for each key, in key order.
-
-    Weighted HRW: a candidate's score is -weight / ln(u), u drawn from the
-    blake2b hash of its length-prefixed id and the key, mapped into the
-    open interval (0, 1). So every score is a positive finite float and a
-    candidate wins with probability proportional to its weight. The first
-    candidate wins a tie. Each key extends a copy of the id's hash state.
-    """
-    digest_format = f">{len(keys)}Q"   # struct caches the compiled format
-    log = math.log
-    rows = []
-    for weight, fresh in _prefixes(tuple(candidates)):  # a tuple: no copy
-        digests = []
-        for key in keys:
-            h = fresh()
-            h.update(key)
-            digests.append(h.digest())
-        rows.append([-weight / log((x + 0.5) / 2.0 ** 64)
-                     for x in struct.unpack(digest_format,
-                                            b"".join(digests))])
-    return [scores.index(max(scores)) for scores in zip(*rows)]
-
-
-@functools.lru_cache(maxsize=256)
-def _prefixes(candidates: tuple[tuple[str, float], ...]) -> tuple:
-    """(weight, copy of the hashed length-prefixed id) per candidate;
-    validates on every call, since a raised SelectError is not cached."""
-    if not candidates:
-        raise SelectError("empty candidate list")
-    out = []
-    for cand_id, weight in candidates:
-        if not 0 < weight < math.inf:
-            raise SelectError(f"weight for {cand_id!r} must be in (0, inf)")
-        ident = cand_id.encode()
-        out.append((weight, hashlib.blake2b(
-            struct.pack("!I", len(ident)) + ident, digest_size=8).copy))
-    return tuple(out)
-
-
-def rendezvous_select(key: bytes,
-                      candidates: Sequence[tuple[str, float]]) -> str:
-    """Pick the highest-scoring candidate for this key.
-
-    Deterministic in (key, candidate ids, weights); removing a losing
-    candidate never changes the winner for a key.
-    """
-    return candidates[rendezvous_pick((key,), candidates)[0]][0]
 
 
 @dataclass(frozen=True)
@@ -168,11 +113,6 @@ class SteeringConfig:
             pid: ip_int(addr) for pid, addr, _ in self.region_peers})
         for addr, _ in self.dips:
             ip_int(addr)    # an EncodeError, a ValueError, if malformed
-
-
-def stage1_key(ue_ip: int) -> bytes:
-    """Stage I's hash key for a subscriber: its address in network order."""
-    return ue_ip.to_bytes(4, "big")
 
 
 @functools.lru_cache(maxsize=1 << 16)

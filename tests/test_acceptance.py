@@ -18,10 +18,11 @@ from megw.gtp import (Direction, FiveTuple, GtpMessageType, GtpuPacket,
 from megw.harness import (DROPPED, MIGRATION_NOTIFIED, RECEIVED, REACTIVATED,
                           SILENCED, Harness, build_topology,
                           default_topology_config, run_scenario)
+from megw.hrw import rendezvous_select
 from megw.sim import (Policy, SimConfig, apply_moves, build_world,
                       derive_seed, draw_moves, run_experiment)
 from megw.steering import (DipAffinityTable, FlowRule, RuleStore,
-                           SteeringConfig, process_packet, rendezvous_select)
+                           SteeringConfig, process_packet)
 
 RATES = [0.01, 0.02, 0.05, 0.10, 0.20]
 PAPER_CFG = SimConfig(regions_count=3, mecs_per_region=4,

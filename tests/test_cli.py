@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from megw import gtp, sim
+from megw import cli, gtp, harness, sim
 from megw.cli import main
 from megw.gtp import GtpMessageType, encode_gtpu, ip_int
 
@@ -153,6 +153,10 @@ class TestHarnessCommand:
         code, _, err = run(capsys, "harness", "--scenario", "nope")
         assert code == 2
         assert "nope" in err
+
+    def test_help_names_the_harness_scenarios(self):
+        # the parser lists the scenarios without importing the harness
+        assert cli._SCENARIOS == harness.SCENARIOS
 
     def test_usage_error(self, capsys):
         code, _, err = run(capsys, "harness")

@@ -102,6 +102,20 @@ class TestBuildTopology:
                            match="^gateway 'mgw-b': the DIP pool is empty$"):
             build_topology(cfg)
 
+    @pytest.mark.parametrize("stubs", [[], ["sgw", "sgw2"]],
+                             ids=["none", "two"])
+    def test_exactly_one_epc_stub(self, stubs):
+        cfg = default_topology_config()
+        del cfg["nodes"]["sgw"]
+        cfg["links"] = [link for link in cfg["links"]
+                        if "sgw" not in link.values()]
+        for i, stub in enumerate(stubs):
+            cfg["nodes"][stub] = {"kind": "sgw_mme", "addr": f"10.2.0.{i + 1}"}
+        with pytest.raises(ConfigError) as info:
+            build_topology(cfg)
+        assert str(info.value) == (
+            f"exactly one EPC stub required, found {stubs}")
+
     def test_unmapped_enb(self):
         cfg = default_topology_config()
         del cfg["enb_to_megw"]["enb4"]

@@ -11,7 +11,7 @@ from megw import sim
 from megw.sim import (ConfigError, Policy, SimConfig, SimWorld, apply_moves,
                       build_grid, build_world, derive_seed, draw_moves,
                       run_experiment)
-from megw.steering import rendezvous_pick, rendezvous_select, stage1_key
+from megw.hrw import rendezvous_pick, rendezvous_select, stage1_key
 
 
 def step(world, rng):
@@ -59,6 +59,12 @@ class TestConfig:
         with pytest.raises(ConfigError,
                            match=r"^steps must be non-negative, not -1$"):
             small_cfg(steps=-1)
+
+    def test_migration_rate_may_be_zero_but_not_negative(self):
+        assert small_cfg(migration_rate=0).migration_rate == 0
+        with pytest.raises(ConfigError,
+                           match=r"^migration_rate must be non-negative$"):
+            small_cfg(migration_rate=-1)
 
     def test_users_per_capacity_must_be_positive(self):
         with pytest.raises(
