@@ -9,15 +9,15 @@ of the connection.
 
 The flow-rule store carries the per-connection GTP context installed by
 the control plane: which downstream tunnel carries a flow's return
-traffic; beside it, a set of the subscribers in a handover silent period.
-A silenced subscriber's edge traffic is held in both directions, new
-connections included: every lookup of its flows answers SILENT, so an
-upstream packet goes to the controller alone, unsteered and unpinned,
-and a downstream one is dropped. The store is grouped by subscriber, so
-silencing, reactivating (by a map of old to new downstream TEIDs) or
-releasing one subscriber never scans others. It holds each fact once: a
-tunnel is one `Tunnel` value that all flows on it share, and a
-subscriber's record keeps the address int that its new flows' keys reuse.
+traffic. A subscriber in a handover silent period has its edge traffic
+held in both directions, new connections included: every lookup of its
+flows answers SILENT, so an upstream packet goes to the controller alone,
+unsteered and unpinned, and a downstream one is dropped. The store is
+grouped by subscriber, so silencing, reactivating (by a map of old to new
+downstream TEIDs) or releasing one subscriber never scans others. It
+holds each fact once: a tunnel is one `Tunnel` value that all flows on it
+share, and a subscriber's record keeps its silence and the address int
+that its new flows' keys reuse.
 
 Neither stage hashes on the packet path once a subscriber and its flows
 are known. Stage I is memoized, bounded, per (subscriber, the region's
@@ -28,13 +28,14 @@ pinned flow's DIP. Return traffic from a DIP, reversed, is a pinned flow
 with the DIP in the VIP's place, so it finds its VIP by probing that
 table for each VIP of the config, lowest first: if two flows that differ
 only in the VIP land on one DIP, the lowest VIP wins, whatever the pin,
-set or hash order. Tables are keyed by integer addresses; only
-`SteeringConfig` input and `Emit.dst` are dotted quads. Table probes
-take any 5-tuple, so the packet path probes with plain tuples. A new
-flow gets one `FiveTuple`, which its `FlowMiss` (and so its rule and the
-controller's log) and its affinity pin share; it holds the rule store's
-int for the subscriber and the config's for the VIP, and the pin holds
-the affinity table's one int for the DIP.
+set or hash order. Tables are keyed by integer addresses; dotted quads
+are only `SteeringConfig` input, stage II's HRW candidate ids (the
+DIPs), the keys of the affinity table's DIP memo and `Emit.dst`. Table
+probes take any 5-tuple, so the packet path probes with plain tuples. A
+new flow gets one `FiveTuple`, which its `FlowMiss` (and so its rule and
+the controller's log) and its affinity pin share; it holds the rule
+store's int for the subscriber and the config's for the VIP, and the pin
+holds the affinity table's one int for the DIP.
 
 A frame's headers are read once: with one unpack for the common shape,
 by the general readers for every other frame. Both reads lead to one
@@ -43,13 +44,12 @@ encapsulates it.
 
 Packet-path reads take no lock; each table's writers serialize on its
 lock and publish read-copy-update style, so that a reader sees a state
-before a write or after it. The precondition: a read is single dict or
-set operations on ints or tuples of ints, whose hashing and comparison
-run no Python code, so each operation is atomic under the GIL. A lookup
-reads the silence before the flows, so writers end a silence last: a
-reactivation stores the subscriber's kept flows (or deletes its entry)
-and a release pops them, each before it discards the silence. The
-affinity table pins a flow only after looking again under its lock.
+before a write or after it. The precondition: a read is single dict
+operations on ints or tuples of ints, whose hashing and comparison run no
+Python code, and attribute reads, each atomic under the GIL. Every write
+reaches readers in one step: one dict store, pop or delete, or one
+attribute write. The affinity table pins a flow only after looking again
+under its lock.
 """
 
 from __future__ import annotations
@@ -150,17 +150,18 @@ class Tunnel(NamedTuple):
 
 
 class _Subscriber(dict):
-    """One subscriber's flows, {5-tuple: Tunnel}, with its address int,
-    `ip`. Each tunnel is one value that all flows on it share. Most
-    subscribers have one, which any flow holds, so `more` lists the
-    tunnels only once there are two (a 1-tuple would cost 48 bytes)."""
+    """One subscriber's flows, {5-tuple: Tunnel}, its address int, `ip`,
+    and its silence, `silent`. Each tunnel is one value that all flows on
+    it share. Most subscribers have one, which any flow holds, so `more`
+    lists the tunnels only once there are two (a 1-tuple costs 48 bytes)."""
 
-    __slots__ = ("ip", "more")
+    __slots__ = ("ip", "more", "silent")
 
     def __init__(self, ip: int, flows=(), more: tuple = ()):
         super().__init__(flows)
         self.ip = ip
         self.more = more
+        self.silent = False
 
     def tunnels(self) -> tuple:
         """The distinct tunnels of its flows."""
@@ -169,30 +170,25 @@ class _Subscriber(dict):
         return (next(iter(self.values())),)
 
 
-# what RuleStore.lookup answers for a ruled flow of a silenced subscriber
+# what RuleStore.lookup answers for every flow of a silenced subscriber,
+# ruled or not
 SILENT = object()
-# the flows of a subscriber with none: one shared, never written mapping
-_NO_FLOWS: Mapping = {}
 
 
 class RuleStore:
-    """Flow-rule table keyed ue_ip -> {5-tuple: tunnel}, and the
-    subscribers in a handover silent period.
+    """Flow-rule table keyed ue_ip -> {5-tuple: tunnel}; each subscriber's
+    record also holds its handover silence.
 
-    Packet readers (`lookup`, `address`) take no lock: each is single
-    dict and set operations on int and tuple-of-int keys, atomic under the
-    GIL. Writers serialize on `_lock` and publish in an order in which a
-    reader sees either the old state or the new one: `reactivate_ue`
-    stores the kept flows, or deletes the entry, and only then discards
-    the silence, so a known flow never reads None; `release_ue` pops the
-    flows before it discards the silence, so a released subscriber never
-    reads its old tunnel. `rules_for_ue` iterates a subscriber's flows and
-    so locks too.
+    Packet readers (`lookup`, `address`) take no lock. Writers serialize
+    on `_lock`, and each reaches readers in one step, so that a reader
+    sees the state before it or after it: `install` stores a flow,
+    `set_ue_silent` sets the flag, `reactivate_ue` stores or deletes the
+    record and `release_ue` pops it. `rules_for_ue` iterates a
+    subscriber's flows and so locks too.
     """
 
     def __init__(self):
         self._by_ue: dict[int, _Subscriber] = {}
-        self._silent: set[int] = set()
         self._count = 0     # rules in all of _by_ue, kept by the writers
         self._lock = threading.Lock()
 
@@ -203,15 +199,18 @@ class RuleStore:
         """SILENT for every flow of a subscriber in its silent period, with
         a rule or not; otherwise the flow's tunnel or None. `key` is any
         5-tuple of ints: a plain one finds the `FiveTuple` it equals. No
-        lock: the silence is read before the flows, the reverse of the
-        order writers publish them in."""
-        if key[0] in self._silent:
-            return SILENT
-        return self._by_ue.get(key[0], _NO_FLOWS).get(key)
+        lock: it reads the record once, the flow before the flag. While a
+        record is the subscriber's, its flows and flag are only added or
+        set, and after, never written, so the answer is one it held."""
+        flows = self._by_ue.get(key[0])
+        if flows is None:
+            return None
+        tunnel = flows.get(key)
+        return SILENT if flows.silent else tunnel
 
     def address(self, ue_ip: int) -> int:
         """The int this store keeps for the subscriber's address, or
-        `ue_ip` itself for a subscriber it holds no rule of. No lock."""
+        `ue_ip` itself for a subscriber it keeps no record of. No lock."""
         flows = self._by_ue.get(ue_ip)
         return ue_ip if flows is None else flows.ip
 
@@ -248,10 +247,14 @@ class RuleStore:
             self._count += 1
 
     def set_ue_silent(self, ue_ip: int) -> int:
-        """Start a subscriber's silent period; returns its rule count."""
+        """Start a subscriber's silent period; returns its rule count. A
+        subscriber with no rule first gets an empty record to hold it."""
         with self._lock:
-            self._silent.add(ue_ip)
-            return len(self._by_ue.get(ue_ip, ()))
+            flows = self._by_ue.get(ue_ip)
+            if flows is None:
+                flows = self._by_ue[ue_ip] = _Subscriber(ue_ip)
+            flows.silent = True
+            return len(flows)
 
     def reactivate_ue(self, ue_ip: int, teid_remap: Mapping[int, int],
                       new_enb_addr: int) -> int:
@@ -261,14 +264,13 @@ class RuleStore:
         flow whose TEID it lacks is deleted, since its bearer did not
         survive the handover. One new value per remapped tunnel, shared by
         its flows (and by another old tunnel that maps to the same one).
-        Returns rules kept. The kept flows replace the old in one store,
-        and the silence ends after it, so a reader of a kept flow sees
-        SILENT or a tunnel, never None.
+        Returns rules kept. One store of a new record, not silent, or one
+        delete of the old when nothing is kept, moves the flows and ends
+        the silence: a reader of a kept flow sees SILENT or its new tunnel.
         """
         with self._lock:
             flows = self._by_ue.get(ue_ip)
             if flows is None:
-                self._silent.discard(ue_ip)
                 return 0
             moved: dict[Tunnel, Tunnel] = {}    # old -> new
             new: dict[Tunnel, Tunnel] = {}      # each new value once
@@ -285,7 +287,6 @@ class RuleStore:
                 self._by_ue[ue_ip] = kept
             else:
                 del self._by_ue[ue_ip]
-            self._silent.discard(ue_ip)
             self._count -= len(flows) - len(kept)
             return len(kept)
 
@@ -296,12 +297,11 @@ class RuleStore:
         Used when a subscriber hands over to a different gateway, whose
         old tunnel state would swallow its traffic transiting here later,
         and when a context setup ends a subscriber's tunnels or silence.
-        The flows go before the silence, so a reader of a silenced
-        subscriber sees SILENT or None, never its old tunnel.
+        One pop drops the flows and the silence together, so a reader of a
+        silenced subscriber sees SILENT or None, never its old tunnel.
         """
         with self._lock:
             released = len(self._by_ue.pop(ue_ip, ()))
-            self._silent.discard(ue_ip)
             self._count -= released
             return released
 

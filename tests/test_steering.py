@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import itertools
 import math
 import os
 import random
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 from dataclasses import fields, is_dataclass, replace
 from typing import NamedTuple
 
@@ -470,38 +472,92 @@ flow_keys = st.builds(FiveTuple, st.sampled_from(UES), st.just(ip_int(VIP)),
                       st.sampled_from((80, 443)))
 
 
+class FlatRules:
+    """RuleStore's sequential model: a flat {5-tuple: rule} table whose
+    per-subscriber operations scan every rule and filter on the subscriber
+    address, and a set of silenced subscribers. Each operation answers, or
+    raises, as the store should."""
+
+    def __init__(self, rules=(), silent=()):
+        self.rules: dict[FiveTuple, FlowRule] = dict(rules)
+        self.silent: set[int] = set(silent)
+
+    def state(self):
+        """A hashable snapshot."""
+        return frozenset(self.rules.values()), frozenset(self.silent)
+
+    def copy(self):
+        return FlatRules(self.rules, self.silent)
+
+    def flows_of(self, ue):
+        return [k for k in self.rules if k.src_ip == ue]
+
+    def install(self, rule):
+        old = self.rules.setdefault(rule.key, rule)
+        if old[1:] != rule[1:]:
+            raise steering.ConflictError(rule.key)
+
+    def set_ue_silent(self, ue):
+        self.silent.add(ue)
+        return len(self.flows_of(ue))
+
+    def reactivate_ue(self, ue, remap, enb):
+        # a flow whose TEID the remap lacks ends with the handover
+        kept = 0
+        for k in self.flows_of(ue):
+            old = self.rules.pop(k)
+            if old.downstream_teid in remap:
+                self.rules[k] = FlowRule(k, remap[old.downstream_teid], enb,
+                                         old.sgw_addr)
+                kept += 1
+        self.silent.discard(ue)
+        return kept
+
+    def release_ue(self, ue):
+        keys = self.flows_of(ue)
+        for k in keys:
+            del self.rules[k]
+        self.silent.discard(ue)
+        return len(keys)
+
+    def lookup(self, key):
+        if key[0] in self.silent:
+            return SILENT
+        rule = self.rules.get(key)
+        return None if rule is None else Tunnel(*rule[1:])
+
+
+def outcome(table, op, args):
+    """What `table.op(*args)` answers, or the class of the error it
+    raises: a store and its model agree when their outcomes are equal."""
+    try:
+        return getattr(table, op)(*args)
+    except steering.ConflictError:
+        return steering.ConflictError
+
+
 class RuleStoreMachine(RuleBasedStateMachine):
-    """RuleStore against a flat {5-tuple: rule} table whose per-subscriber
-    operations scan every rule and filter on the subscriber address, and a
-    set of silenced subscribers. The store keeps one value per tunnel,
-    which all flows on it share."""
+    """RuleStore against `FlatRules`. The store keeps one value per
+    tunnel, which all flows on it share."""
 
     def __init__(self):
         super().__init__()
         self.store = RuleStore()
-        self.model: dict[FiveTuple, FlowRule] = {}
-        self.silent: set[int] = set()
+        self.model = FlatRules()
 
-    def flows_of(self, ue):
-        return [k for k in self.model if k.src_ip == ue]
+    def agree(self, op, *args):
+        assert outcome(self.store, op, args) == outcome(self.model, op, args)
 
     @rule(key=flow_keys, teid=st.sampled_from(TEIDS),
           enb=st.sampled_from(ENBS))
     def install(self, key, teid, enb):
-        new = FlowRule(key, teid, enb, SGW)
-        old = self.model.get(key)
-        if old is not None and (old.downstream_teid, old.enb_addr) != (
-                teid, enb):
-            with pytest.raises(steering.ConflictError):
-                self.store.install(new)
-            return
-        self.store.install(new)
-        self.model.setdefault(key, new)
+        self.agree("install", FlowRule(key, teid, enb, SGW))
 
-    @precondition(lambda self: self.model)
+    @precondition(lambda self: self.model.rules)
     @rule(data=st.data())
     def reinstall_conflicting(self, data):
-        old = self.model[data.draw(st.sampled_from(list(self.model)))]
+        old = self.model.rules[data.draw(st.sampled_from(
+            list(self.model.rules)))]
         teid = data.draw(st.sampled_from(
             [t for t in TEIDS if t != old.downstream_teid]))
         with pytest.raises(steering.ConflictError):
@@ -510,48 +566,29 @@ class RuleStoreMachine(RuleBasedStateMachine):
 
     @rule(ue=st.sampled_from(UES))
     def set_ue_silent(self, ue):
-        self.silent.add(ue)
-        assert self.store.set_ue_silent(ue) == len(self.flows_of(ue))
+        self.agree("set_ue_silent", ue)
 
     @rule(ue=st.sampled_from(UES),
           remap=st.dictionaries(st.sampled_from(TEIDS),
                                 st.sampled_from(TEIDS), max_size=3),
           enb=st.sampled_from(ENBS))
     def reactivate_ue(self, ue, remap, enb):
-        # a flow whose TEID the remap lacks ends with the handover
-        kept = 0
-        for k in self.flows_of(ue):
-            old = self.model.pop(k)
-            if old.downstream_teid in remap:
-                self.model[k] = FlowRule(k, remap[old.downstream_teid], enb,
-                                         old.sgw_addr)
-                kept += 1
-        self.silent.discard(ue)
-        assert self.store.reactivate_ue(ue, remap, enb) == kept
+        self.agree("reactivate_ue", ue, remap, enb)
 
     @rule(ue=st.sampled_from(UES))
     def release_ue(self, ue):
-        keys = self.flows_of(ue)
-        for k in keys:
-            del self.model[k]
-        self.silent.discard(ue)
-        assert self.store.release_ue(ue) == len(keys)
+        self.agree("release_ue", ue)
 
     @rule(key=flow_keys)
     def lookup(self, key):
-        expected = self.model.get(key)
-        if key.src_ip in self.silent:
-            expected = SILENT
-        elif expected is not None:
-            expected = Tunnel(*expected[1:])
-        assert self.store.lookup(key) == expected
+        self.agree("lookup", key)
 
     @invariant()
     def one_value_per_tunnel(self):
         # after installs and reactivations alike: equal tunnels are one
         # object, which every flow on it gets from lookup
-        for ue in set(UES) - self.silent:
-            found = [self.store.lookup(k) for k in self.flows_of(ue)]
+        for ue in set(UES) - self.model.silent:
+            found = [self.store.lookup(k) for k in self.model.flows_of(ue)]
             assert all(type(t) is Tunnel for t in found)
             assert len(set(map(id, found))) == len(set(found))
 
@@ -559,11 +596,11 @@ class RuleStoreMachine(RuleBasedStateMachine):
     def same_rules_per_subscriber(self):
         for ue in UES:
             assert self.store.rules_for_ue(ue) == [
-                r for k, r in self.model.items() if k.src_ip == ue]
+                r for k, r in self.model.rules.items() if k.src_ip == ue]
 
     @invariant()
     def same_size(self):
-        assert len(self.store) == len(self.model)
+        assert len(self.store) == len(self.model.rules)
 
 
 TestRuleStoreMachine = RuleStoreMachine.TestCase
@@ -620,12 +657,16 @@ class TestConfigLoading:
 
 def race(*targets):
     """Run each target in a thread of its own under a one-microsecond
-    switch interval, so that the threads interleave finely; join them all
-    and fail if one is left running or raised."""
+    switch interval, so that the threads switch as often as the
+    interpreter lets them (still only every 50 to 250 us or so, on a
+    2-core VM); join them all and fail if one is left running or raised. No target starts before
+    every thread runs, so a writer cannot finish before its readers look."""
     errors = []
+    start = threading.Barrier(len(targets), timeout=60)
 
     def guarded(target):
         try:
+            start.wait()
             target()
         except Exception as exc:  # surface into the main thread
             errors.append(exc)
@@ -642,6 +683,162 @@ def race(*targets):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+def steering_lines(before):
+    """A trace function that calls `before()` ahead of each line that
+    `megw.steering` runs, and traces nothing else."""
+    def lines(frame, event, arg):
+        if event == "line":
+            before()
+        return lines
+
+    def calls(frame, event, arg):
+        return lines if frame.f_code.co_filename == steering.__file__ else None
+
+    return calls
+
+
+def record(table, plans, coin):
+    """Run each plan, a list of (operation, args) on `table`, in a thread
+    of its own under `race`; return the history, one (call, return,
+    operation, args, outcome) per operation, its times taken with
+    `time.perf_counter_ns` in its thread.
+
+    A plan takes less time than the interpreter runs one thread before it
+    switches, whatever the switch interval, so each thread yields too:
+    before a line of `megw.steering`, when `coin()` draws under 0.1, it
+    sleeps for no time, which lets another thread take over there."""
+    history = []
+
+    def pause():
+        if coin() < 0.1:
+            time.sleep(0)
+
+    def run(plan):
+        for op, args in plan:
+            call = time.perf_counter_ns()
+            answer = outcome(table, op, args)
+            history.append((call, time.perf_counter_ns(), op, args, answer))
+
+    tracing = threading.gettrace()
+    threading.settrace(steering_lines(pause))
+    try:
+        race(*(functools.partial(run, plan) for plan in plans))
+    finally:
+        threading.settrace(tracing)
+    return history
+
+
+def linearizable(history, model):
+    """Whether `history`, as `record` returns it, has a linearization from
+    `model`, a `FlatRules` in the state the history starts from: an order
+    of its operations that keeps each one ahead of every operation called
+    after it returned, and under which the model gives every outcome
+    (Herlihy and Wing, TOPLAS 1990). Wing and Gong's depth-first search,
+    with Lowe's memo of the (model state, operations done) pairs that
+    lead nowhere."""
+    ops = sorted(history, key=lambda op: op[0])
+    everything = (1 << len(ops)) - 1
+    dead = set()
+
+    def search(model, done):
+        if done == everything:
+            return True
+        memo = (model.state(), done)
+        if memo in dead:
+            return False
+        pending = [i for i in range(len(ops)) if not done >> i & 1]
+        first_return = min(ops[i][1] for i in pending)
+        for i in pending:
+            call, _, op, args, answer = ops[i]
+            if call > first_return:
+                break   # something pending returned before this was called
+            after = model.copy()
+            if (outcome(after, op, args) == answer
+                    and search(after, done | 1 << i)):
+                return True
+        dead.add(memo)
+        return False
+
+    return search(model, 0)
+
+
+def interleaved(table, outer, inner, at):
+    """Run `outer`, an (operation, args) on `table`, and before its `at`th
+    line in `megw.steering` run `inner`, a list of them, in the same
+    thread: one thread's operation taken over there by another's. Return
+    the history as `record` would, or None if `outer` has fewer lines."""
+    inside = []
+    lines_run = 0
+
+    def take_over():
+        nonlocal lines_run
+        lines_run += 1
+        if lines_run == at:
+            for i, (op, args) in enumerate(inner, 1):
+                inside.append((2 * i, 2 * i + 1, op, args,
+                               outcome(table, op, args)))
+
+    tracing = sys.gettrace()
+    sys.settrace(steering_lines(take_over))
+    try:
+        answer = outcome(table, *outer)
+    finally:
+        sys.settrace(tracing)
+    if lines_run < at:
+        return None
+    return [(1, 2 * len(inner) + 2, *outer, answer)] + inside
+
+
+class TestLinearizable:
+    """The checker on histories written out by hand, times in ns."""
+
+    key = FiveTuple(UE, ip_int(VIP), 6, 5000, 80)
+    old = Tunnel(100, ENB1, SGW)
+
+    def silenced(self):
+        return FlatRules({self.key: FlowRule(self.key, *self.old)}, {UE})
+
+    def test_sequential_history(self):
+        history = [(0, 1, "lookup", (self.key,), SILENT),
+                   (2, 3, "release_ue", (UE,), 1),
+                   (4, 5, "lookup", (self.key,), None),
+                   (6, 7, "set_ue_silent", (UE,), 0)]
+        assert linearizable(history, self.silenced())
+        history[2] = (4, 5, "lookup", (self.key,), SILENT)
+        assert not linearizable(history, self.silenced())
+
+    @pytest.mark.parametrize("answer", [SILENT, None])
+    def test_a_read_may_take_either_side_of_a_write_it_overlaps(self, answer):
+        history = [(0, 10, "release_ue", (UE,), 1),
+                   (5, 15, "lookup", (self.key,), answer)]
+        assert linearizable(history, self.silenced())
+
+    def test_a_read_after_a_write_sees_it(self):
+        history = [(0, 10, "release_ue", (UE,), 1),
+                   (11, 15, "lookup", (self.key,), SILENT)]
+        assert not linearizable(history, self.silenced())
+
+    @pytest.mark.parametrize("op, args", [
+        ("release_ue", (UE,)), ("reactivate_ue", (UE, {100: 200}, ENB2))])
+    def test_the_old_tunnel_of_a_silenced_subscriber_is_never_read(
+            self, op, args):
+        history = [(0, 10, op, args, 1),
+                   (5, 15, "lookup", (self.key,), self.old)]
+        assert not linearizable(history, self.silenced())
+
+    def test_outcomes_order_the_writes(self):
+        # a silence that counts no rule goes before the install: it may
+        # while the two overlap, not once it is called after the install
+        # returned
+        rule = FlowRule(self.key, *self.old)
+        history = [(0, 10, "install", (rule,), None),
+                   (5, 15, "set_ue_silent", (UE,), 1),
+                   (1, 2, "set_ue_silent", (UE,), 0)]
+        assert linearizable(history, FlatRules())
+        history[2] = (11, 12, "set_ue_silent", (UE,), 0)
+        assert not linearizable(history, FlatRules())
 
 
 class TestConcurrency:
@@ -779,7 +976,112 @@ class TestConcurrency:
 
         race(writer, reader, reader)
         assert seen <= {SILENT, None}
+        assert seen
         assert len(rules) == 0
+
+    def test_subscriber_silenced_before_its_first_rule(self):
+        # a subscriber with no rule is silenced, gets its first rule and is
+        # reactivated onto a new tunnel: a reader sees None before the
+        # silence, SILENT in it and the new tunnel after, never the rule's
+        # tunnel from before the reactivation
+        rules = RuleStore()
+        ues = [UE + i for i in range(3000)]
+        vip = ip_int(VIP)
+        new = Tunnel(200, ENB2, SGW)
+        current = [0]
+        done = []
+        seen = set()
+        wrong = []
+
+        def reader():
+            while not done:
+                answer = rules.lookup((ues[current[0]], vip, 6, 5000, 80))
+                if answer is None or answer is SILENT or answer == new:
+                    seen.add(answer)
+                else:
+                    wrong.append(answer)
+
+        def writer():
+            try:
+                for i, ue in enumerate(ues):
+                    current[0] = i
+                    rules.set_ue_silent(ue)
+                    rules.install(FlowRule(FiveTuple(ue, vip, 6, 5000, 80),
+                                           100, ENB1, SGW))
+                    rules.reactivate_ue(ue, {100: 200}, ENB2)
+            finally:
+                done.append(True)
+
+        race(writer, reader, reader)
+        assert wrong == []
+        assert {SILENT, new} <= seen
+        assert len(rules) == len(ues)
+        assert all(rules.lookup((ue, vip, 6, 5000, 80)) == new for ue in ues)
+
+    def test_each_operation_taken_over_at_every_line(self):
+        # every place where one operation can stop for another: a lookup
+        # by any run of writes, a write by a lookup (a write inside a write
+        # would wait on the lock), before each line that the outer one
+        # runs; from three states of one subscriber with one flow ruled
+        vip = ip_int(VIP)
+        ruled, new = (FiveTuple(UE, vip, 6, port, 80) for port in (5000, 5001))
+        starts = [FlatRules(), FlatRules({ruled: FlowRule(ruled, 100, ENB1,
+                                                          SGW)})]
+        starts.append(FlatRules(starts[1].rules, {UE}))
+        writes = [("install", (FlowRule(new, 100, ENB1, SGW),)),
+                  ("install", (FlowRule(ruled, 100, ENB1, SGW),)),
+                  ("set_ue_silent", (UE,)), ("release_ue", (UE,)),
+                  ("reactivate_ue", (UE, {100: 200}, ENB2))]
+        lookups = [("lookup", (ruled,)), ("lookup", (new,))]
+        cases = [(w, [r]) for w in writes for r in lookups]
+        cases += [(r, [w]) for r in lookups for w in writes]
+        cases += [(r, [writes[2], writes[0]]) for r in lookups]
+        checked = 0
+        for start in starts:
+            for outer, inner in cases:
+                for at in itertools.count(1):
+                    store = RuleStore()
+                    for rule in start.rules.values():
+                        store.install(rule)
+                    for ue in start.silent:
+                        store.set_ue_silent(ue)
+                    history = interleaved(store, outer, inner, at)
+                    if history is None:
+                        break
+                    assert linearizable(history, start.copy()), history
+                    checked += 1
+        assert checked > 3 * len(cases), checked
+
+    def test_rule_store_histories_are_linearizable(self):
+        # small random histories of three threads on two subscribers of
+        # two flows each, one of them silenced to begin with; each must
+        # have a linearization under the flat model
+        vip = ip_int(VIP)
+        ues = (UE, UE + 1)
+        keys = [FiveTuple(ue, vip, 6, port, 80)
+                for ue in ues for port in (5000, 5001)]
+        start = FlatRules({k: FlowRule(k, 100 + k.src_port % 2, ENB1, SGW)
+                           for k in keys}, {UE})
+        writes = ([("install", (FlowRule(k, teid, ENB1, SGW),))
+                   for k in keys for teid in (100, 101)]
+                  + [("set_ue_silent", (ue,)) for ue in ues]
+                  + [("release_ue", (ue,)) for ue in ues]
+                  + [("reactivate_ue", (ue, remap, enb)) for ue in ues
+                     for remap in ({100: 200, 101: 201}, {101: 100})
+                     for enb in (ENB1, ENB2)])
+        reads = [("lookup", (k,)) for k in keys]
+        draw = random.Random(7)
+        for _ in range(250):
+            store = RuleStore()
+            for rule in start.rules.values():
+                store.install(rule)
+            store.set_ue_silent(UE)
+            plans = [[draw.choice(writes if draw.random() < 0.4 else reads)
+                      for _ in range(draw.randint(10, 20))]
+                     for _ in range(3)]
+            history = record(store, plans, draw.random)
+            assert linearizable(history, start.copy()), sorted(
+                history, key=lambda op: op[0])
 
     def test_racing_misses_pin_each_flow_once(self, monkeypatch):
         # threads that miss one fresh flow together pin it once: one HRW
