@@ -46,10 +46,10 @@ print(f"removing mgw-b remaps {moved / 100:.1f}% of keys "
 # Stage II: a connection keeps its server for life, even as the pool grows.
 table = DipAffinityTable()
 flow = FiveTuple.parse("172.16.0.2", "10.100.1.1", 6, 5000, 80)
-first = table.get_or_assign(flow, cfg_a.dips)
+first = table.get_or_assign(flow, cfg_a)
 grown = SteeringConfig(megw_id="mgw-a", vips=cfg_a.vips,
                        region_peers=tuple(peers),
                        dips=cfg_a.dips + (("10.200.0.7", 4.0),),
                        local_sgw="10.2.0.1")
 print(f"\nflow pinned to {ip_str(first)}; after adding a big new server it"
-      f" still gets {ip_str(table.get_or_assign(flow, grown.dips))}")
+      f" still gets {ip_str(table.get_or_assign(flow, grown))}")

@@ -28,8 +28,8 @@ of the grid's `neighbor_table`, and the grid knows per slot the cluster
 it leaves, the one it enters and its migration kind. So `apply_moves`
 writes the movers' new cells and reads the rest of its bookkeeping off
 the step's slots: the users per cluster and each policy's migration
-count, with no per-mover mask or compare. A step with as many moves as
-the grid has slots reads it off one histogram of them.
+count, off one histogram of the slots, with no per-mover mask or
+compare.
 
 A step draws its neighbour picks as raw 32-bit words scaled into each
 cell's neighbour count, the multiply-shift numpy's bounded draw does
@@ -224,11 +224,12 @@ def _grid(regions_count: int, mecs_per_region: int,
     """The grid of one map shape; memoized, since every replication of a
     sweep and every policy uses the same one."""
     centers, center_regions = _mec_centers(regions_count, mecs_per_region)
+    # the centers are distinct sublattice points, so their neighborhoods
+    # never overlap; each outer cell touches its center and two siblings,
+    # so every cell has at least three neighbours
     cell_owner: dict = {}
     for mec, center in enumerate(centers):
         for cell in [center] + [_add(center, d) for d in HEX_DIRS]:
-            if cell in cell_owner:
-                raise ConfigError(f"tiling overlap at {cell}")
             cell_owner[cell] = mec
     cells = sorted(cell_owner)
     cell_index = {c: i for i, c in enumerate(cells)}
@@ -252,8 +253,6 @@ def _grid(regions_count: int, mecs_per_region: int,
                 neighbor_table[i, k] = j
                 k += 1
         neighbor_count[i] = k
-    if (neighbor_count == 0).any():
-        raise ConfigError("isolated cell in tiling")
     own = np.repeat(np.arange(n), len(HEX_DIRS))
     entered = np.where(neighbor_table.ravel() >= 0, neighbor_table.ravel(),
                        own)
@@ -431,11 +430,9 @@ def apply_moves(world: SimWorld, movers: np.ndarray,
     cells, the step reads only the grid's per-slot MECs and kinds.
     Returns {Policy: migrations}.
 
-    A step with fewer moves than the grid has slots gathers the entries
-    of each move's slot. One with at least as many takes one histogram
-    of its slots and weighs every slot by its moves, which is cheaper
-    there than the gathers. Either way a step costs O(movers), with no
-    per-mover mask or compare.
+    A step takes one histogram of its slots and weighs every slot of the
+    grid by its moves: O(movers + slots), with no per-mover mask or
+    compare.
 
     Precondition: each slot belongs to its mover's current cell
     (`slots // 6 == user_cell[movers]`), and no user moves twice, as
@@ -443,17 +440,14 @@ def apply_moves(world: SimWorld, movers: np.ndarray,
     """
     grid = world.grid
     world.user_cell[movers] = grid.neighbor_table.ravel()[slots]
-    read, moves = slots, None
-    if len(slots) >= grid.slot_kind.size:
-        read, moves = slice(None), np.bincount(slots,
-                                               minlength=grid.slot_kind.size)
+    moves = np.bincount(slots, minlength=grid.slot_kind.size)
     n = grid.n_mecs
     # the counts stay below 2**32, one subscriber address per user, so
     # the float64 weighted sums are exact
-    world.mec_users += (np.bincount(grid.slot_to_mec[read], moves, n)
-                        - np.bincount(grid.slot_from_mec[read], moves, n)
-                        ).astype(np.int64, copy=False)
-    _, within, across = np.bincount(grid.slot_kind[read], moves, 3).tolist()
+    world.mec_users += (np.bincount(grid.slot_to_mec, moves, n)
+                        - np.bincount(grid.slot_from_mec, moves, n)
+                        ).astype(np.int64)
+    _, within, across = np.bincount(grid.slot_kind, moves, 3).tolist()
     return {Policy.WITH_REGIONS: int(across),
             Policy.WITHOUT_REGIONS: int(within + across)}
 

@@ -30,12 +30,11 @@ table for each VIP of the config, lowest first: if two flows that differ
 only in the VIP land on one DIP, the lowest VIP wins, whatever the pin,
 set or hash order. Tables are keyed by integer addresses; dotted quads
 are only `SteeringConfig` input, stage II's HRW candidate ids (the
-DIPs), the keys of the affinity table's DIP memo and `Emit.dst`. Table
-probes take any 5-tuple, so the packet path probes with plain tuples. A
-new flow gets one `FiveTuple`, which its `FlowMiss` (and so its rule and
-the controller's log) and its affinity pin share; it holds the rule
-store's int for the subscriber and the config's for the VIP, and the pin
-holds the affinity table's one int for the DIP.
+DIPs) and `Emit.dst`. Table probes take any 5-tuple, so the packet path
+probes with plain tuples. A new flow gets one `FiveTuple`, which its
+`FlowMiss` (and so its rule and the controller's log) and its affinity
+pin share; it holds the rule store's int for the subscriber and the
+config's for the VIP, and the pin holds the config's for the DIP.
 
 A frame's headers are read once: with one unpack for the common shape,
 by the general readers for every other frame. Both reads lead to one
@@ -58,7 +57,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 # classify, decode_gtpu and inner_five_tuple are unused here; they stay
 # importable because benchmarks/layers.py wraps the codec under these names.
@@ -84,8 +83,9 @@ class SteeringConfig:
     is its stage II candidate id), each checked when the config is built.
     `vip_ints`, the packet path's VIPs in ascending order, maps each to the
     config's own int, which the keys of new flows all hold; `peer_ints`
-    maps each peer's id to its address int; `stage1_peers` is the
-    region's (id, weight) candidates, stage I's memo key.
+    maps each peer's id to its address int, and `dip_ints` each DIP to the
+    int its affinity pins hold; `stage1_peers` is the region's (id,
+    weight) candidates, stage I's memo key.
     """
 
     megw_id: str
@@ -111,8 +111,8 @@ class SteeringConfig:
             raise ValueError("DIP weights must be positive and finite")
         object.__setattr__(self, "peer_ints", {
             pid: ip_int(addr) for pid, addr, _ in self.region_peers})
-        for addr, _ in self.dips:
-            ip_int(addr)    # an EncodeError, a ValueError, if malformed
+        object.__setattr__(self, "dip_ints", {
+            addr: ip_int(addr) for addr, _ in self.dips})
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -318,14 +318,12 @@ class DipAffinityTable:
     Readers (`get`, `vip_for` and a hit of `get_or_assign`) take no lock:
     each probe is one dict read keyed by a tuple of ints, atomic under the
     GIL. Pins are only added, and `get_or_assign` checks again under
-    `_lock` before it pins, so each flow gets one pin and every pin to one
-    DIP holds one int.
+    `_lock` before it pins, so each flow gets one pin. The table is the
+    flat {flow: DIP} map itself; a pin holds the config's int for its DIP.
     """
 
     def __init__(self):
         self._table: dict[FiveTuple, int] = {}
-        # dotted DIP -> the one int every pin to it holds
-        self._dips: dict[str, int] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -334,14 +332,13 @@ class DipAffinityTable:
     def get(self, flow: FiveTuple) -> int | None:
         return self._table.get(flow)
 
-    def get_or_assign(self, flow: tuple,
-                      dips: Sequence[tuple[str, float]]) -> int:
-        """Return the pinned DIP (an integer), choosing and pinning one of
-        the dotted `dips` by HRW on first sight. The pin survives any later
-        change to the DIP pool. `flow` is any 5-tuple; a miss stores a
-        `FiveTuple` as it is given, and any other as a new `FiveTuple`.
-        Every pin to one DIP holds one int, read once per table. A hit
-        takes no lock; a miss looks again under it before it pins."""
+    def get_or_assign(self, flow: tuple, cfg: SteeringConfig) -> int:
+        """Return the pinned DIP (an integer), choosing one of `cfg.dips`
+        by HRW on first sight and pinning the config's int for it,
+        `cfg.dip_ints`. The pin survives any later change to the DIP pool.
+        `flow` is any 5-tuple; a miss stores a `FiveTuple` as it is given,
+        and any other as a new `FiveTuple`. A hit takes no lock; a miss
+        looks again under it before it pins."""
         dip = self._table.get(flow)
         if dip is not None:
             return dip
@@ -351,11 +348,8 @@ class DipAffinityTable:
                 return dip
             if type(flow) is not FiveTuple:
                 flow = FiveTuple(*flow)
-            addr = rendezvous_select(flow.key_bytes(), dips)
-            dip = self._dips.get(addr)
-            if dip is None:
-                dip = self._dips[addr] = ip_int(addr)
-            self._table[flow] = dip
+            dip = self._table[flow] = cfg.dip_ints[
+                rendezvous_select(flow.key_bytes(), cfg.dips)]
             return dip
 
     def vip_for(self, dip_flow: tuple, vips: Iterable[int]) -> int | None:
@@ -523,7 +517,7 @@ def _uplink(data: bytes, at: int, total: int, dst: int, teid: int,
         act = Emit(ip_str(cfg.peer_ints[serving]), data[at:total],
                    "stage1-handoff")
     else:
-        dip = affinity.get_or_assign(flow, cfg.dips)
+        dip = affinity.get_or_assign(flow, cfg)
         act = Emit(ip_str(dip), rewrite_ipv4(data, dst=dip, at=at,
                                              end=total), "dip-rewrite")
     if rule is None:
@@ -537,7 +531,7 @@ def _handoff(data: bytes, flow: tuple, cfg: SteeringConfig,
     with the 5-tuple `flow`: to the flow's pinned DIP."""
     src, vip, proto, sport, dport = flow
     dip = affinity.get_or_assign(
-        (src, cfg.vip_ints[vip], proto, sport, dport), cfg.dips)
+        (src, cfg.vip_ints[vip], proto, sport, dport), cfg)
     return Emit(ip_str(dip), rewrite_ipv4(data, dst=dip), "dip-rewrite")
 
 

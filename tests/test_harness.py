@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from megw import control, gtp, harness, steering
-from megw.gtp import FiveTuple, GtpMessageType, ip_int
+from megw.gtp import FiveTuple, GtpMessageType, ip_int, ip_str
 from megw.harness import (CLONED, DROPPED, MIGRATION_NOTIFIED, RECEIVED,
                           REACTIVATED, RULE_INSTALLED, SCENARIOS, SENT,
                           SILENCED, ConfigError, Harness, StateError,
@@ -459,9 +459,9 @@ class TestEdgeRequest:
     def test_flow_facts_are_kept_once(self):
         """At the serving gateway, every key of the subscriber's flows in
         the rule store and the affinity table holds one int for its
-        address and the config's int for the VIP; every pin to a DIP holds
-        one int; flows on a bearer share one tunnel value, before and
-        after a handover moves them to new tunnels."""
+        address and the config's int for the VIP; every pin holds the
+        config's int for its DIP; flows on a bearer share one tunnel
+        value, before and after a handover moves them to new tunnels."""
         h = make_harness()
         h.run_attach("ue1", "enb1", bearers=2)
         for n in range(8):
@@ -478,10 +478,10 @@ class TestEdgeRequest:
         for key in [r.key for r in rules] + list(pins):
             assert key.src_ip is ue
             assert key.dst_ip is vips[key.dst_ip]
-        dips = {}
+        dips = gw.config.dip_ints
         for dip in pins.values():
-            assert dips.setdefault(dip, dip) is dip
-        assert len(dips) == 2
+            assert dip is dips[ip_str(dip)]
+        assert set(pins.values()) == set(dips.values()) and len(dips) == 2
         tunnels = {}
         for r in rules:
             tunnel = gw.rules.lookup(r.key)

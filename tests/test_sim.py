@@ -66,6 +66,16 @@ class TestConfig:
                            match=r"^migration_rate must be non-negative$"):
             small_cfg(migration_rate=-1)
 
+    @pytest.mark.parametrize("regions_count, mecs_per_region",
+                             [(0, 1), (1, 0), (-1, 2)])
+    def test_region_and_mec_counts_must_be_positive(self, regions_count,
+                                                    mecs_per_region):
+        with pytest.raises(ConfigError,
+                           match=r"^region and MEC counts must be positive$"):
+            SimConfig(regions_count=regions_count,
+                      mecs_per_region=mecs_per_region,
+                      capacities=(1,) * max(mecs_per_region, 0))
+
     def test_users_per_capacity_must_be_positive(self):
         with pytest.raises(
                 ConfigError,
@@ -128,6 +138,21 @@ class TestGrid:
                         seen.add(int(n))
                         frontier.append(int(n))
             assert seen == cells
+
+    def test_every_shape_tiles_without_overlap_or_lone_cells(self):
+        # every shape of 1-12 regions x 1-12 MECs: the neighborhoods never
+        # overlap (7 distinct cells per MEC), and every cell has at least
+        # three neighbours, so integers_below's counts are at least 2
+        for regions_count in range(1, 13):
+            for mecs_per_region in range(1, 13):
+                grid = build_grid(SimConfig(
+                    regions_count=regions_count,
+                    mecs_per_region=mecs_per_region,
+                    capacities=(1,) * mecs_per_region, users_per_capacity=1,
+                    migration_rate=0))
+                assert len(set(grid.cells)) == 7 * grid.n_mecs \
+                    == 7 * regions_count * mecs_per_region
+                assert grid.neighbor_count.min() >= 3
 
     def test_neighbors_symmetric(self):
         grid = build_grid(small_cfg())
@@ -677,10 +702,9 @@ class TestStepDifferential:
     def test_steps_around_the_slot_count(self, data, regions_count,
                                          mecs_per_region, users_per_capacity,
                                          seed):
-        # a step with fewer moves than the grid has slots reads each
-        # move's slot, one with at least as many a histogram of them:
-        # both agree with the full-array reference, on either side of
-        # the switch and at it
+        # steps with a move count around the grid's slot count, and with
+        # the whole population moving, agree with the full-array
+        # reference
         capacities = data.draw(st.lists(st.integers(1, 3),
                                          min_size=mecs_per_region,
                                          max_size=mecs_per_region))

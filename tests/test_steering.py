@@ -302,19 +302,19 @@ class TestStage2:
         cfg = make_cfg()
         table = DipAffinityTable()
         flow = FiveTuple.parse("172.16.0.2", VIP, 6, 5000, 80)
-        first = table.get_or_assign(flow, cfg.dips)
+        first = table.get_or_assign(flow, cfg)
         for _ in range(5):
-            assert table.get_or_assign(flow, cfg.dips) == first
+            assert table.get_or_assign(flow, cfg) == first
         assert len(table) == 1
 
     def test_affinity_survives_pool_growth(self):
         cfg = make_cfg(dips=[("10.200.0.5", 1.0)])
         table = DipAffinityTable()
         flow = FiveTuple.parse("172.16.0.2", VIP, 6, 5000, 80)
-        assert table.get_or_assign(flow, cfg.dips) == ip_int("10.200.0.5")
+        assert table.get_or_assign(flow, cfg) == ip_int("10.200.0.5")
         grown = make_cfg(dips=[("10.200.0.5", 1.0), ("10.200.0.6", 5.0),
                                ("10.200.0.7", 5.0)])
-        assert table.get_or_assign(flow, grown.dips) == ip_int("10.200.0.5")
+        assert table.get_or_assign(flow, grown) == ip_int("10.200.0.5")
 
     def test_spread_over_dips(self):
         cfg = make_cfg(dips=[("10.200.0.5", 1.0), ("10.200.0.6", 1.0),
@@ -323,18 +323,18 @@ class TestStage2:
         hits = {ip_int(d): 0 for d, _ in cfg.dips}
         for port in range(1000):
             flow = FiveTuple.parse("172.16.0.2", VIP, 6, 1024 + port, 80)
-            hits[table.get_or_assign(flow, cfg.dips)] += 1
+            hits[table.get_or_assign(flow, cfg)] += 1
         assert all(v > 0 for v in hits.values())
 
     def test_plain_tuple_probes_as_five_tuple(self):
         cfg = make_cfg()
         flow = FiveTuple.parse("172.16.0.2", VIP, 6, 5000, 80)
         table, ref = DipAffinityTable(), DipAffinityTable()
-        dip = table.get_or_assign(tuple(flow), cfg.dips)        # a miss
-        assert dip == ref.get_or_assign(flow, cfg.dips)
+        dip = table.get_or_assign(tuple(flow), cfg)     # a miss
+        assert dip == ref.get_or_assign(flow, cfg)
         assert [type(k) for k in table._table] == [FiveTuple]
-        assert table.get_or_assign(flow, cfg.dips) == dip       # hits
-        assert table.get_or_assign(tuple(flow), cfg.dips) == dip
+        assert table.get_or_assign(flow, cfg) == dip    # hits
+        assert table.get_or_assign(tuple(flow), cfg) == dip
         assert len(table) == 1
         vips = cfg.vip_ints
         back = (flow.src_ip, dip, 6, 5000, 80)
@@ -353,6 +353,7 @@ class TestStage2:
         # unpinned pool DIP, a VIP or any address, and its flow often
         # that of a pin
         dips = tuple((f"10.200.0.{i}", 1.0) for i in range(1, 5))
+        cfg = make_cfg(dips=dips[:pool])
         vips = tuple(ip_int(f"10.100.1.{i}") for i in range(1, n_vips + 1))
         ports = st.sampled_from((5000, 80))
         flows = st.builds(FiveTuple, st.sampled_from((UE, UE + 1)),
@@ -362,7 +363,7 @@ class TestStage2:
         for _ in range(n_pinned):
             flow = data.draw(flows)
             for vip in vips if data.draw(st.booleans()) else flow[1:2]:
-                table.get_or_assign(flow._replace(dst_ip=vip), dips[:pool])
+                table.get_or_assign(flow._replace(dst_ip=vip), cfg)
         pinned = sorted(set(table._table.values()))
         unpinned = [d for d in (ip_int(a) for a, _ in dips)
                     if d not in pinned]
@@ -383,14 +384,21 @@ class TestStage2:
         cfg = make_cfg()
         flow = FiveTuple.parse("172.16.0.2", VIP, 6, 5000, 80)
         table = DipAffinityTable()
-        table.get_or_assign(flow, cfg.dips)
+        table.get_or_assign(flow, cfg)
         assert [k is flow for k in table._table] == [True]
 
-    def test_empty_pool(self):
-        # HRW's own check: no candidate, nothing pinned
+    def test_a_pick_that_raises_pins_nothing(self, monkeypatch):
+        # a config never has an empty pool (test_dip_pool_must_not_be_empty),
+        # so HRW's own check is forced here: the error reaches the caller
+        # and the table stays empty
+        def fail(key, candidates):
+            raise SelectError("no candidate")
+
+        monkeypatch.setattr(steering, "rendezvous_select", fail)
         table = DipAffinityTable()
         with pytest.raises(SelectError):
-            table.get_or_assign(FiveTuple.parse("1.2.3.4", VIP, 6, 1, 2), ())
+            table.get_or_assign(FiveTuple.parse("1.2.3.4", VIP, 6, 1, 2),
+                                make_cfg())
         assert not table._table
 
 
@@ -525,6 +533,16 @@ class FlatRules:
             return SILENT
         rule = self.rules.get(key)
         return None if rule is None else Tunnel(*rule[1:])
+
+
+def store_of(model):
+    """A `RuleStore` in the state of `model`, a `FlatRules`."""
+    store = RuleStore()
+    for rule in model.rules.values():
+        store.install(rule)
+    for ue in model.silent:
+        store.set_ue_silent(ue)
+    return store
 
 
 def outcome(table, op, args):
@@ -1040,12 +1058,7 @@ class TestConcurrency:
         for start in starts:
             for outer, inner in cases:
                 for at in itertools.count(1):
-                    store = RuleStore()
-                    for rule in start.rules.values():
-                        store.install(rule)
-                    for ue in start.silent:
-                        store.set_ue_silent(ue)
-                    history = interleaved(store, outer, inner, at)
+                    history = interleaved(store_of(start), outer, inner, at)
                     if history is None:
                         break
                     assert linearizable(history, start.copy()), history
@@ -1072,21 +1085,38 @@ class TestConcurrency:
         reads = [("lookup", (k,)) for k in keys]
         draw = random.Random(7)
         for _ in range(250):
-            store = RuleStore()
-            for rule in start.rules.values():
-                store.install(rule)
-            store.set_ue_silent(UE)
             plans = [[draw.choice(writes if draw.random() < 0.4 else reads)
                       for _ in range(draw.randint(10, 20))]
                      for _ in range(3)]
-            history = record(store, plans, draw.random)
+            history = record(store_of(start), plans, draw.random)
+            assert linearizable(history, start.copy()), sorted(
+                history, key=lambda op: op[0])
+
+    def test_lookup_overtaken_by_release_silence_and_install(self):
+        # one thread looks up one flow over and over while another
+        # releases its subscriber, gives it back a sibling flow, silences
+        # it and installs the flow again: the sibling keeps a record that
+        # is not silent and lacks the flow, so a lookup is often overtaken
+        # there by the silence and the install; each history must have a
+        # linearization
+        key = FiveTuple(UE, ip_int(VIP), 6, 5000, 80)
+        rule = FlowRule(key, 100, ENB1, SGW)
+        sibling = FlowRule(key._replace(src_port=5001), 100, ENB1, SGW)
+        start = FlatRules({key: rule})
+        cycle = [("release_ue", (UE,)), ("install", (sibling,)),
+                 ("set_ue_silent", (UE,)), ("install", (rule,))]
+        draw = random.Random(11)
+        for _ in range(300):
+            history = record(store_of(start),
+                             [[("lookup", (key,))] * 30, cycle * 3],
+                             draw.random)
             assert linearizable(history, start.copy()), sorted(
                 history, key=lambda op: op[0])
 
     def test_racing_misses_pin_each_flow_once(self, monkeypatch):
         # threads that miss one fresh flow together pin it once: one HRW
-        # pick per flow, every thread answers that pick, and every pin to
-        # a DIP holds the table's one int for it
+        # pick per flow, every thread answers that pick, and every pin
+        # holds the config's int for its DIP
         cfg = make_cfg()
         affinity = DipAffinityTable()
         picks = []
@@ -1101,18 +1131,18 @@ class TestConcurrency:
 
         def assign(out):
             for flow in flows:
-                out.append(affinity.get_or_assign(flow, cfg.dips))
+                out.append(affinity.get_or_assign(flow, cfg))
 
         race(*(functools.partial(assign, out) for out in answers))
         assert sorted(picks) == sorted(FiveTuple(*f).key_bytes()
                                        for f in flows)
         assert len(affinity) == len(flows)
         pins = [affinity.get(flow) for flow in flows]
-        assert pins == [ip_int(rendezvous_select(FiveTuple(*f).key_bytes(),
-                                                 cfg.dips)) for f in flows]
-        ints = {}
-        assert all(ints.setdefault(pin, pin) is pin for pin in pins)
-        assert len(ints) == len(cfg.dips)
+        addrs = [rendezvous_select(FiveTuple(*f).key_bytes(), cfg.dips)
+                 for f in flows]
+        assert all(pin is cfg.dip_ints[addr]
+                   for pin, addr in zip(pins, addrs, strict=True))
+        assert set(addrs) == set(cfg.dip_ints)
         assert all(got is pin for out in answers
                    for got, pin in zip(out, pins, strict=True))
 
@@ -1224,7 +1254,7 @@ class TestProcessPacket:
 
     def test_downstream_undoes_dip_rewrite(self):
         flow = FiveTuple.parse("172.16.0.2", VIP, 6, 5000, 80)
-        dip = self.affinity.get_or_assign(flow, self.cfg.dips)
+        dip = self.affinity.get_or_assign(flow, self.cfg)
         self.rules.install(FlowRule(flow, 0xC8, ENB1, SGW))
         echo = build_ipv4(dip, UE, 6, build_tcpish(6, 80, 5000, b"ok"))
         act = self.process(echo, Direction.FROM_CLUSTER)
@@ -1243,7 +1273,7 @@ class TestProcessPacket:
         second = ({"10.100.1.1", "10.100.1.2"} - {first}).pop()
         for vip in (first, second):
             self.affinity.get_or_assign(
-                FiveTuple.parse("172.16.0.2", vip, 6, 5000, 80), cfg.dips)
+                FiveTuple.parse("172.16.0.2", vip, 6, 5000, 80), cfg)
         echo = ipv4("10.200.0.5", "172.16.0.2", 6,
                     build_tcpish(6, 80, 5000, b"ok"))
         act = process_packet(echo, Direction.FROM_CLUSTER, cfg, self.rules,
@@ -1265,7 +1295,7 @@ class TestProcessPacket:
             aff = DipAffinityTable()
             for vip in ("10.100.1.2", "10.100.1.1"):
                 aff.get_or_assign(
-                    FiveTuple.parse("172.16.0.2", vip, 6, 5000, 80), cfg.dips)
+                    FiveTuple.parse("172.16.0.2", vip, 6, 5000, 80), cfg)
             echo = build_ipv4(ip_int("10.200.0.5"), ip_int("172.16.0.2"), 6,
                               build_tcpish(6, 80, 5000, b"ok"))
             act = process_packet(echo, Direction.FROM_CLUSTER, cfg,
@@ -1304,7 +1334,7 @@ class TestProcessPacket:
         for i, sport, dport in pins:
             vip = ip_int(vips[i % len(vips)])
             pinned[vip, sport, dport] = affinity.get_or_assign(
-                FiveTuple(UE, vip, 6, sport, dport), cfg.dips)
+                FiveTuple(UE, vip, 6, sport, dport), cfg)
         i, sport, dport = reply
         dip = ip_int(dips[i % len(dips)])
         expected = next((vip for vip in sorted(map(ip_int, vips))
@@ -1511,7 +1541,7 @@ def reference_process_packet(data, ingress, cfg, rules, affinity):
                         if pid == serving)
             act = Emit(peer, inner.packet, note="stage1-handoff")
         else:
-            dip = affinity.get_or_assign(flow, cfg.dips)
+            dip = affinity.get_or_assign(flow, cfg)
             act = Emit(ip_str(dip), ref_rewrite(inner, dst=dip),
                        note="dip-rewrite")
         return Multiple(prelude + (act,)) if prelude else act
@@ -1521,7 +1551,7 @@ def reference_process_packet(data, ingress, cfg, rules, affinity):
             flow = ref_five_tuple(view)
         except gtp.DecodeError:
             return Drop("malformed VIP-bound packet")
-        dip = affinity.get_or_assign(flow, cfg.dips)
+        dip = affinity.get_or_assign(flow, cfg)
         return Emit(ip_str(dip), ref_rewrite(view, dst=dip),
                     note="dip-rewrite")
     if ingress is Direction.FROM_CLUSTER:
@@ -1673,7 +1703,7 @@ def uplink_inner(ue, **kw):
 
 # a pinned and ruled flow, and a reply to it from its DIP
 PINNED = FiveTuple(DIFF_UES[0], DIFF_VIPS[0], 6, 5000, 80)
-DIP_REPLY = raw_ipv4(DipAffinityTable().get_or_assign(PINNED, DIFF_CFG.dips),
+DIP_REPLY = raw_ipv4(DipAffinityTable().get_or_assign(PINNED, DIFF_CFG),
                      PINNED.src_ip, 6, struct.pack("!HH", 80, 5000) + b"ok")
 
 
@@ -1687,7 +1717,7 @@ def seeded_tables(ruled, silent, pinned):
     for ue in silent:
         rules.set_ue_silent(ue)
     for flow in pinned:
-        affinity.get_or_assign(flow, DIFF_CFG.dips)
+        affinity.get_or_assign(flow, DIFF_CFG)
     return rules, affinity
 
 
