@@ -230,8 +230,13 @@ def encode_gtpu(outer_src: int, outer_dst: int, teid: int,
                 message_type: GtpMessageType, inner: bytes = b"",
                 inner_src: int | None = None) -> bytes:
     """Encode to outer IPv4 + UDP (port 2152) + 8-byte GTPv1-U + inner:
-    one `struct` pack of the 36 header bytes, then the IPv4 checksum.
+    one `struct` pack of the 36 header bytes, the IPv4 checksum included.
     `encode_gtpu(*pkt)` is the inverse of `decode_gtpu`.
+
+    The checksum is summed from the header's fields, as `ipv4_checksum`
+    does from its bytes: 2**16 is 1 mod 0xFFFF, so each 32-bit address
+    adds its value, and the header is never all zeros, so a sum that is
+    a multiple of 0xFFFF reads 0xFFFF.
 
     With `inner_src`, the inner packet's IPv4 source is rewritten in the
     same pass and its header checksum recomputed over the IHL its first
@@ -240,24 +245,26 @@ def encode_gtpu(outer_src: int, outer_dst: int, teid: int,
     n = len(inner)
     if n > MAX_INNER_LEN:
         raise EncodeError(f"inner packet too large ({n} bytes)")
+    total = _OUTER.size + n
+    r = (0x4500 + total + (TTL << 8 | PROTO_UDP) + outer_src
+         + outer_dst) % 0xFFFF or 0xFFFF
     # `_value_` is the member's value; `.value` reads it through a property
     try:
-        head = _OUTER.pack(0x45, 0, _OUTER.size + n, 0, 0, TTL, PROTO_UDP, 0,
+        head = _OUTER.pack(0x45, 0, total, 0, 0, TTL, PROTO_UDP, ~r & 0xFFFF,
                            outer_src, outer_dst, GTP_UDP_PORT, GTP_UDP_PORT,
                            _INNER_AT + n, 0, GTP_FLAGS, message_type._value_,
                            n, teid)
     except struct.error as exc:
         # an address or TEID outside 32 bits
         raise EncodeError(f"header field out of range: {exc}") from None
-    csum = ipv4_checksum(head[:IPV4_MIN_HEADER]).to_bytes(2, "big")
     if inner_src is None:
-        return b"".join((head[:10], csum, head[12:], inner))
+        return head + inner
     ihl = (inner[0] & 0x0F) * 4
     inner_head = bytearray(inner[:ihl])
     _pack_word32(inner_head, 12, inner_src)
     inner_head[10] = inner_head[11] = 0
     _pack_word16(inner_head, 10, ipv4_checksum(inner_head))
-    return b"".join((head[:10], csum, head[12:], inner_head, inner[ihl:]))
+    return b"".join((head, inner_head, inner[ihl:]))
 
 
 def read_ipv4(data: bytes, at: int = 0, end: int | None = None) -> tuple:

@@ -42,6 +42,11 @@ per replay computes each policy's running totals and its min-max
 fairness ratio of cluster utilizations (least loaded over most loaded)
 at every step. `megw sim` writes the series of its config's policy; a
 sweep writes both.
+
+A sweep's replays share nothing, so `replay_all` runs them across the
+CPUs the process may use, in forked workers, and gives back exactly the
+serial loop's results: the output stays byte-identical. `taskset -c 0`
+makes a run serial, in one process.
 """
 
 from __future__ import annotations
@@ -52,6 +57,9 @@ import functools
 import hashlib
 import json
 import math
+import os
+import pickle
+import signal
 import struct
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
@@ -503,6 +511,97 @@ def replay(cfg: SimConfig, rng: np.random.Generator) -> dict:
             for policy, migrations in moved.items()}
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork or ask."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _replay_share(jobs: list) -> list:
+    return [replay(cfg, np.random.default_rng([cfg.seed, 0x30B5]))
+            for cfg in jobs]
+
+
+def replay_all(jobs: list) -> list:
+    """`replay` of each config in `jobs`, seeded `[cfg.seed, 0x30B5]`:
+    each one's {Policy: Series}, in job order.
+
+    The replays share nothing, so they run on n = min(jobs, CPUs this
+    process may use) processes: the caller runs `jobs[0::n]` and each of
+    n - 1 forked children runs `jobs[i::n]` and sends back its results,
+    or the exception it raised, pickled through a pipe. The results are
+    the serial loop's, so a sweep's output stays byte-identical; with one
+    CPU (`taskset -c 0`), or no `os.fork`, the loop runs in this process.
+    A child's exception is raised again here; a child that exits without
+    a result raises `RuntimeError`. No child outlives the call, whatever
+    it raises, `KeyboardInterrupt` included. Python 3.12 and later warn
+    when a process with other threads forks.
+    """
+    n = min(len(jobs), _cpus())
+    if n <= 1:
+        return _replay_share(jobs)
+    pipes = {}   # child pid -> the read end of its pipe, until reaped
+    try:
+        for i in range(1, n):
+            read, write = os.pipe()
+            pipe = open(read, "rb")
+            try:
+                pid = os.fork()
+            except OSError:
+                pipe.close()
+                os.close(write)
+                raise
+            if pid == 0:
+                _child(jobs[i::n], write,
+                       [read] + [p.fileno() for p in pipes.values()])
+            os.close(write)
+            pipes[pid] = pipe
+        shares = [_replay_share(jobs[0::n])]
+        for pid in list(pipes):
+            data = pipes[pid].read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pipes.pop(pid).close()
+            if code or not data:
+                raise RuntimeError(f"replay worker {pid} exited with status "
+                                   f"{code} and no result")
+            share = pickle.loads(data)
+            if isinstance(share, BaseException):
+                raise share
+            shares.append(share)
+    finally:
+        for pid, pipe in pipes.items():
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+    results = [None] * len(jobs)
+    for i, share in enumerate(shares):
+        results[i::n] = share
+    return results
+
+
+def _child(jobs: list, write: int, inherited: list) -> None:
+    """A forked worker of `replay_all`: close the parent's read ends,
+    replay `jobs`, write the pickled results, or the exception raised, to
+    `write`, and exit without returning: status 0 once all is written."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            out = _replay_share(jobs)
+        except BaseException as exc:
+            out = exc
+        with open(write, "wb") as pipe:
+            pipe.write(pickle.dumps(out, pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def run_experiment(base: SimConfig, rates: list, replications: int = 20,
                    steps: int | None = None) -> ExperimentResult:
     """Sweep migration rates under both policies.
@@ -510,8 +609,9 @@ def run_experiment(base: SimConfig, rates: list, replications: int = 20,
     rates are fractions of the population moved per minute. Each
     replication gets an independent seed derived from the base seed, and
     `replay` runs its movement trace on one world read under both
-    policies, so their metrics differ only by the serving policy. Rows
-    run by rate, then policy, then replication.
+    policies, so their metrics differ only by the serving policy.
+    `replay_all` runs the replays, across the CPUs the process may use.
+    Rows run by rate, then policy, then replication.
     """
     steps = steps if steps is not None else base.steps
     check({"rates": rates, "replications": replications, "steps": steps},
@@ -523,17 +623,18 @@ def run_experiment(base: SimConfig, rates: list, replications: int = 20,
     if replications < 1 or steps < 0:
         raise ConfigError(f"replications must be positive and steps "
                           f"non-negative, not {replications} and {steps}")
+    jobs = [replace(base, steps=steps,
+                    migration_rate=int(round(rate * base.population)),
+                    seed=derive_seed(base.seed, rate_idx, rep))
+            for rate_idx, rate in enumerate(rates)
+            for rep in range(replications)]
+    runs = replay_all(jobs)   # per job: each policy's series
     rows = []
     summary = {}
     for rate_idx, rate in enumerate(rates):
-        moved = int(round(rate * base.population))
-        runs = []   # per replication: each policy's series
-        for rep in range(replications):
-            seed = derive_seed(base.seed, rate_idx, rep)
-            cfg = replace(base, steps=steps, migration_rate=moved, seed=seed)
-            runs.append(replay(cfg, np.random.default_rng([seed, 0x30B5])))
+        share = runs[rate_idx * replications:(rate_idx + 1) * replications]
         for policy in POLICIES:
-            series = [run[policy] for run in runs]
+            series = [run[policy] for run in share]
             for rep, s in enumerate(series):
                 rows += csv_rows(policy, rate, rep, s)
             summary[(policy.value, rate)] = {

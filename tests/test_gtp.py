@@ -121,6 +121,18 @@ class TestEncode:
         assert wire == layered
         assert checksum_oracle(wire[:20]) == 0
 
+    @given(src=st.integers(0, 0xFFFFFFFF), dst=st.integers(0, 0xFFFFFFFF),
+           n=st.integers(0, gtp.MAX_INNER_LEN))
+    # the fields sum to 0xFFFF: a multiple of 0xFFFF, so the checksum is 0
+    @example(src=0, dst=0xFFFF - 0x4500 - 36 - (gtp.TTL << 8 | 17), n=0)
+    def test_checksum_from_fields_equals_the_header_sum(self, src, dst, n):
+        # the checksum summed from the header's fields is the one
+        # ipv4_checksum reads from its bytes, the checksum field zeroed
+        head = encode_gtpu(src, dst, 7, GtpMessageType.GPDU, bytes(n))[:20]
+        assert head[10:12] == gtp.ipv4_checksum(
+            head[:10] + b"\x00\x00" + head[12:]).to_bytes(2, "big")
+        assert gtp.ipv4_checksum(head) == 0
+
 
 class TestReturnEncapsulation:
     fields = st.integers(0, 0xFFFFFFFF) | st.sampled_from((-1, 1 << 32))

@@ -42,13 +42,15 @@ def test_join_and_leave_move_only_the_changed_candidates_keys(
 
 # what each import may not load: the kernel no numpy and no lock, the
 # gateway no numpy, and neither the simulator nor the command line (whose
-# codec and harness commands import the data plane when run) any of it
+# codec and harness commands import the data plane when run) any of it,
+# nor a process pool: a sweep forks its replay workers with `os.fork`
 DATA_PLANE = {"megw.steering", "megw.control", "megw.harness", "megw.s1ap",
               "megw.gtp"}
+POOLS = {"multiprocessing", "concurrent"}
 ABSENT = {"megw.hrw": {"numpy", "threading"},
           "megw.steering": {"numpy"},
-          "megw.sim": DATA_PLANE,
-          "megw.cli": DATA_PLANE}
+          "megw.sim": DATA_PLANE | POOLS,
+          "megw.cli": DATA_PLANE | POOLS}
 
 
 @pytest.mark.parametrize("module", ABSENT)

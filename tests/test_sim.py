@@ -1,6 +1,8 @@
 """Regional mobility simulator: grid construction, stepping, experiments."""
 
 import functools
+import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -833,7 +835,8 @@ class TestExperiment:
 
     def test_one_world_per_replay(self, monkeypatch):
         # both policies read one world: a sweep builds one per
-        # (rate, replication)
+        # (rate, replication); serial, so that this process sees each call
+        monkeypatch.setattr(sim, "_cpus", lambda: 1)
         built = []
 
         def counting_build_world(cfg):
@@ -843,6 +846,25 @@ class TestExperiment:
         run_experiment(small_cfg(), [0.05, 0.1, 0.2], replications=4,
                        steps=2)
         assert len(built) == 3 * 4 == len(set(built))
+
+    def test_one_world_per_replay_across_processes(self, monkeypatch,
+                                                   tmp_path):
+        # the same over three processes: each world built, in whichever
+        # process, appends its seed to one file, and every job's seed is
+        # there exactly once
+        monkeypatch.setattr(sim, "_cpus", lambda: 3)
+        log = tmp_path / "built"
+
+        def logging_build_world(cfg):
+            with open(log, "a") as f:
+                f.write(f"{cfg.seed}\n")
+            return build_world(cfg)
+        monkeypatch.setattr(sim, "build_world", logging_build_world)
+        run_experiment(small_cfg(), [0.05, 0.1, 0.2], replications=4,
+                       steps=2)
+        seeds = [derive_seed(small_cfg().seed, rate_idx, rep)
+                 for rate_idx in range(3) for rep in range(4)]
+        assert sorted(map(int, log.read_text().split())) == sorted(seeds)
 
     @pytest.mark.parametrize("rates", [[0.1, 0.1], [0.05, 0.2, 0.05],
                                        [1, 1.0]])
@@ -880,3 +902,107 @@ class TestExperiment:
         assert res.metadata["grid_cells"] == 84
         assert res.metadata["capacities"] == [1, 1, 2, 2]
         assert res.metadata["population"] == 9000
+
+
+def assert_same_experiment(a, b):
+    assert a.rows == b.rows
+    assert a.metadata == b.metadata
+    assert a.summary.keys() == b.summary.keys()
+    for key, stats in a.summary.items():
+        assert stats.keys() == b.summary[key].keys()
+        for name, values in stats.items():
+            assert np.array_equal(values, b.summary[key][name])
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def six_jobs():
+    return [small_cfg(seed=seed, steps=2) for seed in range(6)]
+
+
+class TestReplayAll:
+    """`sim.replay_all` with its CPU count patched: the forked path must
+    give the serial loop's results, errors and no process left over."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), workers=st.integers(1, 4),
+           steps=st.integers(0, 3))
+    def test_equals_serial(self, data, workers, steps):
+        # 1 to 7 jobs, also fewer jobs than workers
+        replications = data.draw(st.integers(1, 7), label="replications")
+        rates = data.draw(st.lists(
+            st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.5, 1.0]), min_size=1,
+            max_size=7 // replications, unique=True), label="rates")
+        base = small_cfg(seed=data.draw(st.integers(0, 1 << 62)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_cpus", lambda: 1)
+            serial = run_experiment(base, rates, replications, steps)
+            mp.setattr(sim, "_cpus", lambda: workers)
+            forked = run_experiment(base, rates, replications, steps)
+        assert_same_experiment(forked, serial)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 9])
+    def test_results_in_job_order(self, monkeypatch, workers):
+        # each job's seed, and the generator seeded from it, once each and
+        # in job order, whichever process ran the job
+        monkeypatch.setattr(sim, "_cpus", lambda: workers)
+        monkeypatch.setattr(sim, "replay", lambda cfg, rng: (
+            cfg.seed, int(rng.integers(1 << 62))))
+        jobs = [small_cfg(seed=seed) for seed in (5, 1, 8, 3, 0, 9, 2)]
+        assert sim.replay_all(jobs) == [
+            (cfg.seed, int(np.random.default_rng(
+                [cfg.seed, 0x30B5]).integers(1 << 62))) for cfg in jobs]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_child_exception_reaches_the_caller(self, monkeypatch, workers):
+        # job 5 runs in a child for every worker count here; its exception
+        # arrives with its type and message, and no child is left running
+        parent, real = os.getpid(), sim.replay
+
+        def failing(cfg, rng):
+            if cfg.seed == 5 and os.getpid() != parent:
+                raise ConfigError(f"no replay of seed {cfg.seed}")
+            return real(cfg, rng)
+        monkeypatch.setattr(sim, "_cpus", lambda: workers)
+        monkeypatch.setattr(sim, "replay", failing)
+        with pytest.raises(ConfigError) as info:
+            sim.replay_all(six_jobs())
+        assert type(info.value) is ConfigError
+        assert str(info.value) == "no replay of seed 5"
+        assert_no_child_left()
+
+    def test_child_without_result_is_a_runtime_error(self, monkeypatch):
+        parent, real = os.getpid(), sim.replay
+
+        def dying(cfg, rng):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(cfg, rng)
+        monkeypatch.setattr(sim, "_cpus", lambda: 2)
+        monkeypatch.setattr(sim, "replay", dying)
+        with pytest.raises(RuntimeError, match=r"exited with status 3 "):
+            sim.replay_all(six_jobs())
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, ConfigError])
+    def test_caller_error_kills_the_children(self, monkeypatch, error):
+        # the children would sleep for a minute; the caller's own error,
+        # an interrupt too, kills and reaps them at once
+        parent = os.getpid()
+
+        def stuck(cfg, rng):
+            if os.getpid() == parent:
+                raise error("stop")
+            time.sleep(60)
+        monkeypatch.setattr(sim, "_cpus", lambda: 3)
+        monkeypatch.setattr(sim, "replay", stuck)
+        start = time.monotonic()
+        with pytest.raises(error):
+            sim.replay_all(six_jobs())
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
