@@ -11,14 +11,14 @@ data plane would do. The four S1AP messages are built from one table,
 A single-threaded loop delivers frames one at a time, in the order they
 were sent: deterministic given (config, script, seed). A frame in flight
 is its next hop, its sender and its bytes. `_deliver` is the one place a
-frame arrives: a gateway applies `process_packet`'s flat action list, and
-any other forwarder gets the IPv4 header read once, with an unparseable
-frame dropped there; the SGW routes a transit frame by that header's
-`dst`. Only a stage I hand-off goes to another address than its header's
-(the peer gateway, not the VIP), and the region link rule below makes it
-one hop between gateways. Routes, frames, signalling and trace details
-hold addresses as ints, and `control.jsonl` writes them dotted; a
-gateway's `Emit.dst`, dotted, is read back through a memo.
+frame arrives: a gateway routes and records, in order, what its `Gateway`
+returns, and any other forwarder gets the IPv4 header read once, with an
+unparseable frame dropped there; the SGW routes a transit frame by that
+header's `dst`. Only a stage I hand-off goes to another address than its
+header's (the peer gateway, not the VIP), and the region link rule below
+makes it one hop between gateways. Routes, frames, signalling and trace
+details hold addresses as ints, and `control.jsonl` writes them dotted;
+a `Gateway` returns each forward's destination as an int too.
 
 `build_topology` works out each topology fact once: every next hop, by
 one breadth-first search per source (shortest path, ties to the first
@@ -30,20 +30,20 @@ EPC would reach its peer as core traffic, which is not steered.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from . import gtp, s1ap, steering
-from .control import (InstallRule, MigrationNotice, ReactivateUe,
-                      ReleaseUeRules, S1apProcessor, SilenceUe, TopologyView)
+from . import gtp, s1ap
+from .control import TopologyView
+from .gateway import (CLONED, DROPPED, FORWARD,  # noqa: F401 (re-exported)
+                      MIGRATION_NOTIFIED, REACTIVATED, RULE_INSTALLED,
+                      SILENCED, Gateway)
 from .gtp import Direction, FiveTuple, GtpMessageType, ip_int, ip_str
 from .s1ap import BearerItem, MessageKind, S1apLiteMessage
 from .shape import check
-from .steering import (DipAffinityTable, Drop, Emit, EndMarkerSeen, Multiple,
-                       RuleStore, S1apClone, SteeringConfig)
+from .steering import SteeringConfig
 
 
 class ConfigError(ValueError):
@@ -54,21 +54,11 @@ class StateError(RuntimeError):
     """A scripted operation was attempted from the wrong state."""
 
 
-# trace actions
+# trace actions of the fabric's own nodes
 SENT = "Sent"
 RECEIVED = "Received"
-DROPPED = "Dropped"
-CLONED = "Cloned"
-RULE_INSTALLED = "RuleInstalled"
-SILENCED = "Silenced"
-REACTIVATED = "Reactivated"
-MIGRATION_NOTIFIED = "MigrationNotified"
 
 TRACE_LIMIT = 4096  # trace events kept from before the running operation
-
-# `Emit.dst` is dotted until the benchmark's oracle reads ints (ROADMAP
-# item 1): read each of a gateway's handful of destinations back once
-_emit_ip = functools.lru_cache(maxsize=4096)(ip_int)
 
 # a gateway's view of a frame's direction, by the kind of node that sent it;
 # any other sender is in the cluster
@@ -251,14 +241,6 @@ class UeRecord:
     last_flow: tuple | None = None  # (FiveTuple, bearer_id)
 
 
-@dataclass
-class MegwState:
-    config: SteeringConfig
-    rules: RuleStore
-    affinity: DipAffinityTable
-    processor: S1apProcessor
-
-
 class Harness:
     """Event-driven fabric; the public run_* methods script the timelines."""
 
@@ -274,11 +256,8 @@ class Harness:
         self._up_teids = itertools.count(0x1000 + base)
         self._down_teids = itertools.count(0x2000 + base)
         self._ue_ids = itertools.count(1 + (seed & 0xFF))
-        self.megws = {
-            m: MegwState(config=cfg, rules=RuleStore(),
-                         affinity=DipAffinityTable(),
-                         processor=S1apProcessor(m, topology.view))
-            for m, cfg in topology.steering_configs.items()}
+        self.megws = {m: Gateway(cfg, topology.view)
+                      for m, cfg in topology.steering_configs.items()}
         self.ues = {n: UeRecord(node_id=n, ip=s.ip)
                     for n, s in topology.nodes.items() if s.kind == "ue"}
         # downstream TEID -> the subscriber and bearer a radio delivers to
@@ -328,24 +307,17 @@ class Harness:
             self._deliver(*self._queue.popleft())
 
     def _deliver(self, node: str, sender: str, data: bytes) -> None:
-        """The one place a frame arrives. A gateway runs its steering
-        pipeline; any other forwarder gets the IPv4 header read once."""
+        """The one place a frame arrives. A gateway hands it to its
+        `Gateway`; any other forwarder gets the IPv4 header read once."""
         kind = self.topology.nodes[node].kind
         if kind == "megw":
-            state = self.megws[node]
             ingress = _INGRESS.get(self.topology.nodes[sender].kind,
                                    Direction.FROM_CLUSTER)
-            action = steering.process_packet(data, ingress, state.config,
-                                             state.rules, state.affinity)
-            # process_packet never nests a Multiple
-            for act in (action.actions if isinstance(action, Multiple)
-                        else (action,)):
-                if isinstance(act, Emit):
-                    self._send(node, _emit_ip(act.dst), act.data, note=act.note)
-                elif isinstance(act, Drop):
-                    self._record(node, DROPPED, {"reason": act.reason})
-                else:   # a CloneToController
-                    self._handle_clone(node, state, act.event)
+            for action, detail in self.megws[node].handle(data, ingress):
+                if action is FORWARD:   # not *detail: a slower call
+                    self._send(node, detail[0], detail[1], detail[2])
+                else:
+                    self._record(node, action, detail)
             return
         handler = self._HANDLERS.get(kind)
         if handler is None:
@@ -356,60 +328,6 @@ class Harness:
             handler(self, node, data, *gtp.read_ipv4(data))
         except gtp.DecodeError:
             self._record(node, DROPPED, {"reason": "unparseable"})
-
-    def _handle_clone(self, megw: str, state: MegwState, event) -> None:
-        # the controller is local: its effects land before the next frame
-        if isinstance(event, S1apClone):
-            try:
-                msg = s1ap.decode_message(event.payload)
-            except s1ap.S1apDecodeError as exc:
-                self._record(megw, CLONED, {"kind": "s1ap",
-                                            "error": str(exc)})
-                return
-            self._record(megw, CLONED, {"kind": "s1ap",
-                                        "message": msg.kind.name,
-                                        "ue_ip": msg.ue_ip})
-            effects = state.processor.on_control_message(msg)
-        elif isinstance(event, EndMarkerSeen):
-            self._record(megw, CLONED, {"kind": "end-marker",
-                                        "teid": event.teid})
-            effects = state.processor.on_end_marker(event.enb_addr,
-                                                    event.teid)
-        else:   # a FlowMiss
-            self._record(megw, CLONED, {
-                "kind": "flow-miss", "ue_ip": event.five_tuple.src_ip,
-                "upstream_teid": event.upstream_teid})
-            effects = state.processor.on_flow_miss(event.five_tuple,
-                                                   event.upstream_teid)
-        self._apply_effects(megw, state, effects)
-
-    def _apply_effects(self, megw: str, state: MegwState, effects) -> None:
-        for eff in effects:
-            if isinstance(eff, InstallRule):
-                state.rules.install(eff.rule)
-                self._record(megw, RULE_INSTALLED, {
-                    "ue_ip": eff.rule.key.src_ip, "flow": eff.rule.key,
-                    "downstream_teid": eff.rule.downstream_teid})
-            elif isinstance(eff, SilenceUe):
-                n = state.rules.set_ue_silent(eff.ue_ip)
-                self._record(megw, SILENCED,
-                             {"ue_ip": eff.ue_ip, "rules": n})
-            elif isinstance(eff, ReactivateUe):
-                n = state.rules.reactivate_ue(eff.ue_ip, dict(eff.teid_remap),
-                                              eff.new_enb_addr)
-                self._record(megw, REACTIVATED,
-                             {"ue_ip": eff.ue_ip, "rules": n,
-                              "new_enb": eff.new_enb_addr})
-            elif isinstance(eff, MigrationNotice):
-                self._record(megw, MIGRATION_NOTIFIED,
-                             {"ue_ip": eff.ue_ip,
-                              "old_mec": eff.old_mec,
-                              "new_mec": eff.new_mec})
-            elif isinstance(eff, ReleaseUeRules):
-                # tunnel state leaves with the subscriber; the processor log
-                # keeps the record, the trace vocabulary has no event for it
-                state.rules.release_ue(eff.ue_ip)
-            # ScenarioDetected / Orphan / NoContext stay in the processor log
 
     # -- other nodes ----------------------------------------------------------
 

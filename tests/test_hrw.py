@@ -41,14 +41,16 @@ def test_join_and_leave_move_only_the_changed_candidates_keys(
 
 
 # what each import may not load: the kernel no numpy and no lock, the
-# gateway no numpy, and neither the simulator nor the command line (whose
-# codec and harness commands import the data plane when run) any of it,
-# nor a process pool: a sweep forks its replay workers with `os.fork`
-DATA_PLANE = {"megw.steering", "megw.control", "megw.harness", "megw.s1ap",
-              "megw.gtp"}
+# data plane no numpy and the gateway no fabric, and neither the simulator
+# nor the command line (whose codec and harness commands import the data
+# plane when run) any of it, nor a process pool: a sweep forks its replay
+# workers with `os.fork`
+DATA_PLANE = {"megw.steering", "megw.control", "megw.gateway",
+              "megw.harness", "megw.s1ap", "megw.gtp"}
 POOLS = {"multiprocessing", "concurrent"}
 ABSENT = {"megw.hrw": {"numpy", "threading"},
           "megw.steering": {"numpy"},
+          "megw.gateway": {"numpy", "megw.harness"},
           "megw.sim": DATA_PLANE | POOLS,
           "megw.cli": DATA_PLANE | POOLS}
 

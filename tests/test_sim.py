@@ -1,5 +1,6 @@
 """Regional mobility simulator: grid construction, stepping, experiments."""
 
+import errno
 import functools
 import os
 import time
@@ -987,6 +988,40 @@ class TestReplayAll:
         monkeypatch.setattr(sim, "replay", dying)
         with pytest.raises(RuntimeError, match=r"exited with status 3 "):
             sim.replay_all(six_jobs())
+        assert_no_child_left()
+
+    def test_no_fork_runs_the_serial_loop(self, monkeypatch):
+        jobs = six_jobs()
+        serial = [sim.replay(cfg, np.random.default_rng([cfg.seed, 0x30B5]))
+                  for cfg in jobs]
+        monkeypatch.delattr(os, "fork")
+        assert sim._cpus() == 1
+        got = sim.replay_all(jobs)
+        assert [r.keys() for r in got] == [r.keys() for r in serial]
+        for mine, theirs in zip(got, serial):
+            for policy, series in mine.items():
+                for a, b in zip(series, theirs[policy]):
+                    assert np.array_equal(a, b)
+
+    def test_failed_fork_reaps_the_first_child(self, monkeypatch):
+        # the second fork fails: the child of the first is killed and
+        # reaped, and no pipe end is left open
+        real, pids = os.fork, []
+
+        def fork():
+            if pids:
+                raise OSError(errno.EAGAIN, "no more processes")
+            pids.append(real())
+            return pids[-1]
+        monkeypatch.setattr(sim, "_cpus", lambda: 3)
+        monkeypatch.setattr(os, "fork", fork)
+        fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError, match="no more processes"):
+            sim.replay_all(six_jobs())
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert len(pids) == 1 and pids[0] > 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pids[0], os.WNOHANG)
         assert_no_child_left()
 
     @pytest.mark.parametrize("error", [KeyboardInterrupt, ConfigError])

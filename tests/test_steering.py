@@ -933,6 +933,7 @@ class TestConcurrency:
         done = []
         seen = set()
         wrong = []
+        read_silent = threading.Event()
 
         def reader():
             while not done:
@@ -941,6 +942,8 @@ class TestConcurrency:
                     answer = rules.lookup(key)
                     if answer is SILENT:
                         seen.add(SILENT)
+                        if not read_silent.is_set():
+                            read_silent.set()
                     elif answer is None or answer.enb_addr < k:
                         wrong.append((k, answer))
                     else:
@@ -951,6 +954,11 @@ class TestConcurrency:
                 for i in range(1, 1501):
                     rules.set_ue_silent(UE)
                     silenced[0] = i
+                    # a silence lasts a few bytecodes, and the scheduler may
+                    # run no reader inside any of them: hold the first one
+                    # until a reader has read it
+                    if i == 1 and not read_silent.wait(timeout=30):
+                        raise AssertionError("no reader read the silence")
                     rules.reactivate_ue(UE, {100: 100, 101: 101}, i)
             finally:
                 done.append(True)

@@ -1,10 +1,10 @@
 """Per-subscriber memory of one gateway, measured with tracemalloc.
 
-Attaches SUBSCRIBERS subscribers (one bearer each) through
-`S1apProcessor`, then opens FLOWS edge connections per subscriber
-through `process_packet`, handing each flow miss to the processor and
-its rule to the `RuleStore`, as the fabric does. Every subscriber is
-served locally, so each new flow is also pinned in the affinity table.
+Attaches SUBSCRIBERS subscribers (one bearer each) through a
+`Gateway`'s processor, then opens FLOWS edge connections per subscriber
+through `Gateway.handle`, which hands each flow miss to the processor
+and installs its rule, as in the fabric. Every subscriber is served
+locally, so each new flow is also pinned in the affinity table.
 Prints the memory still allocated per subscriber: the whole, the
 processor's part (allocated in `megw/control.py`) and the data plane's
 (in `megw/steering.py`: the rule store, the affinity table and the
@@ -20,13 +20,12 @@ import gc
 import os
 import tracemalloc
 
-from megw.control import InstallRule, S1apProcessor, TopologyView
+from megw.control import TopologyView
+from megw.gateway import Gateway
 from megw.gtp import (Direction, GtpMessageType, build_ipv4, build_tcpish,
                       encode_gtpu, ip_int)
 from megw.s1ap import BearerItem, MessageKind, S1apLiteMessage
-from megw.steering import (CloneToController, DipAffinityTable, FlowMiss,
-                           Multiple, RuleStore, SteeringConfig,
-                           process_packet)
+from megw.steering import SteeringConfig
 
 ENB, SGW, VIP = "10.1.0.1", "10.2.0.1", "10.100.1.1"
 UE_BASE = ip_int("172.16.0.0")
@@ -45,9 +44,7 @@ def measure(subscribers: int, flows: int) -> tuple[float, float, float]:
     enb, sgw, vip = ip_int(ENB), ip_int(SGW), ip_int(VIP)
     # two frames, so a NamedTuple counts where its module builds it
     tracemalloc.start(2)
-    proc = S1apProcessor("mgw-a", TopologyView({ENB: "mgw-a"},
-                                               {"mgw-a": "r1"}))
-    rules, affinity = RuleStore(), DipAffinityTable()
+    gw = Gateway(cfg, TopologyView({ENB: "mgw-a"}, {"mgw-a": "r1"}))
     for n in range(subscribers):
         ue = UE_BASE + 2 + n
         up, down = 0x1000 + n, 0x200000 + n
@@ -56,21 +53,13 @@ def measure(subscribers: int, flows: int) -> tuple[float, float, float]:
                  BearerItem(5, upstream_teid=up, transport_addr=sgw)),
                 (MessageKind.INITIAL_CONTEXT_SETUP_RESPONSE,
                  BearerItem(5, downstream_teid=down, transport_addr=enb))):
-            proc.on_control_message(S1apLiteMessage(
+            gw.processor.on_control_message(S1apLiteMessage(
                 kind=kind, mme_ue_id=n, enb_ue_id=n, ue_ip=ue, enb_addr=enb,
                 sgw_addr=sgw, bearers=(item,)))
         for port in range(40000, 40000 + flows):
             inner = build_ipv4(ue, vip, 6, build_tcpish(6, port, 80, b"req"))
-            act = process_packet(
-                encode_gtpu(enb, sgw, up, GtpMessageType.GPDU, inner),
-                Direction.FROM_RAN, cfg, rules, affinity)
-            for a in act.actions if isinstance(act, Multiple) else (act,):
-                if (isinstance(a, CloneToController)
-                        and isinstance(a.event, FlowMiss)):
-                    for effect in proc.on_flow_miss(a.event.five_tuple,
-                                                    a.event.upstream_teid):
-                        if isinstance(effect, InstallRule):
-                            rules.install(effect.rule)
+            gw.handle(encode_gtpu(enb, sgw, up, GtpMessageType.GPDU, inner),
+                      Direction.FROM_RAN)
     gc.collect()
     whole = tracemalloc.get_traced_memory()[0]
     snapshot = tracemalloc.take_snapshot()
@@ -89,8 +78,8 @@ def measure(subscribers: int, flows: int) -> tuple[float, float, float]:
         return sum(size for name, size in by_file.items()
                    if name.endswith(suffix))
 
-    if not (len(proc.contexts) == subscribers
-            and len(rules) == len(affinity) == subscribers * flows):
+    if not (len(gw.processor.contexts) == subscribers
+            and len(gw.rules) == len(gw.affinity) == subscribers * flows):
         raise RuntimeError("the setup left other than one context per "
                            "subscriber and one rule and pin per flow")
     return (whole / subscribers, part("control.py") / subscribers,
