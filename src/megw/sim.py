@@ -575,7 +575,7 @@ def replay_all(jobs: list) -> list:
             try:
                 os.kill(pid, signal.SIGKILL)
             except ProcessLookupError:
-                pass
+                continue    # reaped already, before an interrupt
             os.waitpid(pid, 0)
     results = [None] * len(jobs)
     for i, share in enumerate(shares):

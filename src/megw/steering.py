@@ -26,7 +26,7 @@ region's gateways and controllers share each entry, and only a changed
 weight or candidate set is a new key. Stage II keeps one table, each
 pinned flow's DIP. Return traffic from a DIP, reversed, is a pinned flow
 with the DIP in the VIP's place, so it finds its VIP by probing that
-table for each VIP of the config, lowest first: if two flows that differ
+table for every VIP of the config, highest first: if two flows that differ
 only in the VIP land on one DIP, the lowest VIP wins, whatever the pin,
 set or hash order. Tables are keyed by integer addresses; dotted quads
 are only `SteeringConfig` input, stage II's HRW candidate ids (the
@@ -57,7 +57,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Reversible
 
 # classify, decode_gtpu and inner_five_tuple are unused here; they stay
 # importable because benchmarks/layers.py wraps the codec under these names.
@@ -152,22 +152,31 @@ class Tunnel(NamedTuple):
 class _Subscriber(dict):
     """One subscriber's flows, {5-tuple: Tunnel}, its address int, `ip`,
     and its silence, `silent`. Each tunnel is one value that all flows on
-    it share. Most subscribers have one, which any flow holds, so `more`
-    lists the tunnels only once there are two (a 1-tuple costs 48 bytes)."""
+    it share, which `add` alone chooses. Most subscribers have one, which
+    any flow holds, so `more` lists the tunnels only once there are two
+    (a 1-tuple costs 48 bytes)."""
 
     __slots__ = ("ip", "more", "silent")
 
-    def __init__(self, ip: int, flows=(), more: tuple = ()):
-        super().__init__(flows)
+    def __init__(self, ip: int):
         self.ip = ip
-        self.more = more
+        self.more = ()
         self.silent = False
 
-    def tunnels(self) -> tuple:
-        """The distinct tunnels of its flows."""
-        if self.more or not self:
-            return self.more
-        return (next(iter(self.values())),)
+    def add(self, key: tuple, bound: tuple) -> None:
+        """Put the flow `key` on the tunnel `bound`, (TEID, eNB, SGW): the
+        value of an equal tunnel the record has, or else a new one."""
+        tunnels = self.more
+        if not tunnels and self:
+            tunnels = (next(iter(self.values())),)
+        for tunnel in tunnels:
+            if tunnel == bound:
+                break
+        else:
+            tunnel = Tunnel._make(bound)
+            if tunnels:
+                self.more = tunnels + (tunnel,)
+        self[key] = tunnel
 
 
 # what RuleStore.lookup answers for every flow of a silenced subscriber,
@@ -183,17 +192,17 @@ class RuleStore:
     on `_lock`, and each reaches readers in one step, so that a reader
     sees the state before it or after it: `install` stores a flow,
     `set_ue_silent` sets the flag, `reactivate_ue` stores or deletes the
-    record and `release_ue` pops it. `rules_for_ue` iterates a
-    subscriber's flows and so locks too.
+    record and `release_ue` pops it. `rules_for_ue` and `__len__` iterate
+    records and so lock too; the records are the only count of rules.
     """
 
     def __init__(self):
         self._by_ue: dict[int, _Subscriber] = {}
-        self._count = 0     # rules in all of _by_ue, kept by the writers
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return self._count
+        with self._lock:
+            return sum(map(len, self._by_ue.values()))
 
     def lookup(self, key: tuple) -> Tunnel | object | None:
         """SILENT for every flow of a subscriber in its silent period, with
@@ -235,16 +244,7 @@ class RuleStore:
                         f"rule for {key} already bound to TEID "
                         f"{existing.downstream_teid:#x}")
                 return
-            tunnels = flows.tunnels()
-            for tunnel in tunnels:
-                if tunnel == bound:
-                    break
-            else:
-                tunnel = Tunnel._make(bound)
-                if tunnels:
-                    flows.more = tunnels + (tunnel,)
-            flows[key] = tunnel
-            self._count += 1
+            flows.add(key, bound)
 
     def set_ue_silent(self, ue_ip: int) -> int:
         """Start a subscriber's silent period; returns its rule count. A
@@ -262,32 +262,25 @@ class RuleStore:
 
         teid_remap maps each flow's old downstream TEID to its new one; a
         flow whose TEID it lacks is deleted, since its bearer did not
-        survive the handover. One new value per remapped tunnel, shared by
-        its flows (and by another old tunnel that maps to the same one).
-        Returns rules kept. One store of a new record, not silent, or one
-        delete of the old when nothing is kept, moves the flows and ends
-        the silence: a reader of a kept flow sees SILENT or its new tunnel.
+        survive the handover. A new record gets each kept flow by `add`,
+        as `install` does. Returns rules kept. One store of the new
+        record, not silent, or one delete of the old when nothing is kept,
+        moves the flows and ends the silence: a reader of a kept flow sees
+        SILENT or its new tunnel.
         """
         with self._lock:
             flows = self._by_ue.get(ue_ip)
             if flows is None:
                 return 0
-            moved: dict[Tunnel, Tunnel] = {}    # old -> new
-            new: dict[Tunnel, Tunnel] = {}      # each new value once
-            for old in flows.tunnels():
+            kept = _Subscriber(flows.ip)
+            for key, old in flows.items():
                 if old.downstream_teid in teid_remap:
-                    tunnel = Tunnel(teid_remap[old.downstream_teid],
-                                    new_enb_addr, old.sgw_addr)
-                    moved[old] = new.setdefault(tunnel, tunnel)
-            kept = _Subscriber(flows.ip, (
-                (key, tunnel) for key, old in flows.items()
-                if (tunnel := moved.get(old)) is not None),
-                tuple(new) if len(new) > 1 else ())
+                    kept.add(key, (teid_remap[old.downstream_teid],
+                                   new_enb_addr, old.sgw_addr))
             if kept:
                 self._by_ue[ue_ip] = kept
             else:
                 del self._by_ue[ue_ip]
-            self._count -= len(flows) - len(kept)
             return len(kept)
 
     def release_ue(self, ue_ip: int) -> int:
@@ -301,9 +294,7 @@ class RuleStore:
         silenced subscriber sees SILENT or None, never its old tunnel.
         """
         with self._lock:
-            released = len(self._by_ue.pop(ue_ip, ()))
-            self._count -= released
-            return released
+            return len(self._by_ue.pop(ue_ip, ()))
 
     def rules_for_ue(self, ue_ip: int) -> list[FlowRule]:
         with self._lock:
@@ -352,17 +343,18 @@ class DipAffinityTable:
                 rendezvous_select(flow.key_bytes(), cfg.dips)]
             return dip
 
-    def vip_for(self, dip_flow: tuple, vips: Iterable[int]) -> int | None:
+    def vip_for(self, dip_flow: tuple, vips: Reversible[int]) -> int | None:
         """The first of `vips` whose flow, `dip_flow` (any tuple) with the
         VIP in the DIP's place, is pinned to that DIP; or None. No lock:
-        each probe reads one pin. Pins are never removed, so a VIP it
-        answers stays pinned, and each earlier VIP was unpinned when
-        probed."""
+        it probes every VIP, the last first. Pins are never removed, so
+        the VIP it answers was pinned, and each earlier one was not, when
+        that VIP was probed."""
         ue, dip, proto, ue_port, port = dip_flow
-        for vip in vips:
+        found = None
+        for vip in reversed(vips):
             if self._table.get((ue, vip, proto, ue_port, port)) == dip:
-                return vip
-        return None
+                found = vip
+        return found
 
 
 # --- forwarding actions ---------------------------------------------------
@@ -535,7 +527,7 @@ def _handoff(data: bytes, flow: tuple, cfg: SteeringConfig,
     return Emit(ip_str(dip), rewrite_ipv4(data, dst=dip), "dip-rewrite")
 
 
-def _downstream_edge(data: bytes, flow: tuple, vips: Iterable[int],
+def _downstream_edge(data: bytes, flow: tuple, vips: Reversible[int],
                      rules: RuleStore,
                      affinity: DipAffinityTable) -> ForwardAction:
     """Cluster-side return traffic with the 5-tuple `flow`: undo the DIP

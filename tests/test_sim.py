@@ -1041,3 +1041,22 @@ class TestReplayAll:
             sim.replay_all(six_jobs())
         assert time.monotonic() - start < 30
         assert_no_child_left()
+
+    def test_interrupt_after_a_reap_reaps_the_rest(self, monkeypatch):
+        # an interrupt lands after the first child is reaped and before
+        # it leaves the table: the cleanup skips that child and still
+        # kills and reaps the other one
+        parent, real, calls = os.getpid(), os.waitpid, []
+
+        def waitpid(pid, options):
+            answer = real(pid, options)
+            if os.getpid() == parent and not calls:
+                calls.append(pid)
+                raise KeyboardInterrupt
+            return answer
+        monkeypatch.setattr(sim, "_cpus", lambda: 3)
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        with pytest.raises(KeyboardInterrupt):
+            sim.replay_all(six_jobs())
+        assert len(calls) == 1
+        assert_no_child_left()

@@ -545,6 +545,48 @@ def store_of(model):
     return store
 
 
+class FlatPins:
+    """DipAffinityTable's sequential model: a flat {flow: DIP int} map. A
+    miss pins the config's int for the DIP that HRW picks over its pool,
+    and `vip_for` probes the VIPs lowest first."""
+
+    def __init__(self, pins=()):
+        self.pins: dict[tuple, int] = dict(pins)
+
+    def state(self):
+        """A hashable snapshot."""
+        return frozenset(self.pins.items())
+
+    def copy(self):
+        return FlatPins(self.pins)
+
+    def get(self, flow):
+        return self.pins.get(flow)
+
+    def get_or_assign(self, flow, cfg):
+        if flow not in self.pins:
+            self.pins[flow] = cfg.dip_ints[rendezvous_select(
+                FiveTuple(*flow).key_bytes(), cfg.dips)]
+        return self.pins[flow]
+
+    def vip_for(self, dip_flow, vips):
+        ue, dip, proto, ue_port, port = dip_flow
+        for vip in sorted(vips):
+            if self.pins.get((ue, vip, proto, ue_port, port)) == dip:
+                return vip
+        return None
+
+
+def pins_of(model, cfg):
+    """A `DipAffinityTable` in the state of `model`, a `FlatPins` whose
+    pins `cfg` picks."""
+    table = DipAffinityTable()
+    for flow in model.pins:
+        table.get_or_assign(flow, cfg)
+    assert FlatPins(table._table).state() == model.state()
+    return table
+
+
 def outcome(table, op, args):
     """What `table.op(*args)` answers, or the class of the error it
     raises: a store and its model agree when their outcomes are equal."""
@@ -982,6 +1024,7 @@ class TestConcurrency:
         current = [0]
         done = []
         seen = set()
+        read = threading.Event()
 
         def reader():
             vip = ip_int(VIP)
@@ -991,11 +1034,17 @@ class TestConcurrency:
                     answer = rules.lookup((ue, vip, 6, port, 80))
                     seen.add(answer if answer is SILENT or answer is None
                              else Tunnel)
+                if not read.is_set():
+                    read.set()
 
         def writer():
             try:
                 for i, ue in enumerate(ues):
                     current[0] = i
+                    # the scheduler may run no reader before the writer is
+                    # done: hold the first release until a reader has read
+                    if i == 0 and not read.wait(timeout=30):
+                        raise AssertionError("no reader read a flow")
                     rules.release_ue(ue)
             finally:
                 done.append(True)
@@ -1018,23 +1067,37 @@ class TestConcurrency:
         done = []
         seen = set()
         wrong = []
+        read = {SILENT: threading.Event(), new: threading.Event()}
 
         def reader():
             while not done:
                 answer = rules.lookup((ues[current[0]], vip, 6, 5000, 80))
                 if answer is None or answer is SILENT or answer == new:
                     seen.add(answer)
+                    if answer is not None and not read[answer].is_set():
+                        read[answer].set()
                 else:
                     wrong.append(answer)
+
+        def wait_for(answer):
+            # a subscriber reads SILENT, or `new`, only until the writer
+            # moves on, and the scheduler may run no reader in that time:
+            # hold the first subscriber until a reader has read it
+            if not read[answer].wait(timeout=30):
+                raise AssertionError(f"no reader read {answer}")
 
         def writer():
             try:
                 for i, ue in enumerate(ues):
                     current[0] = i
                     rules.set_ue_silent(ue)
+                    if i == 0:
+                        wait_for(SILENT)
                     rules.install(FlowRule(FiveTuple(ue, vip, 6, 5000, 80),
                                            100, ENB1, SGW))
                     rules.reactivate_ue(ue, {100: 200}, ENB2)
+                    if i == 0:
+                        wait_for(new)
             finally:
                 done.append(True)
 
@@ -1120,6 +1183,78 @@ class TestConcurrency:
                              draw.random)
             assert linearizable(history, start.copy()), sorted(
                 history, key=lambda op: op[0])
+
+    def pin_cases(self):
+        """A config of two VIPs and two DIPs; flows of one subscriber that
+        HRW pins under both VIPs to one DIP (`shared`) and to two
+        (`split`); and the start states the affinity checks begin from:
+        no pin, each flow under the higher VIP, and every pin."""
+        vips = ("10.100.1.1", "10.100.1.2")
+        cfg = SteeringConfig(megw_id="mgw-a", vips=frozenset(vips),
+                             region_peers=(("mgw-a", "10.50.0.1", 1.0),),
+                             dips=(("10.200.0.5", 1.0), ("10.200.0.6", 1.0)),
+                             local_sgw="10.2.0.1")
+        low, high = cfg.vip_ints
+        dips = {}
+        for port in range(5000, 5100):
+            flows = [FiveTuple(UE, vip, 6, port, 80) for vip in (low, high)]
+            picks = {FlatPins().get_or_assign(f, cfg) for f in flows}
+            dips.setdefault(len(picks), flows)
+        shared, split = dips[1], dips[2]
+        everything = FlatPins()
+        for flow in shared + split:
+            everything.get_or_assign(flow, cfg)
+        starts = [FlatPins(), FlatPins({f: everything.pins[f]
+                                        for f in (shared[1], split[1])}),
+                  everything]
+        return cfg, shared, split, starts
+
+    def pin_operations(self, cfg, shared, split):
+        """Each flow's miss-or-hit and read, and `vip_for` of each flow's
+        return traffic from either DIP."""
+        writes = [("get_or_assign", (f, cfg)) for f in shared + split]
+        reads = [("get", (f,)) for f in shared + split]
+        reads += [("vip_for", ((f.src_ip, dip, f.proto, f.src_port,
+                                f.dst_port), cfg.vip_ints))
+                  for f in (shared[0], split[0])
+                  for dip in cfg.dip_ints.values()]
+        return writes, reads
+
+    def test_affinity_histories_are_linearizable(self):
+        # small random histories of three threads on the affinity table;
+        # each must have a linearization under the flat model
+        cfg, shared, split, starts = self.pin_cases()
+        writes, reads = self.pin_operations(cfg, shared, split)
+        draw = random.Random(13)
+        for n in range(150):
+            start = starts[n % len(starts)]
+            plans = [[draw.choice(writes if draw.random() < 0.4 else reads)
+                      for _ in range(draw.randint(10, 20))]
+                     for _ in range(3)]
+            history = record(pins_of(start, cfg), plans, draw.random)
+            assert linearizable(history, start.copy()), sorted(
+                history, key=lambda op: op[0])
+
+    def test_each_affinity_operation_taken_over_at_every_line(self):
+        # a read taken over by any run of pins, a pin by a read (a pin
+        # inside a pin's miss would wait on the lock), before each line
+        # that the outer one runs, from each start state
+        cfg, shared, split, starts = self.pin_cases()
+        writes, reads = self.pin_operations(cfg, shared, split)
+        cases = [(w, [r]) for w in writes for r in reads]
+        cases += [(r, [w]) for r in reads for w in writes]
+        cases += [(r, writes[:2]) for r in reads]
+        checked = 0
+        for start in starts:
+            for outer, inner in cases:
+                for at in itertools.count(1):
+                    history = interleaved(pins_of(start, cfg), outer, inner,
+                                          at)
+                    if history is None:
+                        break
+                    assert linearizable(history, start.copy()), history
+                    checked += 1
+        assert checked > 3 * len(cases), checked
 
     def test_racing_misses_pin_each_flow_once(self, monkeypatch):
         # threads that miss one fresh flow together pin it once: one HRW

@@ -3,9 +3,9 @@
 Runs the tier-1 suite (`pytest -q --continue-on-collection-errors`, with
 any further pytest arguments given) in this process under a line tracer,
 `sys.settrace` and `threading.settrace` from the standard library, that
-follows only frames of files under `src/megw`. Then prints, per module,
-each statement that never ran, and appends the same report to
-`$GITHUB_STEP_SUMMARY` when that is set.
+follows only frames of files under `src/megw`, in processes forked from
+this one too. Then prints, per module, each statement that never ran,
+and appends the same report to `$GITHUB_STEP_SUMMARY` when that is set.
 
 A statement is an AST statement with bytecode on its lines; docstrings
 are left out. A simple statement ran when any of its lines ran, a
@@ -20,6 +20,7 @@ from __future__ import annotations
 import ast
 import os
 import sys
+import tempfile
 import threading
 import types
 from pathlib import Path
@@ -63,25 +64,54 @@ def statements(source: str, filename: str) -> dict[int, range]:
 
 def run_traced(args: list) -> tuple[int, set]:
     """Run pytest with `args` under the tracer: its exit status and the
-    (file, line) pairs that ran in the package."""
+    (file, line) pairs that ran in the package, in this process or in a
+    process forked from it.
+
+    The tracer survives `os.fork`, but a forked worker may leave by
+    `os._exit`, which flushes nothing: so in a child each line is written
+    as soon as it first runs, with `os.write`, to a file of its own in a
+    temporary directory, and the files are read after pytest."""
     prefix = str(PACKAGE) + os.sep
     ran: set[tuple[str, int]] = set()
+    spool = None    # in a forked child while tracing, its file's descriptor
+    tracing = True
 
     def local(frame, event, arg):
         if event == "line":
-            ran.add((frame.f_code.co_filename, frame.f_lineno))
+            where = (frame.f_code.co_filename, frame.f_lineno)
+            if where not in ran:
+                ran.add(where)
+                if spool is not None:
+                    os.write(spool, b"%d %s\n" % (where[1],
+                                                   os.fsencode(where[0])))
         return local
 
     def on_call(frame, event, arg):
         return local if frame.f_code.co_filename.startswith(prefix) else None
 
-    threading.settrace(on_call)
-    sys.settrace(on_call)
-    try:
-        status = pytest.main(["-q", "--continue-on-collection-errors", *args])
-    finally:
-        sys.settrace(None)
-        threading.settrace(None)
+    def forked():
+        nonlocal spool
+        if tracing:
+            spool = os.open(os.path.join(children, str(os.getpid())),
+                            os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+                            | os.O_CLOEXEC)
+
+    with tempfile.TemporaryDirectory() as children:
+        os.register_at_fork(after_in_child=forked)
+        threading.settrace(on_call)
+        sys.settrace(on_call)
+        try:
+            status = pytest.main(["-q", "--continue-on-collection-errors",
+                                  *args])
+        finally:
+            sys.settrace(None)
+            threading.settrace(None)
+            tracing = False
+        for name in os.listdir(children):
+            with open(os.path.join(children, name), "rb") as lines:
+                for line in lines:
+                    number, path = line.rstrip(b"\n").split(b" ", 1)
+                    ran.add((os.fsdecode(path), int(number)))
     return int(status), ran
 
 
