@@ -538,9 +538,7 @@ def replay_all(jobs: list) -> list:
     it raises, `KeyboardInterrupt` included. Python 3.12 and later warn
     when a process with other threads forks.
     """
-    n = min(len(jobs), _cpus())
-    if n <= 1:
-        return _replay_share(jobs)
+    n = max(1, min(len(jobs), _cpus()))
     pipes = {}   # child pid -> the read end of its pipe, until reaped
     try:
         for i in range(1, n):

@@ -1,6 +1,8 @@
-"""tools/bench_pairs.py's summary of alternating benchmark pairs."""
+"""tools/bench_pairs.py: the summary of alternating benchmark pairs and
+the record it reads from each run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -114,3 +116,20 @@ def test_separation_follows_better():
                  for b, c in zip(base, change)]
         s = bench_pairs.summarize(pairs, end_to_end)
         assert s["metrics"]["ops_per_s"]["unresolved"] is unresolved
+
+
+def test_parse_run_keeps_env_and_reduces_metrics():
+    # `benchmarks/run.py`'s stdout: the env line, one line per metric, the
+    # summary as the last line
+    env = {"commit": "0123abc", "nproc": 2, "loadavg_after": [0.5, 0.4, 0.3]}
+    stdout = "\n".join([
+        "env " + json.dumps(env, sort_keys=True),
+        "sim-sweep ops_per_s = 2.5 1/s",
+        "sim-sweep fail_ratio = 0 (0 of 40 operations)",
+        json.dumps({"correct": True, "attempted": 40, "failed": 0,
+                    "metrics": {"ops_per_s": {"value": 2.5, "unit": "1/s"},
+                                "op_p90_ms": {"value": 410.0,
+                                              "unit": "ms"}}})]) + "\n"
+    assert bench_pairs.parse_run(stdout) == {
+        "correct": True, "attempted": 40, "failed": 0, "env": env,
+        "metrics": {"ops_per_s": 2.5, "op_p90_ms": 410.0}}

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import json
 import math
 import re
 import struct
@@ -1008,6 +1009,27 @@ class TestDeterminism:
         dsts = [ev.detail["dst"] for ev in run_scenario(name, seed=7).trace
                 if "dst" in ev.detail]
         assert dsts and all(type(d) is int for d in dsts)
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_no_address_written_as_an_int(self, name):
+        # control._ADDRESS_FIELDS names the detail keys that hold an
+        # address: a key missing from it reaches the JSON as a bare int
+        h = run_scenario(name, seed=7)
+        addresses = ({spec.ip for spec in h.topology.nodes.values()}
+                     | {ip_int(vip) for vip in h.topology.vips})
+
+        def ints(value):
+            if isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, list):
+                return {i for item in value for i in ints(item)}
+            return {value} if type(value) is int else set()
+
+        logs = [control.jsonl(h.trace)] + [
+            gw.processor.dump_jsonl() for gw in h.megws.values()]
+        written = {i for log in logs for line in log.splitlines()
+                   for i in ints(json.loads(line))}
+        assert written and not written & addresses
 
     def test_all_scenarios_run_clean(self):
         for name in ("attach", "edge-request", "two-bearers", "x2-same-megw",

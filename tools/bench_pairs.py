@@ -17,11 +17,18 @@ pairs cannot resolve: its base IQR is larger than `bound` times the base
 median, and not every run of the working tree beats every base run.
 Last come each side's failed operations. It records the figures and
 asserts nothing; a run that cannot run at all stops it.
+
+With `--record PR` it then writes `BENCH_<PR>.json` at the root: the
+settings, the base commit and the working tree's source (read before the
+first run), per workload the summary and each pair's two run records,
+each with its `env` block, and `memory_report`'s figures for the working
+tree.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import statistics
@@ -34,15 +41,40 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
 
 
-def git(*args: str) -> str:
+def git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
-                          check=True, text=True).stdout.strip()
+                          check=True).stdout
+
+
+def commit(rev: str) -> str:
+    return git("rev-parse", rev).decode().strip()
+
+
+def source() -> dict:
+    """The working tree the change side measures. `env.commit` names only
+    HEAD, so an uncommitted change shows here as `dirty` and by its diff's
+    hash."""
+    return {"commit": commit("HEAD"),
+            "dirty": bool(git("status", "--porcelain")),
+            "diff_sha256": hashlib.sha256(git("diff", "HEAD")).hexdigest()}
+
+
+def parse_run(stdout: str) -> dict:
+    """One `benchmarks/run.py` run's record, read from its stdout: the
+    last line, {"correct", "attempted", "failed", "metrics"}, with each
+    metric reduced to its value, and the block of the `env` line."""
+    lines = stdout.splitlines()
+    doc = json.loads(lines[-1])
+    doc["metrics"] = {name: metric["value"]
+                      for name, metric in doc["metrics"].items()}
+    env = next(line for line in lines if line.startswith("env "))
+    doc["env"] = json.loads(env.removeprefix("env "))
+    return doc
 
 
 def run_once(checkout: Path, workload: str, seconds: int) -> dict:
-    """One untraced `benchmarks/run.py` run in `checkout`: its last
-    stdout line, {"correct", "attempted", "failed", "metrics"}, with each
-    metric reduced to its value."""
+    """One untraced `benchmarks/run.py` run in `checkout`; its
+    `parse_run` record."""
     proc = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload,
          "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"],
@@ -52,10 +84,7 @@ def run_once(checkout: Path, workload: str, seconds: int) -> dict:
     if proc.returncode not in (0, 1):
         raise SystemExit(f"{workload} in {checkout}: benchmarks/run.py "
                          f"exited with {proc.returncode}\n{proc.stderr}")
-    doc = json.loads(proc.stdout.splitlines()[-1])
-    doc["metrics"] = {name: metric["value"]
-                      for name, metric in doc["metrics"].items()}
-    return doc
+    return parse_run(proc.stdout)
 
 
 def iqr(values: list) -> float:
@@ -120,6 +149,18 @@ def report(workload: str, summary: dict) -> str:
     return "\n".join(lines)
 
 
+def memory() -> dict:
+    sys.path.insert(0, str(ROOT / "src"))
+    import memory_report
+    whole, in_control, in_steering = memory_report.measure(
+        memory_report.SUBSCRIBERS, memory_report.FLOWS)
+    return {"subscribers": memory_report.SUBSCRIBERS,
+            "flows": memory_report.FLOWS,
+            "bytes_per_subscriber": round(whole),
+            "control_py_bytes": round(in_control),
+            "steering_py_bytes": round(in_steering)}
+
+
 def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -129,13 +170,18 @@ def main(argv=None) -> int:
                    help="repeatable; default every workload")
     p.add_argument("--seconds", type=int, default=bench["run_seconds"])
     p.add_argument("--base", default="HEAD", help="revision to compare with")
+    p.add_argument("--record", type=int, metavar="PR",
+                   help="write BENCH_<PR>.json")
     args = p.parse_args(argv)
     if args.n < 1 or args.seconds < 1:
         p.error("N and --seconds must be positive")
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    print(f"base {git('rev-parse', '--short', args.base)} ({args.base}) "
+    base = {"rev": args.base, "commit": commit(args.base)}
+    change = source()
+    print(f"base {base['commit'][:7]} ({args.base}) "
           f"against the working tree of {ROOT}, {args.seconds} s per run")
 
+    recorded = {}
     with tempfile.TemporaryDirectory() as tmp:
         base_tree = Path(tmp) / "base"
         git("worktree", "add", "--detach", str(base_tree), args.base)
@@ -148,11 +194,21 @@ def main(argv=None) -> int:
                     runs = {tree: run_once(tree, workload, args.seconds)
                             for tree in order}
                     pairs.append((runs[base_tree], runs[ROOT]))
-                print(report(workload, summarize(pairs, bench["end_to_end"])),
-                      flush=True)
+                summary = summarize(pairs, bench["end_to_end"])
+                print(report(workload, summary), flush=True)
+                recorded[workload] = {
+                    "summary": summary,
+                    "runs": [{"base": b, "change": c} for b, c in pairs]}
         finally:
             subprocess.run(["git", "worktree", "remove", "--force",
                             str(base_tree)], cwd=ROOT, check=False)
+    if args.record is not None:
+        doc = {"pr": args.record, "seed": SEED, "seconds": args.seconds,
+               "pairs": args.n, "base": base, "change": change,
+               "workloads": recorded, "memory": memory()}
+        out = ROOT / f"BENCH_{args.record}.json"
+        out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {out.name}")
     return 0
 
 
