@@ -20,6 +20,13 @@ makes it one hop between gateways. Routes, frames, signalling and trace
 details hold addresses as ints, and `control.jsonl` writes them dotted;
 a `Gateway` returns each forward's destination as an int too.
 
+A frame reads no node's kind: `Harness.__init__` builds, once, a map of
+each node to the direction a gateway sees its frames come from, and one
+of each forwarder other than a gateway to its frame handler; a VIP's int
+is read from a map built there too. The trace shows the TRACE_LIMIT
+latest events before the running operation, then the operation's own;
+behind it the harness cuts its one list of events only at twice that.
+
 `build_topology` works out each topology fact once: every next hop, by
 one breadth-first search per source (shortest path, ties to the first
 neighbour in sorted order), and the `TopologyView` all controllers share,
@@ -85,6 +92,11 @@ class TraceEvent(NamedTuple):
     node: str
     action: str
     detail: dict
+
+
+# builds a TraceEvent from its four fields without the generated __new__'s
+# call: `_event(TraceEvent, (step, node, action, detail))`
+_event = tuple.__new__
 
 
 @dataclass
@@ -248,8 +260,10 @@ class Harness:
 
     def __init__(self, topology: Topology, seed: int = 0):
         self.topology = topology
-        # the latest events: TRACE_LIMIT older ones plus the running operation
-        self.trace: list[TraceEvent] = []
+        # every event since the last cut; `trace` shows it from _shown on:
+        # the TRACE_LIMIT events before the running operation, then its own
+        self._log: list[TraceEvent] = []
+        self._shown = 0
         self._step = itertools.count()
         self._queue: deque = deque()    # frames in flight, in send order
         base = (seed & 0xFF) << 16
@@ -263,27 +277,46 @@ class Harness:
         # downstream TEID -> the subscriber and bearer a radio delivers to
         self._downlink: dict[int, tuple[UeRecord, Bearer]] = {}
         self._sgw = topology.nodes[topology.sgw]
+        # per node, read once: the direction a gateway sees its frames come
+        # from, and, for a forwarder other than a gateway, its frame handler
+        self._ingress = {n: _INGRESS.get(s.kind, Direction.FROM_CLUSTER)
+                         for n, s in topology.nodes.items()}
+        self._handlers = {n: self._HANDLERS[s.kind]
+                          for n, s in topology.nodes.items()
+                          if s.kind in self._HANDLERS}
+        self._vip_ints = {vip: ip_int(vip) for vip in topology.vips}
 
     # -- plumbing ------------------------------------------------------------
 
+    @property
+    def trace(self) -> list[TraceEvent]:
+        """The latest events: TRACE_LIMIT from before the running operation
+        (fewer if fewer happened), then the running operation's."""
+        return self._log[self._shown:]
+
     def _record(self, node: str, action: str, detail: dict) -> None:
-        self.trace.append(TraceEvent(next(self._step), node, action, detail))
+        self._log.append(_event(TraceEvent,
+                                (next(self._step), node, action, detail)))
 
     def _begin(self) -> int:
-        """Start a scripted operation: drop the oldest trace events beyond
-        TRACE_LIMIT and return where this operation's events begin. Only
-        the outermost operations call it, so no returned slice is cut."""
-        del self.trace[:-TRACE_LIMIT]
-        return len(self.trace)
-
-    def _resolve(self, addr: int) -> str | None:
-        node = self.topology.addr_to_node.get(addr)
-        ue = self.ues.get(node)
-        return node if ue is None else ue.route_enb
+        """Start a scripted operation and return where in `_log` its events
+        begin. With more than twice TRACE_LIMIT events before it, all but
+        the latest TRACE_LIMIT are dropped in one cut: a cut at every
+        operation cost each mobility operation about 5 us. Only the
+        outermost operations call it, so no operation's events are cut."""
+        if len(self._log) > 2 * TRACE_LIMIT:
+            del self._log[:-TRACE_LIMIT]
+        start = len(self._log)
+        self._shown = max(0, start - TRACE_LIMIT)
+        return start
 
     def _send(self, from_node: str, dst_addr: int, data: bytes,
               note: str = "") -> None:
-        target = self._resolve(dst_addr)
+        # a subscriber's address routes to the base station it is reached by
+        target = self.topology.addr_to_node.get(dst_addr)
+        ue = self.ues.get(target)
+        if ue is not None:
+            target = ue.route_enb
         if target is None or target == from_node:
             self._record(from_node, DROPPED,
                          {"reason": "no-route", "dst": dst_addr})
@@ -299,42 +332,44 @@ class Harness:
         self._queue.append((hop, from_node, data))
 
     def run_until_idle(self) -> None:
+        queue, deliver = self._queue, self._deliver
+        popleft = queue.popleft
         events = 0
-        while self._queue:
+        while queue:
             events += 1
             if events > self.MAX_EVENTS:
                 raise RuntimeError("event budget exhausted: routing loop?")
-            self._deliver(*self._queue.popleft())
+            node, sender, data = popleft()
+            deliver(node, sender, data)
 
     def _deliver(self, node: str, sender: str, data: bytes) -> None:
         """The one place a frame arrives. A gateway hands it to its
         `Gateway`; any other forwarder gets the IPv4 header read once."""
-        kind = self.topology.nodes[node].kind
-        if kind == "megw":
-            ingress = _INGRESS.get(self.topology.nodes[sender].kind,
-                                   Direction.FROM_CLUSTER)
-            for action, detail in self.megws[node].handle(data, ingress):
+        gateway = self.megws.get(node)
+        if gateway is not None:
+            for action, detail in gateway.handle(data, self._ingress[sender]):
                 if action is FORWARD:   # not *detail: a slower call
                     self._send(node, detail[0], detail[1], detail[2])
                 else:
                     self._record(node, action, detail)
             return
-        handler = self._HANDLERS.get(kind)
+        handler = self._handlers.get(node)
         if handler is None:
             self._record(node, DROPPED, {"reason": "not-a-forwarder"})
             return
         try:
             # a handler reads any further header before it acts
-            handler(self, node, data, *gtp.read_ipv4(data))
+            handler(self, node, data, gtp.read_ipv4(data))
         except gtp.DecodeError:
             self._record(node, DROPPED, {"reason": "unparseable"})
 
     # -- other nodes ----------------------------------------------------------
 
     # a forwarder other than a gateway gets its frame with the IPv4 header
-    # read: (node, data, ihl, total, proto, src, dst)
+    # read: (node, data, (ihl, total, proto, src, dst))
 
-    def _enb_frame(self, enb, data, ihl, total, proto, src, dst) -> None:
+    def _enb_frame(self, enb, data, header) -> None:
+        ihl, total, proto, src, dst = header
         if dst != self.topology.nodes[enb].ip:
             self._record(enb, DROPPED, {"reason": "not-addressed-here",
                                         "dst": dst})
@@ -375,7 +410,8 @@ class Harness:
             detail["via"] = "x2-forwarding"
         self._record(ue.node_id, RECEIVED, detail)
 
-    def _dip_frame(self, dip, data, ihl, total, proto, src, dst) -> None:
+    def _dip_frame(self, dip, data, header) -> None:
+        ihl, total, proto, src, dst = header
         sport, dport = gtp.read_ports(data, ihl, total - ihl, proto)
         spec = self.topology.nodes[dip]
         if dst != spec.ip:
@@ -387,7 +423,8 @@ class Harness:
             proto, dport, sport, data[at:total]))
         self._send(dip, src, reply, note="echo")
 
-    def _sgw_frame(self, sgw, data, ihl, total, proto, src, dst) -> None:
+    def _sgw_frame(self, sgw, data, header) -> None:
+        _, _, proto, src, dst = header
         if dst == self.topology.nodes[sgw].ip:
             kind = "control" if proto == gtp.PROTO_SCTP else "data"
             self._record(sgw, RECEIVED, {"kind": kind, "src": src})
@@ -458,7 +495,7 @@ class Harness:
 
         ue.radio_enb = enb
         ue.route_enb = enb
-        return self.trace[mark:]
+        return self._log[mark:]
 
     def run_edge_request(self, ue_id: str, vip: str | None = None,
                          payload: bytes = b"edge-request",
@@ -471,6 +508,10 @@ class Harness:
         instead of opening a new one: how a connection survives handover.
         """
         ue = self._ue(ue_id)
+        vip_ip = self._vip_ints.get(self.topology.vips[0] if vip is None
+                                    else vip)
+        if vip_ip is None:
+            raise StateError(f"{vip!r} is not a VIP")
         if ue.radio_enb is None:
             raise StateError(f"{ue_id!r} is not attached")
         if reuse_flow and ue.last_flow is None:
@@ -487,8 +528,7 @@ class Harness:
             # no wrap: a reused 5-tuple would hit a live affinity pin
             raise StateError(f"{ue_id!r} has used every source port")
         else:
-            flow = FiveTuple(ue.ip, ip_int(vip or self.topology.vips[0]), 6,
-                             ue.next_port, dst_port)
+            flow = FiveTuple(ue.ip, vip_ip, 6, ue.next_port, dst_port)
             ue.next_port += 1
         mark = self._begin()
         inner = gtp.build_ipv4(ue.ip, flow.dst_ip, 6, gtp.build_tcpish(
@@ -502,7 +542,7 @@ class Harness:
                                         "bearer_id": bearer.bearer_id})
         self._send(ue.radio_enb, self._sgw.ip, frame, note="uplink")
         self.run_until_idle()
-        return self.trace[mark:]
+        return self._log[mark:]
 
     def inject_downstream(self, ue_id: str, payload: bytes = b"push") -> list:
         """Replay a server-to-subscriber packet for the last flow."""
@@ -511,7 +551,7 @@ class Harness:
             raise StateError(f"{ue_id!r} has no established flow")
         mark = self._begin()
         self._inject_downstream(ue, payload)
-        return self.trace[mark:]
+        return self._log[mark:]
 
     def _inject_downstream(self, ue: UeRecord, payload: bytes) -> None:
         """The downstream replay, inside whichever operation runs it."""
@@ -567,7 +607,7 @@ class Harness:
             self._new_downlink(ue, b)
         self._signal(MessageKind.PATH_SWITCH_ACKNOWLEDGE, ue, ue_num, new_enb)
         ue.route_enb = new_enb
-        return self.trace[mark:]
+        return self._log[mark:]
 
 
 # -- default topology and named scenarios -------------------------------------

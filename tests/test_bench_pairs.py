@@ -133,3 +133,27 @@ def test_parse_run_keeps_env_and_reduces_metrics():
     assert bench_pairs.parse_run(stdout) == {
         "correct": True, "attempted": 40, "failed": 0, "env": env,
         "metrics": {"ops_per_s": 2.5, "op_p90_ms": 410.0}}
+
+
+BENCH = {"run_seconds": 20,
+         "workloads": [{"name": w} for w in ("dataplane", "mobility")]}
+
+
+def test_parse_defaults_and_seed():
+    args = bench_pairs.parse_args(["3"], BENCH)
+    assert (args.n, args.workload, args.seconds, args.base, args.seed,
+            args.record) == (3, None, 20, "HEAD", 1, None)
+    args = bench_pairs.parse_args(
+        ["10", "--workload", "mobility", "--seconds", "10", "--seed", "2",
+         "--record", "44"], BENCH)
+    assert (args.n, args.workload, args.seconds, args.seed,
+            args.record) == (10, ["mobility"], 10, 2, 44)
+
+
+@pytest.mark.parametrize("argv", [["0"], ["2", "--seconds", "0"],
+                                  ["2", "--seed", "x"],
+                                  ["2", "--workload", "sim-sweep"]])
+def test_parse_refuses(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.parse_args(argv, BENCH)
+    assert exc.value.code == 2

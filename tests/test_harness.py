@@ -1,6 +1,7 @@
 """Virtual fabric: attach, edge requests, and the three handover shapes."""
 
 import copy
+import hashlib
 import itertools
 import json
 import math
@@ -536,6 +537,33 @@ class TestEdgeRequest:
         assert (ue.next_port, ue.last_flow, len(h.trace)) == (port, last,
                                                               events)
 
+    @pytest.mark.parametrize("vip", ["10.9.9.9", "10.100.1", "not-an-ip",
+                                     ""])
+    @pytest.mark.parametrize("reuse_flow", [False, True])
+    def test_address_not_a_vip(self, vip, reuse_flow):
+        # refused before a source port or the last flow is taken, whether
+        # the address is well formed or not
+        h = make_harness()
+        h.run_attach("ue1", "enb1")
+        h.run_edge_request("ue1")
+        ue = h.ues["ue1"]
+        port, last, events = ue.next_port, ue.last_flow, len(h.trace)
+        with pytest.raises(StateError, match=f"^{vip!r} is not a VIP$"):
+            h.run_edge_request("ue1", vip=vip, reuse_flow=reuse_flow)
+        assert (ue.next_port, ue.last_flow, len(h.trace)) == (port, last,
+                                                              events)
+
+    def test_every_vip_is_reachable(self):
+        config = default_topology_config()
+        config["vips"].append("10.100.1.2")
+        h = Harness(build_topology(config))
+        h.run_attach("ue1", "enb1")
+        for vip in config["vips"]:
+            trace = h.run_edge_request("ue1", vip=vip)
+            assert h.ues["ue1"].last_flow[0].dst_ip == ip_int(vip)
+            assert any(e.node == "ue1" and e.action == RECEIVED
+                       for e in trace)
+
 
 def serving_dip(trace, harness):
     hits = [ev for ev in count(trace, RECEIVED)
@@ -957,6 +985,29 @@ def long_run(h):
             yield h.run_edge_request("ue2", bearer_id=5 + j % 2)
 
 
+# sha256 of `long_run(make_harness())`'s whole trace as `control.jsonl`
+# writes it, and of each gateway's controller log (`dump_jsonl()`): the
+# fabric's output over 40 handovers and 240 edge requests, beyond the six
+# short goldens
+LONG_RUN_SHA256 = {
+    "trace": "b53748b2e314d94f954389015e1b5d4fa1e7224d7ea6253f2cb780b333da6617",
+    "mgw-a": "eb3307bb8da3b553f92d7e255161c47ec76324ac7001754db8b5b744559f584e",
+    "mgw-b": "1118e3ea48397f1bad060b3f6bcc621faaa5cffa2228aab85092d88538c98e31",
+    "mgw-c": "92451e903e6889ec1c0ac42f339bf2b89b68b343df684604dd2de9168d77ccbc",
+}
+
+
+def test_long_run_output_is_pinned():
+    h = make_harness()
+    for _ in long_run(h):
+        pass
+    assert len(h.trace) < harness.TRACE_LIMIT   # the whole run's trace
+    logs = {"trace": control.jsonl(h.trace)} | {
+        m: gw.processor.dump_jsonl() for m, gw in h.megws.items()}
+    assert {name: hashlib.sha256(text.encode()).hexdigest()
+            for name, text in logs.items()} == LONG_RUN_SHA256
+
+
 class TestTraceBound:
     def test_trace_bounded_and_every_slice_whole(self, monkeypatch):
         # the reference run stays under TRACE_LIMIT, so it keeps every event
@@ -971,6 +1022,8 @@ class TestTraceBound:
             assert got == want
             longest = max(longest, len(got))
             assert len(h.trace) <= 8 + len(got)
+            # what the harness holds is bounded too: it trims in batches
+            assert len(h._log) <= 2 * 8 + len(got)
         assert len(h.trace) < len(ref.trace)
         assert longest > 8
 

@@ -4,8 +4,8 @@ working tree.
     python3 tools/bench_pairs.py 10 --workload sim-sweep --seconds 20
 
 Checks out REV (default HEAD) in a `git worktree` under a temporary
-directory, removed when done. For each workload, runs
-`benchmarks/run.py --seed 1 --trace 0` N times in that checkout and N
+directory, removed when done. For each workload, runs `benchmarks/run.py
+--seed S --trace 0` (`--seed`, default 1) N times in that checkout and N
 times in the working tree, one pair at a time, alternating which side
 runs first. Then prints, per end-to-end metric of BENCHMARK.json, both
 sides' medians, the base side's interquartile range, how many pairs the
@@ -14,15 +14,15 @@ the metric's `better`), and how much worse the working tree's median is
 than the base's, relative to it: positive is worse, and a flag marks a
 metric worse by more than its `bound`. Another flag marks a metric the
 pairs cannot resolve: its base IQR is larger than `bound` times the base
-median, and not every run of the working tree beats every base run.
-Last come each side's failed operations. It records the figures and
-asserts nothing; a run that cannot run at all stops it.
+median, and not every run of the working tree beats every base run. Last
+come each side's failed operations. It records the figures and asserts
+nothing; a run that cannot run at all stops it.
 
 With `--record PR` it then writes `BENCH_<PR>.json` at the root: the
-settings, the base commit and the working tree's source (read before the
-first run), per workload the summary and each pair's two run records,
-each with its `env` block, and `memory_report`'s figures for the working
-tree.
+settings (the seed among them), the base commit and the working tree's
+source (read before the first run), per workload the summary and each
+pair's two run records, each with its `env` block, and `memory_report`'s
+figures for the working tree.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SEED = 1
 
 
 def git(*args: str) -> bytes:
@@ -72,12 +71,12 @@ def parse_run(stdout: str) -> dict:
     return doc
 
 
-def run_once(checkout: Path, workload: str, seconds: int) -> dict:
+def run_once(checkout: Path, workload: str, seconds: int, seed: int) -> dict:
     """One untraced `benchmarks/run.py` run in `checkout`; its
     `parse_run` record."""
     proc = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload,
-         "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True,
         timeout=60 + 20 * seconds)
     # exit status 1 means a failed operation, which the summary counts
@@ -161,8 +160,9 @@ def memory() -> dict:
             "steering_py_bytes": round(in_steering)}
 
 
-def main(argv=None) -> int:
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+def parse_args(argv, bench: dict) -> argparse.Namespace:
+    """The command line, checked against `bench`, BENCHMARK.json's
+    document."""
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("n", type=int, help="runs per side and workload")
     p.add_argument("--workload", action="append",
@@ -170,16 +170,25 @@ def main(argv=None) -> int:
                    help="repeatable; default every workload")
     p.add_argument("--seconds", type=int, default=bench["run_seconds"])
     p.add_argument("--base", default="HEAD", help="revision to compare with")
+    p.add_argument("--seed", type=int, default=1,
+                   help="the workloads' seed, on both sides")
     p.add_argument("--record", type=int, metavar="PR",
                    help="write BENCH_<PR>.json")
     args = p.parse_args(argv)
     if args.n < 1 or args.seconds < 1:
         p.error("N and --seconds must be positive")
+    return args
+
+
+def main(argv=None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    args = parse_args(argv, bench)
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     base = {"rev": args.base, "commit": commit(args.base)}
     change = source()
     print(f"base {base['commit'][:7]} ({args.base}) "
-          f"against the working tree of {ROOT}, {args.seconds} s per run")
+          f"against the working tree of {ROOT}, {args.seconds} s per run, "
+          f"seed {args.seed}")
 
     recorded = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -191,7 +200,8 @@ def main(argv=None) -> int:
                 for i in range(args.n):
                     order = ((base_tree, ROOT) if i % 2 == 0
                              else (ROOT, base_tree))
-                    runs = {tree: run_once(tree, workload, args.seconds)
+                    runs = {tree: run_once(tree, workload, args.seconds,
+                                           args.seed)
                             for tree in order}
                     pairs.append((runs[base_tree], runs[ROOT]))
                 summary = summarize(pairs, bench["end_to_end"])
@@ -203,7 +213,7 @@ def main(argv=None) -> int:
             subprocess.run(["git", "worktree", "remove", "--force",
                             str(base_tree)], cwd=ROOT, check=False)
     if args.record is not None:
-        doc = {"pr": args.record, "seed": SEED, "seconds": args.seconds,
+        doc = {"pr": args.record, "seed": args.seed, "seconds": args.seconds,
                "pairs": args.n, "base": base, "change": change,
                "workloads": recorded, "memory": memory()}
         out = ROOT / f"BENCH_{args.record}.json"
