@@ -16,14 +16,20 @@ unsteered and unpinned, and a downstream one is dropped. The store is
 grouped by subscriber, so silencing, reactivating (by a map of old to new
 downstream TEIDs) or releasing one subscriber never scans others. It
 holds each fact once: a tunnel is one `Tunnel` value that all flows on it
-share, and a subscriber's record keeps its silence and the address int
-that its new flows' keys reuse.
+share, and a subscriber's record keeps its silence, the address int that
+its new flows' keys reuse, and its stage I pick.
 
 Neither stage hashes on the packet path once a subscriber and its flows
-are known. Stage I is memoized, bounded, per (subscriber, the region's
-(id, weight) candidates): the answer depends on nothing else, so a
-region's gateways and controllers share each entry, and only a changed
-weight or candidate set is a new key. Stage II keeps one table, each
+are known. A known flow's uplink frame reads its flow, its silence and
+its serving gateway off the one record it fetches: the record keeps the
+pick once the packet path first needs it, made under the one
+`stage1_peers` object its store is bound to, and a reactivation carries
+it to the new record. A subscriber's first frame here, with no record
+yet, and a frame of any other config ask `stage1_select`, memoized,
+bounded, per (subscriber, the region's (id, weight) candidates): the
+answer depends on nothing else, so a region's gateways and controllers
+share each entry, and only a changed weight or candidate set is a new
+key. Stage II keeps one table, each
 pinned flow's DIP. Return traffic from a DIP, reversed, is a pinned flow
 with the DIP in the VIP's place, so it finds its VIP by probing that
 table for every VIP of the config, highest first: if two flows that differ
@@ -47,8 +53,9 @@ before a write or after it. The precondition: a read is single dict
 operations on ints or tuples of ints, whose hashing and comparison run no
 Python code, and attribute reads, each atomic under the GIL. Every write
 reaches readers in one step: one dict store, pop or delete, or one
-attribute write. The affinity table pins a flow only after looking again
-under its lock.
+attribute write. The packet path's one write to the rule store, a kept
+stage I pick, is one slot store of the only value the slot can hold. The
+affinity table pins a flow only after looking again under its lock.
 """
 
 from __future__ import annotations
@@ -85,7 +92,8 @@ class SteeringConfig:
     config's own int, which the keys of new flows all hold; `peer_ints`
     maps each peer's id to its address int, and `dip_ints` each DIP to the
     int its affinity pins hold; `stage1_peers` is the region's (id,
-    weight) candidates, stage I's memo key.
+    weight) candidates, stage I's memo key and the object a rule store's
+    kept picks are made under.
     """
 
     megw_id: str
@@ -151,17 +159,20 @@ class Tunnel(NamedTuple):
 
 class _Subscriber(dict):
     """One subscriber's flows, {5-tuple: Tunnel}, its address int, `ip`,
-    and its silence, `silent`. Each tunnel is one value that all flows on
-    it share, which `add` alone chooses. Most subscribers have one, which
-    any flow holds, so `more` lists the tunnels only once there are two
-    (a 1-tuple costs 48 bytes)."""
+    its silence, `silent`, and its stage I pick, `serving`: None until the
+    packet path first needs it, then the gateway id that `stage1_select`
+    answers under the `stage1_peers` its store is bound to. Each tunnel is
+    one value that all flows on it share, which `add` alone chooses. Most
+    subscribers have one, which any flow holds, so `more` lists the
+    tunnels only once there are two (a 1-tuple costs 48 bytes)."""
 
-    __slots__ = ("ip", "more", "silent")
+    __slots__ = ("ip", "more", "silent", "serving")
 
-    def __init__(self, ip: int):
+    def __init__(self, ip: int, serving: str | None = None):
         self.ip = ip
         self.more = ()
         self.silent = False
+        self.serving = serving
 
     def add(self, key: tuple, bound: tuple) -> None:
         """Put the flow `key` on the tunnel `bound`, (TEID, eNB, SGW): the
@@ -186,19 +197,25 @@ SILENT = object()
 
 class RuleStore:
     """Flow-rule table keyed ue_ip -> {5-tuple: tunnel}; each subscriber's
-    record also holds its handover silence.
+    record also holds its handover silence and its stage I pick.
 
-    Packet readers (`lookup`, `address`) take no lock. Writers serialize
-    on `_lock`, and each reaches readers in one step, so that a reader
-    sees the state before it or after it: `install` stores a flow,
-    `set_ue_silent` sets the flag, `reactivate_ue` stores or deletes the
-    record and `release_ue` pops it. `rules_for_ue` and `__len__` iterate
-    records and so lock too; the records are the only count of rules.
+    Packet readers (`lookup`, and `_uplink`, which reads a record as
+    `lookup` does) take no lock. Writers serialize on `_lock`, and each
+    reaches readers in one step, so that a reader sees the state before it
+    or after it: `install` stores a flow, `set_ue_silent` sets the flag,
+    `reactivate_ue` stores or deletes the record and `release_ue` pops it.
+    `rules_for_ue` and `__len__` iterate records and so lock too; the
+    records are the only count of rules.
+
+    The picks belong to one `stage1_peers` object, `_peers`, which the
+    store binds to under `_lock` when it first keeps one (`serving`) and
+    never changes: a frame of any other config asks `stage1_select`.
     """
 
     def __init__(self):
         self._by_ue: dict[int, _Subscriber] = {}
         self._lock = threading.Lock()
+        self._peers: tuple | None = None
 
     def __len__(self) -> int:
         with self._lock:
@@ -217,11 +234,22 @@ class RuleStore:
         tunnel = flows.get(key)
         return SILENT if flows.silent else tunnel
 
-    def address(self, ue_ip: int) -> int:
-        """The int this store keeps for the subscriber's address, or
-        `ue_ip` itself for a subscriber it keeps no record of. No lock."""
-        flows = self._by_ue.get(ue_ip)
-        return ue_ip if flows is None else flows.ip
+    def serving(self, record: _Subscriber,
+                peers: tuple[tuple[str, float], ...]) -> str:
+        """Stage I's pick for the subscriber of `record` under `peers`,
+        from `stage1_select`; kept on the record, in one slot store, when
+        `peers` is the object the store is bound to, which the first call
+        binds it to. No lock once bound: every pick kept is the one answer
+        for the record's address under those peers, so a racing store, or
+        one to a record already replaced, writes what any other would."""
+        pick = stage1_select(record.ip, peers)
+        if self._peers is None:
+            with self._lock:
+                if self._peers is None:
+                    self._peers = peers
+        if self._peers is peers:
+            record.serving = pick
+        return pick
 
     def install(self, rule: FlowRule) -> None:
         """Install a rule; identical re-install is a no-op.
@@ -266,13 +294,14 @@ class RuleStore:
         as `install` does. Returns rules kept. One store of the new
         record, not silent, or one delete of the old when nothing is kept,
         moves the flows and ends the silence: a reader of a kept flow sees
-        SILENT or its new tunnel.
+        SILENT or its new tunnel. The new record keeps the old one's stage
+        I pick.
         """
         with self._lock:
             flows = self._by_ue.get(ue_ip)
             if flows is None:
                 return 0
-            kept = _Subscriber(flows.ip)
+            kept = _Subscriber(flows.ip, flows.serving)
             for key, old in flows.items():
                 if old.downstream_teid in teid_remap:
                     kept.add(key, (teid_remap[old.downstream_teid],
@@ -422,14 +451,16 @@ def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
                    rules: RuleStore, affinity: DipAffinityTable) -> ForwardAction:
     """One frame through the service offloader and both load balancers.
 
-    Pure in (data, ingress, config, table snapshots); malformed traffic
-    degrades to plain routing or Drop, never an exception. A frame of the
-    common shape is read with one unpack (`read_gpdu` from the RAN,
-    `read_plain` from the cluster), any other by the general readers, in
-    place; both reach one copy of each decision (`_uplink`, `_handoff`,
-    `_downstream_edge`). Only emitted bytes are made. Tables are probed
-    with plain tuples; a new flow's one `FiveTuple` goes in its
-    `FlowMiss` and is the key the affinity table stores."""
+    Pure in (data, ingress, config, table snapshots): a stage I pick kept
+    on a rule record is `stage1_select`'s answer under the config's own
+    `stage1_peers`, or is not read. Malformed traffic degrades to plain
+    routing or Drop, never an exception. A frame of the common shape is
+    read with one unpack (`read_gpdu` from the RAN, `read_plain` from the
+    cluster), any other by the general readers, in place; both reach one
+    copy of each decision (`_uplink`, `_handoff`, `_downstream_edge`).
+    Only emitted bytes are made. Tables are probed with plain tuples; a
+    new flow's one `FiveTuple` goes in its `FlowMiss` and is the key the
+    affinity table stores."""
     if ingress is _FROM_RAN:
         gpdu = read_gpdu(data)
         if gpdu is not None:
@@ -495,16 +526,25 @@ def _uplink(data: bytes, at: int, total: int, dst: int, teid: int,
     src, vip, proto, sport, dport = flow
     if vip not in cfg.vip_ints:
         return Emit(ip_str(dst), data, "ip-route")
-    rule = rules.lookup(flow)
-    if rule is SILENT:
-        # silent period: hold edge traffic, keep the controller informed
-        return CloneToController(FlowMiss(FiveTuple(*flow), teid))
+    # the subscriber's record, read once as `RuleStore.lookup` reads it:
+    # the flow before the flag
+    record = rules._by_ue.get(src)
+    if record is None:
+        rule = None
+        serving = stage1_select(src, cfg.stage1_peers)
+    else:
+        rule = record.get(flow)
+        if record.silent:
+            # silent period: hold edge traffic, keep the controller informed
+            return CloneToController(FlowMiss(FiveTuple(*flow), teid))
+        serving = record.serving
+        if serving is None or rules._peers is not cfg.stage1_peers:
+            serving = rules.serving(record, cfg.stage1_peers)
     if rule is None:
         # a new flow: one key for its miss (so its rule and the log)
         # and its pin, holding the subscriber's and the VIP's kept ints
-        flow = FiveTuple(rules.address(src), cfg.vip_ints[vip], proto,
-                         sport, dport)
-    serving = stage1_select(src, cfg.stage1_peers)
+        flow = FiveTuple(src if record is None else record.ip,
+                         cfg.vip_ints[vip], proto, sport, dport)
     if serving != cfg.megw_id:
         act = Emit(ip_str(cfg.peer_ints[serving]), data[at:total],
                    "stage1-handoff")

@@ -472,8 +472,8 @@ class TestEdgeRequest:
         for n in range(4):
             h.run_edge_request("ue1", bearer_id=5 + n % 2)
         gw = h.megws["mgw-a"]
-        ue = gw.rules.address(h.ues["ue1"].ip)
-        rules = gw.rules.rules_for_ue(ue)
+        rules = gw.rules.rules_for_ue(h.ues["ue1"].ip)
+        ue = rules[0].key.src_ip
         pins = gw.affinity._table
         assert len(rules) == len(pins) == 12
         vips = gw.config.vip_ints

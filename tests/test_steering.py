@@ -25,7 +25,8 @@ from megw.sim import HASH_CHUNK
 from megw.gtp import (Direction, FiveTuple, GtpMessageType, build_ipv4,
                       build_tcpish, build_udp, encode_gtpu, decode_gtpu,
                       ip_int, ip_str)
-from megw.hrw import SelectError, rendezvous_pick, rendezvous_select
+from megw.hrw import (SelectError, rendezvous_pick, rendezvous_select,
+                      stage1_key)
 from megw.steering import (CloneToController, DipAffinityTable, Drop, Emit,
                            EndMarkerSeen, FlowMiss, FlowRule, Multiple,
                            RuleStore, S1apClone, SILENT, SteeringConfig,
@@ -534,10 +535,53 @@ class FlatRules:
         rule = self.rules.get(key)
         return None if rule is None else Tunnel(*rule[1:])
 
+    def uplink(self, key):
+        """What the uplink frame of the flow `key` is answered under
+        CONC_CFG, as `uplink_outcome` reads it: stage I by HRW itself."""
+        if key[0] in self.silent:
+            return "held"
+        return ("known" if key in self.rules else "new",
+                rendezvous_select(stage1_key(key[0]), CONC_CFG.stage1_peers))
+
+
+# the config `SteeredStore.uplink` steers under: stage I serves UE here
+# and hands UE + 1 off to mgw-b
+CONC_CFG = make_cfg("mgw-a", [("mgw-a", "10.50.0.1", 1.0),
+                              ("mgw-b", "10.50.0.2", 2.0)])
+
+
+def uplink_outcome(action, cfg):
+    """An uplink frame's answer under `cfg`: "held" when it went to the
+    controller alone; else whether its flow was "new" (a flow miss came
+    first) or "known", and the gateway stage I served it from."""
+    *miss, act = flatten(action)
+    if isinstance(act, CloneToController):
+        return "held"
+    peers = {addr: pid for pid, addr, _ in cfg.region_peers}
+    return ("new" if miss else "known",
+            cfg.megw_id if act.note == "dip-rewrite" else peers[act.dst])
+
+
+class SteeredStore(RuleStore):
+    """A `RuleStore` with one more reader, `uplink`: the flow's uplink
+    G-PDU through `process_packet` under CONC_CFG, whose picks the store
+    is bound to from the start. So no uplink takes the lock to bind, which
+    a write that `interleaved` runs inside it would wait on for ever."""
+
+    def __init__(self):
+        super().__init__()
+        self._peers = CONC_CFG.stage1_peers
+        self.affinity = DipAffinityTable()
+
+    def uplink(self, key):
+        return uplink_outcome(process_packet(
+            uplink_frame(key), Direction.FROM_RAN, CONC_CFG, self,
+            self.affinity), CONC_CFG)
+
 
 def store_of(model):
-    """A `RuleStore` in the state of `model`, a `FlatRules`."""
-    store = RuleStore()
+    """A `SteeredStore` in the state of `model`, a `FlatRules`."""
+    store = SteeredStore()
     for rule in model.rules.values():
         store.install(rule)
     for ue in model.silent:
@@ -1107,11 +1151,79 @@ class TestConcurrency:
         assert len(rules) == len(ues)
         assert all(rules.lookup((ue, vip, 6, 5000, 80)) == new for ue in ues)
 
+    def test_uplink_hands_off_by_stage1_while_records_change(self):
+        # uplink frames under two configs with other weights race a writer
+        # that silences each subscriber and then reactivates it, which
+        # carries its pick to a new record, or releases it and installs
+        # its flow again, on a record with no pick: a frame that is not
+        # held goes to the gateway `stage1_select` picks under the frame's
+        # own config, whichever config's picks the store keeps
+        peers = [("mgw-a", "10.50.0.1", 1.0), ("mgw-b", "10.50.0.2", 1.0),
+                 ("mgw-c", "10.50.0.3", 2.0)]
+        configs = (make_cfg("mgw-a", peers),
+                   make_cfg("mgw-a", [peers[0], peers[1][:2] + (3.0,),
+                                      peers[2][:2] + (0.5,)]))
+        keys = [FiveTuple(UE + i, ip_int(VIP), 6, 5000, 80)
+                for i in range(48)]
+        frames = [(uplink_frame(k), cfg, stage1_select(k.src_ip,
+                                                       cfg.stage1_peers))
+                  for k in keys for cfg in configs]
+        assert any(frames[i][2] != frames[i + 1][2]
+                   for i in range(0, len(frames), 2))
+        assert {pick for _, _, pick in frames} == {"mgw-a", "mgw-b", "mgw-c"}
+        rules = RuleStore()
+        for key in keys:
+            rules.install(FlowRule(key, 100, ENB1, SGW))
+        done, wrong, seen = [], [], set()
+        read = threading.Event()
+
+        def reader(order):
+            affinity = DipAffinityTable()
+            while not done:
+                for frame, cfg, pick in order:
+                    answer = uplink_outcome(process_packet(
+                        frame, Direction.FROM_RAN, cfg, rules, affinity),
+                        cfg)
+                    if answer == "held":
+                        continue
+                    seen.add(answer[1])
+                    if answer[1] != pick:
+                        wrong.append((frame, cfg, answer))
+                read.set()
+
+        def writer():
+            try:
+                # the scheduler may run no reader before the writer is
+                # done: hold the first write until a reader has read
+                # every frame once
+                if not read.wait(timeout=30):
+                    raise AssertionError("no reader read every frame")
+                for i in range(200):
+                    for key in keys:
+                        rules.set_ue_silent(key.src_ip)
+                        if (i + key.src_ip) % 3:
+                            rules.reactivate_ue(key.src_ip, {100: 100}, ENB2)
+                        else:
+                            rules.release_ue(key.src_ip)
+                            rules.install(FlowRule(key, 100, ENB1, SGW))
+            finally:
+                done.append(True)
+
+        # the readers' first frames are of either config
+        race(writer, functools.partial(reader, frames),
+             functools.partial(reader, frames[::-1]))
+        assert wrong == []
+        assert seen == {"mgw-a", "mgw-b", "mgw-c"}
+        assert any(rules._peers is c.stage1_peers for c in configs)
+        for ue, record in rules._by_ue.items():
+            assert record.serving in (None, stage1_select(ue, rules._peers))
+
     def test_each_operation_taken_over_at_every_line(self):
-        # every place where one operation can stop for another: a lookup
-        # by any run of writes, a write by a lookup (a write inside a write
-        # would wait on the lock), before each line that the outer one
-        # runs; from three states of one subscriber with one flow ruled
+        # every place where one operation can stop for another: a read (a
+        # lookup, or an uplink frame's read of the record and its stored
+        # pick) by any run of writes, a write by a read (a write inside a
+        # write would wait on the lock), before each line that the outer
+        # one runs; from three states of one subscriber with one flow ruled
         vip = ip_int(VIP)
         ruled, new = (FiveTuple(UE, vip, 6, port, 80) for port in (5000, 5001))
         starts = [FlatRules(), FlatRules({ruled: FlowRule(ruled, 100, ENB1,
@@ -1121,10 +1233,11 @@ class TestConcurrency:
                   ("install", (FlowRule(ruled, 100, ENB1, SGW),)),
                   ("set_ue_silent", (UE,)), ("release_ue", (UE,)),
                   ("reactivate_ue", (UE, {100: 200}, ENB2))]
-        lookups = [("lookup", (ruled,)), ("lookup", (new,))]
-        cases = [(w, [r]) for w in writes for r in lookups]
-        cases += [(r, [w]) for r in lookups for w in writes]
-        cases += [(r, [writes[2], writes[0]]) for r in lookups]
+        reads = [(op, (key,)) for op in ("lookup", "uplink")
+                 for key in (ruled, new)]
+        cases = [(w, [r]) for w in writes for r in reads]
+        cases += [(r, [w]) for r in reads for w in writes]
+        cases += [(r, [writes[2], writes[0]]) for r in reads]
         checked = 0
         for start in starts:
             for outer, inner in cases:
@@ -1138,8 +1251,9 @@ class TestConcurrency:
 
     def test_rule_store_histories_are_linearizable(self):
         # small random histories of three threads on two subscribers of
-        # two flows each, one of them silenced to begin with; each must
-        # have a linearization under the flat model
+        # two flows each, one of them silenced to begin with, whose reads
+        # are lookups and uplink frames; each must have a linearization
+        # under the flat model
         vip = ip_int(VIP)
         ues = (UE, UE + 1)
         keys = [FiveTuple(ue, vip, 6, port, 80)
@@ -1153,7 +1267,7 @@ class TestConcurrency:
                   + [("reactivate_ue", (ue, remap, enb)) for ue in ues
                      for remap in ({100: 200, 101: 201}, {101: 100})
                      for enb in (ENB1, ENB2)])
-        reads = [("lookup", (k,)) for k in keys]
+        reads = [(op, (k,)) for op in ("lookup", "uplink") for k in keys]
         draw = random.Random(7)
         for _ in range(250):
             plans = [[draw.choice(writes if draw.random() < 0.4 else reads)
@@ -1844,6 +1958,14 @@ def uplink_inner(ue, **kw):
                     struct.pack("!HH", 5000, 80) + b"payload", **kw)
 
 
+def uplink_frame(flow):
+    """A G-PDU from ENB1 whose inner packet has the 5-tuple `flow` (ports
+    0 for a transport other than TCP or UDP)."""
+    src, dst, proto, sport, dport = flow
+    ports = struct.pack("!HH", sport, dport) if proto in (6, 17) else b""
+    return tunnel_frame(raw_ipv4(src, dst, proto, ports + b"req"))
+
+
 # a pinned and ruled flow, and a reply to it from its DIP
 PINNED = FiveTuple(DIFF_UES[0], DIFF_VIPS[0], 6, 5000, 80)
 DIP_REPLY = raw_ipv4(DipAffinityTable().get_or_assign(PINNED, DIFF_CFG),
@@ -1962,3 +2084,134 @@ class TestProcessPacketDifferential:
                         "gtp-encap", "unparseable frame", "silent-period",
                         "malformed VIP-bound packet", "S1apClone",
                         "EndMarkerSeen", "FlowMiss"}
+
+
+# rule store steps on the differential's two subscribers: installs on
+# either of two tunnels, silences, reactivations by any map of those
+# tunnels to one of them or a third, and releases
+TEID_PAIR = (0x100, 0x101)
+table_steps = st.one_of(
+    st.builds(lambda flow, teid: ("install", (FlowRule(flow, teid, ENB1,
+                                                       SGW),)),
+              st.sampled_from(DIFF_FLOWS), st.sampled_from(TEID_PAIR)),
+    st.builds(lambda ue: ("set_ue_silent", (ue,)), st.sampled_from(DIFF_UES)),
+    st.builds(lambda ue, remap, enb: ("reactivate_ue", (ue, remap, enb)),
+              st.sampled_from(DIFF_UES),
+              st.dictionaries(st.sampled_from(TEID_PAIR),
+                              st.sampled_from(TEID_PAIR + (0x200,))),
+              st.sampled_from((ENB1, ENB2))),
+    st.builds(lambda ue: ("release_ue", (ue,)), st.sampled_from(DIFF_UES)))
+
+
+# the differential's config with mgw-b weighted so that stage I hands
+# both subscribers off to it
+DIFF_HEAVY = replace(DIFF_CFG, region_peers=(("mgw-a", "10.50.0.1", 1.0),
+                                             ("mgw-b", "10.50.0.2", 20.0)))
+
+
+class TestStoredPick:
+    """Stage I's pick kept on the subscriber's rule record."""
+
+    def test_heavy_config_moves_a_subscriber(self):
+        assert [stage1_select(ue, DIFF_HEAVY.stage1_peers)
+                for ue in DIFF_UES] == ["mgw-b", "mgw-b"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(steps=st.lists(st.tuples(table_steps, st.lists(st.tuples(
+        st.sampled_from(DIFF_FLOWS),
+        st.sampled_from((DIFF_CFG, DIFF_CFG, DIFF_HEAVY))), max_size=4)),
+        max_size=12))
+    def test_uplink_equals_reference_through_table_steps(self, steps):
+        # each step runs on a rule store and on the flat model, and is
+        # followed by uplink frames under either of two configs: the
+        # store's answers, stored picks and all, are the reference path's
+        # over the model
+        rules, affinity = RuleStore(), DipAffinityTable()
+        model, ref_affinity = FlatRules(), DipAffinityTable()
+        for (op, args), frames in steps:
+            assert outcome(rules, op, args) == outcome(model, op, args)
+            for flow, cfg in frames:
+                frame = uplink_frame(flow)
+                assert shape(process_packet(
+                    frame, Direction.FROM_RAN, cfg, rules, affinity)) \
+                    == shape(reference_process_packet(
+                        frame, Direction.FROM_RAN, cfg, model, ref_affinity))
+        # a pick is kept only under the peers the store is bound to
+        for ue, record in rules._by_ue.items():
+            if record.serving is not None:
+                assert rules._peers in (DIFF_CFG.stage1_peers,
+                                        DIFF_HEAVY.stage1_peers)
+                assert record.serving == stage1_select(ue, rules._peers)
+
+    def test_each_config_answers_by_its_own_pick(self):
+        # one store, frames under two configs whose weights move some
+        # subscribers, and one equal to the first but another object: every
+        # frame answers as the reference path under its own config, and
+        # the store keeps the picks of the config that first needed one
+        light = make_cfg("mgw-a", [("mgw-a", "10.50.0.1", 1.0),
+                                   ("mgw-b", "10.50.0.2", 1.0)])
+        heavy = make_cfg("mgw-a", [("mgw-a", "10.50.0.1", 1.0),
+                                   ("mgw-b", "10.50.0.2", 3.0)])
+        twin = make_cfg("mgw-a", [("mgw-a", "10.50.0.1", 1.0),
+                                  ("mgw-b", "10.50.0.2", 1.0)])
+        assert twin == light and twin.stage1_peers is not light.stage1_peers
+        keys = [FiveTuple(UE + i, ip_int(VIP), 6, 5000, 80) for i in range(40)]
+        assert any(stage1_select(k.src_ip, light.stage1_peers)
+                   != stage1_select(k.src_ip, heavy.stage1_peers)
+                   for k in keys)
+        for first, then in ((light, (heavy, twin)), (heavy, (light, twin))):
+            rules, affinity = RuleStore(), DipAffinityTable()
+            model, ref_affinity = FlatRules(), DipAffinityTable()
+            for key in keys[::2]:
+                rules.install(FlowRule(key, 100, ENB1, SGW))
+                model.install(FlowRule(key, 100, ENB1, SGW))
+            for cfg in (first,) + then + (first,) + then:
+                for key in keys:
+                    frame = uplink_frame(key)
+                    assert shape(process_packet(
+                        frame, Direction.FROM_RAN, cfg, rules, affinity)) \
+                        == shape(reference_process_packet(
+                            frame, Direction.FROM_RAN, cfg, model,
+                            ref_affinity))
+            assert rules._peers is first.stage1_peers
+            assert [rules._by_ue[k.src_ip].serving for k in keys[::2]] == [
+                stage1_select(k.src_ip, first.stage1_peers)
+                for k in keys[::2]]
+
+    def test_known_flow_asks_no_memo(self, monkeypatch):
+        # a record-less frame asks stage1_select; a subscriber's first
+        # frame with a record asks it once more, to keep its pick; then
+        # its frames ask nothing, across a reactivation too, until a
+        # release drops the record and the pick with it
+        asked = []
+
+        def counted(ue, peers):
+            asked.append(ue)
+            return stage1_select(ue, peers)
+
+        monkeypatch.setattr(steering, "stage1_select", counted)
+        rules, affinity = RuleStore(), DipAffinityTable()
+        keys = [FiveTuple(ue, DIFF_VIPS[0], 6, 5000, 80) for ue in DIFF_UES]
+
+        def send():
+            return [uplink_outcome(process_packet(
+                uplink_frame(k), Direction.FROM_RAN, DIFF_CFG, rules,
+                affinity), DIFF_CFG) for k in keys]
+
+        assert send() == [("new", "mgw-a"), ("new", "mgw-b")]
+        assert asked == list(DIFF_UES)
+        for key in keys:
+            rules.install(FlowRule(key, 100, ENB1, SGW))
+        for _ in range(3):
+            assert send() == [("known", "mgw-a"), ("known", "mgw-b")]
+        assert asked == list(DIFF_UES) * 2
+        for ue in DIFF_UES:
+            rules.set_ue_silent(ue)
+        assert send() == ["held", "held"]
+        for ue in DIFF_UES:
+            rules.reactivate_ue(ue, {100: 200}, ENB2)
+        assert send() == [("known", "mgw-a"), ("known", "mgw-b")]
+        assert asked == list(DIFF_UES) * 2
+        rules.release_ue(DIFF_UES[1])
+        assert send() == [("known", "mgw-a"), ("new", "mgw-b")]
+        assert asked == list(DIFF_UES) * 2 + [DIFF_UES[1]]
