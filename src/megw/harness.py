@@ -554,12 +554,15 @@ class Harness:
         return self._log[mark:]
 
     def _inject_downstream(self, ue: UeRecord, payload: bytes) -> None:
-        """The downstream replay, inside whichever operation runs it."""
+        """The downstream replay, inside whichever operation runs it: from
+        the flow's pin in the route eNB's region, which only the stage I
+        gateway there makes, or else from the VIP."""
         flow, _ = ue.last_flow
-        serving = self.topology.view.serving_megw(
-            ue.ip, self.topology.nodes[ue.route_enb].ip)
-        dip = self.megws[serving].affinity.get(flow)
-        src = dip if dip is not None else flow.dst_ip
+        view = self.topology.view
+        megw = view.megw_of(self.topology.nodes[ue.route_enb].ip)
+        pins = [self.megws[m].affinity.get(flow)
+                for m, _ in view.peers[view.region_of(megw)]]
+        src = next((dip for dip in pins if dip is not None), flow.dst_ip)
         data = gtp.build_ipv4(src, ue.ip, flow.proto,
                               gtp.build_tcpish(flow.proto, flow.dst_port,
                                                flow.src_port, payload))

@@ -25,22 +25,19 @@ its serving gateway off the one record it fetches: the record keeps the
 pick once the packet path first needs it, made under the one
 `stage1_peers` object its store is bound to, and a reactivation carries
 it to the new record. A subscriber's first frame here, with no record
-yet, and a frame of any other config ask `stage1_select`, memoized,
-bounded, per (subscriber, the region's (id, weight) candidates): the
-answer depends on nothing else, so a region's gateways and controllers
-share each entry, and only a changed weight or candidate set is a new
-key. Stage II keeps one table, each
+yet, and a frame of any other config compute it again with
+`stage1_select`, which keeps no memo. Stage II keeps one table, each
 pinned flow's DIP. Return traffic from a DIP, reversed, is a pinned flow
 with the DIP in the VIP's place, so it finds its VIP by probing that
-table for every VIP of the config, highest first: if two flows that differ
-only in the VIP land on one DIP, the lowest VIP wins, whatever the pin,
-set or hash order. Tables are keyed by integer addresses; dotted quads
-are only `SteeringConfig` input, stage II's HRW candidate ids (the
-DIPs) and `Emit.dst`. Table probes take any 5-tuple, so the packet path
-probes with plain tuples. A new flow gets one `FiveTuple`, which its
-`FlowMiss` (and so its rule and the controller's log) and its affinity
-pin share; it holds the rule store's int for the subscriber and the
-config's for the VIP, and the pin holds the config's for the DIP.
+table for every VIP of the config, highest first: if two flows that
+differ only in the VIP land on one DIP, the lowest VIP wins, whatever
+the pin, set or hash order. Tables are keyed by integer addresses;
+dotted quads are only `SteeringConfig` input, stage II's HRW candidate
+ids (the DIPs) and `Emit.dst`. Table probes take any 5-tuple, so the
+packet path probes with plain tuples. A new flow gets one `FiveTuple`,
+which its `FlowMiss` (and so its rule and the controller's log) and its
+affinity pin share; it holds the rule store's int for the subscriber and
+the config's for the VIP, and the pin holds the config's for the DIP.
 
 A frame's headers are read once: with one unpack for the common shape,
 by the general readers for every other frame. Both reads lead to one
@@ -60,7 +57,6 @@ affinity table pins a flow only after looking again under its lock.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -92,7 +88,7 @@ class SteeringConfig:
     config's own int, which the keys of new flows all hold; `peer_ints`
     maps each peer's id to its address int, and `dip_ints` each DIP to the
     int its affinity pins hold; `stage1_peers` is the region's (id,
-    weight) candidates, stage I's memo key and the object a rule store's
+    weight) candidates, stage I's input and the object a rule store's
     kept picks are made under.
     """
 
@@ -123,16 +119,13 @@ class SteeringConfig:
             addr: ip_int(addr) for addr, _ in self.dips})
 
 
-@functools.lru_cache(maxsize=1 << 16)
 def stage1_select(ue_ip: int, peers: tuple[tuple[str, float], ...]) -> str:
     """Serving gateway for a subscriber: HRW over the region's (id, weight)
     candidates, `SteeringConfig.stage1_peers` or `TopologyView.peers`.
 
     Keyed by the subscriber address alone so every gateway in the region
     agrees, and so all of one subscriber's edge state lands in one place.
-    Memoized on exactly its inputs, so the region's gateways and their
-    controllers share an answer, and a changed weight or candidate set is
-    a different key that never sees a stale one.
+    No memo: a rule record keeps its subscriber's pick (`RuleStore.serving`).
     """
     return rendezvous_select(stage1_key(ue_ip), peers)
 
@@ -209,7 +202,7 @@ class RuleStore:
 
     The picks belong to one `stage1_peers` object, `_peers`, which the
     store binds to under `_lock` when it first keeps one (`serving`) and
-    never changes: a frame of any other config asks `stage1_select`.
+    never changes: a frame of any other config computes its pick again.
     """
 
     def __init__(self):
@@ -236,12 +229,13 @@ class RuleStore:
 
     def serving(self, record: _Subscriber,
                 peers: tuple[tuple[str, float], ...]) -> str:
-        """Stage I's pick for the subscriber of `record` under `peers`,
-        from `stage1_select`; kept on the record, in one slot store, when
+        """Stage I's pick for the subscriber of `record` under `peers`, one
+        `stage1_select` call; kept on the record, in one slot store, when
         `peers` is the object the store is bound to, which the first call
-        binds it to. No lock once bound: every pick kept is the one answer
-        for the record's address under those peers, so a racing store, or
-        one to a record already replaced, writes what any other would."""
+        binds it to, so the record's later frames hash nothing. No lock
+        once bound: every pick kept is the one answer for the record's
+        address under those peers, so a racing store, or one to a record
+        already replaced, writes what any other would."""
         pick = stage1_select(record.ip, peers)
         if self._peers is None:
             with self._lock:

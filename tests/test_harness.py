@@ -173,16 +173,15 @@ class TestBuildTopology:
             assert all(addr == cfg["nodes"][m]["addr"]
                        for m, addr, _ in steer.region_peers)
 
-    def test_region_asks_stage1_memo_once(self):
+    def test_region_agrees_on_stage1(self):
         # both r1 gateways steering a new subscriber's uplink G-PDU, and the
-        # controllers' view naming its serving gateway, ask one question
+        # controllers' view naming its serving gateway, pick one gateway
         topo = build_topology(default_topology_config())
         ue, enb = ip_int("172.16.77.7"), ip_int("10.1.0.3")
         inner = gtp.build_ipv4(ue, ip_int("10.100.1.1"), 6,
                                gtp.build_tcpish(6, 5000, 80, b"req"))
         frame = gtp.encode_gtpu(enb, ip_int("10.2.0.1"), 100,
                                 GtpMessageType.GPDU, inner)
-        steering.stage1_select.cache_clear()
         notes = [[a.note for a in steering.process_packet(
             frame, gtp.Direction.FROM_RAN, topo.steering_configs[megw],
             steering.RuleStore(), steering.DipAffinityTable()).actions
@@ -191,8 +190,6 @@ class TestBuildTopology:
         assert notes == [["dip-rewrite" if megw == serving
                           else "stage1-handoff"]
                          for megw in ("mgw-a", "mgw-b")]
-        info = steering.stage1_select.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
 
 
 class TestTopologyShape:
@@ -901,6 +898,64 @@ class TestHandoverScenario3:
     def test_exactly_one_notice_in_scenario(self):
         h = run_scenario("x2-cross-region")
         assert len(count(h.trace, MIGRATION_NOTIFIED)) == 1
+
+
+class TestDownstreamReplay:
+    @pytest.mark.parametrize("new_enb, pinned_after", [
+        ("enb2", True), ("enb3", True), ("enb4", False)],
+        ids=["same-megw", "same-region", "cross-region"])
+    def test_replay_asks_no_stage1(self, monkeypatch, new_enb, pinned_after):
+        # the downstream replay reads the flow's pin in the route eNB's
+        # region and asks stage I nothing: it answers from the DIP pinned at
+        # the region's stage I gateway, or from the VIP with no pin there
+        replaying = []
+        pick = steering.stage1_select
+
+        def guarded(ue_ip, peers):
+            if replaying:
+                raise AssertionError("the downstream replay asked stage I")
+            return pick(ue_ip, peers)
+
+        monkeypatch.setattr(steering, "stage1_select", guarded)
+        monkeypatch.setattr(control, "stage1_select", guarded)
+        replay = Harness._inject_downstream
+
+        def watched(self, ue, payload):
+            replaying.append(ue)
+            try:
+                replay(self, ue, payload)
+            finally:
+                replaying.pop()
+
+        monkeypatch.setattr(Harness, "_inject_downstream", watched)
+        h = make_harness()
+        h.run_attach("ue1", "enb1")
+        h.run_edge_request("ue1")
+        ue, topo = h.ues["ue1"], h.topology
+        flow, _ = ue.last_flow
+
+        def source(enb):
+            serving = topo.view.serving_megw(ue.ip, topo.nodes[enb].ip)
+            dip = h.megws[serving].affinity.get(flow)
+            return flow.dst_ip if dip is None else dip
+
+        during = source("enb1")
+        assert during != flow.dst_ip
+        trace = h.run_x2_handover("ue1", "enb1", new_enb)
+        assert [e.node for e in count(trace, SENT, note="downstream-inject")
+                ] == [topo.addr_to_node[during]]
+        after = source(new_enb)
+        assert (after != flow.dst_ip) == pinned_after
+        if pinned_after:
+            trace = h.inject_downstream("ue1")
+            assert [e.node for e in count(trace, SENT,
+                                          note="downstream-inject")
+                    ] == [topo.addr_to_node[after]]
+        else:
+            with pytest.raises(StateError,
+                               match=r"^no server node owns 10\.100\.1\.1$"):
+                h.inject_downstream("ue1")
+        assert replaying == []
 
 
 class TestHandoverGuards:

@@ -206,15 +206,12 @@ class TestStage1:
         cfg = make_cfg("mgw-a", [("mgw-a", "10.50.0.1", 1.0)])
         assert stage1_select(UE, cfg.stage1_peers) == "mgw-a"
 
-    def test_memo_is_bounded(self):
-        assert stage1_select.cache_info().maxsize is not None
-
     @staticmethod
     def direct(ue, cfg):
         return rendezvous_select(gtp.pack_ip(ue),
                                  [(pid, w) for pid, _, w in cfg.region_peers])
 
-    def test_memo_matches_direct_hrw(self):
+    def test_matches_direct_hrw(self):
         peers = [("mgw-a", "10.50.0.1", 1.0), ("mgw-b", "10.50.0.2", 1.0),
                  ("mgw-c", "10.50.0.3", 2.0)]
         configs = [make_cfg("mgw-a", peers), make_cfg("mgw-b", peers[:2]),
@@ -227,7 +224,8 @@ class TestStage1:
                 expected = self.direct(ue, cfg)
                 peers = cfg.stage1_peers
                 assert stage1_select(ip_int(ue), peers) == expected
-                assert stage1_select(ip_int(ue), peers) == expected  # a hit
+                # a second call agrees
+                assert stage1_select(ip_int(ue), peers) == expected
 
     @given(octets=st.tuples(*[st.integers(0, 255)] * 4),
            weights=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=4))
@@ -256,46 +254,39 @@ class TestStage1:
         assert any(stage1_select(ip_int(ue), light.stage1_peers)
                    != stage1_select(ip_int(ue), heavy.stage1_peers)
                    for ue in ues)
-        # a changed peer weight is a new key, so the memo answers it apart
+        # a changed peer weight is a new question, answered by its own HRW
         heavier = replace(heavy, region_peers=(("mgw-a", "10.50.0.1", 1.0),
                                                ("mgw-b", "10.50.0.2", 60.0)))
         assert heavier.stage1_peers == (("mgw-a", 1.0), ("mgw-b", 60.0))
-        misses = stage1_select.cache_info().misses
         for ue in ues:
             assert stage1_select(ip_int(ue), heavier.stage1_peers) \
                 == self.direct(ue, heavier)
-        assert stage1_select.cache_info().misses == misses + len(ues)
 
     def test_dip_or_vip_change_keeps_the_key(self):
         # stage I reads only the region's candidates: a config with other
-        # DIPs or VIPs asks the memo the same question and hits
+        # DIPs or VIPs asks the same question and gets the same picks
         cfg = make_cfg("mgw-a", [("mgw-a", "10.50.0.1", 1.0),
                                  ("mgw-b", "10.50.0.2", 2.0)])
         ues = [ip_int(f"172.16.2.{i}") for i in range(1, 200)]
         picks = [stage1_select(ue, cfg.stage1_peers) for ue in ues]
-        info = stage1_select.cache_info()
         for changed in (replace(cfg, dips=(("10.200.0.9", 3.0),)),
                         replace(cfg, vips=frozenset({"10.100.1.9"}))):
             assert changed != cfg
             assert changed.stage1_peers == cfg.stage1_peers
             assert [stage1_select(ue, changed.stage1_peers)
                     for ue in ues] == picks
-        assert stage1_select.cache_info().misses == info.misses
-        assert stage1_select.cache_info().hits == info.hits + 2 * len(ues)
 
     def test_equal_configs_hash_alike(self):
         # the dataclass hashes its fields, the VIPs as they were given, and
-        # equal configs ask the memo one question
+        # equal configs ask stage I one question
         a, b = make_cfg(), make_cfg()
         assert a == b and a is not b
         assert a.vips == frozenset({VIP}) and list(a.vip_ints) == [ip_int(VIP)]
         assert hash(a) == hash(b) == hash((a.megw_id, a.vips, a.region_peers,
                                            a.dips, a.local_sgw))
         assert a.stage1_peers == b.stage1_peers == (("mgw-a", 1.0),)
-        pick = stage1_select(UE, a.stage1_peers)
-        misses = stage1_select.cache_info().misses
-        assert stage1_select(UE, b.stage1_peers) == pick
-        assert stage1_select.cache_info().misses == misses
+        assert stage1_select(UE, b.stage1_peers) \
+            == stage1_select(UE, a.stage1_peers)
 
 
 class TestStage2:

@@ -7,9 +7,8 @@ and installs its rule, as in the fabric. Every subscriber is served
 locally, so each new flow is also pinned in the affinity table.
 Prints the memory still allocated per subscriber: the whole, the
 processor's part (allocated in `megw/control.py`) and the data plane's
-(in `megw/steering.py`: the rule store, the affinity table and the
-stage I memo), with the entries the stage I memo holds after the run,
-and appends it to `$GITHUB_STEP_SUMMARY` when that is set. It records
+(in `megw/steering.py`: the rule store and the affinity table), and
+appends it to `$GITHUB_STEP_SUMMARY` when that is set. It records
 the figures and sets them no bound.
 
     PYTHONPATH=src python tools/memory_report.py
@@ -26,7 +25,7 @@ from megw.gateway import Gateway
 from megw.gtp import (Direction, GtpMessageType, build_ipv4, build_tcpish,
                       encode_gtpu, ip_int)
 from megw.s1ap import BearerItem, MessageKind, S1apLiteMessage
-from megw.steering import SteeringConfig, stage1_select
+from megw.steering import SteeringConfig
 
 ENB, SGW, VIP = "10.1.0.1", "10.2.0.1", "10.100.1.1"
 UE_BASE = ip_int("172.16.0.0")
@@ -92,8 +91,7 @@ def main() -> None:
     line = (f"Per-subscriber memory ({SUBSCRIBERS} subscribers x "
             f"{FLOWS} flows, tracemalloc): {whole:.0f} B in all, "
             f"{in_control:.0f} B allocated in megw/control.py, "
-            f"{in_steering:.0f} B in megw/steering.py; stage I memo "
-            f"{stage1_select.cache_info().currsize} entries")
+            f"{in_steering:.0f} B in megw/steering.py")
     print(line)
     summary = os.environ.get("GITHUB_STEP_SUMMARY")
     if summary:

@@ -11,7 +11,7 @@ included. Three quarters of the subscribers are handed off by stage I,
 so the median frame is a stage I hand-off, as in the dataplane mix.
 
 Each size runs in a process of its own, one at a time, so one size's
-tables and memo neither warm nor crowd another's. Prints one line per
+tables neither warm nor crowd another's. Prints one line per
 size with the median ns and its ratio to the first size's, and appends
 the table to `$GITHUB_STEP_SUMMARY` when that is set. Aim 3 says the
 figure should not depend on table size; this records the ratio and
