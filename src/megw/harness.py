@@ -119,6 +119,9 @@ class Topology:
     sgw: str                         # the EPC stub's node id
 
 
+# every kind of node a topology may have
+_KINDS = frozenset({"sgw_mme", "megw", "enb", "dip", "ue"})
+
 _TOPOLOGY = {"nodes?": {str: {"kind": str, "addr": str, "megw?": str,
                                "weight?": float}},
              "enb_to_megw?": {str: str}, "megw_to_region?": {str: str},
@@ -134,6 +137,10 @@ def build_topology(config: dict) -> Topology:
     nodes: dict[str, NodeSpec] = {}
     addrs: dict[int, str] = {}
     for node_id, doc in config.get("nodes", {}).items():
+        if doc["kind"] not in _KINDS:
+            raise ConfigError(f"node {node_id!r}: unknown kind "
+                              f"{doc['kind']!r}, expected one of "
+                              f"{sorted(_KINDS)}")
         try:
             ip = ip_int(doc["addr"])
         except gtp.EncodeError as exc:

@@ -22,22 +22,22 @@ its new flows' keys reuse, and its stage I pick.
 Neither stage hashes on the packet path once a subscriber and its flows
 are known. A known flow's uplink frame reads its flow, its silence and
 its serving gateway off the one record it fetches: the record keeps the
-pick once the packet path first needs it, made under the one
-`stage1_peers` object its store is bound to, and a reactivation carries
-it to the new record. A subscriber's first frame here, with no record
-yet, and a frame of any other config compute it again with
-`stage1_select`, which keeps no memo. Stage II keeps one table, each
-pinned flow's DIP. Return traffic from a DIP, reversed, is a pinned flow
-with the DIP in the VIP's place, so it finds its VIP by probing that
-table for every VIP of the config, highest first: if two flows that
-differ only in the VIP land on one DIP, the lowest VIP wins, whatever
-the pin, set or hash order. Tables are keyed by integer addresses;
-dotted quads are only `SteeringConfig` input, stage II's HRW candidate
-ids (the DIPs) and `Emit.dst`. Table probes take any 5-tuple, so the
-packet path probes with plain tuples. A new flow gets one `FiveTuple`,
-which its `FlowMiss` (and so its rule and the controller's log) and its
-affinity pin share; it holds the rule store's int for the subscriber and
-the config's for the VIP, and the pin holds the config's for the DIP.
+pick once the packet path first needs it, and a reactivation carries it
+to the new record: like a stage II pin, it is table state, so a store is
+read under one config. A subscriber's first frame here, with no record
+yet, computes it with `stage1_select`, which keeps no memo. Stage II
+keeps one table, each pinned flow's DIP. Return traffic from a DIP,
+reversed, is a pinned flow with the DIP in the VIP's place, so it finds
+its VIP by probing that table for every VIP of the config, highest
+first: if two flows that differ only in the VIP land on one DIP, the
+lowest VIP wins, whatever the pin, set or hash order. Tables are keyed
+by integer addresses; dotted quads are only `SteeringConfig` input,
+stage II's HRW candidate ids (the DIPs) and `Emit.dst`. Table probes
+take any 5-tuple, so the packet path probes with plain tuples. A new
+flow gets one `FiveTuple`, which its `FlowMiss` (and so its rule and the
+controller's log) and its affinity pin share; it holds the rule store's
+int for the subscriber and the config's for the VIP, and the pin holds
+the config's for the DIP.
 
 A frame's headers are read once: with one unpack for the common shape,
 by the general readers for every other frame. Both reads lead to one
@@ -88,8 +88,7 @@ class SteeringConfig:
     config's own int, which the keys of new flows all hold; `peer_ints`
     maps each peer's id to its address int, and `dip_ints` each DIP to the
     int its affinity pins hold; `stage1_peers` is the region's (id,
-    weight) candidates, stage I's input and the object a rule store's
-    kept picks are made under.
+    weight) candidates, stage I's input.
     """
 
     megw_id: str
@@ -125,7 +124,7 @@ def stage1_select(ue_ip: int, peers: tuple[tuple[str, float], ...]) -> str:
 
     Keyed by the subscriber address alone so every gateway in the region
     agrees, and so all of one subscriber's edge state lands in one place.
-    No memo: a rule record keeps its subscriber's pick (`RuleStore.serving`).
+    No memo: a rule record keeps its subscriber's pick (`_Subscriber.serving`).
     """
     return rendezvous_select(stage1_key(ue_ip), peers)
 
@@ -154,7 +153,7 @@ class _Subscriber(dict):
     """One subscriber's flows, {5-tuple: Tunnel}, its address int, `ip`,
     its silence, `silent`, and its stage I pick, `serving`: None until the
     packet path first needs it, then the gateway id that `stage1_select`
-    answers under the `stage1_peers` its store is bound to. Each tunnel is
+    answers under the config the store is read under. Each tunnel is
     one value that all flows on it share, which `add` alone chooses. Most
     subscribers have one, which any flow holds, so `more` lists the
     tunnels only once there are two (a 1-tuple costs 48 bytes)."""
@@ -200,15 +199,15 @@ class RuleStore:
     `rules_for_ue` and `__len__` iterate records and so lock too; the
     records are the only count of rules.
 
-    The picks belong to one `stage1_peers` object, `_peers`, which the
-    store binds to under `_lock` when it first keeps one (`serving`) and
-    never changes: a frame of any other config computes its pick again.
+    A store is read under one config: a kept stage I pick is table state,
+    like an affinity pin, made by the packet path once, carried by
+    `reactivate_ue` and dropped with its record, and a frame of another
+    config would read it as its own.
     """
 
     def __init__(self):
         self._by_ue: dict[int, _Subscriber] = {}
         self._lock = threading.Lock()
-        self._peers: tuple | None = None
 
     def __len__(self) -> int:
         with self._lock:
@@ -226,24 +225,6 @@ class RuleStore:
             return None
         tunnel = flows.get(key)
         return SILENT if flows.silent else tunnel
-
-    def serving(self, record: _Subscriber,
-                peers: tuple[tuple[str, float], ...]) -> str:
-        """Stage I's pick for the subscriber of `record` under `peers`, one
-        `stage1_select` call; kept on the record, in one slot store, when
-        `peers` is the object the store is bound to, which the first call
-        binds it to, so the record's later frames hash nothing. No lock
-        once bound: every pick kept is the one answer for the record's
-        address under those peers, so a racing store, or one to a record
-        already replaced, writes what any other would."""
-        pick = stage1_select(record.ip, peers)
-        if self._peers is None:
-            with self._lock:
-                if self._peers is None:
-                    self._peers = peers
-        if self._peers is peers:
-            record.serving = pick
-        return pick
 
     def install(self, rule: FlowRule) -> None:
         """Install a rule; identical re-install is a no-op.
@@ -445,16 +426,16 @@ def process_packet(data: bytes, ingress: Direction, cfg: SteeringConfig,
                    rules: RuleStore, affinity: DipAffinityTable) -> ForwardAction:
     """One frame through the service offloader and both load balancers.
 
-    Pure in (data, ingress, config, table snapshots): a stage I pick kept
-    on a rule record is `stage1_select`'s answer under the config's own
-    `stage1_peers`, or is not read. Malformed traffic degrades to plain
-    routing or Drop, never an exception. A frame of the common shape is
-    read with one unpack (`read_gpdu` from the RAN, `read_plain` from the
-    cluster), any other by the general readers, in place; both reach one
-    copy of each decision (`_uplink`, `_handoff`, `_downstream_edge`).
-    Only emitted bytes are made. Tables are probed with plain tuples; a
-    new flow's one `FiveTuple` goes in its `FlowMiss` and is the key the
-    affinity table stores."""
+    Pure in (data, ingress, config, table snapshots), given that the rule
+    store is read under this one config, so that a stage I pick kept on a
+    rule record is `stage1_select`'s answer under `cfg.stage1_peers`.
+    Malformed traffic degrades to plain routing or Drop, never an exception.
+    A frame of the common shape is read with one unpack (`read_gpdu` from
+    the RAN, `read_plain` from the cluster), any other by the general
+    readers, in place; both reach one copy of each decision (`_uplink`,
+    `_handoff`, `_downstream_edge`). Only emitted bytes are made. Tables are
+    probed with plain tuples; a new flow's one `FiveTuple` goes in its
+    `FlowMiss` and is the key the affinity table stores."""
     if ingress is _FROM_RAN:
         gpdu = read_gpdu(data)
         if gpdu is not None:
@@ -532,8 +513,10 @@ def _uplink(data: bytes, at: int, total: int, dst: int, teid: int,
             # silent period: hold edge traffic, keep the controller informed
             return CloneToController(FlowMiss(FiveTuple(*flow), teid))
         serving = record.serving
-        if serving is None or rules._peers is not cfg.stage1_peers:
-            serving = rules.serving(record, cfg.stage1_peers)
+        if serving is None:
+            # kept in one slot store: any racing store, or one to a record
+            # already replaced, writes the same answer
+            serving = record.serving = stage1_select(src, cfg.stage1_peers)
     if rule is None:
         # a new flow: one key for its miss (so its rule and the log)
         # and its pin, holding the subscriber's and the VIP's kept ints

@@ -240,7 +240,9 @@ class TestTopologyShape:
         lambda cfg: cfg.update(vips=["10.100.1"]),
         lambda cfg: cfg["nodes"]["dip-a1"].update(weight=0),
         lambda cfg: cfg["nodes"]["mgw-a"].update(weight=-1),
-    ], ids=["bad-addr", "bad-vip", "zero-dip-weight", "negative-peer-weight"])
+        lambda cfg: cfg["nodes"]["ue1"].update(kind="UE"),
+    ], ids=["bad-addr", "bad-vip", "zero-dip-weight", "negative-peer-weight",
+            "unknown-kind"])
     def test_bad_value_is_a_config_error(self, edit):
         cfg = default_topology_config()
         edit(cfg)

@@ -555,13 +555,10 @@ def uplink_outcome(action, cfg):
 
 class SteeredStore(RuleStore):
     """A `RuleStore` with one more reader, `uplink`: the flow's uplink
-    G-PDU through `process_packet` under CONC_CFG, whose picks the store
-    is bound to from the start. So no uplink takes the lock to bind, which
-    a write that `interleaved` runs inside it would wait on for ever."""
+    G-PDU through `process_packet` under CONC_CFG."""
 
     def __init__(self):
         super().__init__()
-        self._peers = CONC_CFG.stage1_peers
         self.affinity = DipAffinityTable()
 
     def uplink(self, key):
@@ -1142,13 +1139,39 @@ class TestConcurrency:
         assert len(rules) == len(ues)
         assert all(rules.lookup((ue, vip, 6, 5000, 80)) == new for ue in ues)
 
+    def test_uplink_takes_no_lock(self):
+        # a known flow's first uplink frame, which keeps its stage I pick,
+        # returns while a writer holds the store's lock; its subscriber is
+        # handed off, so the frame pins nothing either
+        key = FiveTuple(UE + 1, ip_int(VIP), 6, 5000, 80)
+        rules = RuleStore()
+        rules.install(FlowRule(key, 100, ENB1, SGW))
+        answers = []
+
+        def uplink():
+            answers.append(uplink_outcome(process_packet(
+                uplink_frame(key), Direction.FROM_RAN, CONC_CFG, rules,
+                DipAffinityTable()), CONC_CFG))
+
+        thread = threading.Thread(target=uplink, daemon=True)
+        rules._lock.acquire()
+        try:
+            thread.start()
+            thread.join(timeout=5)
+            assert not thread.is_alive(), "the uplink waits on the lock"
+        finally:
+            rules._lock.release()
+            thread.join()
+        assert answers == [("known", "mgw-b")]
+        assert rules._by_ue[key.src_ip].serving == "mgw-b"
+
     def test_uplink_hands_off_by_stage1_while_records_change(self):
-        # uplink frames under two configs with other weights race a writer
-        # that silences each subscriber and then reactivates it, which
-        # carries its pick to a new record, or releases it and installs
-        # its flow again, on a record with no pick: a frame that is not
-        # held goes to the gateway `stage1_select` picks under the frame's
-        # own config, whichever config's picks the store keeps
+        # under each of two configs with other weights, on a store of its
+        # own, uplink frames race a writer that silences each subscriber
+        # and then reactivates it, which carries its pick to a new record,
+        # or releases it and installs its flow again, on a record with no
+        # pick: a frame that is not held goes to the gateway
+        # `stage1_select` picks under the config
         peers = [("mgw-a", "10.50.0.1", 1.0), ("mgw-b", "10.50.0.2", 1.0),
                  ("mgw-c", "10.50.0.3", 2.0)]
         configs = (make_cfg("mgw-a", peers),
@@ -1156,58 +1179,58 @@ class TestConcurrency:
                                       peers[2][:2] + (0.5,)]))
         keys = [FiveTuple(UE + i, ip_int(VIP), 6, 5000, 80)
                 for i in range(48)]
-        frames = [(uplink_frame(k), cfg, stage1_select(k.src_ip,
-                                                       cfg.stage1_peers))
-                  for k in keys for cfg in configs]
-        assert any(frames[i][2] != frames[i + 1][2]
-                   for i in range(0, len(frames), 2))
-        assert {pick for _, _, pick in frames} == {"mgw-a", "mgw-b", "mgw-c"}
-        rules = RuleStore()
-        for key in keys:
-            rules.install(FlowRule(key, 100, ENB1, SGW))
-        done, wrong, seen = [], [], set()
-        read = threading.Event()
+        picks = [[stage1_select(k.src_ip, cfg.stage1_peers) for k in keys]
+                 for cfg in configs]
+        assert picks[0] != picks[1]
+        for cfg, picked in zip(configs, picks):
+            assert set(picked) == {"mgw-a", "mgw-b", "mgw-c"}
+            frames = [(uplink_frame(k), pick) for k, pick in zip(keys, picked)]
+            rules = RuleStore()
+            for key in keys:
+                rules.install(FlowRule(key, 100, ENB1, SGW))
+            done, wrong, seen = [], [], set()
+            read = threading.Event()
 
-        def reader(order):
-            affinity = DipAffinityTable()
-            while not done:
-                for frame, cfg, pick in order:
-                    answer = uplink_outcome(process_packet(
-                        frame, Direction.FROM_RAN, cfg, rules, affinity),
-                        cfg)
-                    if answer == "held":
-                        continue
-                    seen.add(answer[1])
-                    if answer[1] != pick:
-                        wrong.append((frame, cfg, answer))
-                read.set()
+            def reader(order):
+                affinity = DipAffinityTable()
+                while not done:
+                    for frame, pick in order:
+                        answer = uplink_outcome(process_packet(
+                            frame, Direction.FROM_RAN, cfg, rules, affinity),
+                            cfg)
+                        if answer == "held":
+                            continue
+                        seen.add(answer[1])
+                        if answer[1] != pick:
+                            wrong.append((frame, answer))
+                    read.set()
 
-        def writer():
-            try:
-                # the scheduler may run no reader before the writer is
-                # done: hold the first write until a reader has read
-                # every frame once
-                if not read.wait(timeout=30):
-                    raise AssertionError("no reader read every frame")
-                for i in range(200):
-                    for key in keys:
-                        rules.set_ue_silent(key.src_ip)
-                        if (i + key.src_ip) % 3:
-                            rules.reactivate_ue(key.src_ip, {100: 100}, ENB2)
-                        else:
-                            rules.release_ue(key.src_ip)
-                            rules.install(FlowRule(key, 100, ENB1, SGW))
-            finally:
-                done.append(True)
+            def writer():
+                try:
+                    # the scheduler may run no reader before the writer is
+                    # done: hold the first write until a reader has read
+                    # every frame once
+                    if not read.wait(timeout=30):
+                        raise AssertionError("no reader read every frame")
+                    for i in range(200):
+                        for key in keys:
+                            rules.set_ue_silent(key.src_ip)
+                            if (i + key.src_ip) % 3:
+                                rules.reactivate_ue(key.src_ip, {100: 100},
+                                                    ENB2)
+                            else:
+                                rules.release_ue(key.src_ip)
+                                rules.install(FlowRule(key, 100, ENB1, SGW))
+                finally:
+                    done.append(True)
 
-        # the readers' first frames are of either config
-        race(writer, functools.partial(reader, frames),
-             functools.partial(reader, frames[::-1]))
-        assert wrong == []
-        assert seen == {"mgw-a", "mgw-b", "mgw-c"}
-        assert any(rules._peers is c.stage1_peers for c in configs)
-        for ue, record in rules._by_ue.items():
-            assert record.serving in (None, stage1_select(ue, rules._peers))
+            race(writer, functools.partial(reader, frames),
+                 functools.partial(reader, frames[::-1]))
+            assert wrong == []
+            assert seen == {"mgw-a", "mgw-b", "mgw-c"}
+            for ue, record in rules._by_ue.items():
+                assert record.serving in (
+                    None, stage1_select(ue, cfg.stage1_peers))
 
     def test_each_operation_taken_over_at_every_line(self):
         # every place where one operation can stop for another: a read (a
@@ -2108,66 +2131,28 @@ class TestStoredPick:
                 for ue in DIFF_UES] == ["mgw-b", "mgw-b"]
 
     @settings(max_examples=300, deadline=None)
-    @given(steps=st.lists(st.tuples(table_steps, st.lists(st.tuples(
-        st.sampled_from(DIFF_FLOWS),
-        st.sampled_from((DIFF_CFG, DIFF_CFG, DIFF_HEAVY))), max_size=4)),
-        max_size=12))
-    def test_uplink_equals_reference_through_table_steps(self, steps):
+    @given(cfg=st.sampled_from((DIFF_CFG, DIFF_HEAVY)),
+           steps=st.lists(st.tuples(table_steps, st.lists(
+               st.sampled_from(DIFF_FLOWS), max_size=4)), max_size=12))
+    def test_uplink_equals_reference_through_table_steps(self, cfg, steps):
         # each step runs on a rule store and on the flat model, and is
-        # followed by uplink frames under either of two configs: the
+        # followed by uplink frames under the example's one config: the
         # store's answers, stored picks and all, are the reference path's
         # over the model
         rules, affinity = RuleStore(), DipAffinityTable()
         model, ref_affinity = FlatRules(), DipAffinityTable()
-        for (op, args), frames in steps:
+        for (op, args), flows in steps:
             assert outcome(rules, op, args) == outcome(model, op, args)
-            for flow, cfg in frames:
+            for flow in flows:
                 frame = uplink_frame(flow)
                 assert shape(process_packet(
                     frame, Direction.FROM_RAN, cfg, rules, affinity)) \
                     == shape(reference_process_packet(
                         frame, Direction.FROM_RAN, cfg, model, ref_affinity))
-        # a pick is kept only under the peers the store is bound to
+        # every kept pick is the config's
         for ue, record in rules._by_ue.items():
             if record.serving is not None:
-                assert rules._peers in (DIFF_CFG.stage1_peers,
-                                        DIFF_HEAVY.stage1_peers)
-                assert record.serving == stage1_select(ue, rules._peers)
-
-    def test_each_config_answers_by_its_own_pick(self):
-        # one store, frames under two configs whose weights move some
-        # subscribers, and one equal to the first but another object: every
-        # frame answers as the reference path under its own config, and
-        # the store keeps the picks of the config that first needed one
-        light = make_cfg("mgw-a", [("mgw-a", "10.50.0.1", 1.0),
-                                   ("mgw-b", "10.50.0.2", 1.0)])
-        heavy = make_cfg("mgw-a", [("mgw-a", "10.50.0.1", 1.0),
-                                   ("mgw-b", "10.50.0.2", 3.0)])
-        twin = make_cfg("mgw-a", [("mgw-a", "10.50.0.1", 1.0),
-                                  ("mgw-b", "10.50.0.2", 1.0)])
-        assert twin == light and twin.stage1_peers is not light.stage1_peers
-        keys = [FiveTuple(UE + i, ip_int(VIP), 6, 5000, 80) for i in range(40)]
-        assert any(stage1_select(k.src_ip, light.stage1_peers)
-                   != stage1_select(k.src_ip, heavy.stage1_peers)
-                   for k in keys)
-        for first, then in ((light, (heavy, twin)), (heavy, (light, twin))):
-            rules, affinity = RuleStore(), DipAffinityTable()
-            model, ref_affinity = FlatRules(), DipAffinityTable()
-            for key in keys[::2]:
-                rules.install(FlowRule(key, 100, ENB1, SGW))
-                model.install(FlowRule(key, 100, ENB1, SGW))
-            for cfg in (first,) + then + (first,) + then:
-                for key in keys:
-                    frame = uplink_frame(key)
-                    assert shape(process_packet(
-                        frame, Direction.FROM_RAN, cfg, rules, affinity)) \
-                        == shape(reference_process_packet(
-                            frame, Direction.FROM_RAN, cfg, model,
-                            ref_affinity))
-            assert rules._peers is first.stage1_peers
-            assert [rules._by_ue[k.src_ip].serving for k in keys[::2]] == [
-                stage1_select(k.src_ip, first.stage1_peers)
-                for k in keys[::2]]
+                assert record.serving == stage1_select(ue, cfg.stage1_peers)
 
     def test_known_flow_asks_no_memo(self, monkeypatch):
         # a record-less frame asks stage1_select; a subscriber's first

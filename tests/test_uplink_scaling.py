@@ -4,6 +4,8 @@ small sizes."""
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "uplink_scaling.py"
 _SPEC = importlib.util.spec_from_file_location("uplink_scaling", _PATH)
 uplink_scaling = importlib.util.module_from_spec(_SPEC)
@@ -35,3 +37,13 @@ def test_report_runs_each_size(tmp_path, monkeypatch, capsys):
         ["20", "subscribers:"], ["40", "subscribers:"]]
     assert lines[1].endswith("ns, x1.00 of 20")
     assert summary.read_text() == "```\n" + text + "```\n"
+
+
+@pytest.mark.parametrize("argv", [["--sizes", "0"],
+                                  ["--sizes", "10", "--samples", "0"]])
+def test_refuses_sizes_and_samples_below_one(argv, capsys):
+    # refused before any child runs, as argparse refuses a bad option
+    with pytest.raises(SystemExit) as exc:
+        uplink_scaling.main(argv)
+    assert exc.value.code == 2
+    assert "--sizes and --samples must be positive" in capsys.readouterr().err

@@ -87,6 +87,8 @@ def main(argv: list[str] | None = None) -> int:
                     help="timed frames per size (default: %(default)s)")
     ap.add_argument("--one", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    if min(args.sizes) < 1 or args.samples < 1:
+        ap.error("--sizes and --samples must be positive")
     if args.one is not None:    # a child: one size, its result as JSON
         print(json.dumps(measure(args.one, args.samples)))
         return 0
