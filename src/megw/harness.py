@@ -112,7 +112,7 @@ class NodeSpec:
 class Topology:
     nodes: dict
     view: TopologyView               # the controllers' maps, shared by all
-    vips: list
+    vips: dict                       # dotted VIP -> its int, in order
     steering_configs: dict           # megw_id -> SteeringConfig
     addr_to_node: dict               # address int -> node id
     next_hop: dict                   # (src, dst) -> neighbor
@@ -131,9 +131,14 @@ _TOPOLOGY = {"nodes?": {str: {"kind": str, "addr": str, "megw?": str,
 def build_topology(config: dict) -> Topology:
     """Validate a topology document and work out each routing fact once."""
     check(config, _TOPOLOGY, ConfigError, "topology")
-    vips = list(config.get("vips", []))
-    if not vips:
+    if not config.get("vips"):
         raise ConfigError("at least one VIP is required")
+    vips = {}
+    for vip in config["vips"]:
+        try:
+            vips[vip] = ip_int(vip)
+        except gtp.EncodeError as exc:
+            raise ConfigError(f"VIP {vip!r}: {exc}") from None
     nodes: dict[str, NodeSpec] = {}
     addrs: dict[int, str] = {}
     for node_id, doc in config.get("nodes", {}).items():
@@ -218,7 +223,7 @@ def build_topology(config: dict) -> Topology:
             steering_configs[megw] = SteeringConfig(
                 megw_id=megw, vips=frozenset(vips), region_peers=peers,
                 dips=tuple(dips[megw]), local_sgw=nodes[sgws[0]].addr)
-        except ValueError as exc:   # a bad VIP, no DIP, a weight not positive
+        except ValueError as exc:   # no DIP, a weight not positive
             raise ConfigError(f"gateway {megw!r}: {exc}") from None
 
     # shortest-path next hops, ties broken by sorted neighbor order: one BFS
@@ -291,7 +296,6 @@ class Harness:
         self._handlers = {n: self._HANDLERS[s.kind]
                           for n, s in topology.nodes.items()
                           if s.kind in self._HANDLERS}
-        self._vip_ints = {vip: ip_int(vip) for vip in topology.vips}
 
     # -- plumbing ------------------------------------------------------------
 
@@ -481,9 +485,13 @@ class Harness:
         self._downlink[bearer.downstream_teid] = (ue, bearer)
 
     def run_attach(self, ue_id: str, enb: str, bearers: int = 1) -> list:
-        """Initial context setup through the gateway on the S1 path."""
+        """Initial context setup through the gateway on the S1 path.
+        Bearers are numbered from 5, so a subscriber has 1 to 11, the EPS
+        bearer identities 5 to 15."""
         ue = self._ue(ue_id)
         self._enb(enb)
+        if not 1 <= bearers <= 11:
+            raise StateError(f"{bearers} bearers: a subscriber has 1 to 11")
         mark = self._begin()
         ue_num = next(self._ue_ids)
 
@@ -515,8 +523,8 @@ class Harness:
         instead of opening a new one: how a connection survives handover.
         """
         ue = self._ue(ue_id)
-        vip_ip = self._vip_ints.get(self.topology.vips[0] if vip is None
-                                    else vip)
+        vips = self.topology.vips
+        vip_ip = vips.get(next(iter(vips)) if vip is None else vip)
         if vip_ip is None:
             raise StateError(f"{vip!r} is not a VIP")
         if ue.radio_enb is None:
@@ -556,27 +564,34 @@ class Harness:
         ue = self._ue(ue_id)
         if ue.last_flow is None:
             raise StateError(f"{ue_id!r} has no established flow")
+        if self._pin(ue) is None:   # only the VIP could answer; no node has it
+            raise StateError(
+                f"no server node owns {ip_str(ue.last_flow[0].dst_ip)}")
         mark = self._begin()
         self._inject_downstream(ue, payload)
         return self._log[mark:]
 
-    def _inject_downstream(self, ue: UeRecord, payload: bytes) -> None:
-        """The downstream replay, inside whichever operation runs it: from
-        the flow's pin in the route eNB's region, which only the stage I
-        gateway there makes, or else from the VIP."""
+    def _pin(self, ue: UeRecord) -> int | None:
+        """The DIP pinned for the last flow in the route eNB's region, which
+        only the stage I gateway there makes, or None."""
         flow, _ = ue.last_flow
         view = self.topology.view
         megw = view.megw_of(self.topology.nodes[ue.route_enb].ip)
-        pins = [self.megws[m].affinity.get(flow)
-                for m, _ in view.peers[view.region_of(megw)]]
-        src = next((dip for dip in pins if dip is not None), flow.dst_ip)
+        return next((dip for m, _ in view.peers[view.region_of(megw)]
+                     if (dip := self.megws[m].affinity.get(flow)) is not None),
+                    None)
+
+    def _inject_downstream(self, ue: UeRecord, payload: bytes) -> None:
+        """The downstream replay, inside whichever operation runs it: from
+        the flow's pin, `_pin`, with no VIP fallback; its caller checks
+        that there is one."""
+        flow, _ = ue.last_flow
+        src = self._pin(ue)
         data = gtp.build_ipv4(src, ue.ip, flow.proto,
                               gtp.build_tcpish(flow.proto, flow.dst_port,
                                                flow.src_port, payload))
-        dip_node = self.topology.addr_to_node.get(src)
-        if dip_node is None:
-            raise StateError(f"no server node owns {ip_str(src)}")
-        self._send(dip_node, ue.ip, data, note="downstream-inject")
+        self._send(self.topology.addr_to_node[src], ue.ip, data,
+                   note="downstream-inject")
         self.run_until_idle()
 
     def run_x2_handover(self, ue_id: str, old_enb: str, new_enb: str) -> list:
@@ -609,7 +624,9 @@ class Harness:
                 GtpMessageType.END_MARKER), note="end-marker")
         self.run_until_idle()
 
-        if ue.last_flow is not None:
+        # a probe of the silence, where the route eNB's region pinned the
+        # last flow; a flow pinned only in another region has no pin here
+        if ue.last_flow is not None and self._pin(ue) is not None:
             self._inject_downstream(ue, b"during-silence")
 
         # step 8: acknowledgement with the new tunnel pairs, via the new side

@@ -154,31 +154,23 @@ class _Subscriber(dict):
     its silence, `silent`, and its stage I pick, `serving`: None until the
     packet path first needs it, then the gateway id that `stage1_select`
     answers under the config the store is read under. Each tunnel is
-    one value that all flows on it share, which `add` alone chooses. Most
-    subscribers have one, which any flow holds, so `more` lists the
-    tunnels only once there are two (a 1-tuple costs 48 bytes)."""
+    one value that all flows on it share, which `add` alone chooses."""
 
-    __slots__ = ("ip", "more", "silent", "serving")
+    __slots__ = ("ip", "silent", "serving")
 
     def __init__(self, ip: int, serving: str | None = None):
         self.ip = ip
-        self.more = ()
         self.silent = False
         self.serving = serving
 
     def add(self, key: tuple, bound: tuple) -> None:
         """Put the flow `key` on the tunnel `bound`, (TEID, eNB, SGW): the
-        value of an equal tunnel the record has, or else a new one."""
-        tunnels = self.more
-        if not tunnels and self:
-            tunnels = (next(iter(self.values())),)
-        for tunnel in tunnels:
+        value of the first flow on an equal tunnel, or else a new one."""
+        for tunnel in self.values():
             if tunnel == bound:
                 break
         else:
             tunnel = Tunnel._make(bound)
-            if tunnels:
-                self.more = tunnels + (tunnel,)
         self[key] = tunnel
 
 

@@ -4,6 +4,8 @@ small sizes."""
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "gc_report.py"
 _SPEC = importlib.util.spec_from_file_location("gc_report", _PATH)
 gc_report = importlib.util.module_from_spec(_SPEC)
@@ -23,6 +25,18 @@ def test_report_at_small_sizes(tmp_path, monkeypatch, capsys):
     assert "0 failed" in lines[3]
     assert lines[4].startswith("tracked after setup: ")
     assert summary.read_text() == "```\n" + text + "```\n"
+
+
+@pytest.mark.parametrize("argv", [["--cycles", "0"], ["--subscribers", "0"],
+                                  ["--cycles", "-1"]])
+def test_refuses_cycles_and_subscribers_below_one(argv, capsys):
+    # refused before any subscriber is set up, as argparse refuses a bad
+    # option, where an empty report used to exit 0
+    with pytest.raises(SystemExit) as exc:
+        gc_report.main(argv)
+    assert exc.value.code == 2
+    assert ("--cycles and --subscribers must be positive"
+            in capsys.readouterr().err)
 
 
 def test_measure_counts_each_phase_apart():

@@ -241,8 +241,12 @@ class TestTopologyShape:
         lambda cfg: cfg["nodes"]["dip-a1"].update(weight=0),
         lambda cfg: cfg["nodes"]["mgw-a"].update(weight=-1),
         lambda cfg: cfg["nodes"]["ue1"].update(kind="UE"),
+        # the EPC stub alone: no gateway's config would parse the VIP
+        lambda cfg: cfg.update(nodes={"sgw": cfg["nodes"]["sgw"]},
+                               enb_to_megw={}, megw_to_region={}, links=[],
+                               vips=["10.100.1.01"]),
     ], ids=["bad-addr", "bad-vip", "zero-dip-weight", "negative-peer-weight",
-            "unknown-kind"])
+            "unknown-kind", "bad-vip-no-gateway"])
     def test_bad_value_is_a_config_error(self, edit):
         cfg = default_topology_config()
         edit(cfg)
@@ -909,7 +913,7 @@ class TestDownstreamReplay:
     def test_replay_asks_no_stage1(self, monkeypatch, new_enb, pinned_after):
         # the downstream replay reads the flow's pin in the route eNB's
         # region and asks stage I nothing: it answers from the DIP pinned at
-        # the region's stage I gateway, or from the VIP with no pin there
+        # the region's stage I gateway, and with no pin there it is refused
         replaying = []
         pick = steering.stage1_select
 
@@ -960,6 +964,23 @@ class TestDownstreamReplay:
         assert replaying == []
 
 
+class TestHandoverBack:
+    def test_handover_after_a_cross_region_move_completes(self):
+        # the flow is pinned in r1 only, so the move back from enb4 has no
+        # pin in r2 to probe from, and the handover runs without the probe
+        h = make_harness(seed=7)
+        h.run_attach("ue1", "enb1")
+        h.run_edge_request("ue1")
+        h.run_x2_handover("ue1", "enb1", "enb4")
+        trace = h.run_x2_handover("ue1", "enb4", "enb1")
+        assert count(trace, SENT, note="downstream-inject") == []
+        ue = h.ues["ue1"]
+        assert ue.radio_enb == ue.route_enb == "enb1"
+        assert ue.ip in h.megws["mgw-a"].processor.contexts
+        trace = h.run_edge_request("ue1", reuse_flow=True)
+        assert [e.node for e in count(trace, RECEIVED)][-1] == "ue1"
+
+
 class TestHandoverGuards:
     def test_not_attached(self):
         h = make_harness()
@@ -994,6 +1015,18 @@ class TestOperationErrors:
                            match=f"^unknown base station '{enb}'$"):
             make_harness().run_attach("ue1", enb)
 
+    @pytest.mark.parametrize("bearers", [0, 12, 252])
+    def test_bearer_count_out_of_range(self, bearers):
+        # refused before anything changes, so the subscriber can attach
+        h = make_harness()
+        with pytest.raises(
+                StateError,
+                match=f"^{bearers} bearers: a subscriber has 1 to 11$"):
+            h.run_attach("ue1", "enb1", bearers=bearers)
+        assert h.ues["ue1"].bearers == {}
+        h.run_attach("ue1", "enb1")
+        assert list(h.ues["ue1"].bearers) == [5]
+
     def test_no_flow_to_continue(self):
         h = make_harness()
         h.run_attach("ue1", "enb1")
@@ -1009,8 +1042,8 @@ class TestOperationErrors:
             h.inject_downstream("ue1")
 
     def test_downstream_source_no_node_owns(self):
-        # a flow no gateway pinned is answered from its VIP, which no
-        # node holds
+        # a flow no gateway pinned could be answered only from its VIP,
+        # which no node holds
         h = make_harness()
         h.run_attach("ue1", "enb1")
         ue = h.ues["ue1"]

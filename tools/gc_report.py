@@ -98,6 +98,8 @@ def main(argv=None) -> int:
     p.add_argument("--subscribers", type=int,
                    default=mobility.Sizes().subscribers)
     args = p.parse_args(argv)
+    if args.cycles < 1 or args.subscribers < 1:
+        p.error("--cycles and --subscribers must be positive")
     sizes = mobility.Sizes(subscribers=args.subscribers)
     text = report(measure(SEED, args.cycles, sizes), SEED, args.cycles,
                   sizes)
