@@ -18,12 +18,11 @@ for a frame that is no GTP-U datagram at all (not UDP, or UDP to another
 port than 2152), so that a plain frame costs the packet path no error
 object; the error of the first failed check for a UDP datagram cut short
 of its header or a malformed one to port 2152; else the tunnel. Only
-`decode_gtpu` turns None into the `MessageTypeError` it raises. No
-module calls `parse_ipv4` (and its `Ipv4View`); they remain for the
-tests and for the per-layer benchmark, which wraps `parse_ipv4` by name.
-Only the 8-byte header with flags 0x30 is accepted: optional sequence,
-N-PDU or extension fields fail the tunnel checks, so the frame is
-plain-routed (ROADMAP, "Wire conformance"). `encode_gtpu` can rewrite
+`decode_gtpu` turns None into the `MessageTypeError` it raises.
+`parse_ipv4` is `read_ipv4`, kept under the name the per-layer benchmark
+wraps. Only the 8-byte header with flags 0x30 is accepted: optional
+sequence, N-PDU or extension fields fail the tunnel checks, so the frame
+is plain-routed (ROADMAP, "Wire conformance"). `encode_gtpu` can rewrite
 the inner packet's source as it encapsulates it (`inner_src`), so that
 return traffic gets its VIP back in the same pass. Addresses are
 integers; `ip_int` and `ip_str` convert.
@@ -371,19 +370,10 @@ def read_plain(data: bytes) -> tuple | None:
     return src, dst, proto, sport, dport
 
 
-class Ipv4View(NamedTuple):
-    """Parsed IPv4 header fields and the transport payload."""
-
-    src: int
-    dst: int
-    proto: int
-    header_len: int
-    payload: bytes
-
-
-def parse_ipv4(data: bytes) -> Ipv4View:
-    ihl, total, proto, src, dst = read_ipv4(data)
-    return Ipv4View(src, dst, proto, ihl, data[ihl:total])
+# No module calls parse_ipv4: benchmarks/layers.py wraps the name, and its
+# gtp.parse_ipv4.calls_per_pkt has read 0 since frames are read in place.
+# ROADMAP item 1 deletes the name together with the wrapper.
+parse_ipv4 = read_ipv4
 
 
 def decode_gtpu(data: bytes) -> GtpuPacket:

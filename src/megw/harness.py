@@ -484,19 +484,27 @@ class Harness:
         bearer.downstream_teid = next(self._down_teids)
         self._downlink[bearer.downstream_teid] = (ue, bearer)
 
-    def run_attach(self, ue_id: str, enb: str, bearers: int = 1) -> list:
+    def run_attach(self, ue_id: str, enb: str,
+                   bearers: int | None = None) -> list:
         """Initial context setup through the gateway on the S1 path.
         Bearers are numbered from 5, so a subscriber has 1 to 11, the EPS
-        bearer identities 5 to 15."""
+        bearer identities 5 to 15. `bearers` defaults to 1 on a first
+        attach and to the subscriber's own bearers on a re-attach, which
+        refuses any other count."""
         ue = self._ue(ue_id)
         self._enb(enb)
-        if not 1 <= bearers <= 11:
-            raise StateError(f"{bearers} bearers: a subscriber has 1 to 11")
+        if bearers is not None:
+            if not 1 <= bearers <= 11:
+                raise StateError(
+                    f"{bearers} bearers: a subscriber has 1 to 11")
+            if ue.bearers and bearers != len(ue.bearers):
+                raise StateError(f"{ue_id!r} has {len(ue.bearers)} "
+                                 f"bearers, not {bearers}")
         mark = self._begin()
         ue_num = next(self._ue_ids)
 
         if not ue.bearers:
-            for i in range(bearers):
+            for i in range(1 if bearers is None else bearers):
                 bid = 5 + i
                 ue.bearers[bid] = Bearer(bearer_id=bid,
                                          upstream_teid=next(self._up_teids))
@@ -521,12 +529,18 @@ class Harness:
 
         reuse_flow continues the previous connection (same source port)
         instead of opening a new one: how a connection survives handover.
+        It refuses a `vip` or `bearer_id` other than that connection's.
+        Nothing changes before the frame is built, so a refused request,
+        the codec's `EncodeError` among them, leaves the subscriber as it
+        was.
         """
         ue = self._ue(ue_id)
         vips = self.topology.vips
         vip_ip = vips.get(next(iter(vips)) if vip is None else vip)
         if vip_ip is None:
             raise StateError(f"{vip!r} is not a VIP")
+        if not 0 <= dst_port <= 0xFFFF:
+            raise StateError(f"dst_port {dst_port}: a port is 0 to 65535")
         if ue.radio_enb is None:
             raise StateError(f"{ue_id!r} is not attached")
         if reuse_flow and ue.last_flow is None:
@@ -538,20 +552,27 @@ class Harness:
         if bearer is None:
             raise StateError(f"{ue_id!r} has no bearer {bearer_id}")
         if reuse_flow:
-            flow = ue.last_flow[0]
+            flow, flow_bearer = ue.last_flow
+            if bearer_id != flow_bearer:
+                raise StateError(f"{ue_id!r} continues its flow on bearer "
+                                 f"{flow_bearer}, not {bearer_id}")
+            if vip is not None and vip_ip != flow.dst_ip:
+                raise StateError(f"{ue_id!r} continues its flow to "
+                                 f"{ip_str(flow.dst_ip)}, not {vip}")
         elif ue.next_port > 0xFFFF:
             # no wrap: a reused 5-tuple would hit a live affinity pin
             raise StateError(f"{ue_id!r} has used every source port")
         else:
             flow = FiveTuple(ue.ip, vip_ip, 6, ue.next_port, dst_port)
-            ue.next_port += 1
-        mark = self._begin()
         inner = gtp.build_ipv4(ue.ip, flow.dst_ip, 6, gtp.build_tcpish(
             6, flow.src_port, flow.dst_port, payload))
-        ue.last_flow = (flow, bearer.bearer_id)
         frame = gtp.encode_gtpu(
             self.topology.nodes[ue.radio_enb].ip, self._sgw.ip,
             bearer.upstream_teid, GtpMessageType.GPDU, inner)
+        mark = self._begin()
+        if not reuse_flow:
+            ue.next_port += 1
+        ue.last_flow = (flow, bearer.bearer_id)
         self._record(ue.node_id, SENT, {"vip": flow.dst_ip,
                                         "sport": flow.src_port,
                                         "bearer_id": bearer.bearer_id})

@@ -152,8 +152,17 @@ def test_parse_defaults_and_seed():
 
 @pytest.mark.parametrize("argv", [["0"], ["2", "--seconds", "0"],
                                   ["2", "--seed", "x"],
-                                  ["2", "--workload", "sim-sweep"]])
+                                  ["2", "--workload", "sim-sweep"],
+                                  ["2", "--seed", "-1"]])
 def test_parse_refuses(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         bench_pairs.parse_args(argv, BENCH)
     assert exc.value.code == 2
+
+
+def test_parse_refuses_an_unknown_revision(capsys):
+    # refused before any worktree is made, not with a git traceback
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.parse_args(["2", "--base", "no-such-rev"], BENCH)
+    assert exc.value.code == 2
+    assert "'no-such-rev'" in capsys.readouterr().err

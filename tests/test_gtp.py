@@ -12,6 +12,7 @@ from megw.gtp import (Direction, FiveTuple, GtpMessageType, GtpuPacket,
                       classify, decode_gtpu, encode_gtpu, inner_five_tuple,
                       ip_int)
 from test_steering import (DIFF_DIPS, DIFF_UES, DIFF_VIPS, frames, raw_ipv4,
+                           ref_five_tuple, ref_parse_ipv4, ref_tunnel,
                            tunnel_frame, uplink_inner)
 
 
@@ -481,9 +482,9 @@ malformed_addresses = st.one_of(
 
 
 def parse_error_oracle(data: bytes):
-    """The DecodeError subclass parse_ipv4 raised before addresses became
-    integers, from the documented check order: length, version, IHL, total
-    length. None for a header it accepts."""
+    """The DecodeError subclass `read_ipv4` raises, from the documented
+    check order: length, version, IHL, total length. None for a header it
+    accepts."""
     if len(data) < 20:
         return gtp.TruncatedError
     if data[0] >> 4 != 4:
@@ -572,13 +573,12 @@ class TestAddresses:
     def test_parse_errors_keep_their_class(self, data):
         expected = parse_error_oracle(data)
         if expected is None:
-            view = gtp.parse_ipv4(data)
-            assert (view.src, view.dst) == (
+            assert gtp.read_ipv4(data)[3:] == (
                 int.from_bytes(data[12:16], "big"),
                 int.from_bytes(data[16:20], "big"))
             return
         with pytest.raises(gtp.DecodeError) as info:
-            gtp.parse_ipv4(data)
+            gtp.read_ipv4(data)
         assert type(info.value) is expected
 
 
@@ -608,37 +608,35 @@ class TestFuzz:
 
 # The view-based decoders the codec had before it read frames in place
 # (`Frame`, `parse_frame`), kept as references for the reader-based ones.
+# They read every header with the tests' own parsers and call no reader.
 REF_MESSAGE_TYPES = {t.value: t for t in GtpMessageType}
 
 
 def ref_decode_tunnel(data, ip):
-    total = ip.header_len + len(ip.payload)
-    tunnel = gtp.read_tunnel(data, ip.proto, ip.header_len, total)
-    if tunnel is None:  # no GTP-U datagram: not UDP, or not to port 2152
-        return gtp.MessageTypeError("not a GTP-U datagram")
-    if isinstance(tunnel, gtp.DecodeError):
-        return tunnel
-    msg_type, teid, at = tunnel
+    """The packet of a frame whose IPv4 header `ip` parsed, or the error
+    of its first failed tunnel check."""
+    failed = tunnel_check_oracle(data)
+    if failed is not None:
+        return failed[1](failed[0])
+    teid, msg_type, inner = ref_tunnel(ip)
     return GtpuPacket(ip.src, ip.dst, teid, REF_MESSAGE_TYPES[msg_type],
-                      data[at:total])
+                      inner)
 
 
 def ref_decode_gtpu(data):
-    tunnel = ref_decode_tunnel(data, gtp.parse_ipv4(data))
+    tunnel = ref_decode_tunnel(data, ref_parse_ipv4(data))
     if isinstance(tunnel, gtp.DecodeError):
         raise tunnel
     return tunnel
 
 
 def ref_inner_five_tuple(inner):
-    view = gtp.parse_ipv4(inner)
-    return FiveTuple(view.src, view.dst, view.proto, *gtp.read_ports(
-        view.payload, 0, len(view.payload), view.proto))
+    return ref_five_tuple(ref_parse_ipv4(inner))
 
 
 def ref_classify(data, direction):
     try:
-        ip = gtp.parse_ipv4(data)
+        ip = ref_parse_ipv4(data)
     except gtp.DecodeError:
         return PacketClass.PLAIN_IP
     tunnel = ref_decode_tunnel(data, ip)

@@ -39,6 +39,14 @@ def make_harness(seed=0):
     return Harness(build_topology(default_topology_config()), seed=seed)
 
 
+def operation_state(h, ue_id):
+    """What a refused operation must leave as it was: the subscriber's next
+    source port, last flow and bearers, and the trace's length."""
+    ue = h.ues[ue_id]
+    return (ue.next_port, ue.last_flow, copy.deepcopy(ue.bearers),
+            len(h.trace))
+
+
 class TestBuildTopology:
     def test_minimal(self):
         topo = build_topology({
@@ -1026,6 +1034,73 @@ class TestOperationErrors:
         assert h.ues["ue1"].bearers == {}
         h.run_attach("ue1", "enb1")
         assert list(h.ues["ue1"].bearers) == [5]
+
+    @pytest.mark.parametrize("bearers", [None, 1, 3])
+    def test_reattach_keeps_the_bearer_count(self, bearers):
+        # a re-attach with another count is refused before anything
+        # changes; none, or the subscriber's own, re-attaches
+        h = make_harness()
+        h.run_attach("ue1", "enb1")
+        h.run_edge_request("ue1")
+        before = operation_state(h, "ue1")
+        if bearers == 3:
+            with pytest.raises(StateError,
+                               match="^'ue1' has 1 bearers, not 3$"):
+                h.run_attach("ue1", "enb2", bearers=bearers)
+            assert operation_state(h, "ue1") == before
+        else:
+            h.run_attach("ue1", "enb2", bearers=bearers)
+            assert h.ues["ue1"].radio_enb == "enb2"
+        assert list(h.ues["ue1"].bearers) == [5]
+
+    def test_reattach_keeps_several_bearers(self):
+        h = make_harness()
+        h.run_attach("ue1", "enb1", bearers=2)
+        h.run_attach("ue1", "enb1")
+        assert list(h.ues["ue1"].bearers) == [5, 6]
+        with pytest.raises(StateError, match="^'ue1' has 2 bearers, not 1$"):
+            h.run_attach("ue1", "enb1", bearers=1)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"bearer_id": 6}, "^'ue1' continues its flow on bearer 5, not 6$"),
+        ({"vip": "10.100.1.2"}, r"^'ue1' continues its flow to "
+                                r"10\.100\.1\.1, not 10\.100\.1\.2$")],
+        ids=["bearer", "vip"])
+    def test_continued_flow_keeps_its_bearer_and_vip(self, change, message):
+        # the old 5-tuple up another bearer's tunnel would be answered on
+        # the flow's own bearer, and would record the flow on the other
+        config = default_topology_config()
+        config["vips"].append("10.100.1.2")
+        h = Harness(build_topology(config))
+        h.run_attach("ue1", "enb1", bearers=2)
+        h.run_edge_request("ue1", bearer_id=5)
+        before = operation_state(h, "ue1")
+        with pytest.raises(StateError, match=message):
+            h.run_edge_request("ue1", reuse_flow=True, **change)
+        assert operation_state(h, "ue1") == before
+        # the flow's own bearer and VIP, named, continue it
+        h.run_edge_request("ue1", reuse_flow=True, bearer_id=5,
+                           vip="10.100.1.1")
+        assert h.ues["ue1"].last_flow == before[1]
+
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"dst_port": 70000}, StateError),
+        ({"dst_port": -1}, StateError),
+        ({"payload": bytes(65480)}, gtp.EncodeError),
+        ({"payload": bytes(70000)}, gtp.EncodeError)],
+        ids=["port-high", "port-negative", "frame-too-long",
+             "packet-too-long"])
+    def test_refused_request_changes_nothing(self, kwargs, error):
+        # refused before a source port or the last flow is taken, so a
+        # later continued request names the flow the gateway saw
+        h = make_harness()
+        h.run_attach("ue1", "enb1")
+        h.run_edge_request("ue1")
+        before = operation_state(h, "ue1")
+        with pytest.raises(error) as info:
+            h.run_edge_request("ue1", **kwargs)
+        assert type(info.value) is error
+        assert operation_state(h, "ue1") == before
 
     def test_no_flow_to_continue(self):
         h = make_harness()

@@ -16,7 +16,10 @@ metric worse by more than its `bound`. Another flag marks a metric the
 pairs cannot resolve: its base IQR is larger than `bound` times the base
 median, and not every run of the working tree beats every base run. Last
 come each side's failed operations. It records the figures and asserts
-nothing; a run that cannot run at all stops it.
+nothing; a run that cannot run at all stops it. Before it makes the
+worktree, it refuses a REV that git cannot resolve to a commit and a
+seed outside 0 to 2**63 - 1, which the simulator would refuse in every
+run.
 
 With `--record PR` it then writes `BENCH_<PR>.json` at the root: the
 settings (the seed among them), the base commit and the working tree's
@@ -46,7 +49,7 @@ def git(*args: str) -> bytes:
 
 
 def commit(rev: str) -> str:
-    return git("rev-parse", rev).decode().strip()
+    return git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
 
 
 def source() -> dict:
@@ -177,6 +180,12 @@ def parse_args(argv, bench: dict) -> argparse.Namespace:
     args = p.parse_args(argv)
     if args.n < 1 or args.seconds < 1:
         p.error("N and --seconds must be positive")
+    if not 0 <= args.seed < 1 << 63:    # the range SimConfig accepts
+        p.error("--seed must be from 0 to 2**63 - 1")
+    try:
+        args.base_commit = commit(args.base)
+    except subprocess.CalledProcessError:
+        p.error(f"--base {args.base!r} is no commit git can resolve")
     return args
 
 
@@ -184,7 +193,7 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     args = parse_args(argv, bench)
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    base = {"rev": args.base, "commit": commit(args.base)}
+    base = {"rev": args.base, "commit": args.base_commit}
     change = source()
     print(f"base {base['commit'][:7]} ({args.base}) "
           f"against the working tree of {ROOT}, {args.seconds} s per run, "
