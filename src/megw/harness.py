@@ -11,14 +11,15 @@ data plane would do. The four S1AP messages are built from one table,
 A single-threaded loop delivers frames one at a time, in the order they
 were sent: deterministic given (config, script, seed). A frame in flight
 is its next hop, its sender and its bytes. `_deliver` is the one place a
-frame arrives: a gateway routes and records, in order, what its `Gateway`
-returns, and any other forwarder gets the IPv4 header read once, with an
-unparseable frame dropped there; the SGW routes a transit frame by that
-header's `dst`. Only a stage I hand-off goes to another address than its
-header's (the peer gateway, not the VIP), and the region link rule below
-makes it one hop between gateways. Routes, frames, signalling and trace
-details hold addresses as ints, and `control.jsonl` writes them dotted;
-a `Gateway` returns each forward's destination as an int too.
+frame arrives: a gateway's `Gateway` calls the fabric's own `_send` and
+`_record` for each forward and event, in order, and any other forwarder
+gets the IPv4 header read once, with an unparseable frame dropped there;
+the SGW routes a transit frame by that header's `dst`. Only a stage I
+hand-off goes to another address than its header's (the peer gateway,
+not the VIP), and the region link rule below makes it one hop between
+gateways. Routes, frames, signalling and trace details hold addresses
+as ints, a `Gateway`'s forwards too, and `control.jsonl` writes them
+dotted.
 
 A frame reads no node's kind: `Harness.__init__` builds, once, a map of
 each node to the direction a gateway sees its frames come from, and one
@@ -44,7 +45,7 @@ from typing import NamedTuple
 
 from . import gtp, s1ap
 from .control import TopologyView
-from .gateway import (CLONED, DROPPED, FORWARD,  # noqa: F401 (re-exported)
+from .gateway import (CLONED, DROPPED,  # noqa: F401 (re-exported)
                       MIGRATION_NOTIFIED, REACTIVATED, RULE_INSTALLED,
                       SILENCED, Gateway)
 from .gtp import Direction, FiveTuple, GtpMessageType, ip_int, ip_str
@@ -102,7 +103,6 @@ _event = tuple.__new__
 @dataclass
 class NodeSpec:
     kind: str
-    addr: str
     ip: int
     megw: str | None = None     # for DIPs: host gateway
     weight: float = 1.0
@@ -150,14 +150,13 @@ def build_topology(config: dict) -> Topology:
             ip = ip_int(doc["addr"])
         except gtp.EncodeError as exc:
             raise ConfigError(f"node {node_id!r}: {exc}") from None
-        spec = nodes[node_id] = NodeSpec(
-            kind=doc["kind"], addr=doc["addr"], ip=ip, megw=doc.get("megw"),
-            weight=float(doc.get("weight", 1.0)))
+        nodes[node_id] = NodeSpec(doc["kind"], ip, doc.get("megw"),
+                                  float(doc.get("weight", 1.0)))
         other = (repr(addrs[ip]) if ip in addrs
-                 else "a VIP" if spec.addr in vips else None)
+                 else "a VIP" if doc["addr"] in vips else None)
         if other:
             raise ConfigError(
-                f"address {spec.addr} reused by {node_id!r} and {other}")
+                f"address {doc['addr']} reused by {node_id!r} and {other}")
         addrs[ip] = node_id
 
     def require(node_id, kinds, context):
@@ -187,11 +186,11 @@ def build_topology(config: dict) -> Topology:
             if spec.megw is None:
                 raise ConfigError(f"DIP {node_id!r} has no host gateway")
             require(spec.megw, {"megw"}, f"DIP {node_id!r}")
-            dips[spec.megw].append((spec.addr, spec.weight))
+            dips[spec.megw].append((ip_str(spec.ip), spec.weight))
     for megw in megw_to_region:
         require(megw, {"megw"}, "megw_to_region")
-    view = TopologyView({nodes[e].addr: m for e, m in enb_to_megw.items()},
-                        megw_to_region,
+    view = TopologyView({ip_str(nodes[e].ip): m
+                         for e, m in enb_to_megw.items()}, megw_to_region,
                         {m: nodes[m].weight for m in megws})
 
     neighbors: dict[str, list] = {n: [] for n in nodes}
@@ -217,12 +216,12 @@ def build_topology(config: dict) -> Topology:
     # per-gateway steering view: the view's region peers, the local DIPs
     steering_configs = {}
     for megw in megws:
-        peers = tuple((m, nodes[m].addr, w)
+        peers = tuple((m, ip_str(nodes[m].ip), w)
                       for m, w in view.peers[megw_to_region[megw]])
         try:
             steering_configs[megw] = SteeringConfig(
                 megw_id=megw, vips=frozenset(vips), region_peers=peers,
-                dips=tuple(dips[megw]), local_sgw=nodes[sgws[0]].addr)
+                dips=tuple(dips[megw]), local_sgw=ip_str(nodes[sgws[0]].ip))
         except ValueError as exc:   # no DIP, a weight not positive
             raise ConfigError(f"gateway {megw!r}: {exc}") from None
 
@@ -354,15 +353,12 @@ class Harness:
             deliver(node, sender, data)
 
     def _deliver(self, node: str, sender: str, data: bytes) -> None:
-        """The one place a frame arrives. A gateway hands it to its
-        `Gateway`; any other forwarder gets the IPv4 header read once."""
+        """The one place a frame arrives. A `Gateway` sends and records as its
+        node; any other forwarder gets the IPv4 header read once."""
         gateway = self.megws.get(node)
         if gateway is not None:
-            for action, detail in gateway.handle(data, self._ingress[sender]):
-                if action is FORWARD:   # not *detail: a slower call
-                    self._send(node, detail[0], detail[1], detail[2])
-                else:
-                    self._record(node, action, detail)
+            gateway.handle(data, self._ingress[sender], self._send,
+                           self._record)
             return
         handler = self._handlers.get(node)
         if handler is None:
@@ -523,23 +519,23 @@ class Harness:
     def run_edge_request(self, ue_id: str, vip: str | None = None,
                          payload: bytes = b"edge-request",
                          bearer_id: int | None = None,
-                         dst_port: int = 80,
+                         dst_port: int | None = None,
                          reuse_flow: bool = False) -> list:
         """One upstream request to a VIP and whatever comes back.
 
         reuse_flow continues the previous connection (same source port)
         instead of opening a new one: how a connection survives handover.
-        It refuses a `vip` or `bearer_id` other than that connection's.
-        Nothing changes before the frame is built, so a refused request,
-        the codec's `EncodeError` among them, leaves the subscriber as it
-        was.
+        It refuses a `vip`, `bearer_id` or `dst_port` other than that
+        connection's; a new one goes to `dst_port`, or 80. Nothing changes
+        before the frame is built, so a refused request, the codec's
+        `EncodeError` among them, leaves the subscriber as it was.
         """
         ue = self._ue(ue_id)
         vips = self.topology.vips
         vip_ip = vips.get(next(iter(vips)) if vip is None else vip)
         if vip_ip is None:
             raise StateError(f"{vip!r} is not a VIP")
-        if not 0 <= dst_port <= 0xFFFF:
+        if dst_port is not None and not 0 <= dst_port <= 0xFFFF:
             raise StateError(f"dst_port {dst_port}: a port is 0 to 65535")
         if ue.radio_enb is None:
             raise StateError(f"{ue_id!r} is not attached")
@@ -559,11 +555,15 @@ class Harness:
             if vip is not None and vip_ip != flow.dst_ip:
                 raise StateError(f"{ue_id!r} continues its flow to "
                                  f"{ip_str(flow.dst_ip)}, not {vip}")
+            if dst_port is not None and dst_port != flow.dst_port:
+                raise StateError(f"{ue_id!r} continues its flow to port "
+                                 f"{flow.dst_port}, not {dst_port}")
         elif ue.next_port > 0xFFFF:
             # no wrap: a reused 5-tuple would hit a live affinity pin
             raise StateError(f"{ue_id!r} has used every source port")
         else:
-            flow = FiveTuple(ue.ip, vip_ip, 6, ue.next_port, dst_port)
+            flow = FiveTuple(ue.ip, vip_ip, 6, ue.next_port,
+                             80 if dst_port is None else dst_port)
         inner = gtp.build_ipv4(ue.ip, flow.dst_ip, 6, gtp.build_tcpish(
             6, flow.src_port, flow.dst_port, payload))
         frame = gtp.encode_gtpu(

@@ -1,14 +1,16 @@
 """`Gateway.handle` against the loop it replaced in the fabric:
 `process_packet`, each clone to the processor, each effect to the tables.
-That loop is kept here, as the oracle."""
+That loop is kept here, as the oracle, with what a frame caused as a list
+of pairs; the gateway's `send` and `record` calls are turned into the
+same pairs to compare."""
 
 from hypothesis import given, settings, strategies as st
 
 from megw import gtp, s1ap, steering
 from megw.control import (InstallRule, MigrationNotice, ReactivateUe,
                           ReleaseUeRules, S1apProcessor, SilenceUe)
-from megw.gateway import (CLONED, DROPPED, FORWARD, MIGRATION_NOTIFIED,
-                          REACTIVATED, RULE_INSTALLED, SILENCED, Gateway)
+from megw.gateway import (CLONED, DROPPED, MIGRATION_NOTIFIED, REACTIVATED,
+                          RULE_INSTALLED, SILENCED, Gateway)
 from megw.gtp import Direction, GtpMessageType, ip_int
 from megw.harness import build_topology, default_topology_config
 from megw.s1ap import BearerItem, MessageKind, S1apLiteMessage
@@ -27,6 +29,7 @@ VIPS = tuple(map(ip_int, TOPOLOGY.vips))
 DIPS = (ADDR["dip-a1"], ADDR["dip-a2"])
 TEIDS = (0x1000, 0x1001, 0x2000)
 PORTS = (40000, 40001)
+FORWARD = "Forward"     # the pairs' tag for a `send` call
 
 
 class Oracle:
@@ -177,10 +180,27 @@ def frames(draw):
 
 
 def outcome(gateway, frame, ingress):
+    """What the frame caused, as the oracle's pairs, or its error; each of
+    the gateway's calls must name it."""
+    out = []
+
+    def send(node, dst, data, note):
+        assert node == CFG.megw_id
+        out.append((FORWARD, (dst, data, note)))
+
+    def record(node, action, detail):
+        assert node == CFG.megw_id
+        out.append((action, detail))
+
     try:
-        return gateway.handle(frame, ingress)
+        if isinstance(gateway, Oracle):
+            return gateway.handle(frame, ingress)
+        assert gateway.handle(frame, ingress, send, record) is None
+    except AssertionError:
+        raise
     except Exception as exc:  # an error must be the oracle's too
         return type(exc), str(exc)
+    return out
 
 
 def tables(gateway):

@@ -1064,11 +1064,13 @@ class TestOperationErrors:
     @pytest.mark.parametrize("change, message", [
         ({"bearer_id": 6}, "^'ue1' continues its flow on bearer 5, not 6$"),
         ({"vip": "10.100.1.2"}, r"^'ue1' continues its flow to "
-                                r"10\.100\.1\.1, not 10\.100\.1\.2$")],
-        ids=["bearer", "vip"])
+                                r"10\.100\.1\.1, not 10\.100\.1\.2$"),
+        ({"dst_port": 443}, "^'ue1' continues its flow to port 80, not 443$")],
+        ids=["bearer", "vip", "port"])
     def test_continued_flow_keeps_its_bearer_and_vip(self, change, message):
         # the old 5-tuple up another bearer's tunnel would be answered on
-        # the flow's own bearer, and would record the flow on the other
+        # the flow's own bearer, and would record the flow on the other; a
+        # port other than the flow's was ignored, the old flow sent as is
         config = default_topology_config()
         config["vips"].append("10.100.1.2")
         h = Harness(build_topology(config))
@@ -1078,9 +1080,9 @@ class TestOperationErrors:
         with pytest.raises(StateError, match=message):
             h.run_edge_request("ue1", reuse_flow=True, **change)
         assert operation_state(h, "ue1") == before
-        # the flow's own bearer and VIP, named, continue it
+        # the flow's own bearer, VIP and port, named, continue it
         h.run_edge_request("ue1", reuse_flow=True, bearer_id=5,
-                           vip="10.100.1.1")
+                           vip="10.100.1.1", dst_port=80)
         assert h.ues["ue1"].last_flow == before[1]
 
     @pytest.mark.parametrize("kwargs, error", [

@@ -34,6 +34,10 @@ SUBSCRIBERS, FLOWS = 10_000, 4
 _GENERATED = ("<string>", os.path.join("collections", "__init__.py"))
 
 
+def _discard(*_) -> None:
+    """A fabric's `send` and `record` that keep nothing."""
+
+
 def measure(subscribers: int, flows: int) -> tuple[float, float, float]:
     """(bytes per subscriber in all, of which in the processor, of which in
     the data plane's tables)."""
@@ -59,7 +63,7 @@ def measure(subscribers: int, flows: int) -> tuple[float, float, float]:
         for port in range(40000, 40000 + flows):
             inner = build_ipv4(ue, vip, 6, build_tcpish(6, port, 80, b"req"))
             gw.handle(encode_gtpu(enb, sgw, up, GtpMessageType.GPDU, inner),
-                      Direction.FROM_RAN)
+                      Direction.FROM_RAN, _discard, _discard)
     gc.collect()
     whole = tracemalloc.get_traced_memory()[0]
     snapshot = tracemalloc.take_snapshot()
